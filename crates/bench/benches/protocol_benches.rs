@@ -1,14 +1,18 @@
 //! Criterion micro-benchmarks of the hot protocol paths the figures depend on:
 //! hashing, signing/verification, Zipfian sampling, block digesting, one HotStuff
-//! decision, one BFT-SMaRt decision, and one BRD dissemination round.
+//! decision, one BFT-SMaRt decision, one BRD dissemination round, and the KV
+//! state path (overwrite apply per value size, snapshot, checkpoint build and
+//! verify over a 2 MB state).
 
 use ava_consensus::testkit::LocalNet;
 use ava_consensus::{TobConfig, TotalOrderBroadcast};
 use ava_crypto::{hmac_sha256, sha256, Digest, KeyRegistry};
 use ava_hamava::brd::{Brd, BrdAction, BrdMsg};
+use ava_state::{KvMachine, StateMachine};
+use ava_store::Checkpoint;
 use ava_types::{
-    ClientId, ClusterId, Duration, Operation, Reconfig, Region, ReplicaId, Round, Time, Timestamp,
-    Transaction,
+    ClientId, ClusterId, Duration, Membership, Operation, Reconfig, Region, ReplicaId, ReplicaInfo,
+    Round, Time, Timestamp, Transaction,
 };
 use ava_workload::Zipfian;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -160,12 +164,57 @@ fn bench_brd(c: &mut Criterion) {
     group.finish();
 }
 
+/// A KV machine holding `keys` values of `size` bytes each.
+fn populated_kv(keys: u64, size: u32) -> KvMachine {
+    let mut kv = KvMachine::default();
+    for key in 0..keys {
+        kv.apply(Round(1), &Transaction::write(ClientId(1), key, key, size));
+    }
+    kv
+}
+
+fn bench_kv_state(c: &mut Criterion) {
+    // One overwrite of a committed key: one SHA-256 pass over the new value
+    // (the old entry's cached leaf is XORed out, not recomputed).
+    let mut group = c.benchmark_group("kv_apply_overwrite");
+    for size in [128u32, 1024, 4096] {
+        let mut kv = populated_kv(2000, size);
+        let mut seq = 0u64;
+        group.bench_function(size.to_string(), |b| {
+            b.iter(|| {
+                seq += 1;
+                let tx = Transaction::write(ClientId(1), seq, seq.wrapping_mul(7919) % 2000, size);
+                black_box(kv.apply(Round(2), &tx))
+            })
+        });
+    }
+    group.finish();
+
+    // The benchmark's KV shape: 2000 keys x 1 KiB (2 MB of value bytes).
+    let kv = populated_kv(2000, 1024);
+    let mut membership = Membership::new();
+    for i in 0..4 {
+        membership.add(ClusterId(0), ReplicaInfo { id: ReplicaId(i), region: Region::UsWest });
+    }
+    c.bench_function("kv_snapshot_2mb", |b| b.iter(|| black_box(kv.snapshot())));
+    c.bench_function("checkpoint_build_kv_2mb", |b| {
+        b.iter(|| black_box(Checkpoint::new(Round(8), kv.snapshot(), membership.clone(), 0, 8)))
+    });
+    // Verification re-reads every value byte by design (leaves are never
+    // trusted from outside), so it stays at the cost of hashing 2 MB.
+    let checkpoint = Checkpoint::new(Round(8), kv.snapshot(), membership, 0, 8);
+    c.bench_function("checkpoint_verify_kv_2mb", |b| {
+        b.iter(|| assert!(black_box(&checkpoint).verify()))
+    });
+}
+
 criterion_group!(
     benches,
     bench_crypto,
     bench_workload,
     bench_block_digest,
     bench_consensus,
-    bench_brd
+    bench_brd,
+    bench_kv_state
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Wall-clock perf harness CLI — times the end-to-end `figure_benches` shapes
 //! (E0/E1/E3 pipelines + GeoBFT baseline + the store-enabled E10 shapes + the
 //! broker-tier E11 shapes + the KV state-machine E13 shapes) and emits
-//! `BENCH_PR10.json`.
+//! `BENCH_PR15.json`.
 //!
 //! ```text
 //! perf_wallclock [--quick|--full] [--iters N] [--jobs N] [--out FILE] \
@@ -39,7 +39,7 @@ fn main() {
     let mut full = false;
     let mut iters = 3u32;
     let mut jobs = ava_scenario::default_jobs();
-    let mut out = String::from("BENCH_PR10.json");
+    let mut out = String::from("BENCH_PR15.json");
     let mut baseline_path: Option<String> = None;
     let mut tsv_path: Option<String> = None;
     let mut check_path: Option<String> = None;

@@ -335,7 +335,7 @@ pub fn render_json(
     baseline: &BTreeMap<String, BaselineEntry>,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"pr\": 10,\n");
+    out.push_str("  \"pr\": 15,\n");
     out.push_str("  \"harness\": \"perf_wallclock\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"iters\": {iters},\n"));

@@ -222,7 +222,7 @@ fn lying_checkpoint(genuine: &Checkpoint) -> Checkpoint {
             let version = map.get(&u64::MAX).map(|e| e.version).unwrap_or(0) + 1;
             map.insert(
                 u64::MAX,
-                KvEntry { version, last_writer_round: genuine.round.0, value: vec![0xab; 8] },
+                KvEntry::new(u64::MAX, version, genuine.round.0, [0xab; 8].into()),
             );
             StateSnapshot::Kv(map)
         }

@@ -1509,12 +1509,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                         agreed.wire_size() as u64,
                     )
                 } else {
-                    (
-                        machine_from_snapshot(&self.machine.snapshot()),
-                        self.membership.clone(),
-                        rec.recovered_round,
-                        0,
-                    )
+                    (self.machine.fork(), self.membership.clone(), rec.recovered_round, 0)
                 };
                 let gap_rounds =
                     if use_checkpoint { agreed.round.next().0 - rec.recovered_round.0 } else { 0 };

@@ -19,8 +19,8 @@ pub struct NetStats {
     pub dropped_messages: u64,
     /// Total events processed.
     pub events_processed: u64,
-    /// Per message-label counts (labels are provided by actors via message sizes; the
-    /// simulator keys this map by the group pair `(from_group, to_group)`).
+    /// Messages sent per group pair `(from_group, to_group)`, local pairs
+    /// (`from == to`) included. Not broken down by message kind.
     pub per_group_pair: HashMap<(u32, u32), u64>,
 }
 

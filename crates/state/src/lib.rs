@@ -13,17 +13,21 @@
 //!   (`TxKind::MultiWrite`) and range reads (`TxKind::Scan`) are supported.
 //!
 //! Both machines expose a **history-independent digest**: an XOR set-hash over
-//! per-entry SHA-256 hashes, updated incrementally on every write. Because the
-//! digest is a function of the *state* (not of the apply history), a replica
-//! that adopts a peer snapshot during catch-up recomputes the same digest its
-//! peers carry — which is what lets the fuzzer's execution-agreement checker
-//! compare full state digests across replicas after recovery.
+//! per-entry SHA-256 hashes, updated incrementally on every write (a
+//! [`KvEntry`] caches its hash as a *leaf*, so every committed value is hashed
+//! once and an overwrite re-reads no old bytes). Because the digest is a
+//! function of the *state* (not of the apply history), a replica that adopts a
+//! peer snapshot during catch-up recomputes the same digest its peers carry —
+//! which is what lets the fuzzer's execution-agreement checker compare full
+//! state digests across replicas after recovery.
 //!
 //! [`StateSnapshot`] is the serialisable point-in-time image both machines
-//! produce and restore from; `ava-store` folds it into digest-certified
-//! checkpoints, and [`chunk_snapshot`] / [`SnapshotAssembler`] model the chunked
-//! transfer of large snapshots (reassembly is order-insensitive and
-//! digest-verified; see the property tests).
+//! produce and restore from — KV values are `Arc`-shared with the live map, not
+//! copied; `ava-store` folds it into digest-certified checkpoints (over the
+//! cached leaves, which a receiver recomputes before trusting), and
+//! [`chunk_snapshot`] / [`SnapshotAssembler`] model the chunked transfer of
+//! large snapshots (reassembly is order-insensitive and digest-verified; see
+//! the property tests).
 
 pub mod machine;
 pub mod snapshot;

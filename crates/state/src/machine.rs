@@ -5,6 +5,7 @@ use crate::snapshot::StateSnapshot;
 use ava_crypto::Sha256;
 use ava_types::{Round, Transaction, TxKind};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Which replicated state machine a deployment executes against.
 ///
@@ -79,6 +80,13 @@ pub trait StateMachine: Send {
 
     /// A serialisable point-in-time image of the state.
     fn snapshot(&self) -> StateSnapshot;
+
+    /// An independent working copy of this machine that keeps its derived
+    /// state (cached leaves, accumulator, byte total) — for replaying records
+    /// speculatively on the replica's *own* state. State received from
+    /// elsewhere goes through [`crate::machine_from_snapshot`], which
+    /// recomputes everything derived.
+    fn fork(&self) -> Box<dyn StateMachine>;
 }
 
 /// Build a fresh, empty machine of `kind`.
@@ -179,6 +187,10 @@ impl StateMachine for CounterMachine {
     fn snapshot(&self) -> StateSnapshot {
         StateSnapshot::Counter(self.state.clone())
     }
+
+    fn fork(&self) -> Box<dyn StateMachine> {
+        Box::new(self.clone())
+    }
 }
 
 /// One committed KV entry: a versioned value and the round of its last writer.
@@ -189,11 +201,40 @@ pub struct KvEntry {
     /// The round whose execution last wrote the key.
     pub last_writer_round: u64,
     /// The committed value bytes (deterministically materialised — see
-    /// [`KvMachine::fill_value`]).
-    pub value: Vec<u8>,
+    /// [`KvMachine::fill_value`]), shared between the live map and every
+    /// snapshot, checkpoint and restored machine that holds this entry.
+    pub value: Arc<[u8]>,
+    /// SHA-256 over `(key, version, last_writer_round, value)`, computed once
+    /// by [`KvEntry::new`]: what the machine XORs in and out of its set-hash
+    /// and what a checkpoint digest commits to. Derived state — never
+    /// serialised, and never trusted on entries that arrive from elsewhere
+    /// (the content fields are public, so a stale leaf is constructible:
+    /// [`StateSnapshot::leaves_valid`] and [`KvMachine::from_state`] recompute
+    /// it from the bytes).
+    pub(crate) leaf: [u8; 32],
 }
 
 impl KvEntry {
+    /// The entry stored under `key`, with its leaf hash computed (the one
+    /// pass over the value bytes a committed write pays).
+    pub fn new(key: u64, version: u64, last_writer_round: u64, value: Arc<[u8]>) -> Self {
+        let mut entry = KvEntry { version, last_writer_round, value, leaf: [0; 32] };
+        entry.leaf = entry.leaf_for(key);
+        entry
+    }
+
+    /// The leaf hash this entry's content has under `key`, from scratch.
+    pub(crate) fn leaf_for(&self, key: u64) -> [u8; 32] {
+        let mut h = Sha256::new();
+        h.update(b"ava-kv-entry");
+        h.update(&key.to_le_bytes());
+        h.update(&self.version.to_le_bytes());
+        h.update(&self.last_writer_round.to_le_bytes());
+        h.update(&(self.value.len() as u32).to_le_bytes());
+        h.update(&self.value);
+        h.finalize()
+    }
+
     /// Wire size of the entry: key (8) + version (8) + round (8) + length
     /// prefix (4) + value bytes.
     pub fn wire_bytes(&self) -> usize {
@@ -211,13 +252,16 @@ pub struct KvMachine {
 }
 
 impl KvMachine {
-    /// Restore from a KV snapshot map, recomputing the set-hash accumulator
-    /// and byte total (O(state), paid once at adoption time).
-    pub fn from_state(entries: BTreeMap<u64, KvEntry>) -> Self {
+    /// Restore from a KV snapshot map that came from elsewhere (a peer, the
+    /// store), recomputing every leaf, the set-hash accumulator and the byte
+    /// total from the bytes (O(state), paid once at adoption time). The value
+    /// bytes themselves stay shared with the snapshot.
+    pub fn from_state(mut entries: BTreeMap<u64, KvEntry>) -> Self {
         let mut acc = [0u8; 32];
         let mut value_bytes = 0u64;
-        for (k, e) in &entries {
-            xor_acc(&mut acc, &Self::entry_hash(*k, e));
+        for (k, e) in &mut entries {
+            e.leaf = e.leaf_for(*k);
+            xor_acc(&mut acc, &e.leaf);
             value_bytes += e.value.len() as u64;
         }
         KvMachine { entries, acc, value_bytes }
@@ -236,34 +280,21 @@ impl KvMachine {
     /// Deterministic value content for `(key, version)`: the simulator carries
     /// real bytes (so snapshot/transfer sizes and digests are meaningful)
     /// without shipping client payloads through the ordering path.
-    pub fn fill_value(key: u64, version: u64, size: u32) -> Vec<u8> {
+    pub fn fill_value(key: u64, version: u64, size: u32) -> Arc<[u8]> {
         let seed = key.wrapping_mul(31).wrapping_add(version) as u8;
         (0..size as usize).map(|i| seed.wrapping_add(i as u8)).collect()
     }
 
-    fn entry_hash(key: u64, e: &KvEntry) -> [u8; 32] {
-        let mut h = Sha256::new();
-        h.update(b"ava-kv-entry");
-        h.update(&key.to_le_bytes());
-        h.update(&e.version.to_le_bytes());
-        h.update(&e.last_writer_round.to_le_bytes());
-        h.update(&(e.value.len() as u32).to_le_bytes());
-        h.update(&e.value);
-        h.finalize()
-    }
-
     fn write_one(&mut self, round: Round, key: u64, value_size: u32) -> u64 {
         let version = self.entries.get(&key).map_or(1, |e| e.version + 1);
-        let value = Self::fill_value(key, version, value_size);
-        let written = value.len() as u64;
-        let entry = KvEntry { version, last_writer_round: round.0, value };
-        let new_hash = Self::entry_hash(key, &entry);
+        let entry = KvEntry::new(key, version, round.0, Self::fill_value(key, version, value_size));
+        let written = entry.value.len() as u64;
+        xor_acc(&mut self.acc, &entry.leaf);
         if let Some(old) = self.entries.insert(key, entry) {
             self.value_bytes -= old.value.len() as u64;
-            xor_acc(&mut self.acc, &Self::entry_hash(key, &old));
+            xor_acc(&mut self.acc, &old.leaf);
         }
         self.value_bytes += written;
-        xor_acc(&mut self.acc, &new_hash);
         written
     }
 }
@@ -317,15 +348,87 @@ impl StateMachine for KvMachine {
     fn snapshot(&self) -> StateSnapshot {
         StateSnapshot::Kv(self.entries.clone())
     }
+
+    fn fork(&self) -> Box<dyn StateMachine> {
+        Box::new(self.clone())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ava_types::{ClientId, TxId};
+    use proptest::{proptest, ProptestConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn write(seq: u64, key: u64, size: u32) -> Transaction {
         Transaction::write(ClientId(1), seq, key, size)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn cached_leaves_and_totals_equal_a_from_scratch_recompute(
+            seed in 0u64..1_000_000,
+            n in 1usize..150,
+        ) {
+            // Few keys, so most writes are overwrites; sizes change (down to
+            // empty values); a MultiWrite may name one key more than once.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut live = KvMachine::default();
+            for seq in 0..n as u64 {
+                let value_size = rng.gen_range(0..300u32);
+                let kind = if rng.gen_range(0..2u32) == 0 {
+                    TxKind::Write { key: rng.gen_range(0..12u64), value_size }
+                } else {
+                    let keys = (0..rng.gen_range(1..6u32)).map(|_| rng.gen_range(0..12u64));
+                    TxKind::MultiWrite { keys: keys.collect(), value_size }
+                };
+                let tx = Transaction {
+                    id: TxId { client: ClientId(1), seq },
+                    kind,
+                    payload_size: 64,
+                };
+                live.apply(Round(1 + seq / 4), &tx);
+            }
+            for (k, e) in live.entries_map() {
+                assert_eq!(e.leaf, e.leaf_for(*k), "cached leaf of key {k} is stale");
+            }
+            // `from_state` must not lean on what the entries cached.
+            let mut foreign = live.entries_map().clone();
+            for e in foreign.values_mut() {
+                e.leaf = [0; 32];
+            }
+            assert_eq!(KvMachine::from_state(foreign), live);
+        }
+    }
+
+    #[test]
+    fn snapshots_and_forks_share_value_bytes_and_stay_isolated() {
+        let mut m = KvMachine::default();
+        m.apply(Round(1), &write(0, 7, 256));
+        let StateSnapshot::Kv(snap) = m.snapshot() else { panic!("kv snapshot") };
+        let restored = KvMachine::from_state(snap.clone());
+        let mut fork = m.fork();
+        let live = &m.get(7).expect("written").value;
+        assert!(Arc::ptr_eq(live, &snap[&7].value), "a snapshot must not copy value bytes");
+        assert!(Arc::ptr_eq(live, &restored.get(7).expect("restored").value));
+        assert_eq!(restored, m);
+
+        // Writes to the fork and to the original leave the other, and the
+        // snapshot, as they were.
+        let before = m.digest();
+        fork.apply(Round(2), &write(1, 7, 64));
+        assert_eq!(m.digest(), before);
+        assert_ne!(fork.digest(), before);
+        m.apply(Round(3), &write(2, 7, 32));
+        assert_eq!((snap[&7].version, snap[&7].value.len()), (1, 256));
+        assert_eq!((fork.read_len(7), fork.value_bytes()), (64, 64));
+        let mut replayed = KvMachine::default();
+        replayed.apply(Round(1), &write(0, 7, 256));
+        replayed.apply(Round(2), &write(1, 7, 64));
+        assert_eq!(fork.digest(), replayed.digest(), "a fork keeps a correct accumulator");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! and wire-size contributions are bit-identical to the pre-`ava-state`
 //! checkpoint format, which is what keeps the historical determinism goldens
 //! byte-stable. The **kv** variant carries real value bytes, so checkpoint
-//! sizes, catch-up transfer accounting and digests are all meaningful.
+//! sizes, catch-up transfer accounting and digests are all meaningful; those
+//! bytes are `Arc`-shared with the machine the snapshot was taken from, so a
+//! snapshot costs one map clone, not a copy of the state.
 //!
 //! [`chunk_snapshot`] splits a serialised snapshot into digest-certified
 //! chunks and [`SnapshotAssembler`] reassembles them in any arrival order —
@@ -62,7 +64,12 @@ impl StateSnapshot {
 
     /// Feed the snapshot's canonical byte stream into a running hash. The
     /// counter stream (length + key/counter pairs, all LE) is byte-identical
-    /// to the legacy checkpoint digest input; the kv stream is domain-tagged.
+    /// to the legacy checkpoint digest input. The kv stream is two-level:
+    /// domain tag, length, then `(key, leaf)` per entry, where the leaf is the
+    /// entry's cached SHA-256 — 40 bytes per entry instead of the value bytes,
+    /// and as collision-resistant as hashing them inline. It trusts the
+    /// cached leaves: check [`StateSnapshot::leaves_valid`] first on a
+    /// snapshot this process did not take itself.
     pub fn hash_into(&self, h: &mut Sha256) {
         match self {
             StateSnapshot::Counter(state) => {
@@ -73,16 +80,25 @@ impl StateSnapshot {
                 }
             }
             StateSnapshot::Kv(state) => {
-                h.update(b"kv-state-v1");
+                h.update(b"kv-state-v2");
                 h.update(&(state.len() as u64).to_le_bytes());
                 for (k, e) in state {
                     h.update(&k.to_le_bytes());
-                    h.update(&e.version.to_le_bytes());
-                    h.update(&e.last_writer_round.to_le_bytes());
-                    h.update(&(e.value.len() as u32).to_le_bytes());
-                    h.update(&e.value);
+                    h.update(&e.leaf);
                 }
             }
+        }
+    }
+
+    /// Whether every entry's cached leaf is the hash of its bytes under its
+    /// key, recomputed from scratch (reads the whole state). A leaf is never
+    /// serialised, so on a real wire this is the hashing a receiver does while
+    /// parsing; here, where snapshots travel as in-memory objects, it is what
+    /// stops a peer from pairing tampered bytes with an honest leaf.
+    pub fn leaves_valid(&self) -> bool {
+        match self {
+            StateSnapshot::Counter(_) => true,
+            StateSnapshot::Kv(state) => state.iter().all(|(k, e)| e.leaf == e.leaf_for(*k)),
         }
     }
 
@@ -136,8 +152,8 @@ impl StateSnapshot {
                     let version = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
                     let last_writer_round = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
                     let vlen = u32::from_le_bytes(cur.take(4)?.try_into().ok()?) as usize;
-                    let value = cur.take(vlen)?.to_vec();
-                    state.insert(k, KvEntry { version, last_writer_round, value });
+                    let value = cur.take(vlen)?.into();
+                    state.insert(k, KvEntry::new(k, version, last_writer_round, value));
                 }
                 cur.done().then_some(StateSnapshot::Kv(state))
             }
@@ -164,8 +180,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Build a machine pre-loaded with `snapshot`'s state (digest and byte totals
-/// recomputed, so it agrees with peers that executed the full history).
+/// Build a machine pre-loaded with `snapshot`'s state (leaves, digest and
+/// byte totals recomputed from the bytes, so it agrees with peers that
+/// executed the full history whatever the snapshot's sender cached). For a
+/// copy of a machine's own state use [`StateMachine::fork`].
 pub fn machine_from_snapshot(snapshot: &StateSnapshot) -> Box<dyn StateMachine> {
     match snapshot {
         StateSnapshot::Counter(state) => Box::new(CounterMachine::from_state(state.clone())),

@@ -61,7 +61,13 @@ impl Checkpoint {
     /// The canonical digest of a checkpoint's round-deterministic content.
     /// `BTreeMap` iteration (inside the snapshot's byte stream) and the
     /// membership map's sorted per-cluster member lists make the byte stream
-    /// deterministic across replicas.
+    /// deterministic across replicas. KV state enters as `(key, leaf)` pairs
+    /// (`StateSnapshot::hash_into`), so building a checkpoint re-reads no
+    /// value bytes. The machine's XOR set-hash is deliberately *not* the
+    /// commitment: it is an agreement checksum among honest replicas, and a
+    /// lying catch-up peer could forge a colliding state by generalised
+    /// birthday search over entry hashes; a SHA-256 over the ordered leaves
+    /// is as collision-resistant as hashing the values inline.
     pub fn digest_of(
         round: Round,
         state: &StateSnapshot,
@@ -81,9 +87,12 @@ impl Checkpoint {
     }
 
     /// Whether the stored digest matches the content (detects a corrupted or
-    /// tampered snapshot).
+    /// tampered snapshot). Reads every state byte: the cached KV leaves the
+    /// digest is built from are recomputed first, never taken on trust.
     pub fn verify(&self) -> bool {
-        self.digest == Self::digest_of(self.round, &self.state, &self.membership, self.next_height)
+        self.state.leaves_valid()
+            && self.digest
+                == Self::digest_of(self.round, &self.state, &self.membership, self.next_height)
     }
 
     /// Approximate wire size of the snapshot in bytes (state body + membership
@@ -264,6 +273,105 @@ mod tests {
         // Same logical content under the two machines must NOT collide.
         let counter = checkpoint(8, 16);
         assert_ne!(cp.digest, counter.digest);
+    }
+
+    fn kv_checkpoint() -> (Box<dyn ava_state::StateMachine>, Checkpoint) {
+        use ava_types::{ClientId, Transaction};
+        let mut m = ava_state::machine_for(ava_state::StateMachineKind::Kv);
+        for key in 0..6u64 {
+            m.apply(Round(2 + key % 3), &Transaction::write(ClientId(1), key, key, 100));
+        }
+        let cp = Checkpoint::new(Round(8), m.snapshot(), membership(4), 2, 24);
+        (m, cp)
+    }
+
+    #[test]
+    fn kv_digest_matches_the_two_level_byte_stream() {
+        // Pins the `kv-state-v2` stream: round, next_height, tag, entry count,
+        // then per entry the key and the SHA-256 of (entry tag, key, version,
+        // last-writer round, value length, value) — all LE — then the
+        // membership. Checkpoint digests are compared across replicas, so any
+        // change here is a protocol change.
+        let (_, cp) = kv_checkpoint();
+        let mut h = Sha256::new();
+        h.update(&8u64.to_le_bytes());
+        h.update(&24u64.to_le_bytes());
+        let StateSnapshot::Kv(state) = &cp.state else { unreachable!() };
+        h.update(b"kv-state-v2");
+        h.update(&(state.len() as u64).to_le_bytes());
+        for (k, e) in state {
+            let mut leaf = Sha256::new();
+            leaf.update(b"ava-kv-entry");
+            leaf.update(&k.to_le_bytes());
+            leaf.update(&e.version.to_le_bytes());
+            leaf.update(&e.last_writer_round.to_le_bytes());
+            leaf.update(&(e.value.len() as u32).to_le_bytes());
+            leaf.update(&e.value);
+            h.update(&k.to_le_bytes());
+            h.update(&leaf.finalize());
+        }
+        for (cluster, info) in cp.membership.iter() {
+            h.update(&cluster.0.to_le_bytes());
+            h.update(&info.id.0.to_le_bytes());
+            h.update(&[info.region.index() as u8]);
+        }
+        assert_eq!(cp.digest, Digest(h.finalize()));
+        assert_eq!(cp.wire_size(), 64 + 6 * (28 + 100) + 4 * 12, "value bytes are accounted");
+    }
+
+    #[test]
+    fn kv_checkpoint_is_unchanged_by_later_overwrites() {
+        use ava_types::{ClientId, Transaction};
+        let (mut m, cp) = kv_checkpoint();
+        let bytes = cp.state.to_bytes();
+        // The checkpoint shares its value bytes with the live map; overwriting
+        // every key (other sizes too) must replace them there, not in place.
+        for key in 0..6u64 {
+            m.apply(Round(9), &Transaction::write(ClientId(1), 10 + key, key, 40 + key as u32));
+        }
+        assert_eq!(cp.state.to_bytes(), bytes, "checkpoint content moved under later writes");
+        assert!(cp.verify());
+        let later = Checkpoint::new(Round(16), m.snapshot(), membership(4), 2, 48);
+        assert!(later.verify());
+        assert_ne!(later.state, cp.state);
+    }
+
+    #[test]
+    fn tampered_kv_content_fails_verification_and_the_collector() {
+        // A peer pairs changed content with the honest digest and the honest
+        // cached leaves; every field the leaf covers must be caught.
+        type Tamper = fn(&mut ava_state::KvEntry);
+        let tampers: [(&str, Tamper); 3] = [
+            ("value byte", |e| {
+                let mut bytes = e.value.to_vec();
+                bytes[17] ^= 1;
+                e.value = bytes.into();
+            }),
+            ("version", |e| e.version += 1),
+            ("last_writer_round", |e| e.last_writer_round += 1),
+        ];
+        for (what, tamper) in tampers {
+            let (_, mut cp) = kv_checkpoint();
+            let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
+            tamper(state.get_mut(&3).expect("key 3 was written"));
+            assert!(!cp.verify(), "a changed {what} must fail verification");
+            let mut c = CheckpointCollector::new(1);
+            assert!(!c.offer(ReplicaId(1), Arc::new(cp)), "a changed {what} must not vote");
+            assert_eq!(c.rejected(), 1);
+        }
+        // An entry moved under another key keeps a leaf that is honest for the
+        // old key only.
+        let (_, mut cp) = kv_checkpoint();
+        let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
+        let moved = state.remove(&3).expect("key 3 was written");
+        state.insert(33, moved);
+        assert!(!cp.verify());
+        // And a replaced entry whose leaf is honest for its new content no
+        // longer matches the digest.
+        let (_, mut cp) = kv_checkpoint();
+        let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
+        state.insert(3, ava_state::KvEntry::new(3, 1, 2, [7u8; 100].into()));
+        assert!(cp.state.leaves_valid() && !cp.verify());
     }
 
     #[test]
