@@ -1,12 +1,13 @@
 //! Wall-clock perf harness CLI — times the end-to-end `figure_benches` shapes
 //! (E0/E1/E3 pipelines + GeoBFT baseline + the store-enabled E10 shapes + the
 //! broker-tier E11 shapes + the KV state-machine E13 shapes) and emits
-//! `BENCH_PR15.json`.
+//! `BENCH_PR17.json`.
 //!
 //! ```text
 //! perf_wallclock [--quick|--full] [--iters N] [--jobs N] [--out FILE] \
 //!                [--baseline FILE.tsv] [--emit-tsv FILE.tsv] \
 //!                [--check FILE.json] [--check-threshold PCT]
+//! perf_wallclock --profile
 //! ```
 //!
 //! * `--quick` (default): 5 s-virtual-time shapes; finishes in seconds.
@@ -16,6 +17,9 @@
 //!   (default: available parallelism). Each shape's iterations stay on one
 //!   worker; per-shape thread CPU time is recorded so timings stay comparable
 //!   across `--jobs` settings.
+//! * `--profile`: instead of timing shapes, run the paper's heterogeneous
+//!   deployment once with the simulator's handler profile on and print where the
+//!   host time went, per (replica | client) × message kind, sorted by share.
 //! * `--baseline`: a `name\twall_ms` TSV from a previous run (typically the parent
 //!   commit); per-shape speedups are recorded in the JSON.
 //! * `--emit-tsv`: write this run's timings in the baseline format.
@@ -39,7 +43,7 @@ fn main() {
     let mut full = false;
     let mut iters = 3u32;
     let mut jobs = ava_scenario::default_jobs();
-    let mut out = String::from("BENCH_PR15.json");
+    let mut out = String::from("BENCH_PR17.json");
     let mut baseline_path: Option<String> = None;
     let mut tsv_path: Option<String> = None;
     let mut check_path: Option<String> = None;
@@ -50,6 +54,10 @@ fn main() {
         match arg.as_str() {
             "--quick" => full = false,
             "--full" => full = true,
+            "--profile" => {
+                ava_bench::perf::profile_paper_deployment();
+                return;
+            }
             "--iters" => iters = next_value(&mut args, "--iters").parse().expect("--iters N"),
             "--jobs" => {
                 jobs = next_value(&mut args, "--jobs").parse::<usize>().expect("--jobs N").max(1)

@@ -8,10 +8,11 @@
 //! silently regress) their speedups. The `perf_wallclock` binary is the CLI front
 //! end; CI runs it at quick scale as a bench smoke test.
 
-use crate::experiments::{e0_single_region, ExperimentScale, Protocol};
+use crate::experiments::{e0_single_region, e3_setup, ExperimentScale, Protocol};
+use crate::report::{fmt, print_table};
 use ava_hamava::harness::DeploymentOptions;
 use ava_scenario::{thread_cpu_time, BrokerTier, RunPool, Scenario};
-use ava_simnet::{CostModel, LatencyModel};
+use ava_simnet::{CostModel, LatencyModel, ProfileRow};
 use ava_store::StoreConfig;
 use ava_types::{Duration, Output, Region, ReplicaId, SystemConfig, Time};
 use ava_workload::{AggregateLoad, WorkloadSpec};
@@ -278,6 +279,64 @@ pub fn run_quick_shapes(iters: u32, jobs: usize) -> (Vec<PerfRecord>, f64) {
     (records, start.elapsed().as_secs_f64() * 1e3)
 }
 
+/// Run the paper's heterogeneous deployment — E3 setup 3 at scale 3, 15 + 12 +
+/// 15 replicas on Ava-HotStuff under the load of the repo benchmark's
+/// `geo_hetero_counter` workload — for 35 s of virtual time (that workload's
+/// warm-up, window and drain together) with the simulator's handler profile
+/// on, and print where the host time went: one row per (actor kind × message
+/// kind) plus one for the queue pops, largest share first.
+pub fn profile_paper_deployment() {
+    let o = DeploymentOptions {
+        workload: WorkloadSpec::default().with_payload(1024),
+        clients_per_cluster: 4,
+        client_concurrency: 128,
+        ..opts(7)
+    };
+    let mut dep = Protocol::AvaHotStuff.deploy(e3_setup(3, 3), o);
+    dep.enable_profile();
+    dep.run_for(Duration::from_secs(35));
+    let profile = dep.handler_profile().expect("switched on above");
+    let events = dep.net_stats().events_processed;
+    let pops = ProfileRow { events, post_ns: profile.pop_ns, ..ProfileRow::default() };
+    let mut rows: Vec<(String, ProfileRow)> = profile
+        .rows()
+        .map(|(actor, kind, row)| (format!("{} {kind}", actor.label()), row))
+        .chain([("(queue pop)".to_string(), pops)])
+        .collect();
+    rows.sort_by_key(|(_, r)| std::cmp::Reverse(r.handler_ns + r.post_ns));
+    let total = profile.total_ns().max(1) as f64;
+    let rows: Vec<Vec<String>> = rows
+        .into_iter()
+        .map(|(name, r)| {
+            let per_event = |ns: u64| fmt(ns as f64 / r.events.max(1) as f64, 0);
+            vec![
+                name,
+                r.events.to_string(),
+                fmt(r.handler_ns as f64 / 1e6, 1),
+                per_event(r.handler_ns),
+                fmt(r.post_ns as f64 / 1e6, 1),
+                per_event(r.post_ns),
+                r.sends.to_string(),
+                format!("{:.1} %", (r.handler_ns + r.post_ns) as f64 * 100.0 / total),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("handler profile: {events} events, {:.0} ms of host time", total / 1e6),
+        &[
+            "actor · kind",
+            "events",
+            "handler ms",
+            "handler ns/event",
+            "post ms",
+            "post ns/event",
+            "sends",
+            "share",
+        ],
+        &rows,
+    );
+}
+
 /// Run and time the full paper-scale E0 sweep (`AVA_FULL=1` equivalent: 96 nodes,
 /// 180 s virtual windows, 6 cluster counts × 2 protocols) with its 12 runs fanned
 /// out over `jobs` workers. Returns the timing record and the E0 result rows
@@ -335,7 +394,7 @@ pub fn render_json(
     baseline: &BTreeMap<String, BaselineEntry>,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"pr\": 15,\n");
+    out.push_str("  \"pr\": 17,\n");
     out.push_str("  \"harness\": \"perf_wallclock\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"iters\": {iters},\n"));

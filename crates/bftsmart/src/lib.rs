@@ -78,6 +78,15 @@ impl WireSize for BftSmartMsg {
             BftSmartMsg::Prepare { .. } | BftSmartMsg::Commit { .. } => 120,
         }
     }
+
+    fn kind_label(&self) -> &'static str {
+        match self {
+            BftSmartMsg::Forward(_) => "bs.Forward",
+            BftSmartMsg::PrePrepare { .. } => "bs.PrePrepare",
+            BftSmartMsg::Prepare { .. } => "bs.Prepare",
+            BftSmartMsg::Commit { .. } => "bs.Commit",
+        }
+    }
 }
 
 /// Per-instance voting state.

@@ -9,6 +9,12 @@ use ava_types::{ClusterId, Duration, Operation, ReplicaId, Time, Timestamp};
 pub trait WireSize {
     /// Size of the message in bytes when encoded for the wire.
     fn wire_size(&self) -> usize;
+
+    /// A short name for the kind of message this is, for the simulator's opt-in
+    /// handler profile (`ava_simnet::SimMessage::kind_label`).
+    fn kind_label(&self) -> &'static str {
+        "tob"
+    }
 }
 
 /// Side effects requested by a total-order-broadcast state machine.

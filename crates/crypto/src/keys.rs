@@ -6,10 +6,11 @@
 //! deployment. Replicas can only sign through their own [`Keypair`] handle, which is
 //! what enforces unforgeability inside the simulation.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::HmacKey;
 use crate::sha256::Digest;
 use ava_types::{Encode, EncodeSink, ReplicaId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 /// A signature produced by a replica over a digest.
@@ -28,20 +29,71 @@ impl Encode for Signature {
     }
 }
 
+/// Key of the expected-tag memo. Its hash is the digest's own leading bytes
+/// mixed with the signer: the digests are SHA-256 outputs computed inside this
+/// process, already uniform, so running SipHash over all 36 bytes per lookup
+/// (several million per run) buys nothing. Equality still compares the whole
+/// key, so a collision costs a probe, never a wrong tag.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct TagKey {
+    signer: ReplicaId,
+    digest: [u8; 32],
+}
+
+impl Hash for TagKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let lead = u64::from_le_bytes(self.digest[..8].try_into().expect("eight bytes"));
+        state.write_u64(lead ^ u64::from(self.signer.0).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    }
+}
+
+/// Hands [`TagKey`]'s one `write_u64` through as the hash.
+#[derive(Default)]
+struct TagKeyHasher(u64);
+
+impl Hasher for TagKeyHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("TagKey hashes through write_u64 only");
+    }
+
+    fn write_u64(&mut self, value: u64) {
+        self.0 = value;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 struct RegistryInner {
     /// Identifier unique to this registry instance for the whole process lifetime
     /// (monotonic counter, never reused — unlike a heap address).
     id: u64,
-    secrets: HashMap<ReplicaId, [u8; 32]>,
+    secrets: HashMap<ReplicaId, HmacKey>,
     /// Memo of *expected* HMAC tags by `(signer, digest)`.
     ///
-    /// In a simulated deployment the same signature is verified by every receiver of
-    /// a broadcast; the expected tag depends only on the signer's secret and the
-    /// digest, so the first verification pays the HMAC and the rest are a map
-    /// lookup. Only registry-derived tags are cached (never attacker-supplied ones),
-    /// so a forged signature can not poison the memo. Bounded by
-    /// [`TAG_MEMO_CAPACITY`]; cleared wholesale when full (tags are recomputable).
-    tags: HashMap<(ReplicaId, [u8; 32]), [u8; 32]>,
+    /// In a simulated deployment the same signature is verified by every receiver
+    /// of a broadcast, and the expected tag depends only on the signer's secret and
+    /// the digest, so it is computed once. Two code paths fill the memo and both
+    /// derive the tag from the registered secret itself: [`Keypair::sign`] stores
+    /// the tag it just computed (a keypair is only ever made by
+    /// [`KeyRegistry::register`], holds that registry's secret for its id, and
+    /// writes only to that registry), and [`KeyRegistry::verify`] computes it on a
+    /// miss. A tag that arrives in a message is only ever *compared* against the
+    /// memo, never written to it, so every entry is
+    /// `HMAC(secret[signer], digest)` and a forged signature cannot poison it.
+    /// Bounded by [`TAG_MEMO_CAPACITY`]; cleared wholesale when full (tags are
+    /// recomputable).
+    tags: HashMap<TagKey, [u8; 32], BuildHasherDefault<TagKeyHasher>>,
+}
+
+impl RegistryInner {
+    fn remember(&mut self, key: TagKey, expected: [u8; 32]) {
+        if self.tags.len() >= TAG_MEMO_CAPACITY {
+            self.tags.clear();
+        }
+        self.tags.insert(key, expected);
+    }
 }
 
 impl Default for RegistryInner {
@@ -51,14 +103,18 @@ impl Default for RegistryInner {
         RegistryInner {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             secrets: HashMap::new(),
-            tags: HashMap::new(),
+            tags: HashMap::default(),
         }
     }
 }
 
 /// Upper bound on memoised `(signer, digest)` tags (~72 bytes each, so ≈ 75 MiB
 /// worst case) before the memo is reset.
+#[cfg(not(test))]
 const TAG_MEMO_CAPACITY: usize = 1 << 20;
+/// Small under test, so the unit tests cross the wholesale reset.
+#[cfg(test)]
+const TAG_MEMO_CAPACITY: usize = 8;
 
 /// Registry mapping replica ids to their secrets.
 ///
@@ -85,8 +141,9 @@ impl KeyRegistry {
             replica.encode(&mut bytes);
             bytes
         });
-        self.inner.write().expect("registry lock poisoned").secrets.insert(replica, secret);
-        Keypair { id: replica, secret }
+        let key = HmacKey::new(&secret);
+        self.inner.write().expect("registry lock poisoned").secrets.insert(replica, key.clone());
+        Keypair { id: replica, key, registry: Arc::clone(&self.inner) }
     }
 
     /// Whether `replica` has a registered key.
@@ -103,32 +160,30 @@ impl KeyRegistry {
         self.inner.read().expect("registry lock poisoned").id
     }
 
-    /// Verify `sig` over `digest`.
+    /// Verify `sig` over `digest`: its tag must equal the expected tag,
+    /// `HMAC(secret[signer], digest)`.
     ///
-    /// The expected tag for `(signer, digest)` is memoised, so when every member of
-    /// a cluster verifies the same broadcast signature only the first check pays the
-    /// HMAC cost. The common memo-hit path takes only the read lock; the write lock
-    /// is taken just to install a freshly computed tag. (Replicas still *charge
-    /// themselves* the modelled `per_sig_verify` CPU time — the memo changes
-    /// wall-clock, not virtual time.)
+    /// The expected tag is memoised per `(signer, digest)`, and the signer's own
+    /// [`Keypair::sign`] call has normally put it there already, so verification is
+    /// a lookup and a comparison under the read lock; only a signature this
+    /// registry never produced (a forgery, a foreign keypair, an entry lost to the
+    /// memo's reset) pays the HMAC and the write lock. The memo never takes a tag
+    /// from `sig` — see `RegistryInner::tags` for why it cannot be poisoned.
+    /// (Replicas still *charge themselves* the modelled `per_sig_verify` CPU time —
+    /// the memo changes wall-clock, not virtual time.)
     pub fn verify(&self, digest: &Digest, sig: &Signature) -> bool {
-        let key = (sig.signer, digest.0);
-        let secret = {
+        let key = TagKey { signer: sig.signer, digest: digest.0 };
+        let expected = {
             let inner = self.inner.read().expect("registry lock poisoned");
             if let Some(expected) = inner.tags.get(&key) {
                 return *expected == sig.tag;
             }
             match inner.secrets.get(&sig.signer) {
-                Some(secret) => *secret,
+                Some(secret) => secret.mac(&digest.0),
                 None => return false,
             }
         };
-        let expected = hmac_sha256(&secret, &digest.0);
-        let mut inner = self.inner.write().expect("registry lock poisoned");
-        if inner.tags.len() >= TAG_MEMO_CAPACITY {
-            inner.tags.clear();
-        }
-        inner.tags.insert(key, expected);
+        self.inner.write().expect("registry lock poisoned").remember(key, expected);
         expected == sig.tag
     }
 
@@ -143,18 +198,27 @@ impl KeyRegistry {
     }
 }
 
-/// A replica's signing handle.
+/// A replica's signing handle: the replica's id, its keyed secret, and a handle
+/// on the registry that issued it (so signing can leave the tag where that
+/// registry's verifiers will look for it). Cloning copies 64 bytes of key state
+/// and bumps one reference count.
 #[derive(Clone)]
 pub struct Keypair {
     /// The replica this keypair belongs to.
     pub id: ReplicaId,
-    secret: [u8; 32],
+    key: HmacKey,
+    registry: Arc<RwLock<RegistryInner>>,
 }
 
 impl Keypair {
-    /// Sign a digest.
+    /// Sign a digest, and record the tag in the issuing registry's expected-tag
+    /// memo: every verifier would otherwise recompute the identical
+    /// `HMAC(secret, digest)` from the same secret.
     pub fn sign(&self, digest: &Digest) -> Signature {
-        Signature { signer: self.id, tag: hmac_sha256(&self.secret, &digest.0) }
+        let tag = self.key.mac(&digest.0);
+        let key = TagKey { signer: self.id, digest: digest.0 };
+        self.registry.write().expect("registry lock poisoned").remember(key, tag);
+        Signature { signer: self.id, tag }
     }
 
     /// Sign the canonical encoding of a value.
@@ -207,18 +271,78 @@ mod tests {
         assert!(!reg.is_registered(ReplicaId(9)));
     }
 
+    fn memo_holds(reg: &KeyRegistry, signer: u32, digest: &Digest) -> bool {
+        let key = TagKey { signer: ReplicaId(signer), digest: digest.0 };
+        reg.inner.read().unwrap().tags.contains_key(&key)
+    }
+
     #[test]
     fn tag_memo_never_validates_forged_tags() {
         let reg = KeyRegistry::new();
         let kp = reg.register(ReplicaId(1));
         let digest = Digest::of(&5u64);
+        // Signing seeds the memo, so the very first verification of this
+        // (signer, digest) — here of a forged tag — is already a memo hit.
         let good = kp.sign(&digest);
-        // Prime the memo with the genuine verification, then check a forged tag for
-        // the same (signer, digest) key is still rejected on the memo-hit path.
-        assert!(reg.verify(&digest, &good));
+        assert!(memo_holds(&reg, 1, &digest));
         let forged = Signature { signer: ReplicaId(1), tag: [0u8; 32] };
         assert!(!reg.verify(&digest, &forged));
         assert!(reg.verify(&digest, &good));
+        // The rejected forgery left the memo's entry as it was.
+        assert!(!reg.verify(&digest, &forged));
+        // A forgery for a digest nobody signed goes through the miss path, which
+        // memoises the registry-derived tag, not the forged one.
+        let unsigned = Digest::of(&6u64);
+        assert!(!reg.verify(&unsigned, &forged));
+        assert!(memo_holds(&reg, 1, &unsigned));
+        assert!(!reg.verify(&unsigned, &forged));
+        assert!(reg.verify(&unsigned, &kp.sign(&unsigned)));
+    }
+
+    #[test]
+    fn a_keypair_signs_into_its_own_registry_only() {
+        let a = KeyRegistry::new();
+        let b = KeyRegistry::new();
+        let a9 = a.register(ReplicaId(9));
+        b.register(ReplicaId(1));
+        let digest = Digest::of(&7u64);
+        let sig = a9.sign(&digest);
+        assert!(memo_holds(&a, 9, &digest) && a.verify(&digest, &sig));
+        // Registry B never registered replica 9: nothing A's keypair signs
+        // validates there, and signing left B's memo untouched.
+        assert!(b.inner.read().unwrap().tags.is_empty(), "a foreign sign must not seed");
+        assert!(!b.verify(&digest, &sig));
+        assert!(!memo_holds(&b, 9, &digest));
+        // A clone of the keypair still signs into A.
+        let other = Digest::of(&8u64);
+        let sig = a9.clone().sign(&other);
+        assert!(memo_holds(&a, 9, &other) && !memo_holds(&b, 9, &other));
+        assert!(a.verify(&other, &sig) && !b.verify(&other, &sig));
+    }
+
+    #[test]
+    fn memo_reset_at_capacity_loses_no_correctness() {
+        let reg = KeyRegistry::new();
+        let kps: Vec<Keypair> = (0..3).map(|i| reg.register(ReplicaId(i))).collect();
+        // Far more (signer, digest) pairs than the (test-sized) memo holds, so it
+        // is cleared many times over, between a sign and its verification too.
+        let digests: Vec<Digest> =
+            (0..10 * TAG_MEMO_CAPACITY as u64).map(|i| Digest::of(&i)).collect();
+        let sigs: Vec<Vec<Signature>> =
+            kps.iter().map(|kp| digests.iter().map(|d| kp.sign(d)).collect()).collect();
+        assert!(reg.inner.read().unwrap().tags.len() <= TAG_MEMO_CAPACITY);
+        for (signer, sigs) in sigs.iter().enumerate() {
+            for (i, (digest, sig)) in digests.iter().zip(sigs).enumerate() {
+                assert!(reg.verify(digest, sig), "genuine signature {i} of signer {signer}");
+                let mut forged = *sig;
+                forged.tag[i % 32] ^= 1;
+                assert!(!reg.verify(digest, &forged), "forged tag {i} of signer {signer}");
+                let misattributed =
+                    Signature { signer: ReplicaId((signer as u32 + 1) % 3), ..*sig };
+                assert!(!reg.verify(digest, &misattributed));
+                assert!(reg.inner.read().unwrap().tags.len() <= TAG_MEMO_CAPACITY);
+            }
+        }
     }
 
     #[test]

@@ -22,6 +22,6 @@ pub mod keys;
 pub mod sha256;
 
 pub use cert::{QuorumCert, SigSet};
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use keys::{KeyRegistry, Keypair, Signature};
 pub use sha256::{sha256, Digest, Sha256};

@@ -177,6 +177,17 @@ impl BrdMsg {
         }
     }
 
+    /// A short name for the message kind (the handler profile's bucket).
+    pub fn kind_label(&self) -> &'static str {
+        match self {
+            BrdMsg::Recs(_) => "brd.Recs",
+            BrdMsg::Agg { .. } => "brd.Agg",
+            BrdMsg::Echo { .. } => "brd.Echo",
+            BrdMsg::Ready { .. } => "brd.Ready",
+            BrdMsg::Valid { .. } => "brd.Valid",
+        }
+    }
+
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> usize {
         let recs_size = |recs: &Vec<Reconfig>| recs.len() * 64 + 48;
@@ -228,6 +239,14 @@ pub enum BrdAction {
     },
 }
 
+/// The Echo and Ready digests of one set of requests in one round.
+#[derive(Clone, Debug)]
+struct SetDigests {
+    recs: Vec<Reconfig>,
+    echo: Digest,
+    ready: Digest,
+}
+
 /// A `valid` record: a set that is safe to re-propose under a new leader.
 #[derive(Clone, Debug)]
 struct ValidRecord {
@@ -268,6 +287,11 @@ pub struct Brd {
     echo_votes: BTreeMap<Digest, (Vec<Reconfig>, SigSet)>,
     /// Ready signatures per set digest.
     ready_votes: BTreeMap<Digest, (Vec<Reconfig>, SigSet)>,
+    /// The vote digests of the set last seen. Every correct member echoes and
+    /// readies the *same* set, so an instance hashes it once instead of once per
+    /// Echo and Ready it receives; a different set (a Byzantine vote, a
+    /// re-proposal) just replaces the entry.
+    digests: Option<SetDigests>,
 }
 
 impl Brd {
@@ -307,6 +331,7 @@ impl Brd {
             aggregated: false,
             echo_votes: BTreeMap::new(),
             ready_votes: BTreeMap::new(),
+            digests: None,
         }
     }
 
@@ -320,6 +345,18 @@ impl Brd {
 
     fn quorum(&self) -> usize {
         2 * self.f() + 1
+    }
+
+    /// The Echo and Ready digests of `recs` in this instance's round.
+    fn digests_of(&mut self, recs: &[Reconfig]) -> &SetDigests {
+        if self.digests.as_ref().is_none_or(|d| d.recs != recs) {
+            self.digests = Some(SetDigests {
+                recs: recs.to_vec(),
+                echo: echo_digest(self.round, recs),
+                ready: ready_digest(self.round, recs),
+            });
+        }
+        self.digests.as_ref().expect("filled above")
     }
 
     /// Whether this instance has delivered its set.
@@ -589,7 +626,8 @@ impl Brd {
             }
         }
         out.push(BrdAction::Consume(self.sign_cost));
-        let sig = self.keypair.sign(&echo_digest(self.round, &recs));
+        let digest = self.digests_of(&recs).echo;
+        let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Echo { round: self.round, recs, sig, ts: self.ts };
         for &member in &self.members {
             out.push(BrdAction::Send { to: member, msg: msg.clone() });
@@ -608,7 +646,7 @@ impl Brd {
             return;
         }
         out.push(BrdAction::Consume(self.verify_cost));
-        let digest = echo_digest(self.round, &recs);
+        let digest = self.digests_of(&recs).echo;
         if !self.members.contains(&sig.signer) {
             return;
         }
@@ -645,7 +683,7 @@ impl Brd {
             return;
         }
         out.push(BrdAction::Consume(self.verify_cost));
-        let digest = ready_digest(self.round, &recs);
+        let digest = self.digests_of(&recs).ready;
         if !self.members.contains(&sig.signer) {
             return;
         }
@@ -688,7 +726,8 @@ impl Brd {
         // under an earlier leader still count toward delivery under a later one —
         // uniformity across leader changes (Alg. 6's `valid` mechanism).
         out.push(BrdAction::Consume(self.sign_cost));
-        let sig = self.keypair.sign(&ready_digest(self.round, &recs));
+        let digest = self.digests_of(&recs).ready;
+        let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Ready { round: self.round, recs, sig, ts: self.ts };
         for &member in &self.members {
             out.push(BrdAction::Send { to: member, msg: msg.clone() });

@@ -541,6 +541,32 @@ where
             AvaMsg::Control(_) | AvaMsg::ClientControl(_) => 32,
         }
     }
+
+    fn kind_label(&self) -> &'static str {
+        match self {
+            AvaMsg::Tob(m) => m.kind_label(),
+            AvaMsg::Brd(m) => m.kind_label(),
+            AvaMsg::Election(_) => "Election",
+            AvaMsg::RemoteLeader(_) => "RemoteLeader",
+            AvaMsg::Inter(_) => "Inter",
+            AvaMsg::LocalShare(_) => "LocalShare",
+            AvaMsg::RequestJoin { .. } => "RequestJoin",
+            AvaMsg::RequestLeave { .. } => "RequestLeave",
+            AvaMsg::Ack { .. } => "Ack",
+            AvaMsg::CurrState { .. } => "CurrState",
+            AvaMsg::CatchUpRequest { .. } => "CatchUpRequest",
+            AvaMsg::CatchUpReply { .. } => "CatchUpReply",
+            AvaMsg::ClientRequest { tx, .. } if tx.kind.is_write() => "ClientRequest.write",
+            AvaMsg::ClientRequest { .. } => "ClientRequest.read",
+            AvaMsg::ClientResponse { .. } => "ClientResponse",
+            AvaMsg::BrokerSubmit { .. } => "BrokerSubmit",
+            AvaMsg::BatchSubmit(_) => "BatchSubmit",
+            AvaMsg::BatchReply { .. } => "BatchReply",
+            AvaMsg::BrokerDeliver { .. } => "BrokerDeliver",
+            AvaMsg::Control(_) => "Control",
+            AvaMsg::ClientControl(_) => "ClientControl",
+        }
+    }
 }
 
 #[cfg(test)]

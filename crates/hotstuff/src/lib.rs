@@ -110,6 +110,15 @@ impl WireSize for HotStuffMsg {
             HotStuffMsg::Vote { .. } => 120,
         }
     }
+
+    fn kind_label(&self) -> &'static str {
+        match self {
+            HotStuffMsg::Forward(_) => "hs.Forward",
+            HotStuffMsg::Proposal { .. } => "hs.Proposal",
+            HotStuffMsg::PhaseCert { .. } => "hs.PhaseCert",
+            HotStuffMsg::Vote { .. } => "hs.Vote",
+        }
+    }
 }
 
 /// State the leader keeps for the block currently being decided.

@@ -12,7 +12,7 @@ use ava_broker::{AttachedTier, BrokerTier};
 use ava_consensus::{TotalOrderBroadcast, WireSize};
 use ava_hamava::harness::{bftsmart_factory, hotstuff_factory, Deployment, DeploymentOptions};
 use ava_hamava::{AvaMsg, ByzantineBehavior};
-use ava_simnet::{LatencyModel, NetStats, SimMessage};
+use ava_simnet::{HandlerProfile, LatencyModel, NetStats, SimMessage};
 use ava_types::{ClientId, ClusterId, Duration, Output, Region, ReplicaId, SystemConfig, Time};
 use ava_workload::WorkloadSpec;
 
@@ -171,6 +171,14 @@ pub trait DynDeployment: Send {
     /// Network statistics of the run so far.
     fn net_stats(&self) -> &NetStats;
 
+    /// Switch on the simulator's handler profile (host time per actor kind ×
+    /// message kind, see [`HandlerProfile`]) from the next event on. Outputs,
+    /// statistics and virtual times are unaffected.
+    fn enable_profile(&mut self);
+
+    /// The handler profile accumulated so far, if switched on.
+    fn handler_profile(&self) -> Option<&HandlerProfile>;
+
     /// Wire a broker/batch client tier into the deployment (see
     /// [`ava_broker::attach`]): per cluster, `tier.brokers_per_cluster` broker
     /// actors plus one aggregate virtual-client generator offering
@@ -283,6 +291,14 @@ where
 
     fn net_stats(&self) -> &NetStats {
         self.inner.net_stats()
+    }
+
+    fn enable_profile(&mut self) {
+        self.inner.sim.enable_profile();
+    }
+
+    fn handler_profile(&self) -> Option<&HandlerProfile> {
+        self.inner.sim.profile()
     }
 
     fn attach_brokers(&mut self, tier: &BrokerTier) -> AttachedTier {

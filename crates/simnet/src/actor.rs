@@ -20,6 +20,12 @@ pub trait SimMessage: Clone + Send {
     fn size_bytes(&self) -> usize {
         256
     }
+
+    /// A short name for the kind of message this is — the bucket the opt-in
+    /// handler profile ([`crate::HandlerProfile`]) files its handling under.
+    fn kind_label(&self) -> &'static str {
+        "msg"
+    }
 }
 
 impl SimMessage for () {}

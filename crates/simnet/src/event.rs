@@ -3,6 +3,11 @@
 use ava_types::{ReplicaId, Time};
 use std::cmp::Ordering;
 
+/// The [`Event::slot`] of an event addressed to a node the simulation did not
+/// know when the event was scheduled. No node ever has this slot, so the event
+/// is counted and dropped when its time comes.
+pub const NO_NODE: u32 = u32::MAX;
+
 /// What happens when an event fires.
 #[derive(Clone, Debug)]
 pub enum EventKind<M> {
@@ -38,8 +43,10 @@ pub struct Event<M> {
     pub at: Time,
     /// Tie-breaking sequence number (FIFO among simultaneous events).
     pub seq: u64,
-    /// The node the event is addressed to.
-    pub node: ReplicaId,
+    /// The node the event is addressed to, as its position in the simulation's
+    /// node table — resolved once, when the event is scheduled, so firing it is
+    /// an indexed load ([`NO_NODE`] if there was no such node).
+    pub slot: u32,
     /// What the event is.
     pub kind: EventKind<M>,
 }
@@ -74,7 +81,7 @@ mod tests {
     fn heap_pops_earliest_event_first() {
         let mut heap: BinaryHeap<Event<()>> = BinaryHeap::new();
         for (at, seq) in [(30u64, 0u64), (10, 1), (20, 2), (10, 0)] {
-            heap.push(Event { at: Time(at), seq, node: ReplicaId(0), kind: EventKind::Start });
+            heap.push(Event { at: Time(at), seq, slot: 0, kind: EventKind::Start });
         }
         let order: Vec<(u64, u64)> =
             std::iter::from_fn(|| heap.pop().map(|e| (e.at.0, e.seq))).collect();

@@ -28,11 +28,13 @@ pub mod actor;
 pub mod cost;
 pub mod event;
 pub mod latency;
+pub mod profile;
 pub mod sim;
 pub mod stats;
 
 pub use actor::{Actor, CapturedSend, Context, SimMessage};
 pub use cost::CostModel;
 pub use latency::LatencyModel;
+pub use profile::{ActorKind, HandlerProfile, ProfileRow};
 pub use sim::{client_node_id, DropRule, Simulation};
 pub use stats::NetStats;

@@ -2,13 +2,16 @@
 
 use crate::actor::{Actor, Context, Effects, SendOp, SimMessage};
 use crate::cost::CostModel;
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, NO_NODE};
 use crate::latency::LatencyModel;
+use crate::profile::{ActorKind, HandlerProfile, Stopwatch};
 use crate::stats::NetStats;
 use ava_types::{ClientId, Duration, Output, Region, ReplicaId, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::time::Instant;
 
 /// Node id assigned to a client process. Clients live in a reserved id range so that
 /// they never collide with replica ids.
@@ -72,9 +75,12 @@ impl GroupPartition {
 }
 
 struct NodeSlot<M> {
+    id: ReplicaId,
     actor: Box<dyn Actor<M> + Send>,
     region: Region,
     group: u32,
+    /// The group's index in the [`NetStats`] pair matrix.
+    group_index: usize,
     busy_until: Time,
     crashed: bool,
     /// Lifecycle epoch, bumped on restart: timers armed in an earlier epoch are
@@ -82,12 +88,52 @@ struct NodeSlot<M> {
     epoch: u64,
 }
 
+/// What routing needs to know about a message's sender, read off its
+/// [`NodeSlot`] once per handled event.
+#[derive(Clone, Copy)]
+struct Origin {
+    id: ReplicaId,
+    region: Region,
+    group: u32,
+    group_index: usize,
+}
+
+/// Hasher of the id → slot index. Node ids are small integers this program
+/// hands out itself (replicas count up from 0; clients, brokers and load
+/// generators from fixed bases), so one multiplication spreads them over the
+/// table; SipHash's resistance to chosen keys buys nothing here and was paid on
+/// every routed message.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(b.into());
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(32) ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The deterministic discrete-event simulator.
 ///
 /// `M` is the single message type exchanged by all actors of the simulation (protocol
 /// crates define an enum covering their sub-protocols).
 pub struct Simulation<M: SimMessage> {
-    nodes: HashMap<ReplicaId, NodeSlot<M>>,
+    /// Every node ever added, in order; nodes are never removed, so a position
+    /// here (a *slot*) names a node for good. Events carry the slot of the node
+    /// they are addressed to.
+    nodes: Vec<NodeSlot<M>>,
+    /// Slot by node id, consulted once per routed message and per call that
+    /// names a node from outside.
+    slot_of: HashMap<ReplicaId, u32, BuildHasherDefault<IdHasher>>,
     queue: BinaryHeap<Event<M>>,
     seq: u64,
     now: Time,
@@ -100,13 +146,19 @@ pub struct Simulation<M: SimMessage> {
     crash_schedule: Vec<(Time, ReplicaId)>,
     corrupt_schedule: Vec<(Time, ReplicaId, u64)>,
     partitions: Vec<GroupPartition>,
+    /// The buffers a handler's [`Context`] writes to, kept (emptied) between
+    /// events so their allocations are reused.
+    effects: Effects<M>,
+    /// The handler profile, while switched on (see [`Simulation::enable_profile`]).
+    profile: Option<Box<HandlerProfile>>,
 }
 
 impl<M: SimMessage> Simulation<M> {
     /// Create a simulation with the given RNG seed, latency model and cost model.
     pub fn new(seed: u64, latency: LatencyModel, costs: CostModel) -> Self {
         Simulation {
-            nodes: HashMap::new(),
+            nodes: Vec::new(),
+            slot_of: HashMap::default(),
             queue: BinaryHeap::new(),
             seq: 0,
             now: Time::ZERO,
@@ -119,6 +171,8 @@ impl<M: SimMessage> Simulation<M> {
             crash_schedule: Vec::new(),
             corrupt_schedule: Vec::new(),
             partitions: Vec::new(),
+            effects: Effects::default(),
+            profile: None,
         }
     }
 
@@ -140,22 +194,31 @@ impl<M: SimMessage> Simulation<M> {
         group: u32,
         actor: Box<dyn Actor<M> + Send>,
     ) {
-        assert!(!self.nodes.contains_key(&id), "node {id} already exists");
-        self.nodes.insert(
+        assert!(!self.slot_of.contains_key(&id), "node {id} already exists");
+        let slot = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+        assert_ne!(slot, NO_NODE, "the last slot value is reserved for \"no such node\"");
+        self.slot_of.insert(id, slot);
+        self.nodes.push(NodeSlot {
             id,
-            NodeSlot { actor, region, group, busy_until: self.now, crashed: false, epoch: 0 },
-        );
-        self.push_event(self.now, id, EventKind::Start);
+            actor,
+            region,
+            group,
+            group_index: self.stats.group_index(group),
+            busy_until: self.now,
+            crashed: false,
+            epoch: 0,
+        });
+        self.push_event(self.now, slot, EventKind::Start);
     }
 
     /// Whether a node with this id exists (crashed or not).
     pub fn has_node(&self, id: ReplicaId) -> bool {
-        self.nodes.contains_key(&id)
+        self.slot_of.contains_key(&id)
     }
 
     /// Whether the node is currently crashed.
     pub fn is_crashed(&self, id: ReplicaId) -> bool {
-        self.nodes.get(&id).map(|n| n.crashed).unwrap_or(false)
+        self.slot_of.get(&id).is_some_and(|slot| self.nodes[*slot as usize].crashed)
     }
 
     /// Crash `node` at virtual time `at`: from then on it neither receives messages
@@ -186,9 +249,10 @@ impl<M: SimMessage> Simulation<M> {
     /// crashed flag is cleared and its [`Actor::on_restart`] hook runs — the actor
     /// is expected to come back with only the state it treats as persistent.
     /// Restarting a node that is not crashed at `at` is a no-op, as is restarting
-    /// a node that does not exist. Scheduling a restart consumes no randomness.
+    /// a node that does not exist when this is called. Scheduling a restart
+    /// consumes no randomness.
     pub fn restart_at(&mut self, node: ReplicaId, at: Time) {
-        self.push_event(at.max(self.now), node, EventKind::Restart);
+        self.push_event(at.max(self.now), self.slot(node), EventKind::Restart);
     }
 
     /// Install a message drop rule.
@@ -232,13 +296,17 @@ impl<M: SimMessage> Simulation<M> {
     }
 
     /// Inject a message from outside the simulation (or on behalf of `from`) that
-    /// will be delivered to `to` at time `at` (clamped to the current time).
+    /// will be delivered to `to` at time `at` (clamped to the current time). The
+    /// send is counted like any other; a `from` or `to` that is not a node of
+    /// the simulation counts under group `u32::MAX`, and a message to a `to`
+    /// that does not exist when this is called is dropped at `at`.
     pub fn external_send(&mut self, from: ReplicaId, to: ReplicaId, msg: M, at: Time) {
         let at = at.max(self.now);
         let size = msg.size_bytes();
-        let (fg, tg) = (self.group_of(from), self.group_of(to));
-        self.stats.record_send(fg, tg, size);
-        self.push_event(at, to, EventKind::Deliver { from, msg, size });
+        let (from_group, to_slot) = (self.group_index_of(self.slot(from)), self.slot(to));
+        let to_group = self.group_index_of(to_slot);
+        self.stats.record_send(from_group, to_group, size);
+        self.push_event(at, to_slot, EventKind::Deliver { from, msg, size });
     }
 
     /// Current virtual time.
@@ -283,17 +351,45 @@ impl<M: SimMessage> Simulation<M> {
         self.run_until(deadline);
     }
 
+    /// Start accumulating the [`HandlerProfile`] (host time per actor kind ×
+    /// message kind) from the next event on. Profiling reads the host clock and
+    /// nothing else: outputs, [`NetStats`] and every virtual time are those of
+    /// the unprofiled run.
+    pub fn enable_profile(&mut self) {
+        self.profile.get_or_insert_with(Box::default);
+    }
+
+    /// The handler profile accumulated so far, if switched on.
+    pub fn profile(&self) -> Option<&HandlerProfile> {
+        self.profile.as_deref()
+    }
+
     /// Process a single event. Returns false if the queue was empty.
     pub fn step(&mut self) -> bool {
+        if self.profile.is_none() {
+            self.step_timed::<()>()
+        } else {
+            self.step_timed::<Instant>()
+        }
+    }
+
+    /// [`Simulation::step`], reading the host clock through `W` (which is `()`,
+    /// and free, unless the handler profile is on).
+    fn step_timed<W: Stopwatch>(&mut self) -> bool {
+        let mut watch = W::start();
         let Some(event) = self.queue.pop() else {
             return false;
         };
+        if W::ON {
+            self.profile.as_mut().expect("timed only while profiling").pop_ns += watch.lap_ns();
+        }
         self.now = self.now.max(event.at);
         self.apply_scheduled_crashes();
         self.apply_scheduled_corruptions();
         self.stats.events_processed += 1;
 
-        let Some(slot) = self.nodes.get_mut(&event.node) else {
+        let Some(slot) = self.nodes.get_mut(event.slot as usize) else {
+            // Addressed to a node that did not exist when it was scheduled.
             if matches!(event.kind, EventKind::Deliver { .. }) {
                 self.stats.dropped_messages += 1;
             }
@@ -319,99 +415,111 @@ impl<M: SimMessage> Simulation<M> {
             // with never applied).
             return true;
         }
+        if matches!(event.kind, EventKind::Timer { epoch, .. } if epoch != slot.epoch) {
+            // Armed before a restart: the process that set it is gone.
+            return true;
+        }
 
         let start = event.at.max(slot.busy_until);
-        let from_region = slot.region;
-        let from_group = slot.group;
+        let origin = Origin {
+            id: slot.id,
+            region: slot.region,
+            group: slot.group,
+            group_index: slot.group_index,
+        };
         let slot_epoch = slot.epoch;
-        let mut effects = Effects::default();
-        let event_bytes;
-        {
-            let mut ctx = Context {
-                node: event.node,
-                now: start,
-                costs: self.costs,
-                rng: &mut self.rng,
-                effects: &mut effects,
-            };
-            match event.kind {
-                EventKind::Start => {
-                    event_bytes = 0;
-                    slot.actor.on_start(&mut ctx);
-                }
-                EventKind::Deliver { from, msg, size } => {
-                    event_bytes = size;
-                    slot.actor.on_message(from, msg, &mut ctx);
-                }
-                EventKind::Timer { kind, epoch } => {
-                    if epoch != slot_epoch {
-                        // Armed before a restart: the process that set it is gone.
-                        return true;
-                    }
-                    event_bytes = 0;
-                    slot.actor.on_timer(kind, &mut ctx);
-                }
-                EventKind::Restart => {
-                    event_bytes = 0;
-                    slot.actor.on_restart(&mut ctx);
-                }
+        let mut effects = std::mem::take(&mut self.effects);
+        let label = match &event.kind {
+            EventKind::Deliver { msg, .. } if W::ON => msg.kind_label(),
+            EventKind::Deliver { .. } => "",
+            EventKind::Start => "(start)",
+            EventKind::Timer { .. } => "(timer)",
+            EventKind::Restart => "(restart)",
+        };
+        watch.lap_ns();
+        let mut ctx = Context {
+            node: origin.id,
+            now: start,
+            costs: self.costs,
+            rng: &mut self.rng,
+            effects: &mut effects,
+        };
+        let event_bytes = match event.kind {
+            EventKind::Start => {
+                slot.actor.on_start(&mut ctx);
+                0
             }
-        }
+            EventKind::Deliver { from, msg, size } => {
+                slot.actor.on_message(from, msg, &mut ctx);
+                size
+            }
+            EventKind::Timer { kind, .. } => {
+                slot.actor.on_timer(kind, &mut ctx);
+                0
+            }
+            EventKind::Restart => {
+                slot.actor.on_restart(&mut ctx);
+                0
+            }
+        };
+        let handler_ns = watch.lap_ns();
         let service = self.costs.event_cost(event_bytes) + effects.consumed;
         let depart = start + service;
         slot.busy_until = depart;
 
-        self.outputs.extend(effects.outputs);
-        for (delay, kind) in effects.timers {
+        let mut sends = 0u64;
+        self.outputs.append(&mut effects.outputs);
+        for (delay, kind) in effects.timers.drain(..) {
             self.push_event(
                 start + delay,
-                event.node,
+                event.slot,
                 EventKind::Timer { kind, epoch: slot_epoch },
             );
         }
-        for op in effects.sends {
+        for op in effects.sends.drain(..) {
             match op {
                 SendOp::One(to, msg) => {
                     let size = msg.size_bytes();
-                    self.route(event.node, from_region, from_group, to, msg, size, depart);
+                    sends += 1;
+                    self.route(origin, to, msg, size, depart);
                 }
                 SendOp::Many(targets, msg) => {
                     // One shared payload: size the message once for the whole
                     // fan-out; per-recipient work is a clone (an `Arc` bump for the
                     // protocol payloads) plus event scheduling.
                     let size = msg.size_bytes();
+                    sends += targets.len() as u64;
                     for to in targets {
-                        let msg = msg.clone();
-                        self.route(event.node, from_region, from_group, to, msg, size, depart);
+                        self.route(origin, to, msg.clone(), size, depart);
                     }
                 }
             }
         }
+        effects.consumed = Duration::ZERO;
+        self.effects = effects;
+        if W::ON {
+            let profile = self.profile.as_mut().expect("timed only while profiling");
+            let row = profile.row(ActorKind::of(origin.id), label);
+            row.events += 1;
+            row.handler_ns += handler_ns;
+            row.post_ns += watch.lap_ns();
+            row.sends += sends;
+        }
         true
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn route(
-        &mut self,
-        from: ReplicaId,
-        from_region: Region,
-        from_group: u32,
-        to: ReplicaId,
-        msg: M,
-        size: usize,
-        depart: Time,
-    ) {
-        let Some(dest) = self.nodes.get(&to) else {
+    fn route(&mut self, from: Origin, to: ReplicaId, msg: M, size: usize, depart: Time) {
+        let Some(&to_slot) = self.slot_of.get(&to) else {
             // Destination not (yet) part of the simulation, e.g. a replica that left.
             self.stats.dropped_messages += 1;
             return;
         };
-        let to_region = dest.region;
-        let to_group = dest.group;
-        self.stats.record_send(from_group, to_group, size);
+        let dest = &self.nodes[to_slot as usize];
+        let (to_region, to_group) = (dest.region, dest.group);
+        self.stats.record_send(from.group_index, dest.group_index, size);
         // Active partitions sever the two groups deterministically (no RNG roll),
         // before the probabilistic drop rules are consulted.
-        if from_group != to_group && self.groups_partitioned(from_group, to_group) {
+        if from.group != to_group && self.groups_partitioned(from.group, to_group) {
             self.stats.dropped_messages += 1;
             return;
         }
@@ -420,7 +528,7 @@ impl<M: SimMessage> Simulation<M> {
         // previous two-pass `any` + `max` scan).
         let mut drop_p = f64::NEG_INFINITY;
         for rule in &self.drop_rules {
-            if rule.matches(from, to, depart) {
+            if rule.matches(from.id, to, depart) {
                 drop_p = drop_p.max(rule.probability);
             }
         }
@@ -428,8 +536,8 @@ impl<M: SimMessage> Simulation<M> {
             self.stats.dropped_messages += 1;
             return;
         }
-        let latency = self.latency.one_way(from_region, to_region, from == to, &mut self.rng);
-        self.push_event(depart + latency, to, EventKind::Deliver { from, msg, size });
+        let latency = self.latency.one_way(from.region, to_region, from.id == to, &mut self.rng);
+        self.push_event(depart + latency, to_slot, EventKind::Deliver { from: from.id, msg, size });
     }
 
     fn roll(&mut self, probability: f64) -> bool {
@@ -442,50 +550,54 @@ impl<M: SimMessage> Simulation<M> {
         }
     }
 
-    fn group_of(&self, node: ReplicaId) -> u32 {
-        self.nodes.get(&node).map(|n| n.group).unwrap_or(u32::MAX)
+    /// The slot of `node`, or [`NO_NODE`].
+    fn slot(&self, node: ReplicaId) -> u32 {
+        self.slot_of.get(&node).copied().unwrap_or(NO_NODE)
+    }
+
+    /// The pair-matrix index of the group of the node at `slot`; no node counts
+    /// as group `u32::MAX`.
+    fn group_index_of(&mut self, slot: u32) -> usize {
+        match self.nodes.get(slot as usize) {
+            Some(node) => node.group_index,
+            None => self.stats.group_index(u32::MAX),
+        }
     }
 
     fn apply_scheduled_crashes(&mut self) {
         if self.crash_schedule.is_empty() {
             return;
         }
-        let now = self.now;
-        let mut remaining = Vec::with_capacity(self.crash_schedule.len());
-        for (at, node) in self.crash_schedule.drain(..) {
+        let (now, nodes, slot_of) = (self.now, &mut self.nodes, &self.slot_of);
+        self.crash_schedule.retain(|&(at, node)| {
             if at <= now {
-                if let Some(slot) = self.nodes.get_mut(&node) {
-                    slot.crashed = true;
+                if let Some(&slot) = slot_of.get(&node) {
+                    nodes[slot as usize].crashed = true;
                 }
-            } else {
-                remaining.push((at, node));
             }
-        }
-        self.crash_schedule = remaining;
+            at > now
+        });
     }
 
     fn apply_scheduled_corruptions(&mut self) {
         if self.corrupt_schedule.is_empty() {
             return;
         }
-        let now = self.now;
-        let mut remaining = Vec::with_capacity(self.corrupt_schedule.len());
-        for (at, node, tag) in self.corrupt_schedule.drain(..) {
+        let (now, nodes, slot_of) = (self.now, &mut self.nodes, &self.slot_of);
+        self.corrupt_schedule.retain(|&(at, node, tag)| {
             if at <= now {
-                if let Some(slot) = self.nodes.get_mut(&node) {
-                    slot.actor.on_corrupt(tag);
+                if let Some(&slot) = slot_of.get(&node) {
+                    nodes[slot as usize].actor.on_corrupt(tag);
                 }
-            } else {
-                remaining.push((at, node, tag));
             }
-        }
-        self.corrupt_schedule = remaining;
+            at > now
+        });
     }
 
-    fn push_event(&mut self, at: Time, node: ReplicaId, kind: EventKind<M>) {
+    fn push_event(&mut self, at: Time, slot: u32, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Event { at, seq, node, kind });
+        self.queue.push(Event { at, seq, slot, kind });
     }
 }
 
@@ -886,6 +998,141 @@ mod tests {
         // Each side echoes 6 times, so the exchange ends on the 13th one-way hop;
         // unshifted, every hop is 148/2 = 74 ms.
         assert_eq!(base, Time::from_millis(74 * 13));
+    }
+
+    /// Message payload of the ordering test: the position of its send in the
+    /// order the test's actors asked for things to be scheduled.
+    #[derive(Clone)]
+    struct Tok(u64);
+    impl SimMessage for Tok {}
+
+    /// What the ordering test's actors share: a scheduling-order counter and
+    /// the log of what was handled, as `(time, order)`.
+    #[derive(Default)]
+    struct Ledger {
+        scheduled: u64,
+        handled: Vec<(Time, u64)>,
+        /// Node 3's timers as `(generation armed in, deadline)`.
+        armed_by_3: Vec<(u64, Time)>,
+    }
+
+    /// Forwards every token to the next node of a ring and arms a timer on
+    /// every third one — the timer first, the way the simulator queues a
+    /// handler's effects, so the ledger's order is the queue's `seq` order.
+    struct Chatter {
+        me: u32,
+        ring: u32,
+        generation: u64,
+        ledger: std::sync::Arc<std::sync::Mutex<Ledger>>,
+    }
+
+    impl Chatter {
+        const TIMER: Duration = Duration(5_000);
+    }
+
+    impl Actor<Tok> for Chatter {
+        fn on_start(&mut self, ctx: &mut Context<'_, Tok>) {
+            let mut ledger = self.ledger.lock().unwrap();
+            for _ in 0..4 {
+                ledger.scheduled += 1;
+                ctx.send(ReplicaId((self.me + 1) % self.ring), Tok(ledger.scheduled));
+            }
+        }
+
+        fn on_restart(&mut self, ctx: &mut Context<'_, Tok>) {
+            self.generation += 1;
+            self.on_start(ctx);
+        }
+
+        fn on_message(&mut self, _from: ReplicaId, msg: Tok, ctx: &mut Context<'_, Tok>) {
+            let mut ledger = self.ledger.lock().unwrap();
+            ledger.handled.push((ctx.now(), msg.0));
+            if msg.0.is_multiple_of(3) {
+                ledger.scheduled += 1;
+                ctx.set_timer(Self::TIMER, ledger.scheduled | self.generation << 48);
+                if self.me == 3 {
+                    ledger.armed_by_3.push((self.generation, ctx.now() + Self::TIMER));
+                }
+            }
+            ledger.scheduled += 1;
+            ctx.send(ReplicaId((self.me + 1) % self.ring), Tok(ledger.scheduled));
+        }
+
+        fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, Tok>) {
+            assert_eq!(kind >> 48, self.generation, "a timer armed before the restart fired");
+            self.ledger.lock().unwrap().handled.push((ctx.now(), kind & ((1 << 48) - 1)));
+        }
+    }
+
+    #[test]
+    fn queue_keeps_fifo_order_and_its_count_across_a_crash_and_a_restart() {
+        use std::sync::{Arc, Mutex};
+        // One region, no jitter, no CPU cost: every hop takes exactly 0.5 ms, so
+        // tokens and timers pile up on the same instants and only the queue's
+        // tie-break orders them.
+        let ring = 8u32;
+        let ledger = Arc::new(Mutex::new(Ledger::default()));
+        let mut sim: Simulation<Tok> =
+            Simulation::new(3, LatencyModel::paper_table2().with_jitter(0.0), CostModel::zero());
+        for me in 0..ring {
+            let actor = Chatter { me, ring, generation: 0, ledger: Arc::clone(&ledger) };
+            sim.add_node(ReplicaId(me), Region::UsWest, me % 2, Box::new(actor));
+        }
+        // Everything ever queued: the start events, what the actors scheduled,
+        // and what this test schedules from outside.
+        let mut external = u64::from(ring);
+        let (crash, restart) = (Time::from_millis(40), Time::from_millis(42));
+        let mut steps = 0u64;
+        while steps < 12_000 {
+            if steps == 2_000 {
+                assert!(sim.now() < crash, "the crash must fall inside the run");
+                sim.crash_at(ReplicaId(3), crash);
+                sim.restart_at(ReplicaId(3), restart);
+                external += 1;
+            }
+            assert!(sim.step());
+            steps += 1;
+            let scheduled = ledger.lock().unwrap().scheduled;
+            assert_eq!(sim.pending_events() as u64, external + scheduled - steps);
+        }
+        assert!(sim.now() > restart && !sim.is_crashed(ReplicaId(3)));
+        assert!(sim.stats().dropped_messages > 0, "tokens reaching the crashed node are dropped");
+
+        let ledger = ledger.lock().unwrap();
+        assert!(ledger.handled.len() > 10_000);
+        for pair in ledger.handled.windows(2) {
+            assert!(pair[0] < pair[1], "handled {:?} before {:?}", pair[0], pair[1]);
+        }
+        // Node 3 had timers armed before the crash and due after the restart;
+        // `on_timer` would have panicked had one fired.
+        assert!(ledger.armed_by_3.iter().any(|(gen, due)| *gen == 0 && *due > restart));
+        assert!(ledger.armed_by_3.iter().any(|(gen, _)| *gen == 1), "node 3 came back");
+    }
+
+    #[test]
+    fn external_sends_from_unknown_nodes_are_counted() {
+        let mut sim = two_node_sim((Region::UsWest, Region::UsWest));
+        sim.run_until(Time::from_secs(5));
+        let before = sim.stats().clone();
+        let now = sim.now();
+        // Node 99 is not part of the simulation: its group is `u32::MAX`, so a
+        // message to a known node is global, and one to another unknown node is
+        // local to that group — and dropped when its time comes.
+        sim.external_send(ReplicaId(99), ReplicaId(1), PingMsg, now);
+        sim.external_send(ReplicaId(99), ReplicaId(98), PingMsg, now);
+        assert_eq!(sim.pending_events(), 2);
+        sim.run_until(Time::from_secs(6));
+        let stats = sim.stats();
+        assert_eq!(stats.global_messages, before.global_messages + 1);
+        assert_eq!(stats.local_messages, before.local_messages + 1);
+        assert_eq!(stats.bytes_sent, before.bytes_sent + 200);
+        assert_eq!(stats.dropped_messages, before.dropped_messages + 1);
+        assert_eq!(stats.events_processed, before.events_processed + 2);
+        let pairs = stats.per_group_pair();
+        assert!(pairs.contains(&((u32::MAX, 1), 1)), "{pairs:?}");
+        assert!(pairs.contains(&((u32::MAX, u32::MAX), 1)), "{pairs:?}");
+        // The known groups' own traffic is listed as before, in ascending order.
+        assert_eq!(pairs[..2], [((0, 1), 4), ((1, 0), 3)]);
     }
 
     #[test]

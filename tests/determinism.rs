@@ -66,9 +66,7 @@ fn fingerprint(outputs: &[Output], stats: &NetStats) -> String {
         )
         .as_bytes(),
     );
-    let mut pairs: Vec<_> = stats.per_group_pair.iter().collect();
-    pairs.sort();
-    for ((from, to), count) in pairs {
+    for ((from, to), count) in stats.per_group_pair() {
         h.update(format!("{from}->{to}={count}\n").as_bytes());
     }
     h.finalize().iter().map(|b| format!("{b:02x}")).collect()
@@ -95,6 +93,28 @@ fn bftsmart_golden_fingerprint_is_stable() {
     let fp = run_protocol(Protocol::AvaBftSmart);
     println!("bftsmart fingerprint: {fp}");
     assert_eq!(fp, BFTSMART_GOLDEN, "AVA-BFTSMART golden run diverged from PR 2 capture");
+}
+
+/// The opt-in handler profile reads the host clock and nothing else: the same
+/// deployment run with it on produces the outputs and `NetStats` of the run
+/// with it off, byte for byte.
+#[test]
+fn handler_profile_does_not_change_the_run() {
+    let run = |profiled: bool| {
+        let mut dep = Protocol::AvaHotStuff.deploy(golden_config(), golden_opts());
+        if profiled {
+            dep.enable_profile();
+        }
+        dep.run_for(Duration::from_secs(8));
+        let kinds = dep.handler_profile().map_or(0, |profile| profile.rows().count());
+        (fingerprint(dep.outputs(), dep.net_stats()), kinds)
+    };
+    let (plain, no_kinds) = run(false);
+    let (profiled, kinds) = run(true);
+    assert_eq!(plain, HOTSTUFF_GOLDEN, "a bare deployment is the golden scenario run");
+    assert_eq!(profiled, plain, "switching the profile on changed the run");
+    assert_eq!(no_kinds, 0, "the profile is off unless switched on");
+    assert!(kinds >= 8, "expected the TOB, BRD and client kinds, got {kinds} buckets");
 }
 
 #[test]
