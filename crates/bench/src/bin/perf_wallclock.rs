@@ -1,7 +1,7 @@
 //! Wall-clock perf harness CLI — times the end-to-end `figure_benches` shapes
 //! (E0/E1/E3 pipelines + GeoBFT baseline + the store-enabled E10 shapes + the
 //! broker-tier E11 shapes + the KV state-machine E13 shapes) and emits
-//! `BENCH_PR17.json`.
+//! `BENCH_PR19.json`.
 //!
 //! ```text
 //! perf_wallclock [--quick|--full] [--iters N] [--jobs N] [--out FILE] \
@@ -18,8 +18,11 @@
 //!   worker; per-shape thread CPU time is recorded so timings stay comparable
 //!   across `--jobs` settings.
 //! * `--profile`: instead of timing shapes, run the paper's heterogeneous
-//!   deployment once with the simulator's handler profile on and print where the
-//!   host time went, per (replica | client) × message kind, sorted by share.
+//!   deployment and then the KV write shape (2 × 4 replicas, 1 KiB overwrites,
+//!   a checkpoint every 8 rounds) once each with the simulator's handler
+//!   profile on and print where the host time went, per (replica | client) ×
+//!   message kind, sorted by share; after the KV table, the committed-entry
+//!   memo's hits / misses / share and the checkpoint digests reused / built.
 //! * `--baseline`: a `name\twall_ms` TSV from a previous run (typically the parent
 //!   commit); per-shape speedups are recorded in the JSON.
 //! * `--emit-tsv`: write this run's timings in the baseline format.
@@ -43,7 +46,7 @@ fn main() {
     let mut full = false;
     let mut iters = 3u32;
     let mut jobs = ava_scenario::default_jobs();
-    let mut out = String::from("BENCH_PR17.json");
+    let mut out = String::from("BENCH_PR19.json");
     let mut baseline_path: Option<String> = None;
     let mut tsv_path: Option<String> = None;
     let mut check_path: Option<String> = None;
@@ -55,7 +58,7 @@ fn main() {
             "--quick" => full = false,
             "--full" => full = true,
             "--profile" => {
-                ava_bench::perf::profile_paper_deployment();
+                ava_bench::perf::profile_deployments();
                 return;
             }
             "--iters" => iters = next_value(&mut args, "--iters").parse().expect("--iters N"),

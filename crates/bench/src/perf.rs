@@ -11,7 +11,7 @@
 use crate::experiments::{e0_single_region, e3_setup, ExperimentScale, Protocol};
 use crate::report::{fmt, print_table};
 use ava_hamava::harness::DeploymentOptions;
-use ava_scenario::{thread_cpu_time, BrokerTier, RunPool, Scenario};
+use ava_scenario::{thread_cpu_time, BrokerTier, DynDeployment, RunPool, Scenario};
 use ava_simnet::{CostModel, LatencyModel, ProfileRow};
 use ava_store::StoreConfig;
 use ava_types::{Duration, Output, Region, ReplicaId, SystemConfig, Time};
@@ -279,22 +279,66 @@ pub fn run_quick_shapes(iters: u32, jobs: usize) -> (Vec<PerfRecord>, f64) {
     (records, start.elapsed().as_secs_f64() * 1e3)
 }
 
-/// Run the paper's heterogeneous deployment — E3 setup 3 at scale 3, 15 + 12 +
-/// 15 replicas on Ava-HotStuff under the load of the repo benchmark's
-/// `geo_hetero_counter` workload — for 35 s of virtual time (that workload's
-/// warm-up, window and drain together) with the simulator's handler profile
-/// on, and print where the host time went: one row per (actor kind × message
-/// kind) plus one for the queue pops, largest share first.
-pub fn profile_paper_deployment() {
-    let o = DeploymentOptions {
+/// `perf_wallclock --profile`: run two deployments with the simulator's
+/// handler profile on and print, for each, where the host time went — one row
+/// per (actor kind × message kind) plus one for the queue pops, largest share
+/// first.
+///
+/// 1. The paper's heterogeneous deployment — E3 setup 3 at scale 3, 15 + 12 +
+///    15 replicas on Ava-HotStuff under the load of the repo benchmark's
+///    `geo_hetero_counter` workload — for 35 s of virtual time (that
+///    workload's warm-up, window and drain together).
+/// 2. The KV write shape of the benchmark's `kv_write_1kib`: 2 × 4 replicas in
+///    one region on Ava-HotStuff, `KvMachine`, a checkpoint every 8 rounds,
+///    90 % 1 KiB writes uniform over 2 000 keys, for 1.24 s of virtual time.
+///    Every replica commits every write, so this table is followed by what
+///    the two per-thread memos under that did: the committed-entry memo's hit
+///    share (ideal (n − 1)/n = 7/8) and the checkpoint digests reused.
+pub fn profile_deployments() {
+    let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
         clients_per_cluster: 4,
         client_concurrency: 128,
         ..opts(7)
     };
-    let mut dep = Protocol::AvaHotStuff.deploy(e3_setup(3, 3), o);
+    let dep = Protocol::AvaHotStuff.deploy(e3_setup(3, 3), paper);
+    print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
+
+    let kv = DeploymentOptions {
+        workload: WorkloadSpec {
+            read_ratio: 0.1,
+            key_space: 2_000,
+            zipf_theta: 0.0,
+            payload_size: 1024,
+            ..WorkloadSpec::default()
+        },
+        clients_per_cluster: 4,
+        client_concurrency: 128,
+        store: Some(StoreConfig::every(8)),
+        state_machine: ava_hamava::StateMachineKind::Kv,
+        ..opts(7)
+    };
+    let (memo, digests) = (ava_state::entry_memo_stats(), ava_store::checkpoint_digest_stats());
+    let dep = Protocol::AvaHotStuff
+        .deploy(SystemConfig::even_split_single_region(8, 2, Region::UsWest), kv);
+    print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
+    let (memo_after, digests_after) =
+        (ava_state::entry_memo_stats(), ava_store::checkpoint_digest_stats());
+    let (hits, misses) = (memo_after.hits - memo.hits, memo_after.misses - memo.misses);
+    println!(
+        "committed-entry memo: {hits} hits / {misses} misses / share {:.4}",
+        hits as f64 / (hits + misses).max(1) as f64
+    );
+    println!(
+        "checkpoint digests: {} reused / {} built",
+        digests_after.reused - digests.reused,
+        digests_after.built - digests.built
+    );
+}
+
+fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration) {
     dep.enable_profile();
-    dep.run_for(Duration::from_secs(35));
+    dep.run_for(run_for);
     let profile = dep.handler_profile().expect("switched on above");
     let events = dep.net_stats().events_processed;
     let pops = ProfileRow { events, post_ns: profile.pop_ns, ..ProfileRow::default() };
@@ -322,7 +366,7 @@ pub fn profile_paper_deployment() {
         })
         .collect();
     print_table(
-        &format!("handler profile: {events} events, {:.0} ms of host time", total / 1e6),
+        &format!("handler profile ({what}): {events} events, {:.0} ms of host time", total / 1e6),
         &[
             "actor · kind",
             "events",
@@ -394,7 +438,7 @@ pub fn render_json(
     baseline: &BTreeMap<String, BaselineEntry>,
 ) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"pr\": 17,\n");
+    out.push_str("  \"pr\": 19,\n");
     out.push_str("  \"harness\": \"perf_wallclock\",\n");
     out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
     out.push_str(&format!("  \"iters\": {iters},\n"));

@@ -33,7 +33,8 @@ pub mod machine;
 pub mod snapshot;
 
 pub use machine::{
-    machine_for, ApplyOutcome, CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind,
+    entry_memo_stats, machine_for, ApplyOutcome, CounterMachine, EntryMemoStats, KvEntry,
+    KvMachine, StateMachine, StateMachineKind,
 };
 pub use snapshot::{
     chunk_snapshot, machine_from_snapshot, SnapshotAssembler, SnapshotChunk, StateSnapshot,

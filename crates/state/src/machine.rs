@@ -4,7 +4,9 @@
 use crate::snapshot::StateSnapshot;
 use ava_crypto::Sha256;
 use ava_types::{Round, Transaction, TxKind};
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Which replicated state machine a deployment executes against.
@@ -272,8 +274,10 @@ pub struct KvEntry {
 }
 
 impl KvEntry {
-    /// The entry stored under `key`, with its leaf hash computed (the one
-    /// pass over the value bytes a committed write pays).
+    /// The entry stored under `key`, with its leaf hash computed from the
+    /// bytes: one SHA-256 pass over the value. A write a replica commits itself
+    /// pays it once per *process*, not once per replica (see `EntryMemo`);
+    /// an entry that arrives from elsewhere pays it every time.
     pub fn new(key: u64, version: u64, last_writer_round: u64, value: Arc<[u8]>) -> Self {
         let mut entry = KvEntry { version, last_writer_round, value, leaf: [0; 32] };
         entry.leaf = entry.leaf_for(key);
@@ -297,6 +301,126 @@ impl KvEntry {
     pub fn wire_bytes(&self) -> usize {
         28 + self.value.len()
     }
+}
+
+/// Everything a committed entry is a pure function of: `(key, version,
+/// last-writer round, value size)`. [`KvMachine::fill_value`] derives the bytes
+/// from the first, second and fourth; the leaf covers all four and the bytes.
+type WriteId = (u64, u64, u64, u32);
+
+/// What one generation of the [`EntryMemo`] may pin, counting every entry as
+/// its value bytes plus [`MEMO_ENTRY_CHARGE`]. Settled by interleaved A/B on
+/// `kv_write_1kib` and `churn_faults_open_loop` (CHANGES.md, PR 19), a
+/// constant and not a knob: the replicas of a deployment commit a write within
+/// a few rounds of each other, so the memo only has to span that lag, and
+/// every byte beyond it is a dead value kept resident.
+const MEMO_GENERATION_BYTES: usize = 2 << 20;
+
+/// What an entry costs a generation beside its value: the map slot (key,
+/// entry, control byte) and the `Arc` header. Charging it is what bounds the
+/// entry count when values are small or empty: a generation holds at most
+/// `MEMO_GENERATION_BYTES / MEMO_ENTRY_CHARGE` = 16 384 entries.
+const MEMO_ENTRY_CHARGE: usize = 128;
+
+/// The per-thread memo of committed entries: what makes a write cost one
+/// materialise-and-hash pass per *process*, where every replica of every
+/// cluster executes it (Stage 3, Alg. 10) with bit-identical results.
+///
+/// **Exact.** An entry is stored under its whole [`WriteId`] and a lookup
+/// compares all four fields, so a hit returns precisely what
+/// `KvEntry::new(key, version, round, fill_value(key, version, size))` would
+/// compute — no hash of the identity is trusted, and there is no collision to
+/// assume away. The shared bytes are immutable behind `Arc<[u8]>`.
+///
+/// **Only for what the caller derived itself.** [`KvMachine::apply`] is the
+/// one reader, with a version it read from its own map and a round and size
+/// from the transaction it is executing. Every path that handles state from
+/// elsewhere — [`KvMachine::from_state`], [`StateSnapshot::from_bytes`],
+/// [`StateSnapshot::leaves_valid`] — hashes the bytes it was given and neither
+/// reads nor fills the memo.
+///
+/// **Bounded by capacity, never by round.** Two generations: a miss inserts
+/// into the young one; when that would pass [`MEMO_GENERATION_BYTES`] the old
+/// generation is dropped and the young one takes its place. So the memo pins
+/// at most 2 × 2 MiB (values plus the per-entry charge), and an entry lives
+/// for one to two generations after its first commit. Round numbers play no
+/// part: a thread runs deployments back to back (the benchmark's replicates,
+/// a `RunPool` worker's scenarios), each restarting at round 1, and a memo
+/// that kept "the last two rounds" would never hit again after the first. A
+/// value too large for a generation by itself is committed and not kept.
+#[derive(Default)]
+struct EntryMemo {
+    young: HashMap<WriteId, KvEntry>,
+    old: HashMap<WriteId, KvEntry>,
+    /// What the young generation has been charged so far.
+    young_bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+impl EntryMemo {
+    fn get_or_commit(&mut self, key: u64, version: u64, round: u64, value_size: u32) -> KvEntry {
+        let id = (key, version, round, value_size);
+        if let Some(hit) = self.young.get(&id).or_else(|| self.old.get(&id)) {
+            self.hits += 1;
+            return hit.clone();
+        }
+        self.misses += 1;
+        let entry =
+            KvEntry::new(key, version, round, KvMachine::fill_value(key, version, value_size));
+        let charge = MEMO_ENTRY_CHARGE + entry.value.len();
+        if charge <= MEMO_GENERATION_BYTES {
+            if self.young_bytes + charge > MEMO_GENERATION_BYTES {
+                std::mem::swap(&mut self.young, &mut self.old);
+                self.young.clear();
+                self.young_bytes = 0;
+            }
+            self.young_bytes += charge;
+            self.young.insert(id, entry.clone());
+        }
+        entry
+    }
+}
+
+thread_local! {
+    static ENTRY_MEMO: RefCell<EntryMemo> = RefCell::default();
+}
+
+/// The entry a replica commits for a write it executed itself, from this
+/// thread's [`EntryMemo`].
+fn committed_entry(key: u64, version: u64, round: u64, value_size: u32) -> KvEntry {
+    ENTRY_MEMO.with_borrow_mut(|memo| memo.get_or_commit(key, version, round, value_size))
+}
+
+/// Counters and present size of the calling thread's committed-entry memo
+/// (see [`entry_memo_stats`]): the per-thread, exactly keyed, capacity-bounded
+/// map through which the replicas of a deployment share one materialised and
+/// hashed [`KvEntry`] per committed write.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct EntryMemoStats {
+    /// Writes that took an entry another machine on this thread had committed.
+    pub hits: u64,
+    /// Writes that materialised and hashed their value.
+    pub misses: u64,
+    /// Entries the memo holds now (both generations).
+    pub entries: usize,
+    /// Bytes the memo pins now: the held values plus 128 per entry.
+    pub pinned_bytes: usize,
+}
+
+/// What the calling thread's committed-entry memo has done since the thread
+/// started, and what it holds. For profiles and tests: nothing in a run
+/// depends on it.
+pub fn entry_memo_stats() -> EntryMemoStats {
+    ENTRY_MEMO.with_borrow(|memo| {
+        let held = || memo.young.values().chain(memo.old.values());
+        EntryMemoStats {
+            hits: memo.hits,
+            misses: memo.misses,
+            entries: held().count(),
+            pinned_bytes: held().map(|e| MEMO_ENTRY_CHARGE + e.value.len()).sum(),
+        }
+    })
 }
 
 /// The real keyed KV machine: `key → {version, value bytes, last-writer
@@ -336,21 +460,29 @@ impl KvMachine {
 
     /// Deterministic value content for `(key, version)`: the simulator carries
     /// real bytes (so snapshot/transfer sizes and digests are meaningful)
-    /// without shipping client payloads through the ordering path.
+    /// without shipping client payloads through the ordering path. Always a
+    /// fresh allocation; the write path materialises a committed value once
+    /// per process and shares it (see `EntryMemo`).
     pub fn fill_value(key: u64, version: u64, size: u32) -> Arc<[u8]> {
         let seed = key.wrapping_mul(31).wrapping_add(version) as u8;
         (0..size as usize).map(|i| seed.wrapping_add(i as u8)).collect()
     }
 
+    /// Commit one write: a single walk of the map finds the key's slot, reads
+    /// the version it holds and replaces the entry in place.
     fn write_one(&mut self, round: Round, key: u64, value_size: u32) -> u64 {
-        let version = self.entries.get(&key).map_or(1, |e| e.version + 1);
-        let entry = KvEntry::new(key, version, round.0, Self::fill_value(key, version, value_size));
-        let written = entry.value.len() as u64;
-        xor_acc(&mut self.acc, &entry.leaf);
-        if let Some(old) = self.entries.insert(key, entry) {
-            self.value_bytes -= old.value.len() as u64;
-            xor_acc(&mut self.acc, &old.leaf);
-        }
+        let committed = match self.entries.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let next = slot.get().version + 1;
+                let old = slot.insert(committed_entry(key, next, round.0, value_size));
+                self.value_bytes -= old.value.len() as u64;
+                xor_acc(&mut self.acc, &old.leaf);
+                slot.into_mut()
+            }
+            Entry::Vacant(slot) => slot.insert(committed_entry(key, 1, round.0, value_size)),
+        };
+        let written = committed.value.len() as u64;
+        xor_acc(&mut self.acc, &committed.leaf);
         self.value_bytes += written;
         written
     }
@@ -452,13 +584,171 @@ mod tests {
             for (k, e) in live.entries_map() {
                 assert_eq!(e.leaf, e.leaf_for(*k), "cached leaf of key {k} is stale");
             }
-            // `from_state` must not lean on what the entries cached.
+            // `from_state` must not lean on what the entries cached, nor on
+            // the memo: it neither reads nor fills it.
             let mut foreign = live.entries_map().clone();
             for e in foreign.values_mut() {
                 e.leaf = [0; 32];
             }
+            let memo = entry_memo_stats();
             assert_eq!(KvMachine::from_state(foreign), live);
+            assert_eq!(entry_memo_stats(), memo, "from_state touched the committed-entry memo");
         }
+    }
+
+    /// One write of a shared op stream: `(round, key, value_size)`.
+    type Op = (u64, u64, u32);
+
+    fn op_stream(rng: &mut StdRng, n: usize) -> Vec<Op> {
+        // Few keys, so versions climb; sizes vary down to empty values.
+        (0..n as u64)
+            .map(|i| (1 + i / 4, rng.gen_range(0..12u64), rng.gen_range(0..300u32)))
+            .collect()
+    }
+
+    fn replay(ops: &[Op]) -> KvMachine {
+        let mut m = KvMachine::default();
+        for (seq, (round, key, size)) in ops.iter().enumerate() {
+            m.apply(Round(*round), &write(seq as u64, *key, *size));
+        }
+        m
+    }
+
+    /// Every entry is what `KvEntry::new` computes from scratch for the last
+    /// write `ops` made to its key — fields, bytes and leaf.
+    fn assert_from_scratch(m: &KvMachine, ops: &[Op]) {
+        let mut last: BTreeMap<u64, (u64, u64, u32)> = BTreeMap::new();
+        for (round, key, size) in ops {
+            let version = last.get(key).map_or(1, |(v, ..)| v + 1);
+            last.insert(*key, (version, *round, *size));
+        }
+        assert_eq!(m.entries(), last.len() as u64);
+        for (key, (version, round, size)) in last {
+            let e = m.get(key).expect("written");
+            let scratch =
+                KvEntry::new(key, version, round, KvMachine::fill_value(key, version, size));
+            assert_eq!(*e, scratch, "key {key}: the memo returned another write's entry");
+            assert_eq!(e.leaf, e.leaf_for(key), "key {key}: stale leaf");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn memo_hands_every_machine_the_from_scratch_entry(
+            seed in 0u64..1_000_000,
+            n in 1usize..150,
+            k in 2usize..6,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let ops = op_stream(&mut rng, n);
+            // Same keys in the same order, so the same versions — but every
+            // write differs from its twin in the round or in the size.
+            let diverging: Vec<Op> = ops
+                .iter()
+                .map(|&(round, key, size)| match rng.gen_range(0..2u32) {
+                    0 => (round + 1_000, key, size),
+                    _ => (round, key, size + 1),
+                })
+                .collect();
+            // The replicas of a deployment: one stream, k machines, one thread.
+            // The diverging machine runs between them, on a warm memo.
+            let first = replay(&ops);
+            let other = replay(&diverging);
+            let rest: Vec<KvMachine> = (1..k).map(|_| replay(&ops)).collect();
+            assert_from_scratch(&first, &ops);
+            assert_from_scratch(&other, &diverging);
+            for m in &rest {
+                assert_eq!(*m, first);
+                assert_from_scratch(m, &ops);
+                for (key, e) in m.entries_map() {
+                    let shared = &first.get(*key).expect("same stream").value;
+                    assert!(Arc::ptr_eq(&e.value, shared), "key {key}: committed twice");
+                    let foreign = &other.get(*key).expect("same keys").value;
+                    assert!(!Arc::ptr_eq(&e.value, foreign), "key {key}: crossed streams");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_is_bounded_in_entries_and_bytes_and_evicts_by_capacity() {
+        let generation_entries = MEMO_GENERATION_BYTES / MEMO_ENTRY_CHARGE;
+        let within_bounds = || {
+            let s = entry_memo_stats();
+            assert!(s.pinned_bytes <= 2 * MEMO_GENERATION_BYTES, "pins {} bytes", s.pinned_bytes);
+            assert!(s.entries <= 2 * generation_entries, "holds {} entries", s.entries);
+            s
+        };
+        // All in one round no other test writes in: the round plays no part in
+        // eviction, and nothing a test thread ran before can hit.
+        let round = Round(190_019);
+        let base = within_bounds();
+        // More than three generations of distinct 1 KiB writes (the byte
+        // bound), then of empty ones (the entry bound).
+        let mut m = KvMachine::default();
+        let kib_writes = 3 * MEMO_GENERATION_BYTES as u64 / 1024 + 100;
+        for key in 0..kib_writes {
+            m.apply(round, &write(key, key, 1024));
+            within_bounds();
+        }
+        assert!(within_bounds().pinned_bytes > MEMO_GENERATION_BYTES, "both generations in use");
+        let empty_writes = 3 * generation_entries as u64 + 100;
+        for key in 0..empty_writes {
+            m.apply(round, &write(key, kib_writes + key, 0));
+        }
+        let s = within_bounds();
+        assert!(s.entries > generation_entries, "both generations in use");
+        assert_eq!(s.hits, base.hits, "every write was distinct");
+        assert_eq!(s.misses, base.misses + m.entries());
+
+        // The first write is long evicted: a second machine commits it again,
+        // equal to the first machine's entry and sharing nothing with it.
+        let mut again = KvMachine::default();
+        again.apply(round, &write(0, 0, 1024));
+        assert_eq!(entry_memo_stats().misses, s.misses + 1, "an evicted entry cannot hit");
+        assert_eq!(again.get(0), m.get(0));
+        let (first, recommitted) = (m.get(0).expect("written"), again.get(0).expect("written"));
+        assert!(!Arc::ptr_eq(&first.value, &recommitted.value));
+        // The last write is still held.
+        again.apply(round, &write(1, kib_writes + empty_writes - 1, 0));
+        assert_eq!(entry_memo_stats().hits, s.hits + 1);
+
+        // A value no generation could hold is committed and not kept.
+        let before = within_bounds();
+        let huge = MEMO_GENERATION_BYTES as u32;
+        m.apply(round, &write(0, u64::MAX, huge));
+        again.apply(round, &write(0, u64::MAX, huge));
+        let after = within_bounds();
+        assert_eq!((after.entries, after.pinned_bytes), (before.entries, before.pinned_bytes));
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses + 2));
+        assert_eq!(again.get(u64::MAX), m.get(u64::MAX));
+    }
+
+    #[test]
+    fn a_cold_thread_and_a_warm_thread_build_equal_machines() {
+        let ops = op_stream(&mut StdRng::seed_from_u64(19), 200);
+        let warm_up = replay(&ops);
+        let before = entry_memo_stats();
+        let warm = replay(&ops);
+        let after = entry_memo_stats();
+        assert_eq!(
+            (after.hits, after.misses),
+            (before.hits + ops.len() as u64, before.misses),
+            "the second replay ran on a warm memo"
+        );
+        let cold = std::thread::scope(|scope| {
+            let spawned = scope.spawn(|| {
+                assert_eq!(entry_memo_stats(), EntryMemoStats::default(), "memos are per thread");
+                let cold = replay(&ops);
+                assert_eq!(entry_memo_stats().hits, 0);
+                cold
+            });
+            spawned.join().expect("the cold replay panicked")
+        });
+        assert_eq!(cold, warm);
+        assert_eq!(warm, warm_up);
+        assert_eq!(entry_memo_stats(), after, "another thread's writes never land here");
     }
 
     #[test]

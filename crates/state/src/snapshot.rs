@@ -15,7 +15,8 @@
 //! the property tests pin round-trip fidelity and order-insensitivity.
 
 use crate::machine::{CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind};
-use ava_crypto::{sha256, Sha256};
+use ava_crypto::sha256;
+use ava_types::EncodeSink;
 use std::collections::BTreeMap;
 
 /// A point-in-time image of a state machine's replicated state.
@@ -62,29 +63,33 @@ impl StateSnapshot {
         }
     }
 
-    /// Feed the snapshot's canonical byte stream into a running hash. The
-    /// counter stream (length + key/counter pairs, all LE) is byte-identical
-    /// to the legacy checkpoint digest input. The kv stream is two-level:
-    /// domain tag, length, then `(key, leaf)` per entry, where the leaf is the
-    /// entry's cached SHA-256 — 40 bytes per entry instead of the value bytes,
-    /// and as collision-resistant as hashing them inline. It trusts the
-    /// cached leaves: check [`StateSnapshot::leaves_valid`] first on a
-    /// snapshot this process did not take itself.
-    pub fn hash_into(&self, h: &mut Sha256) {
+    /// Feed the snapshot's canonical byte stream into `out` — a running hash,
+    /// or a buffer when the stream itself is wanted (`ava-store` compares the
+    /// stream of a checkpoint it is about to build with the last one it
+    /// hashed; both get their bytes here, so "same stream" and "same bytes
+    /// fed to the hasher" cannot come apart). The counter stream (length +
+    /// key/counter pairs, all LE) is byte-identical to the legacy checkpoint
+    /// digest input. The kv stream is two-level: domain tag, length, then
+    /// `(key, leaf)` per entry, where the leaf is the entry's cached SHA-256
+    /// — 40 bytes per entry instead of the value bytes, and as
+    /// collision-resistant as hashing them inline. It trusts the cached
+    /// leaves: check [`StateSnapshot::leaves_valid`] first on a snapshot this
+    /// process did not take itself.
+    pub fn hash_into(&self, out: &mut impl EncodeSink) {
         match self {
             StateSnapshot::Counter(state) => {
-                h.update(&(state.len() as u64).to_le_bytes());
+                out.write(&(state.len() as u64).to_le_bytes());
                 for (k, v) in state {
-                    h.update(&k.to_le_bytes());
-                    h.update(&v.to_le_bytes());
+                    out.write(&k.to_le_bytes());
+                    out.write(&v.to_le_bytes());
                 }
             }
             StateSnapshot::Kv(state) => {
-                h.update(b"kv-state-v2");
-                h.update(&(state.len() as u64).to_le_bytes());
+                out.write(b"kv-state-v2");
+                out.write(&(state.len() as u64).to_le_bytes());
                 for (k, e) in state {
-                    h.update(&k.to_le_bytes());
-                    h.update(&e.leaf);
+                    out.write(&k.to_le_bytes());
+                    out.write(&e.leaf);
                 }
             }
         }
@@ -288,6 +293,7 @@ impl SnapshotAssembler {
 mod tests {
     use super::*;
     use crate::machine::{machine_for, StateMachine};
+    use ava_crypto::Sha256;
     use ava_types::{ClientId, Round, Transaction, TxId, TxKind};
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
@@ -364,6 +370,93 @@ mod tests {
             }
             assert!(asm.is_complete());
             assert_eq!(asm.assemble().expect("assembles"), snapshot);
+        }
+    }
+
+    /// What `hash_into` commits to, typed: the kind and the ordered
+    /// `(key, counter | leaf)` pairs.
+    fn committed_pairs(snapshot: &StateSnapshot) -> (StateMachineKind, Vec<(u64, Vec<u8>)>) {
+        let pairs = match snapshot {
+            StateSnapshot::Counter(state) => {
+                state.iter().map(|(k, v)| (*k, v.to_le_bytes().to_vec())).collect()
+            }
+            StateSnapshot::Kv(state) => state.iter().map(|(k, e)| (*k, e.leaf.to_vec())).collect(),
+        };
+        (snapshot.kind(), pairs)
+    }
+
+    fn stream(snapshot: &StateSnapshot) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        snapshot.hash_into(&mut bytes);
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn same_stream_iff_same_bytes_fed_to_the_hasher(
+            seed in 0u64..1_000_000,
+            n in 1usize..60,
+            change in 0u32..7,
+        ) {
+            // `ava-store` reuses a checkpoint digest when the stream written
+            // into a buffer equals the last one hashed. That is sound only if
+            // the buffer holds exactly what the hasher is fed, and useful only
+            // if snapshots that commit to the same pairs write the same bytes.
+            let kind = if seed % 2 == 0 { StateMachineKind::Kv } else { StateMachineKind::Counter };
+            // Key 7 is always present, so no state is empty.
+            let mut ops = random_ops(seed, n);
+            ops.push((Round(50), Transaction::write(ClientId(1), n as u64, 7, 21)));
+            let a = replay(kind, &ops).snapshot();
+            let mut later = replay(kind, &ops);
+            let b = match change {
+                // The same state, built again (KV: other `Arc`s, equal leaves).
+                0 => later.snapshot(),
+                // One pair rewritten, one pair added.
+                1 | 2 => {
+                    let key = if change == 1 { 7 } else { 1_000 };
+                    let tx = Transaction::write(ClientId(2), 0, key, 33);
+                    later.apply(Round(99), &tx);
+                    later.snapshot()
+                }
+                // One pair gone; one pair under another key.
+                3 | 4 => match later.snapshot() {
+                    StateSnapshot::Counter(mut state) => {
+                        let (_, v) = state.pop_first().expect("key 7");
+                        if change == 4 {
+                            state.insert(2_000, v);
+                        }
+                        StateSnapshot::Counter(state)
+                    }
+                    StateSnapshot::Kv(mut state) => {
+                        let (_, e) = state.pop_first().expect("key 7");
+                        if change == 4 {
+                            state.insert(2_000, e);
+                        }
+                        StateSnapshot::Kv(state)
+                    }
+                },
+                // The other machine's image of the same log; an empty one.
+                5 => {
+                    let other = match kind {
+                        StateMachineKind::Kv => StateMachineKind::Counter,
+                        StateMachineKind::Counter => StateMachineKind::Kv,
+                    };
+                    replay(other, &ops).snapshot()
+                }
+                _ => StateSnapshot::empty(kind),
+            };
+            for snapshot in [&a, &b] {
+                let mut h = Sha256::new();
+                snapshot.hash_into(&mut h);
+                assert_eq!(sha256(&stream(snapshot)), h.finalize(), "buffer and hasher differ");
+            }
+            assert_eq!(
+                stream(&a) == stream(&b),
+                committed_pairs(&a) == committed_pairs(&b),
+                "change {change}: equal streams must mean equal committed pairs, and back"
+            );
+            assert_eq!(stream(&a) == stream(&b), change == 0, "change {change}");
         }
     }
 

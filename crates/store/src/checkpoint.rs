@@ -10,7 +10,8 @@
 
 use ava_crypto::{Digest, Sha256};
 use ava_state::{chunk_snapshot, SnapshotChunk, StateSnapshot};
-use ava_types::{Membership, ReplicaId, Round};
+use ava_types::{EncodeSink, Membership, ReplicaId, Round};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -45,8 +46,79 @@ pub struct Checkpoint {
     pub digest: Digest,
 }
 
+/// The canonical byte stream a checkpoint digest is the SHA-256 of: round,
+/// `next_height`, the snapshot's stream, the membership. `BTreeMap` iteration
+/// (inside the snapshot's stream) and the membership map's sorted per-cluster
+/// member lists make it deterministic across replicas.
+fn digest_stream(
+    out: &mut impl EncodeSink,
+    round: Round,
+    state: &StateSnapshot,
+    membership: &Membership,
+    next_height: u64,
+) {
+    out.write(&round.0.to_le_bytes());
+    out.write(&next_height.to_le_bytes());
+    state.hash_into(out);
+    for (cluster, info) in membership.iter() {
+        out.write(&cluster.0.to_le_bytes());
+        out.write(&info.id.0.to_le_bytes());
+        out.write(&[info.region.index() as u8]);
+    }
+}
+
+/// The digest stream of the last checkpoint this thread *built*, with its
+/// digest. Every replica of a deployment checkpoints the same state at the
+/// same rounds, and they all live on one thread: [`Checkpoint::new`] writes
+/// out the stream it is about to hash and, when it equals this one byte for
+/// byte, takes the digest instead of hashing the same 40 bytes per entry
+/// again. A comparison of the hasher's whole input, not of a hash of it, so
+/// no collision assumption enters; the value is a pure function of the
+/// compared bytes. Consulted only when a replica builds a checkpoint of its
+/// own state: [`Checkpoint::verify`] and [`CheckpointCollector::offer`] judge
+/// checkpoints that came from elsewhere and always hash
+/// ([`Checkpoint::digest_of`]). It outlives a deployment (a thread runs them
+/// back to back) and holds one stream, so it is bounded by the largest
+/// checkpoint built.
+#[derive(Default)]
+struct LastBuilt {
+    /// Empty until the first build; a real stream never is (round and
+    /// `next_height` lead it), so the initial state matches nothing.
+    stream: Vec<u8>,
+    digest: Digest,
+    /// The stream under comparison, kept for its allocation.
+    scratch: Vec<u8>,
+    reused: u64,
+    built: u64,
+}
+
+thread_local! {
+    static LAST_BUILT: RefCell<LastBuilt> = RefCell::default();
+}
+
+/// What [`Checkpoint::new`] has done on the calling thread since the thread
+/// started (see [`checkpoint_digest_stats`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct CheckpointDigestStats {
+    /// Digests taken from the thread's last build.
+    pub reused: u64,
+    /// Digests hashed.
+    pub built: u64,
+}
+
+/// The calling thread's [`CheckpointDigestStats`]. For profiles and tests:
+/// nothing in a run depends on it.
+pub fn checkpoint_digest_stats() -> CheckpointDigestStats {
+    LAST_BUILT.with_borrow(|last| CheckpointDigestStats { reused: last.reused, built: last.built })
+}
+
 impl Checkpoint {
-    /// Build a checkpoint, computing its canonical digest.
+    /// Build a checkpoint of the caller's own state, with its canonical
+    /// digest: [`Checkpoint::digest_of`] the content, hashed unless the
+    /// thread's last build fed the hasher exactly the same bytes (see
+    /// `LastBuilt`). `leader_ts` is not part of the stream, so two
+    /// replicas that differ only there share a digest and each keeps its own
+    /// timestamp.
     pub fn new(
         round: Round,
         state: StateSnapshot,
@@ -54,14 +126,24 @@ impl Checkpoint {
         leader_ts: u64,
         next_height: u64,
     ) -> Self {
-        let digest = Self::digest_of(round, &state, &membership, next_height);
+        let digest = LAST_BUILT.with_borrow_mut(|last| {
+            last.scratch.clear();
+            digest_stream(&mut last.scratch, round, &state, &membership, next_height);
+            if last.scratch == last.stream {
+                last.reused += 1;
+            } else {
+                last.built += 1;
+                last.digest = Digest::of_bytes(&last.scratch);
+                std::mem::swap(&mut last.stream, &mut last.scratch);
+            }
+            last.digest
+        });
         Checkpoint { round, state, membership, leader_ts, next_height, digest }
     }
 
-    /// The canonical digest of a checkpoint's round-deterministic content.
-    /// `BTreeMap` iteration (inside the snapshot's byte stream) and the
-    /// membership map's sorted per-cluster member lists make the byte stream
-    /// deterministic across replicas. KV state enters as `(key, leaf)` pairs
+    /// The canonical digest of a checkpoint's round-deterministic content,
+    /// hashed from scratch (SHA-256 of the digest stream: round, next_height,
+    /// state, membership). KV state enters as `(key, leaf)` pairs
     /// (`StateSnapshot::hash_into`), so building a checkpoint re-reads no
     /// value bytes. The machine's XOR set-hash is deliberately *not* the
     /// commitment: it is an agreement checksum among honest replicas, and a
@@ -75,14 +157,7 @@ impl Checkpoint {
         next_height: u64,
     ) -> Digest {
         let mut h = Sha256::new();
-        h.update(&round.0.to_le_bytes());
-        h.update(&next_height.to_le_bytes());
-        state.hash_into(&mut h);
-        for (cluster, info) in membership.iter() {
-            h.update(&cluster.0.to_le_bytes());
-            h.update(&info.id.0.to_le_bytes());
-            h.update(&[info.region.index() as u8]);
-        }
+        digest_stream(&mut h, round, state, membership, next_height);
         Digest(h.finalize())
     }
 
@@ -372,6 +447,104 @@ mod tests {
         let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
         state.insert(3, ava_state::KvEntry::new(3, 1, 2, [7u8; 100].into()));
         assert!(cp.state.leaves_valid() && !cp.verify());
+    }
+
+    /// What a checkpoint digest commits to: the arguments of
+    /// `Checkpoint::new` without `leader_ts`.
+    type Committed = (Round, StateSnapshot, Membership, u64);
+
+    /// `Checkpoint::new` on `args`, checked against the from-scratch digest;
+    /// also whether the digest was taken from the thread's last build.
+    fn build(args: &Committed) -> (Checkpoint, bool) {
+        let (round, state, members, next_height) = args;
+        let before = checkpoint_digest_stats();
+        let cp = Checkpoint::new(*round, state.clone(), members.clone(), 2, *next_height);
+        let after = checkpoint_digest_stats();
+        assert_eq!(cp.digest, Checkpoint::digest_of(*round, state, members, *next_height));
+        assert_eq!(after.reused + after.built, before.reused + before.built + 1);
+        (cp, after.reused == before.reused + 1)
+    }
+
+    fn kv_entries(args: &mut Committed) -> &mut BTreeMap<u64, ava_state::KvEntry> {
+        let StateSnapshot::Kv(entries) = &mut args.1 else { panic!("a kv snapshot") };
+        entries
+    }
+
+    #[test]
+    fn new_reuses_the_last_digest_for_the_same_stream_and_no_other() {
+        use ava_state::KvEntry;
+        let (_, cp) = kv_checkpoint();
+        let base: Committed = (cp.round, cp.state, cp.membership, cp.next_height);
+        let vary = |change: &dyn Fn(&mut Committed)| {
+            let mut args = base.clone();
+            change(&mut args);
+            args
+        };
+        // The base, then eight that differ from it in exactly one thing the
+        // digest commits to: round, next_height, membership, one leaf, one key
+        // (the entry re-hashed honestly under it), one entry fewer, one more,
+        // the other machine kind.
+        let variants = [
+            base.clone(),
+            vary(&|v| v.0 = Round(9)),
+            vary(&|v| v.3 += 1),
+            vary(&|v| v.2 = membership(5)),
+            vary(&|v| drop(kv_entries(v).insert(3, KvEntry::new(3, 2, 9, [7; 100].into())))),
+            vary(&|v| {
+                let e = kv_entries(v).remove(&3).expect("key 3 was written");
+                let moved = KvEntry::new(33, e.version, e.last_writer_round, e.value);
+                kv_entries(v).insert(33, moved);
+            }),
+            vary(&|v| drop(kv_entries(v).remove(&5))),
+            vary(&|v| drop(kv_entries(v).insert(100, KvEntry::new(100, 1, 2, [1; 8].into())))),
+            vary(&|v| {
+                v.1 = StateSnapshot::Counter(kv_entries(v).keys().map(|k| (*k, 1)).collect())
+            }),
+        ];
+        // Every ordered pair: the second build reuses the first's digest
+        // exactly when it repeats its arguments, and is right either way.
+        for (i, first) in variants.iter().enumerate() {
+            for (j, second) in variants.iter().enumerate() {
+                let (built, _) = build(first);
+                let (again, reused) = build(second);
+                assert_eq!(reused, i == j, "variant {j} right after variant {i}");
+                assert_eq!(built.digest == again.digest, i == j);
+            }
+        }
+        // `leader_ts` is not committed: the digest is reused, the timestamp is
+        // the caller's own.
+        let (first, _) = build(&base);
+        let (round, state, members, next_height) = base;
+        let before = checkpoint_digest_stats();
+        let other_ts = Checkpoint::new(round, state, members, 77, next_height);
+        assert_eq!(checkpoint_digest_stats().reused, before.reused + 1);
+        assert_eq!((other_ts.leader_ts, first.leader_ts), (77, 2));
+        assert_eq!(other_ts.digest, first.digest);
+    }
+
+    #[test]
+    fn a_tampered_twin_of_the_checkpoint_just_built_is_still_rejected() {
+        // The honest checkpoint is the thread's last build when its tampered
+        // copies are judged: `verify` and `offer` must hash what they were
+        // given, whatever this thread remembers.
+        let (_, honest) = kv_checkpoint();
+        let mut c = CheckpointCollector::new(1);
+        let mut stale_leaf = honest.clone();
+        let StateSnapshot::Kv(state) = &mut stale_leaf.state else { unreachable!() };
+        state.get_mut(&3).expect("key 3 was written").version += 1;
+        let mut swapped = honest.clone();
+        let StateSnapshot::Kv(state) = &mut swapped.state else { unreachable!() };
+        state.insert(3, ava_state::KvEntry::new(3, 1, 2, [7u8; 100].into()));
+        assert!(swapped.state.leaves_valid(), "the swapped entry's leaf is honest for its bytes");
+        let mut moved_round = honest.clone();
+        moved_round.round = Round(16);
+        for (what, twin) in [("leaf", stale_leaf), ("entry", swapped), ("round", moved_round)] {
+            assert_eq!(twin.digest, honest.digest);
+            assert!(!twin.verify(), "a changed {what} under the honest digest verified");
+            assert!(!c.offer(ReplicaId(1), Arc::new(twin)), "a changed {what} voted");
+        }
+        assert!(c.offer(ReplicaId(2), Arc::new(honest)));
+        assert_eq!((c.rejected(), c.candidates()), (3, 1));
     }
 
     #[test]

@@ -25,6 +25,8 @@ pub mod checkpoint;
 pub mod log;
 pub mod store;
 
-pub use checkpoint::{Checkpoint, CheckpointCollector};
+pub use checkpoint::{
+    checkpoint_digest_stats, Checkpoint, CheckpointCollector, CheckpointDigestStats,
+};
 pub use log::{RoundLog, StoredEntry};
 pub use store::{ReplicaStore, StoreConfig, StoreStats};

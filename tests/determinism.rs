@@ -192,11 +192,13 @@ fn fuzz_case_golden_fingerprints_are_stable() {
 /// shows up here even though the counter goldens above cannot see it.
 const KV_GOLDEN: &str = "dd389de83775f0de3e95bb3f798af335ed4f89b7f8c7139c9c5a036a7199a3ec";
 
+fn kv_golden_opts() -> DeploymentOptions {
+    DeploymentOptions { state_machine: hamava_repro::hamava::StateMachineKind::Kv, ..golden_opts() }
+}
+
 fn run_kv_golden() -> String {
-    let mut opts = golden_opts();
-    opts.state_machine = hamava_repro::hamava::StateMachineKind::Kv;
     let run = Scenario::builder(Protocol::AvaHotStuff, golden_config())
-        .options(opts)
+        .options(kv_golden_opts())
         .run_for(Duration::from_secs(8))
         .build()
         .run();
@@ -221,39 +223,57 @@ fn parallel_executor_matches_serial_byte_for_byte() {
     // order, as running them one by one on one thread — including against the
     // committed goldens, so cross-thread execution can never silently fork the
     // deterministic schedule. Each scenario owns its whole simulation stack
-    // (event queue, RNG, key registry), which is the isolation the pool relies
-    // on.
+    // (event queue, RNG, key registry). What scenarios on one thread do share
+    // are the two per-thread memos under the KV write path (`ava-state`'s
+    // committed entries, `ava-store`'s last checkpoint digest): both hold only
+    // values of pure functions of a fully compared key, so they can save work
+    // and cannot be observed in any output. The KV scenarios pin that: the
+    // serial pass runs the golden twice on one thread (the second on a warm
+    // memo, after other deployments that also started at round 1) and then a
+    // checkpointing crash → restart run, while the 8 workers run mostly cold.
     use hamava_repro::scenario::RunPool;
+    use hamava_repro::store::StoreConfig;
+    use hamava_repro::types::{ReplicaId, Time};
 
-    let scenarios = |protocols: &[Protocol]| -> Vec<Scenario> {
-        protocols
-            .iter()
-            .map(|&p| {
-                Scenario::builder(p, golden_config())
-                    .options(golden_opts())
-                    .run_for(Duration::from_secs(8))
-                    .build()
-            })
-            .collect()
+    let scenarios = || -> Vec<Scenario> {
+        let eight_seconds = |protocol, opts| {
+            Scenario::builder(protocol, golden_config())
+                .options(opts)
+                .run_for(Duration::from_secs(8))
+        };
+        vec![
+            eight_seconds(Protocol::AvaHotStuff, golden_opts()).build(),
+            eight_seconds(Protocol::AvaBftSmart, golden_opts()).build(),
+            eight_seconds(Protocol::AvaHotStuff, golden_opts()).build(),
+            eight_seconds(Protocol::GeoBft, golden_opts()).build(),
+            eight_seconds(Protocol::AvaHotStuff, kv_golden_opts()).build(),
+            eight_seconds(Protocol::AvaHotStuff, kv_golden_opts())
+                .store(StoreConfig::every(8))
+                .crash_at(Time::from_secs(2), ReplicaId(1))
+                .restart_at(Time::from_secs(4), ReplicaId(1))
+                .build(),
+            eight_seconds(Protocol::AvaHotStuff, kv_golden_opts()).build(),
+        ]
     };
-    let protocols =
-        [Protocol::AvaHotStuff, Protocol::AvaBftSmart, Protocol::AvaHotStuff, Protocol::GeoBft];
+    let fingerprints = |jobs: usize| -> Vec<String> {
+        let runs = RunPool::new(jobs).run_scenarios(scenarios());
+        let recovered = |o: &Output| matches!(o, Output::RecoveryCompleted { .. });
+        let checkpointed = |o: &Output| matches!(o, Output::CheckpointInstalled { .. });
+        assert!(
+            runs[5].outputs.iter().any(recovered) && runs[5].outputs.iter().any(checkpointed),
+            "the crash → restart run must build checkpoints and catch up from one"
+        );
+        runs.iter().map(|run| fingerprint(&run.outputs, &run.stats)).collect()
+    };
 
-    let serial: Vec<String> = RunPool::new(1)
-        .run_scenarios(scenarios(&protocols))
-        .iter()
-        .map(|run| fingerprint(&run.outputs, &run.stats))
-        .collect();
-    let parallel: Vec<String> = RunPool::new(8)
-        .run_scenarios(scenarios(&protocols))
-        .iter()
-        .map(|run| fingerprint(&run.outputs, &run.stats))
-        .collect();
-
+    let serial = fingerprints(1);
+    let parallel = fingerprints(8);
     assert_eq!(serial, parallel, "8-worker pool diverged from the serial runs");
     assert_eq!(parallel[0], HOTSTUFF_GOLDEN, "pooled AVA-HOTSTUFF run diverged from the golden");
     assert_eq!(parallel[1], BFTSMART_GOLDEN, "pooled AVA-BFTSMART run diverged from the golden");
     assert_eq!(parallel[0], parallel[2], "same scenario must fingerprint identically in one pool");
+    assert_eq!(parallel[4], KV_GOLDEN, "pooled keyed-KV run diverged from the golden");
+    assert_eq!(serial[6], KV_GOLDEN, "a warm memo changed the keyed-KV run");
 }
 
 #[test]
