@@ -1,31 +1,27 @@
-//! Wall-clock perf harness CLI — times the end-to-end `figure_benches` shapes
-//! (E0/E1/E3 pipelines + GeoBFT baseline + the store-enabled E10 shapes + the
-//! broker-tier E11 shapes + the KV state-machine E13 shapes) and emits
-//! `BENCH_PR19.json`.
+//! Wall-clock perf gate CLI — times the end-to-end quick shapes (E0/E1/E3
+//! pipelines + GeoBFT baseline + the store-enabled E10 shapes + the broker-tier
+//! E11 shapes + the KV state-machine E13 shapes) and emits a `BENCH_PR*.json`
+//! document.
 //!
 //! ```text
-//! perf_wallclock [--quick|--full] [--iters N] [--jobs N] [--out FILE] \
-//!                [--baseline FILE.tsv] [--emit-tsv FILE.tsv] \
+//! perf_wallclock [--quick] [--iters N] [--jobs N] [--out FILE] \
 //!                [--check FILE.json] [--check-threshold PCT]
 //! perf_wallclock --profile
 //! ```
 //!
-//! * `--quick` (default): 5 s-virtual-time shapes; finishes in seconds.
-//! * `--full`: additionally runs the paper-scale E0 sweep (`AVA_FULL=1`
-//!   equivalent: 96 nodes, 180 s windows) and records its wall-clock.
-//! * `--jobs N`: worker threads for the shape set and the full-E0 sweep's runs
-//!   (default: available parallelism). Each shape's iterations stay on one
-//!   worker; per-shape thread CPU time is recorded so timings stay comparable
-//!   across `--jobs` settings.
+//! * `--quick`: the 5 s-virtual-time shape set — the only one, so the flag
+//!   changes nothing. Paper-scale wall-clock is `time ava-exp e0 --full`.
+//! * `--jobs N`: worker threads for the shape set (default: available
+//!   parallelism). Each shape's iterations stay on one worker; per-shape thread
+//!   CPU time is recorded so timings stay comparable across `--jobs` settings.
+//! * `--out FILE`: write the JSON document to `FILE` (default: print it on
+//!   stdout).
 //! * `--profile`: instead of timing shapes, run the paper's heterogeneous
 //!   deployment and then the KV write shape (2 × 4 replicas, 1 KiB overwrites,
 //!   a checkpoint every 8 rounds) once each with the simulator's handler
 //!   profile on and print where the host time went, per (replica | client) ×
 //!   message kind, sorted by share; after the KV table, the committed-entry
 //!   memo's hits / misses / share and the checkpoint digests reused / built.
-//! * `--baseline`: a `name\twall_ms` TSV from a previous run (typically the parent
-//!   commit); per-shape speedups are recorded in the JSON.
-//! * `--emit-tsv`: write this run's timings in the baseline format.
 //! * `--check`: compare this run against the per-shape timings of a committed
 //!   `BENCH_PR*.json` and exit non-zero if any shape regressed by more than
 //!   `--check-threshold` percent (default 25). The comparison uses thread CPU
@@ -37,26 +33,21 @@
 //!   the repo-root baseline so hot-path regressions fail the build.
 
 use ava_bench::perf::{
-    check_regressions, delta_lines, parse_baseline, parse_bench_json, peak_rss_kb, render_json,
-    render_tsv, run_full_e0, run_quick_shapes, unmatched_shapes, BaselineEntry,
+    check_regressions, delta_lines, parse_bench_json, peak_rss_kb, render_json, run_quick_shapes,
+    unmatched_shapes,
 };
-use std::collections::BTreeMap;
 
 fn main() {
-    let mut full = false;
     let mut iters = 3u32;
     let mut jobs = ava_scenario::default_jobs();
-    let mut out = String::from("BENCH_PR19.json");
-    let mut baseline_path: Option<String> = None;
-    let mut tsv_path: Option<String> = None;
+    let mut out: Option<String> = None;
     let mut check_path: Option<String> = None;
     let mut check_threshold = 25.0f64;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--quick" => full = false,
-            "--full" => full = true,
+            "--quick" => {}
             "--profile" => {
                 ava_bench::perf::profile_deployments();
                 return;
@@ -65,9 +56,7 @@ fn main() {
             "--jobs" => {
                 jobs = next_value(&mut args, "--jobs").parse::<usize>().expect("--jobs N").max(1)
             }
-            "--out" => out = next_value(&mut args, "--out"),
-            "--baseline" => baseline_path = Some(next_value(&mut args, "--baseline")),
-            "--emit-tsv" => tsv_path = Some(next_value(&mut args, "--emit-tsv")),
+            "--out" => out = Some(next_value(&mut args, "--out")),
             "--check" => check_path = Some(next_value(&mut args, "--check")),
             "--check-threshold" => {
                 check_threshold = next_value(&mut args, "--check-threshold")
@@ -81,51 +70,24 @@ fn main() {
         }
     }
 
-    let baseline: BTreeMap<String, BaselineEntry> = match &baseline_path {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-            parse_baseline(&text)
-        }
-        None => BTreeMap::new(),
-    };
-
-    let mode = if full { "full" } else { "quick" };
-    eprintln!("perf_wallclock: mode={mode} iters={iters} jobs={jobs}");
-    let (mut records, pool_wall_ms) = run_quick_shapes(iters, jobs);
+    eprintln!("perf_wallclock: iters={iters} jobs={jobs}");
+    let (records, pool_wall_ms) = run_quick_shapes(iters, jobs);
     for r in &records {
         let cpu = r.cpu_ms.map(|c| format!("  cpu {c:>8.1} ms")).unwrap_or_default();
-        let speedup = baseline
-            .get(&r.name)
-            .map(|b| format!("  speedup {:.2}x", b.wall_ms / r.wall_ms))
-            .unwrap_or_default();
         eprintln!(
-            "  {:<42} {:>10.1} ms{cpu}  {:>12.0} events/s  {:>7} txns{speedup}",
+            "  {:<42} {:>10.1} ms{cpu}  {:>12.0} events/s  {:>7} txns",
             r.name, r.wall_ms, r.events_per_sec, r.completed_txns
         );
     }
     eprintln!("  pool wall-clock for the quick set: {pool_wall_ms:.1} ms on {jobs} job(s)");
-    if full {
-        eprintln!("running paper-scale E0 sweep on {jobs} job(s) (this takes a while)...");
-        let (record, rows) = run_full_e0(jobs);
-        eprintln!("  {:<42} {:>10.1} ms", record.name, record.wall_ms);
-        // Echo the sweep's result rows so a 20+-minute run never has to be repeated
-        // just to transcribe them into EXPERIMENTS.md (the sweep also prints its
-        // own table on stdout).
-        for row in &rows {
-            eprintln!("  e0 full row: {}", row.join(" | "));
+
+    let json = render_json(iters, jobs, pool_wall_ms, &records);
+    match &out {
+        Some(path) => {
+            std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            eprintln!("wrote {path} (peak RSS: {:?} kiB)", peak_rss_kb());
         }
-        records.push(record);
-    }
-
-    let json = render_json(mode, iters, jobs, Some(pool_wall_ms), &records, &baseline);
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("wrote {out} (peak RSS: {:?} kiB)", peak_rss_kb());
-
-    if let Some(path) = tsv_path {
-        std::fs::write(&path, render_tsv(&records))
-            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("wrote {path}");
+        None => print!("{json}"),
     }
 
     if let Some(path) = check_path {

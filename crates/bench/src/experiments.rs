@@ -1,10 +1,11 @@
-//! Experiment runners for E0–E10.
+//! Experiment runners for E0–E13 and Tables I/II.
 //!
 //! Every function regenerates one of the paper's figures/tables as a printed table
 //! of rows (and returns the rows so tests and EXPERIMENTS.md generation can assert on
 //! them). Configurations follow the paper; the `ExperimentScale` controls run length
 //! and sweep density so that the default invocation finishes in seconds while
-//! `AVA_FULL=1` runs paper-scale parameters.
+//! `ava-exp <name> --full` runs paper-scale parameters. [`crate::registry`] is the
+//! table the `ava-exp` driver runs them from.
 //!
 //! All experiments are expressed through the declarative scenario API
 //! ([`ava_scenario::Scenario`]): a protocol, a configuration, a schedule of typed
@@ -13,6 +14,7 @@
 //! mapping — and fault/churn injection is schedule construction, not generic free
 //! functions.
 
+use crate::complexity::complexity_table;
 use crate::report::{fmt, print_table, summarize, RunMetrics};
 use ava_fuzz::CheckerSet;
 use ava_hamava::harness::DeploymentOptions;
@@ -61,43 +63,6 @@ impl ExperimentScale {
             full: true,
             jobs: ava_scenario::default_jobs(),
         }
-    }
-
-    /// `AVA_FULL=1` selects paper scale; `AVA_JOBS=n` overrides the worker count
-    /// (default: all available cores).
-    pub fn from_env() -> Self {
-        let mut scale = if std::env::var("AVA_FULL").map(|v| v == "1").unwrap_or(false) {
-            Self::paper()
-        } else {
-            Self::quick()
-        };
-        if let Some(jobs) = std::env::var("AVA_JOBS").ok().and_then(|v| v.parse::<usize>().ok()) {
-            scale.jobs = jobs.max(1);
-        }
-        scale
-    }
-
-    /// Parse experiment-binary CLI flags on top of [`ExperimentScale::from_env`]:
-    /// `--full` selects paper scale, `--jobs N` sets the worker count. Unknown
-    /// arguments are ignored (the binaries have no other flags).
-    pub fn from_env_and_args() -> Self {
-        let mut scale = Self::from_env();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--full" => scale = ExperimentScale { jobs: scale.jobs, ..Self::paper() },
-                "--jobs" => {
-                    if let Some(jobs) = args.get(i + 1).and_then(|v| v.parse::<usize>().ok()) {
-                        scale.jobs = jobs.max(1);
-                        i += 1;
-                    }
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        scale
     }
 
     /// The run pool every sweep of this scale fans out on.
@@ -206,6 +171,63 @@ pub fn run_once(
     let (start, end) = scale.window();
     let run = scenario(protocol, config, opts, scale).build().run();
     (summarize(&run.outputs, start, end), run.outputs)
+}
+
+// ---------------------------------------------------------------------------------
+// Tables I and II
+// ---------------------------------------------------------------------------------
+
+/// Table I: best-case message complexity of the protocols, the paper's analytic
+/// formulas evaluated at z = 3 clusters of n = 32 nodes (scale-independent).
+pub fn table1_complexity(_scale: &ExperimentScale) -> Vec<Vec<String>> {
+    let (z, n) = (3u64, 32u64);
+    let rows: Vec<Vec<String>> = complexity_table(z, n)
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.protocol.to_string(),
+                r.decisions,
+                r.local,
+                r.global,
+                if r.decentralized { "yes".into() } else { "no".into() },
+                r.local_count.to_string(),
+                r.global_count.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        &format!("Table I: best-case complexity (z={z} clusters, n={n} nodes per cluster)"),
+        &["protocol", "D", "local", "global", "decentralized", "local msgs", "global msgs"],
+        &rows,
+    );
+    rows
+}
+
+/// Table II: the inter-region round-trip latency matrix the simulator uses
+/// (scale-independent).
+pub fn table2_latency(_scale: &ExperimentScale) -> Vec<Vec<String>> {
+    let model = LatencyModel::paper_table2();
+    let regions = [Region::UsWest, Region::Europe, Region::AsiaSouth];
+    let rows: Vec<Vec<String>> = regions
+        .iter()
+        .map(|a| {
+            let mut row = vec![a.zone_name().to_string()];
+            row.extend(regions.iter().map(|b| {
+                if a == b {
+                    "0".to_string()
+                } else {
+                    format!("{:.0}", model.rtt_ms(*a, *b))
+                }
+            }));
+            row
+        })
+        .collect();
+    print_table(
+        "Table II: inter-region round-trip latency (ms)",
+        &["ms", "US (us-west1)", "EU (europe-west3)", "Asia (asia-south1)"],
+        &rows,
+    );
+    rows
 }
 
 // ---------------------------------------------------------------------------------
@@ -1025,36 +1047,55 @@ pub fn e11_saturation(scale: &ExperimentScale) -> (Vec<SaturationPoint>, Option<
     (points, knee)
 }
 
-/// Serialize an E11 sweep into the JSON document the binary prints (hand-rolled,
-/// like [`crate::perf::render_json`] — the format is our own).
-pub fn e11_json(scale: &ExperimentScale, points: &[SaturationPoint], knee: Option<u64>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"experiment\": \"e11_saturation\",\n  \"mode\": \"{}\",\n",
-        if scale.full { "full" } else { "quick" }
-    ));
-    out.push_str(&format!("  \"virtual_clients_per_broker\": {},\n", e11_virtual_clients(scale)));
-    out.push_str(&format!(
-        "  \"knee_offered_tps\": {},\n  \"points\": [\n",
-        knee.map(|k| k.to_string()).unwrap_or_else(|| "null".into())
-    ));
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"offered_tps\": {}, \"committed_tps\": {:.1}, \"p50_ms\": {:.1}, \
-             \"p99_ms\": {:.1}, \"acked\": {}, \"shed\": {}, \"batch_occupancy\": {:.2}}}{}\n",
-            p.offered_tps,
-            p.committed_tps,
-            p.p50_ms,
-            p.p99_ms,
-            p.acked,
-            p.shed,
-            p.batch_occupancy,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
+/// The JSON document of a sweep, as `ava-exp` prints it: the experiment's name
+/// and scale, the sweep's own `header` fields (values already rendered), then
+/// one object per cell under `array` (hand-rolled, like
+/// [`crate::perf::render_json`] — the format is our own).
+fn sweep_json(
+    experiment: &str,
+    scale: &ExperimentScale,
+    header: &[(&str, String)],
+    array: &str,
+    cells: &[String],
+) -> String {
+    let mode = if scale.full { "full" } else { "quick" };
+    let mut out = format!("{{\n  \"experiment\": \"{experiment}\",\n  \"mode\": \"{mode}\",\n");
+    for (key, value) in header {
+        out.push_str(&format!("  \"{key}\": {value},\n"));
+    }
+    out.push_str(&format!("  \"{array}\": [\n"));
+    for (i, cell) in cells.iter().enumerate() {
+        let comma = if i + 1 == cells.len() { "" } else { "," };
+        out.push_str(&format!("    {{{cell}}}{comma}\n"));
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Serialize an E11 sweep into its JSON document; CI checks that
+/// `"knee_offered_tps"` is a number.
+pub fn e11_json(scale: &ExperimentScale, points: &[SaturationPoint], knee: Option<u64>) -> String {
+    let header = [
+        ("virtual_clients_per_broker", e11_virtual_clients(scale).to_string()),
+        ("knee_offered_tps", knee.map(|k| k.to_string()).unwrap_or_else(|| "null".into())),
+    ];
+    let cells: Vec<String> = points
+        .iter()
+        .map(|p| {
+            format!(
+                "\"offered_tps\": {}, \"committed_tps\": {:.1}, \"p50_ms\": {:.1}, \
+                 \"p99_ms\": {:.1}, \"acked\": {}, \"shed\": {}, \"batch_occupancy\": {:.2}",
+                p.offered_tps,
+                p.committed_tps,
+                p.p50_ms,
+                p.p99_ms,
+                p.acked,
+                p.shed,
+                p.batch_occupancy,
+            )
+        })
+        .collect();
+    sweep_json("e11_saturation", scale, &header, "points", &cells)
 }
 
 // ---------------------------------------------------------------------------------
@@ -1208,35 +1249,29 @@ pub fn e12_byzantine(scale: &ExperimentScale) -> Vec<ByzantineCell> {
     cells
 }
 
-/// Serialize an E12 sweep into the JSON document the binary prints. The CI gate
-/// greps for `"total_violations": 0` — the sweep's safety bar in one line.
+/// Serialize an E12 sweep into its JSON document. The CI gate greps for
+/// `"total_violations": 0` — the sweep's safety bar in one line.
 pub fn e12_json(scale: &ExperimentScale, cells: &[ByzantineCell]) -> String {
     let total_violations: usize = cells.iter().map(|c| c.violations.len()).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"experiment\": \"e12_byzantine\",\n  \"mode\": \"{}\",\n",
-        if scale.full { "full" } else { "quick" }
-    ));
-    out.push_str(&format!("  \"total_violations\": {total_violations},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"behavior\": \"{}\", \"corrupted_per_cluster\": {}, \
-             \"committed_tps\": {:.1}, \"degradation_pct\": {:.1}, \"rejections\": {}, \
-             \"equivocations\": {}, \"violations\": {}}}{}\n",
-            c.behavior.label(),
-            c.corrupted_per_cluster,
-            c.committed_tps,
-            c.degradation_pct,
-            c.rejections,
-            c.equivocations,
-            c.violations.len(),
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [("total_violations", total_violations.to_string())];
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "\"behavior\": \"{}\", \"corrupted_per_cluster\": {}, \
+                 \"committed_tps\": {:.1}, \"degradation_pct\": {:.1}, \"rejections\": {}, \
+                 \"equivocations\": {}, \"violations\": {}",
+                c.behavior.label(),
+                c.corrupted_per_cluster,
+                c.committed_tps,
+                c.degradation_pct,
+                c.rejections,
+                c.equivocations,
+                c.violations.len(),
+            )
+        })
+        .collect();
+    sweep_json("e12_byzantine", scale, &header, "cells", &cells)
 }
 
 // ---------------------------------------------------------------------------------
@@ -1391,41 +1426,37 @@ pub fn e13_workloads(scale: &ExperimentScale) -> Vec<WorkloadCell> {
     cells
 }
 
-/// Serialize an E13 sweep into the JSON document the binary prints. The CI gate
-/// greps for `"total_violations": 0` — digest-level execution agreement held in
-/// every cell.
+/// Serialize an E13 sweep into its JSON document. The CI gate greps for
+/// `"total_violations": 0` — digest-level execution agreement held in every
+/// cell.
 pub fn e13_json(scale: &ExperimentScale, cells: &[WorkloadCell]) -> String {
     let total_violations: usize = cells.iter().map(|c| c.violations.len()).sum();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!(
-        "  \"experiment\": \"e13_workloads\",\n  \"mode\": \"{}\",\n",
-        if scale.full { "full" } else { "quick" }
-    ));
-    out.push_str("  \"state_machine\": \"kv\",\n");
-    out.push_str(&format!("  \"total_violations\": {total_violations},\n"));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"read_ratio\": {:.2}, \"zipf_theta\": {:.1}, \"committed_tps\": {:.1}, \
-             \"read_latency_ms\": {:.2}, \"write_latency_ms\": {:.2}, \
-             \"read_advantage\": {:.2}, \"state_entries\": {}, \"state_value_bytes\": {}, \
-             \"digest_rounds\": {}, \"violations\": {}}}{}\n",
-            c.read_ratio,
-            c.zipf_theta,
-            c.committed_tps,
-            c.read_latency_ms,
-            c.write_latency_ms,
-            c.read_advantage(),
-            c.state_entries,
-            c.state_value_bytes,
-            c.digest_rounds,
-            c.violations.len(),
-            if i + 1 == cells.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let header = [
+        ("state_machine", "\"kv\"".to_string()),
+        ("total_violations", total_violations.to_string()),
+    ];
+    let cells: Vec<String> = cells
+        .iter()
+        .map(|c| {
+            format!(
+                "\"read_ratio\": {:.2}, \"zipf_theta\": {:.1}, \"committed_tps\": {:.1}, \
+                 \"read_latency_ms\": {:.2}, \"write_latency_ms\": {:.2}, \
+                 \"read_advantage\": {:.2}, \"state_entries\": {}, \"state_value_bytes\": {}, \
+                 \"digest_rounds\": {}, \"violations\": {}",
+                c.read_ratio,
+                c.zipf_theta,
+                c.committed_tps,
+                c.read_latency_ms,
+                c.write_latency_ms,
+                c.read_advantage(),
+                c.state_entries,
+                c.state_value_bytes,
+                c.digest_rounds,
+                c.violations.len(),
+            )
+        })
+        .collect();
+    sweep_json("e13_workloads", scale, &header, "cells", &cells)
 }
 
 #[cfg(test)]
@@ -1557,11 +1588,5 @@ mod tests {
         assert!(json.contains("\"total_violations\": 0"));
         assert!(json.contains("\"state_machine\": \"kv\""));
         assert!(json.contains("\"read_advantage\": 200.00"));
-    }
-
-    #[test]
-    fn complexity_scale_from_env_defaults_to_quick() {
-        std::env::remove_var("AVA_FULL");
-        assert!(!ExperimentScale::from_env().full);
     }
 }

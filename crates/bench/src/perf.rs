@@ -1,14 +1,14 @@
 //! Wall-clock performance harness for the simulation hot path.
 //!
-//! While the Criterion benches track micro-costs, this module times the *end-to-end*
-//! deployment shapes from `benches/figure_benches.rs` (E0/E1/E3 pipelines, the
-//! GeoBFT baseline, the store-enabled E10 shapes, plus the broker-tier E11
-//! shapes) in real wall-clock time and emits a machine-readable
-//! `BENCH_PR*.json` trajectory so hot-path refactors can prove (and later PRs cannot
-//! silently regress) their speedups. The `perf_wallclock` binary is the CLI front
-//! end; CI runs it at quick scale as a bench smoke test.
+//! This module times *end-to-end* deployment shapes (E0/E1/E3 pipelines, the
+//! GeoBFT baseline, the store-enabled E10 shapes, the broker-tier E11 shapes and
+//! the KV E13 shapes) in real wall-clock time and emits a machine-readable
+//! `BENCH_PR*.json` document, so a later PR cannot silently regress the hot path:
+//! the `perf_wallclock` binary is the CLI front end and CI gates on it. It is a
+//! gate, not a place to claim a gain — claims are made with the repo benchmark
+//! (`benchmark/`), whose probes also time the micro-costs layer by layer.
 
-use crate::experiments::{e0_single_region, e3_setup, ExperimentScale, Protocol};
+use crate::experiments::{e3_setup, Protocol};
 use crate::report::{fmt, print_table};
 use ava_hamava::harness::DeploymentOptions;
 use ava_scenario::{thread_cpu_time, BrokerTier, DynDeployment, RunPool, Scenario};
@@ -265,11 +265,11 @@ fn quick_shape_set() -> Vec<Shape> {
     shapes
 }
 
-/// Run and time the quick end-to-end shapes (the `figure_benches` set plus an E1
-/// multi-region shape) on `jobs` worker threads. Each shape is a full deployment
-/// driven for 5 s of virtual time; a shape's `iters` passes run back-to-back on
-/// one worker (so its best-of wall-clock stays comparable), while distinct shapes
-/// time concurrently — which is why [`PerfRecord`] carries thread CPU time.
+/// Run and time the quick end-to-end shapes on `jobs` worker threads. Each
+/// shape is a full deployment driven for 5 s of virtual time; a shape's `iters`
+/// passes run back-to-back on one worker (so its best-of wall-clock stays
+/// comparable), while distinct shapes time concurrently — which is why
+/// [`PerfRecord`] carries thread CPU time.
 /// Returns the records (in the canonical shape order regardless of `jobs`) plus
 /// the pool wall-clock for the whole set in milliseconds.
 pub fn run_quick_shapes(iters: u32, jobs: usize) -> (Vec<PerfRecord>, f64) {
@@ -381,32 +381,6 @@ fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration)
     );
 }
 
-/// Run and time the full paper-scale E0 sweep (`AVA_FULL=1` equivalent: 96 nodes,
-/// 180 s virtual windows, 6 cluster counts × 2 protocols) with its 12 runs fanned
-/// out over `jobs` workers. Returns the timing record and the E0 result rows
-/// (clusters, A.H tput/lat, A.B tput/lat) so callers can transcribe them into
-/// EXPERIMENTS.md.
-pub fn run_full_e0(jobs: usize) -> (PerfRecord, Vec<Vec<String>>) {
-    let scale = ExperimentScale { jobs: jobs.max(1), ..ExperimentScale::paper() };
-    let start = Instant::now();
-    let rows = e0_single_region(&scale);
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    // The sweep's runs execute on pool workers, so the driving thread's CPU clock
-    // would only cover orchestration — the meaningful number for the sweep is its
-    // pool wall-clock, recorded as `wall_ms`.
-    let record = PerfRecord {
-        name: "e0/full_96nodes_180s_sweep".to_string(),
-        wall_ms: ms,
-        wall_ms_median: ms,
-        wall_ms_mean: ms,
-        cpu_ms: None,
-        events: 0,
-        events_per_sec: 0.0,
-        completed_txns: 0,
-    };
-    (record, rows)
-}
-
 /// Peak resident set size of this process in kiB (Linux `VmHWM`), if available.
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
@@ -425,28 +399,15 @@ pub struct BaselineEntry {
     pub cpu_ms: Option<f64>,
 }
 
-/// Serialize records (with optional per-shape baselines) into the `BENCH_PR*.json`
-/// document. `pool_wall_ms` is the wall-clock of the whole shape set on the worker
-/// pool (None for single-record full-E0 runs, where the record itself is the
-/// pool time); `baseline` maps shape name to the committed pre-change timings.
-pub fn render_json(
-    mode: &str,
-    iters: u32,
-    jobs: usize,
-    pool_wall_ms: Option<f64>,
-    records: &[PerfRecord],
-    baseline: &BTreeMap<String, BaselineEntry>,
-) -> String {
+/// Serialize records into the `BENCH_PR*.json` document. `pool_wall_ms` is the
+/// wall-clock of the whole shape set on the worker pool.
+pub fn render_json(iters: u32, jobs: usize, pool_wall_ms: f64, records: &[PerfRecord]) -> String {
     let mut out = String::from("{\n");
-    out.push_str("  \"pr\": 19,\n");
     out.push_str("  \"harness\": \"perf_wallclock\",\n");
-    out.push_str(&format!("  \"mode\": \"{mode}\",\n"));
+    out.push_str("  \"mode\": \"quick\",\n");
     out.push_str(&format!("  \"iters\": {iters},\n"));
     out.push_str(&format!("  \"jobs\": {jobs},\n"));
-    match pool_wall_ms {
-        Some(ms) => out.push_str(&format!("  \"pool_wall_ms\": {ms:.3},\n")),
-        None => out.push_str("  \"pool_wall_ms\": null,\n"),
-    }
+    out.push_str(&format!("  \"pool_wall_ms\": {pool_wall_ms:.3},\n"));
     match peak_rss_kb() {
         Some(kb) => out.push_str(&format!("  \"peak_rss_kb\": {kb},\n")),
         None => out.push_str("  \"peak_rss_kb\": null,\n"),
@@ -465,12 +426,6 @@ pub fn render_json(
         out.push_str(&format!("\"events\": {}, ", r.events));
         out.push_str(&format!("\"events_per_sec\": {:.1}, ", r.events_per_sec));
         out.push_str(&format!("\"completed_txns\": {}", r.completed_txns));
-        if let Some(base) = baseline.get(&r.name) {
-            out.push_str(&format!(", \"baseline_wall_ms\": {:.3}", base.wall_ms));
-            if r.wall_ms > 0.0 {
-                out.push_str(&format!(", \"speedup\": {:.2}", base.wall_ms / r.wall_ms));
-            }
-        }
         out.push('}');
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
@@ -593,31 +548,6 @@ pub fn delta_lines(
     lines
 }
 
-/// Render records as `name\twall_ms` lines (the baseline interchange format).
-pub fn render_tsv(records: &[PerfRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&format!("{}\t{:.3}\n", r.name, r.wall_ms));
-    }
-    out
-}
-
-/// Parse the `name\twall_ms` baseline format produced by [`render_tsv`]. The TSV
-/// format is wall-clock-only, so every entry comes back with `cpu_ms: None` and
-/// comparisons against it use wall-clock.
-pub fn parse_baseline(text: &str) -> BTreeMap<String, BaselineEntry> {
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let mut parts = line.splitn(2, '\t');
-        if let (Some(name), Some(ms)) = (parts.next(), parts.next()) {
-            if let Ok(wall_ms) = ms.trim().parse::<f64>() {
-                map.insert(name.to_string(), BaselineEntry { wall_ms, cpu_ms: None });
-            }
-        }
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -640,26 +570,12 @@ mod tests {
     }
 
     #[test]
-    fn tsv_roundtrips_through_baseline_parser() {
-        let records = vec![record("a/b_2c", 12.5), record("c/d_3c", 1000.125)];
-        let map = parse_baseline(&render_tsv(&records));
-        assert_eq!(map.len(), 2);
-        assert!((map["a/b_2c"].wall_ms - 12.5).abs() < 1e-9);
-        assert!((map["c/d_3c"].wall_ms - 1000.125).abs() < 1e-9);
-        assert_eq!(map["a/b_2c"].cpu_ms, None);
-    }
-
-    #[test]
-    fn json_includes_speedup_only_for_known_baselines() {
-        let records = vec![record("x", 10.0), record("y", 10.0)];
-        let mut baseline = BTreeMap::new();
-        baseline.insert("x".to_string(), entry(25.0));
-        let json = render_json("quick", 3, 2, Some(20.0), &records, &baseline);
-        assert!(json.contains("\"speedup\": 2.50"));
-        assert!(json.contains("\"name\": \"y\""));
+    fn json_header_carries_iters_jobs_and_pool_wall_clock() {
+        let json = render_json(3, 2, 20.0, &[record("x", 10.0), record("y", 10.0)]);
+        assert!(json.contains("\"name\": \"x\"") && json.contains("\"name\": \"y\""));
+        assert!(json.contains("\"iters\": 3"));
         assert!(json.contains("\"jobs\": 2"));
         assert!(json.contains("\"pool_wall_ms\": 20.000"));
-        assert_eq!(json.matches("baseline_wall_ms").count(), 1);
     }
 
     #[test]
@@ -667,7 +583,7 @@ mod tests {
         let mut with_cpu = record("e0/x_2c", 12.5);
         with_cpu.cpu_ms = Some(11.25);
         let records = vec![with_cpu, record("e6/y_3c", 1000.125)];
-        let json = render_json("quick", 1, 1, None, &records, &BTreeMap::new());
+        let json = render_json(1, 1, 12.0, &records);
         let map = parse_bench_json(&json);
         assert_eq!(map.len(), 2);
         assert!((map["e0/x_2c"].wall_ms - 12.5).abs() < 1e-6);

@@ -1,8 +1,9 @@
 //! Turning the simulator's measurement events into the numbers the paper reports:
-//! throughput, latency (average and percentiles, split by read/write), per-stage
-//! latency breakdowns and throughput time series.
+//! throughput and latency (average and percentiles, split by read/write) over a
+//! measurement window. Per-stage breakdowns and throughput time series are
+//! collected mid-run by `ava_scenario`'s observers.
 
-use ava_types::{Duration, Output, StageKind, Time};
+use ava_types::{Output, Time};
 
 /// Summary statistics of one run over a measurement window.
 #[derive(Clone, Debug, Default)]
@@ -70,47 +71,6 @@ pub fn summarize(outputs: &[Output], window_start: Time, window_end: Time) -> Ru
     }
 }
 
-/// Throughput time series: completed transactions per second, bucketed by `bucket`.
-/// Returns `(bucket_end_seconds, txns_per_second)` pairs. Used by the failure and
-/// reconfiguration experiments (E4, E5, E7).
-pub fn throughput_timeseries(outputs: &[Output], bucket: Duration) -> Vec<(f64, f64)> {
-    let mut counts: Vec<(u64, usize)> = Vec::new();
-    for o in outputs {
-        if let Output::TxCompleted { completed_at, .. } = o {
-            let idx = completed_at.as_micros() / bucket.as_micros().max(1);
-            match counts.iter_mut().find(|(i, _)| *i == idx) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((idx, 1)),
-            }
-        }
-    }
-    counts.sort_by_key(|(i, _)| *i);
-    let bucket_secs = bucket.as_secs_f64();
-    counts
-        .into_iter()
-        .map(|(i, c)| (((i + 1) as f64) * bucket_secs, c as f64 / bucket_secs))
-        .collect()
-}
-
-/// Average per-stage latency in milliseconds, in protocol order
-/// `[intra-cluster, inter-cluster, execution]` (the E2 breakdown).
-pub fn stage_breakdown(outputs: &[Output]) -> [f64; 3] {
-    let mut sums = [0.0f64; 3];
-    let mut counts = [0usize; 3];
-    for o in outputs {
-        if let Output::StageCompleted { stage, started_at, completed_at, .. } = o {
-            let idx = StageKind::ALL.iter().position(|s| s == stage).expect("known stage");
-            sums[idx] += completed_at.since(*started_at).as_millis_f64();
-            counts[idx] += 1;
-        }
-    }
-    let mut out = [0.0; 3];
-    for i in 0..3 {
-        out[i] = if counts[i] == 0 { 0.0 } else { sums[i] / counts[i] as f64 };
-    }
-    out
-}
-
 /// Print a fixed-width table (markdown-ish) to stdout.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n## {title}\n");
@@ -129,7 +89,7 @@ pub fn fmt(v: f64, decimals: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_types::{ClientId, ClusterId, ReplicaId, Round, TxId};
+    use ava_types::{ClientId, ClusterId, TxId};
 
     fn tx_output(seq: u64, issued_ms: u64, completed_ms: u64, is_write: bool) -> Output {
         Output::TxCompleted {
@@ -166,40 +126,5 @@ mod tests {
         let m = summarize(&[], Time::ZERO, Time::from_secs(1));
         assert_eq!(m.completed, 0);
         assert_eq!(m.throughput_tps, 0.0);
-    }
-
-    #[test]
-    fn timeseries_buckets_by_second() {
-        let outputs = vec![
-            tx_output(0, 0, 500, true),
-            tx_output(1, 0, 600, true),
-            tx_output(2, 0, 1_500, true),
-        ];
-        let series = throughput_timeseries(&outputs, Duration::from_secs(1));
-        assert_eq!(series.len(), 2);
-        assert_eq!(series[0], (1.0, 2.0));
-        assert_eq!(series[1], (2.0, 1.0));
-    }
-
-    #[test]
-    fn stage_breakdown_averages_per_stage() {
-        let stage = |kind, start, end| Output::StageCompleted {
-            replica: ReplicaId(0),
-            cluster: ClusterId(0),
-            round: Round(1),
-            stage: kind,
-            started_at: Time::from_millis(start),
-            completed_at: Time::from_millis(end),
-        };
-        let outputs = vec![
-            stage(StageKind::IntraCluster, 0, 100),
-            stage(StageKind::IntraCluster, 0, 300),
-            stage(StageKind::InterCluster, 100, 150),
-            stage(StageKind::Execution, 150, 151),
-        ];
-        let b = stage_breakdown(&outputs);
-        assert!((b[0] - 200.0).abs() < 1e-9);
-        assert!((b[1] - 50.0).abs() < 1e-9);
-        assert!((b[2] - 1.0).abs() < 1e-9);
     }
 }

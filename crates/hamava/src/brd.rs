@@ -359,11 +359,6 @@ impl Brd {
         self.digests.as_ref().expect("filled above")
     }
 
-    /// Whether this instance has delivered its set.
-    pub fn is_delivered(&self) -> bool {
-        self.delivered
-    }
-
     /// The leader this instance currently follows.
     pub fn leader(&self) -> ReplicaId {
         self.leader

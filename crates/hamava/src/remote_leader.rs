@@ -332,7 +332,7 @@ impl RemoteLeaderChange {
             return;
         }
         // Accept the expected complaint number *or newer*: when a forward is lost
-        // (partition, drop rule), the complaining cluster re-complains with a
+        // (a partition), the complaining cluster re-complains with a
         // bumped cn, and pinning to equality would desynchronize the two clusters'
         // counters forever. Older numbers stay rejected (replay protection).
         let expected = self.watches.entry(from_cluster).or_default().rcn;

@@ -259,8 +259,6 @@ pub struct Replica<T: TotalOrderBroadcast> {
     mute_inter: bool,
     /// Whether this replica asked to leave.
     leave_requested: bool,
-    /// Rounds executed so far (exposed for tests/benches).
-    executed_rounds: u64,
     /// The durable store (round log + checkpoints). This is the one field a
     /// restart does not wipe — it models the on-disk state of the process.
     store: Option<ReplicaStore<Arc<RoundRecord>>>,
@@ -272,6 +270,38 @@ pub struct Replica<T: TotalOrderBroadcast> {
     /// only disseminate for their current round, so a non-empty stash is also the
     /// straggler-escape evidence that this replica fell behind its own cluster.
     future_brd: BTreeMap<Round, Vec<(ReplicaId, crate::brd::BrdMsg)>>,
+}
+
+/// The one walk over a committed round (Alg. 10), which live execution, log
+/// replay, transferred-suffix replay and the post-recovery client acks all
+/// share: every transaction goes to `on_tx` in execution order — `packages`
+/// ascending by cluster (the paper's predefined order), blocks and operations
+/// in package order — and the reconfiguration sets come back in the order they
+/// apply, after all of the round's transactions: per cluster the block-carried
+/// `ReconfigSet`s, then the package-level set. Replayed replicas must compute
+/// the state and checkpoint digests live ones do, or f + 1 agreement breaks.
+fn walk_round<'a>(
+    packages: impl IntoIterator<Item = &'a Arc<RoundPackage>>,
+    mut on_tx: impl FnMut(&Transaction),
+) -> Vec<(ClusterId, Vec<Reconfig>)> {
+    let mut all_recs = Vec::new();
+    for package in packages {
+        for block in &package.blocks {
+            for op in &block.block.ops {
+                match op {
+                    Operation::Trans(tx) => on_tx(tx),
+                    Operation::ReconfigSet { recs, .. } => {
+                        all_recs.push((package.cluster, recs.clone()));
+                    }
+                    Operation::RoundCut { .. } => {}
+                }
+            }
+        }
+        if !package.recs.is_empty() {
+            all_recs.push((package.cluster, package.recs.clone()));
+        }
+    }
+    all_recs
 }
 
 impl<T: TotalOrderBroadcast> Replica<T> {
@@ -338,23 +368,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             ordered_reconfig_sets: BTreeMap::new(),
             mute_inter: false,
             leave_requested: false,
-            executed_rounds: 0,
             store: None,
             recovery: None,
             future_brd: BTreeMap::new(),
         };
         replica.store = replica.cfg.store.map(ReplicaStore::new);
         replica
-    }
-
-    /// The replica's current round (for tests).
-    pub fn current_round(&self) -> Round {
-        self.round
-    }
-
-    /// Number of rounds executed (for tests).
-    pub fn executed_rounds(&self) -> u64 {
-        self.executed_rounds
     }
 
     /// Current status (for tests).
@@ -888,10 +907,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
     // ---- stage 3: execution (Alg. 10) -------------------------------------------
 
-    // NOTE: the state mutations below (machine applies, membership updates) are
-    // mirrored by `apply_record_contents` for log replay and state transfer —
-    // both funnel transactions through `StateMachine::apply`, so keeping them
-    // in sync means keeping the *iteration order* identical (see its doc).
     fn execute(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
         let now = ctx.now();
         let stage_start = now;
@@ -905,28 +920,11 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
         let mut executed_txns = 0usize;
         let mut value_bytes = 0u64;
-        let mut all_recs: Vec<(ClusterId, Vec<Reconfig>)> = Vec::new();
-
-        // Transactions first, cluster by cluster in the predefined (ascending) order.
-        for (cluster, package) in &packages {
-            for block in &package.blocks {
-                for op in &block.block.ops {
-                    match op {
-                        Operation::Trans(tx) => {
-                            value_bytes += self.apply_transaction(tx, ctx);
-                            executed_txns += 1;
-                        }
-                        Operation::ReconfigSet { recs, .. } => {
-                            all_recs.push((*cluster, recs.clone()));
-                        }
-                        Operation::RoundCut { .. } => {}
-                    }
-                }
-            }
-            if !package.recs.is_empty() {
-                all_recs.push((*cluster, package.recs.clone()));
-            }
-        }
+        let all_recs = walk_round(packages.values(), |tx| {
+            value_bytes += self.machine.apply(self.round, tx).value_bytes;
+            self.ack_committed(tx, ctx);
+            executed_txns += 1;
+        });
         ctx.consume(ctx.costs().per_tx_execute.saturating_mul(executed_txns as u64));
         // Value movement is charged separately so counter deployments (zero
         // value bytes) never reach this consume and stay golden-stable.
@@ -1021,7 +1019,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         if let Some(own) = packages.get(&self.cfg.cluster) {
             self.prev_package = Some(Arc::clone(own));
         }
-        self.executed_rounds += 1;
 
         // Clear per-round reconfiguration collection state (Alg. 10 line 36).
         for rc in &local_recs {
@@ -1078,15 +1075,10 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
     }
 
-    /// Apply one ordered transaction to the state machine, answer its pending
-    /// client (writes complete at execution), and return the value bytes the
-    /// apply moved (for the per-round value-movement cost charge).
-    fn apply_transaction(
-        &mut self,
-        tx: &Transaction,
-        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
-    ) -> u64 {
-        let outcome = self.machine.apply(self.round, tx);
+    /// Answer whoever is waiting on a transaction that has just committed here
+    /// (writes complete at execution): its pending client and, for an operation
+    /// admitted from a broker batch, the per-op commit output.
+    fn ack_committed(&mut self, tx: &Transaction, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
         if let Some((client_node, _client)) = self.pending_clients.remove(&tx.id) {
             ctx.send(
                 client_node,
@@ -1103,7 +1095,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 at: ctx.now(),
             });
         }
-        outcome.value_bytes
     }
 
     fn start_round(&mut self, round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
@@ -1619,34 +1610,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         // Transactions pending at this replica that executed inside transferred
         // rounds get their responses now (a straggler kept its client bookkeeping).
         for record in &adoption.records {
-            for package in &record.packages {
-                for block in &package.blocks {
-                    for op in &block.block.ops {
-                        if let Operation::Trans(tx) = op {
-                            if let Some((client_node, _)) = self.pending_clients.remove(&tx.id) {
-                                ctx.send(
-                                    client_node,
-                                    AvaMsg::ClientResponse {
-                                        tx: tx.id,
-                                        is_write: tx.kind.is_write(),
-                                        value_len: 0,
-                                    },
-                                );
-                            }
-                            if let Some((broker, batch)) = self.pending_batch.remove(&tx.id) {
-                                ctx.emit(Output::BatchOpCommitted {
-                                    replica: self.cfg.me,
-                                    cluster: self.cfg.cluster,
-                                    broker,
-                                    batch,
-                                    tx: tx.id,
-                                    at: ctx.now(),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
+            walk_round(&record.packages, |tx| self.ack_committed(tx, ctx));
         }
         let rec = self.recovery.take();
         // Two same-round checkpoint digests among the offers is sound evidence a
@@ -1696,43 +1660,18 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
     }
 
-    /// Apply one round record to a machine/membership pair, mirroring `execute`:
-    /// transactions first (cluster by cluster in package order), then every
-    /// reconfiguration uniformly. Used for local log replay and for replaying
-    /// transferred suffixes — no client responses, no outputs.
-    ///
-    /// INVARIANT: this must stay semantically identical to the state mutations
-    /// of [`Replica::execute`]. Both funnel every transaction through
-    /// `StateMachine::apply` with the record's round, so the remaining sync
-    /// obligation is the iteration order (packages ascending by cluster, blocks
-    /// and ops in package order) and the reconfiguration handling (recs from
-    /// both block-carried `ReconfigSet` ops and package-level sets). If the two
-    /// ever diverge, replayed replicas compute different checkpoint and state
-    /// digests than live ones and f+1 agreement breaks — change both together.
+    /// Apply one round record to a machine/membership pair exactly as
+    /// [`Replica::execute`] applies the round live (both go through
+    /// [`walk_round`]). Used for local log replay and for replaying transferred
+    /// suffixes — no client responses, no outputs.
     fn apply_record_contents(
         record: &RoundRecord,
         machine: &mut dyn StateMachine,
         membership: &mut Membership,
     ) {
-        let mut all_recs: Vec<(ClusterId, Vec<Reconfig>)> = Vec::new();
-        for package in &record.packages {
-            for block in &package.blocks {
-                for op in &block.block.ops {
-                    match op {
-                        Operation::Trans(tx) => {
-                            machine.apply(record.round, tx);
-                        }
-                        Operation::ReconfigSet { recs, .. } => {
-                            all_recs.push((package.cluster, recs.clone()));
-                        }
-                        Operation::RoundCut { .. } => {}
-                    }
-                }
-            }
-            if !package.recs.is_empty() {
-                all_recs.push((package.cluster, package.recs.clone()));
-            }
-        }
+        let all_recs = walk_round(&record.packages, |tx| {
+            machine.apply(record.round, tx);
+        });
         for (cluster, recs) in &all_recs {
             membership.apply_set(*cluster, recs);
         }

@@ -490,11 +490,6 @@ impl Scenario {
         }
     }
 
-    /// The broker tier deployed on top of the system, if any.
-    pub fn broker_tier(&self) -> Option<&BrokerTier> {
-        self.brokers.as_ref()
-    }
-
     /// The protocol the scenario deploys.
     pub fn protocol(&self) -> Protocol {
         self.protocol
@@ -503,11 +498,6 @@ impl Scenario {
     /// The scheduled events.
     pub fn schedule(&self) -> &Schedule {
         &self.schedule
-    }
-
-    /// The virtual run length.
-    pub fn run_length(&self) -> Duration {
-        self.run
     }
 
     /// Execute the scenario with no observers.

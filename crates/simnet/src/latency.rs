@@ -76,12 +76,6 @@ impl LatencyModel {
         self.rtt_ms[b.index()][a.index()] = rtt_ms;
     }
 
-    /// Set the intra-region RTT (between distinct nodes of the same region).
-    pub fn with_intra_region_rtt(mut self, rtt_ms: f64) -> Self {
-        self.intra_region_rtt_ms = rtt_ms;
-        self
-    }
-
     /// Set the jitter amplitude (0 disables jitter; runs stay deterministic either
     /// way because jitter is drawn from the simulation RNG).
     pub fn with_jitter(mut self, jitter: f64) -> Self {

@@ -4,11 +4,12 @@
 //! protocols. It plays the role of the paper's Google Cloud deployment: nodes are
 //! protocol state machines ([`Actor`]s), links have region-to-region latencies taken
 //! from the paper's Table II, message processing consumes per-node CPU time, and
-//! faults (crashes, message drops) can be injected at chosen points in virtual time.
+//! faults (crashes, restarts, partitions) can be injected at chosen points in virtual
+//! time.
 //!
 //! Everything is driven from a single event queue seeded by a fixed RNG seed, so runs
 //! are exactly reproducible — which is what makes the property-based protocol tests
-//! and the figure-regeneration benches meaningful.
+//! and the figure-regeneration experiments meaningful.
 //!
 //! ## Model
 //!
@@ -20,9 +21,10 @@
 //!   `per_event + per_byte·size + explicitly consumed` time; subsequent events queue
 //!   behind it. This is what makes smaller clusters faster at local consensus, which
 //!   is the effect the paper's clustering exploits.
-//! * **Faults**: crash at a time, probabilistic/timed drop rules on links. Byzantine
-//!   *behaviours* (equivocation, withholding inter-cluster messages) are expressed in
-//!   the protocol actors themselves, because they are protocol-level misbehaviour.
+//! * **Faults**: crash and restart at a time, partitions between groups that drop
+//!   every message crossing them until healed. Byzantine *behaviours*
+//!   (equivocation, withholding inter-cluster messages) are expressed in the
+//!   protocol actors themselves, because they are protocol-level misbehaviour.
 
 pub mod actor;
 pub mod cost;
@@ -36,5 +38,5 @@ pub use actor::{Actor, CapturedSend, Context, SimMessage};
 pub use cost::CostModel;
 pub use latency::LatencyModel;
 pub use profile::{ActorKind, HandlerProfile, ProfileRow};
-pub use sim::{client_node_id, DropRule, Simulation};
+pub use sim::{client_node_id, Simulation};
 pub use stats::NetStats;

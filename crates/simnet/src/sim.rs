@@ -8,7 +8,7 @@ use crate::profile::{ActorKind, HandlerProfile, Stopwatch};
 use crate::stats::NetStats;
 use ava_types::{ClientId, Duration, Output, Region, ReplicaId, Time};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::collections::{BinaryHeap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
@@ -19,45 +19,11 @@ pub fn client_node_id(client: ClientId) -> ReplicaId {
     ReplicaId(1_000_000 + client.0)
 }
 
-/// A fault-injection rule dropping messages on matching links during a time window.
-#[derive(Clone, Debug)]
-pub struct DropRule {
-    /// Only match messages from this sender (None = any).
-    pub from: Option<ReplicaId>,
-    /// Only match messages to this receiver (None = any).
-    pub to: Option<ReplicaId>,
-    /// Rule becomes active at this time.
-    pub after: Time,
-    /// Rule stops applying at this time (None = forever).
-    pub until: Option<Time>,
-    /// Probability of dropping a matching message (1.0 = always).
-    pub probability: f64,
-}
-
-impl DropRule {
-    /// Drop every message from `from`, starting at `after`.
-    pub fn silence_node(from: ReplicaId, after: Time) -> Self {
-        DropRule { from: Some(from), to: None, after, until: None, probability: 1.0 }
-    }
-
-    fn matches(&self, from: ReplicaId, to: ReplicaId, at: Time) -> bool {
-        if at < self.after {
-            return false;
-        }
-        if let Some(until) = self.until {
-            if at >= until {
-                return false;
-            }
-        }
-        self.from.map_or(true, |f| f == from) && self.to.map_or(true, |t| t == to)
-    }
-}
-
 /// An active network partition between two node groups (clusters). While a
 /// partition is in place, every message between the two groups is dropped, in both
-/// directions; intra-group traffic is unaffected. Unlike [`DropRule`]s, partitions
-/// never consume randomness, so installing or healing one cannot perturb the RNG
-/// draw order of the rest of the run.
+/// directions; intra-group traffic is unaffected. Partitions never consume
+/// randomness, so installing or healing one cannot perturb the RNG draw order of
+/// the rest of the run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct GroupPartition {
     a: u32,
@@ -142,7 +108,6 @@ pub struct Simulation<M: SimMessage> {
     rng: StdRng,
     outputs: Vec<Output>,
     stats: NetStats,
-    drop_rules: Vec<DropRule>,
     crash_schedule: Vec<(Time, ReplicaId)>,
     corrupt_schedule: Vec<(Time, ReplicaId, u64)>,
     partitions: Vec<GroupPartition>,
@@ -167,18 +132,12 @@ impl<M: SimMessage> Simulation<M> {
             rng: StdRng::seed_from_u64(seed),
             outputs: Vec::new(),
             stats: NetStats::default(),
-            drop_rules: Vec::new(),
             crash_schedule: Vec::new(),
             corrupt_schedule: Vec::new(),
             partitions: Vec::new(),
             effects: Effects::default(),
             profile: None,
         }
-    }
-
-    /// Convenience constructor with the paper's latency table and cloud-VM costs.
-    pub fn with_defaults(seed: u64) -> Self {
-        Self::new(seed, LatencyModel::paper_table2(), CostModel::cloud_vm())
     }
 
     /// Add a node. `group` tags the node's cluster for local/global message
@@ -211,11 +170,6 @@ impl<M: SimMessage> Simulation<M> {
         self.push_event(self.now, slot, EventKind::Start);
     }
 
-    /// Whether a node with this id exists (crashed or not).
-    pub fn has_node(&self, id: ReplicaId) -> bool {
-        self.slot_of.contains_key(&id)
-    }
-
     /// Whether the node is currently crashed.
     pub fn is_crashed(&self, id: ReplicaId) -> bool {
         self.slot_of.get(&id).is_some_and(|slot| self.nodes[*slot as usize].crashed)
@@ -225,12 +179,6 @@ impl<M: SimMessage> Simulation<M> {
     /// nor fires timers.
     pub fn crash_at(&mut self, node: ReplicaId, at: Time) {
         self.crash_schedule.push((at, node));
-    }
-
-    /// Crash `node` immediately.
-    pub fn crash_now(&mut self, node: ReplicaId) {
-        let at = self.now;
-        self.crash_at(node, at);
     }
 
     /// Turn `node` Byzantine at virtual time `at`: its actor's
@@ -253,11 +201,6 @@ impl<M: SimMessage> Simulation<M> {
     /// consumes no randomness.
     pub fn restart_at(&mut self, node: ReplicaId, at: Time) {
         self.push_event(at.max(self.now), self.slot(node), EventKind::Restart);
-    }
-
-    /// Install a message drop rule.
-    pub fn add_drop_rule(&mut self, rule: DropRule) {
-        self.drop_rules.push(rule);
     }
 
     /// Partition groups `a` and `b` from each other, starting now: every message
@@ -288,11 +231,6 @@ impl<M: SimMessage> Simulation<M> {
     /// time `t` is bit-identical to the unshifted run up to `t`.
     pub fn set_latency_model(&mut self, latency: LatencyModel) {
         self.latency = latency;
-    }
-
-    /// The current latency model.
-    pub fn latency_model(&self) -> &LatencyModel {
-        &self.latency
     }
 
     /// Inject a message from outside the simulation (or on behalf of `from`) that
@@ -517,37 +455,13 @@ impl<M: SimMessage> Simulation<M> {
         let dest = &self.nodes[to_slot as usize];
         let (to_region, to_group) = (dest.region, dest.group);
         self.stats.record_send(from.group_index, dest.group_index, size);
-        // Active partitions sever the two groups deterministically (no RNG roll),
-        // before the probabilistic drop rules are consulted.
+        // Active partitions sever the two groups deterministically (no RNG roll).
         if from.group != to_group && self.groups_partitioned(from.group, to_group) {
-            self.stats.dropped_messages += 1;
-            return;
-        }
-        // Single pass over the drop rules: collect the strongest matching
-        // probability, then roll at most once (preserving the RNG draw order of the
-        // previous two-pass `any` + `max` scan).
-        let mut drop_p = f64::NEG_INFINITY;
-        for rule in &self.drop_rules {
-            if rule.matches(from.id, to, depart) {
-                drop_p = drop_p.max(rule.probability);
-            }
-        }
-        if drop_p > f64::NEG_INFINITY && self.roll(drop_p.max(0.0)) {
             self.stats.dropped_messages += 1;
             return;
         }
         let latency = self.latency.one_way(from.region, to_region, from.id == to, &mut self.rng);
         self.push_event(depart + latency, to_slot, EventKind::Deliver { from: from.id, msg, size });
-    }
-
-    fn roll(&mut self, probability: f64) -> bool {
-        if probability >= 1.0 {
-            true
-        } else if probability <= 0.0 {
-            false
-        } else {
-            self.rng.gen_bool(probability)
-        }
     }
 
     /// The slot of `node`, or [`NO_NODE`].
@@ -840,15 +754,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn drop_rule_silences_link() {
-        let mut sim = two_node_sim((Region::UsWest, Region::UsWest));
-        sim.add_drop_rule(DropRule::silence_node(ReplicaId(0), Time::ZERO));
-        sim.run_until(Time::from_secs(5));
-        assert!(sim.outputs().is_empty());
-        assert!(sim.stats().dropped_messages >= 1);
     }
 
     #[test]

@@ -21,13 +21,10 @@
 //! which is what lets the fuzzer's execution-agreement checker compare full
 //! state digests across replicas after recovery.
 //!
-//! [`StateSnapshot`] is the serialisable point-in-time image both machines
-//! produce and restore from — KV values are `Arc`-shared with the live map, not
-//! copied; `ava-store` folds it into digest-certified checkpoints (over the
-//! cached leaves, which a receiver recomputes before trusting), and
-//! [`chunk_snapshot`] / [`SnapshotAssembler`] model the chunked transfer of
-//! large snapshots (reassembly is order-insensitive and digest-verified; see
-//! the property tests).
+//! [`StateSnapshot`] is the point-in-time image both machines produce and
+//! restore from — KV values are `Arc`-shared with the live map, not copied;
+//! `ava-store` folds it into digest-certified checkpoints (over the cached
+//! leaves, which a receiver recomputes before trusting).
 
 pub mod machine;
 pub mod snapshot;
@@ -36,6 +33,4 @@ pub use machine::{
     entry_memo_stats, machine_for, ApplyOutcome, CounterMachine, EntryMemoStats, KvEntry,
     KvMachine, StateMachine, StateMachineKind,
 };
-pub use snapshot::{
-    chunk_snapshot, machine_from_snapshot, SnapshotAssembler, SnapshotChunk, StateSnapshot,
-};
+pub use snapshot::{machine_from_snapshot, StateSnapshot};

@@ -335,9 +335,8 @@ const MEMO_ENTRY_CHARGE: usize = 128;
 /// **Only for what the caller derived itself.** [`KvMachine::apply`] is the
 /// one reader, with a version it read from its own map and a round and size
 /// from the transaction it is executing. Every path that handles state from
-/// elsewhere — [`KvMachine::from_state`], [`StateSnapshot::from_bytes`],
-/// [`StateSnapshot::leaves_valid`] — hashes the bytes it was given and neither
-/// reads nor fills the memo.
+/// elsewhere — [`KvMachine::from_state`], [`StateSnapshot::leaves_valid`] —
+/// hashes the bytes it was given and neither reads nor fills the memo.
 ///
 /// **Bounded by capacity, never by round.** Two generations: a miss inserts
 /// into the young one; when that would pass [`MEMO_GENERATION_BYTES`] the old

@@ -1,5 +1,4 @@
-//! Serialisable point-in-time state images, and the chunked transfer model for
-//! large snapshots.
+//! Point-in-time state images.
 //!
 //! A [`StateSnapshot`] is what a checkpoint folds (see `ava-store`) and what a
 //! recovering replica restores a machine from. The **counter** variant's hash
@@ -8,14 +7,12 @@
 //! byte-stable. The **kv** variant carries real value bytes, so checkpoint
 //! sizes, catch-up transfer accounting and digests are all meaningful; those
 //! bytes are `Arc`-shared with the machine the snapshot was taken from, so a
-//! snapshot costs one map clone, not a copy of the state.
-//!
-//! [`chunk_snapshot`] splits a serialised snapshot into digest-certified
-//! chunks and [`SnapshotAssembler`] reassembles them in any arrival order —
-//! the property tests pin round-trip fidelity and order-insensitivity.
+//! snapshot costs one map clone, not a copy of the state. A snapshot travels as
+//! that in-memory object (a catch-up reply carries the checkpoint behind one
+//! `Arc`, charged by its wire size at the receiver); there is no byte
+//! serialisation.
 
 use crate::machine::{CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind};
-use ava_crypto::sha256;
 use ava_types::EncodeSink;
 use std::collections::BTreeMap;
 
@@ -106,83 +103,6 @@ impl StateSnapshot {
             StateSnapshot::Kv(state) => state.iter().all(|(k, e)| e.leaf == e.leaf_for(*k)),
         }
     }
-
-    /// Serialise to the canonical chunkable byte form.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(9 + self.wire_bytes());
-        match self {
-            StateSnapshot::Counter(state) => {
-                out.push(0);
-                out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-                for (k, v) in state {
-                    out.extend_from_slice(&k.to_le_bytes());
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            StateSnapshot::Kv(state) => {
-                out.push(1);
-                out.extend_from_slice(&(state.len() as u64).to_le_bytes());
-                for (k, e) in state {
-                    out.extend_from_slice(&k.to_le_bytes());
-                    out.extend_from_slice(&e.version.to_le_bytes());
-                    out.extend_from_slice(&e.last_writer_round.to_le_bytes());
-                    out.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-                    out.extend_from_slice(&e.value);
-                }
-            }
-        }
-        out
-    }
-
-    /// Parse the canonical byte form back. `None` on any truncation or tag
-    /// mismatch (a corrupted transfer must not half-restore).
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        let mut cur = Cursor { bytes, pos: 0 };
-        let tag = cur.take(1)?[0];
-        let len = u64::from_le_bytes(cur.take(8)?.try_into().ok()?) as usize;
-        match tag {
-            0 => {
-                let mut state = BTreeMap::new();
-                for _ in 0..len {
-                    let k = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
-                    let v = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
-                    state.insert(k, v);
-                }
-                cur.done().then_some(StateSnapshot::Counter(state))
-            }
-            1 => {
-                let mut state = BTreeMap::new();
-                for _ in 0..len {
-                    let k = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
-                    let version = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
-                    let last_writer_round = u64::from_le_bytes(cur.take(8)?.try_into().ok()?);
-                    let vlen = u32::from_le_bytes(cur.take(4)?.try_into().ok()?) as usize;
-                    let value = cur.take(vlen)?.into();
-                    state.insert(k, KvEntry::new(k, version, last_writer_round, value));
-                }
-                cur.done().then_some(StateSnapshot::Kv(state))
-            }
-            _ => None,
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
 }
 
 /// Build a machine pre-loaded with `snapshot`'s state (leaves, digest and
@@ -196,104 +116,11 @@ pub fn machine_from_snapshot(snapshot: &StateSnapshot) -> Box<dyn StateMachine> 
     }
 }
 
-/// One digest-certified piece of a chunked snapshot transfer.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SnapshotChunk {
-    /// Position of this chunk in the serialised stream.
-    pub index: u32,
-    /// Total number of chunks in the transfer.
-    pub total: u32,
-    /// SHA-256 of the *whole* serialised snapshot — every chunk commits to the
-    /// same transfer, so a mixed-transfer or tampered reassembly is detected.
-    pub snapshot_digest: [u8; 32],
-    /// This chunk's byte range.
-    pub bytes: Vec<u8>,
-}
-
-/// Split `snapshot` into `≤ max_chunk_bytes` pieces (at least one, even when
-/// empty), each carrying the whole-snapshot digest.
-pub fn chunk_snapshot(snapshot: &StateSnapshot, max_chunk_bytes: usize) -> Vec<SnapshotChunk> {
-    let max = max_chunk_bytes.max(1);
-    let bytes = snapshot.to_bytes();
-    let snapshot_digest = sha256(&bytes);
-    let total = bytes.len().div_ceil(max).max(1) as u32;
-    (0..total as usize)
-        .map(|i| SnapshotChunk {
-            index: i as u32,
-            total,
-            snapshot_digest,
-            bytes: bytes[i * max..((i + 1) * max).min(bytes.len())].to_vec(),
-        })
-        .collect()
-}
-
-/// Reassembles a chunked snapshot transfer, in any arrival order.
-#[derive(Clone, Debug, Default)]
-pub struct SnapshotAssembler {
-    expected: Option<(u32, [u8; 32])>,
-    chunks: BTreeMap<u32, Vec<u8>>,
-    rejected: usize,
-}
-
-impl SnapshotAssembler {
-    /// A fresh assembler; it learns the transfer shape from the first chunk.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Accept one chunk. Returns `false` (and counts the rejection) for chunks
-    /// of a different transfer, out-of-range indices, or an index offered
-    /// twice with different bytes; duplicates are idempotent.
-    pub fn offer(&mut self, chunk: SnapshotChunk) -> bool {
-        let (total, digest) = *self.expected.get_or_insert((chunk.total, chunk.snapshot_digest));
-        let in_range = chunk.index < total;
-        if chunk.total != total || chunk.snapshot_digest != digest || !in_range {
-            self.rejected += 1;
-            return false;
-        }
-        match self.chunks.get(&chunk.index) {
-            Some(existing) if *existing != chunk.bytes => {
-                self.rejected += 1;
-                false
-            }
-            _ => {
-                self.chunks.insert(chunk.index, chunk.bytes);
-                true
-            }
-        }
-    }
-
-    /// Whether every chunk of the transfer has been received.
-    pub fn is_complete(&self) -> bool {
-        self.expected.is_some_and(|(total, _)| self.chunks.len() == total as usize)
-    }
-
-    /// Number of chunks rejected so far.
-    pub fn rejected(&self) -> usize {
-        self.rejected
-    }
-
-    /// Reassemble once complete: concatenate in index order, verify the
-    /// whole-snapshot digest, and parse. `None` until complete or on any
-    /// integrity failure.
-    pub fn assemble(&self) -> Option<StateSnapshot> {
-        if !self.is_complete() {
-            return None;
-        }
-        let (_, digest) = self.expected?;
-        let bytes: Vec<u8> = self.chunks.values().flatten().copied().collect();
-        if sha256(&bytes) != digest {
-            return None;
-        }
-        StateSnapshot::from_bytes(&bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::machine::{machine_for, StateMachine};
-    use ava_crypto::Sha256;
+    use ava_crypto::{sha256, Sha256};
     use ava_types::{ClientId, Round, Transaction, TxId, TxKind};
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
@@ -349,27 +176,6 @@ mod tests {
                 assert_eq!(restored.value_bytes(), live.value_bytes());
                 assert_eq!(restored.snapshot(), live.snapshot());
             }
-        }
-
-        #[test]
-        fn chunked_reassembly_is_order_insensitive(
-            seed in 0u64..1_000_000,
-            chunk_bytes in 16usize..400,
-        ) {
-            let ops = random_ops(seed, 80);
-            let snapshot = replay(StateMachineKind::Kv, &ops).snapshot();
-            let mut chunks = chunk_snapshot(&snapshot, chunk_bytes);
-            // Deterministic shuffle of the arrival order.
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xc4a3);
-            for i in (1..chunks.len()).rev() {
-                chunks.swap(i, rng.gen_range(0..(i + 1)));
-            }
-            let mut asm = SnapshotAssembler::new();
-            for chunk in chunks {
-                assert!(asm.offer(chunk), "honest chunks must be accepted");
-            }
-            assert!(asm.is_complete());
-            assert_eq!(asm.assemble().expect("assembles"), snapshot);
         }
     }
 
@@ -458,60 +264,6 @@ mod tests {
             );
             assert_eq!(stream(&a) == stream(&b), change == 0, "change {change}");
         }
-    }
-
-    #[test]
-    fn serialisation_round_trips_both_kinds() {
-        for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
-            let snapshot = replay(kind, &random_ops(7, 40)).snapshot();
-            let parsed = StateSnapshot::from_bytes(&snapshot.to_bytes()).expect("parses");
-            assert_eq!(parsed, snapshot);
-            assert_eq!(parsed.kind(), kind);
-        }
-        // Empty snapshots round-trip too.
-        for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
-            let empty = StateSnapshot::empty(kind);
-            assert_eq!(StateSnapshot::from_bytes(&empty.to_bytes()), Some(empty));
-        }
-    }
-
-    #[test]
-    fn truncated_or_tampered_bytes_do_not_parse() {
-        let snapshot = replay(StateMachineKind::Kv, &random_ops(9, 30)).snapshot();
-        let bytes = snapshot.to_bytes();
-        assert_eq!(StateSnapshot::from_bytes(&bytes[..bytes.len() - 1]), None, "truncation");
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert_eq!(StateSnapshot::from_bytes(&trailing), None, "trailing garbage");
-        let mut bad_tag = bytes;
-        bad_tag[0] = 9;
-        assert_eq!(StateSnapshot::from_bytes(&bad_tag), None, "unknown tag");
-    }
-
-    #[test]
-    fn assembler_rejects_cross_transfer_and_conflicting_chunks() {
-        let a = replay(StateMachineKind::Kv, &random_ops(1, 50)).snapshot();
-        let b = replay(StateMachineKind::Kv, &random_ops(2, 50)).snapshot();
-        let chunks_a = chunk_snapshot(&a, 64);
-        let chunks_b = chunk_snapshot(&b, 64);
-        assert!(chunks_a.len() > 1, "test needs a multi-chunk transfer");
-
-        let mut asm = SnapshotAssembler::new();
-        assert!(asm.offer(chunks_a[0].clone()));
-        // A chunk of a different transfer is rejected...
-        assert!(!asm.offer(chunks_b[1].clone()));
-        // ...a duplicate of an accepted chunk is idempotent...
-        assert!(asm.offer(chunks_a[0].clone()));
-        // ...and a same-index chunk with different bytes is rejected.
-        let mut forged = chunks_a[0].clone();
-        forged.bytes[0] ^= 1;
-        assert!(!asm.offer(forged));
-        assert_eq!(asm.rejected(), 2);
-
-        for chunk in &chunks_a[1..] {
-            assert!(asm.offer(chunk.clone()));
-        }
-        assert_eq!(asm.assemble().expect("assembles"), a);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! correct (BFT-SMaRt's collaborative state transfer uses the same argument).
 
 use ava_crypto::{Digest, Sha256};
-use ava_state::{chunk_snapshot, SnapshotChunk, StateSnapshot};
+use ava_state::StateSnapshot;
 use ava_types::{EncodeSink, Membership, ReplicaId, Round};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -175,13 +175,6 @@ impl Checkpoint {
     pub fn wire_size(&self) -> usize {
         64 + self.state.wire_bytes() + self.membership.total_replicas() * 12
     }
-
-    /// Split the state image into `≤ max_chunk_bytes` digest-certified pieces
-    /// for chunked transfer (reassembly is order-insensitive — see
-    /// `ava_state::SnapshotAssembler`).
-    pub fn chunks(&self, max_chunk_bytes: usize) -> Vec<SnapshotChunk> {
-        chunk_snapshot(&self.state, max_chunk_bytes)
-    }
 }
 
 /// Collects peer-reported checkpoints during catch-up until `threshold` distinct
@@ -323,7 +316,7 @@ mod tests {
 
     #[test]
     fn kv_checkpoints_carry_value_bytes_and_chunk_cleanly() {
-        use ava_state::{machine_for, SnapshotAssembler, StateMachineKind};
+        use ava_state::{machine_for, StateMachineKind};
         use ava_types::{ClientId, Transaction};
         let mut m = machine_for(StateMachineKind::Kv);
         for seq in 0..40u64 {
@@ -336,15 +329,6 @@ mod tests {
             "kv snapshots must account real value bytes, got {}",
             cp.wire_size()
         );
-        // Chunked transfer round-trips through the order-insensitive assembler.
-        let mut chunks = cp.chunks(512);
-        assert!(chunks.len() > 1);
-        chunks.reverse();
-        let mut asm = SnapshotAssembler::new();
-        for chunk in chunks {
-            assert!(asm.offer(chunk));
-        }
-        assert_eq!(asm.assemble().expect("assembles"), cp.state);
         // Same logical content under the two machines must NOT collide.
         let counter = checkpoint(8, 16);
         assert_ne!(cp.digest, counter.digest);
@@ -398,13 +382,21 @@ mod tests {
     fn kv_checkpoint_is_unchanged_by_later_overwrites() {
         use ava_types::{ClientId, Transaction};
         let (mut m, cp) = kv_checkpoint();
-        let bytes = cp.state.to_bytes();
+        // A deep copy: the value bytes themselves, not the `Arc`s that share them.
+        let values = |cp: &Checkpoint| -> Vec<(u64, u64, u64, Vec<u8>)> {
+            let StateSnapshot::Kv(state) = &cp.state else { unreachable!() };
+            state
+                .iter()
+                .map(|(k, e)| (*k, e.version, e.last_writer_round, e.value.to_vec()))
+                .collect()
+        };
+        let before = values(&cp);
         // The checkpoint shares its value bytes with the live map; overwriting
         // every key (other sizes too) must replace them there, not in place.
         for key in 0..6u64 {
             m.apply(Round(9), &Transaction::write(ClientId(1), 10 + key, key, 40 + key as u32));
         }
-        assert_eq!(cp.state.to_bytes(), bytes, "checkpoint content moved under later writes");
+        assert_eq!(values(&cp), before, "checkpoint content moved under later writes");
         assert!(cp.verify());
         let later = Checkpoint::new(Round(16), m.snapshot(), membership(4), 2, 48);
         assert!(later.verify());
