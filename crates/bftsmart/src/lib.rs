@@ -14,19 +14,28 @@
 //!
 //! * One consensus instance at a time (no out-of-order instances); Hamava drives one
 //!   batch per round so this does not change the round structure.
-//! * The view-synchronization phase is externalised to Hamava's leader election
+//! * *Electing* the next regency is externalised to Hamava's leader election
 //!   module, exactly like the HotStuff pacemaker: liveness complaints surface as
-//!   [`TobAction::Complain`] and the new regency arrives via `new_leader`.
-//! * Prepare/commit votes sign the block digest, so the commit certificate doubles as
-//!   the cross-cluster certificate shipped by Hamava's Stage 2.
+//!   [`TobAction::Complain`] and the new regency arrives via `new_leader`. What a
+//!   regency change must carry over — BFT-SMaRt's synchronization phase — is the
+//!   [`ava_consensus::handover`]: every member reports its last decided block and
+//!   its [`Prepared`] proofs to the new leader, which proposes nothing until it
+//!   holds `2f + 1` reports, adopts a decided block it lacks, sends its last
+//!   decided block round for laggards, and re-proposes a possibly-decided block
+//!   unchanged. Members do not check the new leader's choice against the reports
+//!   (no new-view certificate).
+//! * Commit votes sign the block digest, so the commit certificate doubles as the
+//!   cross-cluster certificate shipped by Hamava's Stage 2; prepare votes sign the
+//!   digest *and the regency* ([`prepared_digest`]) and never leave the cluster.
 
+use ava_consensus::handover::{prepared_digest, Prepared, Report, Reports};
 use ava_consensus::{
     Block, CommittedBlock, FaultMode, PendingPool, TobAction, TobConfig, TotalOrderBroadcast,
     WireSize,
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
 use ava_types::{Operation, ReplicaId, Time, Timestamp};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// BFT-SMaRt-style wire messages.
@@ -48,7 +57,7 @@ pub enum BftSmartMsg {
         height: u64,
         /// Digest of the block.
         digest: Digest,
-        /// Voter signature over the digest.
+        /// Voter signature over [`prepared_digest`]`(digest, regency)`.
         sig: Signature,
         /// Leader regency.
         regency: u64,
@@ -64,6 +73,12 @@ pub enum BftSmartMsg {
         /// Leader regency.
         regency: u64,
     },
+    /// A member entering a regency tells its leader what it has decided and
+    /// prepared (boxed: regency changes are rare and every queued message pays
+    /// for the largest variant).
+    Report(Box<Report>),
+    /// The new leader's last decided block, for members that missed it.
+    Decided(Box<CommittedBlock>),
 }
 
 impl WireSize for BftSmartMsg {
@@ -76,6 +91,8 @@ impl WireSize for BftSmartMsg {
             },
             BftSmartMsg::PrePrepare { block, .. } => block.wire_size(),
             BftSmartMsg::Prepare { .. } | BftSmartMsg::Commit { .. } => 120,
+            BftSmartMsg::Report(report) => report.wire_size(),
+            BftSmartMsg::Decided(decided) => decided.wire_size(),
         }
     }
 
@@ -85,6 +102,8 @@ impl WireSize for BftSmartMsg {
             BftSmartMsg::PrePrepare { .. } => "bs.PrePrepare",
             BftSmartMsg::Prepare { .. } => "bs.Prepare",
             BftSmartMsg::Commit { .. } => "bs.Commit",
+            BftSmartMsg::Report(_) => "bs.Report",
+            BftSmartMsg::Decided(_) => "bs.Decided",
         }
     }
 }
@@ -97,7 +116,6 @@ struct Instance {
     prepares: SigSet,
     commits: SigSet,
     sent_commit: bool,
-    delivered: bool,
 }
 
 /// The BFT-SMaRt-style total-order broadcast state machine for one replica.
@@ -115,8 +133,19 @@ pub struct BftSmart {
     next_propose_height: u64,
     /// Next height to deliver (deliveries are strictly in height order).
     next_deliver_height: u64,
-    /// Whether the leader currently has an undecided proposal outstanding.
-    proposal_outstanding: bool,
+    /// The leader's undecided proposal, if one is outstanding.
+    outstanding: Option<Arc<Block>>,
+    /// The last block delivered, as reported at the next regency change.
+    last_decided: Option<CommittedBlock>,
+    /// Proofs for undelivered heights this replica sent `Commit` at in an earlier
+    /// regency, kept until the height is delivered.
+    prepared: BTreeMap<u64, Prepared>,
+    /// Leader side of the hand-over: the members' reports, ...
+    reports: Reports,
+    /// ... whether a quorum of them has been resolved (until then: no proposals), ...
+    synced: bool,
+    /// ... and the possibly-decided blocks to re-propose, by height.
+    carry: BTreeMap<u64, Arc<Block>>,
     /// Set by [`TotalOrderBroadcast::reset`]: the delivery cursor re-bases on the
     /// height of the first pre-prepare seen after a restart (the restarted replica
     /// learns the missed heights' effects via checkpoint/state transfer, not by
@@ -138,7 +167,12 @@ impl BftSmart {
             instances: HashMap::new(),
             next_propose_height: 0,
             next_deliver_height: 0,
-            proposal_outstanding: false,
+            outstanding: None,
+            last_decided: None,
+            prepared: BTreeMap::new(),
+            reports: Reports::default(),
+            synced: true,
+            carry: BTreeMap::new(),
             resync_delivery: false,
         }
     }
@@ -156,16 +190,22 @@ impl BftSmart {
     fn maybe_propose(&mut self, out: &mut Vec<TobAction<BftSmartMsg>>) {
         if !self.is_leader()
             || self.fault == FaultMode::SilentLeader
-            || self.proposal_outstanding
-            || self.pool.pending_len() == 0
+            || self.outstanding.is_some()
+            || !self.synced
         {
             return;
         }
-        let ops = self.pool.take_batch(self.cfg.max_block_size);
-        let block =
-            Arc::new(Block::new(self.cfg.cluster, self.next_propose_height, self.cfg.me, ops));
+        let height = self.next_propose_height;
+        let block = match self.carry.remove(&height) {
+            Some(carried) => carried,
+            None if self.pool.pending_len() == 0 => return,
+            None => {
+                let ops = self.pool.take_batch(self.cfg.max_block_size);
+                Arc::new(Block::new(self.cfg.cluster, height, self.cfg.me, ops))
+            }
+        };
         self.next_propose_height += 1;
-        self.proposal_outstanding = true;
+        self.outstanding = Some(Arc::clone(&block));
         out.push(TobAction::Consume(self.cfg.sign_cost));
         self.broadcast_to_members(BftSmartMsg::PrePrepare { block, regency: self.regency }, out);
     }
@@ -197,8 +237,8 @@ impl BftSmart {
         instance.block = Some(block);
         instance.digest = Some(digest);
         out.push(TobAction::Consume(self.cfg.sign_cost));
-        let sig = self.keypair.sign(&digest);
-        let msg = BftSmartMsg::Prepare { height, digest, sig, regency: self.regency };
+        let sig = self.keypair.sign(&prepared_digest(&digest, regency));
+        let msg = BftSmartMsg::Prepare { height, digest, sig, regency };
         self.broadcast_to_members(msg, out);
     }
 
@@ -220,12 +260,12 @@ impl BftSmart {
             return;
         }
         out.push(TobAction::Consume(self.cfg.verify_cost));
-        if !self.registry.verify(&digest, &sig) {
+        let quorum = self.cfg.quorum();
+        let instance = self.instances.entry(height).or_default();
+        let signed = if is_commit { digest } else { prepared_digest(&digest, regency) };
+        if !self.registry.verify(&signed, &sig) {
             return;
         }
-        let quorum = self.cfg.quorum();
-        let me = self.keypair.clone();
-        let instance = self.instances.entry(height).or_default();
         if instance.digest.is_some_and(|d| d != digest) {
             // Conflicting digest for the same height within a regency: ignore; only
             // the digest matching the leader's pre-prepare is voted on.
@@ -243,7 +283,7 @@ impl BftSmart {
         {
             instance.sent_commit = true;
             out.push(TobAction::Consume(self.cfg.sign_cost));
-            let my_sig = me.sign(&digest);
+            let my_sig = self.keypair.sign(&digest);
             let msg = BftSmartMsg::Commit { height, digest, sig: my_sig, regency };
             self.broadcast_to_members(msg, out);
         }
@@ -254,26 +294,84 @@ impl BftSmart {
         loop {
             let height = self.next_deliver_height;
             let quorum = self.cfg.quorum();
-            let ready = {
-                let Some(instance) = self.instances.get(&height) else { break };
-                !instance.delivered && instance.block.is_some() && instance.commits.len() >= quorum
-            };
+            let ready = self
+                .instances
+                .get(&height)
+                .is_some_and(|i| i.block.is_some() && i.commits.len() >= quorum);
             if !ready {
                 break;
             }
-            let mut instance = self.instances.remove(&height).expect("checked above");
-            instance.delivered = true;
-            let block = instance.block.take().expect("checked above");
+            let instance = self.instances.remove(&height).expect("checked above");
+            let block = instance.block.expect("checked above");
             let digest = instance.digest.expect("digest set with block");
-            let cert = QuorumCert::new(self.cfg.cluster, digest, instance.commits.clone());
+            let cert = QuorumCert::new(self.cfg.cluster, digest, instance.commits);
             self.pool.mark_delivered(&block.ops, now);
             self.next_deliver_height = height + 1;
             if self.is_leader() {
-                self.proposal_outstanding = false;
+                self.outstanding = None;
+            } else {
+                self.pool.drop_pending(&block.ops);
             }
-            out.push(TobAction::Deliver(CommittedBlock { block, cert }));
+            let decided = CommittedBlock { block, cert };
+            self.last_decided = Some(decided.clone());
+            out.push(TobAction::Deliver(decided));
             self.maybe_propose(out);
         }
+    }
+
+    /// Deliver a block decided without this replica (its certificate already
+    /// verified): the hand-over's answer to having missed the last commits of a
+    /// regency. A height beyond the next one is accepted too — the cursor jumps,
+    /// as after a restart, and the skipped heights' effects arrive by Hamava's
+    /// catch-up.
+    fn adopt(&mut self, decided: CommittedBlock, now: Time, out: &mut Vec<TobAction<BftSmartMsg>>) {
+        let height = decided.block.height;
+        if height < self.next_deliver_height {
+            return;
+        }
+        self.instances.retain(|h, _| *h > height);
+        self.pool.drop_pending(&decided.block.ops);
+        self.pool.mark_delivered(&decided.block.ops, now);
+        self.next_deliver_height = height + 1;
+        if self.outstanding.as_ref().is_some_and(|proposed| proposed.height <= height) {
+            // A leader re-proposing this very block learnt it was decided
+            // already (an earlier new leader's `Decided` arriving late): the
+            // members that adopted it too will never vote on the proposal.
+            self.outstanding = None;
+        }
+        self.next_propose_height = self.next_propose_height.max(height + 1);
+        self.last_decided = Some(decided.clone());
+        out.push(TobAction::Deliver(decided));
+        self.try_deliver(now, out);
+        self.maybe_propose(out);
+    }
+
+    /// Leader: once a quorum has reported for this regency, catch up to the
+    /// highest decided block, queue the possibly-decided ones for re-proposal,
+    /// and start proposing.
+    fn resolve_handover(&mut self, now: Time, out: &mut Vec<TobAction<BftSmartMsg>>) {
+        if self.synced || !self.is_leader() {
+            return;
+        }
+        let Some(resolution) = self.reports.resolve(self.regency, self.cfg.quorum()) else {
+            return;
+        };
+        if let Some(decided) = resolution.decided {
+            self.adopt(decided, now, out);
+        }
+        self.carry = resolution.carry;
+        for block in self.carry.values() {
+            self.pool.note_ordered(&block.ops);
+        }
+        if let Some(decided) = &self.last_decided {
+            // A member one block behind re-forwards that block's operations; the
+            // pool must know them as ordered whether or not it ever held them.
+            self.pool.note_ordered(&decided.block.ops);
+            self.broadcast_to_members(BftSmartMsg::Decided(Box::new(decided.clone())), out);
+        }
+        self.next_propose_height = self.next_deliver_height;
+        self.synced = true;
+        self.maybe_propose(out);
     }
 }
 
@@ -319,6 +417,26 @@ impl TotalOrderBroadcast for BftSmart {
             BftSmartMsg::Commit { height, digest, sig, regency } => {
                 self.handle_vote(from, height, digest, sig, regency, true, now, &mut out);
             }
+            BftSmartMsg::Report(report) => {
+                if report.regency >= self.regency && self.cfg.members.contains(&from) {
+                    let sigs = report.signature_count() as u64;
+                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
+                    if self.reports.accept(from, *report, &self.cfg, &self.registry) {
+                        self.resolve_handover(now, &mut out);
+                    }
+                }
+            }
+            BftSmartMsg::Decided(decided) => {
+                if decided.block.height >= self.next_deliver_height
+                    && decided.block.cluster == self.cfg.cluster
+                {
+                    let sigs = decided.cert.signature_count() as u64;
+                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
+                    if decided.verify(&self.registry, &self.cfg.members, self.cfg.quorum()) {
+                        self.adopt(*decided, now, &mut out);
+                    }
+                }
+            }
         }
         out
     }
@@ -342,23 +460,47 @@ impl TotalOrderBroadcast for BftSmart {
         if ts.0 <= self.regency && leader == self.leader {
             return out;
         }
-        self.leader = leader;
-        self.regency = ts.0;
-        // Abandon undecided instances; their operations are re-forwarded below by the
-        // replicas that originally broadcast them (BFT-SMaRt's view synchronization
-        // re-proposes pending requests the same way).
-        self.instances.retain(|_, inst| inst.delivered);
-        self.next_propose_height = self.next_deliver_height;
-        self.proposal_outstanding = false;
-        self.pool.reset_watch(now);
-        for op in self.pool.my_undelivered().to_vec() {
-            if self.is_leader() {
-                self.pool.enqueue(op);
-            } else {
-                out.push(TobAction::Send { to: self.leader, msg: BftSmartMsg::Forward(op) });
+        // Abandon undecided instances, keeping the proof of every one this replica
+        // sent `Commit` in: that block may be decided elsewhere. The operations of
+        // the rest are re-forwarded below by the replicas that broadcast them.
+        self.prepared = self.prepared.split_off(&self.next_deliver_height);
+        for (height, instance) in self.instances.drain() {
+            if let (true, Some(block)) = (instance.sent_commit, instance.block) {
+                let proof = instance.prepares;
+                self.prepared.insert(height, Prepared { block, regency: self.regency, proof });
             }
         }
-        self.maybe_propose(&mut out);
+        if let Some(abandoned) = self.outstanding.take() {
+            // Its operations left the pool for good when it was proposed: take
+            // them back, in case the lead returns before they are ordered.
+            self.pool.requeue_front(abandoned.ops.clone());
+        }
+        self.leader = leader;
+        self.regency = ts.0;
+        self.synced = false;
+        self.carry.clear();
+        self.pool.reset_watch(now);
+        let report = Report {
+            regency: self.regency,
+            decided: self.last_decided.clone(),
+            prepared: self.prepared.values().cloned().collect(),
+        };
+        if self.is_leader() {
+            for op in self.pool.my_undelivered().to_vec() {
+                self.pool.enqueue(op);
+            }
+            self.reports.insert(self.cfg.me, report);
+            self.resolve_handover(now, &mut out);
+        } else {
+            out.push(TobAction::Send {
+                to: self.leader,
+                msg: BftSmartMsg::Report(Box::new(report)),
+            });
+            for op in self.pool.my_undelivered() {
+                let msg = BftSmartMsg::Forward(op.clone());
+                out.push(TobAction::Send { to: self.leader, msg });
+            }
+        }
         out
     }
 
@@ -381,7 +523,12 @@ impl TotalOrderBroadcast for BftSmart {
         self.instances.clear();
         self.next_propose_height = 0;
         self.next_deliver_height = 0;
-        self.proposal_outstanding = false;
+        self.outstanding = None;
+        self.last_decided = None;
+        self.prepared.clear();
+        self.reports = Reports::default();
+        self.synced = true;
+        self.carry.clear();
         self.resync_delivery = true;
     }
 }

@@ -1,7 +1,7 @@
 //! Unit and property tests for the BFT-SMaRt-style total-order broadcast.
 
 use super::*;
-use ava_consensus::testkit::LocalNet;
+use ava_consensus::testkit::{sweep_regency_change_cuts, LocalNet};
 use ava_types::{ClientId, ClusterId, Duration, Transaction};
 use proptest::prelude::*;
 
@@ -114,6 +114,38 @@ fn uses_quadratic_message_pattern() {
     let blocks = net.delivered_at(ReplicaId(2));
     assert_eq!(blocks.len(), 1);
     assert!(blocks[0].cert.signature_count() >= 3);
+}
+
+/// The parent forked here at every cut where some but not all replicas had
+/// delivered a height: the new leader proposed a different block at it.
+#[test]
+fn a_regency_change_at_any_cut_neither_forks_nor_loses_an_operation() {
+    let ops: Vec<Operation> = (0..25).map(tx).collect();
+    for n in [4, 7] {
+        let cuts = sweep_regency_change_cuts(|| make_net(n).0, &ops, &[ReplicaId(1)], 0);
+        assert!(cuts > 100, "the sweep covered only {cuts} cuts");
+    }
+}
+
+/// Two changes in a row — back to back, and with the second landing in the
+/// middle of the first one's hand-over — to a third leader and back to the first.
+#[test]
+fn two_regency_changes_in_a_row_at_any_cut_neither_fork_nor_lose_an_operation() {
+    let ops: Vec<Operation> = (0..25).map(tx).collect();
+    for leaders in [[ReplicaId(1), ReplicaId(2)], [ReplicaId(1), ReplicaId(0)]] {
+        for gap in [0, 3, 8, 20] {
+            sweep_regency_change_cuts(|| make_net(4).0, &ops, &leaders, gap);
+        }
+        sweep_regency_change_cuts(|| make_net(7).0, &ops, &leaders, 0);
+        sweep_regency_change_cuts(|| make_net(7).0, &ops, &leaders, 30);
+    }
+}
+
+/// Every queued simulator event carries a message of this type: a fat variant is
+/// paid for by every `Prepare` and `Commit` (the hand-over payloads are boxed).
+#[test]
+fn message_size_is_pinned() {
+    assert_eq!(std::mem::size_of::<BftSmartMsg>(), 88);
 }
 
 proptest! {

@@ -5,9 +5,10 @@
 use ava_consensus::WireSize;
 use ava_crypto::Keypair;
 use ava_hamava::messages::{AvaMsg, TxBatch};
+use ava_hamava::TargetSet;
 use ava_simnet::{Actor, Context, SimMessage};
 use ava_types::{ClusterId, Duration, Output, ReplicaId, Time, Transaction, TxId};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ pub struct BrokerConfig {
     pub cluster: ClusterId,
     /// The aggregate generator its acks and shed operations go back to.
     pub aggregate: ReplicaId,
-    /// Replicas of the cluster, tried round-robin.
+    /// Replicas of the cluster, in the order [`TargetSet`] rotates through them.
     pub targets: Vec<ReplicaId>,
     /// Maximum operations per batch; a full batch flushes immediately.
     pub max_batch_ops: usize,
@@ -33,7 +34,8 @@ pub struct BrokerConfig {
     pub max_inflight: usize,
     /// Maximum queued operations; overflow is shed back to the generator.
     pub queue_cap: usize,
-    /// Re-submit an unacknowledged batch to the next replica after this long.
+    /// Re-submit an unacknowledged batch to another replica after this long; the
+    /// silent one is demoted and probed once per such interval ([`TargetSet`]).
     pub retry_timeout: Duration,
 }
 
@@ -41,6 +43,8 @@ pub struct BrokerConfig {
 struct Inflight {
     batch: Arc<TxBatch>,
     sent_at: Time,
+    /// The replica it was last sent to.
+    target: ReplicaId,
 }
 
 /// The broker actor. Generic over the TOB message type only, like
@@ -51,8 +55,10 @@ pub struct Broker<TM> {
     keypair: Keypair,
     /// Accepted operations waiting to be batched (bounded by `queue_cap`).
     queue: VecDeque<Transaction>,
-    /// Submitted batches awaiting an admission reply, by batch id.
-    inflight: HashMap<u64, Inflight>,
+    /// Submitted batches awaiting an admission reply, by batch id (ordered, so
+    /// batches that come due on one tick are re-submitted in the same order in
+    /// every process).
+    inflight: BTreeMap<u64, Inflight>,
     /// Per-operation acks to fan back on the next tick.
     pending_acks: Vec<(TxId, bool)>,
     /// Shed operations to return on the next tick.
@@ -60,8 +66,8 @@ pub struct Broker<TM> {
     /// Operations shed so far (monotonic, reported in [`Output::BrokerFlushed`]).
     shed_total: u64,
     next_batch_id: u64,
-    /// Round-robin cursor over `targets`.
-    rr: usize,
+    /// Where batches go: `cfg.targets`, minus the ones that stopped answering.
+    targets: TargetSet,
     _marker: PhantomData<TM>,
 }
 
@@ -69,18 +75,18 @@ impl<TM> Broker<TM> {
     /// Create a broker; `keypair` must be registered in the deployment's key
     /// registry under `cfg.node` or every batch will fail verification.
     pub fn new(cfg: BrokerConfig, keypair: Keypair) -> Self {
-        assert!(!cfg.targets.is_empty(), "broker needs at least one replica to submit to");
         assert!(cfg.max_batch_ops > 0 && cfg.max_inflight > 0);
+        let targets = TargetSet::new(&cfg.targets, cfg.retry_timeout);
         Broker {
             cfg,
             keypair,
             queue: VecDeque::new(),
-            inflight: HashMap::new(),
+            inflight: BTreeMap::new(),
             pending_acks: Vec::new(),
             pending_shed: Vec::new(),
             shed_total: 0,
             next_batch_id: 0,
-            rr: 0,
+            targets,
             _marker: PhantomData,
         }
     }
@@ -95,12 +101,6 @@ impl<TM: Clone + WireSize> Broker<TM>
 where
     AvaMsg<TM>: SimMessage,
 {
-    fn next_target(&mut self) -> ReplicaId {
-        let target = self.cfg.targets[self.rr % self.cfg.targets.len()];
-        self.rr += 1;
-        target
-    }
-
     /// Flush as many batches as the in-flight bound allows. Full batches always
     /// flush; a partial one only on the tick path (`allow_partial`), which is
     /// what bounds batching delay by `flush_interval`.
@@ -117,9 +117,9 @@ where
             // exists for.
             ctx.consume(ctx.costs().per_sign);
             let batch = Arc::new(TxBatch::new(self.cfg.node, id, ops, &self.keypair));
-            let target = self.next_target();
+            let target = self.targets.pick(ctx.now());
             ctx.send(target, AvaMsg::BatchSubmit(Arc::clone(&batch)));
-            self.inflight.insert(id, Inflight { batch, sent_at: ctx.now() });
+            self.inflight.insert(id, Inflight { batch, sent_at: ctx.now(), target });
             ctx.emit(Output::BrokerFlushed {
                 broker: self.cfg.node,
                 cluster: self.cfg.cluster,
@@ -132,21 +132,23 @@ where
         }
     }
 
-    /// Re-submit batches whose admission reply is overdue to the next replica.
-    /// The replica side is idempotent per `(broker, batch id)` and the TOB pool
-    /// dedups re-ordered operations by digest, so a duplicate admission cannot
-    /// double-apply (it can double-ack; the generator dedups by transaction id).
+    /// Re-submit batches whose admission reply is overdue, in batch-id order,
+    /// demoting the replica that sat on each. The replica side is idempotent per
+    /// `(broker, batch id)` and the TOB pool dedups re-ordered operations by
+    /// digest, so a duplicate admission cannot double-apply (it can double-ack;
+    /// the generator dedups by transaction id).
     fn retry_overdue(&mut self, ctx: &mut Context<'_, AvaMsg<TM>>) {
         let now = ctx.now();
-        let overdue: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, inflight)| now.since(inflight.sent_at) >= self.cfg.retry_timeout)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in overdue {
-            let target = self.next_target();
-            let inflight = self.inflight.get_mut(&id).expect("collected above");
+        for inflight in self.inflight.values_mut() {
+            if now.since(inflight.sent_at) < self.cfg.retry_timeout {
+                continue;
+            }
+            let (target, newly_demoted) = self.targets.on_timeout(inflight.target, now);
+            if newly_demoted {
+                let value = f64::from(inflight.target.0);
+                ctx.emit(Output::Custom { name: "broker_target_demoted", value, at: now });
+            }
+            inflight.target = target;
             inflight.sent_at = now;
             ctx.send(target, AvaMsg::BatchSubmit(Arc::clone(&inflight.batch)));
         }
@@ -172,7 +174,7 @@ where
         ctx.set_timer(self.cfg.flush_interval, TICK);
     }
 
-    fn on_message(&mut self, _from: ReplicaId, msg: AvaMsg<TM>, ctx: &mut Context<'_, AvaMsg<TM>>) {
+    fn on_message(&mut self, from: ReplicaId, msg: AvaMsg<TM>, ctx: &mut Context<'_, AvaMsg<TM>>) {
         match msg {
             AvaMsg::BrokerSubmit { ops } => {
                 for tx in ops {
@@ -188,7 +190,14 @@ where
                 self.try_flush(false, ctx);
             }
             AvaMsg::BatchReply { batch, reads } => {
-                if self.inflight.remove(&batch).is_some() {
+                let answered = self.inflight.remove(&batch);
+                // Any reply — even a late one to a batch since moved — shows
+                // the replica is serving again.
+                if self.targets.on_reply(from, answered.as_ref().map(|i| i.target)) {
+                    let (value, at) = (f64::from(from.0), ctx.now());
+                    ctx.emit(Output::Custom { name: "broker_target_readmitted", value, at });
+                }
+                if answered.is_some() {
                     self.pending_acks.extend(reads.into_iter().map(|tx| (tx, false)));
                     self.try_flush(false, ctx);
                 }
@@ -210,5 +219,159 @@ where
         self.try_flush(true, ctx);
         self.retry_overdue(ctx);
         self.deliver(ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ava_crypto::KeyRegistry;
+    use ava_hotstuff::HotStuffMsg;
+    use ava_simnet::{CostModel, LatencyModel, Simulation};
+    use ava_types::{ClientId, Region};
+    use std::sync::Mutex;
+
+    type Msg = AvaMsg<HotStuffMsg>;
+    /// `(replica, batch id)` of every `BatchSubmit` delivered, in delivery order.
+    type Log = Arc<Mutex<Vec<(ReplicaId, u64)>>>;
+
+    /// Stands in for a replica: logs every batch it is sent and, unless
+    /// `silent`, admits it like a replica would (an empty `BatchReply`).
+    struct Target {
+        me: ReplicaId,
+        silent: bool,
+        log: Log,
+    }
+
+    impl Actor<Msg> for Target {
+        fn on_message(&mut self, from: ReplicaId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+            if let AvaMsg::BatchSubmit(batch) = msg {
+                self.log.lock().unwrap().push((self.me, batch.id));
+                if !self.silent {
+                    ctx.send(from, AvaMsg::BatchReply { batch: batch.id, reads: Vec::new() });
+                }
+            }
+        }
+    }
+
+    const BROKER: ReplicaId = ReplicaId(2_000_000);
+    const FEEDER: ReplicaId = ReplicaId(3_000_000);
+
+    /// One broker (two-op batches, four in flight, 2 s retry) in front of seven
+    /// targets of which `silent` never answer. No latency jitter, so targets log
+    /// batches in the order the broker sent them.
+    fn sim_with(silent: &[u32]) -> (Simulation<Msg>, Log) {
+        let log: Log = Arc::default();
+        let latency = LatencyModel::paper_table2().with_jitter(0.0);
+        let mut sim = Simulation::new(1, latency, CostModel::zero());
+        let targets: Vec<ReplicaId> = (0..7).map(ReplicaId).collect();
+        for &me in &targets {
+            let target = Target { me, silent: silent.contains(&me.0), log: Arc::clone(&log) };
+            sim.add_node(me, Region::UsWest, 0, Box::new(target));
+        }
+        let cfg = BrokerConfig {
+            node: BROKER,
+            cluster: ClusterId(0),
+            aggregate: FEEDER,
+            targets,
+            max_batch_ops: 2,
+            flush_interval: Duration::from_millis(5),
+            max_inflight: 4,
+            queue_cap: 1_000,
+            retry_timeout: Duration::from_secs(2),
+        };
+        let broker: Broker<HotStuffMsg> = Broker::new(cfg, KeyRegistry::new().register(BROKER));
+        sim.add_node(BROKER, Region::UsWest, 0, Box::new(broker));
+        (sim, log)
+    }
+
+    /// Hand the broker `batches` full batches at `at` (batch ids follow on from
+    /// the `first`-th batch ever fed).
+    fn feed(sim: &mut Simulation<Msg>, first: u64, batches: u64, at: Time) {
+        let ops = (2 * first..2 * (first + batches))
+            .map(|seq| Transaction::write(ClientId(1), seq, seq, 64))
+            .collect();
+        sim.external_send(FEEDER, BROKER, AvaMsg::BrokerSubmit { ops }, at);
+    }
+
+    fn sent_to(log: &Log, target: u32) -> Vec<u64> {
+        let log = log.lock().unwrap();
+        log.iter().filter(|(to, _)| *to == ReplicaId(target)).map(|(_, batch)| *batch).collect()
+    }
+
+    /// Four batches come due on one tick. Which replica each is re-submitted to
+    /// was decided by `HashMap` iteration order — a fresh `RandomState` per
+    /// broker, so it differed between two brokers built in one process, let
+    /// alone two processes.
+    #[test]
+    fn batches_due_on_one_tick_are_resubmitted_in_batch_id_order() {
+        let runs: Vec<Vec<(ReplicaId, u64)>> = (0..8)
+            .map(|_| {
+                let (mut sim, log) = sim_with(&[0, 1, 2, 3, 4, 5, 6]);
+                feed(&mut sim, 0, 4, Time::ZERO);
+                sim.run_for(Duration::from_millis(2_100));
+                let log = log.lock().unwrap().clone();
+                log
+            })
+            .collect();
+        assert_eq!(runs[0].len(), 8, "four submissions and four re-submissions: {:?}", runs[0]);
+        let resubmitted: Vec<u64> = runs[0][4..].iter().map(|(_, batch)| *batch).collect();
+        assert_eq!(resubmitted, vec![0, 1, 2, 3]);
+        assert!(runs.iter().all(|run| *run == runs[0]), "send order differs between brokers");
+    }
+
+    /// One silent replica among seven under steady load: it holds one batch at
+    /// a time, is offered one per retry timeout, every batch is admitted exactly
+    /// once by a live replica, and the demotion is visible as an output.
+    #[test]
+    fn a_silent_replica_pins_one_slot_and_is_probed_once_per_retry_timeout() {
+        let (mut sim, log) = sim_with(&[2]);
+        for tick in 0..70 {
+            feed(&mut sim, 3 * tick, 3, Time::from_millis(100 * tick));
+        }
+        sim.run_for(Duration::from_secs(9));
+        // Its turn in the first rotation, then a probe every 2 s while load lasts.
+        let to_silent = sent_to(&log, 2);
+        assert_eq!(to_silent.len(), 4, "batches sent to the silent replica: {to_silent:?}");
+        for batch in 0..210 {
+            let log = log.lock().unwrap();
+            let admitted = log.iter().filter(|(to, b)| *to != ReplicaId(2) && *b == batch).count();
+            assert_eq!(admitted, 1, "batch {batch} admitted {admitted} times by live replicas");
+        }
+        let demotions: Vec<f64> = sim
+            .outputs()
+            .iter()
+            .filter_map(|o| match o {
+                Output::Custom { name: "broker_target_demoted", value, .. } => Some(*value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(demotions, vec![2.0]);
+    }
+
+    /// A reply from a demoted replica — it was slow or restarting, not gone —
+    /// re-admits it, and it takes its turn in the rotation again.
+    #[test]
+    fn a_reply_readmits_a_demoted_replica() {
+        let (mut sim, log) = sim_with(&[2]);
+        feed(&mut sim, 0, 7, Time::ZERO);
+        sim.run_for(Duration::from_millis(2_100));
+        assert_eq!(sent_to(&log, 2), vec![2], "its turn in the first rotation");
+        let now = sim.now();
+        sim.external_send(
+            ReplicaId(2),
+            BROKER,
+            AvaMsg::BatchReply { batch: 2, reads: vec![] },
+            now,
+        );
+        feed(&mut sim, 7, 21, now + Duration::from_millis(10));
+        sim.run_for(Duration::from_millis(500));
+        assert!(sim.outputs().iter().any(|o| matches!(
+            o,
+            Output::Custom { name: "broker_target_readmitted", value, .. } if *value == 2.0
+        )));
+        // One batch in seven of the next twenty-one (and, silent as it is in
+        // this test, it keeps the first of them).
+        assert_eq!(sent_to(&log, 2).len(), 2);
     }
 }

@@ -85,7 +85,9 @@ pub struct BrokerTier {
     /// Re-submit an in-flight batch to another replica if no admission reply
     /// arrived within this time (covers a crashed or partitioned replica; the
     /// replica side admits idempotently per `(broker, batch id)` and the TOB
-    /// pool dedups re-ordered operations by digest).
+    /// pool dedups re-ordered operations by digest). The replica that sat on
+    /// it leaves the rotation and is probed with one live batch per such
+    /// interval until it answers again (`ava_hamava::TargetSet`).
     pub retry_timeout: Duration,
     /// The offered aggregate load, per cluster.
     pub load: AggregateLoad,

@@ -12,6 +12,7 @@
 //! leader-election module.
 
 pub mod block;
+pub mod handover;
 pub mod pool;
 pub mod testkit;
 pub mod tob;

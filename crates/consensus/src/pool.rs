@@ -73,6 +73,23 @@ impl PendingPool {
         }
     }
 
+    /// Operations ordered by someone else — a block adopted from, or carried over
+    /// from, an earlier regency: never propose them from this pool again, even if
+    /// their originators re-forward them.
+    pub fn note_ordered(&mut self, ops: &[Operation]) {
+        self.seen.extend(ops.iter().map(Digest::of));
+        self.drop_pending(ops);
+    }
+
+    /// Drop `ops` from the pending queue: a former leader's queue may still hold
+    /// what a later leader has since ordered (an abandoned proposal it took
+    /// back), and must not propose it again if the lead returns.
+    pub fn drop_pending(&mut self, ops: &[Operation]) {
+        if !self.pending.is_empty() {
+            self.pending.retain(|p| !ops.contains(p));
+        }
+    }
+
     /// Record that a block's operations were delivered: clears them from this
     /// replica's undelivered list and resets the watchdog if nothing is left waiting.
     pub fn mark_delivered(&mut self, ops: &[Operation], now: Time) {
@@ -138,6 +155,16 @@ mod tests {
         assert_eq!(pool.pending_len(), 2);
         pool.requeue_front(batch);
         assert_eq!(pool.take_batch(1)[0], op(0));
+    }
+
+    #[test]
+    fn operations_ordered_elsewhere_are_never_proposed_from_here() {
+        let mut pool = PendingPool::new();
+        pool.enqueue(op(1));
+        pool.enqueue(op(2));
+        pool.note_ordered(&[op(2), op(3)]);
+        assert!(!pool.enqueue(op(3)), "a late re-forward is a duplicate");
+        assert_eq!(pool.take_batch(10), vec![op(1)]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::block::CommittedBlock;
 use crate::tob::{TobAction, TotalOrderBroadcast};
+use ava_crypto::Digest;
 use ava_types::{Duration, Operation, ReplicaId, Time, Timestamp};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
@@ -76,12 +77,12 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
         }
     }
 
-    /// Deliver queued messages until the network is quiescent (or `max_steps` is
-    /// reached, to guard against livelock in broken protocols).
-    pub fn run_to_quiescence(&mut self, max_steps: usize) {
-        for _ in 0..max_steps {
+    /// Deliver at most `steps` queued messages; returns whether the network went
+    /// quiescent within them. Stopping short is how a test cuts a run mid-decision.
+    pub fn deliver(&mut self, steps: usize) -> bool {
+        for _ in 0..steps {
             let Some((from, to, msg)) = self.queue.pop_front() else {
-                return;
+                return true;
             };
             if self.down.contains(&from) || self.down.contains(&to) {
                 continue;
@@ -93,7 +94,13 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
             let actions = node.on_message(from, msg, now);
             self.apply(to, actions);
         }
-        assert!(self.queue.is_empty(), "run_to_quiescence exhausted max_steps");
+        self.queue.is_empty()
+    }
+
+    /// Deliver queued messages until the network is quiescent (or `max_steps` is
+    /// reached, to guard against livelock in broken protocols).
+    pub fn run_to_quiescence(&mut self, max_steps: usize) {
+        assert!(self.deliver(max_steps), "run_to_quiescence exhausted max_steps");
     }
 
     /// Blocks delivered by `replica`.
@@ -104,6 +111,26 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
     /// Operations delivered by `replica`, flattened across blocks.
     pub fn delivered_ops(&self, replica: ReplicaId) -> Vec<Operation> {
         self.delivered[&replica].iter().flat_map(|b| b.block.ops.clone()).collect()
+    }
+
+    /// Assert the network holds one log: no two replicas delivered different
+    /// blocks at one height, and every replica delivered each of `ops` exactly
+    /// once. `case` names the scenario in the failure message.
+    pub fn assert_one_log(&self, ops: &[Operation], case: &str) {
+        let mut at_height: BTreeMap<u64, Digest> = BTreeMap::new();
+        let mut expected: Vec<Digest> = ops.iter().map(Digest::of).collect();
+        expected.sort();
+        for (replica, blocks) in &self.delivered {
+            for decided in blocks {
+                let digest = decided.block.digest();
+                let first = *at_height.entry(decided.block.height).or_insert(digest);
+                assert_eq!(first, digest, "{case}: fork at height {}", decided.block.height);
+            }
+            let mut delivered: Vec<Digest> =
+                blocks.iter().flat_map(|b| b.block.ops.iter().map(Digest::of)).collect();
+            delivered.sort();
+            assert_eq!(delivered, expected, "{case}: {replica} lost or repeated an operation");
+        }
     }
 
     fn apply(&mut self, at: ReplicaId, actions: Vec<TobAction<T::Msg>>) {
@@ -118,4 +145,40 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
             }
         }
     }
+}
+
+/// The partial-delivery sweep every backend must pass: for each cut, build a
+/// fresh network with `make`, broadcast `ops` round-robin, deliver exactly `cut`
+/// messages, change the regency once per entry of `leaders` (delivering `gap`
+/// messages between one change and the next), run to quiescence and
+/// [`LocalNet::assert_one_log`] — until a cut falls past the end of the run.
+/// Returns the number of cuts swept. A leader change that discards a block
+/// some replica already delivered fails it at exactly those cuts.
+pub fn sweep_regency_change_cuts<T: TotalOrderBroadcast>(
+    make: impl Fn() -> LocalNet<T>,
+    ops: &[Operation],
+    leaders: &[ReplicaId],
+    gap: usize,
+) -> usize {
+    for cut in 0.. {
+        let mut net = make();
+        let members: Vec<ReplicaId> = net.nodes.keys().copied().collect();
+        for (i, op) in ops.iter().enumerate() {
+            net.broadcast(members[i % members.len()], op.clone());
+        }
+        let past_the_end = net.deliver(cut);
+        for (i, &leader) in leaders.iter().enumerate() {
+            if i > 0 {
+                net.deliver(gap);
+            }
+            net.install_leader(leader, Timestamp(i as u64 + 1));
+        }
+        net.run_to_quiescence(1_000_000);
+        let case = format!("n={} cut={cut} leaders={leaders:?} gap={gap}", members.len());
+        net.assert_one_log(ops, &case);
+        if past_the_end {
+            return cut;
+        }
+    }
+    unreachable!("the loop returns once a cut is past the end")
 }

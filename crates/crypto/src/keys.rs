@@ -108,10 +108,12 @@ impl Default for RegistryInner {
     }
 }
 
-/// Upper bound on memoised `(signer, digest)` tags (~72 bytes each, so ≈ 75 MiB
-/// worst case) before the memo is reset.
+/// Upper bound on memoised `(signer, digest)` tags (~72 bytes each, so ≈ 9 MiB
+/// of table) before the memo is reset. A tag is looked up within a round or
+/// two of being signed — a few thousand entries later at most — so a reset
+/// costs the few hundred signatures then in flight one HMAC each.
 #[cfg(not(test))]
-const TAG_MEMO_CAPACITY: usize = 1 << 20;
+const TAG_MEMO_CAPACITY: usize = 1 << 16;
 /// Small under test, so the unit tests cross the wholesale reset.
 #[cfg(test)]
 const TAG_MEMO_CAPACITY: usize = 8;

@@ -48,6 +48,7 @@ pub mod leader_election;
 pub mod messages;
 pub mod remote_leader;
 pub mod replica;
+pub mod targets;
 
 pub use brd::{Brd, BrdAction, BrdCert, BrdMsg};
 pub use byzantine::{ByzantineBehavior, CorruptReplica};
@@ -57,6 +58,7 @@ pub use leader_election::{ElectionAction, ElectionMsg, LeaderElection};
 pub use messages::{AvaMsg, ClientCtl, ControlCmd, RoundPackage, RoundRecord, TxBatch};
 pub use remote_leader::{RemoteLeaderAction, RemoteLeaderChange, RemoteLeaderMsg};
 pub use replica::{Replica, ReplicaConfig, ReplicaStatus};
+pub use targets::TargetSet;
 // Re-exported so downstream crates can pick a state machine for
 // `DeploymentOptions::state_machine` without a direct `ava-state` dependency.
 pub use ava_state::StateMachineKind;

@@ -13,23 +13,32 @@
 //!
 //! * Blocks are decided one at a time (no pipelining/chaining); Hamava drives one
 //!   batch per round, so pipelining would not change the round structure.
-//! * Votes sign the block digest in every phase, so the final quorum certificate is
-//!   directly the cross-cluster commit certificate Hamava ships in Stage 2.
+//! * `Commit`-phase votes sign the block digest, so the final quorum certificate is
+//!   directly the cross-cluster commit certificate Hamava ships in Stage 2; votes
+//!   of the two earlier phases sign the digest *and the leader timestamp*
+//!   ([`prepared_digest`]) and never leave the cluster.
 //! * The pacemaker is externalised: liveness complaints are reported through
 //!   [`TobAction::Complain`] and leader changes arrive through
 //!   [`TotalOrderBroadcast::new_leader`], matching Hamava's leader-election module
-//!   (Alg. 8/9).
+//!   (Alg. 8/9). What HotStuff's new-view message carries over — the highest
+//!   quorum certificate a replica has seen — is the [`ava_consensus::handover`]:
+//!   a replica *locks* a block when the `Commit` phase message proves a quorum
+//!   pre-committed it, reports its last decided block and its locks to the new
+//!   leader, and the new leader proposes nothing until `2f + 1` reports let it
+//!   adopt what was decided and re-propose what may have been. Replicas do not
+//!   check the new leader's choice against the reports.
 //!
 //! These simplifications preserve the message/latency complexity that the paper's
 //! evaluation depends on, which is what this reproduction needs from the substrate.
 
+use ava_consensus::handover::{prepared_digest, Prepared, Report, Reports};
 use ava_consensus::{
     Block, CommittedBlock, FaultMode, PendingPool, TobAction, TobConfig, TotalOrderBroadcast,
     WireSize,
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
 use ava_types::{Operation, ReplicaId, Time, Timestamp};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The HotStuff phases.
@@ -52,6 +61,16 @@ impl Phase {
             Phase::PreCommit => Some(Phase::Commit),
             Phase::Commit => Some(Phase::Decide),
             Phase::Decide => None,
+        }
+    }
+
+    /// What a vote cast in this phase signs: the bare block digest in `Commit`
+    /// (those votes become the certificate that leaves the cluster), the digest
+    /// bound to the leader timestamp before it.
+    fn signed(self, digest: Digest, ts: u64) -> Digest {
+        match self {
+            Phase::Prepare | Phase::PreCommit => prepared_digest(&digest, ts),
+            Phase::Commit | Phase::Decide => digest,
         }
     }
 }
@@ -90,11 +109,17 @@ pub enum HotStuffMsg {
         height: u64,
         /// Digest of the block.
         digest: Digest,
-        /// The voter's signature over the block digest.
+        /// The voter's signature over what the phase signs (`Phase::signed`).
         sig: Signature,
         /// Leader timestamp.
         ts: u64,
     },
+    /// A replica entering a leader timestamp tells the new leader what it has
+    /// decided and locked (boxed: rare, and every queued message pays for the
+    /// largest variant).
+    Report(Box<Report>),
+    /// The new leader's last decided block, for replicas that missed it.
+    Decided(Box<CommittedBlock>),
 }
 
 impl WireSize for HotStuffMsg {
@@ -108,6 +133,8 @@ impl WireSize for HotStuffMsg {
             HotStuffMsg::Proposal { block, .. } => block.wire_size(),
             HotStuffMsg::PhaseCert { justify, .. } => 96 + justify.len() * 48,
             HotStuffMsg::Vote { .. } => 120,
+            HotStuffMsg::Report(report) => report.wire_size(),
+            HotStuffMsg::Decided(decided) => decided.wire_size(),
         }
     }
 
@@ -117,6 +144,8 @@ impl WireSize for HotStuffMsg {
             HotStuffMsg::Proposal { .. } => "hs.Proposal",
             HotStuffMsg::PhaseCert { .. } => "hs.PhaseCert",
             HotStuffMsg::Vote { .. } => "hs.Vote",
+            HotStuffMsg::Report(_) => "hs.Report",
+            HotStuffMsg::Decided(_) => "hs.Decided",
         }
     }
 }
@@ -151,6 +180,17 @@ pub struct HotStuff {
     /// Replica-side: the phase this replica last voted in per height (prevents double
     /// voting within a timestamp).
     voted: HashMap<(u64, Phase, u64), ()>,
+    /// The last block delivered, as reported at the next leader change.
+    last_decided: Option<CommittedBlock>,
+    /// Locks: undelivered blocks a quorum is known to have pre-committed, with
+    /// that quorum's votes as proof; kept across timestamps until delivered.
+    locked: BTreeMap<u64, Prepared>,
+    /// Leader side of the hand-over: the replicas' reports, ...
+    reports: Reports,
+    /// ... whether a quorum of them has been resolved (until then: no proposals), ...
+    synced: bool,
+    /// ... and the possibly-decided blocks to re-propose, by height.
+    carry: BTreeMap<u64, Arc<Block>>,
 }
 
 impl HotStuff {
@@ -169,6 +209,11 @@ impl HotStuff {
             next_height: 0,
             delivered_height: None,
             voted: HashMap::new(),
+            last_decided: None,
+            locked: BTreeMap::new(),
+            reports: Reports::default(),
+            synced: true,
+            carry: BTreeMap::new(),
         }
     }
 
@@ -187,12 +232,18 @@ impl HotStuff {
         if !self.is_leader()
             || self.fault == FaultMode::SilentLeader
             || self.in_flight.is_some()
-            || self.pool.pending_len() == 0
+            || !self.synced
         {
             return;
         }
-        let ops = self.pool.take_batch(self.cfg.max_block_size);
-        let block = Arc::new(Block::new(self.cfg.cluster, self.next_height, self.cfg.me, ops));
+        let block = match self.carry.remove(&self.next_height) {
+            Some(carried) => carried,
+            None if self.pool.pending_len() == 0 => return,
+            None => {
+                let ops = self.pool.take_batch(self.cfg.max_block_size);
+                Arc::new(Block::new(self.cfg.cluster, self.next_height, self.cfg.me, ops))
+            }
+        };
         let digest = block.digest();
         out.push(TobAction::Consume(self.cfg.sign_cost));
         self.in_flight = Some(InFlight {
@@ -217,7 +268,7 @@ impl HotStuff {
         }
         self.voted.insert((height, phase, self.ts), ());
         out.push(TobAction::Consume(self.cfg.sign_cost));
-        let sig = self.keypair.sign(&digest);
+        let sig = self.keypair.sign(&phase.signed(digest, self.ts));
         out.push(TobAction::Send {
             to: self.leader,
             msg: HotStuffMsg::Vote { phase, height, digest, sig, ts: self.ts },
@@ -238,8 +289,41 @@ impl HotStuff {
         self.delivered_height = Some(block.height);
         self.next_height = block.height + 1;
         self.pool.mark_delivered(&block.ops, now);
+        if !self.is_leader() {
+            self.pool.drop_pending(&block.ops);
+        }
         self.known_blocks.remove(&cert.digest);
-        out.push(TobAction::Deliver(CommittedBlock { block, cert }));
+        self.locked.retain(|height, _| *height >= self.next_height);
+        let decided = CommittedBlock { block, cert };
+        self.last_decided = Some(decided.clone());
+        out.push(TobAction::Deliver(decided));
+    }
+
+    /// Leader: once a quorum has reported for this timestamp, catch up to the
+    /// highest decided block, queue the possibly-decided ones for re-proposal,
+    /// and start proposing.
+    fn resolve_handover(&mut self, now: Time, out: &mut Vec<TobAction<HotStuffMsg>>) {
+        if self.synced || !self.is_leader() {
+            return;
+        }
+        let Some(resolution) = self.reports.resolve(self.ts, self.cfg.quorum()) else {
+            return;
+        };
+        if let Some(CommittedBlock { block, cert }) = resolution.decided {
+            self.deliver(block, cert, now, out);
+        }
+        self.carry = resolution.carry;
+        for block in self.carry.values() {
+            self.pool.note_ordered(&block.ops);
+        }
+        if let Some(decided) = &self.last_decided {
+            // A replica one block behind re-forwards that block's operations; the
+            // pool must know them as ordered whether or not it ever held them.
+            self.pool.note_ordered(&decided.block.ops);
+            self.broadcast_to_members(HotStuffMsg::Decided(Box::new(decided.clone())), out);
+        }
+        self.synced = true;
+        self.maybe_propose(out);
     }
 }
 
@@ -295,13 +379,27 @@ impl TotalOrderBroadcast for HotStuff {
                 out.push(TobAction::Consume(
                     self.cfg.verify_cost.saturating_mul(justify.len() as u64),
                 ));
-                let valid = justify.count_valid(&self.registry, &digest, &self.cfg.members)
+                // The justification is the votes of the phase before.
+                let voted_in = match phase {
+                    Phase::Prepare | Phase::PreCommit => Phase::Prepare,
+                    Phase::Commit => Phase::PreCommit,
+                    Phase::Decide => Phase::Commit,
+                };
+                let signed = voted_in.signed(digest, ts);
+                let valid = justify.count_valid(&self.registry, &signed, &self.cfg.members)
                     >= self.cfg.quorum();
                 if !valid {
                     return out;
                 }
                 match phase {
-                    Phase::PreCommit | Phase::Commit => {
+                    Phase::PreCommit => self.vote(phase, height, digest, &mut out),
+                    Phase::Commit => {
+                        // A quorum pre-committed this block: a `Commit` vote may
+                        // decide it, so hold the proof until the height is delivered.
+                        if let Some(block) = self.known_blocks.get(&digest).cloned() {
+                            self.locked
+                                .insert(height, Prepared { block, regency: ts, proof: justify });
+                        }
                         self.vote(phase, height, digest, &mut out);
                     }
                     Phase::Decide => {
@@ -327,7 +425,9 @@ impl TotalOrderBroadcast for HotStuff {
                     return out;
                 }
                 out.push(TobAction::Consume(self.cfg.verify_cost));
-                if !self.registry.verify(&digest, &sig) || !self.cfg.members.contains(&from) {
+                if !self.registry.verify(&phase.signed(digest, ts), &sig)
+                    || !self.cfg.members.contains(&from)
+                {
                     return out;
                 }
                 inflight.votes.insert(sig);
@@ -350,6 +450,35 @@ impl TotalOrderBroadcast for HotStuff {
                         // can be proposed as soon as the decide is delivered locally.
                         let cert = QuorumCert::new(self.cfg.cluster, digest, justify);
                         self.in_flight = None;
+                        self.deliver(block, cert, now, &mut out);
+                        self.maybe_propose(&mut out);
+                    }
+                }
+            }
+            HotStuffMsg::Report(report) => {
+                if report.regency >= self.ts && self.cfg.members.contains(&from) {
+                    let sigs = report.signature_count() as u64;
+                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
+                    if self.reports.accept(from, *report, &self.cfg, &self.registry) {
+                        self.resolve_handover(now, &mut out);
+                    }
+                }
+            }
+            HotStuffMsg::Decided(decided) => {
+                if self.delivered_height.is_none_or(|h| h < decided.block.height)
+                    && decided.block.cluster == self.cfg.cluster
+                {
+                    let sigs = decided.cert.signature_count() as u64;
+                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
+                    if decided.verify(&self.registry, &self.cfg.members, self.cfg.quorum()) {
+                        let CommittedBlock { block, cert } = *decided;
+                        if self.in_flight.as_ref().is_some_and(|f| f.block.height <= block.height) {
+                            // A leader re-proposing this very block learnt it was
+                            // decided already (an earlier new leader's `Decided`
+                            // arriving late): the replicas that adopted it too
+                            // will never vote on the proposal.
+                            self.in_flight = None;
+                        }
                         self.deliver(block, cert, now, &mut out);
                         self.maybe_propose(&mut out);
                     }
@@ -386,15 +515,30 @@ impl TotalOrderBroadcast for HotStuff {
         }
         self.leader = leader;
         self.ts = ts.0;
+        self.synced = false;
+        self.carry.clear();
         self.pool.reset_watch(now);
-        for op in self.pool.my_undelivered().to_vec() {
-            if self.is_leader() {
+        let report = Report {
+            regency: self.ts,
+            decided: self.last_decided.clone(),
+            prepared: self.locked.values().cloned().collect(),
+        };
+        if self.is_leader() {
+            for op in self.pool.my_undelivered().to_vec() {
                 self.pool.enqueue(op);
-            } else {
-                out.push(TobAction::Send { to: self.leader, msg: HotStuffMsg::Forward(op) });
+            }
+            self.reports.insert(self.cfg.me, report);
+            self.resolve_handover(now, &mut out);
+        } else {
+            out.push(TobAction::Send {
+                to: self.leader,
+                msg: HotStuffMsg::Report(Box::new(report)),
+            });
+            for op in self.pool.my_undelivered() {
+                let msg = HotStuffMsg::Forward(op.clone());
+                out.push(TobAction::Send { to: self.leader, msg });
             }
         }
-        self.maybe_propose(&mut out);
         out
     }
 
@@ -421,6 +565,11 @@ impl TotalOrderBroadcast for HotStuff {
         self.next_height = 0;
         self.delivered_height = None;
         self.voted.clear();
+        self.last_decided = None;
+        self.locked.clear();
+        self.reports = Reports::default();
+        self.synced = true;
+        self.carry.clear();
     }
 }
 

@@ -1,7 +1,7 @@
 //! Unit and property tests for the HotStuff total-order broadcast.
 
 use super::*;
-use ava_consensus::testkit::LocalNet;
+use ava_consensus::testkit::{sweep_regency_change_cuts, LocalNet};
 use ava_types::{ClientId, ClusterId, Duration, Transaction};
 use proptest::prelude::*;
 
@@ -133,6 +133,26 @@ fn duplicate_forwards_are_not_delivered_twice() {
     net.broadcast(ReplicaId(2), tx(7));
     net.run_to_quiescence(100_000);
     assert_eq!(net.delivered_ops(ReplicaId(0)), vec![tx(7)]);
+}
+
+/// The parent forked here too: `new_leader` dropped the in-flight block even
+/// when the old leader had already delivered it. One change at every cut, then
+/// two in a row — back to back, and with the second landing in the middle of the
+/// first one's hand-over — to a third leader and back to the first.
+#[test]
+fn a_leader_change_at_any_cut_neither_forks_nor_loses_an_operation() {
+    let ops: Vec<Operation> = (0..25).map(tx).collect();
+    for n in [4, 7] {
+        let cuts = sweep_regency_change_cuts(|| make_net(n), &ops, &[ReplicaId(1)], 0);
+        assert!(cuts > 100, "the sweep covered only {cuts} cuts");
+    }
+    for leaders in [[ReplicaId(1), ReplicaId(2)], [ReplicaId(1), ReplicaId(0)]] {
+        for gap in [0, 3, 8, 20] {
+            sweep_regency_change_cuts(|| make_net(4), &ops, &leaders, gap);
+        }
+        sweep_regency_change_cuts(|| make_net(7), &ops, &leaders, 0);
+        sweep_regency_change_cuts(|| make_net(7), &ops, &leaders, 30);
+    }
 }
 
 proptest! {
