@@ -740,31 +740,37 @@ pub fn e8_network_latency(scale: &ExperimentScale) -> Vec<Vec<String>> {
 // E9: partitions and latency shifts (scenario shapes beyond the paper)
 // ---------------------------------------------------------------------------------
 
-/// E9: two scenario shapes the hand-wired harness could not express —
+/// E9: scenario shapes the hand-wired harness could not express —
 /// (a) a mid-run inter-region partition between the two clusters that heals after a
-/// third of the run, and (b) a mid-run latency-model shift that moves the
-/// inter-cluster RTT from the paper's table to a uniform 219 ms WAN. Both print an
-/// observer-produced throughput time series.
+/// third of the run, (b) a mid-run latency-model shift that moves the
+/// inter-cluster RTT from the paper's table to a uniform 219 ms WAN, and (c) the
+/// partition of (a) between two of *three* clusters, where the third still holds
+/// every package and the severed pair pull them from it (`ava_hamava::relay`).
+/// All print an observer-produced throughput time series.
 pub fn e9_partitions(scale: &ExperimentScale) -> Vec<Vec<String>> {
     let nodes = if scale.full { 7 } else { 5 };
     let third = Time(scale.run.as_micros() / 3);
     let two_thirds = Time(2 * scale.run.as_micros() / 3);
     let half = Time(scale.run.as_micros() / 2);
-    let cells: Vec<(Protocol, &str)> = Protocol::AVA
-        .iter()
-        .flat_map(|&p| ["partition+heal", "latency shift 142->219ms"].map(|shape| (p, shape)))
-        .collect();
+    const SHAPES: [&str; 3] =
+        ["partition+heal", "latency shift 142->219ms", "partition+heal, 2 of 3 clusters"];
+    let cells: Vec<(Protocol, &str)> =
+        Protocol::AVA.iter().flat_map(|&p| SHAPES.map(|shape| (p, shape))).collect();
     let results = scale.pool().map(cells, |_, (protocol, shape)| {
-        let mut config =
-            SystemConfig::homogeneous_regions(&[(nodes, Region::UsWest), (nodes, Region::Europe)]);
+        let mut regions = vec![(nodes, Region::UsWest), (nodes, Region::Europe)];
+        if shape == SHAPES[2] {
+            regions.push((nodes, Region::AsiaSouth));
+        }
+        // The last two clusters are the ones severed.
+        let (a, b) = (ClusterId(regions.len() as u32 - 2), ClusterId(regions.len() as u32 - 1));
+        let mut config = SystemConfig::homogeneous_regions(&regions);
         adjust_batch(&mut config, scale);
         adjust_timeouts(&mut config, scale);
-        let builder = match shape {
-            "partition+heal" => scenario(protocol, config, default_opts(10, scale), scale)
-                .partition_at(third, ClusterId(0), ClusterId(1))
-                .heal_at(two_thirds, ClusterId(0), ClusterId(1)),
-            _ => scenario(protocol, config, default_opts(10, scale), scale)
-                .latency_shift_at(half, LatencyModel::uniform(219.0)),
+        let builder = scenario(protocol, config, default_opts(10, scale), scale);
+        let builder = if shape == SHAPES[1] {
+            builder.latency_shift_at(half, LatencyModel::uniform(219.0))
+        } else {
+            builder.partition_at(third, a, b).heal_at(two_thirds, a, b)
         };
         let mut throughput = ThroughputObserver::new(Duration::from_secs(2));
         let run = builder.build().run_observed(&mut [&mut throughput]);

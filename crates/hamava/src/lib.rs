@@ -7,7 +7,7 @@
 //!
 //! | Paper algorithm | Module |
 //! |---|---|
-//! | Alg. 1 — inter-cluster broadcast | [`replica`] (`inter_broadcast`, `on_inter`, `on_local_share`) |
+//! | Alg. 1 — inter-cluster broadcast | [`replica`] (`inter_broadcast`, `on_inter`, `on_local_share`); [`relay`] fetches a package the broadcast lost from a cluster that provably holds it |
 //! | Alg. 2 — heterogeneous remote leader change | [`remote_leader`] |
 //! | Alg. 3 — reconfiguration collection | [`replica`] (requester + member sides) |
 //! | Alg. 4–6 — Byzantine Reliable Dissemination | [`brd`] |
@@ -46,6 +46,7 @@ pub mod client;
 pub mod harness;
 pub mod leader_election;
 pub mod messages;
+pub mod relay;
 pub mod remote_leader;
 pub mod replica;
 pub mod targets;
@@ -56,6 +57,7 @@ pub use client::{Client, ClientConfig};
 pub use harness::{bftsmart_factory, hotstuff_factory, Deployment, DeploymentOptions, TobFactory};
 pub use leader_election::{ElectionAction, ElectionMsg, LeaderElection};
 pub use messages::{AvaMsg, ClientCtl, ControlCmd, RoundPackage, RoundRecord, TxBatch};
+pub use relay::Relay;
 pub use remote_leader::{RemoteLeaderAction, RemoteLeaderChange, RemoteLeaderMsg};
 pub use replica::{Replica, ReplicaConfig, ReplicaStatus};
 pub use targets::TargetSet;

@@ -373,6 +373,15 @@ pub enum AvaMsg<TM> {
     Inter(Arc<RoundPackage>),
     /// Stage 2: local re-broadcast of a remote package (the paper's `Local`).
     LocalShare(Arc<RoundPackage>),
+    /// Stage 2: ask a replica that provably executed `round` for `cluster`'s
+    /// package of it; the answer is an ordinary [`AvaMsg::Inter`] (see
+    /// [`crate::relay`]).
+    InterPull {
+        /// The round the requester is still in.
+        round: Round,
+        /// The cluster whose package it misses.
+        cluster: ClusterId,
+    },
     /// Reconfiguration collection: a replica asks to join (Alg. 3).
     RequestJoin {
         /// The joining replica.
@@ -523,7 +532,7 @@ where
                     + (views.membership.total_replicas() + views.prev_membership.total_replicas())
                         * 12
             }
-            AvaMsg::CatchUpRequest { .. } => 72,
+            AvaMsg::InterPull { .. } | AvaMsg::CatchUpRequest { .. } => 72,
             AvaMsg::CatchUpReply { checkpoint, suffix, .. } => {
                 80 + checkpoint.wire_size() + suffix.iter().map(|r| r.wire_size()).sum::<usize>()
             }
@@ -550,6 +559,7 @@ where
             AvaMsg::RemoteLeader(_) => "RemoteLeader",
             AvaMsg::Inter(_) => "Inter",
             AvaMsg::LocalShare(_) => "LocalShare",
+            AvaMsg::InterPull { .. } => "InterPull",
             AvaMsg::RequestJoin { .. } => "RequestJoin",
             AvaMsg::RequestLeave { .. } => "RequestLeave",
             AvaMsg::Ack { .. } => "Ack",

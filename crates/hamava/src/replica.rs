@@ -4,6 +4,7 @@
 use crate::brd::{Brd, BrdAction, BrdCert};
 use crate::leader_election::{ElectionAction, LeaderElection};
 use crate::messages::{AvaMsg, ControlCmd, CurrStateViews, RoundPackage, RoundRecord, TxBatch};
+use crate::relay::{self, trace_value, Relay};
 use crate::remote_leader::{RemoteLeaderAction, RemoteLeaderChange};
 use ava_consensus::{CommittedBlock, FaultMode, TobAction, TotalOrderBroadcast};
 use ava_crypto::{KeyRegistry, Keypair};
@@ -144,11 +145,6 @@ struct CatchUpOffer {
 /// normally a local round trip; the cap only matters if every peer is down).
 const RECOVERY_BUFFER_CAP: usize = 10_000;
 
-/// How many rounds ahead of the current one BRD messages are stashed for replay.
-/// Healthy skews are a round or two; the window bounds the stash and keeps a
-/// forged far-future round number from lingering as fake straggler evidence.
-const FUTURE_BRD_WINDOW: u64 = 8;
-
 /// Bookkeeping of an in-progress catch-up (post-restart recovery or an active
 /// replica's straggler escape).
 struct RecoveryState<TM> {
@@ -247,9 +243,10 @@ pub struct Replica<T: TotalOrderBroadcast> {
     round_base_height: u64,
     /// Package of the previous round (re-sent by a new leader, Alg. 8 line 17).
     prev_package: Option<Arc<RoundPackage>>,
-    /// Packages that arrived for future rounds (a remote cluster can be one round
-    /// ahead).
-    future_packages: Vec<Arc<RoundPackage>>,
+    /// Stage-2 package bookkeeping beyond the current round: the stash of
+    /// packages that arrived early, and the evidence-driven pull of a package
+    /// this replica misses from a cluster that is provably a round ahead.
+    relay: Relay,
     /// Reconfiguration sets ordered through the TOB (single-workflow mode only),
     /// keyed by the round they were agreed for. A set can commit while this replica
     /// is still finishing the previous round; stashing it here instead of dropping
@@ -339,6 +336,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             ReplicaStatus::Active
         };
         let machine = machine_for(cfg.machine);
+        let relay = Relay::new(cfg.cluster);
         let mut replica = Replica {
             membership: cfg.membership.clone(),
             prev_membership: cfg.membership.clone(),
@@ -364,7 +362,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             next_local_height: 0,
             round_base_height: 0,
             prev_package: None,
-            future_packages: Vec::new(),
+            relay,
             ordered_reconfig_sets: BTreeMap::new(),
             mute_inter: false,
             leave_requested: false,
@@ -430,7 +428,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     ) {
         let round = msg.round();
         if round > self.round {
-            if round.0 <= self.round.0 + FUTURE_BRD_WINDOW {
+            if relay::in_window(self.round, round) {
                 self.future_brd.entry(round).or_default().push((from, msg));
             }
             return;
@@ -794,8 +792,44 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         package.verify_either(&self.registry, &self.membership, &self.prev_membership)
     }
 
-    fn on_inter(&mut self, package: Arc<RoundPackage>, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
+    /// Report `conflict` — the content digests of the package already in
+    /// `package`'s `(cluster, round)` slot and of `package`, if they differ (see
+    /// [`relay::conflict`]): two packages claiming one slot cannot both be honest.
+    fn report_equivocation(
+        &self,
+        package: &RoundPackage,
+        conflict: Option<([u8; 32], [u8; 32])>,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) {
+        if let Some((first, second)) = conflict {
+            ctx.emit(Output::EquivocationObserved {
+                replica: self.cfg.me,
+                cluster: package.cluster,
+                round: package.round,
+                first,
+                second,
+                at: ctx.now(),
+            });
+        }
+    }
+
+    fn on_inter(
+        &mut self,
+        from: ReplicaId,
+        package: Arc<RoundPackage>,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) {
         if package.round < self.round || package.cluster == self.cfg.cluster {
+            return;
+        }
+        // A slot this replica already verified and shared (a new leader's
+        // re-send, a second served pull, a flood) is settled before it is paid
+        // for: no verification, no second cluster-wide `LocalShare`. Merely
+        // *holding* the package is not enough to stay quiet — it may have come
+        // from a Byzantine peer that shared it with this replica alone, and
+        // Alg. 1 counts on every correct `Inter` recipient forwarding once.
+        if let Some(shared) = self.relay.shared(package.round, package.cluster) {
+            self.report_equivocation(&package, relay::conflict(shared, &package), ctx);
             return;
         }
         ctx.consume(
@@ -822,10 +856,58 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             }
             return;
         }
+        self.relay.on_shared(self.round, Arc::clone(&package));
+        if package.round > self.round {
+            self.pull_missing(from, package.cluster, ctx);
+        }
         // Alg. 1 line 16: re-broadcast as a Local message within the local cluster,
         // sharing the verified package.
         let members = self.my_members();
         ctx.broadcast(members, AvaMsg::LocalShare(package));
+    }
+
+    /// A verified package of a later round, straight from `from`, a member of
+    /// `its_cluster`, proves that cluster executed our round: ask the sender for
+    /// what we still miss of it (see `relay`).
+    fn pull_missing(
+        &mut self,
+        from: ReplicaId,
+        its_cluster: ClusterId,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) {
+        if !self.membership.contains(its_cluster, from)
+            && !self.prev_membership.contains(its_cluster, from)
+        {
+            return;
+        }
+        let held = &self.round_state.packages;
+        let missing = self.membership.cluster_ids().into_iter().filter(|c| !held.contains_key(c));
+        let round = self.round;
+        for cluster in self.relay.on_future_package(round, from, its_cluster, missing) {
+            ctx.send(from, AvaMsg::InterPull { round, cluster });
+            let value = trace_value(round, cluster, from);
+            ctx.emit(Output::Custom { name: "package_pulled", value, at: ctx.now() });
+        }
+    }
+
+    /// Serve a package of the round just executed to a replica that proved it
+    /// misses it (see `relay`). The answer is an ordinary `Inter`.
+    fn on_inter_pull(
+        &mut self,
+        from: ReplicaId,
+        round: Round,
+        cluster: ClusterId,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) {
+        let known = |m: &Membership| m.cluster_of(from).is_some();
+        if !known(&self.membership) && !known(&self.prev_membership) {
+            return;
+        }
+        if let Some(package) = self.relay.on_pull(from, round, cluster) {
+            ctx.send(from, AvaMsg::Inter(package));
+            let value = trace_value(round, cluster, from);
+            ctx.emit(Output::Custom { name: "package_served", value, at: ctx.now() });
+        }
     }
 
     fn on_local_share(
@@ -837,32 +919,18 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             return;
         }
         if package.round > self.round {
-            self.future_packages.push(package);
+            let (registry, current, prev) =
+                (&self.registry, &self.membership, &self.prev_membership);
+            let verify = |p: &RoundPackage| p.verify_either(registry, current, prev);
+            let conflict = self.relay.stash(self.round, Arc::clone(&package), verify);
+            self.report_equivocation(&package, conflict, ctx);
             return;
         }
         if package.round < self.round {
             return;
         }
-        if let Some(existing) = self.round_state.packages.get(&package.cluster) {
-            // Honest duplicates share the originating leader's single `Arc`
-            // through every fan-out, so pointer equality is the (free) common
-            // case. A different allocation with different *content* for the
-            // same slot is equivocation — two packages claiming the same
-            // `(cluster, round)` cannot both be honest.
-            if !Arc::ptr_eq(existing, &package) {
-                let first = existing.content_digest();
-                let second = package.content_digest();
-                if first != second {
-                    ctx.emit(Output::EquivocationObserved {
-                        replica: self.cfg.me,
-                        cluster: package.cluster,
-                        round: package.round,
-                        first,
-                        second,
-                        at: ctx.now(),
-                    });
-                }
-            }
+        if let Some(held) = self.round_state.packages.get(&package.cluster) {
+            self.report_equivocation(&package, relay::conflict(held, &package), ctx);
             return;
         }
         ctx.consume(
@@ -1015,10 +1083,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             });
         }
 
-        // Remember own package for Alg. 8's previous-round re-broadcast.
+        // Remember own package for Alg. 8's previous-round re-broadcast, and all
+        // of them for replicas that prove they miss one.
         if let Some(own) = packages.get(&self.cfg.cluster) {
             self.prev_package = Some(Arc::clone(own));
         }
+        self.relay.on_round_executed(self.round, packages);
 
         // Clear per-round reconfiguration collection state (Alg. 10 line 36).
         for rc in &local_recs {
@@ -1124,8 +1194,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             self.cfg.params.brd_timeout,
         );
         // Re-deliver packages and BRD messages that arrived early for this round.
-        let future = std::mem::take(&mut self.future_packages);
-        for package in future {
+        for package in self.relay.take_stashed(round) {
             self.on_local_share(package, ctx);
         }
         self.future_brd = self.future_brd.split_off(&round);
@@ -1274,7 +1343,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.seen_batches.clear();
         self.machine = machine_for(self.cfg.machine);
         self.prev_package = None;
-        self.future_packages.clear();
+        self.relay = Relay::new(self.cfg.cluster);
         self.ordered_reconfig_sets.clear();
         self.mute_inter = false;
         self.leave_requested = false;
@@ -1653,7 +1722,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                     self.apply_tob_actions(actions, ctx);
                 }
                 AvaMsg::Brd(m) => self.on_brd_msg(from, m, ctx),
-                AvaMsg::Inter(package) => self.on_inter(package, ctx),
+                AvaMsg::Inter(package) => self.on_inter(from, package, ctx),
                 AvaMsg::LocalShare(package) => self.on_local_share(package, ctx),
                 _ => {}
             }
@@ -1897,8 +1966,9 @@ where
                 let actions = self.rlc.on_message(from, m, ctx.now());
                 self.apply_rlc_actions(actions, ctx);
             }
-            AvaMsg::Inter(package) => self.on_inter(package, ctx),
+            AvaMsg::Inter(package) => self.on_inter(from, package, ctx),
             AvaMsg::LocalShare(package) => self.on_local_share(package, ctx),
+            AvaMsg::InterPull { round, cluster } => self.on_inter_pull(from, round, cluster, ctx),
             AvaMsg::RequestJoin { replica, region, .. } => {
                 self.on_request_join(replica, region, ctx)
             }
