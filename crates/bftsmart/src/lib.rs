@@ -403,10 +403,11 @@ impl TotalOrderBroadcast for BftSmart {
         let mut out = Vec::new();
         match msg {
             BftSmartMsg::Forward(op) => {
-                if self.is_leader() {
-                    self.pool.enqueue(op);
-                    self.maybe_propose(&mut out);
-                }
+                // A non-leader keeps it too: a member re-forwards to a new
+                // leader as soon as it installs the change, which can be
+                // before the new leader has. Delivery drops it from here.
+                self.pool.enqueue(op);
+                self.maybe_propose(&mut out);
             }
             BftSmartMsg::PrePrepare { block, regency } => {
                 self.handle_pre_prepare(from, block, regency, &mut out);
@@ -444,8 +445,9 @@ impl TotalOrderBroadcast for BftSmart {
     fn on_tick(&mut self, now: Time) -> Vec<TobAction<BftSmartMsg>> {
         let mut out = Vec::new();
         self.maybe_propose(&mut out);
-        if self.pool.should_complain(now, self.cfg.timeout) {
-            out.push(TobAction::Complain { leader: self.leader });
+        let (floor, ceiling) = (self.cfg.timeout_floor, self.cfg.timeout);
+        if let Some(silent_for) = self.pool.should_complain(now, floor, ceiling) {
+            out.push(TobAction::Complain { leader: self.leader, silent_for });
         }
         out
     }

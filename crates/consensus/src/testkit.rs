@@ -6,9 +6,9 @@
 //! unit and property tests without pulling in the full simulator.
 
 use crate::block::CommittedBlock;
-use crate::tob::{TobAction, TotalOrderBroadcast};
+use crate::tob::{FaultMode, TobAction, TotalOrderBroadcast};
 use ava_crypto::Digest;
-use ava_types::{Duration, Operation, ReplicaId, Time, Timestamp};
+use ava_types::{ClientId, Duration, Operation, ReplicaId, Time, Timestamp, Transaction};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
 /// A deterministic, latency-free network of TOB instances.
@@ -67,14 +67,19 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
     /// Install `leader` with timestamp `ts` at every live node.
     pub fn install_leader(&mut self, leader: ReplicaId, ts: Timestamp) {
         let ids: Vec<ReplicaId> = self.nodes.keys().copied().collect();
-        let now = self.now;
         for id in ids {
-            if self.down.contains(&id) {
-                continue;
+            if !self.down.contains(&id) {
+                self.install_leader_at(id, leader, ts);
             }
-            let actions = self.nodes.get_mut(&id).expect("node").new_leader(leader, ts, now);
-            self.apply(id, actions);
         }
+    }
+
+    /// Install `leader` with timestamp `ts` at node `at` alone (the others
+    /// install it later, or never).
+    pub fn install_leader_at(&mut self, at: ReplicaId, leader: ReplicaId, ts: Timestamp) {
+        let now = self.now;
+        let actions = self.nodes.get_mut(&at).expect("unknown replica").new_leader(leader, ts, now);
+        self.apply(at, actions);
     }
 
     /// Deliver at most `steps` queued messages; returns whether the network went
@@ -138,7 +143,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
             match action {
                 TobAction::Send { to, msg } => self.queue.push_back((at, to, msg)),
                 TobAction::Deliver(block) => self.delivered.get_mut(&at).expect("node").push(block),
-                TobAction::Complain { leader } => {
+                TobAction::Complain { leader, .. } => {
                     self.complaints.get_mut(&at).expect("node").push(leader)
                 }
                 TobAction::Consume(_) => {}
@@ -181,4 +186,70 @@ pub fn sweep_regency_change_cuts<T: TotalOrderBroadcast>(
         }
     }
     unreachable!("the loop returns once a cut is past the end")
+}
+
+fn op(seq: u64) -> Operation {
+    Operation::Trans(Transaction::write(ClientId(0), seq, seq, 64))
+}
+
+/// The local watchdog's contract (`PendingPool::watchdog_bound`, DESIGN.md
+/// §14) as every backend must keep it, on `net`: fresh, led by its first
+/// member, and configured with the default ε (500 ms) and a timeout of at
+/// least 2 s. Under a silent leader its second member complains after 4 ×
+/// the worst delivery gap it has seen — also when the silent leader is the next
+/// one — and after ε once `reset` wiped that history; once per waiting period.
+pub fn check_watchdog_follows_pace<T: TotalOrderBroadcast>(mut net: LocalNet<T>) {
+    let ids: Vec<ReplicaId> = net.nodes.keys().copied().collect();
+    let (first, watcher, second) = (ids[0], ids[1], ids[2]);
+    let ms = Duration::from_millis;
+    let complaints = |net: &LocalNet<T>| net.complaints[&watcher].len();
+    // A 301 ms wait for the first delivery: the bound becomes 1 204 ms.
+    net.nodes.get_mut(&first).expect("node").set_fault_mode(FaultMode::SilentLeader);
+    net.broadcast(watcher, op(0));
+    net.run_to_quiescence(100_000);
+    net.tick(ms(300));
+    net.nodes.get_mut(&first).expect("node").set_fault_mode(FaultMode::Correct);
+    net.tick(ms(1));
+    net.run_to_quiescence(100_000);
+    assert_eq!(net.delivered_ops(watcher), vec![op(0)]);
+    assert_eq!(complaints(&net), 0, "a 301 ms wait is under ε");
+    // The history outlives the leader: the next one is held to it as well.
+    net.nodes.get_mut(&second).expect("node").set_fault_mode(FaultMode::SilentLeader);
+    net.install_leader(second, Timestamp(1));
+    net.run_to_quiescence(100_000);
+    net.broadcast(watcher, op(1));
+    net.run_to_quiescence(100_000);
+    net.tick(ms(1_203));
+    assert_eq!(complaints(&net), 0, "complained before 4 × the worst gap");
+    net.tick(ms(1));
+    assert_eq!(complaints(&net), 1, "no complaint at 4 × the worst gap");
+    // A restart forgets it: ε again, and once per waiting period.
+    net.nodes.get_mut(&watcher).expect("node").reset();
+    net.broadcast(watcher, op(2));
+    net.run_to_quiescence(100_000);
+    net.tick(ms(499));
+    assert_eq!(complaints(&net), 1, "a restarted replica complained before ε");
+    net.tick(ms(1));
+    assert_eq!(complaints(&net), 2, "a restarted replica did not complain at ε");
+    net.tick(ms(5_000));
+    assert_eq!(complaints(&net), 2, "complained twice in one waiting period");
+}
+
+/// A member that installs a new leader re-forwards its undelivered operations
+/// at once; on `net` (fresh, led by its first member) the new leader here
+/// receives that forward before it has installed its own leadership, and must
+/// still propose the operation once it has.
+pub fn check_forward_before_leadership_is_kept<T: TotalOrderBroadcast>(mut net: LocalNet<T>) {
+    let ids: Vec<ReplicaId> = net.nodes.keys().copied().collect();
+    let (first, next, member) = (ids[0], ids[1], ids[2]);
+    net.nodes.get_mut(&first).expect("node").set_fault_mode(FaultMode::SilentLeader);
+    net.broadcast(member, op(0));
+    net.run_to_quiescence(100_000);
+    net.install_leader_at(member, next, Timestamp(1));
+    net.run_to_quiescence(100_000);
+    net.install_leader(next, Timestamp(1));
+    net.run_to_quiescence(100_000);
+    net.tick(Duration::from_millis(1));
+    net.run_to_quiescence(100_000);
+    net.assert_one_log(&[op(0)], "forward before leadership");
 }

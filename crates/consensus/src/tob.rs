@@ -33,6 +33,9 @@ pub enum TobAction<M> {
     Complain {
         /// The leader being complained about.
         leader: ReplicaId,
+        /// How long this replica had waited for a delivery when the watchdog
+        /// fired (at least the bound it fired at).
+        silent_for: Duration,
     },
     /// Charge the hosting replica CPU time (signature checks, hashing).
     Consume(Duration),
@@ -60,9 +63,14 @@ pub struct TobConfig {
     pub members: Vec<ReplicaId>,
     /// Maximum number of operations per block.
     pub max_block_size: usize,
-    /// Leader liveness timeout: if a broadcast value is not delivered within this
-    /// duration the instance emits a [`TobAction::Complain`].
+    /// Ceiling of the leader watchdog: a broadcast value not delivered within
+    /// this duration always makes the instance emit a [`TobAction::Complain`]
+    /// (sooner once the cluster has shown its pace, see
+    /// [`PendingPool::watchdog_bound`](crate::PendingPool::watchdog_bound)).
     pub timeout: Duration,
+    /// Floor of the leader watchdog (the paper's ε): however fast the cluster
+    /// has been, the instance waits at least this long before complaining.
+    pub timeout_floor: Duration,
     /// Modelled CPU cost of verifying one signature.
     pub verify_cost: Duration,
     /// Modelled CPU cost of producing one signature.
@@ -78,6 +86,7 @@ impl TobConfig {
             members,
             max_block_size: 100,
             timeout: Duration::from_secs(20),
+            timeout_floor: Duration::from_millis(500),
             verify_cost: Duration::from_micros(40),
             sign_cost: Duration::from_micros(20),
         }

@@ -223,18 +223,26 @@ impl FuzzCase {
             seed = self.seed,
             proto = self.protocol.label(),
         ));
+        // Every parameter `encode` covers, so the snippet reproduces the case.
         let p = &self.config.params;
         s.push_str(&format!("config.params.batch_size = {};\n", p.batch_size));
+        s.push_str(&format!("config.params.alpha_percent = {};\n", p.alpha_percent));
         for (field, value) in [
             ("remote_leader_timeout", p.remote_leader_timeout),
             ("brd_timeout", p.brd_timeout),
             ("local_timeout", p.local_timeout),
+            ("leader_change_grace", p.leader_change_grace),
         ] {
             s.push_str(&format!(
                 "config.params.{field} = Duration::from_micros({});\n",
                 value.as_micros()
             ));
         }
+        s.push_str(&format!("config.params.op_size = {};\n", p.op_size));
+        s.push_str(&format!(
+            "config.params.parallel_reconfig_workflow = {};\n",
+            p.parallel_reconfig_workflow
+        ));
         s.push_str(&format!(
             "let scenario = Scenario::builder(Protocol::{:?}, config)\n    .seed({})\n",
             self.protocol, self.opts.seed
@@ -960,6 +968,46 @@ mod tests {
                 ScenarioEvent::Corrupt { .. } => ".corrupt_at(",
             };
             assert!(snippet.contains(needle), "snippet misses {event:?}");
+        }
+    }
+
+    /// `encode` covers every protocol parameter; a reproducer that left one at
+    /// its default would replay another run.
+    #[test]
+    fn snippet_restates_every_protocol_parameter() {
+        let mut case = ScheduleGenerator::new(FuzzConfig::quick()).case(0);
+        let defaults = ava_types::ProtocolParams::default();
+        case.config.params = ava_types::ProtocolParams {
+            batch_size: 7,
+            alpha_percent: 33,
+            remote_leader_timeout: Duration(1_000_001),
+            brd_timeout: Duration(1_000_002),
+            local_timeout: Duration(1_000_003),
+            leader_change_grace: Duration(1_000_004),
+            op_size: 77,
+            parallel_reconfig_workflow: false,
+        };
+        let p = &case.config.params;
+        assert_ne!(p.batch_size, defaults.batch_size);
+        assert_ne!(p.alpha_percent, defaults.alpha_percent);
+        assert_ne!(p.remote_leader_timeout, defaults.remote_leader_timeout);
+        assert_ne!(p.brd_timeout, defaults.brd_timeout);
+        assert_ne!(p.local_timeout, defaults.local_timeout);
+        assert_ne!(p.leader_change_grace, defaults.leader_change_grace);
+        assert_ne!(p.op_size, defaults.op_size);
+        assert_ne!(p.parallel_reconfig_workflow, defaults.parallel_reconfig_workflow);
+        let snippet = case.builder_snippet();
+        for line in [
+            "config.params.batch_size = 7;",
+            "config.params.alpha_percent = 33;",
+            "config.params.remote_leader_timeout = Duration::from_micros(1000001);",
+            "config.params.brd_timeout = Duration::from_micros(1000002);",
+            "config.params.local_timeout = Duration::from_micros(1000003);",
+            "config.params.leader_change_grace = Duration::from_micros(1000004);",
+            "config.params.op_size = 77;",
+            "config.params.parallel_reconfig_workflow = false;",
+        ] {
+            assert!(snippet.contains(line), "snippet misses `{line}`:\n{snippet}");
         }
     }
 }

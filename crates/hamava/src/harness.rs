@@ -100,6 +100,7 @@ where
                 let mut tob_cfg = TobConfig::new(spec.id, id, members.clone());
                 tob_cfg.max_block_size = config.params.batch_size;
                 tob_cfg.timeout = config.params.local_timeout;
+                tob_cfg.timeout_floor = config.params.leader_change_grace;
                 let tob = factory(tob_cfg, keypair.clone(), registry.clone(), leader);
                 let mut rcfg =
                     ReplicaConfig::new(id, region, spec.id, config.params, membership.clone());
@@ -189,6 +190,7 @@ where
         let mut tob_cfg = TobConfig::new(cluster, id, members);
         tob_cfg.max_block_size = self.config.params.batch_size;
         tob_cfg.timeout = self.config.params.local_timeout;
+        tob_cfg.timeout_floor = self.config.params.leader_change_grace;
         let tob = (self.factory)(tob_cfg, keypair.clone(), self.registry.clone(), leader);
         let mut rcfg = ReplicaConfig::new(id, region, cluster, self.config.params, membership);
         rcfg.joining = true;

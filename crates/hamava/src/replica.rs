@@ -408,7 +408,11 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             match action {
                 TobAction::Send { to, msg } => ctx.send(to, AvaMsg::Tob(msg)),
                 TobAction::Consume(d) => ctx.consume(d),
-                TobAction::Complain { .. } => {
+                TobAction::Complain { silent_for, .. } => {
+                    // How long the local watchdog waited, for timelines and
+                    // fuzz dumps: shows which bound fired.
+                    let value = silent_for.as_millis_f64();
+                    ctx.emit(Output::Custom { name: "leader_suspected", value, at: ctx.now() });
                     let actions = self.election.complain();
                     self.apply_election_actions(actions, ctx);
                 }

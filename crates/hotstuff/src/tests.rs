@@ -1,7 +1,10 @@
 //! Unit and property tests for the HotStuff total-order broadcast.
 
 use super::*;
-use ava_consensus::testkit::{sweep_regency_change_cuts, LocalNet};
+use ava_consensus::testkit::{
+    check_forward_before_leadership_is_kept, check_watchdog_follows_pace,
+    sweep_regency_change_cuts, LocalNet,
+};
 use ava_types::{ClientId, ClusterId, Duration, Transaction};
 use proptest::prelude::*;
 
@@ -153,6 +156,18 @@ fn a_leader_change_at_any_cut_neither_forks_nor_loses_an_operation() {
         sweep_regency_change_cuts(|| make_net(7), &ops, &leaders, 0);
         sweep_regency_change_cuts(|| make_net(7), &ops, &leaders, 30);
     }
+}
+
+#[test]
+fn the_watchdog_follows_the_clusters_pace() {
+    check_watchdog_follows_pace(make_net(4));
+}
+
+/// Finding 11: the parent dropped a `Forward` at a replica that did not lead
+/// (yet), and the operation waited in its originator's pool for good.
+#[test]
+fn a_forward_that_arrives_before_new_leader_is_proposed_after_it() {
+    check_forward_before_leadership_is_kept(make_net(4));
 }
 
 proptest! {

@@ -27,10 +27,16 @@ pub struct ProtocolParams {
     pub remote_leader_timeout: Duration,
     /// Timeout of the BRD leader watchdog (Alg. 5 line 12).
     pub brd_timeout: Duration,
-    /// Timeout of the local total-order-broadcast leader watchdog.
+    /// Ceiling of the local total-order-broadcast leader watchdog: a replica
+    /// waiting this long for a delivery always suspects its leader. It suspects
+    /// it sooner once the cluster has shown its pace — after 4 × the longest
+    /// delivery gap the replica has seen, but never before ε
+    /// (`leader_change_grace`; DESIGN.md §14).
     pub local_timeout: Duration,
     /// Grace period ε after a leader change during which further remote complaints do
-    /// not trigger another change (Alg. 2 line 25).
+    /// not trigger another change (Alg. 2 line 25). ε is also the floor of the
+    /// local leader watchdog: however fast the cluster has been, a replica waits
+    /// at least ε before suspecting its leader. ε = 0 removes the floor.
     pub leader_change_grace: Duration,
     /// Operation payload size in bytes (the paper uses 1 KB operations).
     pub op_size: u32,

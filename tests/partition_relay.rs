@@ -12,6 +12,9 @@
 //! run exactly as it did before the relay existed (fingerprints captured at the
 //! parent commit).
 
+mod common;
+
+use common::longest_execution_gap;
 use hamava_repro::consensus::TobConfig;
 use hamava_repro::crypto::KeyRegistry;
 use hamava_repro::fuzz::{fingerprint_outputs, CheckerSet};
@@ -24,7 +27,6 @@ use hamava_repro::simnet::{Actor, Context, Simulation};
 use hamava_repro::types::{
     ClusterId, Duration, Output, Reconfig, Region, ReplicaId, Round, SystemConfig, Time,
 };
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 const PARTITION_AT: Time = Time(3_000_000);
@@ -72,24 +74,6 @@ fn relay_events(outputs: &[Output], name: &str) -> Vec<(u64, ClusterId, ReplicaI
         .collect()
 }
 
-/// The longest interval in which `cluster` executed no round, from its first
-/// execution to the end of the run.
-fn longest_execution_gap(run: &ScenarioRun, cluster: ClusterId) -> Duration {
-    let mut first_execution: BTreeMap<u64, Time> = BTreeMap::new();
-    for o in &run.outputs {
-        if let Output::RoundExecuted { cluster: c, round, at, .. } = o {
-            if *c == cluster {
-                let first = first_execution.entry(round.0).or_insert(*at);
-                *first = (*first).min(*at);
-            }
-        }
-    }
-    let mut times: Vec<Time> = first_execution.into_values().collect();
-    times.push(Time::ZERO + RUN);
-    times.sort();
-    times.windows(2).map(|w| w[1].since(w[0])).max().expect("the cluster executed rounds")
-}
-
 #[test]
 fn a_partition_between_two_of_three_clusters_costs_no_timeout_and_no_leader() {
     for protocol in Protocol::AVA {
@@ -101,7 +85,7 @@ fn a_partition_between_two_of_three_clusters_costs_no_timeout_and_no_leader() {
             run.outputs.iter().filter(|o| matches!(o, Output::LeaderChanged { .. })).count();
         assert_eq!(leader_changes, 0, "{label}: a bridged partition must not change a leader");
         for cluster in [ClusterId(0), ClusterId(1), ClusterId(2)] {
-            let gap = longest_execution_gap(&run, cluster);
+            let gap = longest_execution_gap(&run, cluster, Time::ZERO + RUN);
             assert!(
                 gap <= Duration::from_secs(1),
                 "{label}: {cluster:?} executed nothing for {gap}"
