@@ -1498,22 +1498,6 @@ mod tests {
     }
 
     #[test]
-    fn every_protocol_label_runs_its_own_stack() {
-        // Regression test for the old e4 arm that ran a BFT-SMaRt deployment for
-        // the GeoBFT label: with the scenario API the deployment reports the label
-        // it was built for, and GeoBFT visibly gets its config transform.
-        let scale = tiny_scale();
-        let mut config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
-        config.params.batch_size = 20;
-        for protocol in Protocol::ALL {
-            let dep = protocol.deploy(config.clone(), default_opts(12, &scale));
-            assert_eq!(dep.protocol(), protocol, "label must map to its own deployment");
-        }
-        let geo = Protocol::GeoBft.deploy(config.clone(), default_opts(12, &scale));
-        assert!(geo.config().params.parallel_reconfig_workflow);
-    }
-
-    #[test]
     fn churn_schedule_matches_the_e5_shape() {
         let config = SystemConfig::homogeneous_regions(&[(5, Region::UsWest), (5, Region::Europe)]);
         let builder = Scenario::builder(Protocol::AvaHotStuff, config.clone())

@@ -189,11 +189,14 @@ fn quick_shape_set() -> Vec<Shape> {
     shapes.push((
         "e10/hotstuff_crash_restart_5s".to_string(),
         Box::new(move || {
-            let mut dep = Protocol::AvaHotStuff.deploy(small_config(2), store_opts7.clone());
-            dep.crash_at(ReplicaId(1), Time::from_secs(1));
-            dep.restart_at(ReplicaId(1), Time::from_secs(3));
-            dep.run_for(run_secs);
-            (dep.net_stats().events_processed, completed(dep.outputs()))
+            let run = Scenario::builder(Protocol::AvaHotStuff, small_config(2))
+                .options(store_opts7.clone())
+                .run_for(run_secs)
+                .crash_at(Time::from_secs(1), ReplicaId(1))
+                .restart_at(Time::from_secs(3), ReplicaId(1))
+                .build()
+                .run();
+            (run.stats.events_processed, completed(&run.outputs))
         }),
     ));
     // Broker-tier hot path (the PR8 subsystem): aggregate virtual-client load

@@ -21,7 +21,8 @@
 //! The replica side (batch verification, idempotent re-admission, per-op
 //! commit trace) lives in `ava-hamava`; this crate owns only the tier's actors
 //! and the [`attach`] helper that wires them into a built
-//! [`ava_hamava::harness::Deployment`].
+//! [`ava_hamava::harness::Deployment`] (`ava_scenario`'s `DynDeployment::attach_brokers`
+//! is its one caller outside this crate's tests).
 
 pub mod aggregate;
 pub mod broker;
@@ -197,8 +198,8 @@ mod tests {
         let opts = DeploymentOptions { seed, clients_per_cluster: 0, ..Default::default() };
         let mut deployment = Deployment::build(config, opts, hotstuff_factory());
         attach(&mut deployment, tier);
-        deployment.run_for(Duration::from_secs(6));
-        deployment.take_outputs()
+        deployment.sim.run_for(Duration::from_secs(6));
+        deployment.sim.take_outputs()
     }
 
     fn completed_ids(outputs: &[Output]) -> Vec<TxId> {

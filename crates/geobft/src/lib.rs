@@ -1,46 +1,35 @@
 //! # ava-geobft
 //!
-//! Baselines for the paper's comparative experiments:
+//! The GeoBFT-style baseline of experiment E6. GeoBFT (ResilientDB) partitions
+//! replicas into clusters, runs PBFT locally, and has the local leader share each
+//! locally certified batch with `f+1` replicas of every remote cluster, which
+//! re-broadcast it locally — exactly the structure Hamava generalises (§ Related
+//! Work: "the inspiring work GeoBFT"). The crucial difference is that GeoBFT's
+//! membership is *fixed*: no reconfiguration, no heterogeneous cluster sizes by
+//! design. The comparator is therefore the same clustered machinery on the
+//! PBFT-style BFT-SMaRt local consensus with reconfiguration refused, which
+//! reproduces GeoBFT's message and latency structure while making the "GeoBFT
+//! cannot reconfigure" distinction explicit.
 //!
-//! * **GeoBFT-style clustered replication** (experiment E6). GeoBFT (ResilientDB)
-//!   partitions replicas into clusters, runs PBFT locally, and has the local leader
-//!   share each locally certified batch with `f+1` replicas of every remote cluster,
-//!   which re-broadcast it locally — exactly the structure Hamava generalises
-//!   (§ Related Work: "the inspiring work GeoBFT"). The crucial difference is that
-//!   GeoBFT's membership is *fixed*: no reconfiguration, no heterogeneous cluster
-//!   sizes by design. This crate therefore builds the comparator as the same
-//!   clustered machinery instantiated with the PBFT-style local consensus and with
-//!   reconfiguration disabled, which reproduces GeoBFT's message and latency
-//!   structure while making the "GeoBFT cannot reconfigure" distinction explicit.
-//! * **Non-clustered PBFT** (the classical baseline the paper's complexity analysis
-//!   compares against): all replicas in one cluster spanning every region.
-//!
-//! Both baselines are driven through the same [`ava_hamava::Deployment`] harness so
-//! that the benchmark crate can sweep them with identical workloads.
+//! `ava_scenario::Protocol::GeoBft` builds it: [`geobft_config`] over the same
+//! [`ava_hamava::Deployment`] harness as the two Hamava instantiations, so the
+//! experiments sweep all three with identical workloads.
 
-use ava_types::{Region, SystemConfig};
+use ava_types::SystemConfig;
 
-/// Adjust `config` for a GeoBFT-style run: clustered, PBFT local ordering, certified
-/// global sharing, fixed membership.
+/// Adjust `config` for a GeoBFT-style run.
 ///
-/// A GeoBFT configuration must not be driven with join/leave requests — GeoBFT has
-/// no reconfiguration path, and that is precisely the capability gap E6 highlights.
-/// `ava_scenario::Protocol::GeoBft` enforces this by rejecting reconfiguration
-/// events at deployment time.
+/// The one change pins `parallel_reconfig_workflow` to `true`, its default, so
+/// a caller's single-workflow ablation setting (E5.2) never reaches the
+/// baseline. On default parameters the GeoBFT label therefore runs AVA-BFTSMART
+/// unchanged; what makes it GeoBFT is that it is never driven with join/leave
+/// requests — GeoBFT has no reconfiguration path, and that is precisely the
+/// capability gap E6 highlights. `ava_scenario::ScenarioBuilder::try_build`
+/// rejects every such event for `Protocol::GeoBft`, so the BRD round of every
+/// round closes with an empty set.
 pub fn geobft_config(mut config: SystemConfig) -> SystemConfig {
-    // GeoBFT processes client batches directly; there is no parallel reconfiguration
-    // workflow to overlap, so disable it (the BRD round still closes with an empty
-    // set, mirroring GeoBFT's lack of a reconfiguration phase).
     config.params.parallel_reconfig_workflow = true;
     config
-}
-
-/// Configuration for the classical non-clustered baseline: every replica in a single
-/// cluster, spread over `regions` round-robin.
-pub fn non_clustered_config(total: usize, regions: &[Region]) -> SystemConfig {
-    assert!(total > 0 && !regions.is_empty());
-    let replicas: Vec<Region> = (0..total).map(|i| regions[i % regions.len()]).collect();
-    SystemConfig::heterogeneous(&[replicas])
 }
 
 #[cfg(test)]
@@ -48,7 +37,7 @@ mod tests {
     use super::*;
     use ava_hamava::harness::{bftsmart_factory, Deployment, DeploymentOptions};
     use ava_simnet::{CostModel, LatencyModel};
-    use ava_types::{ClusterId, Duration, Output};
+    use ava_types::{Duration, Output, Region};
     use ava_workload::WorkloadSpec;
 
     fn small_opts() -> DeploymentOptions {
@@ -69,25 +58,9 @@ mod tests {
         let mut config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
         config.params.batch_size = 20;
         let mut dep = Deployment::build(geobft_config(config), small_opts(), bftsmart_factory());
-        dep.run_for(Duration::from_secs(10));
+        dep.sim.run_for(Duration::from_secs(10));
         let committed =
-            dep.outputs().iter().filter(|o| matches!(o, Output::TxCompleted { .. })).count();
+            dep.sim.outputs().iter().filter(|o| matches!(o, Output::TxCompleted { .. })).count();
         assert!(committed > 0, "GeoBFT baseline should commit transactions");
-    }
-
-    #[test]
-    fn geobft_config_forces_the_direct_processing_path() {
-        let mut config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
-        config.params.parallel_reconfig_workflow = false;
-        assert!(geobft_config(config).params.parallel_reconfig_workflow);
-    }
-
-    #[test]
-    fn non_clustered_config_is_one_cluster_across_regions() {
-        let cfg = non_clustered_config(9, &[Region::UsWest, Region::Europe, Region::AsiaSouth]);
-        assert_eq!(cfg.clusters.len(), 1);
-        let m = cfg.membership();
-        assert_eq!(m.size(ClusterId(0)), 9);
-        assert_eq!(m.f(ClusterId(0)), 2);
     }
 }

@@ -32,13 +32,14 @@
 //!     vec![Region::Europe; 7],
 //! ]);
 //! let mut deployment = Deployment::build(config, DeploymentOptions::default(), hotstuff_factory());
-//! deployment.run_for(Duration::from_secs(5));
-//! assert!(!deployment.outputs().is_empty());
+//! deployment.sim.run_for(Duration::from_secs(5));
+//! assert!(!deployment.sim.outputs().is_empty());
 //! ```
 //!
-//! Experiments should prefer the declarative scenario API (`ava-scenario`), which
-//! wraps this harness behind [`harness::Deployment`]-erasing trait objects and adds
-//! event schedules and run observers.
+//! The harness only builds: the run is driven on its public `sim`. Experiments
+//! should prefer the declarative scenario API (`ava-scenario`), which implements
+//! its object-safe `DynDeployment` trait directly on [`harness::Deployment`] and
+//! adds event schedules and run observers.
 
 pub mod brd;
 pub mod byzantine;

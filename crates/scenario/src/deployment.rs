@@ -2,19 +2,18 @@
 //!
 //! [`DynDeployment`] is the object-safe face of [`ava_hamava::harness::Deployment`]:
 //! it erases the total-order-broadcast generic so that one call site can drive
-//! AVA-HOTSTUFF, AVA-BFTSMART and the GeoBFT baseline interchangeably. Every
-//! deployment is built through [`Protocol::deploy`], which is the single place in
-//! the workspace where a protocol label is mapped to a concrete deployment — the
-//! per-protocol `match` arms that used to be copy-pasted through the experiment
-//! harness are unrepresentable on top of this API.
+//! AVA-HOTSTUFF, AVA-BFTSMART and the GeoBFT baseline interchangeably. It is
+//! implemented once, directly for the harness deployment, and every deployment
+//! is built through [`Protocol::deploy`] — the single place in the workspace
+//! where a protocol label is mapped to a concrete stack.
 
+use crate::scenario::ScenarioEvent;
 use ava_broker::{AttachedTier, BrokerTier};
 use ava_consensus::{TotalOrderBroadcast, WireSize};
 use ava_hamava::harness::{bftsmart_factory, hotstuff_factory, Deployment, DeploymentOptions};
-use ava_hamava::{AvaMsg, ByzantineBehavior};
-use ava_simnet::{HandlerProfile, LatencyModel, NetStats, SimMessage};
-use ava_types::{ClientId, ClusterId, Duration, Output, Region, ReplicaId, SystemConfig, Time};
-use ava_workload::WorkloadSpec;
+use ava_hamava::{AvaMsg, ControlCmd};
+use ava_simnet::{HandlerProfile, NetStats, SimMessage};
+use ava_types::{ClientId, Duration, Output, ReplicaId, SystemConfig, Time};
 
 /// Which replicated system to run.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -45,8 +44,8 @@ impl Protocol {
     }
 
     /// Whether the protocol supports membership reconfiguration. GeoBFT does not —
-    /// that is the capability gap experiment E6 highlights — and deployments built
-    /// for it reject join/leave events instead of silently misbehaving.
+    /// that is the capability gap experiment E6 highlights — and
+    /// [`crate::ScenarioBuilder::try_build`] rejects join/leave events for it.
     pub fn reconfigurable(self) -> bool {
         !matches!(self, Protocol::GeoBft)
     }
@@ -54,27 +53,16 @@ impl Protocol {
     /// Build a simulated deployment of this protocol.
     ///
     /// This is the only place where a [`Protocol`] label is turned into a concrete
-    /// deployment, so a label can never run another protocol's stack (the silent
-    /// `AvaBftSmart | GeoBft` fallthrough the old experiment harness had is
-    /// unrepresentable).
+    /// deployment, so a label can never run another protocol's stack.
     pub fn deploy(self, config: SystemConfig, opts: DeploymentOptions) -> Box<dyn DynDeployment> {
         match self {
-            Protocol::AvaHotStuff => Box::new(ProtocolDeployment {
-                protocol: self,
-                inner: Deployment::build(config, opts, hotstuff_factory()),
-            }),
-            Protocol::AvaBftSmart => Box::new(ProtocolDeployment {
-                protocol: self,
-                inner: Deployment::build(config, opts, bftsmart_factory()),
-            }),
-            Protocol::GeoBft => Box::new(ProtocolDeployment {
-                protocol: self,
-                inner: Deployment::build(
-                    ava_geobft::geobft_config(config),
-                    opts,
-                    bftsmart_factory(),
-                ),
-            }),
+            Protocol::AvaHotStuff => Box::new(Deployment::build(config, opts, hotstuff_factory())),
+            Protocol::AvaBftSmart => Box::new(Deployment::build(config, opts, bftsmart_factory())),
+            Protocol::GeoBft => Box::new(Deployment::build(
+                ava_geobft::geobft_config(config),
+                opts,
+                bftsmart_factory(),
+            )),
         }
     }
 }
@@ -85,82 +73,39 @@ impl std::fmt::Display for Protocol {
     }
 }
 
+/// What applying a [`ScenarioEvent`] added to the deployment.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Joined {
+    /// The replica a `Join` created.
+    Replica(ReplicaId),
+    /// The client a `ClientJoin` created.
+    Client(ClientId),
+}
+
 /// An object-safe, protocol-erased simulated deployment.
 ///
-/// All mutation entry points an experiment needs — driving virtual time, fault
-/// injection, reconfiguration churn, client management, network shaping — are
-/// available behind `dyn`, so experiment code never mentions a TOB type or restates
-/// trait bounds.
+/// Virtual time is driven with [`run_until`](DynDeployment::run_until), and every
+/// fault, churn, client and network change is one [`ScenarioEvent`] handed to
+/// [`apply`](DynDeployment::apply), so experiment code never mentions a TOB type
+/// or restates trait bounds.
 ///
-/// `Send` is a supertrait so a boxed deployment (and hence a whole
-/// [`crate::ScenarioRun`]) can be produced on one of the parallel executor's
-/// worker threads and handed back to the caller.
+/// `Send` is a supertrait so a boxed deployment can be produced on one of the
+/// parallel executor's worker threads and handed back to the caller.
 pub trait DynDeployment: Send {
-    /// The protocol this deployment runs.
-    fn protocol(&self) -> Protocol;
-
     /// The system configuration the deployment was built from.
     fn config(&self) -> &SystemConfig;
 
     /// Current virtual time.
     fn now(&self) -> Time;
 
-    /// Run the simulation for `d` of virtual time.
-    fn run_for(&mut self, d: Duration);
-
     /// Run until virtual time `t`.
     fn run_until(&mut self, t: Time);
 
-    /// Crash `replica` at `at` (from then on it neither receives messages nor fires
-    /// timers).
-    fn crash_at(&mut self, replica: ReplicaId, at: Time);
-
-    /// Restart a crashed `replica` at `at`: it comes back with only its persisted
-    /// store (see `DeploymentOptions::store`) and catches up from its peers.
-    /// Restarting a replica that is not crashed at `at` is a no-op.
-    fn restart_at(&mut self, replica: ReplicaId, at: Time);
-
-    /// Turn `replica` Byzantine in the E4.3 sense: it keeps behaving correctly in
-    /// its cluster but withholds all inter-cluster messages.
-    fn mute_inter_cluster(&mut self, replica: ReplicaId);
-
-    /// Make `replica` silent in its local ordering role when it is the leader.
-    fn silence_local_leader(&mut self, replica: ReplicaId);
-
-    /// Turn `replica` Byzantine with `behavior` at `at`: it keeps running the
-    /// honest protocol internally but mutates its outbound traffic (see
-    /// [`ByzantineBehavior`]). Corruption persists across crash/restart.
-    fn corrupt_at(&mut self, replica: ReplicaId, at: Time, behavior: ByzantineBehavior);
-
-    /// Ask `replica` to request leaving its cluster.
-    ///
-    /// # Panics
-    /// Panics when the protocol is not [`Protocol::reconfigurable`].
-    fn request_leave(&mut self, replica: ReplicaId);
-
-    /// Add a new replica that will request to join `cluster`; returns its id.
-    ///
-    /// # Panics
-    /// Panics when the protocol is not [`Protocol::reconfigurable`].
-    fn add_joining_replica(&mut self, cluster: ClusterId, region: Region) -> ReplicaId;
-
-    /// Add one closed-loop client to `cluster` running `workload`; returns its id.
-    fn add_client(&mut self, cluster: ClusterId, workload: WorkloadSpec) -> ClientId;
-
-    /// Switch the workload of every client of `cluster`, effective now.
-    fn switch_workload(&mut self, cluster: ClusterId, workload: WorkloadSpec);
-
-    /// Partition `a` and `b` from each other, starting now.
-    fn partition(&mut self, a: ClusterId, b: ClusterId);
-
-    /// Heal a partition previously installed with [`DynDeployment::partition`].
-    fn heal(&mut self, a: ClusterId, b: ClusterId);
-
-    /// Replace the latency model for every message sent from now on.
-    fn set_latency(&mut self, latency: LatencyModel);
-
-    /// The initial leader of `cluster` (its first configured member).
-    fn initial_leader(&self, cluster: ClusterId) -> ReplicaId;
+    /// Run the simulation for `d` of virtual time.
+    fn run_for(&mut self, d: Duration) {
+        let t = self.now() + d;
+        self.run_until(t);
+    }
 
     /// Measurement events collected so far.
     fn outputs(&self) -> &[Output];
@@ -184,131 +129,98 @@ pub trait DynDeployment: Send {
     /// actors plus one aggregate virtual-client generator offering
     /// `tier.load`. Returns the node ids the tier added.
     fn attach_brokers(&mut self, tier: &BrokerTier) -> AttachedTier;
+
+    /// Apply `event` at the current virtual time; returns the replica or client
+    /// a `Join` or `ClientJoin` created. Crashes and corruptions take effect
+    /// before the next event the simulator processes; a restart, like the control
+    /// messages of mute, silence, leave and workload switch, is an event queued
+    /// at now. No check is made here: schedules are validated by
+    /// [`crate::ScenarioBuilder::try_build`].
+    fn apply(&mut self, event: &ScenarioEvent) -> Option<Joined>;
 }
 
-/// The one generic impl behind [`Protocol::deploy`]: a harness deployment tagged
-/// with the protocol label it was built for.
-struct ProtocolDeployment<T: TotalOrderBroadcast + 'static> {
-    protocol: Protocol,
-    inner: Deployment<T>,
-}
-
-impl<T> DynDeployment for ProtocolDeployment<T>
+impl<T> DynDeployment for Deployment<T>
 where
     T: TotalOrderBroadcast + 'static,
     T::Msg: Clone + WireSize + 'static,
     AvaMsg<T::Msg>: SimMessage,
 {
-    fn protocol(&self) -> Protocol {
-        self.protocol
-    }
-
     fn config(&self) -> &SystemConfig {
-        &self.inner.config
+        &self.config
     }
 
     fn now(&self) -> Time {
-        self.inner.now()
-    }
-
-    fn run_for(&mut self, d: Duration) {
-        self.inner.run_for(d);
+        self.sim.now()
     }
 
     fn run_until(&mut self, t: Time) {
-        self.inner.run_until(t);
-    }
-
-    fn crash_at(&mut self, replica: ReplicaId, at: Time) {
-        self.inner.crash_at(replica, at);
-    }
-
-    fn restart_at(&mut self, replica: ReplicaId, at: Time) {
-        self.inner.restart_at(replica, at);
-    }
-
-    fn mute_inter_cluster(&mut self, replica: ReplicaId) {
-        self.inner.mute_inter_cluster(replica);
-    }
-
-    fn silence_local_leader(&mut self, replica: ReplicaId) {
-        self.inner.silence_local_leader(replica);
-    }
-
-    fn corrupt_at(&mut self, replica: ReplicaId, at: Time, behavior: ByzantineBehavior) {
-        self.inner.corrupt_at(replica, at, behavior);
-    }
-
-    fn request_leave(&mut self, replica: ReplicaId) {
-        assert!(
-            self.protocol.reconfigurable(),
-            "{} has no reconfiguration path: request_leave({replica}) is invalid",
-            self.protocol
-        );
-        self.inner.request_leave(replica);
-    }
-
-    fn add_joining_replica(&mut self, cluster: ClusterId, region: Region) -> ReplicaId {
-        assert!(
-            self.protocol.reconfigurable(),
-            "{} has no reconfiguration path: add_joining_replica is invalid",
-            self.protocol
-        );
-        self.inner.add_joining_replica(cluster, region)
-    }
-
-    fn add_client(&mut self, cluster: ClusterId, workload: WorkloadSpec) -> ClientId {
-        self.inner.add_client_with_workload(cluster, workload)
-    }
-
-    fn switch_workload(&mut self, cluster: ClusterId, workload: WorkloadSpec) {
-        self.inner.switch_workload(cluster, workload);
-    }
-
-    fn partition(&mut self, a: ClusterId, b: ClusterId) {
-        self.inner.partition(a, b);
-    }
-
-    fn heal(&mut self, a: ClusterId, b: ClusterId) {
-        self.inner.heal(a, b);
-    }
-
-    fn set_latency(&mut self, latency: LatencyModel) {
-        self.inner.set_latency(latency);
-    }
-
-    fn initial_leader(&self, cluster: ClusterId) -> ReplicaId {
-        self.inner.initial_leader(cluster)
+        self.sim.run_until(t);
     }
 
     fn outputs(&self) -> &[Output] {
-        self.inner.outputs()
+        self.sim.outputs()
     }
 
     fn take_outputs(&mut self) -> Vec<Output> {
-        self.inner.take_outputs()
+        self.sim.take_outputs()
     }
 
     fn net_stats(&self) -> &NetStats {
-        self.inner.net_stats()
+        self.sim.stats()
     }
 
     fn enable_profile(&mut self) {
-        self.inner.sim.enable_profile();
+        self.sim.enable_profile();
     }
 
     fn handler_profile(&self) -> Option<&HandlerProfile> {
-        self.inner.sim.profile()
+        self.sim.profile()
     }
 
     fn attach_brokers(&mut self, tier: &BrokerTier) -> AttachedTier {
-        ava_broker::attach(&mut self.inner, tier)
+        ava_broker::attach(self, tier)
+    }
+
+    fn apply(&mut self, event: &ScenarioEvent) -> Option<Joined> {
+        let now = self.sim.now();
+        let mut control = |replica: ReplicaId, cmd| {
+            self.sim.external_send(replica, replica, AvaMsg::Control(cmd), now)
+        };
+        match event {
+            ScenarioEvent::Crash { replica } => self.sim.crash_at(*replica, now),
+            ScenarioEvent::Restart { replica } => self.sim.restart_at(*replica, now),
+            ScenarioEvent::Corrupt { replica, behavior } => {
+                self.sim.corrupt_at(*replica, now, behavior.to_tag());
+            }
+            ScenarioEvent::MuteInterCluster { replica } => {
+                control(*replica, ControlCmd::MuteInterCluster);
+            }
+            ScenarioEvent::SilenceLocalLeader { replica } => {
+                control(*replica, ControlCmd::SilentLocalLeader);
+            }
+            ScenarioEvent::Leave { replica } => control(*replica, ControlCmd::RequestLeave),
+            ScenarioEvent::Join { cluster, region } => {
+                return Some(Joined::Replica(self.add_joining_replica(*cluster, *region)));
+            }
+            ScenarioEvent::ClientJoin { cluster, workload } => {
+                return Some(Joined::Client(self.add_client(*cluster, workload.clone())));
+            }
+            ScenarioEvent::WorkloadSwitch { cluster, workload } => {
+                self.switch_workload(*cluster, workload.clone());
+            }
+            ScenarioEvent::Partition { a, b } => self.sim.partition_groups(a.0, b.0),
+            ScenarioEvent::Heal { a, b } => self.sim.heal_groups(a.0, b.0),
+            ScenarioEvent::LatencyShift { latency } => self.sim.set_latency_model(latency.clone()),
+        }
+        None
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ava_types::Region;
+    use ava_workload::WorkloadSpec;
 
     fn tiny_config() -> SystemConfig {
         let mut config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
@@ -326,29 +238,13 @@ mod tests {
     }
 
     #[test]
-    fn every_protocol_label_maps_to_its_own_deployment() {
-        // Regression test for the silent protocol mismatch the old experiment
-        // harness had (`Protocol::AvaBftSmart | Protocol::GeoBft` running a
-        // BFT-SMaRt deployment for the GeoBFT label): the label a deployment
-        // reports must be exactly the label it was deployed for.
-        for protocol in Protocol::ALL {
-            let dep = protocol.deploy(tiny_config(), tiny_opts());
-            assert_eq!(dep.protocol(), protocol);
-        }
-        let mut labels: Vec<&str> = Protocol::ALL.iter().map(|p| p.label()).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), Protocol::ALL.len(), "labels must be distinct");
-    }
-
-    #[test]
     fn geobft_deployment_gets_the_geobft_config_transform() {
         let mut config = tiny_config();
         config.params.parallel_reconfig_workflow = false;
         let dep = Protocol::GeoBft.deploy(config.clone(), tiny_opts());
         assert!(
             dep.config().params.parallel_reconfig_workflow,
-            "GeoBFT must force the direct-processing path"
+            "GeoBFT must pin the parallel reconfiguration workflow, whatever it is handed"
         );
         // The same config deployed as AVA-BFTSMART is taken verbatim.
         let dep = Protocol::AvaBftSmart.deploy(config, tiny_opts());
@@ -358,8 +254,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "no reconfiguration path")]
     fn geobft_rejects_reconfiguration_events() {
-        let mut dep = Protocol::GeoBft.deploy(tiny_config(), tiny_opts());
-        dep.add_joining_replica(ClusterId(0), Region::UsWest);
+        // The guard lives in the scenario builder, which every scheduled event
+        // passes through; a leave is refused like a join.
+        let _ = crate::Scenario::builder(Protocol::GeoBft, tiny_config())
+            .leave_at(Time::from_secs(2), ReplicaId(1))
+            .build();
     }
 
     #[test]
@@ -368,6 +267,5 @@ mod tests {
         dep.run_for(Duration::from_secs(8));
         assert!(dep.outputs().iter().any(|o| matches!(o, Output::TxCompleted { .. })));
         assert!(dep.net_stats().total_messages() > 0);
-        assert_eq!(dep.initial_leader(ClusterId(0)), ReplicaId(0));
     }
 }

@@ -55,7 +55,7 @@ pub mod scenario;
 
 pub use ava_broker::{AttachedTier, BrokerTier};
 pub use ava_hamava::ByzantineBehavior;
-pub use deployment::{DynDeployment, Protocol};
+pub use deployment::{DynDeployment, Joined, Protocol};
 pub use observer::{
     BrokerStatsObserver, BrokerTrace, ByzantineObserver, ReconfigTraceObserver, RecoveryObserver,
     RecoveryTrace, RoundTrace, RunObserver, StageBreakdownObserver, ThroughputObserver,

@@ -1,7 +1,7 @@
 //! Declarative scenarios: a system configuration, a time-sorted schedule of typed
 //! events, and observers tapping the run as it executes.
 
-use crate::deployment::{DynDeployment, Protocol};
+use crate::deployment::{DynDeployment, Joined, Protocol};
 use crate::observer::RunObserver;
 use ava_broker::BrokerTier;
 use ava_hamava::harness::DeploymentOptions;
@@ -555,20 +555,23 @@ impl Scenario {
                 for obs in observers.iter_mut() {
                     obs.on_event(*at, event);
                 }
-                apply_event(&mut *dep, event, &mut joined, &mut client_ids);
+                match dep.apply(event) {
+                    Some(Joined::Replica(id)) => joined.push(id),
+                    Some(Joined::Client(id)) => client_ids.push(id),
+                    None => {}
+                }
                 next_event += 1;
             }
         }
         dep.run_until(end);
-        cursor = flush_outputs(&*dep, cursor, observers);
-        let _ = cursor;
+        flush_outputs(&*dep, cursor, observers);
         for obs in observers.iter_mut() {
             obs.on_end(&*dep);
         }
 
         let outputs = dep.take_outputs();
         let stats = dep.net_stats().clone();
-        ScenarioRun { protocol, outputs, stats, joined, clients: client_ids, deployment: dep }
+        ScenarioRun { protocol, outputs, stats, joined, clients: client_ids }
     }
 }
 
@@ -588,36 +591,6 @@ fn flush_outputs(
     outputs.len()
 }
 
-fn apply_event(
-    dep: &mut dyn DynDeployment,
-    event: &ScenarioEvent,
-    joined: &mut Vec<ReplicaId>,
-    clients: &mut Vec<ClientId>,
-) {
-    match event {
-        ScenarioEvent::Crash { replica } => dep.crash_at(*replica, dep.now()),
-        ScenarioEvent::Restart { replica } => dep.restart_at(*replica, dep.now()),
-        ScenarioEvent::MuteInterCluster { replica } => dep.mute_inter_cluster(*replica),
-        ScenarioEvent::SilenceLocalLeader { replica } => dep.silence_local_leader(*replica),
-        ScenarioEvent::Join { cluster, region } => {
-            joined.push(dep.add_joining_replica(*cluster, *region));
-        }
-        ScenarioEvent::Leave { replica } => dep.request_leave(*replica),
-        ScenarioEvent::ClientJoin { cluster, workload } => {
-            clients.push(dep.add_client(*cluster, workload.clone()));
-        }
-        ScenarioEvent::WorkloadSwitch { cluster, workload } => {
-            dep.switch_workload(*cluster, workload.clone());
-        }
-        ScenarioEvent::Partition { a, b } => dep.partition(*a, *b),
-        ScenarioEvent::Heal { a, b } => dep.heal(*a, *b),
-        ScenarioEvent::LatencyShift { latency } => dep.set_latency(latency.clone()),
-        ScenarioEvent::Corrupt { replica, behavior } => {
-            dep.corrupt_at(*replica, dep.now(), *behavior);
-        }
-    }
-}
-
 /// The result of executing a [`Scenario`].
 pub struct ScenarioRun {
     /// The protocol that ran.
@@ -630,8 +603,6 @@ pub struct ScenarioRun {
     pub joined: Vec<ReplicaId>,
     /// Ids of the clients created by `ClientJoin` events, in application order.
     pub clients: Vec<ClientId>,
-    /// The deployment after the run (for post-hoc inspection).
-    pub deployment: Box<dyn DynDeployment>,
 }
 
 #[cfg(test)]

@@ -271,6 +271,9 @@ fn parallel_executor_matches_serial_byte_for_byte() {
     assert_eq!(serial, parallel, "8-worker pool diverged from the serial runs");
     assert_eq!(parallel[0], HOTSTUFF_GOLDEN, "pooled AVA-HOTSTUFF run diverged from the golden");
     assert_eq!(parallel[1], BFTSMART_GOLDEN, "pooled AVA-BFTSMART run diverged from the golden");
+    // The GeoBFT label runs AVA-BFTSMART with reconfiguration refused; with no
+    // join or leave scheduled it is the AVA-BFTSMART run byte for byte.
+    assert_eq!(parallel[3], BFTSMART_GOLDEN, "pooled GeoBFT run diverged from AVA-BFTSMART");
     assert_eq!(parallel[0], parallel[2], "same scenario must fingerprint identically in one pool");
     assert_eq!(parallel[4], KV_GOLDEN, "pooled keyed-KV run diverged from the golden");
     assert_eq!(serial[6], KV_GOLDEN, "a warm memo changed the keyed-KV run");
@@ -297,6 +300,77 @@ fn honest_corruption_is_byte_identical_to_the_plain_golden() {
         HOTSTUFF_GOLDEN,
         "a Corrupt(Honest) run must be byte-identical to the plain golden"
     );
+}
+
+/// Fingerprint of a store-enabled AVA-HOTSTUFF run whose schedule holds every
+/// `ScenarioEvent` kind once, captured when the twelve per-event deployment
+/// methods were folded into one `DynDeployment::apply`: it pins what each
+/// event does to the simulator, which the permutation property in
+/// `scenario_api.rs` cannot see (two arms swapped would still permute alike).
+const EVENTS_GOLDEN: &str = "028ccd692b83b35f3cbff283d2c67b73a94bdc1abe54e54863e637a58794a00b";
+
+fn run_events_golden() -> String {
+    use hamava_repro::scenario::{ByzantineBehavior, ScenarioEvent};
+    use hamava_repro::types::{ClusterId, ReplicaId, Time};
+    // Three clusters of 7 (f = 2): cluster 0 loses a crashed-then-restarted
+    // replica and a corrupt one, cluster 1 a muted and a silenced one, and
+    // cluster 2 swaps a leaving replica for a joining one.
+    let mut config = SystemConfig::even_split_single_region(21, 3, Region::UsWest);
+    config.params.batch_size = 20;
+    config.params.remote_leader_timeout = Duration::from_secs(4);
+    config.params.brd_timeout = Duration::from_secs(4);
+    config.params.local_timeout = Duration::from_secs(4);
+    let write_only = WorkloadSpec { key_space: 1_000, ..WorkloadSpec::default() }.write_only();
+    let s = Time::from_secs;
+    let events = [
+        (s(2), ScenarioEvent::Crash { replica: ReplicaId(1) }),
+        (
+            s(2),
+            ScenarioEvent::Corrupt {
+                replica: ReplicaId(2),
+                behavior: ByzantineBehavior::SuppressShares { permille: 500 },
+            },
+        ),
+        (s(3), ScenarioEvent::MuteInterCluster { replica: ReplicaId(8) }),
+        (s(3), ScenarioEvent::SilenceLocalLeader { replica: ReplicaId(9) }),
+        (s(3), ScenarioEvent::Join { cluster: ClusterId(2), region: Region::UsWest }),
+        (s(3), ScenarioEvent::Leave { replica: ReplicaId(20) }),
+        (s(4), ScenarioEvent::Restart { replica: ReplicaId(1) }),
+        (s(5), ScenarioEvent::Partition { a: ClusterId(0), b: ClusterId(1) }),
+        (
+            s(5),
+            ScenarioEvent::ClientJoin {
+                cluster: ClusterId(1),
+                workload: WorkloadSpec { key_space: 1_000, ..WorkloadSpec::default() },
+            },
+        ),
+        (s(6), ScenarioEvent::Heal { a: ClusterId(0), b: ClusterId(1) }),
+        (s(7), ScenarioEvent::WorkloadSwitch { cluster: ClusterId(2), workload: write_only }),
+        (s(7), ScenarioEvent::LatencyShift { latency: LatencyModel::uniform(100.0) }),
+    ];
+    let kinds: std::collections::BTreeSet<&str> = events.iter().map(|(_, e)| e.kind()).collect();
+    assert_eq!(kinds.len(), 12, "the schedule must hold every event kind");
+    let mut builder = Scenario::builder(Protocol::AvaHotStuff, config)
+        .options(golden_opts())
+        .store(hamava_repro::store::StoreConfig::every(4))
+        .run_for(Duration::from_secs(10));
+    for (at, event) in events {
+        builder = builder.at(at, event);
+    }
+    let run = builder.build().run();
+    assert!(
+        run.outputs.iter().any(|o| matches!(o, Output::TxCompleted { completed_at, .. }
+            if *completed_at > s(7))),
+        "the golden run must still commit after its last event"
+    );
+    fingerprint(&run.outputs, &run.stats)
+}
+
+#[test]
+fn every_event_kind_golden_fingerprint_is_stable() {
+    let fp = run_events_golden();
+    println!("events fingerprint: {fp}");
+    assert_eq!(fp, EVENTS_GOLDEN, "every-event-kind golden run diverged from its capture");
 }
 
 #[test]

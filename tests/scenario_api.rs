@@ -1,5 +1,5 @@
-//! Scenario-API integration tests: schedule-order invariance (property test), the
-//! protocol-label regression guard, cross-crate smoke of the new event kinds, and
+//! Scenario-API integration tests: schedule-order invariance (property test),
+//! cross-crate smoke of the new event kinds, and
 //! a generator-drawn property: every schedule `ava_fuzz::ScheduleGenerator`
 //! produces is valid builder input in any insertion order.
 
@@ -171,16 +171,6 @@ fn the_canonical_scenario_made_progress_through_every_event_kind() {
             if *replica == ReplicaId(1))),
         "the restarted replica must catch up"
     );
-}
-
-#[test]
-fn protocol_labels_map_to_their_own_deployments() {
-    // The e4 harness used to run a BFT-SMaRt deployment for the GeoBFT label; the
-    // scenario API makes the label part of the deployment.
-    for protocol in Protocol::ALL {
-        let dep = protocol.deploy(small_config(), quick_opts());
-        assert_eq!(dep.protocol(), protocol);
-    }
 }
 
 #[test]
