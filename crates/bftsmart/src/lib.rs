@@ -10,6 +10,10 @@
 //! evaluation shows: lower latency at small cluster sizes, lower throughput at large
 //! ones because every replica handles `O(n)` messages per decision.
 //!
+//! This crate holds the phases only; leader, pool, watchdog and the leader
+//! hand-over are the shared [`ava_consensus::regency`] layer, which makes
+//! [`BftSmart`] a [`TotalOrderBroadcast`](ava_consensus::TotalOrderBroadcast).
+//!
 //! ## Simplifications relative to BFT-SMaRt
 //!
 //! * One consensus instance at a time (no out-of-order instances); Hamava drives one
@@ -18,23 +22,22 @@
 //!   module, exactly like the HotStuff pacemaker: liveness complaints surface as
 //!   [`TobAction::Complain`] and the new regency arrives via `new_leader`. What a
 //!   regency change must carry over — BFT-SMaRt's synchronization phase — is the
-//!   [`ava_consensus::handover`]: every member reports its last decided block and
-//!   its [`Prepared`] proofs to the new leader, which proposes nothing until it
-//!   holds `2f + 1` reports, adopts a decided block it lacks, sends its last
-//!   decided block round for laggards, and re-proposes a possibly-decided block
-//!   unchanged. Members do not check the new leader's choice against the reports
-//!   (no new-view certificate).
+//!   [`ava_consensus::regency`] hand-over, to which this crate contributes the
+//!   [`Prepared`] proof of every instance it sent `Commit` in. Members do not
+//!   check the new leader's choice against the reports (no new-view
+//!   certificate).
 //! * Commit votes sign the block digest, so the commit certificate doubles as the
 //!   cross-cluster certificate shipped by Hamava's Stage 2; prepare votes sign the
 //!   digest *and the regency* ([`prepared_digest`]) and never leave the cluster.
 
-use ava_consensus::handover::{prepared_digest, Prepared, Report, Reports};
+use ava_consensus::handover::{prepared_digest, Prepared, Report};
+use ava_consensus::regency::forward_wire_size;
 use ava_consensus::{
-    Block, CommittedBlock, FaultMode, PendingPool, TobAction, TobConfig, TotalOrderBroadcast,
-    WireSize,
+    Block, CommittedBlock, Phases, Regency, RegencyMsg, TobAction, TobConfig, WireSize, SIGN_COST,
+    VERIFY_COST,
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
-use ava_types::{Operation, ReplicaId, Time, Timestamp};
+use ava_types::{Operation, ReplicaId, Time};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -84,11 +87,7 @@ pub enum BftSmartMsg {
 impl WireSize for BftSmartMsg {
     fn wire_size(&self) -> usize {
         match self {
-            BftSmartMsg::Forward(op) => match op {
-                Operation::Trans(t) => t.payload_size as usize + 48,
-                Operation::ReconfigSet { recs, .. } => recs.len() * 64 + 56,
-                Operation::RoundCut { .. } => 32,
-            },
+            BftSmartMsg::Forward(op) => forward_wire_size(op),
             BftSmartMsg::PrePrepare { block, .. } => block.wire_size(),
             BftSmartMsg::Prepare { .. } | BftSmartMsg::Commit { .. } => 120,
             BftSmartMsg::Report(report) => report.wire_size(),
@@ -108,6 +107,20 @@ impl WireSize for BftSmartMsg {
     }
 }
 
+impl RegencyMsg for BftSmartMsg {
+    fn forward(op: Operation) -> Self {
+        BftSmartMsg::Forward(op)
+    }
+
+    fn report(report: Report) -> Self {
+        BftSmartMsg::Report(Box::new(report))
+    }
+
+    fn decided(decided: CommittedBlock) -> Self {
+        BftSmartMsg::Decided(Box::new(decided))
+    }
+}
+
 /// Per-instance voting state.
 #[derive(Debug, Default)]
 struct Instance {
@@ -120,13 +133,7 @@ struct Instance {
 
 /// The BFT-SMaRt-style total-order broadcast state machine for one replica.
 pub struct BftSmart {
-    cfg: TobConfig,
-    keypair: Keypair,
-    registry: KeyRegistry,
-    leader: ReplicaId,
-    regency: u64,
-    fault: FaultMode,
-    pool: PendingPool,
+    regency: Regency,
     /// Voting state per height.
     instances: HashMap<u64, Instance>,
     /// Next height the leader proposes at.
@@ -135,21 +142,13 @@ pub struct BftSmart {
     next_deliver_height: u64,
     /// The leader's undecided proposal, if one is outstanding.
     outstanding: Option<Arc<Block>>,
-    /// The last block delivered, as reported at the next regency change.
-    last_decided: Option<CommittedBlock>,
     /// Proofs for undelivered heights this replica sent `Commit` at in an earlier
     /// regency, kept until the height is delivered.
     prepared: BTreeMap<u64, Prepared>,
-    /// Leader side of the hand-over: the members' reports, ...
-    reports: Reports,
-    /// ... whether a quorum of them has been resolved (until then: no proposals), ...
-    synced: bool,
-    /// ... and the possibly-decided blocks to re-propose, by height.
-    carry: BTreeMap<u64, Arc<Block>>,
-    /// Set by [`TotalOrderBroadcast::reset`]: the delivery cursor re-bases on the
-    /// height of the first pre-prepare seen after a restart (the restarted replica
-    /// learns the missed heights' effects via checkpoint/state transfer, not by
-    /// re-running consensus for them).
+    /// Set by a restart: the delivery cursor re-bases on the height of the
+    /// first pre-prepare seen after it (the restarted replica learns the
+    /// missed heights' effects via checkpoint/state transfer, not by re-running
+    /// consensus for them).
     resync_delivery: bool,
 }
 
@@ -157,113 +156,36 @@ impl BftSmart {
     /// Create a BFT-SMaRt instance for `cfg.me`, initially led by `leader`.
     pub fn new(cfg: TobConfig, keypair: Keypair, registry: KeyRegistry, leader: ReplicaId) -> Self {
         BftSmart {
-            cfg,
-            keypair,
-            registry,
-            leader,
-            regency: 0,
-            fault: FaultMode::Correct,
-            pool: PendingPool::new(),
+            regency: Regency::new(cfg, keypair, registry, leader),
             instances: HashMap::new(),
             next_propose_height: 0,
             next_deliver_height: 0,
             outstanding: None,
-            last_decided: None,
             prepared: BTreeMap::new(),
-            reports: Reports::default(),
-            synced: true,
-            carry: BTreeMap::new(),
             resync_delivery: false,
         }
     }
 
-    fn is_leader(&self) -> bool {
-        self.leader == self.cfg.me
-    }
-
-    fn broadcast_to_members(&self, msg: BftSmartMsg, out: &mut Vec<TobAction<BftSmartMsg>>) {
-        for &member in &self.cfg.members {
-            out.push(TobAction::Send { to: member, msg: msg.clone() });
-        }
-    }
-
-    fn maybe_propose(&mut self, out: &mut Vec<TobAction<BftSmartMsg>>) {
-        if !self.is_leader()
-            || self.fault == FaultMode::SilentLeader
-            || self.outstanding.is_some()
-            || !self.synced
-        {
+    /// A `Prepare` or `Commit` vote.
+    fn on_vote(&mut self, from: ReplicaId, vote: BftSmartMsg, now: Time, out: &mut Vec<Action>) {
+        let is_commit = matches!(vote, BftSmartMsg::Commit { .. });
+        let (BftSmartMsg::Prepare { height, digest, sig, regency }
+        | BftSmartMsg::Commit { height, digest, sig, regency }) = vote
+        else {
             return;
-        }
-        let height = self.next_propose_height;
-        let block = match self.carry.remove(&height) {
-            Some(carried) => carried,
-            None if self.pool.pending_len() == 0 => return,
-            None => {
-                let ops = self.pool.take_batch(self.cfg.max_block_size);
-                Arc::new(Block::new(self.cfg.cluster, height, self.cfg.me, ops))
-            }
         };
-        self.next_propose_height += 1;
-        self.outstanding = Some(Arc::clone(&block));
-        out.push(TobAction::Consume(self.cfg.sign_cost));
-        self.broadcast_to_members(BftSmartMsg::PrePrepare { block, regency: self.regency }, out);
-    }
-
-    fn handle_pre_prepare(
-        &mut self,
-        from: ReplicaId,
-        block: Arc<Block>,
-        regency: u64,
-        out: &mut Vec<TobAction<BftSmartMsg>>,
-    ) {
-        if from != self.leader || regency != self.regency {
-            return;
-        }
-        if self.resync_delivery {
-            self.resync_delivery = false;
-            self.next_deliver_height = self.next_deliver_height.max(block.height);
-        }
-        if block.height < self.next_deliver_height {
-            return;
-        }
-        out.push(TobAction::Consume(self.cfg.verify_cost));
-        let digest = block.digest();
-        let height = block.height;
-        let instance = self.instances.entry(height).or_default();
-        if instance.block.is_some() {
-            return;
-        }
-        instance.block = Some(block);
-        instance.digest = Some(digest);
-        out.push(TobAction::Consume(self.cfg.sign_cost));
-        let sig = self.keypair.sign(&prepared_digest(&digest, regency));
-        let msg = BftSmartMsg::Prepare { height, digest, sig, regency };
-        self.broadcast_to_members(msg, out);
-    }
-
-    fn handle_vote(
-        &mut self,
-        from: ReplicaId,
-        height: u64,
-        digest: Digest,
-        sig: Signature,
-        regency: u64,
-        is_commit: bool,
-        now: Time,
-        out: &mut Vec<TobAction<BftSmartMsg>>,
-    ) {
-        if regency != self.regency
+        let cfg = &self.regency.cfg;
+        if regency != self.regency.ts()
             || height < self.next_deliver_height
-            || !self.cfg.members.contains(&from)
+            || !cfg.members.contains(&from)
         {
             return;
         }
-        out.push(TobAction::Consume(self.cfg.verify_cost));
-        let quorum = self.cfg.quorum();
+        out.push(TobAction::Consume(VERIFY_COST));
+        let quorum = cfg.quorum();
         let instance = self.instances.entry(height).or_default();
         let signed = if is_commit { digest } else { prepared_digest(&digest, regency) };
-        if !self.registry.verify(&signed, &sig) {
+        if !self.regency.registry.verify(&signed, &sig) {
             return;
         }
         if instance.digest.is_some_and(|d| d != digest) {
@@ -282,18 +204,17 @@ impl BftSmart {
             && instance.digest == Some(digest)
         {
             instance.sent_commit = true;
-            out.push(TobAction::Consume(self.cfg.sign_cost));
-            let my_sig = self.keypair.sign(&digest);
-            let msg = BftSmartMsg::Commit { height, digest, sig: my_sig, regency };
-            self.broadcast_to_members(msg, out);
+            out.push(TobAction::Consume(SIGN_COST));
+            let sig = self.regency.keypair.sign(&digest);
+            self.regency.to_members(BftSmartMsg::Commit { height, digest, sig, regency }, out);
         }
         self.try_deliver(now, out);
     }
 
-    fn try_deliver(&mut self, now: Time, out: &mut Vec<TobAction<BftSmartMsg>>) {
+    fn try_deliver(&mut self, now: Time, out: &mut Vec<Action>) {
         loop {
             let height = self.next_deliver_height;
-            let quorum = self.cfg.quorum();
+            let quorum = self.regency.cfg.quorum();
             let ready = self
                 .instances
                 .get(&height)
@@ -304,34 +225,92 @@ impl BftSmart {
             let instance = self.instances.remove(&height).expect("checked above");
             let block = instance.block.expect("checked above");
             let digest = instance.digest.expect("digest set with block");
-            let cert = QuorumCert::new(self.cfg.cluster, digest, instance.commits);
-            self.pool.mark_delivered(&block.ops, now);
+            let cert = QuorumCert::new(self.regency.cfg.cluster, digest, instance.commits);
             self.next_deliver_height = height + 1;
-            if self.is_leader() {
+            if self.regency.is_leader() {
                 self.outstanding = None;
-            } else {
-                self.pool.drop_pending(&block.ops);
             }
-            let decided = CommittedBlock { block, cert };
-            self.last_decided = Some(decided.clone());
-            out.push(TobAction::Deliver(decided));
-            self.maybe_propose(out);
+            self.regency.deliver(CommittedBlock { block, cert }, false, now, out);
+            self.propose(out);
+        }
+    }
+}
+
+type Action = TobAction<BftSmartMsg>;
+
+impl Phases for BftSmart {
+    type Msg = BftSmartMsg;
+
+    const NAME: &'static str = "BFT-SMaRt";
+
+    fn regency(&self) -> &Regency {
+        &self.regency
+    }
+
+    fn regency_mut(&mut self) -> &mut Regency {
+        &mut self.regency
+    }
+
+    fn handle(&mut self, from: ReplicaId, msg: BftSmartMsg, now: Time, out: &mut Vec<Action>) {
+        match msg {
+            BftSmartMsg::Forward(op) => self.on_forward(op, out),
+            BftSmartMsg::Report(report) => self.on_report(from, *report, now, out),
+            BftSmartMsg::Decided(decided) => self.on_decided(*decided, now, out),
+            vote @ (BftSmartMsg::Prepare { .. } | BftSmartMsg::Commit { .. }) => {
+                self.on_vote(from, vote, now, out);
+            }
+            BftSmartMsg::PrePrepare { block, regency } => {
+                if from != self.regency.leader() || regency != self.regency.ts() {
+                    return;
+                }
+                if self.resync_delivery {
+                    self.resync_delivery = false;
+                    self.next_deliver_height = self.next_deliver_height.max(block.height);
+                }
+                if block.height < self.next_deliver_height {
+                    return;
+                }
+                out.push(TobAction::Consume(VERIFY_COST));
+                let (digest, height) = (block.digest(), block.height);
+                let instance = self.instances.entry(height).or_default();
+                if instance.block.is_some() {
+                    return;
+                }
+                instance.block = Some(block);
+                instance.digest = Some(digest);
+                out.push(TobAction::Consume(SIGN_COST));
+                let sig = self.regency.keypair.sign(&prepared_digest(&digest, regency));
+                self.regency.to_members(BftSmartMsg::Prepare { height, digest, sig, regency }, out);
+            }
         }
     }
 
-    /// Deliver a block decided without this replica (its certificate already
-    /// verified): the hand-over's answer to having missed the last commits of a
-    /// regency. A height beyond the next one is accepted too — the cursor jumps,
-    /// as after a restart, and the skipped heights' effects arrive by Hamava's
+    fn propose(&mut self, out: &mut Vec<Action>) {
+        if self.outstanding.is_some() {
+            return;
+        }
+        let Some(block) = self.regency.next_block(self.next_propose_height, out) else {
+            return;
+        };
+        self.next_propose_height += 1;
+        self.outstanding = Some(Arc::clone(&block));
+        let regency = self.regency.ts();
+        self.regency.to_members(BftSmartMsg::PrePrepare { block, regency }, out);
+    }
+
+    fn next_height(&self) -> u64 {
+        self.next_deliver_height
+    }
+
+    /// A height beyond the next one is accepted too — the cursor jumps, as
+    /// after a restart, and the skipped heights' effects arrive by Hamava's
     /// catch-up.
-    fn adopt(&mut self, decided: CommittedBlock, now: Time, out: &mut Vec<TobAction<BftSmartMsg>>) {
+    fn adopt(&mut self, decided: CommittedBlock, now: Time, out: &mut Vec<Action>) {
         let height = decided.block.height;
         if height < self.next_deliver_height {
             return;
         }
         self.instances.retain(|h, _| *h > height);
-        self.pool.drop_pending(&decided.block.ops);
-        self.pool.mark_delivered(&decided.block.ops, now);
         self.next_deliver_height = height + 1;
         if self.outstanding.as_ref().is_some_and(|proposed| proposed.height <= height) {
             // A leader re-proposing this very block learnt it was decided
@@ -340,197 +319,36 @@ impl BftSmart {
             self.outstanding = None;
         }
         self.next_propose_height = self.next_propose_height.max(height + 1);
-        self.last_decided = Some(decided.clone());
-        out.push(TobAction::Deliver(decided));
+        self.regency.deliver(decided, true, now, out);
         self.try_deliver(now, out);
-        self.maybe_propose(out);
+        self.propose(out);
     }
 
-    /// Leader: once a quorum has reported for this regency, catch up to the
-    /// highest decided block, queue the possibly-decided ones for re-proposal,
-    /// and start proposing.
-    fn resolve_handover(&mut self, now: Time, out: &mut Vec<TobAction<BftSmartMsg>>) {
-        if self.synced || !self.is_leader() {
-            return;
-        }
-        let Some(resolution) = self.reports.resolve(self.regency, self.cfg.quorum()) else {
-            return;
-        };
-        if let Some(decided) = resolution.decided {
-            self.adopt(decided, now, out);
-        }
-        self.carry = resolution.carry;
-        for block in self.carry.values() {
-            self.pool.note_ordered(&block.ops);
-        }
-        if let Some(decided) = &self.last_decided {
-            // A member one block behind re-forwards that block's operations; the
-            // pool must know them as ordered whether or not it ever held them.
-            self.pool.note_ordered(&decided.block.ops);
-            self.broadcast_to_members(BftSmartMsg::Decided(Box::new(decided.clone())), out);
-        }
-        self.next_propose_height = self.next_deliver_height;
-        self.synced = true;
-        self.maybe_propose(out);
-    }
-}
-
-impl TotalOrderBroadcast for BftSmart {
-    type Msg = BftSmartMsg;
-
-    fn name(&self) -> &'static str {
-        "BFT-SMaRt"
-    }
-
-    fn broadcast(&mut self, op: Operation, now: Time) -> Vec<TobAction<BftSmartMsg>> {
-        let mut out = Vec::new();
-        self.pool.record_my_broadcast(op.clone(), now);
-        if self.is_leader() {
-            self.pool.enqueue(op);
-            self.maybe_propose(&mut out);
-        } else {
-            out.push(TobAction::Send { to: self.leader, msg: BftSmartMsg::Forward(op) });
-        }
-        out
-    }
-
-    fn on_message(
-        &mut self,
-        from: ReplicaId,
-        msg: BftSmartMsg,
-        now: Time,
-    ) -> Vec<TobAction<BftSmartMsg>> {
-        let mut out = Vec::new();
-        match msg {
-            BftSmartMsg::Forward(op) => {
-                // A non-leader keeps it too: a member re-forwards to a new
-                // leader as soon as it installs the change, which can be
-                // before the new leader has. Delivery drops it from here.
-                self.pool.enqueue(op);
-                self.maybe_propose(&mut out);
-            }
-            BftSmartMsg::PrePrepare { block, regency } => {
-                self.handle_pre_prepare(from, block, regency, &mut out);
-            }
-            BftSmartMsg::Prepare { height, digest, sig, regency } => {
-                self.handle_vote(from, height, digest, sig, regency, false, now, &mut out);
-            }
-            BftSmartMsg::Commit { height, digest, sig, regency } => {
-                self.handle_vote(from, height, digest, sig, regency, true, now, &mut out);
-            }
-            BftSmartMsg::Report(report) => {
-                if report.regency >= self.regency && self.cfg.members.contains(&from) {
-                    let sigs = report.signature_count() as u64;
-                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
-                    if self.reports.accept(from, *report, &self.cfg, &self.registry) {
-                        self.resolve_handover(now, &mut out);
-                    }
-                }
-            }
-            BftSmartMsg::Decided(decided) => {
-                if decided.block.height >= self.next_deliver_height
-                    && decided.block.cluster == self.cfg.cluster
-                {
-                    let sigs = decided.cert.signature_count() as u64;
-                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
-                    if decided.verify(&self.registry, &self.cfg.members, self.cfg.quorum()) {
-                        self.adopt(*decided, now, &mut out);
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    fn on_tick(&mut self, now: Time) -> Vec<TobAction<BftSmartMsg>> {
-        let mut out = Vec::new();
-        self.maybe_propose(&mut out);
-        let (floor, ceiling) = (self.cfg.timeout_floor, self.cfg.timeout);
-        if let Some(silent_for) = self.pool.should_complain(now, floor, ceiling) {
-            out.push(TobAction::Complain { leader: self.leader, silent_for });
-        }
-        out
-    }
-
-    fn new_leader(
-        &mut self,
-        leader: ReplicaId,
-        ts: Timestamp,
-        now: Time,
-    ) -> Vec<TobAction<BftSmartMsg>> {
-        let mut out = Vec::new();
-        if ts.0 <= self.regency && leader == self.leader {
-            return out;
-        }
-        // Abandon undecided instances, keeping the proof of every one this replica
-        // sent `Commit` in: that block may be decided elsewhere. The operations of
-        // the rest are re-forwarded below by the replicas that broadcast them.
+    /// Abandon undecided instances, keeping the proof of every one this replica
+    /// sent `Commit` in: that block may be decided elsewhere. The operations of
+    /// the rest are re-forwarded by the replicas that broadcast them.
+    fn abandon(&mut self) -> (Option<Arc<Block>>, Vec<Prepared>) {
         self.prepared = self.prepared.split_off(&self.next_deliver_height);
+        let regency = self.regency.ts();
         for (height, instance) in self.instances.drain() {
             if let (true, Some(block)) = (instance.sent_commit, instance.block) {
                 let proof = instance.prepares;
-                self.prepared.insert(height, Prepared { block, regency: self.regency, proof });
+                self.prepared.insert(height, Prepared { block, regency, proof });
             }
         }
-        if let Some(abandoned) = self.outstanding.take() {
-            // Its operations left the pool for good when it was proposed: take
-            // them back, in case the lead returns before they are ordered.
-            self.pool.requeue_front(abandoned.ops.clone());
-        }
-        self.leader = leader;
-        self.regency = ts.0;
-        self.synced = false;
-        self.carry.clear();
-        self.pool.reset_watch(now);
-        let report = Report {
-            regency: self.regency,
-            decided: self.last_decided.clone(),
-            prepared: self.prepared.values().cloned().collect(),
-        };
-        if self.is_leader() {
-            for op in self.pool.my_undelivered().to_vec() {
-                self.pool.enqueue(op);
-            }
-            self.reports.insert(self.cfg.me, report);
-            self.resolve_handover(now, &mut out);
-        } else {
-            out.push(TobAction::Send {
-                to: self.leader,
-                msg: BftSmartMsg::Report(Box::new(report)),
-            });
-            for op in self.pool.my_undelivered() {
-                let msg = BftSmartMsg::Forward(op.clone());
-                out.push(TobAction::Send { to: self.leader, msg });
-            }
-        }
-        out
+        (self.outstanding.take(), self.prepared.values().cloned().collect())
     }
 
-    fn set_membership(&mut self, members: Vec<ReplicaId>) {
-        self.cfg.members = members;
+    fn on_synced(&mut self) {
+        self.next_propose_height = self.next_deliver_height;
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.leader
-    }
-
-    fn set_fault_mode(&mut self, mode: FaultMode) {
-        self.fault = mode;
-    }
-
-    fn reset(&mut self) {
-        self.regency = 0;
-        self.fault = FaultMode::Correct;
-        self.pool = PendingPool::new();
+    fn reset_phases(&mut self) {
         self.instances.clear();
         self.next_propose_height = 0;
         self.next_deliver_height = 0;
         self.outstanding = None;
-        self.last_decided = None;
         self.prepared.clear();
-        self.reports = Reports::default();
-        self.synced = true;
-        self.carry.clear();
         self.resync_delivery = true;
     }
 }

@@ -1,116 +1,21 @@
-//! Unit and property tests for the BFT-SMaRt-style total-order broadcast.
+//! Tests of the BFT-SMaRt-style total-order broadcast: the conformance suite
+//! every local TOB runs, and what is this protocol's own.
 
 use super::*;
-use ava_consensus::testkit::{
-    check_forward_before_leadership_is_kept, check_watchdog_follows_pace,
-    sweep_regency_change_cuts, LocalNet,
-};
-use ava_types::{ClientId, ClusterId, Duration, Transaction};
-use proptest::prelude::*;
+use ava_types::{ClientId, Transaction};
 
-fn make_net(n: u32) -> (LocalNet<BftSmart>, KeyRegistry, Vec<ReplicaId>) {
-    let registry = KeyRegistry::new();
-    let members: Vec<ReplicaId> = (0..n).map(ReplicaId).collect();
-    let leader = ReplicaId(0);
-    let nodes: Vec<(ReplicaId, BftSmart)> = members
-        .iter()
-        .map(|&id| {
-            let kp = registry.register(id);
-            let mut cfg = TobConfig::new(ClusterId(0), id, members.clone());
-            cfg.max_block_size = 10;
-            cfg.timeout = Duration::from_secs(5);
-            (id, BftSmart::new(cfg, kp, registry.clone(), leader))
-        })
-        .collect();
-    (LocalNet::new(nodes), registry, members)
-}
-
-fn tx(seq: u64) -> Operation {
-    Operation::Trans(Transaction::write(ClientId(2), seq, seq % 16, 512))
-}
-
-#[test]
-fn all_replicas_deliver_the_same_operations() {
-    let (mut net, _, _) = make_net(4);
-    for i in 0..7 {
-        net.broadcast(ReplicaId(i % 4), tx(i as u64));
-    }
-    net.run_to_quiescence(200_000);
-    let reference = net.delivered_ops(ReplicaId(0));
-    assert_eq!(reference.len(), 7);
-    for r in 1..4 {
-        assert_eq!(net.delivered_ops(ReplicaId(r)), reference, "replica {r} diverged");
-    }
-}
-
-#[test]
-fn commit_certificates_validate_against_cluster_quorum() {
-    let (mut net, registry, members) = make_net(7);
-    net.broadcast(ReplicaId(3), tx(0));
-    net.run_to_quiescence(200_000);
-    let blocks = net.delivered_at(ReplicaId(5));
-    assert_eq!(blocks.len(), 1);
-    assert!(blocks[0].verify(&registry, &members, 5));
-    assert!(!blocks[0].verify(&registry, &members, 8));
-}
-
-#[test]
-fn deliveries_are_in_height_order() {
-    let (mut net, _, _) = make_net(4);
-    for i in 0..35 {
-        net.broadcast(ReplicaId(i % 4), tx(i as u64));
-    }
-    net.tick(Duration::from_millis(1));
-    net.run_to_quiescence(500_000);
-    for r in 0..4 {
-        let blocks = net.delivered_at(ReplicaId(r));
-        let heights: Vec<u64> = blocks.iter().map(|b| b.block.height).collect();
-        let mut sorted = heights.clone();
-        sorted.sort_unstable();
-        assert_eq!(heights, sorted);
-        assert_eq!(net.delivered_ops(ReplicaId(r)).len(), 35);
-    }
-}
-
-#[test]
-fn silent_leader_triggers_complaints_and_recovery() {
-    let (mut net, _, _) = make_net(4);
-    net.nodes.get_mut(&ReplicaId(0)).unwrap().set_fault_mode(FaultMode::SilentLeader);
-    for i in 0..3 {
-        net.broadcast(ReplicaId(i + 1), tx(i as u64));
-    }
-    net.run_to_quiescence(100_000);
-    assert!(net.delivered_ops(ReplicaId(1)).is_empty());
-    net.tick(Duration::from_secs(6));
-    net.run_to_quiescence(100_000);
-    assert!(net.complaints.values().filter(|c| !c.is_empty()).count() >= 3);
-    net.install_leader(ReplicaId(1), Timestamp(1));
-    net.run_to_quiescence(100_000);
-    net.tick(Duration::from_millis(10));
-    net.run_to_quiescence(100_000);
-    assert_eq!(net.delivered_ops(ReplicaId(2)).len(), 3);
-}
-
-#[test]
-fn tolerates_f_crashed_followers() {
-    let (mut net, _, _) = make_net(7);
-    net.down.insert(ReplicaId(5));
-    net.down.insert(ReplicaId(6));
-    for i in 0..5 {
-        net.broadcast(ReplicaId(i % 4), tx(i as u64));
-    }
-    net.run_to_quiescence(300_000);
-    assert_eq!(net.delivered_ops(ReplicaId(0)).len(), 5);
-    assert_eq!(net.delivered_ops(ReplicaId(4)).len(), 5);
-}
+ava_consensus::tob_conformance_suite!(
+    BftSmart::new,
+    trace = "61a7e5fef2991f5d881d84010571bda3dc6fb365870676f9e049d2ea32b163c5"
+);
 
 #[test]
 fn uses_quadratic_message_pattern() {
     // One decision in a 4-replica cluster: pre-prepare (4 sends) + prepare (4×4) +
     // commit (4×4) ≈ 36 messages, clearly above HotStuff's linear pattern. The test
     // pins the order of magnitude rather than the exact constant.
-    let (mut net, _, _) = make_net(4);
-    net.broadcast(ReplicaId(0), tx(0));
+    let (mut net, _) = ava_consensus::testkit::cluster(BftSmart::new, 4);
+    net.broadcast(ReplicaId(0), Operation::Trans(Transaction::write(ClientId(2), 0, 0, 512)));
     net.run_to_quiescence(10_000);
     // `LocalNet` does not count messages, so re-derive from delivered certificates:
     // every replica must have seen commit votes from a quorum of distinct replicas.
@@ -119,83 +24,9 @@ fn uses_quadratic_message_pattern() {
     assert!(blocks[0].cert.signature_count() >= 3);
 }
 
-/// The parent forked here at every cut where some but not all replicas had
-/// delivered a height: the new leader proposed a different block at it.
-#[test]
-fn a_regency_change_at_any_cut_neither_forks_nor_loses_an_operation() {
-    let ops: Vec<Operation> = (0..25).map(tx).collect();
-    for n in [4, 7] {
-        let cuts = sweep_regency_change_cuts(|| make_net(n).0, &ops, &[ReplicaId(1)], 0);
-        assert!(cuts > 100, "the sweep covered only {cuts} cuts");
-    }
-}
-
-/// Two changes in a row — back to back, and with the second landing in the
-/// middle of the first one's hand-over — to a third leader and back to the first.
-#[test]
-fn two_regency_changes_in_a_row_at_any_cut_neither_fork_nor_lose_an_operation() {
-    let ops: Vec<Operation> = (0..25).map(tx).collect();
-    for leaders in [[ReplicaId(1), ReplicaId(2)], [ReplicaId(1), ReplicaId(0)]] {
-        for gap in [0, 3, 8, 20] {
-            sweep_regency_change_cuts(|| make_net(4).0, &ops, &leaders, gap);
-        }
-        sweep_regency_change_cuts(|| make_net(7).0, &ops, &leaders, 0);
-        sweep_regency_change_cuts(|| make_net(7).0, &ops, &leaders, 30);
-    }
-}
-
 /// Every queued simulator event carries a message of this type: a fat variant is
 /// paid for by every `Prepare` and `Commit` (the hand-over payloads are boxed).
 #[test]
 fn message_size_is_pinned() {
     assert_eq!(std::mem::size_of::<BftSmartMsg>(), 88);
-}
-
-#[test]
-fn the_watchdog_follows_the_clusters_pace() {
-    check_watchdog_follows_pace(make_net(4).0);
-}
-
-/// Finding 11: the parent dropped a `Forward` at a replica that did not lead
-/// (yet), and the operation waited in its originator's pool for good.
-#[test]
-fn a_forward_that_arrives_before_new_leader_is_proposed_after_it() {
-    check_forward_before_leadership_is_kept(make_net(4).0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Uniform agreement for arbitrary small workloads and cluster sizes.
-    #[test]
-    fn prop_uniform_agreement(n in 4u32..8, ops in 1usize..25, seed in 0u32..1000) {
-        let (mut net, _, _) = make_net(n);
-        for i in 0..ops {
-            net.broadcast(ReplicaId((seed.wrapping_add(i as u32)) % n), tx(i as u64));
-        }
-        net.tick(Duration::from_millis(1));
-        net.run_to_quiescence(2_000_000);
-        let reference = net.delivered_ops(ReplicaId(0));
-        prop_assert_eq!(reference.len(), ops);
-        for r in 1..n {
-            prop_assert_eq!(net.delivered_ops(ReplicaId(r)), reference.clone());
-        }
-    }
-
-    /// Certificates of delivered blocks are always valid for the current quorum.
-    #[test]
-    fn prop_certificates_always_valid(n in 4u32..8, ops in 1usize..12) {
-        let (mut net, registry, members) = make_net(n);
-        let quorum = 2 * ((n as usize - 1) / 3) + 1;
-        for i in 0..ops {
-            net.broadcast(ReplicaId(i as u32 % n), tx(i as u64));
-        }
-        net.tick(Duration::from_millis(1));
-        net.run_to_quiescence(2_000_000);
-        for &r in &members {
-            for block in net.delivered_at(r) {
-                prop_assert!(block.verify(&registry, &members, quorum));
-            }
-        }
-    }
 }

@@ -1,6 +1,7 @@
 //! The leader hand-over both local protocols run when the regency changes:
 //! what a member reports to the new leader, and how the leader turns a quorum
 //! of reports into "the block I must adopt" and "the blocks I must re-propose".
+//! [`crate::regency`] drives it for both.
 //!
 //! Without it a leader change mid-commit forks the log: replicas that already
 //! delivered height `h` keep their block, the rest follow the new leader's

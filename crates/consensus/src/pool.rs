@@ -24,7 +24,7 @@ use std::collections::{HashSet, VecDeque};
 /// layout in the repo (412 ms gaps) clear of a spurious change.
 pub const WATCHDOG_GAP_MULTIPLIER: u64 = 4;
 
-/// Operation pool and liveness watchdog shared by `ava-hotstuff` and `ava-bftsmart`.
+/// Operation pool and liveness watchdog, held by a [`Regency`](crate::Regency).
 #[derive(Debug, Default)]
 pub struct PendingPool {
     /// Operations waiting to be proposed (leader role).

@@ -71,11 +71,14 @@ pub struct TobConfig {
     /// Floor of the leader watchdog (the paper's ε): however fast the cluster
     /// has been, the instance waits at least this long before complaining.
     pub timeout_floor: Duration,
-    /// Modelled CPU cost of verifying one signature.
-    pub verify_cost: Duration,
-    /// Modelled CPU cost of producing one signature.
-    pub sign_cost: Duration,
 }
+
+/// Modelled CPU cost of verifying one signature, charged alike by the local
+/// TOBs, BRD (`ava_hamava::brd`) and the remote-leader module.
+pub const VERIFY_COST: Duration = Duration::from_micros(40);
+
+/// Modelled CPU cost of producing one signature.
+pub const SIGN_COST: Duration = Duration::from_micros(20);
 
 impl TobConfig {
     /// A config with paper-like defaults for the given cluster membership.
@@ -87,8 +90,6 @@ impl TobConfig {
             max_block_size: 100,
             timeout: Duration::from_secs(20),
             timeout_floor: Duration::from_millis(500),
-            verify_cost: Duration::from_micros(40),
-            sign_cost: Duration::from_micros(20),
         }
     }
 

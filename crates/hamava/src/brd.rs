@@ -11,6 +11,7 @@
 //! Hamava replica, exactly as the paper presents it ("a general reusable module, that
 //! is of independent interest").
 
+use ava_consensus::{SIGN_COST, VERIFY_COST};
 use ava_crypto::sha256::Sha256;
 use ava_crypto::{Digest, KeyRegistry, Keypair, SigSet, Signature};
 use ava_types::{Duration, Encode, EncodeSink, Reconfig, ReplicaId, Round, Time, Timestamp};
@@ -265,8 +266,6 @@ pub struct Brd {
     ts: u64,
     round: Round,
     timeout: Duration,
-    verify_cost: Duration,
-    sign_cost: Duration,
 
     my_recs: Option<Vec<Reconfig>>,
     started_at: Option<Time>,
@@ -316,8 +315,6 @@ impl Brd {
             ts: ts.0,
             round,
             timeout,
-            verify_cost: Duration::from_micros(40),
-            sign_cost: Duration::from_micros(20),
             my_recs: None,
             started_at: None,
             echoed: false,
@@ -373,7 +370,7 @@ impl Brd {
         recs.dedup();
         self.my_recs = Some(recs.clone());
         self.started_at = Some(now);
-        out.push(BrdAction::Consume(self.sign_cost));
+        out.push(BrdAction::Consume(SIGN_COST));
         let sig = self.keypair.sign(&RecsContribution::signing_digest(self.round, self.me, &recs));
         let contribution = RecsContribution { from: self.me, round: self.round, recs, sig };
         out.push(BrdAction::Send { to: self.leader, msg: BrdMsg::Recs(contribution) });
@@ -447,7 +444,7 @@ impl Brd {
                 },
             });
         } else if let Some(my_recs) = self.my_recs.clone() {
-            out.push(BrdAction::Consume(self.sign_cost));
+            out.push(BrdAction::Consume(SIGN_COST));
             let sig =
                 self.keypair.sign(&RecsContribution::signing_digest(self.round, self.me, &my_recs));
             let contribution =
@@ -466,7 +463,7 @@ impl Brd {
         if self.me != self.leader || c.round != self.round || c.from != from {
             return;
         }
-        out.push(BrdAction::Consume(self.verify_cost));
+        out.push(BrdAction::Consume(VERIFY_COST));
         if !self.members.contains(&from) || !c.verify(&self.registry) {
             return;
         }
@@ -488,9 +485,7 @@ impl Brd {
         if self.me != self.leader || round != self.round {
             return;
         }
-        out.push(BrdAction::Consume(
-            self.verify_cost.saturating_mul(self.proof_len(&proof) as u64),
-        ));
+        out.push(BrdAction::Consume(VERIFY_COST.saturating_mul(self.proof_len(&proof) as u64)));
         if !self.verify_justify(&recs, &proof, true) {
             return;
         }
@@ -606,9 +601,7 @@ impl Brd {
         if from != self.leader || ts != self.ts || round != self.round || self.echoed {
             return;
         }
-        out.push(BrdAction::Consume(
-            self.verify_cost.saturating_mul(self.proof_len(&justify) as u64),
-        ));
+        out.push(BrdAction::Consume(VERIFY_COST.saturating_mul(self.proof_len(&justify) as u64)));
         if !self.verify_justify(&recs, &justify, true) {
             return;
         }
@@ -620,7 +613,7 @@ impl Brd {
                 self.contributions.insert(c.from, c.clone());
             }
         }
-        out.push(BrdAction::Consume(self.sign_cost));
+        out.push(BrdAction::Consume(SIGN_COST));
         let digest = self.digests_of(&recs).echo;
         let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Echo { round: self.round, recs, sig, ts: self.ts };
@@ -640,7 +633,7 @@ impl Brd {
         if ts != self.ts || round != self.round {
             return;
         }
-        out.push(BrdAction::Consume(self.verify_cost));
+        out.push(BrdAction::Consume(VERIFY_COST));
         let digest = self.digests_of(&recs).echo;
         if !self.members.contains(&sig.signer) {
             return;
@@ -677,7 +670,7 @@ impl Brd {
         if round != self.round {
             return;
         }
-        out.push(BrdAction::Consume(self.verify_cost));
+        out.push(BrdAction::Consume(VERIFY_COST));
         let digest = self.digests_of(&recs).ready;
         if !self.members.contains(&sig.signer) {
             return;
@@ -720,7 +713,7 @@ impl Brd {
         // Note: `ts` is not part of the ready digest so that Ready votes recorded
         // under an earlier leader still count toward delivery under a later one —
         // uniformity across leader changes (Alg. 6's `valid` mechanism).
-        out.push(BrdAction::Consume(self.sign_cost));
+        out.push(BrdAction::Consume(SIGN_COST));
         let digest = self.digests_of(&recs).ready;
         let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Ready { round: self.round, recs, sig, ts: self.ts };

@@ -8,6 +8,7 @@
 //! `rcn_j`) stop replay attacks, and all quorum sizes are taken from the *current*
 //! per-cluster membership — this is where heterogeneity matters for liveness.
 
+use ava_consensus::VERIFY_COST;
 use ava_crypto::{Digest, KeyRegistry, Keypair, SigSet, Signature};
 use ava_types::{ClusterId, Duration, Encode, Membership, ReplicaId, Round, Time};
 use std::collections::BTreeMap;
@@ -114,7 +115,6 @@ pub struct RemoteLeaderChange {
     round: Round,
     timeout: Duration,
     grace: Duration,
-    verify_cost: Duration,
     watches: BTreeMap<ClusterId, ClusterWatch>,
     last_local_leader_change: Option<Time>,
 }
@@ -139,7 +139,6 @@ impl RemoteLeaderChange {
             round: Round(0),
             timeout,
             grace,
-            verify_cost: Duration::from_micros(40),
             watches: BTreeMap::new(),
             last_local_leader_change: None,
         }
@@ -243,7 +242,7 @@ impl RemoteLeaderChange {
         if round != self.round || !self.membership.contains(self.my_cluster, from) {
             return;
         }
-        out.push(RemoteLeaderAction::Consume(self.verify_cost));
+        out.push(RemoteLeaderAction::Consume(VERIFY_COST));
         if sig.signer != from || !self.registry.verify(&lcomplaint_digest(about, cn, round), &sig) {
             return;
         }
@@ -327,7 +326,7 @@ impl RemoteLeaderChange {
         if !(round == self.round || round.next() == self.round) || from_cluster == self.my_cluster {
             return;
         }
-        out.push(RemoteLeaderAction::Consume(self.verify_cost.saturating_mul(sigs.len() as u64)));
+        out.push(RemoteLeaderAction::Consume(VERIFY_COST.saturating_mul(sigs.len() as u64)));
         if !self.verify_remote_complaint(from_cluster, cn, round, &sigs) {
             return;
         }
@@ -358,7 +357,7 @@ impl RemoteLeaderChange {
         if !(round == self.round || round.next() == self.round) || from_cluster == self.my_cluster {
             return;
         }
-        out.push(RemoteLeaderAction::Consume(self.verify_cost.saturating_mul(sigs.len() as u64)));
+        out.push(RemoteLeaderAction::Consume(VERIFY_COST.saturating_mul(sigs.len() as u64)));
         if !self.verify_remote_complaint(from_cluster, cn, round, &sigs) {
             return;
         }

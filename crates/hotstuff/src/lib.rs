@@ -9,6 +9,10 @@
 //! paper) and four round trips of latency (the paper's E2 notes "local ordering
 //! involves 4 rounds of messages").
 //!
+//! This crate holds the phases only; leader, pool, watchdog and the leader
+//! hand-over are the shared [`ava_consensus::regency`] layer, which makes
+//! [`HotStuff`] a [`TotalOrderBroadcast`](ava_consensus::TotalOrderBroadcast).
+//!
 //! ## Simplifications relative to production HotStuff
 //!
 //! * Blocks are decided one at a time (no pipelining/chaining); Hamava drives one
@@ -18,27 +22,26 @@
 //!   of the two earlier phases sign the digest *and the leader timestamp*
 //!   ([`prepared_digest`]) and never leave the cluster.
 //! * The pacemaker is externalised: liveness complaints are reported through
-//!   [`TobAction::Complain`] and leader changes arrive through
-//!   [`TotalOrderBroadcast::new_leader`], matching Hamava's leader-election module
-//!   (Alg. 8/9). What HotStuff's new-view message carries over — the highest
-//!   quorum certificate a replica has seen — is the [`ava_consensus::handover`]:
-//!   a replica *locks* a block when the `Commit` phase message proves a quorum
-//!   pre-committed it, reports its last decided block and its locks to the new
-//!   leader, and the new leader proposes nothing until `2f + 1` reports let it
-//!   adopt what was decided and re-propose what may have been. Replicas do not
-//!   check the new leader's choice against the reports.
+//!   [`TobAction::Complain`] and leader changes arrive through `new_leader`,
+//!   matching Hamava's leader-election module (Alg. 8/9). What HotStuff's
+//!   new-view message carries over — the highest quorum certificate a replica
+//!   has seen — is the [`ava_consensus::regency`] hand-over: a replica *locks* a
+//!   block when the `Commit` phase message proves a quorum pre-committed it, and
+//!   reports its locks to the new leader. Replicas do not check the new
+//!   leader's choice against the reports.
 //!
 //! These simplifications preserve the message/latency complexity that the paper's
 //! evaluation depends on, which is what this reproduction needs from the substrate.
 
-use ava_consensus::handover::{prepared_digest, Prepared, Report, Reports};
+use ava_consensus::handover::{prepared_digest, Prepared, Report};
+use ava_consensus::regency::forward_wire_size;
 use ava_consensus::{
-    Block, CommittedBlock, FaultMode, PendingPool, TobAction, TobConfig, TotalOrderBroadcast,
-    WireSize,
+    Block, CommittedBlock, Phases, Regency, RegencyMsg, TobAction, TobConfig, WireSize, SIGN_COST,
+    VERIFY_COST,
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
-use ava_types::{Operation, ReplicaId, Time, Timestamp};
-use std::collections::{BTreeMap, HashMap};
+use ava_types::{Operation, ReplicaId, Time};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// The HotStuff phases.
@@ -125,11 +128,7 @@ pub enum HotStuffMsg {
 impl WireSize for HotStuffMsg {
     fn wire_size(&self) -> usize {
         match self {
-            HotStuffMsg::Forward(op) => match op {
-                Operation::Trans(t) => t.payload_size as usize + 48,
-                Operation::ReconfigSet { recs, .. } => recs.len() * 64 + 56,
-                Operation::RoundCut { .. } => 32,
-            },
+            HotStuffMsg::Forward(op) => forward_wire_size(op),
             HotStuffMsg::Proposal { block, .. } => block.wire_size(),
             HotStuffMsg::PhaseCert { justify, .. } => 96 + justify.len() * 48,
             HotStuffMsg::Vote { .. } => 120,
@@ -150,6 +149,20 @@ impl WireSize for HotStuffMsg {
     }
 }
 
+impl RegencyMsg for HotStuffMsg {
+    fn forward(op: Operation) -> Self {
+        HotStuffMsg::Forward(op)
+    }
+
+    fn report(report: Report) -> Self {
+        HotStuffMsg::Report(Box::new(report))
+    }
+
+    fn decided(decided: CommittedBlock) -> Self {
+        HotStuffMsg::Decided(Box::new(decided))
+    }
+}
+
 /// State the leader keeps for the block currently being decided.
 #[derive(Debug)]
 struct InFlight {
@@ -161,417 +174,214 @@ struct InFlight {
 
 /// The HotStuff total-order broadcast state machine for one replica.
 pub struct HotStuff {
-    cfg: TobConfig,
-    keypair: Keypair,
-    registry: KeyRegistry,
-    leader: ReplicaId,
-    ts: u64,
-    fault: FaultMode,
-    pool: PendingPool,
+    regency: Regency,
     /// Leader-side: block currently going through the phases.
     in_flight: Option<InFlight>,
-    /// Replica-side: blocks received in `Prepare`, keyed by digest, so that the
-    /// `Decide` phase can deliver the full block contents.
+    /// Replica-side: blocks received in `Prepare` and not yet delivered past,
+    /// keyed by digest, so that the `Decide` phase can deliver the full block.
     known_blocks: HashMap<Digest, Arc<Block>>,
-    /// Next height to propose / accept.
+    /// Next height to propose / accept; every height below it is delivered.
     next_height: u64,
-    /// Height of the last delivered block.
-    delivered_height: Option<u64>,
-    /// Replica-side: the phase this replica last voted in per height (prevents double
-    /// voting within a timestamp).
-    voted: HashMap<(u64, Phase, u64), ()>,
-    /// The last block delivered, as reported at the next leader change.
-    last_decided: Option<CommittedBlock>,
+    /// Replica-side: the `(height, phase, timestamp)`s this replica voted in
+    /// (no double voting within a timestamp), from the next height on.
+    voted: HashSet<(u64, Phase, u64)>,
     /// Locks: undelivered blocks a quorum is known to have pre-committed, with
     /// that quorum's votes as proof; kept across timestamps until delivered.
     locked: BTreeMap<u64, Prepared>,
-    /// Leader side of the hand-over: the replicas' reports, ...
-    reports: Reports,
-    /// ... whether a quorum of them has been resolved (until then: no proposals), ...
-    synced: bool,
-    /// ... and the possibly-decided blocks to re-propose, by height.
-    carry: BTreeMap<u64, Arc<Block>>,
 }
 
 impl HotStuff {
     /// Create a HotStuff instance for `cfg.me`, initially led by `leader`.
     pub fn new(cfg: TobConfig, keypair: Keypair, registry: KeyRegistry, leader: ReplicaId) -> Self {
         HotStuff {
-            cfg,
-            keypair,
-            registry,
-            leader,
-            ts: 0,
-            fault: FaultMode::Correct,
-            pool: PendingPool::new(),
+            regency: Regency::new(cfg, keypair, registry, leader),
             in_flight: None,
             known_blocks: HashMap::new(),
             next_height: 0,
-            delivered_height: None,
-            voted: HashMap::new(),
-            last_decided: None,
+            voted: HashSet::new(),
             locked: BTreeMap::new(),
-            reports: Reports::default(),
-            synced: true,
-            carry: BTreeMap::new(),
         }
-    }
-
-    fn is_leader(&self) -> bool {
-        self.leader == self.cfg.me
-    }
-
-    fn broadcast_to_members(&self, msg: HotStuffMsg, out: &mut Vec<TobAction<HotStuffMsg>>) {
-        for &member in &self.cfg.members {
-            out.push(TobAction::Send { to: member, msg: msg.clone() });
-        }
-    }
-
-    /// Leader: propose the next block if idle and work is pending.
-    fn maybe_propose(&mut self, out: &mut Vec<TobAction<HotStuffMsg>>) {
-        if !self.is_leader()
-            || self.fault == FaultMode::SilentLeader
-            || self.in_flight.is_some()
-            || !self.synced
-        {
-            return;
-        }
-        let block = match self.carry.remove(&self.next_height) {
-            Some(carried) => carried,
-            None if self.pool.pending_len() == 0 => return,
-            None => {
-                let ops = self.pool.take_batch(self.cfg.max_block_size);
-                Arc::new(Block::new(self.cfg.cluster, self.next_height, self.cfg.me, ops))
-            }
-        };
-        let digest = block.digest();
-        out.push(TobAction::Consume(self.cfg.sign_cost));
-        self.in_flight = Some(InFlight {
-            block: Arc::clone(&block),
-            digest,
-            phase: Phase::Prepare,
-            votes: SigSet::new(),
-        });
-        self.broadcast_to_members(HotStuffMsg::Proposal { block, ts: self.ts }, out);
     }
 
     /// Replica: vote for `digest` in `phase`.
-    fn vote(
-        &mut self,
-        phase: Phase,
-        height: u64,
-        digest: Digest,
-        out: &mut Vec<TobAction<HotStuffMsg>>,
-    ) {
-        if self.voted.contains_key(&(height, phase, self.ts)) {
+    fn vote(&mut self, phase: Phase, height: u64, digest: Digest, out: &mut Vec<Action>) {
+        let ts = self.regency.ts();
+        if !self.voted.insert((height, phase, ts)) {
             return;
         }
-        self.voted.insert((height, phase, self.ts), ());
-        out.push(TobAction::Consume(self.cfg.sign_cost));
-        let sig = self.keypair.sign(&phase.signed(digest, self.ts));
-        out.push(TobAction::Send {
-            to: self.leader,
-            msg: HotStuffMsg::Vote { phase, height, digest, sig, ts: self.ts },
-        });
+        out.push(TobAction::Consume(SIGN_COST));
+        let sig = self.regency.keypair.sign(&phase.signed(digest, ts));
+        let msg = HotStuffMsg::Vote { phase, height, digest, sig, ts };
+        out.push(TobAction::Send { to: self.regency.leader(), msg });
     }
 
-    /// Deliver a block once the decide certificate is known.
-    fn deliver(
-        &mut self,
-        block: Arc<Block>,
-        cert: QuorumCert,
-        now: Time,
-        out: &mut Vec<TobAction<HotStuffMsg>>,
-    ) {
-        if self.delivered_height.is_some_and(|h| h >= block.height) {
+    /// Deliver a block once its decide certificate is known. Nothing looks a
+    /// block or a vote below the next height up again, so both memos drop them.
+    fn deliver(&mut self, decided: CommittedBlock, now: Time, out: &mut Vec<Action>) {
+        let height = decided.block.height;
+        if height < self.next_height {
             return;
         }
-        self.delivered_height = Some(block.height);
-        self.next_height = block.height + 1;
-        self.pool.mark_delivered(&block.ops, now);
-        if !self.is_leader() {
-            self.pool.drop_pending(&block.ops);
-        }
-        self.known_blocks.remove(&cert.digest);
-        self.locked.retain(|height, _| *height >= self.next_height);
-        let decided = CommittedBlock { block, cert };
-        self.last_decided = Some(decided.clone());
-        out.push(TobAction::Deliver(decided));
+        self.next_height = height + 1;
+        self.known_blocks.retain(|_, block| block.height > height);
+        self.voted.retain(|&(voted_at, ..)| voted_at > height);
+        self.locked = self.locked.split_off(&self.next_height);
+        self.regency.deliver(decided, false, now, out);
     }
 
-    /// Leader: once a quorum has reported for this timestamp, catch up to the
-    /// highest decided block, queue the possibly-decided ones for re-proposal,
-    /// and start proposing.
-    fn resolve_handover(&mut self, now: Time, out: &mut Vec<TobAction<HotStuffMsg>>) {
-        if self.synced || !self.is_leader() {
-            return;
-        }
-        let Some(resolution) = self.reports.resolve(self.ts, self.cfg.quorum()) else {
+    /// Leader: count a vote; once a quorum voted, relay the votes as the next
+    /// phase's certificate — after `Commit`, deliver and propose the next block.
+    fn on_vote(&mut self, from: ReplicaId, vote: HotStuffMsg, now: Time, out: &mut Vec<Action>) {
+        let HotStuffMsg::Vote { phase, height, digest, sig, ts } = vote else {
             return;
         };
-        if let Some(CommittedBlock { block, cert }) = resolution.decided {
-            self.deliver(block, cert, now, out);
+        let (cfg, registry) = (&self.regency.cfg, &self.regency.registry);
+        let Some(inflight) = self.in_flight.as_mut() else {
+            return;
+        };
+        if !self.regency.is_leader()
+            || ts != self.regency.ts()
+            || (inflight.phase, inflight.digest, inflight.block.height) != (phase, digest, height)
+        {
+            return;
         }
-        self.carry = resolution.carry;
-        for block in self.carry.values() {
-            self.pool.note_ordered(&block.ops);
+        out.push(TobAction::Consume(VERIFY_COST));
+        if !registry.verify(&phase.signed(digest, ts), &sig) || !cfg.members.contains(&from) {
+            return;
         }
-        if let Some(decided) = &self.last_decided {
-            // A replica one block behind re-forwards that block's operations; the
-            // pool must know them as ordered whether or not it ever held them.
-            self.pool.note_ordered(&decided.block.ops);
-            self.broadcast_to_members(HotStuffMsg::Decided(Box::new(decided.clone())), out);
+        inflight.votes.insert(sig);
+        if inflight.votes.len() < cfg.quorum() {
+            return;
         }
-        self.synced = true;
-        self.maybe_propose(out);
+        let next = inflight.phase.next().expect("Decide collects no votes");
+        inflight.phase = next;
+        let (votes, block) = (std::mem::take(&mut inflight.votes), inflight.block.clone());
+        let msg =
+            HotStuffMsg::PhaseCert { phase: next, height, digest, justify: votes.clone(), ts };
+        self.regency.to_members(msg, out);
+        if next == Phase::Decide {
+            // The leader's own Decide handling happens via its loopback message,
+            // but clear the in-flight slot now so the next block can be proposed
+            // as soon as the decide is delivered locally.
+            let cert = QuorumCert::new(cfg.cluster, digest, votes);
+            self.in_flight = None;
+            self.deliver(CommittedBlock { block, cert }, now, out);
+            self.propose(out);
+        }
     }
 }
 
-impl TotalOrderBroadcast for HotStuff {
+type Action = TobAction<HotStuffMsg>;
+
+impl Phases for HotStuff {
     type Msg = HotStuffMsg;
 
-    fn name(&self) -> &'static str {
-        "HotStuff"
+    const NAME: &'static str = "HotStuff";
+
+    fn regency(&self) -> &Regency {
+        &self.regency
     }
 
-    fn broadcast(&mut self, op: Operation, now: Time) -> Vec<TobAction<HotStuffMsg>> {
-        let mut out = Vec::new();
-        self.pool.record_my_broadcast(op.clone(), now);
-        if self.is_leader() {
-            self.pool.enqueue(op);
-            self.maybe_propose(&mut out);
-        } else {
-            out.push(TobAction::Send { to: self.leader, msg: HotStuffMsg::Forward(op) });
-        }
-        out
+    fn regency_mut(&mut self) -> &mut Regency {
+        &mut self.regency
     }
 
-    fn on_message(
-        &mut self,
-        from: ReplicaId,
-        msg: HotStuffMsg,
-        now: Time,
-    ) -> Vec<TobAction<HotStuffMsg>> {
-        let mut out = Vec::new();
+    fn handle(&mut self, from: ReplicaId, msg: HotStuffMsg, now: Time, out: &mut Vec<Action>) {
+        let (leader, current) = (self.regency.leader(), self.regency.ts());
         match msg {
-            HotStuffMsg::Forward(op) => {
-                // A non-leader keeps it too: a member re-forwards to a new
-                // leader as soon as it installs the change, which can be
-                // before the new leader has. Delivery drops it from here.
-                self.pool.enqueue(op);
-                self.maybe_propose(&mut out);
-            }
+            HotStuffMsg::Forward(op) => self.on_forward(op, out),
+            HotStuffMsg::Report(report) => self.on_report(from, *report, now, out),
+            HotStuffMsg::Decided(decided) => self.on_decided(*decided, now, out),
             HotStuffMsg::Proposal { block, ts } => {
-                if from != self.leader || ts != self.ts || block.height < self.next_height {
-                    return out;
+                if from != leader || ts != current || block.height < self.next_height {
+                    return;
                 }
                 // Charge hashing/validation of the proposal.
-                out.push(TobAction::Consume(self.cfg.verify_cost));
+                out.push(TobAction::Consume(VERIFY_COST));
                 let digest = block.digest();
                 let height = block.height;
                 self.known_blocks.insert(digest, block);
-                self.vote(Phase::Prepare, height, digest, &mut out);
+                self.vote(Phase::Prepare, height, digest, out);
             }
             HotStuffMsg::PhaseCert { phase, height, digest, justify, ts } => {
-                if from != self.leader || ts != self.ts {
-                    return out;
+                if from != leader || ts != current {
+                    return;
                 }
-                // Verify the quorum certificate of the previous phase.
-                out.push(TobAction::Consume(
-                    self.cfg.verify_cost.saturating_mul(justify.len() as u64),
-                ));
-                // The justification is the votes of the phase before.
+                // Verify the quorum certificate of the previous phase: the
+                // votes of the phase before.
+                out.push(TobAction::Consume(VERIFY_COST.saturating_mul(justify.len() as u64)));
                 let voted_in = match phase {
                     Phase::Prepare | Phase::PreCommit => Phase::Prepare,
                     Phase::Commit => Phase::PreCommit,
                     Phase::Decide => Phase::Commit,
                 };
-                let signed = voted_in.signed(digest, ts);
-                let valid = justify.count_valid(&self.registry, &signed, &self.cfg.members)
-                    >= self.cfg.quorum();
-                if !valid {
-                    return out;
+                let (cfg, signed) = (&self.regency.cfg, voted_in.signed(digest, ts));
+                if justify.count_valid(&self.regency.registry, &signed, &cfg.members) < cfg.quorum()
+                {
+                    return;
                 }
                 match phase {
-                    Phase::PreCommit => self.vote(phase, height, digest, &mut out),
+                    Phase::PreCommit => self.vote(phase, height, digest, out),
                     Phase::Commit => {
                         // A quorum pre-committed this block: a `Commit` vote may
                         // decide it, so hold the proof until the height is delivered.
                         if let Some(block) = self.known_blocks.get(&digest).cloned() {
-                            self.locked
-                                .insert(height, Prepared { block, regency: ts, proof: justify });
+                            let proof = Prepared { block, regency: ts, proof: justify };
+                            self.locked.insert(height, proof);
                         }
-                        self.vote(phase, height, digest, &mut out);
+                        self.vote(phase, height, digest, out);
                     }
                     Phase::Decide => {
                         if let Some(block) = self.known_blocks.get(&digest).cloned() {
-                            let cert = QuorumCert::new(self.cfg.cluster, digest, justify);
-                            self.deliver(block, cert, now, &mut out);
+                            let cert = QuorumCert::new(cfg.cluster, digest, justify);
+                            self.deliver(CommittedBlock { block, cert }, now, out);
                         }
                     }
                     Phase::Prepare => {}
                 }
             }
-            HotStuffMsg::Vote { phase, height, digest, sig, ts } => {
-                if !self.is_leader() || ts != self.ts {
-                    return out;
-                }
-                let Some(inflight) = self.in_flight.as_mut() else {
-                    return out;
-                };
-                if inflight.phase != phase
-                    || inflight.digest != digest
-                    || inflight.block.height != height
-                {
-                    return out;
-                }
-                out.push(TobAction::Consume(self.cfg.verify_cost));
-                if !self.registry.verify(&phase.signed(digest, ts), &sig)
-                    || !self.cfg.members.contains(&from)
-                {
-                    return out;
-                }
-                inflight.votes.insert(sig);
-                if inflight.votes.len() >= self.cfg.quorum() {
-                    let justify = std::mem::take(&mut inflight.votes);
-                    let next = inflight.phase.next().expect("Decide collects no votes");
-                    inflight.phase = next;
-                    let block = inflight.block.clone();
-                    let msg = HotStuffMsg::PhaseCert {
-                        phase: next,
-                        height,
-                        digest,
-                        justify: justify.clone(),
-                        ts: self.ts,
-                    };
-                    self.broadcast_to_members(msg, &mut out);
-                    if next == Phase::Decide {
-                        // The leader's own Decide handling happens via its loopback
-                        // message, but clear the in-flight slot now so the next block
-                        // can be proposed as soon as the decide is delivered locally.
-                        let cert = QuorumCert::new(self.cfg.cluster, digest, justify);
-                        self.in_flight = None;
-                        self.deliver(block, cert, now, &mut out);
-                        self.maybe_propose(&mut out);
-                    }
-                }
-            }
-            HotStuffMsg::Report(report) => {
-                if report.regency >= self.ts && self.cfg.members.contains(&from) {
-                    let sigs = report.signature_count() as u64;
-                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
-                    if self.reports.accept(from, *report, &self.cfg, &self.registry) {
-                        self.resolve_handover(now, &mut out);
-                    }
-                }
-            }
-            HotStuffMsg::Decided(decided) => {
-                if self.delivered_height.is_none_or(|h| h < decided.block.height)
-                    && decided.block.cluster == self.cfg.cluster
-                {
-                    let sigs = decided.cert.signature_count() as u64;
-                    out.push(TobAction::Consume(self.cfg.verify_cost.saturating_mul(sigs)));
-                    if decided.verify(&self.registry, &self.cfg.members, self.cfg.quorum()) {
-                        let CommittedBlock { block, cert } = *decided;
-                        if self.in_flight.as_ref().is_some_and(|f| f.block.height <= block.height) {
-                            // A leader re-proposing this very block learnt it was
-                            // decided already (an earlier new leader's `Decided`
-                            // arriving late): the replicas that adopted it too
-                            // will never vote on the proposal.
-                            self.in_flight = None;
-                        }
-                        self.deliver(block, cert, now, &mut out);
-                        self.maybe_propose(&mut out);
-                    }
-                }
-            }
+            vote @ HotStuffMsg::Vote { .. } => self.on_vote(from, vote, now, out),
         }
-        out
     }
 
-    fn on_tick(&mut self, now: Time) -> Vec<TobAction<HotStuffMsg>> {
-        let mut out = Vec::new();
-        self.maybe_propose(&mut out);
-        let (floor, ceiling) = (self.cfg.timeout_floor, self.cfg.timeout);
-        if let Some(silent_for) = self.pool.should_complain(now, floor, ceiling) {
-            out.push(TobAction::Complain { leader: self.leader, silent_for });
+    fn propose(&mut self, out: &mut Vec<Action>) {
+        if self.in_flight.is_some() {
+            return;
         }
-        out
-    }
-
-    fn new_leader(
-        &mut self,
-        leader: ReplicaId,
-        ts: Timestamp,
-        now: Time,
-    ) -> Vec<TobAction<HotStuffMsg>> {
-        let mut out = Vec::new();
-        if ts.0 <= self.ts && leader == self.leader {
-            return out;
-        }
-        // Abandon any in-flight proposal; its operations go back to the pool if we
-        // become the leader, and every replica re-forwards its own undelivered
-        // operations to the new leader so nothing is lost.
-        if let Some(inflight) = self.in_flight.take() {
-            self.pool.requeue_front(inflight.block.ops.clone());
-        }
-        self.leader = leader;
-        self.ts = ts.0;
-        self.synced = false;
-        self.carry.clear();
-        self.pool.reset_watch(now);
-        let report = Report {
-            regency: self.ts,
-            decided: self.last_decided.clone(),
-            prepared: self.locked.values().cloned().collect(),
+        let Some(block) = self.regency.next_block(self.next_height, out) else {
+            return;
         };
-        if self.is_leader() {
-            for op in self.pool.my_undelivered().to_vec() {
-                self.pool.enqueue(op);
-            }
-            self.reports.insert(self.cfg.me, report);
-            self.resolve_handover(now, &mut out);
-        } else {
-            out.push(TobAction::Send {
-                to: self.leader,
-                msg: HotStuffMsg::Report(Box::new(report)),
-            });
-            for op in self.pool.my_undelivered() {
-                let msg = HotStuffMsg::Forward(op.clone());
-                out.push(TobAction::Send { to: self.leader, msg });
-            }
+        let (digest, phase, votes) = (block.digest(), Phase::Prepare, SigSet::new());
+        self.in_flight = Some(InFlight { block: Arc::clone(&block), digest, phase, votes });
+        self.regency.to_members(HotStuffMsg::Proposal { block, ts: self.regency.ts() }, out);
+    }
+
+    fn next_height(&self) -> u64 {
+        self.next_height
+    }
+
+    fn adopt(&mut self, decided: CommittedBlock, now: Time, out: &mut Vec<Action>) {
+        if self.in_flight.as_ref().is_some_and(|f| f.block.height <= decided.block.height) {
+            // A leader re-proposing this very block learnt it was decided
+            // already (an earlier new leader's `Decided` arriving late): the
+            // replicas that adopted it too will never vote on the proposal.
+            self.in_flight = None;
         }
-        out
+        self.deliver(decided, now, out);
+        self.propose(out);
     }
 
-    fn set_membership(&mut self, members: Vec<ReplicaId>) {
-        self.cfg.members = members;
+    fn abandon(&mut self) -> (Option<Arc<Block>>, Vec<Prepared>) {
+        (self.in_flight.take().map(|f| f.block), self.locked.values().cloned().collect())
     }
 
-    fn leader(&self) -> ReplicaId {
-        self.leader
-    }
-
-    fn set_fault_mode(&mut self, mode: FaultMode) {
-        self.fault = mode;
-    }
-
-    fn reset(&mut self) {
-        self.ts = 0;
-        self.fault = FaultMode::Correct;
-        self.pool = PendingPool::new();
+    fn reset_phases(&mut self) {
         self.in_flight = None;
         self.known_blocks.clear();
-        // Height 0 accepts any next proposal (`height < next_height` rejects);
-        // `delivered_height` re-seeds from the first post-restart delivery.
+        // Height 0 accepts any next proposal (`height < next_height` rejects).
         self.next_height = 0;
-        self.delivered_height = None;
         self.voted.clear();
-        self.last_decided = None;
         self.locked.clear();
-        self.reports = Reports::default();
-        self.synced = true;
-        self.carry.clear();
     }
 }
 

@@ -55,7 +55,7 @@ impl Duration {
     pub const ZERO: Duration = Duration(0);
 
     /// Construct from whole microseconds.
-    pub fn from_micros(us: u64) -> Duration {
+    pub const fn from_micros(us: u64) -> Duration {
         Duration(us)
     }
 

@@ -309,7 +309,12 @@ fn honest_corruption_is_byte_identical_to_the_plain_golden() {
 /// `scenario_api.rs` cannot see (two arms swapped would still permute alike).
 const EVENTS_GOLDEN: &str = "028ccd692b83b35f3cbff283d2c67b73a94bdc1abe54e54863e637a58794a00b";
 
-fn run_events_golden() -> String {
+/// The same schedule on AVA-BFTSMART: the golden that takes BFT-SMaRt through
+/// a local leader change (the run asserts one).
+const EVENTS_BFTSMART_GOLDEN: &str =
+    "3b4b5fcf755c84974a47854905a9d8490270fafb7faaa05ee5f37e12c59df8e5";
+
+fn run_events_golden(protocol: Protocol) -> String {
     use hamava_repro::scenario::{ByzantineBehavior, ScenarioEvent};
     use hamava_repro::types::{ClusterId, ReplicaId, Time};
     // Three clusters of 7 (f = 2): cluster 0 loses a crashed-then-restarted
@@ -350,7 +355,7 @@ fn run_events_golden() -> String {
     ];
     let kinds: std::collections::BTreeSet<&str> = events.iter().map(|(_, e)| e.kind()).collect();
     assert_eq!(kinds.len(), 12, "the schedule must hold every event kind");
-    let mut builder = Scenario::builder(Protocol::AvaHotStuff, config)
+    let mut builder = Scenario::builder(protocol, config)
         .options(golden_opts())
         .store(hamava_repro::store::StoreConfig::every(4))
         .run_for(Duration::from_secs(10));
@@ -363,14 +368,28 @@ fn run_events_golden() -> String {
             if *completed_at > s(7))),
         "the golden run must still commit after its last event"
     );
+    assert!(
+        run.outputs.iter().any(|o| matches!(o, Output::LeaderChanged { .. })),
+        "the golden run must change a local leader"
+    );
     fingerprint(&run.outputs, &run.stats)
 }
 
 #[test]
 fn every_event_kind_golden_fingerprint_is_stable() {
-    let fp = run_events_golden();
+    let fp = run_events_golden(Protocol::AvaHotStuff);
     println!("events fingerprint: {fp}");
     assert_eq!(fp, EVENTS_GOLDEN, "every-event-kind golden run diverged from its capture");
+}
+
+#[test]
+fn every_event_kind_bftsmart_golden_fingerprint_is_stable() {
+    let fp = run_events_golden(Protocol::AvaBftSmart);
+    println!("events bftsmart fingerprint: {fp}");
+    assert_eq!(
+        fp, EVENTS_BFTSMART_GOLDEN,
+        "every-event-kind AVA-BFTSMART run diverged from its capture"
+    );
 }
 
 #[test]
