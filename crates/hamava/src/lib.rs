@@ -14,7 +14,7 @@
 //! | Alg. 7 — local ordering | [`replica`] + any [`ava_consensus::TotalOrderBroadcast`] |
 //! | Alg. 8 — leader change | [`replica`] (`install_leader` wiring) |
 //! | Alg. 9 — leader election | [`leader_election`] |
-//! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`) |
+//! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`; a joiner's state transfer, lines 33–39, enters its round through `Replica::enter`, as a catch-up does); [`catchup`] decides restart and straggler catch-up |
 //!
 //! The replica is generic over the local consensus protocol: instantiating it with
 //! `ava-hotstuff` gives AVA-HOTSTUFF and with `ava-bftsmart` gives AVA-BFTSMART, the
@@ -43,6 +43,7 @@
 
 pub mod brd;
 pub mod byzantine;
+pub mod catchup;
 pub mod client;
 pub mod harness;
 pub mod leader_election;
@@ -60,7 +61,7 @@ pub use leader_election::{ElectionAction, ElectionMsg, LeaderElection};
 pub use messages::{AvaMsg, ClientCtl, ControlCmd, RoundPackage, RoundRecord, TxBatch};
 pub use relay::Relay;
 pub use remote_leader::{RemoteLeaderAction, RemoteLeaderChange, RemoteLeaderMsg};
-pub use replica::{Replica, ReplicaConfig, ReplicaStatus};
+pub use replica::{Replica, ReplicaConfig};
 pub use targets::TargetSet;
 // Re-exported so downstream crates can pick a state machine for
 // `DeploymentOptions::state_machine` without a direct `ava-state` dependency.

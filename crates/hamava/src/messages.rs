@@ -71,23 +71,9 @@ impl RoundPackage {
     }
 
     /// Verify every certificate in the package against the verifier's current
-    /// membership view (`membership`) of the originating cluster.
-    pub fn verify(&self, registry: &KeyRegistry, membership: &Membership) -> bool {
-        let members = membership.member_ids(self.cluster);
-        let quorum = membership.quorum(self.cluster);
-        if members.is_empty() {
-            return false;
-        }
-        let blocks_ok = self.blocks.iter().all(|b| b.verify(registry, &members, quorum));
-        let recs_ok = match &self.recs_cert {
-            Some(cert) => cert.verify_delivery(registry, &self.recs, &members, quorum),
-            None => self.recs.is_empty(),
-        };
-        blocks_ok && recs_ok
-    }
-
-    /// Verify against the verifier's current membership view, falling back **per
-    /// component** to the immediately-previous view (`prev`). Around a
+    /// membership view of the originating cluster, falling back **per
+    /// component** to the immediately-previous view (`prev`; pass `current`
+    /// again to check one view). Around a
     /// reconfiguration boundary a round's package legitimately mixes epochs:
     /// its head blocks were certified by the outgoing membership (they
     /// committed before the boundary and stranded past the previous round's
@@ -192,22 +178,11 @@ impl RoundRecord {
     }
 
     /// Verify every package in the record against the verifier's membership view
-    /// *as of the record's round*. Total signature count is returned alongside so
-    /// the caller can charge verification cost.
-    pub fn verify(&self, registry: &KeyRegistry, membership: &Membership) -> (bool, u64) {
-        let sigs = self
-            .packages
-            .iter()
-            .flat_map(|p| p.blocks.iter())
-            .map(|b| b.cert.signature_count() as u64)
-            .sum();
-        (self.packages.iter().all(|p| p.verify(registry, membership)), sigs)
-    }
-
-    /// Like [`RoundRecord::verify`] but with the per-component previous-view
+    /// *as of the record's round*, with the per-component previous-view
     /// fallback of [`RoundPackage::verify_either`] — records written at a
     /// reconfiguration boundary carry the same mixed-epoch packages live
-    /// verifiers see.
+    /// verifiers see. Total signature count is returned alongside so the caller
+    /// can charge verification cost.
     pub fn verify_either(
         &self,
         registry: &KeyRegistry,
@@ -423,18 +398,12 @@ pub enum AvaMsg<TM> {
         next_height: u64,
     },
     /// Catch-up: a restarted (or lagging) replica asks a cluster peer for the
-    /// state it missed while down.
-    CatchUpRequest {
-        /// The recovering replica.
-        replica: ReplicaId,
-        /// The first round the requester cannot cover from its own durable store
-        /// (everything below is already recovered locally).
-        from_round: Round,
-    },
+    /// state it missed. The reply goes to the sender (see [`crate::catchup`]).
+    CatchUpRequest,
     /// Catch-up: a peer's state transfer — its latest checkpoint plus the round-log
     /// suffix after it. The requester adopts a checkpoint only once `f + 1`
-    /// distinct peers report the same digest, and verifies every suffix package's
-    /// certificates before replaying it.
+    /// distinct members of its cluster report the same digest, and verifies every
+    /// suffix package's certificates before replaying it.
     CatchUpReply {
         /// The sender's latest checkpoint (synthesized from current state when the
         /// sender runs without a store).
@@ -532,7 +501,7 @@ where
                     + (views.membership.total_replicas() + views.prev_membership.total_replicas())
                         * 12
             }
-            AvaMsg::InterPull { .. } | AvaMsg::CatchUpRequest { .. } => 72,
+            AvaMsg::InterPull { .. } | AvaMsg::CatchUpRequest => 72,
             AvaMsg::CatchUpReply { checkpoint, suffix, .. } => {
                 80 + checkpoint.wire_size() + suffix.iter().map(|r| r.wire_size()).sum::<usize>()
             }
@@ -564,7 +533,7 @@ where
             AvaMsg::RequestLeave { .. } => "RequestLeave",
             AvaMsg::Ack { .. } => "Ack",
             AvaMsg::CurrState { .. } => "CurrState",
-            AvaMsg::CatchUpRequest { .. } => "CatchUpRequest",
+            AvaMsg::CatchUpRequest => "CatchUpRequest",
             AvaMsg::CatchUpReply { .. } => "CatchUpReply",
             AvaMsg::ClientRequest { tx, .. } if tx.kind.is_write() => "ClientRequest.write",
             AvaMsg::ClientRequest { .. } => "ClientRequest.read",
@@ -591,7 +560,8 @@ mod tests {
         let registry = KeyRegistry::new();
         let pkg = RoundPackage::new(ClusterId(5), Round(1), vec![], vec![], None);
         // Unknown cluster => empty member list => rejected.
-        assert!(!pkg.verify(&registry, &Membership::new()));
+        let unknown = Membership::new();
+        assert!(!pkg.verify_either(&registry, &unknown, &unknown));
     }
 
     #[test]

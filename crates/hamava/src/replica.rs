@@ -2,6 +2,7 @@
 //! structure of the paper (Alg. 7–10), generic over the local total-order broadcast.
 
 use crate::brd::{Brd, BrdAction, BrdCert};
+use crate::catchup::{self, walk_round, CatchUp, CatchUpOffer, Executed, Offered, Tick, View};
 use crate::leader_election::{ElectionAction, LeaderElection};
 use crate::messages::{AvaMsg, ControlCmd, CurrStateViews, RoundPackage, RoundRecord, TxBatch};
 use crate::relay::{self, trace_value, Relay};
@@ -12,7 +13,7 @@ use ava_simnet::{Actor, Context, SimMessage};
 use ava_state::{
     machine_for, machine_from_snapshot, StateMachine, StateMachineKind, StateSnapshot,
 };
-use ava_store::{Checkpoint, CheckpointCollector, ReplicaStore, StoreConfig};
+use ava_store::{Checkpoint, ReplicaStore, StoreConfig};
 use ava_types::{
     ClientId, ClusterId, Duration, Membership, Operation, Output, ProtocolParams, Reconfig, Region,
     RejectKind, ReplicaId, Round, StageKind, Time, Timestamp, Transaction, TxId, TxKind,
@@ -23,14 +24,8 @@ use std::sync::Arc;
 /// Timer kind used for the replica's periodic tick.
 const TICK: u64 = 1;
 
-/// How often a recovering replica re-broadcasts its `CatchUpRequest` until the
-/// catch-up completes (peers may themselves be down, or a checkpoint boundary may
-/// need to pass before enough digests match). 500 ms.
-const RECOVERY_RESEND: Duration = Duration(500_000);
-
-/// Lifecycle status of a replica.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ReplicaStatus {
+/// Lifecycle status of a replica; `M` is its message type.
+enum ReplicaStatus<M> {
     /// Participating in replication.
     Active,
     /// Trying to join a cluster (Alg. 3 requester side).
@@ -44,9 +39,9 @@ pub enum ReplicaStatus {
     },
     /// Has left the system (stops processing).
     Left,
-    /// Restarted after a crash and catching up via checkpoint + log-suffix state
-    /// transfer (the recovery bookkeeping lives in `Replica::recovery`).
-    Recovering,
+    /// Catching up via checkpoint + log-suffix state transfer, after a restart
+    /// or as a straggler.
+    Recovering(CatchUp<M>),
 }
 
 /// Per-round bookkeeping.
@@ -133,60 +128,12 @@ impl ReplicaConfig {
     }
 }
 
-/// One peer's catch-up reply, kept until enough peers agree on a checkpoint.
-struct CatchUpOffer {
-    checkpoint: Arc<Checkpoint>,
-    suffix: Vec<Arc<RoundRecord>>,
-    round: Round,
-    leader_ts: u64,
-}
-
-/// Upper bound on protocol messages buffered while catching up (the window is
-/// normally a local round trip; the cap only matters if every peer is down).
-const RECOVERY_BUFFER_CAP: usize = 10_000;
-
-/// Bookkeeping of an in-progress catch-up (post-restart recovery or an active
-/// replica's straggler escape).
-struct RecoveryState<TM> {
-    /// When the catch-up began (for time-to-caught-up accounting).
-    started_at: Time,
-    /// The round covered locally (store checkpoint + log replay, or the straggler's
-    /// current round); peers only need to cover rounds from here on.
-    recovered_round: Round,
-    /// Collects peer checkpoints until `f + 1` digests match.
-    collector: CheckpointCollector,
-    /// Latest reply per peer.
-    offers: BTreeMap<ReplicaId, CatchUpOffer>,
-    /// When the catch-up request was last (re-)broadcast.
-    last_request_at: Time,
-    /// Suffix records rejected because a certificate failed verification against
-    /// the membership of its round (corrupted or stale transfers).
-    rejected_records: u64,
-    /// Protocol traffic (TOB, BRD, packages) that arrived while catching up,
-    /// replayed once the replica rejoins so in-flight decisions are not lost.
-    buffered: Vec<(ReplicaId, AvaMsg<TM>)>,
-}
-
-impl<TM> RecoveryState<TM> {
-    fn new(now: Time, recovered_round: Round, threshold: usize) -> Self {
-        RecoveryState {
-            started_at: now,
-            recovered_round,
-            collector: CheckpointCollector::new(threshold),
-            offers: BTreeMap::new(),
-            last_request_at: now,
-            rejected_records: 0,
-            buffered: Vec::new(),
-        }
-    }
-}
-
 /// A Hamava replica, generic over the local total-order broadcast `T`.
 pub struct Replica<T: TotalOrderBroadcast> {
     cfg: ReplicaConfig,
     keypair: Keypair,
     registry: KeyRegistry,
-    status: ReplicaStatus,
+    status: ReplicaStatus<AvaMsg<T::Msg>>,
     membership: Membership,
     /// Membership as it stood immediately before the most recent reconfiguration
     /// (equal to `membership` until one applies). Blocks committed by the TOB
@@ -258,47 +205,13 @@ pub struct Replica<T: TotalOrderBroadcast> {
     leave_requested: bool,
     /// The durable store (round log + checkpoints). This is the one field a
     /// restart does not wipe — it models the on-disk state of the process.
-    store: Option<ReplicaStore<Arc<RoundRecord>>>,
-    /// In-progress crash recovery, present iff `status == Recovering`.
-    recovery: Option<RecoveryState<T::Msg>>,
+    store: Option<catchup::Store>,
     /// BRD messages that arrived for rounds this replica has not reached yet
     /// (BRD instances are per-round); replayed when the round starts, so a replica
     /// entering a round late still completes the round's dissemination. Members
     /// only disseminate for their current round, so a non-empty stash is also the
     /// straggler-escape evidence that this replica fell behind its own cluster.
     future_brd: BTreeMap<Round, Vec<(ReplicaId, crate::brd::BrdMsg)>>,
-}
-
-/// The one walk over a committed round (Alg. 10), which live execution, log
-/// replay, transferred-suffix replay and the post-recovery client acks all
-/// share: every transaction goes to `on_tx` in execution order — `packages`
-/// ascending by cluster (the paper's predefined order), blocks and operations
-/// in package order — and the reconfiguration sets come back in the order they
-/// apply, after all of the round's transactions: per cluster the block-carried
-/// `ReconfigSet`s, then the package-level set. Replayed replicas must compute
-/// the state and checkpoint digests live ones do, or f + 1 agreement breaks.
-fn walk_round<'a>(
-    packages: impl IntoIterator<Item = &'a Arc<RoundPackage>>,
-    mut on_tx: impl FnMut(&Transaction),
-) -> Vec<(ClusterId, Vec<Reconfig>)> {
-    let mut all_recs = Vec::new();
-    for package in packages {
-        for block in &package.blocks {
-            for op in &block.block.ops {
-                match op {
-                    Operation::Trans(tx) => on_tx(tx),
-                    Operation::ReconfigSet { recs, .. } => {
-                        all_recs.push((package.cluster, recs.clone()));
-                    }
-                    Operation::RoundCut { .. } => {}
-                }
-            }
-        }
-        if !package.recs.is_empty() {
-            all_recs.push((package.cluster, package.recs.clone()));
-        }
-    }
-    all_recs
 }
 
 impl<T: TotalOrderBroadcast> Replica<T> {
@@ -367,26 +280,10 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             mute_inter: false,
             leave_requested: false,
             store: None,
-            recovery: None,
             future_brd: BTreeMap::new(),
         };
         replica.store = replica.cfg.store.map(ReplicaStore::new);
         replica
-    }
-
-    /// Current status (for tests).
-    pub fn status(&self) -> &ReplicaStatus {
-        &self.status
-    }
-
-    /// Current membership view (for tests).
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// The replicated state machine (for tests).
-    pub fn machine(&self) -> &dyn StateMachine {
-        self.machine.as_ref()
     }
 
     fn my_members(&self) -> Vec<ReplicaId> {
@@ -475,13 +372,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                     }
                 }
                 BrdAction::Reject { round } => {
-                    ctx.emit(Output::ByzantineRejected {
-                        replica: self.cfg.me,
-                        cluster: self.cfg.cluster,
-                        round,
-                        kind: RejectKind::BrdSignature,
-                        at: ctx.now(),
-                    });
+                    self.reject(self.cfg.cluster, round, RejectKind::BrdSignature, ctx);
                 }
             }
         }
@@ -786,14 +677,32 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
     }
 
-    /// Verify a remote package against the current membership view, falling back
-    /// to the pre-reconfiguration view: around a reconfiguration boundary a
-    /// round's package carries head blocks that the TOB certified under the
-    /// outgoing membership (they committed before the boundary and stranded past
-    /// the previous round's cut), and rejecting those would wedge stage 2 at
-    /// every replica of the receiving cluster.
-    fn verify_package(&self, package: &RoundPackage) -> bool {
+    /// Charge for and verify a remote package against the current membership
+    /// view, falling back to the pre-reconfiguration view: around a
+    /// reconfiguration boundary a round's package carries head blocks that the
+    /// TOB certified under the outgoing membership (they committed before the
+    /// boundary and stranded past the previous round's cut), and rejecting those
+    /// would wedge stage 2 at every replica of the receiving cluster.
+    fn verify_package(
+        &self,
+        package: &RoundPackage,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) -> bool {
+        let sigs = package.blocks.iter().map(|b| b.cert.signature_count() as u64).sum();
+        ctx.consume(ctx.costs().per_sig_verify.saturating_mul(sigs));
         package.verify_either(&self.registry, &self.membership, &self.prev_membership)
+    }
+
+    /// Report Byzantine evidence about `cluster`'s `round`.
+    fn reject(
+        &self,
+        cluster: ClusterId,
+        round: Round,
+        kind: RejectKind,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) {
+        let at = ctx.now();
+        ctx.emit(Output::ByzantineRejected { replica: self.cfg.me, cluster, round, kind, at });
     }
 
     /// Report `conflict` — the content digests of the package already in
@@ -836,12 +745,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             self.report_equivocation(&package, relay::conflict(shared, &package), ctx);
             return;
         }
-        ctx.consume(
-            ctx.costs().per_sig_verify.saturating_mul(
-                package.blocks.iter().map(|b| b.cert.signature_count() as u64).sum(),
-            ),
-        );
-        if !self.verify_package(&package) {
+        if !self.verify_package(&package, ctx) {
             // Only a failure at our *current* round is sound Byzantine
             // evidence: having executed every earlier round, we hold the exact
             // certifying view (and the previous-view fallback covers the
@@ -850,13 +754,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             // straggler racing a cross-cluster reconfig hits exactly this — so
             // those drop silently and the sender's retry path recovers them.
             if package.round == self.round {
-                ctx.emit(Output::ByzantineRejected {
-                    replica: self.cfg.me,
-                    cluster: package.cluster,
-                    round: package.round,
-                    kind: RejectKind::PackageCert,
-                    at: ctx.now(),
-                });
+                self.reject(package.cluster, package.round, RejectKind::PackageCert, ctx);
             }
             return;
         }
@@ -937,19 +835,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             self.report_equivocation(&package, relay::conflict(held, &package), ctx);
             return;
         }
-        ctx.consume(
-            ctx.costs().per_sig_verify.saturating_mul(
-                package.blocks.iter().map(|b| b.cert.signature_count() as u64).sum(),
-            ),
-        );
-        if !self.verify_package(&package) {
-            ctx.emit(Output::ByzantineRejected {
-                replica: self.cfg.me,
-                cluster: package.cluster,
-                round: package.round,
-                kind: RejectKind::PackageCert,
-                at: ctx.now(),
-            });
+        if !self.verify_package(&package, ctx) {
+            self.reject(package.cluster, package.round, RejectKind::PackageCert, ctx);
             return;
         }
         self.rlc.mark_received(package.cluster);
@@ -1104,10 +991,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         // checkpoint digests match across the cluster).
         self.maybe_checkpoint(ctx);
 
-        if self.status == ReplicaStatus::Left {
-            return;
+        if !matches!(self.status, ReplicaStatus::Left) {
+            self.start_round(next_round, ctx);
         }
-        self.start_round(next_round, ctx);
     }
 
     fn persist_record(&mut self, record: Arc<RoundRecord>, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
@@ -1257,44 +1143,34 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         next_height: u64,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        let quorum_needed = {
-            let ReplicaStatus::Joining { target, state_senders, .. } = &mut self.status else {
-                return;
-            };
-            let senders = state_senders.entry(round).or_default();
-            senders.insert(from);
-            // A quorum of the cluster we are joining must report the same round
-            // (Alg. 10 line 39).
-            senders.len() >= 2 * self.cfg.membership.f(*target) + 1
+        let ReplicaStatus::Joining { target, state_senders, .. } = &mut self.status else {
+            return;
         };
-        if !quorum_needed {
+        let senders = state_senders.entry(round).or_default();
+        senders.insert(from);
+        // A quorum of the cluster we are joining must report the same round
+        // (Alg. 10 line 39).
+        if senders.len() < 2 * self.cfg.membership.f(*target) + 1 {
             return;
         }
         // Adopt the state and become an active member starting at `round`. The
         // sender's packing anchor comes with it: heights below `next_height` are
         // already folded into `state`, and the joiner must cut its first rounds
-        // at the same height boundaries as its new peers.
-        self.machine = machine_from_snapshot(&state);
-        self.membership = views.membership;
-        // Adopt the sender's trailing window too: packages certified under the
-        // outgoing view are still in flight, and the joiner must verify them
-        // exactly like its established peers do.
-        self.prev_membership = views.prev_membership;
+        // at the same height boundaries as its new peers. So does the sender's
+        // trailing view: packages certified under the outgoing view are still in
+        // flight, and the joiner must verify them exactly like its peers do.
+        let view = View {
+            machine: machine_from_snapshot(&state),
+            membership: views.membership,
+            prev_membership: views.prev_membership,
+            leader_ts,
+            next_height,
+        };
+        let anchor = self.install(view);
         self.round = round;
-        self.leader_ts = Timestamp(leader_ts);
-        self.next_local_height = next_height;
-        self.pending_blocks = self.pending_blocks.split_off(&next_height);
-        let members = self.my_members();
-        self.leader = LeaderElection::leader_for(&members, leader_ts);
-        self.election = LeaderElection::new(self.cfg.me, members.clone());
-        self.tob.set_membership(members);
-        let leader = self.leader;
-        let ts = self.leader_ts;
-        let now = ctx.now();
-        let tob_actions = self.tob.new_leader(leader, ts, now);
-        self.apply_tob_actions(tob_actions, ctx);
-        self.status = ReplicaStatus::Active;
-        self.start_round(round, ctx);
+        self.next_local_height = anchor;
+        self.pending_blocks = self.pending_blocks.split_off(&anchor);
+        self.enter(round, ctx);
         ctx.emit(Output::ReconfigApplied {
             replica: self.cfg.me,
             cluster: self.cfg.cluster,
@@ -1305,36 +1181,76 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         });
     }
 
-    // ---- crash restart & catch-up (state transfer) --------------------------------
+    // ---- entering a round ----------------------------------------------------------
 
-    /// Rebuild the replica after a simulated process restart: every sub-protocol is
-    /// reconstructed from static configuration, volatile state is discarded, and
-    /// the durable store (the one surviving field) seeds local recovery before the
-    /// catch-up protocol fills the gap from peers.
+    /// Install an entry path's state. Returns its packing anchor, which each
+    /// path applies in its own way.
+    fn install(&mut self, view: View) -> u64 {
+        self.machine = view.machine;
+        self.membership = view.membership;
+        self.prev_membership = view.prev_membership;
+        self.leader_ts = Timestamp(view.leader_ts);
+        view.next_height
+    }
+
+    /// Enter `round` as an active member of the installed view: its leader, a
+    /// fresh election, the TOB on the view's members and leader, then the
+    /// round. The one way into a round after start-up, shared by the join, a
+    /// catch-up's adoption and the solo fallback.
+    fn enter(&mut self, round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
+        let members = self.my_members();
+        self.leader = LeaderElection::leader_for(&members, self.leader_ts.0);
+        self.election = LeaderElection::new(self.cfg.me, members.clone());
+        self.tob.set_membership(members);
+        let actions = self.tob.new_leader(self.leader, self.leader_ts, ctx.now());
+        self.apply_tob_actions(actions, ctx);
+        self.status = ReplicaStatus::Active;
+        self.start_round(round, ctx);
+    }
+
+    /// The end of a catch-up, adopted or not: the blocks the abandoned
+    /// in-flight round consumed go back to the queue, packing re-anchors at
+    /// `anchor` (covered heights are pruned, the rest re-pack in height order),
+    /// the replica enters `round`, and the traffic buffered meanwhile replays.
+    fn resume(&mut self, round: Round, anchor: u64, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
+        let buffered = match std::mem::replace(&mut self.status, ReplicaStatus::Active) {
+            ReplicaStatus::Recovering(catch_up) => catch_up.into_buffered(),
+            _ => Vec::new(),
+        };
+        for block in std::mem::take(&mut self.round_state.blocks) {
+            self.pending_blocks.entry(block.block.height).or_insert(block);
+        }
+        self.next_local_height = anchor;
+        self.pending_blocks = self.pending_blocks.split_off(&anchor);
+        self.enter(round, ctx);
+        for (from, msg) in buffered {
+            match msg {
+                AvaMsg::Tob(m) => {
+                    let actions = self.tob.on_message(from, m, ctx.now());
+                    self.apply_tob_actions(actions, ctx);
+                }
+                AvaMsg::Brd(m) => self.on_brd_msg(from, m, ctx),
+                AvaMsg::Inter(package) => self.on_inter(from, package, ctx),
+                AvaMsg::LocalShare(package) => self.on_local_share(package, ctx),
+                _ => {}
+            }
+        }
+    }
+
+    // ---- crash restart & catch-up (state transfer, see `catchup`) ------------------
+
+    /// Rebuild the replica after a simulated process restart: volatile state is
+    /// discarded, the durable store (the one surviving field) seeds local
+    /// recovery, and the catch-up protocol fills the gap from peers. The leader,
+    /// election and BRD instance are left for `enter` to rebuild: nothing reads
+    /// them while catching up.
     fn restart(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let members = self.cfg.membership.member_ids(self.cfg.cluster);
-        self.membership = self.cfg.membership.clone();
-        self.prev_membership = self.cfg.membership.clone();
-        self.round = Round(1);
         self.round_state = RoundState { started_at: ctx.now(), ..Default::default() };
         self.tob.reset();
-        self.election = LeaderElection::new(self.cfg.me, members.clone());
-        self.leader = members.first().copied().unwrap_or(self.cfg.me);
-        self.leader_ts = Timestamp(0);
-        self.brd = Brd::new(
-            self.cfg.me,
-            members,
-            self.keypair.clone(),
-            self.registry.clone(),
-            self.leader,
-            self.leader_ts,
-            self.round,
-            self.cfg.params.brd_timeout,
-        );
         self.rlc = RemoteLeaderChange::new(
             self.cfg.me,
             self.cfg.cluster,
-            self.membership.clone(),
+            self.cfg.membership.clone(),
             self.keypair.clone(),
             self.registry.clone(),
             self.cfg.params.remote_leader_timeout,
@@ -1345,7 +1261,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.pending_clients.clear();
         self.pending_batch.clear();
         self.seen_batches.clear();
-        self.machine = machine_for(self.cfg.machine);
         self.prev_package = None;
         self.relay = Relay::new(self.cfg.cluster);
         self.ordered_reconfig_sets.clear();
@@ -1353,11 +1268,15 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.leave_requested = false;
         self.future_brd.clear();
         self.pending_blocks.clear();
-        self.next_local_height = 0;
-        self.round_base_height = 0;
-
-        let (recovered_round, replayed) = self.recover_from_store();
-        self.round_base_height = self.next_local_height;
+        let (view, recovered_round, replayed) = catchup::replay_store(
+            self.store.as_ref(),
+            self.cfg.cluster,
+            self.cfg.machine,
+            &self.cfg.membership,
+        );
+        let anchor = self.install(view);
+        self.next_local_height = anchor;
+        self.round_base_height = anchor;
         self.round = recovered_round;
 
         ctx.set_timer(self.cfg.tick_interval, TICK);
@@ -1368,295 +1287,58 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             log_rounds_replayed: replayed,
             at: ctx.now(),
         });
-        let f = self.membership.f(self.cfg.cluster);
-        self.recovery = Some(RecoveryState::new(ctx.now(), recovered_round, f + 1));
-        self.status = ReplicaStatus::Recovering;
-        self.send_catch_up_request(ctx);
+        self.begin_catch_up(recovered_round, ctx);
     }
 
-    /// Straggler escape: this replica fell behind its own cluster (a verified or
-    /// claimed remote package proves a later round is in progress) and its current
-    /// round can no longer complete — the round's BRD exchange and package
-    /// forwarding are over at its peers. Re-run the catch-up protocol *without*
-    /// wiping state: fetch the missed rounds' certified records, then rejoin.
-    fn begin_straggler_catch_up(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let f = self.membership.f(self.cfg.cluster);
-        self.recovery = Some(RecoveryState::new(ctx.now(), self.round, f + 1));
-        self.status = ReplicaStatus::Recovering;
-        ctx.emit(Output::Custom {
-            name: "straggler_catch_up",
-            value: self.round.0 as f64,
-            at: ctx.now(),
-        });
-        self.send_catch_up_request(ctx);
+    /// Start catching up from `recovered_round`, voted on by the current view.
+    fn begin_catch_up(&mut self, recovered_round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
+        let catch_up = CatchUp::new(ctx.now(), recovered_round, &self.membership, self.cfg.cluster);
+        ctx.broadcast(catch_up.peers(self.cfg.me), AvaMsg::CatchUpRequest);
+        self.status = ReplicaStatus::Recovering(catch_up);
     }
 
-    /// Local durable recovery: adopt the store's checkpoint, replay the log suffix,
-    /// and refresh the leader view for the recovered membership. Returns the first
-    /// round the store cannot cover and how many log rounds were replayed.
-    fn recover_from_store(&mut self) -> (Round, u64) {
-        let Some(store) = &self.store else {
-            return (Round(1), 0);
-        };
-        let (checkpoint, suffix) = store.recover();
-        let mut round = Round(1);
-        if let Some(cp) = checkpoint {
-            self.machine = machine_from_snapshot(&cp.state);
-            self.membership = cp.membership.clone();
-            self.prev_membership = cp.membership.clone();
-            self.leader_ts = Timestamp(cp.leader_ts);
-            round = cp.round.next();
-            self.next_local_height = cp.next_height;
+    /// What this replica has executed (see [`Executed`]).
+    fn executed(&self) -> Executed<'_> {
+        Executed {
+            machine: self.machine.as_ref(),
+            membership: &self.membership,
+            round: self.round,
+            leader_ts: self.leader_ts.0,
+            next_height: self.round_base_height,
         }
-        let mut replayed = 0u64;
-        for record in suffix {
-            if record.round < round {
-                continue;
-            }
-            Self::apply_record_contents(&record, self.machine.as_mut(), &mut self.membership);
-            if let Some(h) = Self::record_next_height(&record, self.cfg.cluster) {
-                self.next_local_height = self.next_local_height.max(h);
-            }
-            round = record.round.next();
-            replayed += 1;
-        }
-        let members = self.membership.member_ids(self.cfg.cluster);
-        self.leader = LeaderElection::leader_for(&members, self.leader_ts.0);
-        self.election = LeaderElection::new(self.cfg.me, members.clone());
-        self.tob.set_membership(members);
-        (round, replayed)
-    }
-
-    fn send_catch_up_request(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let Some(rec) = &mut self.recovery else {
-            return;
-        };
-        rec.last_request_at = ctx.now();
-        let from_round = rec.recovered_round;
-        let me = self.cfg.me;
-        let members: Vec<ReplicaId> =
-            self.membership.member_ids(self.cfg.cluster).into_iter().filter(|m| *m != me).collect();
-        ctx.broadcast(members, AvaMsg::CatchUpRequest { replica: me, from_round });
-    }
-
-    /// Member side of catch-up: ship the latest checkpoint plus the log suffix
-    /// after it. A storeless replica synthesizes a checkpoint of its current state
-    /// (rounds advance in lockstep, so concurrent synthesized snapshots still
-    /// match digest-wise whenever the senders are in the same round).
-    fn on_catch_up_request(
-        &mut self,
-        from: ReplicaId,
-        _from_round: Round,
-        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
-    ) {
-        let (checkpoint, suffix) = match &self.store {
-            Some(store) => match store.latest_checkpoint() {
-                Some(cp) => {
-                    let suffix = store.suffix(cp.round);
-                    (cp, suffix)
-                }
-                None => {
-                    // No checkpoint yet: the whole history is in the log; anchor it
-                    // with the empty round-0 snapshot every replica agrees on.
-                    let cp = Arc::new(Checkpoint::new(
-                        Round(0),
-                        StateSnapshot::empty(self.machine.kind()),
-                        self.cfg.membership.clone(),
-                        0,
-                        0,
-                    ));
-                    let suffix = store.suffix(Round(0));
-                    (cp, suffix)
-                }
-            },
-            None => {
-                let last_executed = Round(self.round.0.saturating_sub(1));
-                let cp = Arc::new(Checkpoint::new(
-                    last_executed,
-                    self.machine.snapshot(),
-                    self.membership.clone(),
-                    self.leader_ts.0,
-                    self.round_base_height,
-                ));
-                (cp, Vec::new())
-            }
-        };
-        ctx.send(
-            from,
-            AvaMsg::CatchUpReply {
-                checkpoint,
-                suffix,
-                round: self.round,
-                leader_ts: self.leader_ts.0,
-            },
-        );
     }
 
     fn on_catch_up_reply(
         &mut self,
         from: ReplicaId,
-        checkpoint: Arc<Checkpoint>,
-        suffix: Vec<Arc<RoundRecord>>,
-        round: Round,
-        leader_ts: u64,
+        offer: CatchUpOffer,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        let Some(rec) = &mut self.recovery else {
+        let ReplicaStatus::Recovering(catch_up) = &mut self.status else {
             return;
         };
-        // Corrupted snapshots (digest ≠ content) are dropped before they can vote.
-        // Honest senders never ship one, so the rejection is Byzantine evidence.
-        if !rec.collector.offer(from, Arc::clone(&checkpoint)) {
-            ctx.emit(Output::ByzantineRejected {
-                replica: self.cfg.me,
-                cluster: self.cfg.cluster,
-                round: checkpoint.round,
-                kind: RejectKind::CatchUpCheckpoint,
-                at: ctx.now(),
-            });
+        let round = offer.checkpoint.round;
+        match catch_up.offer(from, offer) {
+            Offered::Ignored => return,
+            // Honest members never send a corrupted checkpoint: evidence.
+            Offered::Corrupt => {
+                self.reject(self.cfg.cluster, round, RejectKind::CatchUpCheckpoint, ctx);
+                return;
+            }
+            Offered::Counted => {}
+        }
+        let ReplicaStatus::Recovering(catch_up) = &self.status else {
             return;
-        }
-        rec.offers.insert(from, CatchUpOffer { checkpoint, suffix, round, leader_ts });
-        self.try_complete_recovery(ctx);
-    }
-
-    /// Once `f + 1` peers agree on a checkpoint digest, try to adopt it plus one
-    /// agreeing peer's log suffix (newest peer first). Every transferred record's
-    /// certificates are verified against the membership of its round; a candidate
-    /// with a gap or an unverifiable record is rejected and the next one is tried.
-    fn try_complete_recovery(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        struct Adoption {
-            machine: Box<dyn StateMachine>,
-            membership: Membership,
-            // The view one reconfig behind `membership` (the replay's trailing
-            // window), preserved so the recovered replica keeps verifying
-            // honest in-flight packages certified just before its adopted view
-            // — flattening it to `membership` would turn those drops into
-            // false Byzantine evidence.
-            prev_membership: Membership,
-            round: Round,
-            leader_ts: u64,
-            checkpoint: Option<Arc<Checkpoint>>,
-            records: Vec<Arc<RoundRecord>>,
-            rounds_transferred: u64,
-            bytes_transferred: u64,
-            next_height: u64,
-        }
-        let adoption = {
-            let Some(rec) = &mut self.recovery else {
-                return;
-            };
-            let Some(agreed) = rec.collector.agreed() else {
-                return;
-            };
-            let mut candidates: Vec<ReplicaId> = rec
-                .offers
-                .iter()
-                .filter(|(_, o)| {
-                    o.checkpoint.round == agreed.round && o.checkpoint.digest == agreed.digest
-                })
-                .map(|(id, _)| *id)
-                .collect();
-            candidates.sort_by_key(|id| std::cmp::Reverse(rec.offers[id].round));
-            let mut sig_cost = 0u64;
-            let mut adoption = None;
-            for id in candidates {
-                let offer = &rec.offers[&id];
-                // Base: the agreed checkpoint if it is ahead of local recovery,
-                // else the locally recovered state.
-                let use_checkpoint = agreed.round.next() > rec.recovered_round;
-                let (mut machine, mut membership, mut next, mut bytes) = if use_checkpoint {
-                    (
-                        machine_from_snapshot(&agreed.state),
-                        agreed.membership.clone(),
-                        agreed.round.next(),
-                        agreed.wire_size() as u64,
-                    )
-                } else {
-                    (self.machine.fork(), self.membership.clone(), rec.recovered_round, 0)
-                };
-                let gap_rounds =
-                    if use_checkpoint { agreed.round.next().0 - rec.recovered_round.0 } else { 0 };
-                // Re-anchor block packing at the adopted base, then advance it
-                // past every own-cluster block the transferred records cover.
-                // The no-checkpoint base is the boundary after the last round
-                // this replica *executed* (not the live anchor): blocks it had
-                // consumed into its now-abandoned in-flight round are recycled
-                // into `pending_blocks` at commit and re-packed from here.
-                let mut next_height =
-                    if use_checkpoint { agreed.next_height } else { self.round_base_height };
-                let mut records = Vec::new();
-                let mut ok = true;
-                // Trails `membership` by one record: a record's head blocks may
-                // be certified under the view that preceded the previous
-                // record's reconfigurations (see `verify_package`).
-                let mut replay_prev = membership.clone();
-                for record in &offer.suffix {
-                    if record.round < next {
-                        continue;
-                    }
-                    if record.round > next {
-                        ok = false; // gap: this peer cannot cover our range
-                        break;
-                    }
-                    let (valid, sigs) =
-                        record.verify_either(&self.registry, &membership, &replay_prev);
-                    sig_cost += sigs;
-                    if !valid {
-                        rec.rejected_records += 1;
-                        ok = false;
-                        break;
-                    }
-                    replay_prev = membership.clone();
-                    Self::apply_record_contents(record, machine.as_mut(), &mut membership);
-                    if let Some(h) = Self::record_next_height(record, self.cfg.cluster) {
-                        next_height = next_height.max(h);
-                    }
-                    bytes += record.wire_size() as u64;
-                    next = record.round.next();
-                    records.push(Arc::clone(record));
-                }
-                // The suffix must reach the peer's current round, else we would
-                // rejoin behind the cluster with no way to fetch the missing rounds.
-                if ok && next >= offer.round {
-                    adoption = Some(Adoption {
-                        machine,
-                        membership,
-                        prev_membership: replay_prev,
-                        round: next,
-                        leader_ts: offer.leader_ts,
-                        checkpoint: use_checkpoint.then(|| Arc::clone(&agreed)),
-                        rounds_transferred: gap_rounds + records.len() as u64,
-                        records,
-                        bytes_transferred: bytes,
-                        next_height,
-                    });
-                    break;
-                }
-            }
-            if sig_cost > 0 {
-                ctx.consume(ctx.costs().per_sig_verify.saturating_mul(sig_cost));
-            }
-            let Some(adoption) = adoption else {
-                return;
-            };
-            adoption
         };
-
-        // Commit: adopt the transferred state and make it durable in one batch.
-        self.machine = adoption.machine;
-        self.membership = adoption.membership;
-        self.prev_membership = adoption.prev_membership;
-        self.leader_ts = Timestamp(adoption.leader_ts);
-        // Recycle blocks consumed into the abandoned in-flight round — the
-        // transferred records may stop short of them — then re-anchor. Covered
-        // heights fall below the new anchor and are pruned; the rest re-pack
-        // into the resumed round in height order.
-        for block in std::mem::take(&mut self.round_state.blocks) {
-            self.pending_blocks.entry(block.block.height).or_insert(block);
+        let (adoption, sigs) = catch_up.adoption(&self.registry, self.cfg.cluster, self.executed());
+        if sigs > 0 {
+            ctx.consume(ctx.costs().per_sig_verify.saturating_mul(sigs));
         }
-        self.next_local_height = self.round_base_height.max(adoption.next_height);
-        self.pending_blocks = self.pending_blocks.split_off(&self.next_local_height);
+        let Some(adoption) = adoption else {
+            return;
+        };
+        let anchor = self.round_base_height.max(self.install(adoption.view));
+        // Make the transferred state durable in one batch.
         let mut persist_bytes = 0usize;
         if let Some(store) = &mut self.store {
             if let Some(cp) = &adoption.checkpoint {
@@ -1685,22 +1367,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         for record in &adoption.records {
             walk_round(&record.packages, |tx| self.ack_committed(tx, ctx));
         }
-        let rec = self.recovery.take();
-        // Two same-round checkpoint digests among the offers is sound evidence a
-        // peer fabricated one (snapshots are round-deterministic at correct
-        // replicas): the f+1 agreement outvoted it; record that it happened.
-        let conflicting = rec.as_ref().map(|r| r.collector.conflicting()).unwrap_or(false);
-        let buffered = rec.map(|r| r.buffered).unwrap_or_default();
-        if conflicting {
-            ctx.emit(Output::ByzantineRejected {
-                replica: self.cfg.me,
-                cluster: self.cfg.cluster,
-                round: adoption.round,
-                kind: RejectKind::CatchUpCheckpoint,
-                at: ctx.now(),
-            });
+        if adoption.outvoted {
+            self.reject(self.cfg.cluster, adoption.round, RejectKind::CatchUpCheckpoint, ctx);
         }
-        self.status = ReplicaStatus::Active;
         ctx.emit(Output::RecoveryCompleted {
             replica: self.cfg.me,
             cluster: self.cfg.cluster,
@@ -1709,74 +1378,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             bytes_transferred: adoption.bytes_transferred,
             at: ctx.now(),
         });
-        self.resume_active(adoption.round, ctx);
-        self.dispatch_buffered(buffered, ctx);
-    }
-
-    /// Replay protocol traffic buffered while catching up, in arrival order.
-    fn dispatch_buffered(
-        &mut self,
-        buffered: Vec<(ReplicaId, AvaMsg<T::Msg>)>,
-        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
-    ) {
-        for (from, msg) in buffered {
-            match msg {
-                AvaMsg::Tob(m) => {
-                    let actions = self.tob.on_message(from, m, ctx.now());
-                    self.apply_tob_actions(actions, ctx);
-                }
-                AvaMsg::Brd(m) => self.on_brd_msg(from, m, ctx),
-                AvaMsg::Inter(package) => self.on_inter(from, package, ctx),
-                AvaMsg::LocalShare(package) => self.on_local_share(package, ctx),
-                _ => {}
-            }
-        }
-    }
-
-    /// Apply one round record to a machine/membership pair exactly as
-    /// [`Replica::execute`] applies the round live (both go through
-    /// [`walk_round`]). Used for local log replay and for replaying transferred
-    /// suffixes — no client responses, no outputs.
-    fn apply_record_contents(
-        record: &RoundRecord,
-        machine: &mut dyn StateMachine,
-        membership: &mut Membership,
-    ) {
-        let all_recs = walk_round(&record.packages, |tx| {
-            machine.apply(record.round, tx);
-        });
-        for (cluster, recs) in &all_recs {
-            membership.apply_set(*cluster, recs);
-        }
-    }
-
-    /// The packing anchor implied by a round record for `cluster`'s own log:
-    /// one past the highest own-cluster block height the record packs, or `None`
-    /// when the record carries no own-cluster blocks (its round boundary then
-    /// adds nothing beyond the previous one).
-    fn record_next_height(record: &RoundRecord, cluster: ClusterId) -> Option<u64> {
-        record
-            .packages
-            .iter()
-            .filter(|p| p.cluster == cluster)
-            .flat_map(|p| p.blocks.iter().map(|b| b.block.height + 1))
-            .max()
-    }
-
-    /// Rejoin local ordering and inter-cluster forwarding at `round` with the
-    /// already-adopted membership and leader timestamp (shared by peer-driven
-    /// catch-up and the solo fallback).
-    fn resume_active(&mut self, round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let members = self.my_members();
-        self.election = LeaderElection::new(self.cfg.me, members.clone());
-        self.leader = LeaderElection::leader_for(&members, self.leader_ts.0);
-        self.tob.set_membership(members);
-        let leader = self.leader;
-        let ts = self.leader_ts;
-        let now = ctx.now();
-        let actions = self.tob.new_leader(leader, ts, now);
-        self.apply_tob_actions(actions, ctx);
-        self.start_round(round, ctx);
+        self.resume(adoption.round, anchor, ctx);
     }
 
     // ---- client requests ---------------------------------------------------------
@@ -1902,15 +1504,14 @@ where
                 self.rlc.start_round(self.round, ctx.now());
             }
             ReplicaStatus::Joining { .. } => self.send_join_request(ctx),
-            ReplicaStatus::Left | ReplicaStatus::Recovering => {}
+            ReplicaStatus::Left | ReplicaStatus::Recovering(_) => {}
         }
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        if self.status == ReplicaStatus::Left {
-            return;
+        if !matches!(self.status, ReplicaStatus::Left) {
+            self.restart(ctx);
         }
-        self.restart(ctx);
     }
 
     fn on_message(
@@ -1919,24 +1520,21 @@ where
         msg: AvaMsg<T::Msg>,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        if self.status == ReplicaStatus::Left {
+        if matches!(self.status, ReplicaStatus::Left) {
             return;
         }
-        if self.status == ReplicaStatus::Recovering {
+        if let ReplicaStatus::Recovering(catch_up) = &mut self.status {
             // A recovering replica only acts on state transfers; in-flight protocol
             // traffic is buffered and replayed once it rejoins, so decisions made
             // while it caught up are not lost.
             match msg {
                 AvaMsg::CatchUpReply { checkpoint, suffix, round, leader_ts } => {
-                    self.on_catch_up_reply(from, checkpoint, suffix, round, leader_ts, ctx);
+                    let offer = CatchUpOffer { checkpoint, suffix, round, leader_ts };
+                    self.on_catch_up_reply(from, offer, ctx);
                 }
                 m
                 @ (AvaMsg::Tob(_) | AvaMsg::Brd(_) | AvaMsg::Inter(_) | AvaMsg::LocalShare(_)) => {
-                    if let Some(rec) = &mut self.recovery {
-                        if rec.buffered.len() < RECOVERY_BUFFER_CAP {
-                            rec.buffered.push((from, m));
-                        }
-                    }
+                    catch_up.buffer(from, m);
                 }
                 _ => {}
             }
@@ -1979,8 +1577,12 @@ where
             AvaMsg::RequestLeave { replica, .. } => self.on_request_leave(replica, ctx),
             AvaMsg::Ack { .. } => {}
             AvaMsg::CurrState { .. } => {}
-            AvaMsg::CatchUpRequest { replica, from_round } => {
-                self.on_catch_up_request(replica, from_round, ctx)
+            AvaMsg::CatchUpRequest => {
+                let executed = self.executed();
+                let (checkpoint, suffix) =
+                    catchup::reply(self.store.as_ref(), &self.cfg.membership, executed);
+                let (round, leader_ts) = (self.round, self.leader_ts.0);
+                ctx.send(from, AvaMsg::CatchUpReply { checkpoint, suffix, round, leader_ts });
             }
             AvaMsg::CatchUpReply { .. } => {}
             AvaMsg::ClientRequest { tx, client } => self.on_client_request(from, tx, client, ctx),
@@ -1997,47 +1599,26 @@ where
     }
 
     fn on_timer(&mut self, kind: u64, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        if kind != TICK || self.status == ReplicaStatus::Left {
+        if kind != TICK || matches!(self.status, ReplicaStatus::Left) {
             return;
         }
         ctx.set_timer(self.cfg.tick_interval, TICK);
-        if self.status == ReplicaStatus::Recovering {
-            let now = ctx.now();
-            let (resend, give_up) = match &self.recovery {
-                Some(rec) => (
-                    now.since(rec.last_request_at) >= RECOVERY_RESEND,
-                    now.since(rec.started_at) >= self.cfg.params.local_timeout,
-                ),
-                None => (false, false),
-            };
-            if give_up {
+        if let ReplicaStatus::Recovering(catch_up) = &mut self.status {
+            match catch_up.on_tick(ctx.now(), self.cfg.params.local_timeout) {
+                Tick::Wait => {}
+                Tick::Resend => ctx.broadcast(catch_up.peers(self.cfg.me), AvaMsg::CatchUpRequest),
                 // Solo fallback: no quorum of peers answered within the local
                 // timeout (e.g. the whole cluster restarted). Resume from the
-                // locally recovered state; live rounds re-align the stragglers.
-                // This is NOT a completed catch-up — `RecoveryCompleted` stays
-                // reserved for a real state transfer (the `RecoveryObserver`
-                // keeps the replica marked not-caught-up until one happens).
-                let (round, buffered) = match self.recovery.take() {
-                    Some(r) => (r.recovered_round, r.buffered),
-                    None => (self.round, Vec::new()),
-                };
-                self.status = ReplicaStatus::Active;
-                ctx.emit(Output::Custom {
-                    name: "recovery_solo_fallback",
-                    value: round.0 as f64,
-                    at: now,
-                });
-                // Return any blocks consumed into the abandoned in-flight round
-                // to the queue and rewind the anchor to the round boundary, so
-                // the resumed round re-packs them in height order.
-                for block in std::mem::take(&mut self.round_state.blocks) {
-                    self.pending_blocks.entry(block.block.height).or_insert(block);
+                // locally recovered state at the round boundary; live rounds
+                // re-align the stragglers. This is NOT a completed catch-up —
+                // `RecoveryCompleted` stays reserved for a real state transfer
+                // (the `RecoveryObserver` keeps the replica marked
+                // not-caught-up until one happens).
+                Tick::GiveUp(round) => {
+                    let (value, at) = (round.0 as f64, ctx.now());
+                    ctx.emit(Output::Custom { name: "recovery_solo_fallback", value, at });
+                    self.resume(round, self.round_base_height, ctx);
                 }
-                self.next_local_height = self.round_base_height;
-                self.resume_active(round, ctx);
-                self.dispatch_buffered(buffered, ctx);
-            } else if resend {
-                self.send_catch_up_request(ctx);
             }
             return;
         }
@@ -2085,7 +1666,9 @@ where
         if now.since(self.round_state.started_at) >= self.cfg.stage1_max_wait
             && self.cluster_moved_past_this_round()
         {
-            self.begin_straggler_catch_up(ctx);
+            let value = self.round.0 as f64;
+            ctx.emit(Output::Custom { name: "straggler_catch_up", value, at: now });
+            self.begin_catch_up(self.round, ctx);
         }
     }
 }

@@ -15,9 +15,9 @@
 
 use hamava_repro::crypto::sha256::Sha256;
 use hamava_repro::hamava::harness::DeploymentOptions;
-use hamava_repro::scenario::{Protocol, Scenario};
+use hamava_repro::scenario::{Protocol, Scenario, ScenarioRun};
 use hamava_repro::simnet::{CostModel, LatencyModel, NetStats};
-use hamava_repro::types::{Duration, Output, Region, SystemConfig};
+use hamava_repro::types::{Duration, Output, Region, SystemConfig, Time};
 use hamava_repro::workload::WorkloadSpec;
 
 /// Fingerprint of the AVA-HOTSTUFF golden run. Captured at PR 2 (pre-refactor),
@@ -390,6 +390,119 @@ fn every_event_kind_bftsmart_golden_fingerprint_is_stable() {
         fp, EVENTS_BFTSMART_GOLDEN,
         "every-event-kind AVA-BFTSMART run diverged from its capture"
     );
+}
+
+/// Fingerprints of the four ways a replica enters a round after start-up,
+/// captured before join, catch-up adoption and the solo fallback shared one
+/// `Replica::enter`. Each run asserts that its path fired.
+const ENTRY_GOLDENS: [(&str, &str); 7] = [
+    ("storeless-catch-up", "768e3440a39ac934c7e60ebde6f31599eeb2c569b96d096552031559d45331a2"),
+    ("straggler-escape", "2793511770ccd7fe526710af13d1ffa75c3b7fc41e73a6ca05739a3f635f74d8"),
+    ("solo-fallback/A.H", "5a3df4bb3c149f5d993d592a2564b795b417a1675766599fe574b42413619012"),
+    ("solo-fallback/A.H/store", "a37fa2793dc906ed383fe122a8d4d3672fb94cc346eb98242397182a1f76cc41"),
+    ("solo-fallback/A.B", "429be8bc516ce151b4a9c51e2644d026f12a360ca017f40dba5d229dab9c57b9"),
+    ("solo-fallback/A.B/store", "fc85e2c9c0a184f7bc14257b297f05283656484f64c968360d27039cd03ac4df"),
+    ("kv-join", "0064f589cbb2781016e0e10efaa7773e5608d177716c03bbcdf2348c1c942897"),
+];
+
+fn custom_outputs<'a>(run: &'a ScenarioRun, name: &'a str) -> impl Iterator<Item = Time> + 'a {
+    run.outputs.iter().filter_map(move |o| match o {
+        Output::Custom { name: n, at, .. } if *n == name => Some(*at),
+        _ => None,
+    })
+}
+
+/// Runs the entry path `name` of [`ENTRY_GOLDENS`] and checks that it fired.
+fn run_entry_golden(name: &str) -> String {
+    use hamava_repro::store::StoreConfig;
+    use hamava_repro::types::{ClusterId, ReplicaId};
+    let s = Time::from_secs;
+    let run = match name {
+        // `tests/recovery.rs`'s storeless catch-up: peers synthesize checkpoints.
+        "storeless-catch-up" => {
+            let mut config =
+                SystemConfig::homogeneous_regions(&[(7, Region::UsWest), (7, Region::Europe)]);
+            config.params.batch_size = 20;
+            config.params.remote_leader_timeout = Duration::from_secs(4);
+            config.params.brd_timeout = Duration::from_secs(4);
+            config.params.local_timeout = Duration::from_secs(4);
+            let run = Scenario::builder(Protocol::AvaBftSmart, config)
+                .seed(5)
+                .workload(WorkloadSpec { key_space: 1_000, ..WorkloadSpec::default() })
+                .run_for(Duration::from_secs(20))
+                .crash_at(s(4), ReplicaId(1))
+                .restart_at(s(8), ReplicaId(1))
+                .build()
+                .run();
+            assert!(run.outputs.iter().any(|o| matches!(o, Output::RecoveryCompleted { .. })));
+            run
+        }
+        // A replica back from a short crash lands in a round its cluster has
+        // finished, and escapes by catching up in place, three times.
+        "straggler-escape" => {
+            let mut config = SystemConfig::even_split_single_region(11, 2, Region::UsWest);
+            config.params.batch_size = 20;
+            config.params.local_timeout = Duration::from_secs(4);
+            let run = Scenario::builder(Protocol::AvaHotStuff, config)
+                .seed(11)
+                .workload(WorkloadSpec { key_space: 1_000, ..WorkloadSpec::default() })
+                .store(StoreConfig::every(4))
+                .run_for(Duration::from_secs(10))
+                .crash_at(s(2), ReplicaId(1))
+                .restart_at(s(4), ReplicaId(1))
+                .crash_at(s(6), ReplicaId(2))
+                .restart_at(Time::from_millis(6_300), ReplicaId(2))
+                .build()
+                .run();
+            assert_eq!(custom_outputs(&run, "straggler_catch_up").count(), 3);
+            run
+        }
+        // A whole cluster restarts: nobody can answer, so every member resumes
+        // alone once `local_timeout` has passed.
+        solo if solo.starts_with("solo-fallback/") => {
+            let protocol =
+                if solo.contains("A.H") { Protocol::AvaHotStuff } else { Protocol::AvaBftSmart };
+            let mut config = golden_config();
+            config.params.local_timeout = Duration::from_secs(2);
+            let mut builder = Scenario::builder(protocol, config)
+                .options(golden_opts())
+                .run_for(Duration::from_secs(8));
+            if solo.ends_with("/store") {
+                builder = builder.store(StoreConfig::every(4));
+            }
+            for replica in (0..4).map(ReplicaId) {
+                builder = builder.crash_at(s(3), replica).restart_at(s(5), replica);
+            }
+            let run = builder.build().run();
+            let fallbacks: Vec<Time> = custom_outputs(&run, "recovery_solo_fallback").collect();
+            assert_eq!(fallbacks, vec![s(7); 4], "{solo}");
+            run
+        }
+        "kv-join" => {
+            let run = Scenario::builder(Protocol::AvaHotStuff, golden_config())
+                .options(kv_golden_opts())
+                .run_for(Duration::from_secs(8))
+                .join_at(s(3), ClusterId(0), Region::UsWest)
+                .build()
+                .run();
+            let joiner = run.joined[0];
+            assert!(run.outputs.iter().any(|o| matches!(o,
+                Output::ReconfigApplied { replica, reporter, joined: true, .. }
+                    if *replica == joiner && *reporter == joiner)));
+            run
+        }
+        other => panic!("no entry golden named {other}"),
+    };
+    fingerprint(&run.outputs, &run.stats)
+}
+
+#[test]
+fn entry_path_golden_fingerprints_are_stable() {
+    for (name, golden) in ENTRY_GOLDENS {
+        let fp = run_entry_golden(name);
+        println!("entry fingerprint {name}: {fp}");
+        assert_eq!(fp, golden, "entry path {name} diverged from its capture");
+    }
 }
 
 #[test]

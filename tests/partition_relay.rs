@@ -13,21 +13,20 @@
 //! parent commit).
 
 mod common;
+#[path = "common/recorders.rs"]
+mod recorders;
 
 use common::longest_execution_gap;
-use hamava_repro::consensus::TobConfig;
-use hamava_repro::crypto::KeyRegistry;
 use hamava_repro::fuzz::{fingerprint_outputs, CheckerSet};
-use hamava_repro::hamava::harness::{hotstuff_factory, DeploymentOptions};
 use hamava_repro::hamava::relay::decode_trace_value;
-use hamava_repro::hamava::{AvaMsg, ByzantineBehavior, Replica, ReplicaConfig, RoundPackage};
-use hamava_repro::hotstuff::HotStuffMsg;
+use hamava_repro::hamava::{AvaMsg, ByzantineBehavior, RoundPackage};
 use hamava_repro::scenario::{Protocol, Scenario, ScenarioBuilder, ScenarioRun};
-use hamava_repro::simnet::{Actor, Context, Simulation};
+use hamava_repro::simnet::Simulation;
 use hamava_repro::types::{
     ClusterId, Duration, Output, Reconfig, Region, ReplicaId, Round, SystemConfig, Time,
 };
-use std::sync::{Arc, Mutex};
+use recorders::{received, Inbox, Msg};
+use std::sync::Arc;
 
 const PARTITION_AT: Time = Time(3_000_000);
 const HEAL_AT: Time = Time(5_000_000);
@@ -180,47 +179,13 @@ fn a_byzantine_server_gains_nothing_by_tampering_what_it_serves() {
 
 // ---- one real replica among recording stand-ins ---------------------------------
 
-type Msg = AvaMsg<HotStuffMsg>;
-/// `(to, from, message)` of everything the stand-ins received.
-type Inbox = Arc<Mutex<Vec<(ReplicaId, ReplicaId, Msg)>>>;
-
-/// Stands in for a replica: records what it is sent, answers nothing.
-struct Recorder(ReplicaId, Inbox);
-
-impl Actor<Msg> for Recorder {
-    fn on_message(&mut self, from: ReplicaId, msg: Msg, _: &mut Context<'_, Msg>) {
-        self.1.lock().expect("no test thread panicked holding it").push((self.0, from, msg));
-    }
-}
-
 /// The replica under test: the first member of cluster 1 (an `Inter` recipient),
 /// still in round 1 because nobody orders anything.
 const UNDER_TEST: ReplicaId = ReplicaId(4);
 
 /// A 3 × 4 system in which only `UNDER_TEST` is a real replica.
 fn one_replica_among_recorders() -> (Simulation<Msg>, Inbox) {
-    let config = config(3);
-    let opts = DeploymentOptions::default();
-    let mut sim = Simulation::new(opts.seed, opts.latency.clone(), opts.costs);
-    let (registry, inbox) = (KeyRegistry::new(), Inbox::default());
-    for spec in &config.clusters {
-        let members: Vec<ReplicaId> = spec.replicas.iter().map(|r| r.0).collect();
-        for &(id, region) in &spec.replicas {
-            let keypair = registry.register(id);
-            let actor: Box<dyn Actor<Msg> + Send> = if id == UNDER_TEST {
-                let tob_cfg = TobConfig::new(spec.id, id, members.clone());
-                let tob =
-                    hotstuff_factory()(tob_cfg, keypair.clone(), registry.clone(), members[0]);
-                let cfg =
-                    ReplicaConfig::new(id, region, spec.id, config.params, config.membership());
-                Box::new(Replica::new(cfg, keypair, registry.clone(), tob))
-            } else {
-                Box::new(Recorder(id, Arc::clone(&inbox)))
-            };
-            sim.add_node(id, region, spec.id.0, actor);
-        }
-    }
-    (sim, inbox)
+    recorders::one_replica_among_recorders(&config(3), UNDER_TEST)
 }
 
 /// A certificate-free package: it verifies iff it carries no reconfiguration
@@ -229,13 +194,6 @@ fn one_replica_among_recorders() -> (Simulation<Msg>, Inbox) {
 fn package(cluster: u32, round: u64, salt: u32) -> Arc<RoundPackage> {
     let recs = (0..salt).map(|i| Reconfig::Leave { replica: ReplicaId(1_000 + i) }).collect();
     Arc::new(RoundPackage::new(ClusterId(cluster), Round(round), vec![], recs, None))
-}
-
-/// How many messages of `kind` the stand-in `to` received.
-fn received(inbox: &Inbox, to: u32, kind: &str) -> usize {
-    use hamava_repro::simnet::SimMessage;
-    let inbox = inbox.lock().expect("no test thread panicked holding it");
-    inbox.iter().filter(|(t, _, m)| *t == ReplicaId(to) && m.kind_label() == kind).count()
 }
 
 #[test]

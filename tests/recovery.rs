@@ -1,13 +1,21 @@
 //! Crash → restart → catch-up integration tests: the `ava-store` round log +
 //! checkpoint subsystem, the `Restart` scenario event, and the `RecoveryObserver`
-//! probe working together.
+//! probe working together, and the catch-up messages one replica at a time.
 
+#[path = "common/recorders.rs"]
+mod recorders;
+
+use hamava_repro::hamava::AvaMsg;
 use hamava_repro::scenario::{
     Protocol, RecoveryObserver, Scenario, ScenarioBuilder, ThroughputObserver,
 };
-use hamava_repro::store::StoreConfig;
-use hamava_repro::types::{Duration, Output, Region, SystemConfig, Time};
+use hamava_repro::simnet::SimMessage;
+use hamava_repro::state::StateSnapshot;
+use hamava_repro::store::{Checkpoint, StoreConfig};
+use hamava_repro::types::{Duration, Output, Region, ReplicaId, Round, SystemConfig, Time};
 use hamava_repro::workload::WorkloadSpec;
+use recorders::{one_replica_among_recorders, received};
+use std::sync::Arc;
 
 fn config() -> SystemConfig {
     let mut config = SystemConfig::homogeneous_regions(&[(7, Region::UsWest), (7, Region::Europe)]);
@@ -246,4 +254,73 @@ fn restart_before_its_crash_is_rejected_at_build_time() {
         .crash_at(Time::from_secs(6), hamava_repro::types::ReplicaId(1))
         .restart_at(Time::from_secs(4), hamava_repro::types::ReplicaId(1))
         .build();
+}
+
+// ---- the catch-up messages, one real replica among recording stand-ins -----------
+
+/// Three clusters of four; the replica under test is the first of cluster 1
+/// (members 4–7, f = 1).
+fn three_by_four() -> SystemConfig {
+    SystemConfig::even_split_multi_region(
+        12,
+        3,
+        &[Region::UsWest, Region::Europe, Region::AsiaSouth],
+    )
+}
+
+const UNDER_TEST: ReplicaId = ReplicaId(4);
+
+fn at(ms: u64) -> Time {
+    Time::ZERO + Duration::from_millis(ms)
+}
+
+fn recovered_at(outputs: &[Output]) -> Option<Round> {
+    outputs.iter().find_map(|o| match o {
+        Output::RecoveryCompleted { replica, round, .. } if *replica == UNDER_TEST => Some(*round),
+        _ => None,
+    })
+}
+
+/// The `f + 1` agreement argues that one of `f + 1` matching senders is
+/// correct, which holds for members of the recovering replica's cluster only:
+/// two replicas of other clusters sending the same self-consistent forgery
+/// must not be adopted, and the same reply from two members is.
+#[test]
+fn catch_up_replies_from_other_clusters_do_not_vote() {
+    let config = three_by_four();
+    let (mut sim, _) = one_replica_among_recorders(&config, UNDER_TEST);
+    sim.crash_at(UNDER_TEST, at(10));
+    sim.restart_at(UNDER_TEST, at(20));
+    let forged = StateSnapshot::Counter([(7, 7)].into_iter().collect());
+    let forged = Arc::new(Checkpoint::new(Round(50), forged, config.membership(), 0, 0));
+    assert!(forged.verify(), "the forgery is self-consistent");
+    let reply = || AvaMsg::CatchUpReply {
+        checkpoint: Arc::clone(&forged),
+        suffix: Vec::new(),
+        round: Round(51),
+        leader_ts: 0,
+    };
+    for outsider in [ReplicaId(0), ReplicaId(8)] {
+        sim.external_send(outsider, UNDER_TEST, reply(), at(40));
+    }
+    sim.run_until(at(200));
+    assert_eq!(recovered_at(sim.outputs()), None, "non-members outvoted the cluster");
+    for member in [ReplicaId(5), ReplicaId(6)] {
+        sim.external_send(member, UNDER_TEST, reply(), at(200));
+    }
+    sim.run_until(at(400));
+    assert_eq!(recovered_at(sim.outputs()), Some(Round(51)));
+}
+
+/// A request names no one: the answer goes to whoever sent it, so no replica
+/// can point a member's checkpoint and log suffix at a third node.
+#[test]
+fn a_catch_up_request_is_answered_to_its_sender() {
+    let (mut sim, inbox) = one_replica_among_recorders(&three_by_four(), UNDER_TEST);
+    let request: recorders::Msg = AvaMsg::CatchUpRequest;
+    assert_eq!(request.size_bytes(), 72);
+    sim.external_send(ReplicaId(8), UNDER_TEST, request, at(1));
+    sim.run_until(at(100));
+    assert_eq!(received(&inbox, 8, "CatchUpReply"), 1);
+    assert_eq!(received(&inbox, 0, "CatchUpReply"), 0);
 }
