@@ -253,8 +253,8 @@ impl Canary {
                     replica,
                     cluster,
                     round,
-                    first: [0x11; 32],
-                    second: [0x22; 32],
+                    first: Box::new([0x11; 32]),
+                    second: Box::new([0x22; 32]),
                     at,
                 });
                 true
@@ -428,7 +428,7 @@ mod tests {
             replica: ReplicaId(replica),
             cluster: ClusterId(0),
             round: ava_types::Round(4),
-            digest: [7; 32],
+            digest: Box::new([7; 32]),
             adopted: false,
             at: Time::from_secs(1),
         };
@@ -524,7 +524,7 @@ mod tests {
             replica: ReplicaId(replica),
             cluster: ClusterId(0),
             round: ava_types::Round(1),
-            digest: [9; 32],
+            digest: Box::new([9; 32]),
             entries: 5,
             value_bytes: 5_120,
             at: Time::from_millis(100),

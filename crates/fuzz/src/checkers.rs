@@ -113,10 +113,10 @@ impl InvariantChecker for ExecutionAgreementChecker {
             },
             Output::StateDigest { replica, round, digest, .. } => match self.digests.get(round) {
                 None => {
-                    self.digests.insert(*round, (*digest, *replica));
+                    self.digests.insert(*round, (**digest, *replica));
                 }
                 Some((first_digest, first_replica)) => {
-                    if digest != first_digest && self.digest_flagged.insert(*round) {
+                    if **digest != *first_digest && self.digest_flagged.insert(*round) {
                         self.violations.push(Violation {
                             checker: self.name(),
                             details: format!(
@@ -225,10 +225,10 @@ impl InvariantChecker for CheckpointChecker {
         };
         match self.digests.get(&(*cluster, *round)) {
             None => {
-                self.digests.insert((*cluster, *round), (*digest, *replica));
+                self.digests.insert((*cluster, *round), (**digest, *replica));
             }
             Some((first_digest, first_replica)) => {
-                if digest != first_digest && self.flagged.insert((*cluster, *round)) {
+                if **digest != *first_digest && self.flagged.insert((*cluster, *round)) {
                     self.violations.push(Violation {
                         checker: self.name(),
                         details: format!(
@@ -762,7 +762,7 @@ mod tests {
             replica: ReplicaId(replica),
             cluster: ClusterId(0),
             round: Round(round),
-            digest,
+            digest: Box::new(digest),
             adopted: false,
             at: Time::from_millis(round * 100),
         }
@@ -780,7 +780,7 @@ mod tests {
             replica: ReplicaId(replica),
             cluster: ClusterId(0),
             round: Round(round),
-            digest,
+            digest: Box::new(digest),
             entries: 10,
             value_bytes: 1_000,
             at: Time::from_millis(round * 100),
@@ -973,8 +973,8 @@ mod tests {
             replica: ReplicaId(2),
             cluster: ClusterId(0),
             round: Round(5),
-            first,
-            second,
+            first: Box::new(first),
+            second: Box::new(second),
             at: Time::from_secs(at_s),
         }
     }

@@ -5,6 +5,7 @@ use crate::checkers::{CheckerSet, Violation};
 use crate::generate::{FuzzCase, FuzzConfig, ScheduleGenerator};
 use ava_simnet::NetStats;
 use ava_types::Output;
+use std::fmt::Write as _;
 
 /// The outcome of running one fuzz case.
 #[derive(Clone, Debug)]
@@ -38,8 +39,12 @@ impl CaseReport {
 /// rendering, the same scheme as the repo's determinism goldens).
 pub fn fingerprint_outputs(outputs: &[Output], stats: &NetStats) -> String {
     let mut hasher = ava_crypto::Sha256::new();
+    // One buffer for every line: a long run has a million outputs.
+    let mut line = String::new();
     for o in outputs {
-        hasher.update(format!("{o:?}\n").as_bytes());
+        line.clear();
+        let _ = writeln!(line, "{o:?}");
+        hasher.update(line.as_bytes());
     }
     hasher.update(
         format!(

@@ -719,8 +719,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 replica: self.cfg.me,
                 cluster: package.cluster,
                 round: package.round,
-                first,
-                second,
+                first: Box::new(first),
+                second: Box::new(second),
                 at: ctx.now(),
             });
         }
@@ -967,7 +967,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 replica: self.cfg.me,
                 cluster: self.cfg.cluster,
                 round: self.round,
-                digest: self.machine.digest(),
+                digest: Box::new(self.machine.digest()),
                 entries: self.machine.entries(),
                 value_bytes: self.machine.value_bytes(),
                 at: ctx.now(),
@@ -1028,7 +1028,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 replica: self.cfg.me,
                 cluster: self.cfg.cluster,
                 round,
-                digest: digest.0,
+                digest: Box::new(digest.0),
                 adopted: false,
                 at: ctx.now(),
             });
@@ -1348,7 +1348,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                         replica: self.cfg.me,
                         cluster: self.cfg.cluster,
                         round: cp.round,
-                        digest: cp.digest.0,
+                        digest: Box::new(cp.digest.0),
                         adopted: true,
                         at: ctx.now(),
                     });

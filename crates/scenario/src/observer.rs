@@ -639,8 +639,8 @@ mod tests {
             replica: ReplicaId(5),
             cluster: ClusterId(1),
             round: Round(4),
-            first: [1; 32],
-            second: [2; 32],
+            first: Box::new([1; 32]),
+            second: Box::new([2; 32]),
             at: Time::from_secs(3),
         });
         obs.on_event(

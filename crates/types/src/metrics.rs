@@ -34,6 +34,15 @@ impl StageKind {
 }
 
 /// An observable event produced by the replicated system.
+///
+/// A run buffers one record per completed operation (and per stage, round and
+/// flush), so the enum's size is paid a million times over in a long run: a
+/// rare variant with a wide inline payload makes every `TxCompleted` as wide
+/// as itself. So a wide payload is boxed, as the 32-byte digests of
+/// `CheckpointInstalled`, `EquivocationObserved` and `StateDigest` are, and a
+/// compile-time assertion in this module keeps every record within 56 bytes.
+/// `Box<[u8; 32]>` prints as the array does, so the `Debug`-based
+/// fingerprints do not see the box.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Output {
     /// A transaction finished (executed for writes, served locally for reads).
@@ -138,7 +147,7 @@ pub enum Output {
         /// The round the checkpoint covers.
         round: Round,
         /// The checkpoint's canonical digest (see `ava-store`).
-        digest: [u8; 32],
+        digest: Box<[u8; 32]>,
         /// Whether the snapshot was adopted from peers (catch-up) rather than
         /// taken locally at a cadence boundary.
         adopted: bool,
@@ -230,9 +239,9 @@ pub enum Output {
         /// The round both packages belong to.
         round: Round,
         /// Content digest of the package accepted first.
-        first: [u8; 32],
+        first: Box<[u8; 32]>,
         /// Content digest of the conflicting package.
-        second: [u8; 32],
+        second: Box<[u8; 32]>,
         /// When the conflict was observed.
         at: Time,
     },
@@ -251,7 +260,7 @@ pub enum Output {
         /// The executed round the digest covers.
         round: Round,
         /// The machine's state digest after the round.
-        digest: [u8; 32],
+        digest: Box<[u8; 32]>,
         /// Number of keys present.
         entries: u64,
         /// Total committed value bytes.
@@ -269,6 +278,9 @@ pub enum Output {
         at: Time,
     },
 }
+
+// Every buffered record pays for the widest variant (see `Output`'s rustdoc).
+const _: () = assert!(std::mem::size_of::<Output>() <= 56);
 
 /// The kind of cryptographic material a [`Output::ByzantineRejected`] event
 /// reports as failing verification.
@@ -357,8 +369,8 @@ mod tests {
             replica: ReplicaId(3),
             cluster: ClusterId(1),
             round: Round(9),
-            first: [1; 32],
-            second: [2; 32],
+            first: Box::new([1; 32]),
+            second: Box::new([2; 32]),
             at: Time(56),
         };
         assert_eq!(o.at(), Time(56));
@@ -367,5 +379,66 @@ mod tests {
         {
             assert!(!kind.label().is_empty());
         }
+    }
+
+    /// The determinism goldens and the benchmark's `fingerprint` lines hash
+    /// each output's `Debug` text. These strings were captured while the
+    /// digests were inline `[u8; 32]`s; boxing them must not move one byte.
+    #[test]
+    fn digest_variants_print_as_they_did_inline() {
+        let up: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let down: [u8; 32] = std::array::from_fn(|i| 255 - i as u8);
+        let up_text = "[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, \
+                       19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31]";
+        let down_text = "[255, 254, 253, 252, 251, 250, 249, 248, 247, 246, 245, 244, 243, \
+                         242, 241, 240, 239, 238, 237, 236, 235, 234, 233, 232, 231, 230, \
+                         229, 228, 227, 226, 225, 224]";
+        let checkpoint = Output::CheckpointInstalled {
+            replica: ReplicaId(3),
+            cluster: ClusterId(1),
+            round: Round(40),
+            digest: Box::new(up),
+            adopted: true,
+            at: Time::from_millis(4_250),
+        };
+        assert_eq!(
+            format!("{checkpoint:?}"),
+            format!(
+                "CheckpointInstalled {{ replica: ReplicaId(3), cluster: ClusterId(1), \
+                 round: Round(40), digest: {up_text}, adopted: true, at: Time(4250000) }}"
+            )
+        );
+        let state = Output::StateDigest {
+            replica: ReplicaId(7),
+            cluster: ClusterId(2),
+            round: Round(9),
+            digest: Box::new(down),
+            entries: 1_000,
+            value_bytes: 1_024_000,
+            at: Time(123_456_789),
+        };
+        assert_eq!(
+            format!("{state:?}"),
+            format!(
+                "StateDigest {{ replica: ReplicaId(7), cluster: ClusterId(2), round: Round(9), \
+                 digest: {down_text}, entries: 1000, value_bytes: 1024000, \
+                 at: Time(123456789) }}"
+            )
+        );
+        let equivocation = Output::EquivocationObserved {
+            replica: ReplicaId(5),
+            cluster: ClusterId(0),
+            round: Round(12),
+            first: Box::new(up),
+            second: Box::new(down),
+            at: Time::from_secs(3),
+        };
+        assert_eq!(
+            format!("{equivocation:?}"),
+            format!(
+                "EquivocationObserved {{ replica: ReplicaId(5), cluster: ClusterId(0), \
+                 round: Round(12), first: {up_text}, second: {down_text}, at: Time(3000000) }}"
+            )
+        );
     }
 }

@@ -19,6 +19,7 @@ use hamava_repro::scenario::{Protocol, Scenario, ScenarioRun};
 use hamava_repro::simnet::{CostModel, LatencyModel, NetStats};
 use hamava_repro::types::{Duration, Output, Region, SystemConfig, Time};
 use hamava_repro::workload::WorkloadSpec;
+use std::fmt::Write as _;
 
 /// Fingerprint of the AVA-HOTSTUFF golden run. Captured at PR 2 (pre-refactor),
 /// held byte-identical through PR 3/PR 5, re-captured at PR 6: the
@@ -52,8 +53,11 @@ fn golden_config() -> SystemConfig {
 
 fn fingerprint(outputs: &[Output], stats: &NetStats) -> String {
     let mut h = Sha256::new();
+    let mut line = String::new();
     for o in outputs {
-        h.update(format!("{o:?}\n").as_bytes());
+        line.clear();
+        let _ = writeln!(line, "{o:?}");
+        h.update(line.as_bytes());
     }
     h.update(
         format!(

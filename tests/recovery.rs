@@ -143,7 +143,7 @@ fn kv_machine_catch_up_transfers_snapshot_bytes_and_rejoins_with_matching_digest
     let mut entries_seen = 0u64;
     for o in &run.outputs {
         if let Output::StateDigest { replica, round, digest, entries, .. } = o {
-            digests.insert((*replica, *round), *digest);
+            digests.insert((*replica, *round), **digest);
             entries_seen = entries_seen.max(*entries);
         }
     }
