@@ -20,8 +20,10 @@
 //!   deployment and then the KV write shape (2 × 4 replicas, 1 KiB overwrites,
 //!   a checkpoint every 8 rounds) once each with the simulator's handler
 //!   profile on and print where the host time went, per (replica | client) ×
-//!   message kind, sorted by share; after the KV table, the committed-entry
-//!   memo's hits / misses / share and the checkpoint digests reused / built.
+//!   message kind, sorted by share; after each table, the executed-round
+//!   memo's hits / misses / share against its ideal (n − 1)/n (41/42, then
+//!   7/8) and the rounds it retains; after the KV table, also the checkpoint
+//!   digests reused / built.
 //! * `--check`: compare this run against the per-shape timings of a committed
 //!   `BENCH_PR*.json` and exit non-zero if any shape regressed by more than
 //!   `--check-threshold` percent (default 25). The comparison uses thread CPU

@@ -294,9 +294,10 @@ pub fn run_quick_shapes(iters: u32, jobs: usize) -> (Vec<PerfRecord>, f64) {
 /// 2. The KV write shape of the benchmark's `kv_write_1kib`: 2 × 4 replicas in
 ///    one region on Ava-HotStuff, `KvMachine`, a checkpoint every 8 rounds,
 ///    90 % 1 KiB writes uniform over 2 000 keys, for 1.24 s of virtual time.
-///    Every replica commits every write, so this table is followed by what
-///    the two per-thread memos under that did: the committed-entry memo's hit
-///    share (ideal (n − 1)/n = 7/8) and the checkpoint digests reused.
+///
+/// Every replica executes every round, so each table is followed by the
+/// executed-round memo's hit share (ideal (n − 1)/n: 41/42, then 7/8) and
+/// the rounds it retains; the KV table also by the checkpoint digests reused.
 pub fn profile_deployments() {
     let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
@@ -304,8 +305,11 @@ pub fn profile_deployments() {
         client_concurrency: 128,
         ..opts(7)
     };
-    let dep = Protocol::AvaHotStuff.deploy(e3_setup(3, 3), paper);
+    let (memo, config) = (ava_hamava::executed_round_stats(), e3_setup(3, 3));
+    let replicas = config.total_replicas();
+    let dep = Protocol::AvaHotStuff.deploy(config, paper);
     print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
+    print_round_memo(memo, replicas);
 
     let kv = DeploymentOptions {
         workload: WorkloadSpec {
@@ -321,21 +325,32 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, digests) = (ava_state::entry_memo_stats(), ava_store::checkpoint_digest_stats());
-    let dep = Protocol::AvaHotStuff
-        .deploy(SystemConfig::even_split_single_region(8, 2, Region::UsWest), kv);
+    let (memo, digests) =
+        (ava_hamava::executed_round_stats(), ava_store::checkpoint_digest_stats());
+    let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
+    let replicas = config.total_replicas();
+    let dep = Protocol::AvaHotStuff.deploy(config, kv);
     print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
-    let (memo_after, digests_after) =
-        (ava_state::entry_memo_stats(), ava_store::checkpoint_digest_stats());
-    let (hits, misses) = (memo_after.hits - memo.hits, memo_after.misses - memo.misses);
-    println!(
-        "committed-entry memo: {hits} hits / {misses} misses / share {:.4}",
-        hits as f64 / (hits + misses).max(1) as f64
-    );
+    print_round_memo(memo, replicas);
+    let digests_after = ava_store::checkpoint_digest_stats();
     println!(
         "checkpoint digests: {} reused / {} built",
         digests_after.reused - digests.reused,
         digests_after.built - digests.built
+    );
+}
+
+/// What the executed-round memo did since `before`, on a deployment of
+/// `replicas` (its ideal hit share is (replicas − 1)/replicas).
+fn print_round_memo(before: ava_hamava::ExecutedRoundStats, replicas: usize) {
+    let now = ava_hamava::executed_round_stats();
+    let (hits, misses) = (now.hits - before.hits, now.misses - before.misses);
+    println!(
+        "executed-round memo: {hits} hits / {misses} misses / share {:.4} (ideal {}/{replicas}) \
+         / {} rounds retained",
+        hits as f64 / (hits + misses).max(1) as f64,
+        replicas - 1,
+        now.retained
     );
 }
 

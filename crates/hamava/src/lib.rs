@@ -14,7 +14,7 @@
 //! | Alg. 7 — local ordering | [`replica`] + any [`ava_consensus::TotalOrderBroadcast`] |
 //! | Alg. 8 — leader change | [`replica`] (`install_leader` wiring) |
 //! | Alg. 9 — leader election | [`leader_election`] |
-//! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`; a joiner's state transfer, lines 33–39, enters its round through `Replica::enter`, as a catch-up does); [`catchup`] decides restart and straggler catch-up |
+//! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`, once per process through [`round_memo`]; a joiner's state transfer, lines 33–39, enters its round through `Replica::enter`, as a catch-up does); [`catchup`] decides restart and straggler catch-up |
 //!
 //! The replica is generic over the local consensus protocol: instantiating it with
 //! `ava-hotstuff` gives AVA-HOTSTUFF and with `ava-bftsmart` gives AVA-BFTSMART, the
@@ -51,6 +51,7 @@ pub mod messages;
 pub mod relay;
 pub mod remote_leader;
 pub mod replica;
+pub mod round_memo;
 pub mod targets;
 
 pub use brd::{Brd, BrdAction, BrdCert, BrdMsg};
@@ -62,6 +63,7 @@ pub use messages::{AvaMsg, ClientCtl, ControlCmd, RoundPackage, RoundRecord, TxB
 pub use relay::Relay;
 pub use remote_leader::{RemoteLeaderAction, RemoteLeaderChange, RemoteLeaderMsg};
 pub use replica::{Replica, ReplicaConfig};
+pub use round_memo::{executed_round_stats, ExecutedRoundStats};
 pub use targets::TargetSet;
 // Re-exported so downstream crates can pick a state machine for
 // `DeploymentOptions::state_machine` without a direct `ava-state` dependency.

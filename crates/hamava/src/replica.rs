@@ -7,6 +7,7 @@ use crate::leader_election::{ElectionAction, LeaderElection};
 use crate::messages::{AvaMsg, ControlCmd, CurrStateViews, RoundPackage, RoundRecord, TxBatch};
 use crate::relay::{self, trace_value, Relay};
 use crate::remote_leader::{RemoteLeaderAction, RemoteLeaderChange};
+use crate::round_memo;
 use ava_consensus::{CommittedBlock, FaultMode, TobAction, TotalOrderBroadcast};
 use ava_crypto::{KeyRegistry, Keypair};
 use ava_simnet::{Actor, Context, SimMessage};
@@ -167,7 +168,9 @@ pub struct Replica<T: TotalOrderBroadcast> {
     /// The replicated deterministic state machine (counter or keyed KV,
     /// per `ReplicaConfig::machine`). Execution, log replay and snapshot
     /// adoption all mutate state exclusively through `StateMachine::apply`,
-    /// so live and replayed replicas cannot diverge.
+    /// so live and replayed replicas cannot diverge; live execution may adopt
+    /// instead what `apply` computed from the same version and blocks on
+    /// another replica ([`round_memo`]).
     machine: Box<dyn StateMachine>,
     /// Blocks delivered by the local TOB but not yet packed into a round, keyed
     /// by height. Rounds consume this queue in contiguous height order (see
@@ -877,10 +880,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 Arc::new(RoundRecord::new(self.round, packages.values().cloned().collect()));
             self.persist_record(record, ctx);
         }
+        // The state after the round, executed once per process (the first
+        // replica here applies, the others adopt its result); then this
+        // replica's own acks, in execution order.
+        let value_bytes = round_memo::execute_round(&mut self.machine, self.round, &packages);
         let mut executed_txns = 0usize;
-        let mut value_bytes = 0u64;
         let all_recs = walk_round(packages.values(), |tx| {
-            value_bytes += self.machine.apply(self.round, tx).value_bytes;
             self.ack_committed(tx, ctx);
             executed_txns += 1;
         });
@@ -1037,23 +1042,27 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
     /// Answer whoever is waiting on a transaction that has just committed here
     /// (writes complete at execution): its pending client and, for an operation
-    /// admitted from a broker batch, the per-op commit output.
+    /// admitted from a broker batch, the per-op commit output. An empty map
+    /// is not probed: without brokers, every executed id would be hashed
+    /// into an empty `pending_batch` otherwise.
     fn ack_committed(&mut self, tx: &Transaction, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        if let Some((client_node, _client)) = self.pending_clients.remove(&tx.id) {
-            ctx.send(
-                client_node,
-                AvaMsg::ClientResponse { tx: tx.id, is_write: tx.kind.is_write(), value_len: 0 },
-            );
+        if !self.pending_clients.is_empty() {
+            if let Some((client_node, _client)) = self.pending_clients.remove(&tx.id) {
+                let is_write = tx.kind.is_write();
+                ctx.send(client_node, AvaMsg::ClientResponse { tx: tx.id, is_write, value_len: 0 });
+            }
         }
-        if let Some((broker, batch)) = self.pending_batch.remove(&tx.id) {
-            ctx.emit(Output::BatchOpCommitted {
-                replica: self.cfg.me,
-                cluster: self.cfg.cluster,
-                broker,
-                batch,
-                tx: tx.id,
-                at: ctx.now(),
-            });
+        if !self.pending_batch.is_empty() {
+            if let Some((broker, batch)) = self.pending_batch.remove(&tx.id) {
+                ctx.emit(Output::BatchOpCommitted {
+                    replica: self.cfg.me,
+                    cluster: self.cfg.cluster,
+                    broker,
+                    batch,
+                    tx: tx.id,
+                    at: ctx.now(),
+                });
+            }
         }
     }
 

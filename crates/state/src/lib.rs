@@ -21,8 +21,13 @@
 //! which is what lets the fuzzer's execution-agreement checker compare full
 //! state digests across replicas after recovery.
 //!
+//! Both machines are copy-on-write values: [`StateMachine::fork`] copies a
+//! pointer, a write copies only the page it touches, and a [`StateVersion`]
+//! names one state by identity — which is what lets the replicas of a
+//! deployment that apply the same rounds share one executed result.
+//!
 //! [`StateSnapshot`] is the point-in-time image both machines produce and
-//! restore from — KV values are `Arc`-shared with the live map, not copied;
+//! restore from — KV values are `Arc`-shared with the live pages, not copied;
 //! `ava-store` folds it into digest-certified checkpoints (over the cached
 //! leaves, which a receiver recomputes before trusting).
 
@@ -30,7 +35,7 @@ pub mod machine;
 pub mod snapshot;
 
 pub use machine::{
-    entry_memo_stats, machine_for, ApplyOutcome, CounterMachine, EntryMemoStats, KvEntry,
-    KvMachine, StateMachine, StateMachineKind,
+    machine_for, ApplyOutcome, CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind,
+    StateVersion,
 };
 pub use snapshot::{machine_from_snapshot, StateSnapshot};

@@ -4,9 +4,9 @@
 use crate::snapshot::StateSnapshot;
 use ava_crypto::Sha256;
 use ava_types::{Round, Transaction, TxKind};
-use std::cell::RefCell;
+use std::any::Any;
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Which replicated state machine a deployment executes against.
@@ -53,6 +53,14 @@ pub struct ApplyOutcome {
 /// history-independent (a function of the current state only), so a replica
 /// that restores from a peer snapshot agrees with peers that executed the full
 /// history.
+///
+/// Both machines are **copy-on-write values**: the state sits behind one `Arc`
+/// root, its entries in `Arc`'d pages of `key >> 9`. [`StateMachine::fork`]
+/// copies a pointer, and a write copies the root and the one page it touches
+/// only while another holder shares them. A new machine must keep that shape,
+/// and its `Default` must start from the thread's shared empty state, or the
+/// replicas that execute the same rounds stop sharing one result (see
+/// [`StateVersion`]).
 pub trait StateMachine: Send {
     /// Which machine this is.
     fn kind(&self) -> StateMachineKind;
@@ -83,15 +91,40 @@ pub trait StateMachine: Send {
     /// A serialisable point-in-time image of the state.
     fn snapshot(&self) -> StateSnapshot;
 
-    /// An independent working copy of this machine that keeps its derived
-    /// state (cached leaves, accumulator, byte total) — for replaying records
-    /// speculatively on the replica's *own* state. State received from
-    /// elsewhere goes through [`crate::machine_from_snapshot`], which
-    /// recomputes everything derived.
+    /// An independent working copy of this machine, in O(1): it shares the
+    /// root and every page with `self` (derived state included — cached
+    /// leaves, accumulator, byte total), and a later write on either side
+    /// copies only what it touches. For replaying records speculatively on
+    /// the replica's *own* state, and for adopting a round another replica
+    /// executed from the same version. State received from elsewhere goes
+    /// through [`crate::machine_from_snapshot`], which recomputes everything
+    /// derived.
     fn fork(&self) -> Box<dyn StateMachine>;
+
+    /// The identity of the state this machine holds now.
+    fn version(&self) -> StateVersion;
 }
 
-/// Build a fresh, empty machine of `kind`.
+/// The identity of one state version: a handle on the copy-on-write root a
+/// machine holds. [`StateVersion::same`] is pointer equality, never a content
+/// comparison. It is exact because a root is written in place only while it
+/// has a single owner: a handle is an owner, so the root it names is never
+/// written again — every machine that shares it copies it before its first
+/// write. Holding a handle thus pins both the root's address (no other state
+/// can be allocated there) and its content. Equal states built apart are
+/// different versions.
+#[derive(Clone, Debug)]
+pub struct StateVersion(Arc<dyn Any + Send + Sync>);
+
+impl StateVersion {
+    /// Whether both handles name the very same root.
+    pub fn same(&self, other: &StateVersion) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+/// Build a fresh, empty machine of `kind`: on one thread, every such machine
+/// of a kind starts from the same empty version.
 pub fn machine_for(kind: StateMachineKind) -> Box<dyn StateMachine> {
     match kind {
         StateMachineKind::Counter => Box::new(CounterMachine::default()),
@@ -105,18 +138,28 @@ fn xor_acc(acc: &mut [u8; 32], h: &[u8; 32]) {
     }
 }
 
-/// Keys per counter page: `key >> PAGE_BITS` names the page, the low bits the
-/// slot. Settled by interleaved A/B on the paper's deployment
-/// (`geo_hetero_counter`, 100 000 Zipf keys × 42 replicas, six pairs each,
-/// `host_cpu_us_per_op` against 512 slots): 64 slots +7.2 % (0 of 6 pairs — a
-/// 1 563-entry page map to walk per write); 4 096 slots −1.5 % (6 of 6, but
-/// inside the runs' own quartile distance) for eight times the sparse worst
-/// case below. 512 it is.
+/// Keys per page, in both machines: `key >> PAGE_BITS` names the page, the low
+/// bits the slot. Settled for the counter machine by interleaved A/B on the
+/// paper's deployment (`geo_hetero_counter`, 100 000 Zipf keys × 42 replicas,
+/// six pairs each, `host_cpu_us_per_op` against 512 slots): 64 slots +7.2 %
+/// (0 of 6 pairs — a 1 563-entry page map to walk per write); 4 096 slots
+/// −1.5 % (6 of 6, but inside the runs' own quartile distance) for eight times
+/// the sparse worst case below. 512 it is. A page is also the copy-on-write
+/// unit: the first write to a shared page copies that page (4 KiB of
+/// counters, or up to 512 `KvEntry`s) and no other.
 const PAGE_BITS: u32 = 9;
 const PAGE_SLOTS: usize = 1 << PAGE_BITS;
 
 /// One dense run of `PAGE_SLOTS` consecutive keys' counters; `0` = absent.
-type CounterPage = Box<[u64; PAGE_SLOTS]>;
+type CounterPage = Arc<[u64; PAGE_SLOTS]>;
+
+thread_local! {
+    /// The empty state every `CounterMachine::default()` on this thread holds,
+    /// so all replicas of a deployment start from one version.
+    static EMPTY_COUNTER: Arc<CounterState> = Arc::default();
+    /// The same for `KvMachine::default()`.
+    static EMPTY_KV: Arc<KvState> = Arc::default();
+}
 
 /// The legacy placeholder machine: `key → write counter`. Kept bit-compatible
 /// with the pre-`ava-state` execution layer — same snapshot map, same
@@ -130,39 +173,52 @@ type CounterPage = Box<[u64; PAGE_SLOTS]>;
 /// found through a small ordered page map. Every generator in the tree draws
 /// keys from a dense `0..key_space` through `Zipfian::sample` (key = rank, so
 /// the hot keys are the low ones): the page map of a 100 000-key space has 196
-/// entries, the Zipf head of every replica of a deployment sits in a handful
-/// of pages that stay cache-resident, and a write is a short map walk plus
-/// one indexed add — where the former per-key `BTreeMap<u64, u64>` walked a
-/// cold 100 000-entry tree once per write in each of the 42 replicas. A count
-/// of zero means "absent" (`apply` only ever increments, so a present key is
-/// never zero), and [`StateMachine::entries`] is a running count. Everything
-/// observable — `entries()`, `digest()`, the `StateSnapshot::Counter` map —
-/// is produced by in-order iteration over the non-zero slots, so it is what
-/// the per-key map produced, byte for byte.
+/// entries, the Zipf head sits in a handful of pages that stay cache-resident,
+/// and a write is a short map walk plus one indexed add — where the former
+/// per-key `BTreeMap<u64, u64>` walked a cold 100 000-entry tree once per
+/// write. A count of zero means "absent" (`apply` only ever increments, so a
+/// present key is never zero), and [`StateMachine::entries`] is a running
+/// count. Everything observable — `entries()`, `digest()`, the
+/// `StateSnapshot::Counter` map — is produced by in-order iteration over the
+/// non-zero slots, so it is what the per-key map produced, byte for byte.
+/// The page map and the pages are `Arc`-shared copy-on-write (see
+/// [`StateMachine`]).
 ///
 /// **Sparse worst case.** A key with no neighbour within its 512-key page
 /// holds a whole page: 4 KiB for one counter, against ≈ 16 bytes + node
 /// overhead in a per-key map, i.e. *n* isolated keys cost *n* × 4 KiB. No
 /// workload in the tree does that (a test pins the bound); a sparse key space
 /// would want a smaller page.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CounterMachine {
+    state: Arc<CounterState>,
+}
+
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct CounterState {
     pages: BTreeMap<u64, CounterPage>,
     entries: u64,
 }
 
+impl Default for CounterMachine {
+    fn default() -> Self {
+        CounterMachine { state: EMPTY_COUNTER.with(Arc::clone) }
+    }
+}
+
 impl CounterMachine {
-    /// Restore from a counter snapshot map. A zero counter is unrepresentable
-    /// (no apply history produces one) and is dropped.
+    /// Restore from a counter snapshot map, as a version of its own. A zero
+    /// counter is unrepresentable (no apply history produces one) and is
+    /// dropped.
     pub fn from_state(state: BTreeMap<u64, u64>) -> Self {
-        let mut machine = CounterMachine::default();
+        let mut restored = CounterState::default();
         for (key, count) in state {
             if count > 0 {
-                *machine.slot(key) = count;
-                machine.entries += 1;
+                *restored.slot(key) = count;
+                restored.entries += 1;
             }
         }
-        machine
+        CounterMachine { state: Arc::new(restored) }
     }
 
     fn entry_hash(key: u64, count: u64) -> [u8; 32] {
@@ -173,21 +229,9 @@ impl CounterMachine {
         h.finalize()
     }
 
-    fn slot(&mut self, key: u64) -> &mut u64 {
-        let page = self.pages.entry(key >> PAGE_BITS).or_insert_with(|| Box::new([0; PAGE_SLOTS]));
-        &mut page[(key & (PAGE_SLOTS as u64 - 1)) as usize]
-    }
-
-    fn bump(&mut self, key: u64) {
-        let slot = self.slot(key);
-        let first_write = *slot == 0;
-        *slot += 1;
-        self.entries += first_write as u64;
-    }
-
     /// The present `(key, count)` pairs in ascending key order.
     fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.pages.iter().flat_map(|(page, slots)| {
+        self.state.pages.iter().flat_map(|(page, slots)| {
             let base = page << PAGE_BITS;
             slots
                 .iter()
@@ -195,6 +239,20 @@ impl CounterMachine {
                 .filter(|(_, c)| **c > 0)
                 .map(move |(i, c)| (base | i as u64, *c))
         })
+    }
+}
+
+impl CounterState {
+    fn slot(&mut self, key: u64) -> &mut u64 {
+        let page = self.pages.entry(key >> PAGE_BITS).or_insert_with(|| Arc::new([0; PAGE_SLOTS]));
+        &mut Arc::make_mut(page)[(key & (PAGE_SLOTS as u64 - 1)) as usize]
+    }
+
+    fn bump(&mut self, key: u64) {
+        let slot = self.slot(key);
+        let first_write = *slot == 0;
+        *slot += 1;
+        self.entries += first_write as u64;
     }
 }
 
@@ -206,12 +264,13 @@ impl StateMachine for CounterMachine {
     fn apply(&mut self, _round: Round, tx: &Transaction) -> ApplyOutcome {
         match &tx.kind {
             TxKind::Write { key, .. } => {
-                self.bump(*key);
+                Arc::make_mut(&mut self.state).bump(*key);
                 ApplyOutcome { value_bytes: 0, keys_written: 1 }
             }
             TxKind::MultiWrite { keys, .. } => {
+                let state = Arc::make_mut(&mut self.state);
                 for key in keys {
-                    self.bump(*key);
+                    state.bump(*key);
                 }
                 ApplyOutcome { value_bytes: 0, keys_written: keys.len() as u32 }
             }
@@ -228,7 +287,7 @@ impl StateMachine for CounterMachine {
     }
 
     fn entries(&self) -> u64 {
-        self.entries
+        self.state.entries
     }
 
     fn value_bytes(&self) -> u64 {
@@ -250,6 +309,10 @@ impl StateMachine for CounterMachine {
     fn fork(&self) -> Box<dyn StateMachine> {
         Box::new(self.clone())
     }
+
+    fn version(&self) -> StateVersion {
+        StateVersion(self.state.clone())
+    }
 }
 
 /// One committed KV entry: a versioned value and the round of its last writer.
@@ -260,7 +323,7 @@ pub struct KvEntry {
     /// The round whose execution last wrote the key.
     pub last_writer_round: u64,
     /// The committed value bytes (deterministically materialised — see
-    /// [`KvMachine::fill_value`]), shared between the live map and every
+    /// [`KvMachine::fill_value`]), shared between the live pages and every
     /// snapshot, checkpoint and restored machine that holds this entry.
     pub value: Arc<[u8]>,
     /// SHA-256 over `(key, version, last_writer_round, value)`, computed once
@@ -275,9 +338,7 @@ pub struct KvEntry {
 
 impl KvEntry {
     /// The entry stored under `key`, with its leaf hash computed from the
-    /// bytes: one SHA-256 pass over the value. A write a replica commits itself
-    /// pays it once per *process*, not once per replica (see `EntryMemo`);
-    /// an entry that arrives from elsewhere pays it every time.
+    /// bytes: one SHA-256 pass over the value.
     pub fn new(key: u64, version: u64, last_writer_round: u64, value: Arc<[u8]>) -> Self {
         let mut entry = KvEntry { version, last_writer_round, value, leaf: [0; 32] };
         entry.leaf = entry.leaf_for(key);
@@ -303,182 +364,91 @@ impl KvEntry {
     }
 }
 
-/// Everything a committed entry is a pure function of: `(key, version,
-/// last-writer round, value size)`. [`KvMachine::fill_value`] derives the bytes
-/// from the first, second and fourth; the leaf covers all four and the bytes.
-type WriteId = (u64, u64, u64, u32);
-
-/// What one generation of the [`EntryMemo`] may pin, counting every entry as
-/// its value bytes plus [`MEMO_ENTRY_CHARGE`]. Settled by interleaved A/B on
-/// `kv_write_1kib` and `churn_faults_open_loop` (CHANGES.md, PR 19), a
-/// constant and not a knob: the replicas of a deployment commit a write within
-/// a few rounds of each other, so the memo only has to span that lag, and
-/// every byte beyond it is a dead value kept resident.
-const MEMO_GENERATION_BYTES: usize = 2 << 20;
-
-/// What an entry costs a generation beside its value: the map slot (key,
-/// entry, control byte) and the `Arc` header. Charging it is what bounds the
-/// entry count when values are small or empty: a generation holds at most
-/// `MEMO_GENERATION_BYTES / MEMO_ENTRY_CHARGE` = 16 384 entries.
-const MEMO_ENTRY_CHARGE: usize = 128;
-
-/// The per-thread memo of committed entries: what makes a write cost one
-/// materialise-and-hash pass per *process*, where every replica of every
-/// cluster executes it (Stage 3, Alg. 10) with bit-identical results.
-///
-/// **Exact.** An entry is stored under its whole [`WriteId`] and a lookup
-/// compares all four fields, so a hit returns precisely what
-/// `KvEntry::new(key, version, round, fill_value(key, version, size))` would
-/// compute — no hash of the identity is trusted, and there is no collision to
-/// assume away. The shared bytes are immutable behind `Arc<[u8]>`.
-///
-/// **Only for what the caller derived itself.** [`KvMachine::apply`] is the
-/// one reader, with a version it read from its own map and a round and size
-/// from the transaction it is executing. Every path that handles state from
-/// elsewhere — [`KvMachine::from_state`], [`StateSnapshot::leaves_valid`] —
-/// hashes the bytes it was given and neither reads nor fills the memo.
-///
-/// **Bounded by capacity, never by round.** Two generations: a miss inserts
-/// into the young one; when that would pass [`MEMO_GENERATION_BYTES`] the old
-/// generation is dropped and the young one takes its place. So the memo pins
-/// at most 2 × 2 MiB (values plus the per-entry charge), and an entry lives
-/// for one to two generations after its first commit. Round numbers play no
-/// part: a thread runs deployments back to back (the benchmark's replicates,
-/// a `RunPool` worker's scenarios), each restarting at round 1, and a memo
-/// that kept "the last two rounds" would never hit again after the first. A
-/// value too large for a generation by itself is committed and not kept.
-#[derive(Default)]
-struct EntryMemo {
-    young: HashMap<WriteId, KvEntry>,
-    old: HashMap<WriteId, KvEntry>,
-    /// What the young generation has been charged so far.
-    young_bytes: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl EntryMemo {
-    fn get_or_commit(&mut self, key: u64, version: u64, round: u64, value_size: u32) -> KvEntry {
-        let id = (key, version, round, value_size);
-        if let Some(hit) = self.young.get(&id).or_else(|| self.old.get(&id)) {
-            self.hits += 1;
-            return hit.clone();
-        }
-        self.misses += 1;
-        let entry =
-            KvEntry::new(key, version, round, KvMachine::fill_value(key, version, value_size));
-        let charge = MEMO_ENTRY_CHARGE + entry.value.len();
-        if charge <= MEMO_GENERATION_BYTES {
-            if self.young_bytes + charge > MEMO_GENERATION_BYTES {
-                std::mem::swap(&mut self.young, &mut self.old);
-                self.young.clear();
-                self.young_bytes = 0;
-            }
-            self.young_bytes += charge;
-            self.young.insert(id, entry.clone());
-        }
-        entry
-    }
-}
-
-thread_local! {
-    static ENTRY_MEMO: RefCell<EntryMemo> = RefCell::default();
-}
-
-/// The entry a replica commits for a write it executed itself, from this
-/// thread's [`EntryMemo`].
-fn committed_entry(key: u64, version: u64, round: u64, value_size: u32) -> KvEntry {
-    ENTRY_MEMO.with_borrow_mut(|memo| memo.get_or_commit(key, version, round, value_size))
-}
-
-/// Counters and present size of the calling thread's committed-entry memo
-/// (see [`entry_memo_stats`]): the per-thread, exactly keyed, capacity-bounded
-/// map through which the replicas of a deployment share one materialised and
-/// hashed [`KvEntry`] per committed write.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct EntryMemoStats {
-    /// Writes that took an entry another machine on this thread had committed.
-    pub hits: u64,
-    /// Writes that materialised and hashed their value.
-    pub misses: u64,
-    /// Entries the memo holds now (both generations).
-    pub entries: usize,
-    /// Bytes the memo pins now: the held values plus 128 per entry.
-    pub pinned_bytes: usize,
-}
-
-/// What the calling thread's committed-entry memo has done since the thread
-/// started, and what it holds. For profiles and tests: nothing in a run
-/// depends on it.
-pub fn entry_memo_stats() -> EntryMemoStats {
-    ENTRY_MEMO.with_borrow(|memo| {
-        let held = || memo.young.values().chain(memo.old.values());
-        EntryMemoStats {
-            hits: memo.hits,
-            misses: memo.misses,
-            entries: held().count(),
-            pinned_bytes: held().map(|e| MEMO_ENTRY_CHARGE + e.value.len()).sum(),
-        }
-    })
-}
+/// The entries of `PAGE_SLOTS` consecutive keys, by full key.
+type KvPage = BTreeMap<u64, KvEntry>;
 
 /// The real keyed KV machine: `key → {version, value bytes, last-writer
-/// round}`, with multi-key writes and range reads.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+/// round}`, with multi-key writes and range reads. Entries live in pages of
+/// 512 consecutive keys (the counter machine's `key >> 9` layout), `Arc`-shared
+/// copy-on-write (see [`StateMachine`]): a write after a fork copies the page
+/// map once and the one page it lands in, never the whole state.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct KvMachine {
-    entries: BTreeMap<u64, KvEntry>,
+    state: Arc<KvState>,
+}
+
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+struct KvState {
+    pages: BTreeMap<u64, Arc<KvPage>>,
+    entries: u64,
     acc: [u8; 32],
     value_bytes: u64,
 }
 
+impl Default for KvMachine {
+    fn default() -> Self {
+        KvMachine { state: EMPTY_KV.with(Arc::clone) }
+    }
+}
+
 impl KvMachine {
     /// Restore from a KV snapshot map that came from elsewhere (a peer, the
-    /// store), recomputing every leaf, the set-hash accumulator and the byte
-    /// total from the bytes (O(state), paid once at adoption time). The value
-    /// bytes themselves stay shared with the snapshot.
-    pub fn from_state(mut entries: BTreeMap<u64, KvEntry>) -> Self {
-        let mut acc = [0u8; 32];
-        let mut value_bytes = 0u64;
-        for (k, e) in &mut entries {
-            e.leaf = e.leaf_for(*k);
-            xor_acc(&mut acc, &e.leaf);
-            value_bytes += e.value.len() as u64;
+    /// store), as a version of its own, recomputing every leaf, the set-hash
+    /// accumulator and the byte total from the bytes (O(state), paid once at
+    /// adoption time). The value bytes themselves stay shared with the
+    /// snapshot.
+    pub fn from_state(entries: BTreeMap<u64, KvEntry>) -> Self {
+        let mut state = KvState { entries: entries.len() as u64, ..KvState::default() };
+        let mut pages: BTreeMap<u64, KvPage> = BTreeMap::new();
+        for (k, mut e) in entries {
+            e.leaf = e.leaf_for(k);
+            xor_acc(&mut state.acc, &e.leaf);
+            state.value_bytes += e.value.len() as u64;
+            pages.entry(k >> PAGE_BITS).or_default().insert(k, e);
         }
-        KvMachine { entries, acc, value_bytes }
+        state.pages = pages.into_iter().map(|(page, entries)| (page, Arc::new(entries))).collect();
+        KvMachine { state: Arc::new(state) }
     }
 
-    /// The underlying entry map.
-    pub fn entries_map(&self) -> &BTreeMap<u64, KvEntry> {
-        &self.entries
+    /// The committed entries in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &KvEntry)> + '_ {
+        self.state.pages.values().flat_map(|page| page.iter().map(|(k, e)| (*k, e)))
     }
 
     /// The committed entry under `key`, if any.
     pub fn get(&self, key: u64) -> Option<&KvEntry> {
-        self.entries.get(&key)
+        self.state.pages.get(&(key >> PAGE_BITS)).and_then(|page| page.get(&key))
     }
 
     /// Deterministic value content for `(key, version)`: the simulator carries
     /// real bytes (so snapshot/transfer sizes and digests are meaningful)
     /// without shipping client payloads through the ordering path. Always a
-    /// fresh allocation; the write path materialises a committed value once
-    /// per process and shares it (see `EntryMemo`).
+    /// fresh allocation.
     pub fn fill_value(key: u64, version: u64, size: u32) -> Arc<[u8]> {
         let seed = key.wrapping_mul(31).wrapping_add(version) as u8;
         (0..size as usize).map(|i| seed.wrapping_add(i as u8)).collect()
     }
+}
 
-    /// Commit one write: a single walk of the map finds the key's slot, reads
+impl KvState {
+    /// Commit one write: a single walk of the key's page finds its slot, reads
     /// the version it holds and replaces the entry in place.
     fn write_one(&mut self, round: Round, key: u64, value_size: u32) -> u64 {
-        let committed = match self.entries.entry(key) {
+        let commit = |version| {
+            KvEntry::new(key, version, round.0, KvMachine::fill_value(key, version, value_size))
+        };
+        let page = Arc::make_mut(self.pages.entry(key >> PAGE_BITS).or_default());
+        let committed = match page.entry(key) {
             Entry::Occupied(mut slot) => {
-                let next = slot.get().version + 1;
-                let old = slot.insert(committed_entry(key, next, round.0, value_size));
+                let old = slot.insert(commit(slot.get().version + 1));
                 self.value_bytes -= old.value.len() as u64;
                 xor_acc(&mut self.acc, &old.leaf);
                 slot.into_mut()
             }
-            Entry::Vacant(slot) => slot.insert(committed_entry(key, 1, round.0, value_size)),
+            Entry::Vacant(slot) => {
+                self.entries += 1;
+                slot.insert(commit(1))
+            }
         };
         let written = committed.value.len() as u64;
         xor_acc(&mut self.acc, &committed.leaf);
@@ -495,13 +465,15 @@ impl StateMachine for KvMachine {
     fn apply(&mut self, round: Round, tx: &Transaction) -> ApplyOutcome {
         match &tx.kind {
             TxKind::Write { key, value_size } => {
-                let value_bytes = self.write_one(round, *key, *value_size);
+                let value_bytes =
+                    Arc::make_mut(&mut self.state).write_one(round, *key, *value_size);
                 ApplyOutcome { value_bytes, keys_written: 1 }
             }
             TxKind::MultiWrite { keys, value_size } => {
+                let state = Arc::make_mut(&mut self.state);
                 let mut value_bytes = 0;
                 for key in keys {
-                    value_bytes += self.write_one(round, *key, *value_size);
+                    value_bytes += state.write_one(round, *key, *value_size);
                 }
                 ApplyOutcome { value_bytes, keys_written: keys.len() as u32 }
             }
@@ -510,41 +482,48 @@ impl StateMachine for KvMachine {
     }
 
     fn read_len(&self, key: u64) -> u32 {
-        self.entries.get(&key).map_or(0, |e| e.value.len() as u32)
+        self.get(key).map_or(0, |e| e.value.len() as u32)
     }
 
     fn scan_bytes(&self, start_key: u64, count: u32) -> u64 {
-        self.entries
-            .range(start_key..)
+        self.state
+            .pages
+            .range(start_key >> PAGE_BITS..)
+            .flat_map(|(_, page)| page.range(start_key..))
             .take(count as usize)
             .map(|(_, e)| e.value.len() as u64)
             .sum()
     }
 
     fn entries(&self) -> u64 {
-        self.entries.len() as u64
+        self.state.entries
     }
 
     fn value_bytes(&self) -> u64 {
-        self.value_bytes
+        self.state.value_bytes
     }
 
     fn digest(&self) -> [u8; 32] {
-        self.acc
+        self.state.acc
     }
 
     fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot::Kv(self.entries.clone())
+        StateSnapshot::Kv(self.iter().map(|(k, e)| (k, e.clone())).collect())
     }
 
     fn fork(&self) -> Box<dyn StateMachine> {
         Box::new(self.clone())
+    }
+
+    fn version(&self) -> StateVersion {
+        StateVersion(self.state.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine_from_snapshot;
     use ava_types::{ClientId, TxId};
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
@@ -580,174 +559,13 @@ mod tests {
                 };
                 live.apply(Round(1 + seq / 4), &tx);
             }
-            for (k, e) in live.entries_map() {
-                assert_eq!(e.leaf, e.leaf_for(*k), "cached leaf of key {k} is stale");
+            for (k, e) in live.iter() {
+                assert_eq!(e.leaf, e.leaf_for(k), "cached leaf of key {k} is stale");
             }
-            // `from_state` must not lean on what the entries cached, nor on
-            // the memo: it neither reads nor fills it.
-            let mut foreign = live.entries_map().clone();
-            for e in foreign.values_mut() {
-                e.leaf = [0; 32];
-            }
-            let memo = entry_memo_stats();
-            assert_eq!(KvMachine::from_state(foreign), live);
-            assert_eq!(entry_memo_stats(), memo, "from_state touched the committed-entry memo");
+            // `from_state` must not lean on what the entries cached.
+            let foreign = live.iter().map(|(k, e)| (k, KvEntry { leaf: [0; 32], ..e.clone() }));
+            assert_eq!(KvMachine::from_state(foreign.collect()), live);
         }
-    }
-
-    /// One write of a shared op stream: `(round, key, value_size)`.
-    type Op = (u64, u64, u32);
-
-    fn op_stream(rng: &mut StdRng, n: usize) -> Vec<Op> {
-        // Few keys, so versions climb; sizes vary down to empty values.
-        (0..n as u64)
-            .map(|i| (1 + i / 4, rng.gen_range(0..12u64), rng.gen_range(0..300u32)))
-            .collect()
-    }
-
-    fn replay(ops: &[Op]) -> KvMachine {
-        let mut m = KvMachine::default();
-        for (seq, (round, key, size)) in ops.iter().enumerate() {
-            m.apply(Round(*round), &write(seq as u64, *key, *size));
-        }
-        m
-    }
-
-    /// Every entry is what `KvEntry::new` computes from scratch for the last
-    /// write `ops` made to its key — fields, bytes and leaf.
-    fn assert_from_scratch(m: &KvMachine, ops: &[Op]) {
-        let mut last: BTreeMap<u64, (u64, u64, u32)> = BTreeMap::new();
-        for (round, key, size) in ops {
-            let version = last.get(key).map_or(1, |(v, ..)| v + 1);
-            last.insert(*key, (version, *round, *size));
-        }
-        assert_eq!(m.entries(), last.len() as u64);
-        for (key, (version, round, size)) in last {
-            let e = m.get(key).expect("written");
-            let scratch =
-                KvEntry::new(key, version, round, KvMachine::fill_value(key, version, size));
-            assert_eq!(*e, scratch, "key {key}: the memo returned another write's entry");
-            assert_eq!(e.leaf, e.leaf_for(key), "key {key}: stale leaf");
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn memo_hands_every_machine_the_from_scratch_entry(
-            seed in 0u64..1_000_000,
-            n in 1usize..150,
-            k in 2usize..6,
-        ) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let ops = op_stream(&mut rng, n);
-            // Same keys in the same order, so the same versions — but every
-            // write differs from its twin in the round or in the size.
-            let diverging: Vec<Op> = ops
-                .iter()
-                .map(|&(round, key, size)| match rng.gen_range(0..2u32) {
-                    0 => (round + 1_000, key, size),
-                    _ => (round, key, size + 1),
-                })
-                .collect();
-            // The replicas of a deployment: one stream, k machines, one thread.
-            // The diverging machine runs between them, on a warm memo.
-            let first = replay(&ops);
-            let other = replay(&diverging);
-            let rest: Vec<KvMachine> = (1..k).map(|_| replay(&ops)).collect();
-            assert_from_scratch(&first, &ops);
-            assert_from_scratch(&other, &diverging);
-            for m in &rest {
-                assert_eq!(*m, first);
-                assert_from_scratch(m, &ops);
-                for (key, e) in m.entries_map() {
-                    let shared = &first.get(*key).expect("same stream").value;
-                    assert!(Arc::ptr_eq(&e.value, shared), "key {key}: committed twice");
-                    let foreign = &other.get(*key).expect("same keys").value;
-                    assert!(!Arc::ptr_eq(&e.value, foreign), "key {key}: crossed streams");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memo_is_bounded_in_entries_and_bytes_and_evicts_by_capacity() {
-        let generation_entries = MEMO_GENERATION_BYTES / MEMO_ENTRY_CHARGE;
-        let within_bounds = || {
-            let s = entry_memo_stats();
-            assert!(s.pinned_bytes <= 2 * MEMO_GENERATION_BYTES, "pins {} bytes", s.pinned_bytes);
-            assert!(s.entries <= 2 * generation_entries, "holds {} entries", s.entries);
-            s
-        };
-        // All in one round no other test writes in: the round plays no part in
-        // eviction, and nothing a test thread ran before can hit.
-        let round = Round(190_019);
-        let base = within_bounds();
-        // More than three generations of distinct 1 KiB writes (the byte
-        // bound), then of empty ones (the entry bound).
-        let mut m = KvMachine::default();
-        let kib_writes = 3 * MEMO_GENERATION_BYTES as u64 / 1024 + 100;
-        for key in 0..kib_writes {
-            m.apply(round, &write(key, key, 1024));
-            within_bounds();
-        }
-        assert!(within_bounds().pinned_bytes > MEMO_GENERATION_BYTES, "both generations in use");
-        let empty_writes = 3 * generation_entries as u64 + 100;
-        for key in 0..empty_writes {
-            m.apply(round, &write(key, kib_writes + key, 0));
-        }
-        let s = within_bounds();
-        assert!(s.entries > generation_entries, "both generations in use");
-        assert_eq!(s.hits, base.hits, "every write was distinct");
-        assert_eq!(s.misses, base.misses + m.entries());
-
-        // The first write is long evicted: a second machine commits it again,
-        // equal to the first machine's entry and sharing nothing with it.
-        let mut again = KvMachine::default();
-        again.apply(round, &write(0, 0, 1024));
-        assert_eq!(entry_memo_stats().misses, s.misses + 1, "an evicted entry cannot hit");
-        assert_eq!(again.get(0), m.get(0));
-        let (first, recommitted) = (m.get(0).expect("written"), again.get(0).expect("written"));
-        assert!(!Arc::ptr_eq(&first.value, &recommitted.value));
-        // The last write is still held.
-        again.apply(round, &write(1, kib_writes + empty_writes - 1, 0));
-        assert_eq!(entry_memo_stats().hits, s.hits + 1);
-
-        // A value no generation could hold is committed and not kept.
-        let before = within_bounds();
-        let huge = MEMO_GENERATION_BYTES as u32;
-        m.apply(round, &write(0, u64::MAX, huge));
-        again.apply(round, &write(0, u64::MAX, huge));
-        let after = within_bounds();
-        assert_eq!((after.entries, after.pinned_bytes), (before.entries, before.pinned_bytes));
-        assert_eq!((after.hits, after.misses), (before.hits, before.misses + 2));
-        assert_eq!(again.get(u64::MAX), m.get(u64::MAX));
-    }
-
-    #[test]
-    fn a_cold_thread_and_a_warm_thread_build_equal_machines() {
-        let ops = op_stream(&mut StdRng::seed_from_u64(19), 200);
-        let warm_up = replay(&ops);
-        let before = entry_memo_stats();
-        let warm = replay(&ops);
-        let after = entry_memo_stats();
-        assert_eq!(
-            (after.hits, after.misses),
-            (before.hits + ops.len() as u64, before.misses),
-            "the second replay ran on a warm memo"
-        );
-        let cold = std::thread::scope(|scope| {
-            let spawned = scope.spawn(|| {
-                assert_eq!(entry_memo_stats(), EntryMemoStats::default(), "memos are per thread");
-                let cold = replay(&ops);
-                assert_eq!(entry_memo_stats().hits, 0);
-                cold
-            });
-            spawned.join().expect("the cold replay panicked")
-        });
-        assert_eq!(cold, warm);
-        assert_eq!(warm, warm_up);
-        assert_eq!(entry_memo_stats(), after, "another thread's writes never land here");
     }
 
     #[test]
@@ -775,6 +593,142 @@ mod tests {
         replayed.apply(Round(1), &write(0, 7, 256));
         replayed.apply(Round(2), &write(1, 7, 64));
         assert_eq!(fork.digest(), replayed.digest(), "a fork keeps a correct accumulator");
+    }
+
+    /// Every third key of the first `pages` pages, written once.
+    fn populated<M: StateMachine + Default>(pages: u64) -> M {
+        let mut m = M::default();
+        for key in (0..pages * PAGE_SLOTS as u64).step_by(3) {
+            m.apply(Round(1), &write(key, key, 16));
+        }
+        m
+    }
+
+    #[test]
+    fn a_write_to_a_fork_reaches_neither_the_original_nor_a_snapshot() {
+        fn check<M: StateMachine + Default>() {
+            let mut original: M = populated(3);
+            let (digest, snapshot) = (original.digest(), original.snapshot());
+            let mut fork = original.fork();
+            assert!(fork.version().same(&original.version()), "a fork is the same version");
+            fork.apply(Round(2), &write(1, 5, 32));
+            fork.apply(Round(2), &write(2, 4 * PAGE_SLOTS as u64, 32));
+            assert!(!fork.version().same(&original.version()), "a write makes a new version");
+            assert_eq!((original.digest(), original.snapshot()), (digest, snapshot.clone()));
+            assert_ne!(fork.digest(), digest);
+            // And the other way round.
+            let fork_snapshot = fork.snapshot();
+            original.apply(Round(3), &write(3, 6, 8));
+            assert_eq!(fork.snapshot(), fork_snapshot);
+            assert_ne!(original.snapshot(), snapshot);
+        }
+        check::<CounterMachine>();
+        check::<KvMachine>();
+    }
+
+    #[test]
+    fn a_write_after_a_fork_copies_exactly_the_touched_page() {
+        let touched = 1u64;
+        let key = (touched << PAGE_BITS) + 7;
+
+        let base: CounterMachine = populated(4);
+        let mut fork = base.clone();
+        fork.apply(Round(2), &write(1, key, 16));
+        assert!(!Arc::ptr_eq(&fork.state, &base.state), "the root is copied once");
+        for (page, slots) in &base.state.pages {
+            let forked = &fork.state.pages[page];
+            assert_eq!(Arc::ptr_eq(slots, forked), *page != touched, "counter page {page}");
+        }
+        // The copy is now the fork's own: a second write there copies nothing.
+        let own = Arc::as_ptr(&fork.state.pages[&touched]);
+        fork.apply(Round(2), &write(2, key + 1, 16));
+        assert_eq!(Arc::as_ptr(&fork.state.pages[&touched]), own);
+
+        let base: KvMachine = populated(4);
+        let mut fork = base.clone();
+        fork.apply(Round(2), &write(1, key, 16));
+        for (page, entries) in &base.state.pages {
+            let forked = &fork.state.pages[page];
+            assert_eq!(Arc::ptr_eq(entries, forked), *page != touched, "kv page {page}");
+        }
+        // A value is never copied: the copied page points at the same bytes.
+        let neighbour = key - 3;
+        let (a, b) = (base.get(neighbour).expect("populated"), fork.get(neighbour).expect("kept"));
+        assert!(Arc::ptr_eq(&a.value, &b.value));
+    }
+
+    #[test]
+    fn fresh_machines_share_one_empty_state_per_thread() {
+        for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
+            let (a, b) = (machine_for(kind), machine_for(kind));
+            assert!(a.version().same(&b.version()), "{kind:?}: two fresh machines");
+            let restored = machine_from_snapshot(&StateSnapshot::empty(kind));
+            assert!(!restored.version().same(&a.version()), "{kind:?}: from_state is its own");
+            let elsewhere = std::thread::scope(|s| s.spawn(|| machine_for(kind)).join().unwrap());
+            assert!(!elsewhere.version().same(&a.version()), "{kind:?}: another thread's");
+            assert_eq!(elsewhere.snapshot(), a.snapshot());
+        }
+        let counter = CounterMachine::default();
+        assert!(counter.version().same(&machine_for(StateMachineKind::Counter).version()));
+        let kv = KvMachine::default();
+        assert!(kv.version().same(&machine_for(StateMachineKind::Kv).version()));
+        assert!(!kv.version().same(&counter.version()));
+    }
+
+    /// A random round of up to eleven transactions over `keys` keys.
+    fn random_round(rng: &mut StdRng, seq: &mut u64, keys: u64) -> Vec<Transaction> {
+        (0..rng.gen_range(0..12u32))
+            .map(|_| {
+                *seq += 1;
+                let value_size = rng.gen_range(0..200u32);
+                let kind = match rng.gen_range(0..4u32) {
+                    0 => TxKind::Read { key: rng.gen_range(0..keys) },
+                    1 => TxKind::MultiWrite {
+                        keys: (0..3).map(|_| rng.gen_range(0..keys)).collect(),
+                        value_size,
+                    },
+                    _ => TxKind::Write { key: rng.gen_range(0..keys), value_size },
+                };
+                Transaction { id: TxId { client: ClientId(1), seq: *seq }, kind, payload_size: 64 }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn an_adopted_round_equals_a_from_scratch_replay(seed in 0u64..1_000_000, n in 1u64..20) {
+            // One replica executes each round; another adopts a fork of its
+            // result (what an executed-round hit hands it). A third replays
+            // every round on a version of its own.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let keys = [1_500u64, 100_000][seed as usize % 2];
+            for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
+                let mut first = machine_for(kind);
+                let mut scratch = machine_from_snapshot(&StateSnapshot::empty(kind));
+                let mut seq = 0;
+                for round in (1..=n).map(Round) {
+                    for tx in random_round(&mut rng, &mut seq, keys) {
+                        first.apply(round, &tx);
+                        scratch.apply(round, &tx);
+                    }
+                    let adopted = first.fork();
+                    for m in [&adopted, &scratch] {
+                        assert_eq!(m.digest(), first.digest(), "{kind:?} {round:?}");
+                        assert_eq!(m.snapshot(), first.snapshot());
+                        assert_eq!(m.entries(), first.entries());
+                        assert_eq!(m.value_bytes(), first.value_bytes());
+                    }
+                    // Later writes by the executing replica leave the
+                    // adopted result as it was.
+                    let kept = adopted.snapshot();
+                    let extra = write(u64::MAX - round.0, round.0 % keys, 5);
+                    first.apply(round, &extra);
+                    scratch.apply(round, &extra);
+                    assert_eq!(adopted.snapshot(), kept, "{kind:?}: a shared result moved");
+                }
+            }
+        }
     }
 
     #[test]
@@ -872,16 +826,16 @@ mod tests {
             sparse.apply(Round(1), &write(i, i * 1_000_003, 64));
         }
         assert_eq!(sparse.entries(), 100);
-        assert_eq!(sparse.pages.len() * page_bytes, 100 * 4096);
+        assert_eq!(sparse.state.pages.len() * page_bytes, 100 * 4096);
         let mut dense = CounterMachine::default();
         for key in 0..100_000u64 {
             dense.apply(Round(1), &write(key, key, 64));
         }
         assert_eq!(dense.entries(), 100_000);
-        assert_eq!(dense.pages.len() * page_bytes, 196 * 4096, "8.03 bytes per dense key");
+        assert_eq!(dense.state.pages.len() * page_bytes, 196 * 4096, "8.03 bytes per dense key");
         // A zero counter cannot be represented and is not restored.
         let with_zero = CounterMachine::from_state(BTreeMap::from([(5, 0), (6, 2)]));
-        assert_eq!((with_zero.entries(), with_zero.pages.len()), (1, 1));
+        assert_eq!((with_zero.entries(), with_zero.state.pages.len()), (1, 1));
     }
 
     #[test]
@@ -915,6 +869,34 @@ mod tests {
         assert_eq!(m.scan_bytes(4, 2), 200, "scan takes the first present keys >= start");
         assert_eq!(m.scan_bytes(0, 10), 300);
         assert_eq!(m.scan_bytes(10, 4), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn paged_reads_equal_a_per_key_map(seed in 0u64..1_000_000, n in 1usize..200) {
+            // Keys in clumps a page or more apart, so scans cross page
+            // boundaries and skip absent pages.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = KvMachine::default();
+            let mut model: BTreeMap<u64, u32> = BTreeMap::new();
+            for seq in 0..n as u64 {
+                let key = rng.gen_range(0..8u64) * 700 + rng.gen_range(0..40u64);
+                let size = rng.gen_range(0..100u32);
+                m.apply(Round(1), &write(seq, key, size));
+                model.insert(key, size);
+            }
+            for _ in 0..20 {
+                let (start, count) = (rng.gen_range(0..6_000u64), rng.gen_range(0..60u32));
+                let expected: u64 =
+                    model.range(start..).take(count as usize).map(|(_, s)| *s as u64).sum();
+                assert_eq!(m.scan_bytes(start, count), expected, "scan {start} +{count}");
+                assert_eq!(m.read_len(start), model.get(&start).copied().unwrap_or(0));
+            }
+            let keys: Vec<u64> = m.iter().map(|(k, _)| k).collect();
+            assert_eq!(keys, model.keys().copied().collect::<Vec<_>>());
+            assert_eq!(m.entries(), model.len() as u64);
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! byte-stable. The **kv** variant carries real value bytes, so checkpoint
 //! sizes, catch-up transfer accounting and digests are all meaningful; those
 //! bytes are `Arc`-shared with the machine the snapshot was taken from, so a
-//! snapshot costs one map clone, not a copy of the state. A snapshot travels as
-//! that in-memory object (a catch-up reply carries the checkpoint behind one
-//! `Arc`, charged by its wire size at the receiver); there is no byte
+//! snapshot costs one pass over the entries, not a copy of the values. A
+//! snapshot travels as that in-memory object (a catch-up reply carries the
+//! checkpoint behind one `Arc`, charged by its wire size at the receiver);
+//! there is no byte
 //! serialisation.
 
 use crate::machine::{CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind};
