@@ -297,7 +297,9 @@ pub fn run_quick_shapes(iters: u32, jobs: usize) -> (Vec<PerfRecord>, f64) {
 ///
 /// Every replica executes every round, so each table is followed by the
 /// executed-round memo's hit share (ideal (n − 1)/n: 41/42, then 7/8) and
-/// the rounds it retains; the KV table also by the checkpoint digests reused.
+/// the rounds it retains, then by the expected-tag memo's verifications
+/// answered and HMACs computed; the KV table also by the checkpoint digests
+/// reused.
 pub fn profile_deployments() {
     let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
@@ -305,11 +307,13 @@ pub fn profile_deployments() {
         client_concurrency: 128,
         ..opts(7)
     };
-    let (memo, config) = (ava_hamava::executed_round_stats(), e3_setup(3, 3));
+    let (memo, tags, config) =
+        (ava_hamava::executed_round_stats(), ava_crypto::tag_memo_stats(), e3_setup(3, 3));
     let replicas = config.total_replicas();
     let dep = Protocol::AvaHotStuff.deploy(config, paper);
     print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
     print_round_memo(memo, replicas);
+    print_tag_memo(tags);
 
     let kv = DeploymentOptions {
         workload: WorkloadSpec {
@@ -325,13 +329,17 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, digests) =
-        (ava_hamava::executed_round_stats(), ava_store::checkpoint_digest_stats());
+    let (memo, tags, digests) = (
+        ava_hamava::executed_round_stats(),
+        ava_crypto::tag_memo_stats(),
+        ava_store::checkpoint_digest_stats(),
+    );
     let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
     let replicas = config.total_replicas();
     let dep = Protocol::AvaHotStuff.deploy(config, kv);
     print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
     print_round_memo(memo, replicas);
+    print_tag_memo(tags);
     let digests_after = ava_store::checkpoint_digest_stats();
     println!(
         "checkpoint digests: {} reused / {} built",
@@ -351,6 +359,20 @@ fn print_round_memo(before: ava_hamava::ExecutedRoundStats, replicas: usize) {
         hits as f64 / (hits + misses).max(1) as f64,
         replicas - 1,
         now.retained
+    );
+}
+
+/// What the expected-tag memo did since `before`: verifications it
+/// answered, HMACs verification computed instead and their share, and its
+/// generation rolls.
+fn print_tag_memo(before: ava_crypto::TagMemoStats) {
+    let now = ava_crypto::tag_memo_stats();
+    let (hits, misses) = (now.hits - before.hits, now.misses - before.misses);
+    println!(
+        "tag memo: {hits} hits / {misses} misses (HMACs on verify) / miss share {:.6} \
+         / {} generations retired",
+        misses as f64 / (hits + misses).max(1) as f64,
+        now.generations_retired - before.generations_retired
     );
 }
 

@@ -10,13 +10,18 @@
 use crate::keys::{KeyRegistry, Signature};
 use crate::sha256::Digest;
 use ava_types::{ClusterId, Encode, EncodeSink, ReplicaId};
-use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Mutex;
 
 /// A set of signatures over a single digest, at most one per signer.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Held as a vector sorted by signer: a set has a few dozen signers at most, so
+/// a binary search finds one, and a set kept in a certificate is one
+/// allocation of exactly its signatures ([`QuorumCert::new`] trims it).
+/// Iteration and [`Encode`] go in ascending signer order.
+#[derive(Clone, PartialEq, Eq, Default, Debug)]
 pub struct SigSet {
-    sigs: BTreeMap<ReplicaId, Signature>,
+    sigs: Vec<Signature>,
 }
 
 impl SigSet {
@@ -27,7 +32,14 @@ impl SigSet {
 
     /// Insert a signature (replaces any previous signature by the same signer).
     pub fn insert(&mut self, sig: Signature) {
-        self.sigs.insert(sig.signer, sig);
+        match self.position(sig.signer) {
+            Ok(at) => self.sigs[at] = sig,
+            Err(at) => self.sigs.insert(at, sig),
+        }
+    }
+
+    fn position(&self, signer: ReplicaId) -> Result<usize, usize> {
+        self.sigs.binary_search_by_key(&signer, |sig| sig.signer)
     }
 
     /// Number of distinct signers.
@@ -42,17 +54,17 @@ impl SigSet {
 
     /// Whether `signer` has signed.
     pub fn contains(&self, signer: ReplicaId) -> bool {
-        self.sigs.contains_key(&signer)
+        self.position(signer).is_ok()
     }
 
     /// The signers, in ascending id order.
     pub fn signers(&self) -> Vec<ReplicaId> {
-        self.sigs.keys().copied().collect()
+        self.sigs.iter().map(|sig| sig.signer).collect()
     }
 
-    /// Iterate over the signatures.
+    /// Iterate over the signatures, in ascending signer order.
     pub fn iter(&self) -> impl Iterator<Item = &Signature> {
-        self.sigs.values()
+        self.sigs.iter()
     }
 
     /// Count how many signatures verify over `digest`, only counting signers in
@@ -64,7 +76,7 @@ impl SigSet {
         allowed: &[ReplicaId],
     ) -> usize {
         self.sigs
-            .values()
+            .iter()
             .filter(|sig| allowed.contains(&sig.signer) && registry.verify(digest, sig))
             .count()
     }
@@ -80,7 +92,7 @@ impl SigSet {
 impl Encode for SigSet {
     fn encode(&self, out: &mut dyn EncodeSink) {
         (self.sigs.len() as u64).encode(out);
-        for sig in self.sigs.values() {
+        for sig in &self.sigs {
             sig.encode(out);
         }
     }
@@ -151,8 +163,11 @@ fn memo_key(registry: &KeyRegistry, expected: &Digest, members: &[ReplicaId], t:
 }
 
 impl QuorumCert {
-    /// Build a certificate from parts.
-    pub fn new(cluster: ClusterId, digest: Digest, sigs: SigSet) -> Self {
+    /// Build a certificate from parts. The signature set is trimmed to its
+    /// length: a certificate lives as long as the block or package it
+    /// certifies, while the set was grown vote by vote.
+    pub fn new(cluster: ClusterId, digest: Digest, mut sigs: SigSet) -> Self {
+        sigs.sigs.shrink_to_fit();
         QuorumCert { cluster, digest, sigs, valid_memo: Mutex::new(None) }
     }
 
@@ -194,8 +209,8 @@ impl PartialEq for QuorumCert {
 
 impl Eq for QuorumCert {}
 
-impl std::fmt::Debug for QuorumCert {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for QuorumCert {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("QuorumCert")
             .field("cluster", &self.cluster)
             .field("digest", &self.digest)
@@ -216,6 +231,10 @@ impl Encode for QuorumCert {
 mod tests {
     use super::*;
     use crate::keys::Keypair;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn setup(n: u32) -> (KeyRegistry, Vec<Keypair>, Vec<ReplicaId>) {
         let reg = KeyRegistry::new();
@@ -276,6 +295,82 @@ mod tests {
         let new_quorum = 5;
         assert!(cert.is_valid(&reg, &digest, &new_members, old_quorum));
         assert!(!cert.is_valid(&reg, &digest, &new_members, new_quorum));
+    }
+
+    #[test]
+    fn a_certificate_holds_exactly_its_signatures() {
+        let (_, kps, _) = setup(22);
+        let digest = Digest::of(&"block".to_string());
+        for q in 1..=kps.len() {
+            // Votes arrive one at a time, in no particular order.
+            let mut votes = SigSet::new();
+            for kp in kps[..q].iter().rev() {
+                votes.insert(kp.sign(&digest));
+            }
+            let cert = QuorumCert::new(ClusterId(0), digest, votes);
+            assert_eq!((cert.sigs.sigs.len(), cert.sigs.sigs.capacity()), (q, q));
+            assert_eq!(cert.clone().sigs.sigs.capacity(), q, "a clone is exact too");
+        }
+    }
+
+    /// `set` answers every query and encodes as the map `model` does.
+    fn assert_same(set: &SigSet, model: &BTreeMap<ReplicaId, Signature>, signers: u32) {
+        assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
+        assert_eq!(set.signers(), model.keys().copied().collect::<Vec<_>>());
+        assert!(set.iter().eq(model.values()), "iteration in ascending signer order");
+        for id in (0..=signers).map(ReplicaId) {
+            assert_eq!(set.contains(id), model.contains_key(&id));
+        }
+        let mut expected = Vec::new();
+        (model.len() as u64).encode(&mut expected);
+        model.values().for_each(|sig| sig.encode(&mut expected));
+        let mut bytes = Vec::new();
+        set.encode(&mut bytes);
+        assert_eq!(bytes, expected);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn sigset_behaves_as_a_map_by_signer(seed in 0u64..1_000_000, n in 0usize..80) {
+            const SIGNERS: u32 = 12;
+            let (_, kps, _) = setup(SIGNERS);
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Few digests, so a signer often re-signs: an insert that replaces.
+            let sign = |rng: &mut StdRng| {
+                let kp = &kps[rng.gen_range(0..SIGNERS) as usize];
+                kp.sign(&Digest::of(&rng.gen_range(0..3u64)))
+            };
+            let (mut set, mut model) = (SigSet::new(), BTreeMap::new());
+            let (mut other, mut other_model) = (SigSet::new(), BTreeMap::new());
+            let mut drawn = Vec::new();
+            for _ in 0..n {
+                let sig = sign(&mut rng);
+                drawn.push(sig);
+                match rng.gen_range(0..4u32) {
+                    0 | 1 => {
+                        set.insert(sig);
+                        model.insert(sig.signer, sig);
+                    }
+                    2 => {
+                        other.insert(sig);
+                        other_model.insert(sig.signer, sig);
+                    }
+                    _ => {
+                        set.merge(&other);
+                        model.extend(other_model.iter().map(|(k, v)| (*k, *v)));
+                    }
+                }
+                assert_same(&set, &model, SIGNERS);
+                assert_same(&other, &other_model, SIGNERS);
+            }
+            // Collecting keeps the last signature of each signer, as inserting does.
+            let collected: SigSet = drawn.iter().copied().collect();
+            let collected_model: BTreeMap<_, _> = drawn.iter().map(|sig| (sig.signer, *sig)).collect();
+            assert_same(&collected, &collected_model, SIGNERS);
+            let cert = QuorumCert::new(ClusterId(1), Digest::of(&seed), collected.clone());
+            prop_assert_eq!(&cert.sigs, &collected);
+        }
     }
 
     #[test]

@@ -23,5 +23,5 @@ pub mod sha256;
 
 pub use cert::{QuorumCert, SigSet};
 pub use hmac::{hmac_sha256, HmacKey};
-pub use keys::{KeyRegistry, Keypair, Signature};
+pub use keys::{tag_memo_stats, KeyRegistry, Keypair, Signature, TagMemoStats};
 pub use sha256::{sha256, Digest, Sha256};
