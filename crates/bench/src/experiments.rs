@@ -1055,8 +1055,7 @@ pub fn e11_saturation(scale: &ExperimentScale) -> (Vec<SaturationPoint>, Option<
 
 /// The JSON document of a sweep, as `ava-exp` prints it: the experiment's name
 /// and scale, the sweep's own `header` fields (values already rendered), then
-/// one object per cell under `array` (hand-rolled, like
-/// [`crate::perf::render_json`] — the format is our own).
+/// one object per cell under `array` (hand-rolled — the format is our own).
 fn sweep_json(
     experiment: &str,
     scale: &ExperimentScale,

@@ -2,7 +2,7 @@
 //!
 //! The experiment harness that regenerates every table and figure of the paper's
 //! evaluation (E0–E13, Table I, Table II) on top of the simulated deployments, plus
-//! the wall-clock perf gate.
+//! the handler profile of where host time goes (`ava-exp profile`).
 //!
 //! Each experiment is a row of [`registry::EXPERIMENTS`] that prints the same
 //! rows/series the paper reports; the `ava-exp` binary runs them by name. Rows run
@@ -21,5 +21,4 @@ pub mod report;
 
 pub use complexity::{complexity_table, ComplexityRow};
 pub use experiments::{ExperimentScale, Protocol};
-pub use perf::PerfRecord;
 pub use report::{print_table, RunMetrics};

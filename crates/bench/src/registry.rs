@@ -8,6 +8,7 @@ use crate::experiments::{
     e7_reconfig_frequency, e8_network_latency, e9_partitions, table1_complexity, table2_latency,
     ExperimentScale, FailureScenario,
 };
+use crate::perf::profile_deployments;
 
 /// One row of the experiment table.
 pub struct Experiment {
@@ -161,6 +162,14 @@ pub const EXPERIMENTS: &[Experiment] = &[
         figure: "Table II: inter-region round-trip latency matrix",
         run: Run::Table(table2_latency),
     },
+    Experiment {
+        name: "profile",
+        figure: "diagnosis: host time per actor x message kind, paper deployment and KV writes",
+        run: Run::Table(|_| {
+            profile_deployments();
+            Vec::new()
+        }),
+    },
 ];
 
 /// One printable block per cell in which a safety checker fired.
@@ -209,6 +218,7 @@ mod tests {
         assert_eq!(names("e5-trace"), ["e5-trace"]);
         assert_eq!(names("e1"), ["e1"], "a prefix of e10..e13 is not a group");
         assert_eq!(names("e4.leader"), ["e4.leader"]);
+        assert_eq!(names("profile"), ["profile"]);
         for unknown in ["e4.leader-typo", "leader", "e14", "e4.", "", "--full"] {
             assert!(resolve(unknown).is_none(), "{unknown:?} must not resolve");
         }
@@ -302,6 +312,10 @@ mod tests {
             "cargo bench",
             "AVA_FULL",
             "AVA_JOBS",
+            "perf_wallclock",
+            "map_timed",
+            "thread_cpu_time",
+            "--check BENCH_PR",
         ];
         for (file, text) in DOCS {
             for name in retired {

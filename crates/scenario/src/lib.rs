@@ -60,5 +60,5 @@ pub use observer::{
     BrokerStatsObserver, BrokerTrace, ByzantineObserver, ReconfigTraceObserver, RecoveryObserver,
     RecoveryTrace, RoundTrace, RunObserver, StageBreakdownObserver, ThroughputObserver,
 };
-pub use parallel::{default_jobs, thread_cpu_time, RunPool, RunTiming};
+pub use parallel::{default_jobs, RunPool};
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioEvent, ScenarioRun, Schedule};

@@ -15,59 +15,14 @@
 //! of its input index, so the output order never depends on scheduling. DESIGN.md
 //! §8 has the full determinism argument and the path from this pool to
 //! cluster-sharded PDES.
-//!
-//! Timing under concurrency: per-run wall-clock stops meaning "compute time" the
-//! moment runs share cores, so [`RunPool::map_timed`] reports both per-run
-//! wall-clock and per-run *thread CPU time* ([`thread_cpu_time`]), and the pool
-//! wall-clock is measured around the whole map. Speedup is pool wall-clock vs. the
-//! sum of per-run CPU times.
 
 use crate::scenario::{Scenario, ScenarioRun};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Default worker count: the machine's available parallelism (1 if unknown).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// CPU time consumed by the calling thread, if the platform exposes it.
-///
-/// Linux: parsed from `/proc/thread-self/stat` (utime + stime, USER_HZ ticks —
-/// typically 10 ms granularity, plenty for runs that take hundreds of
-/// milliseconds; the workspace forbids `unsafe`, which rules out
-/// `clock_gettime(CLOCK_THREAD_CPUTIME_ID)`). Elsewhere: `None`, and callers fall
-/// back to wall-clock.
-pub fn thread_cpu_time() -> Option<Duration> {
-    let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
-    // Fields 14 (utime) and 15 (stime), 1-indexed, counted after the `(comm)`
-    // field — which may itself contain spaces, so split after the last ')'.
-    let rest = stat.rsplit_once(')')?.1;
-    let mut fields = rest.split_ascii_whitespace();
-    let utime: u64 = fields.nth(11)?.parse().ok()?;
-    let stime: u64 = fields.next()?.parse().ok()?;
-    // USER_HZ is 100 on every Linux configuration Rust supports.
-    Some(Duration::from_millis((utime + stime) * 10))
-}
-
-/// Per-run timing captured by [`RunPool::map_timed`].
-#[derive(Clone, Copy, Debug)]
-pub struct RunTiming {
-    /// Wall-clock duration of the run on its worker thread. Under concurrency
-    /// this includes time the thread was descheduled while other runs held the
-    /// cores — compare CPU times across job counts, not wall-clocks.
-    pub wall: Duration,
-    /// Thread CPU time consumed by the run (`None` where the platform does not
-    /// expose per-thread CPU clocks; see [`thread_cpu_time`]).
-    pub cpu: Option<Duration>,
-}
-
-impl RunTiming {
-    /// The stable cost metric: CPU time where available, wall-clock otherwise.
-    pub fn cost(&self) -> Duration {
-        self.cpu.unwrap_or(self.wall)
-    }
 }
 
 /// A work-stealing pool executing independent runs on `jobs` threads, returning
@@ -152,30 +107,6 @@ impl RunPool {
             .collect()
     }
 
-    /// Like [`RunPool::map`], additionally timing every run (wall + thread CPU)
-    /// and the pool as a whole. Returns the per-item `(result, timing)` pairs in
-    /// input order plus the pool wall-clock.
-    pub fn map_timed<T, R, F>(&self, items: Vec<T>, work: F) -> (Vec<(R, RunTiming)>, Duration)
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        let pool_start = Instant::now();
-        let results = self.map(items, |i, item| {
-            let cpu_before = thread_cpu_time();
-            let wall_start = Instant::now();
-            let result = work(i, item);
-            let wall = wall_start.elapsed();
-            let cpu = match (cpu_before, thread_cpu_time()) {
-                (Some(before), Some(after)) => Some(after.saturating_sub(before)),
-                _ => None,
-            };
-            (result, RunTiming { wall, cpu })
-        });
-        (results, pool_start.elapsed())
-    }
-
     /// Execute prepared scenarios on the pool; results in input order, so
     /// `pool.run_scenarios(v)` is output-for-output identical to
     /// `v.into_iter().map(Scenario::run).collect()`.
@@ -199,6 +130,7 @@ mod tests {
     use ava_simnet::Simulation;
     use ava_types::{Duration as SimDuration, Region, SystemConfig};
     use ava_workload::WorkloadSpec;
+    use std::time::Duration;
 
     fn assert_send<T: Send>() {}
 
@@ -251,22 +183,54 @@ mod tests {
     }
 
     #[test]
-    fn map_timed_reports_plausible_timings() {
-        let pool = RunPool::new(2);
-        let (results, pool_wall) = pool.map_timed(vec![10u64, 20], |_, ms| {
-            std::thread::sleep(Duration::from_millis(ms));
-            ms
+    fn map_calls_work_once_per_item_with_its_input_index() {
+        let calls = AtomicUsize::new(0);
+        let results = RunPool::new(4).map((0..50u32).map(|x| x + 100).collect(), |i, x| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            (i, x)
         });
-        assert_eq!(results.iter().map(|(r, _)| *r).collect::<Vec<_>>(), vec![10, 20]);
-        for (ms, (_, timing)) in [10u64, 20].iter().zip(&results) {
-            assert!(timing.wall >= Duration::from_millis(*ms));
-            // Sleeping burns no CPU: where the platform reports CPU time it must
-            // be (much) smaller than the wall-clock of a sleep.
-            if let Some(cpu) = timing.cpu {
-                assert!(cpu <= timing.wall);
-            }
-        }
-        assert!(pool_wall >= Duration::from_millis(20));
+        assert_eq!(calls.into_inner(), 50);
+        assert!(results.iter().enumerate().all(|(n, &(i, x))| i == n && x == n as u32 + 100));
+    }
+
+    #[test]
+    fn single_job_map_runs_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |_, _: u8| std::thread::current().id() == caller;
+        assert!(RunPool::new(1).map(vec![0; 8], on_caller).into_iter().all(|inline| inline));
+        // A single item runs inline whatever the pool size.
+        assert_eq!(RunPool::new(8).map(vec![0], on_caller), [true]);
+    }
+
+    #[test]
+    fn map_spreads_over_at_most_jobs_worker_threads() {
+        let caller = std::thread::current().id();
+        let threads = Mutex::new(std::collections::HashSet::new());
+        RunPool::new(3).map((0..40).collect(), |_, _: u32| {
+            threads.lock().unwrap().insert(std::thread::current().id());
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        let threads = threads.into_inner().unwrap();
+        assert!((1..=3).contains(&threads.len()), "{} worker threads", threads.len());
+        assert!(!threads.contains(&caller), "the parallel path ran work on the caller");
+    }
+
+    #[test]
+    fn map_propagates_a_panicking_work_call() {
+        let outcome = std::panic::catch_unwind(|| {
+            RunPool::new(4).map((0..16u32).collect(), |_, x| {
+                assert_ne!(x, 11, "work fails on item 11");
+                x
+            })
+        });
+        assert!(outcome.is_err());
+    }
+
+    #[test]
+    fn default_pool_has_one_worker_per_available_core() {
+        assert!(default_jobs() >= 1);
+        assert_eq!(RunPool::default().jobs(), default_jobs());
+        assert_eq!(RunPool::with_available_parallelism().jobs(), default_jobs());
     }
 
     fn tiny_scenarios() -> Vec<Scenario> {

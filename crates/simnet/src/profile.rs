@@ -112,3 +112,53 @@ impl Stopwatch for Instant {
         ns
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ava_types::ClientId;
+
+    #[test]
+    fn actor_kind_splits_at_the_client_id_range() {
+        assert_eq!(ActorKind::of(ReplicaId(0)), ActorKind::Replica);
+        let first_client = crate::client_node_id(ClientId(0));
+        assert_eq!(ActorKind::of(ReplicaId(first_client.0 - 1)), ActorKind::Replica);
+        assert_eq!(ActorKind::of(first_client), ActorKind::Client);
+        assert_eq!(ActorKind::of(crate::client_node_id(ClientId(41))), ActorKind::Client);
+    }
+
+    #[test]
+    fn total_ns_counts_pops_handlers_and_post_work() {
+        let mut profile = HandlerProfile { pop_ns: 5, ..HandlerProfile::default() };
+        assert_eq!(profile.total_ns(), 5);
+        let row = profile.row(ActorKind::Replica, "propose");
+        row.handler_ns += 100;
+        row.post_ns += 20;
+        row.sends += 9;
+        profile.row(ActorKind::Client, "reply").handler_ns += 7;
+        assert_eq!(profile.total_ns(), 5 + 100 + 20 + 7);
+    }
+
+    #[test]
+    fn rows_accumulate_per_bucket_ordered_by_actor_then_kind() {
+        let mut profile = HandlerProfile::default();
+        for (actor, kind) in [
+            (ActorKind::Client, "reply"),
+            (ActorKind::Replica, "vote"),
+            (ActorKind::Replica, "propose"),
+            (ActorKind::Replica, "vote"),
+        ] {
+            profile.row(actor, kind).events += 1;
+        }
+        let rows: Vec<_> =
+            profile.rows().map(|(actor, kind, row)| (actor, kind, row.events)).collect();
+        assert_eq!(
+            rows,
+            [
+                (ActorKind::Replica, "propose", 1),
+                (ActorKind::Replica, "vote", 2),
+                (ActorKind::Client, "reply", 1),
+            ]
+        );
+    }
+}
