@@ -316,6 +316,9 @@ mod tests {
             "map_timed",
             "thread_cpu_time",
             "--check BENCH_PR",
+            "prev_membership",
+            "verify_either",
+            "CurrStateViews",
         ];
         for (file, text) in DOCS {
             for name in retired {

@@ -397,9 +397,15 @@ mod tests {
         assert_eq!(tampered.cluster, package.cluster);
         assert_eq!(tampered.round, package.round);
         assert_ne!(tampered.content_digest(), package.content_digest());
-        // A certificate-less package with a nonempty rec set never verifies.
-        let nobody = ava_types::Membership::new();
-        assert!(!tampered.verify_either(&ava_crypto::KeyRegistry::new(), &nobody, &nobody));
+        // A certificate-less package with a nonempty rec set never verifies,
+        // though its cluster is known and the untampered package verifies.
+        let mut membership = ava_types::Membership::new();
+        let region = ava_types::Region::UsWest;
+        membership.add(package.cluster, ava_types::ReplicaInfo { id: ReplicaId(0), region });
+        let views = crate::Views::new(membership);
+        let registry = ava_crypto::KeyRegistry::new();
+        assert!(views.verify(&registry, &package));
+        assert!(!views.verify(&registry, &tampered));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * **The adoption** ([`CatchUp::adoption`]). On the agreed checkpoint (or on
 //!   the replica's own state, when that is not behind it) one agreeing member's
 //!   suffix is replayed, the member furthest ahead first. Every record is
-//!   verified against the view it was certified under; a suffix with a gap, an
+//!   verified against the views as of its round; a suffix with a gap, an
 //!   unverifiable record, or that stops short of its sender's round drops that
 //!   candidate, and the next one is tried.
 //! * **The clock** ([`CatchUp::on_tick`]). The request is re-sent every
@@ -22,17 +22,12 @@
 //!   gives up and resumes alone from what it has: the solo fallback.
 //!
 //! Protocol traffic that arrives meanwhile is buffered ([`CatchUp::buffer`]) and
-//! replayed once the replica is back in a round.
-//!
-//! **The trailing view.** Every entry path also installs a `prev_membership`,
-//! the view one reconfiguration back that still verifies packages certified
-//! just before the adopted view. The paths do not agree on it. A suffix replay
-//! trails by one record. A store replay does not trail: the trailing view stays
-//! the base the records were replayed on. A joiner adopts the pair its
-//! `CurrState` sender holds. The rules are kept exactly as they are; the
-//! round-indexed membership history of ROADMAP item 3 replaces all three.
+//! replayed once the replica is back in a round. Every replay applies its
+//! records' reconfigurations through [`Views::apply_round`], the rule live
+//! execution follows, so each path keeps the same per-cluster trailing view.
 
 use crate::messages::{RoundPackage, RoundRecord};
+use crate::views::Views;
 use ava_crypto::KeyRegistry;
 use ava_state::{
     machine_for, machine_from_snapshot, StateMachine, StateMachineKind, StateSnapshot,
@@ -89,15 +84,13 @@ pub(crate) fn walk_round<'a>(
     all_recs
 }
 
-/// Apply one round record to a machine/membership pair exactly as live
-/// execution applies the round (both go through [`walk_round`]).
-fn apply_record(record: &RoundRecord, machine: &mut dyn StateMachine, membership: &mut Membership) {
+/// Apply one round record to a machine and views exactly as live execution
+/// applies the round (both go through [`walk_round`] and [`Views::apply_round`]).
+fn apply_record(record: &RoundRecord, machine: &mut dyn StateMachine, views: &mut Views) {
     let all_recs = walk_round(&record.packages, |tx| {
         machine.apply(record.round, tx);
     });
-    for (cluster, recs) in &all_recs {
-        membership.apply_set(*cluster, recs);
-    }
+    views.apply_round(&all_recs);
 }
 
 /// The packing anchor a round record implies for `cluster`'s own log: one past
@@ -116,10 +109,8 @@ fn record_next_height(record: &RoundRecord, cluster: ClusterId) -> Option<u64> {
 pub struct View {
     /// The state machine.
     pub machine: Box<dyn StateMachine>,
-    /// The membership map.
-    pub membership: Membership,
-    /// The trailing view; each path has its own rule (see the module doc).
-    pub prev_membership: Membership,
+    /// The membership views.
+    pub views: Views,
     /// The cluster's leader timestamp.
     pub leader_ts: u64,
     /// The first own-cluster log height the state does not cover.
@@ -131,8 +122,8 @@ pub struct View {
 pub struct Executed<'a> {
     /// The state machine.
     pub machine: &'a dyn StateMachine,
-    /// The membership map.
-    pub membership: &'a Membership,
+    /// The membership views.
+    pub views: &'a Views,
     /// The round in progress; every round before it executed.
     pub round: Round,
     /// The cluster's leader timestamp.
@@ -154,11 +145,9 @@ pub fn replay_store(
 ) -> (View, Round, u64) {
     let (checkpoint, suffix) = store.map(Store::recover).unwrap_or_default();
     let base = checkpoint.as_deref();
-    let membership = base.map_or(initial, |cp| &cp.membership);
     let mut view = View {
         machine: base.map_or_else(|| machine_for(kind), |cp| machine_from_snapshot(&cp.state)),
-        membership: membership.clone(),
-        prev_membership: membership.clone(),
+        views: Views::new(base.map_or(initial, |cp| &cp.membership).clone()),
         leader_ts: base.map_or(0, |cp| cp.leader_ts),
         next_height: base.map_or(0, |cp| cp.next_height),
     };
@@ -168,7 +157,7 @@ pub fn replay_store(
         if record.round < round {
             continue;
         }
-        apply_record(&record, view.machine.as_mut(), &mut view.membership);
+        apply_record(&record, view.machine.as_mut(), &mut view.views);
         if let Some(h) = record_next_height(&record, cluster) {
             view.next_height = view.next_height.max(h);
         }
@@ -192,7 +181,7 @@ pub fn reply(
         let checkpoint = Checkpoint::new(
             Round(executed.round.0.saturating_sub(1)),
             executed.machine.snapshot(),
-            executed.membership.clone(),
+            executed.views.current().clone(),
             executed.leader_ts,
             executed.next_height,
         );
@@ -248,7 +237,7 @@ pub enum Tick {
 
 /// A transferred state that passed the vote and the replay.
 pub struct Adoption {
-    /// The state to install. Its trailing view trails the replay by one record.
+    /// The state to install.
     pub view: View,
     /// The round to resume at: the sender's current round.
     pub round: Round,
@@ -354,23 +343,18 @@ impl<M> CatchUp<M> {
             if use_checkpoint { agreed.round.next().0 - self.recovered_round.0 } else { 0 };
         let mut sigs = 0u64;
         'candidates: for offer in candidates {
-            let (mut machine, mut membership, mut next, mut bytes, mut next_height) =
-                if use_checkpoint {
-                    (
-                        machine_from_snapshot(&agreed.state),
-                        agreed.membership.clone(),
-                        agreed.round.next(),
-                        agreed.wire_size() as u64,
-                        agreed.next_height,
-                    )
-                } else {
-                    let base = executed.membership.clone();
-                    (executed.machine.fork(), base, self.recovered_round, 0, executed.next_height)
-                };
-            // Trails `membership` by one record: a record's head blocks may be
-            // certified under the view that preceded the previous record's
-            // reconfigurations.
-            let mut replay_prev = membership.clone();
+            let (mut machine, mut views, mut next, mut bytes, mut next_height) = if use_checkpoint {
+                (
+                    machine_from_snapshot(&agreed.state),
+                    Views::new(agreed.membership.clone()),
+                    agreed.round.next(),
+                    agreed.wire_size() as u64,
+                    agreed.next_height,
+                )
+            } else {
+                let base = executed.views.clone();
+                (executed.machine.fork(), base, self.recovered_round, 0, executed.next_height)
+            };
             let mut records = Vec::new();
             for record in &offer.suffix {
                 if record.round < next {
@@ -379,14 +363,12 @@ impl<M> CatchUp<M> {
                 if record.round > next {
                     continue 'candidates; // a gap: this member cannot cover our range
                 }
-                let (valid, record_sigs) =
-                    record.verify_either(registry, &membership, &replay_prev);
+                let (valid, record_sigs) = views.verify_record(registry, record);
                 sigs += record_sigs;
                 if !valid {
                     continue 'candidates;
                 }
-                replay_prev = membership.clone();
-                apply_record(record, machine.as_mut(), &mut membership);
+                apply_record(record, machine.as_mut(), &mut views);
                 if let Some(h) = record_next_height(record, cluster) {
                     next_height = next_height.max(h);
                 }
@@ -399,13 +381,7 @@ impl<M> CatchUp<M> {
             if next < offer.round {
                 continue;
             }
-            let view = View {
-                machine,
-                membership,
-                prev_membership: replay_prev,
-                leader_ts: offer.leader_ts,
-                next_height,
-            };
+            let view = View { machine, views, leader_ts: offer.leader_ts, next_height };
             let adoption = Adoption {
                 view,
                 round: next,
@@ -494,10 +470,10 @@ mod tests {
 
     /// Runs the adoption on top of a fresh counter machine at `round`.
     fn adopt(catch_up: &CatchUp<u32>, round: u64) -> Option<Adoption> {
-        let (machine, membership) = (machine_for(StateMachineKind::Counter), membership());
+        let (machine, views) = (machine_for(StateMachineKind::Counter), Views::new(membership()));
         let executed = Executed {
             machine: machine.as_ref(),
-            membership: &membership,
+            views: &views,
             round: Round(round),
             leader_ts: 0,
             next_height: 3,
@@ -628,12 +604,12 @@ mod tests {
 
     #[test]
     fn a_reply_comes_from_the_store_or_from_what_was_executed() {
-        let m = membership();
+        let (m, views) = (membership(), Views::new(membership()));
         let mut machine = machine_for(StateMachineKind::Counter);
         machine.apply(Round(1), &Transaction::write(ava_types::ClientId(0), 0, 5, 8));
         let executed = || Executed {
             machine: machine.as_ref(),
-            membership: &m,
+            views: &views,
             round: Round(7),
             leader_ts: 2,
             next_height: 40,
@@ -678,9 +654,6 @@ mod tests {
             replay_store(Some(&store), OWN, StateMachineKind::Counter, &Membership::new());
         assert_eq!((round, replayed, view.next_height), (Round(7), 2, 40));
         assert_eq!(view.machine.snapshot(), cp.state);
-        assert_eq!(
-            (view.membership.clone(), view.prev_membership),
-            (cp.membership.clone(), cp.membership.clone())
-        );
+        assert_eq!(view.views, Views::new(cp.membership.clone()));
     }
 }

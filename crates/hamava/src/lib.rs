@@ -14,7 +14,7 @@
 //! | Alg. 7 — local ordering | [`replica`] + any [`ava_consensus::TotalOrderBroadcast`] |
 //! | Alg. 8 — leader change | [`replica`] (`install_leader` wiring) |
 //! | Alg. 9 — leader election | [`leader_election`] |
-//! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`, once per process through [`round_memo`]; a joiner's state transfer, lines 33–39, enters its round through `Replica::enter`, as a catch-up does); [`catchup`] decides restart and straggler catch-up |
+//! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`, once per process through [`round_memo`]; a joiner's state transfer, lines 33–39, enters its round through `Replica::enter`, as a catch-up does); [`catchup`] decides restart and straggler catch-up; [`views`] keeps the per-cluster trailing view every path verifies against |
 //!
 //! The replica is generic over the local consensus protocol: instantiating it with
 //! `ava-hotstuff` gives AVA-HOTSTUFF and with `ava-bftsmart` gives AVA-BFTSMART, the
@@ -53,6 +53,7 @@ pub mod remote_leader;
 pub mod replica;
 pub mod round_memo;
 pub mod targets;
+pub mod views;
 
 pub use brd::{Brd, BrdAction, BrdCert, BrdMsg};
 pub use byzantine::{ByzantineBehavior, CorruptReplica};
@@ -65,6 +66,7 @@ pub use remote_leader::{RemoteLeaderAction, RemoteLeaderChange, RemoteLeaderMsg}
 pub use replica::{Replica, ReplicaConfig};
 pub use round_memo::{executed_round_stats, ExecutedRoundStats};
 pub use targets::TargetSet;
+pub use views::Views;
 // Re-exported so downstream crates can pick a state machine for
 // `DeploymentOptions::state_machine` without a direct `ava-state` dependency.
 pub use ava_state::StateMachineKind;

@@ -9,14 +9,14 @@
 use crate::brd::{BrdCert, BrdMsg};
 use crate::leader_election::ElectionMsg;
 use crate::remote_leader::RemoteLeaderMsg;
+use crate::views::Views;
 use ava_consensus::{CommittedBlock, WireSize};
 use ava_crypto::{Digest, KeyRegistry, Keypair, Sha256, Signature};
 use ava_simnet::SimMessage;
 use ava_state::StateSnapshot;
 use ava_store::{Checkpoint, StoredEntry};
 use ava_types::{
-    ClientId, ClusterId, Encode, EncodeSink, Membership, Reconfig, Region, ReplicaId, Round,
-    Transaction, TxId,
+    ClientId, ClusterId, Encode, EncodeSink, Reconfig, Region, ReplicaId, Round, Transaction, TxId,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -68,43 +68,6 @@ impl RoundPackage {
         recs_cert: Option<BrdCert>,
     ) -> Self {
         RoundPackage { cluster, round, blocks, recs, recs_cert, wire_size_cache: OnceLock::new() }
-    }
-
-    /// Verify every certificate in the package against the verifier's current
-    /// membership view of the originating cluster, falling back **per
-    /// component** to the immediately-previous view (`prev`; pass `current`
-    /// again to check one view). Around a
-    /// reconfiguration boundary a round's package legitimately mixes epochs:
-    /// its head blocks were certified by the outgoing membership (they
-    /// committed before the boundary and stranded past the previous round's
-    /// cut), while its tail blocks and its BRD delivery certificate are signed
-    /// by the new one — so an all-or-nothing check against either single view
-    /// rejects a perfectly valid package.
-    pub fn verify_either(
-        &self,
-        registry: &KeyRegistry,
-        current: &Membership,
-        prev: &Membership,
-    ) -> bool {
-        let cur_members = current.member_ids(self.cluster);
-        let cur_quorum = current.quorum(self.cluster);
-        let prev_members = prev.member_ids(self.cluster);
-        let prev_quorum = prev.quorum(self.cluster);
-        if cur_members.is_empty() && prev_members.is_empty() {
-            return false;
-        }
-        let blocks_ok = self.blocks.iter().all(|b| {
-            (!cur_members.is_empty() && b.verify(registry, &cur_members, cur_quorum))
-                || (!prev_members.is_empty() && b.verify(registry, &prev_members, prev_quorum))
-        });
-        let recs_ok = match &self.recs_cert {
-            Some(cert) => {
-                cert.verify_delivery(registry, &self.recs, &cur_members, cur_quorum)
-                    || cert.verify_delivery(registry, &self.recs, &prev_members, prev_quorum)
-            }
-            None => self.recs.is_empty(),
-        };
-        blocks_ok && recs_ok
     }
 
     /// Number of transactions carried by the package.
@@ -175,27 +138,6 @@ impl RoundRecord {
         *self
             .wire_size_cache
             .get_or_init(|| 16 + self.packages.iter().map(|p| p.wire_size()).sum::<usize>())
-    }
-
-    /// Verify every package in the record against the verifier's membership view
-    /// *as of the record's round*, with the per-component previous-view
-    /// fallback of [`RoundPackage::verify_either`] — records written at a
-    /// reconfiguration boundary carry the same mixed-epoch packages live
-    /// verifiers see. Total signature count is returned alongside so the caller
-    /// can charge verification cost.
-    pub fn verify_either(
-        &self,
-        registry: &KeyRegistry,
-        current: &Membership,
-        prev: &Membership,
-    ) -> (bool, u64) {
-        let sigs = self
-            .packages
-            .iter()
-            .flat_map(|p| p.blocks.iter())
-            .map(|b| b.cert.signature_count() as u64)
-            .sum();
-        (self.packages.iter().all(|p| p.verify_either(registry, current, prev)), sigs)
     }
 }
 
@@ -386,8 +328,10 @@ pub enum AvaMsg<TM> {
         /// matching the deployment's configured machine).
         state: StateSnapshot,
         /// The sender's membership views, boxed so this (largest) variant does
-        /// not inflate every `AvaMsg` moved through the event queue.
-        views: Box<CurrStateViews>,
+        /// not inflate every `AvaMsg` moved through the event queue. The joiner
+        /// adopts its trailing view too, so it verifies in-flight packages
+        /// certified by outgoing members exactly like its established peers.
+        views: Box<Views>,
         /// The round the joining replica should start participating in.
         round: Round,
         /// The sender's current leader timestamp for the cluster.
@@ -469,20 +413,6 @@ pub enum AvaMsg<TM> {
     ClientControl(ClientCtl),
 }
 
-/// The membership views shipped in [`AvaMsg::CurrState`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CurrStateViews {
-    /// The sender's full membership map after applying the round's
-    /// reconfigurations.
-    pub membership: Membership,
-    /// The sender's trailing view (one reconfiguration back). The joiner
-    /// adopts both so it verifies in-flight packages certified under the
-    /// outgoing view exactly like its established peers — without it, a join
-    /// racing another cluster's same-round reconfiguration would reject honest
-    /// traffic.
-    pub prev_membership: Membership,
-}
-
 impl<TM: WireSize> SimMessage for AvaMsg<TM>
 where
     TM: Clone + Send,
@@ -496,11 +426,7 @@ where
             AvaMsg::Inter(p) | AvaMsg::LocalShare(p) => p.wire_size(),
             AvaMsg::RequestJoin { .. } | AvaMsg::RequestLeave { .. } => 96,
             AvaMsg::Ack { members, .. } => 64 + members.len() * 8,
-            AvaMsg::CurrState { state, views, .. } => {
-                128 + state.wire_bytes()
-                    + (views.membership.total_replicas() + views.prev_membership.total_replicas())
-                        * 12
-            }
+            AvaMsg::CurrState { state, views, .. } => 128 + state.wire_bytes() + views.wire_size(),
             AvaMsg::InterPull { .. } | AvaMsg::CatchUpRequest => 72,
             AvaMsg::CatchUpReply { checkpoint, suffix, .. } => {
                 80 + checkpoint.wire_size() + suffix.iter().map(|r| r.wire_size()).sum::<usize>()
@@ -554,15 +480,6 @@ mod tests {
     use ava_consensus::Block;
     use ava_crypto::{QuorumCert, SigSet};
     use ava_types::Operation;
-
-    #[test]
-    fn round_package_verification_requires_known_cluster() {
-        let registry = KeyRegistry::new();
-        let pkg = RoundPackage::new(ClusterId(5), Round(1), vec![], vec![], None);
-        // Unknown cluster => empty member list => rejected.
-        let unknown = Membership::new();
-        assert!(!pkg.verify_either(&registry, &unknown, &unknown));
-    }
 
     #[test]
     fn round_package_counts_and_sizes() {

@@ -4,10 +4,11 @@
 use crate::brd::{Brd, BrdAction, BrdCert};
 use crate::catchup::{self, walk_round, CatchUp, CatchUpOffer, Executed, Offered, Tick, View};
 use crate::leader_election::{ElectionAction, LeaderElection};
-use crate::messages::{AvaMsg, ControlCmd, CurrStateViews, RoundPackage, RoundRecord, TxBatch};
+use crate::messages::{AvaMsg, ControlCmd, RoundPackage, RoundRecord, TxBatch};
 use crate::relay::{self, trace_value, Relay};
 use crate::remote_leader::{RemoteLeaderAction, RemoteLeaderChange};
 use crate::round_memo;
+use crate::views::Views;
 use ava_consensus::{CommittedBlock, FaultMode, TobAction, TotalOrderBroadcast};
 use ava_crypto::{KeyRegistry, Keypair};
 use ava_simnet::{Actor, Context, SimMessage};
@@ -135,14 +136,9 @@ pub struct Replica<T: TotalOrderBroadcast> {
     keypair: Keypair,
     registry: KeyRegistry,
     status: ReplicaStatus<AvaMsg<T::Msg>>,
-    membership: Membership,
-    /// Membership as it stood immediately before the most recent reconfiguration
-    /// (equal to `membership` until one applies). Blocks committed by the TOB
-    /// just before a reconfiguration boundary legitimately strand past the cut
-    /// and pack into the *next* round (see `consume_ready_blocks`), so a round's
-    /// package can carry certificates signed by the previous membership — remote
-    /// verification accepts either view (see `verify_package`).
-    prev_membership: Membership,
+    /// The current membership and each cluster's outgoing members, which
+    /// still certify blocks that stranded past a reconfiguration's cut.
+    views: Views,
     round: Round,
     round_state: RoundState,
     tob: T,
@@ -254,8 +250,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         let machine = machine_for(cfg.machine);
         let relay = Relay::new(cfg.cluster);
         let mut replica = Replica {
-            membership: cfg.membership.clone(),
-            prev_membership: cfg.membership.clone(),
+            views: Views::new(cfg.membership.clone()),
             cfg,
             keypair,
             registry,
@@ -290,7 +285,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     }
 
     fn my_members(&self) -> Vec<ReplicaId> {
-        self.membership.member_ids(self.cfg.cluster)
+        self.views.current().member_ids(self.cfg.cluster)
     }
 
     fn is_leader(&self) -> bool {
@@ -346,7 +341,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     /// most `f` Byzantine members at least one of `f + 1` senders is correct —
     /// so a single forged message can never demote a healthy replica.
     fn cluster_moved_past_this_round(&self) -> bool {
-        let f = self.membership.f(self.cfg.cluster);
+        let f = self.views.current().f(self.cfg.cluster);
         self.future_brd.values().any(|msgs| {
             let mut senders: Vec<ReplicaId> = msgs.iter().map(|(from, _)| *from).collect();
             senders.sort();
@@ -668,24 +663,21 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             // E4.3 Byzantine leader: behaves correctly locally but never sends Inter.
             return;
         }
-        for cluster in self.membership.cluster_ids() {
+        let membership = self.views.current();
+        for cluster in membership.cluster_ids() {
             if cluster == self.cfg.cluster {
                 continue;
             }
             // Alg. 1 line 13: send to f_j + 1 distinct replicas of the remote cluster
             // so that at least one correct replica receives the package. The payload
             // is shared: each recipient costs an `Arc` bump, not a package copy.
-            let targets = self.membership.first_k(cluster, self.membership.one_correct(cluster));
+            let targets = membership.first_k(cluster, membership.one_correct(cluster));
             ctx.broadcast(targets, AvaMsg::Inter(Arc::clone(package)));
         }
     }
 
-    /// Charge for and verify a remote package against the current membership
-    /// view, falling back to the pre-reconfiguration view: around a
-    /// reconfiguration boundary a round's package carries head blocks that the
-    /// TOB certified under the outgoing membership (they committed before the
-    /// boundary and stranded past the previous round's cut), and rejecting those
-    /// would wedge stage 2 at every replica of the receiving cluster.
+    /// Charge for and verify a remote package against the views (see
+    /// [`Views::verify`]).
     fn verify_package(
         &self,
         package: &RoundPackage,
@@ -693,7 +685,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     ) -> bool {
         let sigs = package.blocks.iter().map(|b| b.cert.signature_count() as u64).sum();
         ctx.consume(ctx.costs().per_sig_verify.saturating_mul(sigs));
-        package.verify_either(&self.registry, &self.membership, &self.prev_membership)
+        self.views.verify(&self.registry, package)
     }
 
     /// Report Byzantine evidence about `cluster`'s `round`.
@@ -751,7 +743,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         if !self.verify_package(&package, ctx) {
             // Only a failure at our *current* round is sound Byzantine
             // evidence: having executed every earlier round, we hold the exact
-            // certifying view (and the previous-view fallback covers the
+            // certifying view (and the outgoing-view fallback covers the
             // reconfiguration boundary). A future-round package may be honestly
             // certified under a membership we have not executed up to yet — a
             // straggler racing a cross-cluster reconfig hits exactly this — so
@@ -780,13 +772,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         its_cluster: ClusterId,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        if !self.membership.contains(its_cluster, from)
-            && !self.prev_membership.contains(its_cluster, from)
-        {
+        if !self.views.has_member(its_cluster, from) {
             return;
         }
         let held = &self.round_state.packages;
-        let missing = self.membership.cluster_ids().into_iter().filter(|c| !held.contains_key(c));
+        let missing =
+            self.views.current().cluster_ids().into_iter().filter(|c| !held.contains_key(c));
         let round = self.round;
         for cluster in self.relay.on_future_package(round, from, its_cluster, missing) {
             ctx.send(from, AvaMsg::InterPull { round, cluster });
@@ -804,8 +795,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         cluster: ClusterId,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        let known = |m: &Membership| m.cluster_of(from).is_some();
-        if !known(&self.membership) && !known(&self.prev_membership) {
+        if !self.views.knows(from) {
             return;
         }
         if let Some(package) = self.relay.on_pull(from, round, cluster) {
@@ -824,9 +814,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             return;
         }
         if package.round > self.round {
-            let (registry, current, prev) =
-                (&self.registry, &self.membership, &self.prev_membership);
-            let verify = |p: &RoundPackage| p.verify_either(registry, current, prev);
+            let verify = |p: &RoundPackage| self.views.verify(&self.registry, p);
             let conflict = self.relay.stash(self.round, Arc::clone(&package), verify);
             self.report_equivocation(&package, conflict, ctx);
             return;
@@ -851,7 +839,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         if !self.round_state.stage1_done {
             return;
         }
-        let expected = self.membership.cluster_count();
+        let expected = self.views.current().cluster_count();
         if self.round_state.packages.len() < expected {
             return;
         }
@@ -896,16 +884,11 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             ctx.consume(ctx.costs().value_cost(value_bytes));
         }
 
-        // Then reconfigurations, uniformly, updating membership and thresholds.
-        // Keep the outgoing view around: blocks certified under it are still in
-        // flight (stranded past this round's cut) and will pack into the next
-        // round's package, which remote verifiers must accept.
-        if all_recs.iter().any(|(_, recs)| !recs.is_empty()) {
-            self.prev_membership = self.membership.clone();
-        }
+        // Then reconfigurations, uniformly, updating membership and thresholds
+        // (and each reconfigured cluster's outgoing members, see `Views`).
+        self.views.apply_round(&all_recs);
         let mut local_recs: Vec<Reconfig> = Vec::new();
         for (cluster, recs) in &all_recs {
-            self.membership.apply_set(*cluster, recs);
             if *cluster == self.cfg.cluster {
                 local_recs.extend(recs.iter().copied());
             }
@@ -930,10 +913,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                         *replica,
                         AvaMsg::CurrState {
                             state: self.machine.snapshot(),
-                            views: Box::new(CurrStateViews {
-                                membership: self.membership.clone(),
-                                prev_membership: self.prev_membership.clone(),
-                            }),
+                            views: Box::new(self.views.clone()),
                             round: next_round,
                             leader_ts: self.leader_ts.0,
                             next_height: self.next_local_height,
@@ -1019,7 +999,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         let checkpoint = Arc::new(Checkpoint::new(
             self.round,
             self.machine.snapshot(),
-            self.membership.clone(),
+            self.views.current().clone(),
             self.leader_ts.0,
             self.next_local_height,
         ));
@@ -1080,7 +1060,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         let members = self.my_members();
         self.tob.set_membership(members.clone());
         self.election.set_members(members.clone());
-        self.rlc.set_membership(self.membership.clone());
+        self.rlc.set_membership(self.views.current().clone());
         self.rlc.start_round(round, ctx.now());
         self.brd = Brd::new(
             self.cfg.me,
@@ -1137,7 +1117,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             region: self.cfg.region,
             round: self.round,
         };
-        let members = self.membership.member_ids(*target);
+        let members = self.views.current().member_ids(*target);
         ctx.broadcast(members, msg);
     }
 
@@ -1146,7 +1126,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         &mut self,
         from: ReplicaId,
         state: StateSnapshot,
-        views: CurrStateViews,
+        views: Views,
         round: Round,
         leader_ts: u64,
         next_height: u64,
@@ -1165,16 +1145,10 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         // Adopt the state and become an active member starting at `round`. The
         // sender's packing anchor comes with it: heights below `next_height` are
         // already folded into `state`, and the joiner must cut its first rounds
-        // at the same height boundaries as its new peers. So does the sender's
-        // trailing view: packages certified under the outgoing view are still in
-        // flight, and the joiner must verify them exactly like its peers do.
-        let view = View {
-            machine: machine_from_snapshot(&state),
-            membership: views.membership,
-            prev_membership: views.prev_membership,
-            leader_ts,
-            next_height,
-        };
+        // at the same height boundaries as its new peers. So do the sender's
+        // views: packages certified by outgoing members are still in flight,
+        // and the joiner must verify them exactly like its peers do.
+        let view = View { machine: machine_from_snapshot(&state), views, leader_ts, next_height };
         let anchor = self.install(view);
         self.round = round;
         self.next_local_height = anchor;
@@ -1196,8 +1170,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     /// path applies in its own way.
     fn install(&mut self, view: View) -> u64 {
         self.machine = view.machine;
-        self.membership = view.membership;
-        self.prev_membership = view.prev_membership;
+        self.views = view.views;
         self.leader_ts = Timestamp(view.leader_ts);
         view.next_height
     }
@@ -1301,7 +1274,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
     /// Start catching up from `recovered_round`, voted on by the current view.
     fn begin_catch_up(&mut self, recovered_round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let catch_up = CatchUp::new(ctx.now(), recovered_round, &self.membership, self.cfg.cluster);
+        let catch_up =
+            CatchUp::new(ctx.now(), recovered_round, self.views.current(), self.cfg.cluster);
         ctx.broadcast(catch_up.peers(self.cfg.me), AvaMsg::CatchUpRequest);
         self.status = ReplicaStatus::Recovering(catch_up);
     }
@@ -1310,7 +1284,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     fn executed(&self) -> Executed<'_> {
         Executed {
             machine: self.machine.as_ref(),
-            membership: &self.membership,
+            views: &self.views,
             round: self.round,
             leader_ts: self.leader_ts.0,
             next_height: self.round_base_height,

@@ -23,7 +23,7 @@
 //!
 //! The list is fixed at construction. Adding replicas that *join* the cluster
 //! needs a membership feed to the submitter; that waits for the epoch-indexed
-//! membership module (ROADMAP item 2) rather than a message invented here.
+//! membership of ROADMAP items 4 and 7 (a), not a message invented here.
 //!
 //! The module lives here rather than in `ava-broker` so the closed-loop
 //! [`crate::Client`] can share it. It does not yet: a client's writes have no

@@ -1,11 +1,16 @@
 //! Integration tests of the reconfiguration path: joins, leaves, and the Byzantine
 //! remote-leader-change scenario, exercised end to end through declarative
-//! scenarios.
+//! scenarios; and every cluster reconfiguring in the same or consecutive rounds,
+//! which the per-cluster trailing view (`ava_hamava::Views`) keeps verifiable.
 
+use hamava_repro::broker::AggregateLoad;
+use hamava_repro::fuzz::CheckerSet;
 use hamava_repro::hamava::harness::DeploymentOptions;
-use hamava_repro::scenario::{Protocol, Scenario, ScenarioBuilder};
+use hamava_repro::hamava::StateMachineKind;
+use hamava_repro::scenario::{BrokerTier, Protocol, Scenario, ScenarioBuilder, ScenarioEvent};
 use hamava_repro::simnet::{CostModel, LatencyModel};
-use hamava_repro::types::{ClusterId, Duration, Output, Region, SystemConfig, Time};
+use hamava_repro::store::StoreConfig;
+use hamava_repro::types::{ClusterId, Duration, Output, Region, ReplicaId, SystemConfig, Time};
 use hamava_repro::workload::WorkloadSpec;
 
 fn quick_opts(seed: u64) -> DeploymentOptions {
@@ -132,4 +137,84 @@ fn crashed_local_leader_is_replaced_by_election() {
         })
         .count();
     assert!(recovery_commits > 0, "no transactions committed after the leader crash");
+}
+
+/// Finding 2 (`benchmark/README.md`): one replica joins each of three
+/// 7-replica clusters at 3 s and the three leave again, the `k`-th (`k` = 1,
+/// 2, 3) at `8 s + k · leave_gap`, under open-loop broker load. A cluster that
+/// applies its leave a round after another's still ships blocks its outgoing
+/// members certified: the run must stay clean, and every cluster must still
+/// execute rounds at its end.
+fn views_every_cluster_churns(protocol: Protocol, seed: u64, leave_gap: Duration) {
+    let regions = [Region::UsWest, Region::Europe, Region::AsiaSouth];
+    let mut config = SystemConfig::even_split_multi_region(21, 3, &regions);
+    config.params.remote_leader_timeout = Duration::from_secs(4);
+    config.params.local_timeout = Duration::from_secs(4);
+    config.params.brd_timeout = Duration::from_secs(4);
+    let workload =
+        WorkloadSpec { read_ratio: 0.5, key_space: 2_000, payload_size: 128, ..Default::default() };
+    let opts = DeploymentOptions {
+        seed,
+        latency: LatencyModel::paper_table2(),
+        costs: CostModel::cloud_vm(),
+        workload: workload.clone(),
+        clients_per_cluster: 0,
+        client_concurrency: 128,
+        store: Some(StoreConfig::every(8)),
+        state_machine: StateMachineKind::Kv,
+    };
+    let tier = BrokerTier {
+        brokers_per_cluster: 1,
+        load: AggregateLoad {
+            virtual_clients: 20_000,
+            offered_tps: 750,
+            issue_for: Duration::from_millis(15_900),
+            workload,
+            ..AggregateLoad::default()
+        },
+        ..BrokerTier::default()
+    };
+    let mut events = Vec::new();
+    for cluster in &config.clusters {
+        let region = cluster.replicas[0].1;
+        events.push((Time::from_secs(3), ScenarioEvent::Join { cluster: cluster.id, region }));
+    }
+    for k in 1..=3u32 {
+        let at = Time::from_secs(8) + Duration(leave_gap.as_micros() * u64::from(k));
+        events.push((at, ScenarioEvent::Leave { replica: ReplicaId(20 + k) }));
+    }
+    let clusters: Vec<ClusterId> = config.clusters.iter().map(|c| c.id).collect();
+    let end = Time::from_secs(16);
+    let mut builder = Scenario::builder(protocol, config)
+        .options(opts)
+        .run_for(Duration::from_secs(16))
+        .brokers(tier);
+    for (at, event) in &events {
+        builder = builder.at(*at, event.clone());
+    }
+    let run = builder.build().run();
+    let violations = CheckerSet::replay(&run.outputs, &events, end);
+    assert!(violations.is_empty(), "{protocol:?} seed {seed}: {violations:?}");
+    for cluster in clusters {
+        let late = run.outputs.iter().any(|o| {
+            matches!(o, Output::RoundExecuted { cluster: c, at, .. }
+                if *c == cluster && *at > Time::from_secs(14))
+        });
+        assert!(late, "{protocol:?} seed {seed}: cluster {cluster:?} stopped executing rounds");
+    }
+}
+
+#[test]
+fn views_keep_every_cluster_live_when_all_leave_at_once_bftsmart_seed_0() {
+    views_every_cluster_churns(Protocol::AvaBftSmart, 0, Duration::ZERO);
+}
+
+#[test]
+fn views_keep_every_cluster_live_when_all_leave_at_once_bftsmart_seed_15() {
+    views_every_cluster_churns(Protocol::AvaBftSmart, 15, Duration::ZERO);
+}
+
+#[test]
+fn views_keep_every_cluster_live_when_leaves_are_40ms_apart_hotstuff_seed_5() {
+    views_every_cluster_churns(Protocol::AvaHotStuff, 5, Duration::from_millis(40));
 }
