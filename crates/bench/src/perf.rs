@@ -1,4 +1,4 @@
-//! Where host time goes: the simulator's handler profile over two
+//! Where host time goes: the simulator's handler profile over three
 //! deployments, printed by `ava-exp profile`.
 //!
 //! A diagnosis view, not a gate and not a place to claim a gain: host-time
@@ -28,7 +28,7 @@ fn opts(seed: u64) -> DeploymentOptions {
     }
 }
 
-/// `ava-exp profile`: run two deployments with the simulator's
+/// `ava-exp profile`: run three deployments with the simulator's
 /// handler profile on and print, for each, where the host time went — one row
 /// per (actor kind × message kind) plus one for the queue pops, largest share
 /// first.
@@ -40,9 +40,15 @@ fn opts(seed: u64) -> DeploymentOptions {
 /// 2. The KV write shape of the benchmark's `kv_write_1kib`: 2 × 4 replicas in
 ///    one region on Ava-HotStuff, `KvMachine`, a checkpoint every 8 rounds,
 ///    90 % 1 KiB writes uniform over 2 000 keys, for 1.24 s of virtual time.
+/// 3. The local protocol of the benchmark's `churn_faults_open_loop`:
+///    Ava-BFT-SMaRt on 3 × 7 replicas over UsWest / Europe / AsiaSouth with
+///    that workload's timeouts, `KvMachine`, store and 50 % reads of 128 B
+///    over 2 000 keys — but closed-loop clients instead of its brokers, and
+///    none of its faults — for 10 s of virtual time. Its `bs.*` rows are the
+///    all-to-all prepare and commit phases.
 ///
 /// Every replica executes every round, so each table is followed by the
-/// executed-round memo's hit share (ideal (n − 1)/n: 41/42, then 7/8) and
+/// executed-round memo's hit share (ideal (n − 1)/n: 41/42, 7/8, 20/21) and
 /// the rounds it retains, then by the expected-tag memo's verifications
 /// answered and HMACs computed; the KV table also by the checkpoint digests
 /// reused.
@@ -92,6 +98,31 @@ pub fn profile_deployments() {
         digests_after.reused - digests.reused,
         digests_after.built - digests.built
     );
+
+    let churn = DeploymentOptions {
+        workload: WorkloadSpec {
+            read_ratio: 0.5,
+            key_space: 2_000,
+            payload_size: 128,
+            ..WorkloadSpec::default()
+        },
+        clients_per_cluster: 4,
+        client_concurrency: 32,
+        store: Some(StoreConfig::every(8)),
+        state_machine: ava_hamava::StateMachineKind::Kv,
+        ..opts(7)
+    };
+    let (memo, tags) = (ava_hamava::executed_round_stats(), ava_crypto::tag_memo_stats());
+    let regions = [Region::UsWest, Region::Europe, Region::AsiaSouth];
+    let mut config = SystemConfig::even_split_multi_region(21, 3, &regions);
+    config.params.remote_leader_timeout = Duration::from_secs(4);
+    config.params.local_timeout = Duration::from_secs(4);
+    config.params.brd_timeout = Duration::from_secs(4);
+    let replicas = config.total_replicas();
+    let dep = Protocol::AvaBftSmart.deploy(config, churn);
+    print_profile("Ava-BFT-SMaRt, 3 x 7 replicas, KV machine", dep, Duration::from_secs(10));
+    print_round_memo(memo, replicas);
+    print_tag_memo(tags);
 }
 
 /// What the executed-round memo did since `before`, on a deployment of

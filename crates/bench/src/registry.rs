@@ -164,7 +164,8 @@ pub const EXPERIMENTS: &[Experiment] = &[
     },
     Experiment {
         name: "profile",
-        figure: "diagnosis: host time per actor x message kind, paper deployment and KV writes",
+        figure: "diagnosis: host time per actor x message kind, paper deployment, KV writes, \
+                 BFT-SMaRt",
         run: Run::Table(|_| {
             profile_deployments();
             Vec::new()

@@ -38,7 +38,7 @@ use ava_consensus::{
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
 use ava_types::{Operation, ReplicaId, Time};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// BFT-SMaRt-style wire messages.
@@ -122,7 +122,7 @@ impl RegencyMsg for BftSmartMsg {
 }
 
 /// Per-instance voting state.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Instance {
     block: Option<Arc<Block>>,
     digest: Option<Digest>,
@@ -131,11 +131,25 @@ struct Instance {
     sent_commit: bool,
 }
 
+impl Instance {
+    /// No votes yet; room for one of each from every one of `members`, so no
+    /// vote reallocates a set.
+    fn new(members: usize) -> Self {
+        Instance {
+            block: None,
+            digest: None,
+            prepares: SigSet::with_capacity(members),
+            commits: SigSet::with_capacity(members),
+            sent_commit: false,
+        }
+    }
+}
+
 /// The BFT-SMaRt-style total-order broadcast state machine for one replica.
 pub struct BftSmart {
     regency: Regency,
     /// Voting state per height.
-    instances: HashMap<u64, Instance>,
+    instances: BTreeMap<u64, Instance>,
     /// Next height the leader proposes at.
     next_propose_height: u64,
     /// Next height to deliver (deliveries are strictly in height order).
@@ -157,7 +171,7 @@ impl BftSmart {
     pub fn new(cfg: TobConfig, keypair: Keypair, registry: KeyRegistry, leader: ReplicaId) -> Self {
         BftSmart {
             regency: Regency::new(cfg, keypair, registry, leader),
-            instances: HashMap::new(),
+            instances: BTreeMap::new(),
             next_propose_height: 0,
             next_deliver_height: 0,
             outstanding: None,
@@ -182,8 +196,8 @@ impl BftSmart {
             return;
         }
         out.push(TobAction::Consume(VERIFY_COST));
-        let quorum = cfg.quorum();
-        let instance = self.instances.entry(height).or_default();
+        let (quorum, members) = (cfg.quorum(), cfg.members.len());
+        let instance = self.instances.entry(height).or_insert_with(|| Instance::new(members));
         let signed = if is_commit { digest } else { prepared_digest(&digest, regency) };
         if !self.regency.registry.verify(&signed, &sig) {
             return;
@@ -272,7 +286,9 @@ impl Phases for BftSmart {
                 }
                 out.push(TobAction::Consume(VERIFY_COST));
                 let (digest, height) = (block.digest(), block.height);
-                let instance = self.instances.entry(height).or_default();
+                let members = self.regency.cfg.members.len();
+                let instance =
+                    self.instances.entry(height).or_insert_with(|| Instance::new(members));
                 if instance.block.is_some() {
                     return;
                 }
@@ -310,7 +326,7 @@ impl Phases for BftSmart {
         if height < self.next_deliver_height {
             return;
         }
-        self.instances.retain(|h, _| *h > height);
+        self.instances = self.instances.split_off(&(height + 1));
         self.next_deliver_height = height + 1;
         if self.outstanding.as_ref().is_some_and(|proposed| proposed.height <= height) {
             // A leader re-proposing this very block learnt it was decided
@@ -330,7 +346,7 @@ impl Phases for BftSmart {
     fn abandon(&mut self) -> (Option<Arc<Block>>, Vec<Prepared>) {
         self.prepared = self.prepared.split_off(&self.next_deliver_height);
         let regency = self.regency.ts();
-        for (height, instance) in self.instances.drain() {
+        for (height, instance) in std::mem::take(&mut self.instances) {
             if let (true, Some(block)) = (instance.sent_commit, instance.block) {
                 let proof = instance.prepares;
                 self.prepared.insert(height, Prepared { block, regency, proof });

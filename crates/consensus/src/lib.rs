@@ -29,5 +29,6 @@ pub use block::{Block, CommittedBlock};
 pub use pool::PendingPool;
 pub use regency::{Phases, Regency, RegencyMsg};
 pub use tob::{
-    FaultMode, TobAction, TobConfig, TotalOrderBroadcast, WireSize, SIGN_COST, VERIFY_COST,
+    send_pairs, sends, FaultMode, SendAction, TobAction, TobConfig, TotalOrderBroadcast, WireSize,
+    SIGN_COST, VERIFY_COST,
 };

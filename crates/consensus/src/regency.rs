@@ -30,7 +30,7 @@ pub trait RegencyMsg: Clone + WireSize + Send {
     fn decided(decided: CommittedBlock) -> Self;
 }
 
-/// The actions an entry point returns, in order.
+/// The buffer an entry point appends its actions to, in order.
 pub type Actions<M> = Vec<TobAction<M>>;
 
 /// Wire size of a forwarded operation.
@@ -98,11 +98,9 @@ impl Regency {
         self.leader == self.cfg.me
     }
 
-    /// Send `msg` to every member, this replica included.
-    pub fn to_members<M: Clone>(&self, msg: M, out: &mut Actions<M>) {
-        for &member in &self.cfg.members {
-            out.push(TobAction::Send { to: member, msg: msg.clone() });
-        }
+    /// Send `msg` to every member, this replica included: one fan-out.
+    pub fn to_members<M>(&self, msg: M, out: &mut Actions<M>) {
+        out.push(TobAction::SendAll { to: self.cfg.members.clone(), msg });
     }
 
     /// Leader: the block to propose at `height` — a carried one first, else a
@@ -270,41 +268,40 @@ impl<P: Phases> TotalOrderBroadcast for P {
         P::NAME
     }
 
-    fn broadcast(&mut self, op: Operation, now: Time) -> Actions<P::Msg> {
-        let mut out = Vec::new();
+    fn broadcast(&mut self, op: Operation, now: Time, out: &mut Actions<P::Msg>) {
         let regency = self.regency_mut();
         regency.pool.record_my_broadcast(op.clone(), now);
         if regency.is_leader() {
             regency.pool.enqueue(op);
-            self.propose(&mut out);
+            self.propose(out);
         } else {
             out.push(TobAction::Send { to: regency.leader, msg: P::Msg::forward(op) });
         }
-        out
     }
 
-    fn on_message(&mut self, from: ReplicaId, msg: P::Msg, now: Time) -> Actions<P::Msg> {
-        let mut out = Vec::new();
-        self.handle(from, msg, now, &mut out);
-        out
+    fn on_message(&mut self, from: ReplicaId, msg: P::Msg, now: Time, out: &mut Actions<P::Msg>) {
+        self.handle(from, msg, now, out);
     }
 
-    fn on_tick(&mut self, now: Time) -> Actions<P::Msg> {
-        let mut out = Vec::new();
-        self.propose(&mut out);
+    fn on_tick(&mut self, now: Time, out: &mut Actions<P::Msg>) {
+        self.propose(out);
         let regency = self.regency_mut();
         let (floor, ceiling) = (regency.cfg.timeout_floor, regency.cfg.timeout);
         if let Some(silent_for) = regency.pool.should_complain(now, floor, ceiling) {
             out.push(TobAction::Complain { leader: regency.leader, silent_for });
         }
-        out
     }
 
-    fn new_leader(&mut self, leader: ReplicaId, ts: Timestamp, now: Time) -> Actions<P::Msg> {
-        let mut out = Vec::new();
+    fn new_leader(
+        &mut self,
+        leader: ReplicaId,
+        ts: Timestamp,
+        now: Time,
+        out: &mut Actions<P::Msg>,
+    ) {
         let regency = self.regency();
         if ts.0 <= regency.ts && leader == regency.leader {
-            return out;
+            return;
         }
         let (abandoned, prepared) = self.abandon();
         let regency = self.regency_mut();
@@ -326,14 +323,13 @@ impl<P: Phases> TotalOrderBroadcast for P {
                 regency.pool.enqueue(op);
             }
             regency.reports.insert(regency.cfg.me, report);
-            hand_over(self, now, &mut out);
+            hand_over(self, now, out);
         } else {
             out.push(TobAction::Send { to: leader, msg: P::Msg::report(report) });
             for op in regency.pool.my_undelivered() {
                 out.push(TobAction::Send { to: leader, msg: P::Msg::forward(op.clone()) });
             }
         }
-        out
     }
 
     fn set_membership(&mut self, members: Vec<ReplicaId>) {
@@ -351,5 +347,24 @@ impl<P: Phases> TotalOrderBroadcast for P {
     fn reset(&mut self) {
         self.regency_mut().reset();
         self.reset_phases();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ava_types::ClusterId;
+
+    #[test]
+    fn to_members_is_one_fan_out_to_every_member_in_membership_order() {
+        let registry = KeyRegistry::new();
+        let members: Vec<ReplicaId> = [5, 2, 7, 0].map(ReplicaId).to_vec();
+        let keypair = registry.register(ReplicaId(2));
+        let cfg = TobConfig::new(ClusterId(0), ReplicaId(2), members.clone());
+        let regency = Regency::new(cfg, keypair, registry, ReplicaId(5));
+        let mut out: Actions<&str> = Vec::new();
+        regency.to_members("vote", &mut out);
+        assert_eq!(out.len(), 1);
+        assert!(matches!(&out[0], TobAction::SendAll { to, msg: "vote" } if *to == members));
     }
 }

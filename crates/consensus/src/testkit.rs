@@ -12,7 +12,7 @@
 //! is its own (message sizes, message pattern).
 
 use crate::block::CommittedBlock;
-use crate::tob::{FaultMode, TobAction, TobConfig, TotalOrderBroadcast, WireSize};
+use crate::tob::{FaultMode, SendAction, TobAction, TobConfig, TotalOrderBroadcast, WireSize};
 use ava_crypto::{Digest, KeyRegistry, Keypair, Sha256};
 use ava_types::{
     ClientId, ClusterId, Duration, Operation, ReplicaId, Time, Timestamp, Transaction,
@@ -37,6 +37,8 @@ pub struct LocalNet<T: TotalOrderBroadcast> {
     pub now: Time,
     /// Where every returned action is folded, if tracing ([`LocalNet::traced`]).
     trace: Option<ActionTrace>,
+    /// The action buffer the instances append to, drained after every call.
+    out: Vec<TobAction<T::Msg>>,
 }
 
 impl<T: TotalOrderBroadcast> LocalNet<T> {
@@ -53,6 +55,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
             down: HashSet::new(),
             now: Time::ZERO,
             trace: None,
+            out: Vec::new(),
         }
     }
 
@@ -65,8 +68,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
     /// Ask replica `at` to broadcast `op`.
     pub fn broadcast(&mut self, at: ReplicaId, op: Operation) {
         let now = self.now;
-        let actions = self.nodes.get_mut(&at).expect("unknown replica").broadcast(op, now);
-        self.apply(at, actions);
+        self.step(at, |node, out| node.broadcast(op, now, out));
     }
 
     /// Advance virtual time and tick every live node.
@@ -78,8 +80,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
             if self.down.contains(&id) {
                 continue;
             }
-            let actions = self.nodes.get_mut(&id).expect("node").on_tick(now);
-            self.apply(id, actions);
+            self.step(id, |node, out| node.on_tick(now, out));
         }
     }
 
@@ -97,8 +98,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
     /// install it later, or never).
     pub fn install_leader_at(&mut self, at: ReplicaId, leader: ReplicaId, ts: Timestamp) {
         let now = self.now;
-        let actions = self.nodes.get_mut(&at).expect("unknown replica").new_leader(leader, ts, now);
-        self.apply(at, actions);
+        self.step(at, |node, out| node.new_leader(leader, ts, now, out));
     }
 
     /// Deliver at most `steps` queued messages; returns whether the network went
@@ -112,11 +112,9 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
                 continue;
             }
             let now = self.now;
-            let Some(node) = self.nodes.get_mut(&to) else {
-                continue;
-            };
-            let actions = node.on_message(from, msg, now);
-            self.apply(to, actions);
+            if self.nodes.contains_key(&to) {
+                self.step(to, |node, out| node.on_message(from, msg, now, out));
+            }
         }
         self.queue.is_empty()
     }
@@ -157,13 +155,20 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
         }
     }
 
-    fn apply(&mut self, at: ReplicaId, actions: Vec<TobAction<T::Msg>>) {
-        for action in actions {
+    /// Run one entry point of the instance at `at` and carry out what it
+    /// appended to the network's action buffer.
+    fn step(&mut self, at: ReplicaId, call: impl FnOnce(&mut T, &mut Vec<TobAction<T::Msg>>)) {
+        let mut out = std::mem::take(&mut self.out);
+        call(self.nodes.get_mut(&at).expect("unknown replica"), &mut out);
+        for action in out.drain(..) {
             if let Some(trace) = &self.trace {
                 trace.fold(at, &action);
             }
             match action {
                 TobAction::Send { to, msg } => self.queue.push_back((at, to, msg)),
+                TobAction::SendAll { to, msg } => {
+                    self.queue.extend(to.into_iter().map(|to| (at, to, msg.clone())))
+                }
                 TobAction::Deliver(block) => self.delivered.get_mut(&at).expect("node").push(block),
                 TobAction::Complain { leader, .. } => {
                     self.complaints.get_mut(&at).expect("node").push(leader)
@@ -171,6 +176,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
                 TobAction::Consume(_) => {}
             }
         }
+        self.out = out;
     }
 }
 
@@ -178,33 +184,41 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
 /// in order, folded into one SHA-256 — the acting replica, then for a send its
 /// recipient, message kind and wire size; for a delivery the height and block
 /// digest; for a complaint the leader and how long it waited; for a CPU charge
-/// its duration. Handles share one hasher, so a trace can span every network a
-/// sweep builds. Off unless a network is [`LocalNet::traced`].
+/// its duration. A [`TobAction::SendAll`] folds byte for byte as the one
+/// [`TobAction::Send`] per recipient it stands for. Handles share one hasher,
+/// so a trace can span every network a sweep builds. Off unless a network is
+/// [`LocalNet::traced`].
 #[derive(Clone, Default)]
 pub struct ActionTrace(Rc<RefCell<Sha256>>);
 
 impl ActionTrace {
     fn fold<M: WireSize>(&self, at: ReplicaId, action: &TobAction<M>) {
         let mut h = self.0.borrow_mut();
-        h.update(&at.0.to_le_bytes());
+        let at = at.0.to_le_bytes();
         match action {
-            TobAction::Send { to, msg } => {
-                h.update(b"send");
-                h.update(&to.0.to_le_bytes());
-                h.update(msg.kind_label().as_bytes());
-                h.update(&(msg.wire_size() as u64).to_le_bytes());
+            TobAction::Send { .. } | TobAction::SendAll { .. } => {
+                for (to, msg) in action.sends() {
+                    h.update(&at);
+                    h.update(b"send");
+                    h.update(&to.0.to_le_bytes());
+                    h.update(msg.kind_label().as_bytes());
+                    h.update(&(msg.wire_size() as u64).to_le_bytes());
+                }
             }
             TobAction::Deliver(decided) => {
+                h.update(&at);
                 h.update(b"deliver");
                 h.update(&decided.block.height.to_le_bytes());
                 h.update(&decided.block.digest().0);
             }
             TobAction::Complain { leader, silent_for } => {
+                h.update(&at);
                 h.update(b"complain");
                 h.update(&leader.0.to_le_bytes());
                 h.update(&silent_for.0.to_le_bytes());
             }
             TobAction::Consume(cost) => {
+                h.update(&at);
                 h.update(b"consume");
                 h.update(&cost.0.to_le_bytes());
             }
@@ -557,4 +571,36 @@ macro_rules! tob_conformance_suite {
             }
         )*
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Clone)]
+    struct Msg(usize);
+
+    impl WireSize for Msg {
+        fn wire_size(&self) -> usize {
+            self.0
+        }
+    }
+
+    #[test]
+    fn a_fan_out_folds_as_the_sends_it_stands_for() {
+        let (at, to) = (ReplicaId(4), [3, 1, 2].map(ReplicaId));
+        let (fanned, spelled) = (ActionTrace::default(), ActionTrace::default());
+        fanned.fold(at, &TobAction::SendAll { to: to.to_vec(), msg: Msg(120) });
+        for to in to {
+            spelled.fold(at, &TobAction::Send { to, msg: Msg(120) });
+        }
+        for trace in [&fanned, &spelled] {
+            trace.fold(at, &TobAction::<Msg>::Consume(Duration::from_micros(40)));
+        }
+        assert_eq!(fanned.hex(), spelled.hex());
+        let other = ActionTrace::default();
+        other.fold(at, &TobAction::SendAll { to: to[..2].to_vec(), msg: Msg(120) });
+        other.fold(at, &TobAction::<Msg>::Consume(Duration::from_micros(40)));
+        assert_ne!(other.hex(), spelled.hex(), "a recipient fewer folds differently");
+    }
 }

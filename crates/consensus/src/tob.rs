@@ -27,6 +27,16 @@ pub enum TobAction<M> {
         /// The message.
         msg: M,
     },
+    /// Send one message to every replica in `to`, in order: a quorum broadcast
+    /// as one action, which the caller hands to one fan-out of a shared payload.
+    /// It stands for, and is routed exactly like, one [`TobAction::Send`] per
+    /// recipient.
+    SendAll {
+        /// The recipients (the membership, in `cfg.members` order).
+        to: Vec<ReplicaId>,
+        /// The message each recipient gets a clone of.
+        msg: M,
+    },
     /// Deliver a committed block (uniform order across correct replicas).
     Deliver(CommittedBlock),
     /// Complain about the current leader (forwarded to the leader election module).
@@ -39,6 +49,46 @@ pub enum TobAction<M> {
     },
     /// Charge the hosting replica CPU time (signature checks, hashing).
     Consume(Duration),
+}
+
+/// An action type of a sans-I/O layer that sends messages point to point and
+/// as fan-outs. [`sends`] flattens a list of them, so a scan for what was sent
+/// sees a fan-out's recipients as it sees single sends.
+pub trait SendAction {
+    /// The message type sent.
+    type Msg;
+
+    /// The `(recipient, message)` pairs this action sends, in order: one for a
+    /// point-to-point send, one per recipient for a fan-out, none otherwise.
+    fn sends(&self) -> impl Iterator<Item = (ReplicaId, &Self::Msg)>;
+}
+
+/// Every `(recipient, message)` pair `actions` send, fan-outs flattened in
+/// order.
+pub fn sends<A: SendAction>(actions: &[A]) -> Vec<(ReplicaId, &A::Msg)> {
+    actions.iter().flat_map(A::sends).collect()
+}
+
+/// The `(recipient, message)` pairs of `msg` sent to each of `to` — for
+/// [`SendAction::sends`] impls, which pass no message for an action that
+/// sends nothing.
+pub fn send_pairs<'a, M>(
+    to: &'a [ReplicaId],
+    msg: Option<&'a M>,
+) -> impl Iterator<Item = (ReplicaId, &'a M)> {
+    msg.into_iter().flat_map(move |msg| to.iter().map(move |&to| (to, msg)))
+}
+
+impl<M> SendAction for TobAction<M> {
+    type Msg = M;
+
+    fn sends(&self) -> impl Iterator<Item = (ReplicaId, &M)> {
+        match self {
+            TobAction::Send { to, msg } => send_pairs(std::slice::from_ref(to), Some(msg)),
+            TobAction::SendAll { to, msg } => send_pairs(to, Some(msg)),
+            _ => send_pairs(&[], None),
+        }
+    }
 }
 
 /// Fault behaviours a test or experiment can inject into a TOB instance.
@@ -110,8 +160,11 @@ impl TobConfig {
 
 /// A local total-order broadcast: the abstraction Hamava is parametric over.
 ///
-/// Implementations are sans-I/O state machines: every entry point returns the actions
-/// the caller (the Hamava replica, or a test harness) must carry out.
+/// Implementations are sans-I/O state machines: every entry point appends the
+/// actions the caller (the Hamava replica, or a test harness) must carry out,
+/// in order, to `out` — a buffer the caller owns and drains, so a caller that
+/// keeps one allocates no action list per message. A quorum broadcast is one
+/// [`TobAction::SendAll`].
 ///
 /// Both the protocol state and its messages must be `Send`: the parallel run
 /// executor (`ava_scenario::parallel`) moves whole deployments — replicas with
@@ -126,7 +179,7 @@ pub trait TotalOrderBroadcast: Send {
 
     /// Request to order `op` (Alg. 7 line 16). The value reaches the current leader
     /// and is eventually delivered at every correct replica in a uniform order.
-    fn broadcast(&mut self, op: Operation, now: Time) -> Vec<TobAction<Self::Msg>>;
+    fn broadcast(&mut self, op: Operation, now: Time, out: &mut Vec<TobAction<Self::Msg>>);
 
     /// Handle a protocol message from `from`.
     fn on_message(
@@ -134,10 +187,11 @@ pub trait TotalOrderBroadcast: Send {
         from: ReplicaId,
         msg: Self::Msg,
         now: Time,
-    ) -> Vec<TobAction<Self::Msg>>;
+        out: &mut Vec<TobAction<Self::Msg>>,
+    );
 
     /// Periodic tick: drives batching, retransmission and leader liveness checks.
-    fn on_tick(&mut self, now: Time) -> Vec<TobAction<Self::Msg>>;
+    fn on_tick(&mut self, now: Time, out: &mut Vec<TobAction<Self::Msg>>);
 
     /// Install a new leader elected with timestamp `ts` (Alg. 7 `new-leader`).
     fn new_leader(
@@ -145,7 +199,8 @@ pub trait TotalOrderBroadcast: Send {
         leader: ReplicaId,
         ts: Timestamp,
         now: Time,
-    ) -> Vec<TobAction<Self::Msg>>;
+        out: &mut Vec<TobAction<Self::Msg>>,
+    );
 
     /// Update the cluster membership after a reconfiguration took effect.
     fn set_membership(&mut self, members: Vec<ReplicaId>);

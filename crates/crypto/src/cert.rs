@@ -30,6 +30,12 @@ impl SigSet {
         Self::default()
     }
 
+    /// Empty set with room for `signers` signatures: a vote table that knows
+    /// its membership fills it without reallocating.
+    pub fn with_capacity(signers: usize) -> Self {
+        SigSet { sigs: Vec::with_capacity(signers) }
+    }
+
     /// Insert a signature (replaces any previous signature by the same signer).
     pub fn insert(&mut self, sig: Signature) {
         match self.position(sig.signer) {
@@ -302,14 +308,16 @@ mod tests {
         let (_, kps, _) = setup(22);
         let digest = Digest::of(&"block".to_string());
         for q in 1..=kps.len() {
-            // Votes arrive one at a time, in no particular order.
-            let mut votes = SigSet::new();
-            for kp in kps[..q].iter().rev() {
-                votes.insert(kp.sign(&digest));
+            // Votes arrive one at a time, in no particular order, into a set
+            // grown vote by vote or sized for the whole membership.
+            for mut votes in [SigSet::new(), SigSet::with_capacity(kps.len())] {
+                for kp in kps[..q].iter().rev() {
+                    votes.insert(kp.sign(&digest));
+                }
+                let cert = QuorumCert::new(ClusterId(0), digest, votes);
+                assert_eq!((cert.sigs.sigs.len(), cert.sigs.sigs.capacity()), (q, q));
+                assert_eq!(cert.clone().sigs.sigs.capacity(), q, "a clone is exact too");
             }
-            let cert = QuorumCert::new(ClusterId(0), digest, votes);
-            assert_eq!((cert.sigs.sigs.len(), cert.sigs.sigs.capacity()), (q, q));
-            assert_eq!(cert.clone().sigs.sigs.capacity(), q, "a clone is exact too");
         }
     }
 

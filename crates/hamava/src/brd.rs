@@ -11,10 +11,11 @@
 //! Hamava replica, exactly as the paper presents it ("a general reusable module, that
 //! is of independent interest").
 
-use ava_consensus::{SIGN_COST, VERIFY_COST};
+use ava_consensus::{send_pairs, SendAction, SIGN_COST, VERIFY_COST};
 use ava_crypto::sha256::Sha256;
 use ava_crypto::{Digest, KeyRegistry, Keypair, SigSet, Signature};
 use ava_types::{Duration, Encode, EncodeSink, Reconfig, ReplicaId, Round, Time, Timestamp};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// One replica's signed contribution of collected reconfiguration requests.
@@ -30,10 +31,60 @@ pub struct RecsContribution {
     pub sig: Signature,
 }
 
+/// One contribution's signing digest with the content it was hashed from.
+struct HashedContribution {
+    round: Round,
+    from: ReplicaId,
+    recs: Vec<Reconfig>,
+    digest: Digest,
+}
+
+/// Slots of the contribution-digest memo, one per contributor id modulo the
+/// count: more than the replicas of any deployment this workspace runs.
+const CONTRIBUTION_SLOTS: usize = 256;
+
+thread_local! {
+    /// The signing digests of the contributions this thread hashed last, one
+    /// slot per contributor id (modulo [`CONTRIBUTION_SLOTS`]). Every member
+    /// of a cluster verifies the same quorum of contributions in each `Agg`,
+    /// the leader each one as it arrives, and every replica of a deployment
+    /// runs on one thread. A slot answers only when round, contributor and
+    /// requests all equal what it was hashed from — the hash's whole input,
+    /// whose domain tag is fixed — as `ava_store`'s checkpoint digest memo
+    /// compares its stream: a comparison of content, not of a hash of it, so
+    /// no collision assumption enters, and the digest is a pure function of
+    /// what is compared. Nothing is taken from a message: a contribution's
+    /// signature plays no part, and it is still verified against the digest.
+    static CONTRIBUTION_DIGESTS: RefCell<Vec<Option<HashedContribution>>> =
+        const { RefCell::new(Vec::new()) };
+}
+
 impl RecsContribution {
-    /// The digest this contribution's signature covers. Streamed straight into the
-    /// hasher (no intermediate buffer).
+    /// The digest this contribution's signature covers: from the thread's
+    /// contribution-digest memo when it hashed exactly this content last, else
+    /// streamed straight into the hasher (no intermediate buffer).
     pub fn signing_digest(round: Round, from: ReplicaId, recs: &[Reconfig]) -> Digest {
+        CONTRIBUTION_DIGESTS.with_borrow_mut(|slots| {
+            if slots.is_empty() {
+                slots.resize_with(CONTRIBUTION_SLOTS, || None);
+            }
+            let slot = &mut slots[from.0 as usize % CONTRIBUTION_SLOTS];
+            match slot {
+                Some(hashed)
+                    if hashed.round == round && hashed.from == from && hashed.recs == recs =>
+                {
+                    hashed.digest
+                }
+                _ => {
+                    let digest = Self::hash(round, from, recs);
+                    *slot = Some(HashedContribution { round, from, recs: recs.to_vec(), digest });
+                    digest
+                }
+            }
+        })
+    }
+
+    fn hash(round: Round, from: ReplicaId, recs: &[Reconfig]) -> Digest {
         let mut h = Sha256::new();
         h.write(b"brd-contrib");
         round.encode(&mut h);
@@ -215,6 +266,15 @@ pub enum BrdAction {
         /// Message.
         msg: BrdMsg,
     },
+    /// Send one message to every replica in `to`, in order: the `Agg`, `Echo`
+    /// and `Ready` broadcasts, each one fan-out of a shared payload that stands
+    /// for one [`BrdAction::Send`] per recipient.
+    SendAll {
+        /// The recipients (the members, in membership order).
+        to: Vec<ReplicaId>,
+        /// The message each recipient gets a clone of.
+        msg: BrdMsg,
+    },
     /// Deliver the uniformly agreed reconfiguration set with its certificate.
     Deliver {
         /// The delivered set (sorted, deduplicated).
@@ -238,6 +298,18 @@ pub enum BrdAction {
         /// The round the forged vote claimed.
         round: Round,
     },
+}
+
+impl SendAction for BrdAction {
+    type Msg = BrdMsg;
+
+    fn sends(&self) -> impl Iterator<Item = (ReplicaId, &BrdMsg)> {
+        match self {
+            BrdAction::Send { to, msg } => send_pairs(std::slice::from_ref(to), Some(msg)),
+            BrdAction::SendAll { to, msg } => send_pairs(to, Some(msg)),
+            _ => send_pairs(&[], None),
+        }
+    }
 }
 
 /// The Echo and Ready digests of one set of requests in one round.
@@ -377,44 +449,63 @@ impl Brd {
         out
     }
 
-    /// Handle a BRD message from `from`.
-    pub fn on_message(&mut self, from: ReplicaId, msg: BrdMsg, now: Time) -> Vec<BrdAction> {
-        let mut out = Vec::new();
+    /// Handle a BRD message from `from`, appending the actions to carry out
+    /// to `out`, a buffer the caller owns and drains.
+    pub fn handle(&mut self, from: ReplicaId, msg: BrdMsg, now: Time, out: &mut Vec<BrdAction>) {
         match msg {
-            BrdMsg::Recs(contribution) => self.handle_recs(from, contribution, &mut out),
+            BrdMsg::Recs(contribution) => self.handle_recs(from, contribution, out),
             BrdMsg::Agg { round, recs, justify, ts } => {
-                self.handle_agg(from, round, recs, justify, ts, &mut out);
+                self.handle_agg(from, round, recs, justify, ts, out);
             }
             BrdMsg::Echo { round, recs, sig, ts } => {
-                self.handle_echo(round, recs, sig, ts, &mut out);
+                self.handle_echo(round, recs, sig, ts, out);
             }
             BrdMsg::Ready { round, recs, sig, ts } => {
-                self.handle_ready(round, recs, sig, ts, now, &mut out);
+                self.handle_ready(round, recs, sig, ts, now, out);
             }
             BrdMsg::Valid { round, recs, proof, recorded_ts } => {
-                self.handle_valid(round, recs, proof, recorded_ts, &mut out);
+                self.handle_valid(round, recs, proof, recorded_ts, out);
             }
         }
-        out
+    }
+
+    /// [`Brd::handle`] into a fresh list with every fan-out spelled out as one
+    /// [`BrdAction::Send`] per recipient, for a caller that routes one message
+    /// at a time (the repo benchmark's BRD probe).
+    pub fn on_message(&mut self, from: ReplicaId, msg: BrdMsg, now: Time) -> Vec<BrdAction> {
+        let mut out = Vec::new();
+        self.handle(from, msg, now, &mut out);
+        let mut spelled = Vec::with_capacity(out.len());
+        for action in out {
+            match action {
+                BrdAction::SendAll { to, msg } => spelled
+                    .extend(to.into_iter().map(|to| BrdAction::Send { to, msg: msg.clone() })),
+                action => spelled.push(action),
+            }
+        }
+        spelled
     }
 
     /// Periodic tick: leader liveness watchdog (Alg. 6 line 38).
-    pub fn on_tick(&mut self, now: Time) -> Vec<BrdAction> {
-        let mut out = Vec::new();
+    pub fn on_tick(&mut self, now: Time, out: &mut Vec<BrdAction>) {
         if let Some(started) = self.started_at {
             if !self.delivered && !self.complained && now.since(started) >= self.timeout {
                 self.complained = true;
                 out.push(BrdAction::Complain { leader: self.leader });
             }
         }
-        out
     }
 
     /// Alg. 6 line 40: install a new leader.
-    pub fn new_leader(&mut self, leader: ReplicaId, ts: Timestamp, now: Time) -> Vec<BrdAction> {
-        let mut out = Vec::new();
+    pub fn new_leader(
+        &mut self,
+        leader: ReplicaId,
+        ts: Timestamp,
+        now: Time,
+        out: &mut Vec<BrdAction>,
+    ) {
         if ts.0 <= self.ts && leader == self.leader {
-            return out;
+            return;
         }
         self.leader = leader;
         self.ts = ts.0;
@@ -431,7 +522,7 @@ impl Brd {
             self.started_at = Some(now);
         }
         if self.delivered {
-            return out;
+            return;
         }
         if let Some(valid) = self.valid.clone() {
             out.push(BrdAction::Send {
@@ -451,7 +542,6 @@ impl Brd {
                 RecsContribution { from: self.me, round: self.round, recs: my_recs, sig };
             out.push(BrdAction::Send { to: self.leader, msg: BrdMsg::Recs(contribution) });
         }
-        out
     }
 
     /// Update the member list (after a reconfiguration took effect).
@@ -545,9 +635,7 @@ impl Brd {
             (union, AggJustify::Contributions(contributions))
         };
         let msg = BrdMsg::Agg { round: self.round, recs, justify, ts: self.ts };
-        for &member in &self.members {
-            out.push(BrdAction::Send { to: member, msg: msg.clone() });
-        }
+        out.push(BrdAction::SendAll { to: self.members.clone(), msg });
     }
 
     fn verify_justify(&self, recs: &[Reconfig], justify: &AggJustify, allow_ready: bool) -> bool {
@@ -617,9 +705,7 @@ impl Brd {
         let digest = self.digests_of(&recs).echo;
         let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Echo { round: self.round, recs, sig, ts: self.ts };
-        for &member in &self.members {
-            out.push(BrdAction::Send { to: member, msg: msg.clone() });
-        }
+        out.push(BrdAction::SendAll { to: self.members.clone(), msg });
     }
 
     fn handle_echo(
@@ -717,15 +803,14 @@ impl Brd {
         let digest = self.digests_of(&recs).ready;
         let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Ready { round: self.round, recs, sig, ts: self.ts };
-        for &member in &self.members {
-            out.push(BrdAction::Send { to: member, msg: msg.clone() });
-        }
+        out.push(BrdAction::SendAll { to: self.members.clone(), msg });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ava_consensus::sends;
     use std::collections::{BTreeMap, VecDeque};
 
     struct Net {
@@ -735,6 +820,8 @@ mod tests {
         complaints: BTreeMap<ReplicaId, usize>,
         down: Vec<ReplicaId>,
         now: Time,
+        /// Per action that sent: its message kind and recipients, in order.
+        sent: Vec<(&'static str, Vec<ReplicaId>)>,
     }
 
     fn join(r: u32) -> Reconfig {
@@ -742,8 +829,12 @@ mod tests {
     }
 
     fn make_net(n: u32, leader: u32) -> (Net, KeyRegistry) {
+        make_net_of((0..n).map(ReplicaId).collect(), ReplicaId(leader))
+    }
+
+    /// A network of `members`, in that membership order, led by `leader`.
+    fn make_net_of(members: Vec<ReplicaId>, leader: ReplicaId) -> (Net, KeyRegistry) {
         let registry = KeyRegistry::new();
-        let members: Vec<ReplicaId> = (0..n).map(ReplicaId).collect();
         let nodes: BTreeMap<ReplicaId, Brd> = members
             .iter()
             .map(|&id| {
@@ -755,7 +846,7 @@ mod tests {
                         members.clone(),
                         kp,
                         registry.clone(),
-                        ReplicaId(leader),
+                        leader,
                         Timestamp(0),
                         Round(1),
                         Duration::from_secs(5),
@@ -773,6 +864,7 @@ mod tests {
                 complaints,
                 down: Vec::new(),
                 now: Time::ZERO,
+                sent: Vec::new(),
             },
             registry,
         )
@@ -780,9 +872,18 @@ mod tests {
 
     impl Net {
         fn apply(&mut self, at: ReplicaId, actions: Vec<BrdAction>) {
+            for action in &actions {
+                let pairs: Vec<_> = action.sends().collect();
+                if let Some((_, msg)) = pairs.first() {
+                    self.sent.push((msg.kind_label(), pairs.iter().map(|(to, _)| *to).collect()));
+                }
+            }
+            for (to, msg) in sends(&actions) {
+                self.queue.push_back((at, to, msg.clone()));
+            }
             for a in actions {
                 match a {
-                    BrdAction::Send { to, msg } => self.queue.push_back((at, to, msg)),
+                    BrdAction::Send { .. } | BrdAction::SendAll { .. } => {}
                     BrdAction::Deliver { recs, cert } => {
                         self.delivered.get_mut(&at).unwrap().push((recs, cert))
                     }
@@ -811,11 +912,15 @@ mod tests {
                 if self.down.contains(&from) || self.down.contains(&to) {
                     continue;
                 }
-                let now = self.now;
-                let actions = self.nodes.get_mut(&to).unwrap().on_message(from, msg, now);
-                self.apply(to, actions);
+                self.deliver(from, to, msg);
             }
             panic!("BRD test network did not quiesce");
+        }
+
+        fn deliver(&mut self, from: ReplicaId, to: ReplicaId, msg: BrdMsg) {
+            let (now, mut actions) = (self.now, Vec::new());
+            self.nodes.get_mut(&to).unwrap().handle(from, msg, now, &mut actions);
+            self.apply(to, actions);
         }
 
         fn drop_messages_from_leader_except(&mut self, leader: ReplicaId, keep: &[ReplicaId]) {
@@ -829,7 +934,8 @@ mod tests {
                 if self.down.contains(&id) {
                     continue;
                 }
-                let actions = self.nodes.get_mut(&id).unwrap().new_leader(leader, ts, now);
+                let mut actions = Vec::new();
+                self.nodes.get_mut(&id).unwrap().new_leader(leader, ts, now, &mut actions);
                 self.apply(id, actions);
             }
         }
@@ -842,7 +948,8 @@ mod tests {
                 if self.down.contains(&id) {
                     continue;
                 }
-                let actions = self.nodes.get_mut(&id).unwrap().on_tick(now);
+                let mut actions = Vec::new();
+                self.nodes.get_mut(&id).unwrap().on_tick(now, &mut actions);
                 self.apply(id, actions);
             }
         }
@@ -951,9 +1058,7 @@ mod tests {
                     return;
                 }
                 let Some((from, to, msg)) = self.queue.pop_front() else { return };
-                let now = self.now;
-                let actions = self.nodes.get_mut(&to).unwrap().on_message(from, msg, now);
-                self.apply(to, actions);
+                self.deliver(from, to, msg);
             }
         }
     }
@@ -981,38 +1086,103 @@ mod tests {
     fn forged_aggregation_without_quorum_is_rejected() {
         let registry = KeyRegistry::new();
         let members: Vec<ReplicaId> = (0..4).map(ReplicaId).collect();
-        let kp3 = registry.register(ReplicaId(3));
-        let kp0 = registry.register(ReplicaId(0));
-        let mut brd = Brd::new(
+        let kps: Vec<Keypair> = members.iter().map(|&id| registry.register(id)).collect();
+        let recs = vec![join(9)];
+        let contribution = |kp: &Keypair| RecsContribution {
+            from: kp.id,
+            round: Round(1),
+            recs: recs.clone(),
+            sig: kp.sign(&RecsContribution::signing_digest(Round(1), kp.id, &recs)),
+        };
+        let echoes = |contributions: Vec<RecsContribution>| {
+            let mut brd = Brd::new(
+                ReplicaId(0),
+                members.clone(),
+                kps[0].clone(),
+                registry.clone(),
+                ReplicaId(3),
+                Timestamp(0),
+                Round(1),
+                Duration::from_secs(5),
+            );
+            let justify = AggJustify::Contributions(contributions);
+            let agg = BrdMsg::Agg { round: Round(1), recs: recs.clone(), justify, ts: 0 };
+            let mut actions = Vec::new();
+            brd.handle(ReplicaId(3), agg, Time::ZERO, &mut actions);
+            sends(&actions).iter().filter(|(_, m)| matches!(m, BrdMsg::Echo { .. })).count()
+        };
+        // Leader 3 claims a set justified by a single contribution (its own): below
+        // quorum, so no Echo may be produced ...
+        assert_eq!(echoes(vec![contribution(&kps[3])]), 0, "under-justified aggregation echoed");
+        // ... while the same set justified by a quorum is echoed to every member.
+        let quorum = kps[1..].iter().map(contribution).collect();
+        assert_eq!(echoes(quorum), members.len(), "a justified aggregation was not echoed");
+    }
+
+    #[test]
+    fn quorum_broadcasts_are_one_fan_out_to_every_member_in_membership_order() {
+        let members: Vec<ReplicaId> = [2, 0, 3, 1].map(ReplicaId).to_vec();
+        let (mut net, _) = make_net_of(members.clone(), ReplicaId(3));
+        net.broadcast_all(|id| vec![join(id.0)]);
+        net.run(100_000);
+        // The leader aggregates once, every member echoes and readies once.
+        for (kind, senders) in [("brd.Agg", 1), ("brd.Echo", 4), ("brd.Ready", 4)] {
+            let actions: Vec<_> = net.sent.iter().filter(|(k, _)| *k == kind).collect();
+            assert_eq!(actions.len(), senders, "{kind}: one action per broadcast");
+            assert!(actions.iter().all(|(_, to)| *to == members), "{kind} recipients");
+        }
+    }
+
+    #[test]
+    fn on_message_spells_out_each_fan_out_as_the_sends_it_stands_for() {
+        let (mut net, _) = make_net(4, 0);
+        net.broadcast_all(|id| vec![join(id.0)]);
+        net.run_partial_until_agg();
+        let agg = net.queue.iter().position(|(.., m)| matches!(m, BrdMsg::Agg { .. }));
+        let (from, to, msg) = net.queue.remove(agg.expect("an Agg is queued")).unwrap();
+        let mut twin = Brd::new(
+            to,
+            (0..4).map(ReplicaId).collect(),
+            net.nodes[&to].keypair.clone(),
+            net.nodes[&to].registry.clone(),
             ReplicaId(0),
-            members,
-            kp0,
-            registry.clone(),
-            ReplicaId(3),
             Timestamp(0),
             Round(1),
             Duration::from_secs(5),
         );
-        // Leader 3 claims a set justified by a single contribution (its own): below
-        // quorum, so no Echo may be produced.
-        let recs = vec![join(9)];
-        let sig = kp3.sign(&RecsContribution::signing_digest(Round(1), ReplicaId(3), &recs));
-        let contribution =
-            RecsContribution { from: ReplicaId(3), round: Round(1), recs: recs.clone(), sig };
-        let actions = brd.on_message(
-            ReplicaId(3),
-            BrdMsg::Agg {
-                round: Round(1),
-                recs,
-                justify: AggJustify::Contributions(vec![contribution]),
-                ts: 0,
-            },
-            Time::ZERO,
-        );
-        assert!(
-            !actions.iter().any(|a| matches!(a, BrdAction::Send { msg: BrdMsg::Echo { .. }, .. })),
-            "under-justified aggregation must not be echoed"
-        );
+        let spelled = twin.on_message(from, msg.clone(), Time::ZERO);
+        let mut handled = Vec::new();
+        net.nodes.get_mut(&to).unwrap().handle(from, msg, Time::ZERO, &mut handled);
+        assert!(handled.iter().any(|a| matches!(a, BrdAction::SendAll { .. })));
+        assert!(!spelled.iter().any(|a| matches!(a, BrdAction::SendAll { .. })));
+        let pairs = |actions: &[BrdAction]| -> Vec<(ReplicaId, &'static str, usize)> {
+            sends(actions).iter().map(|(to, m)| (*to, m.kind_label(), m.wire_size())).collect()
+        };
+        assert_eq!(pairs(&spelled), pairs(&handled));
+        assert_eq!(spelled.len(), handled.len() + 3, "one fan-out became four sends");
+    }
+
+    #[test]
+    fn contribution_digests_answer_as_hashing_does() {
+        let recs = [vec![], vec![join(1)], vec![join(1), join(2)]];
+        for round in [Round(1), Round(2)] {
+            for from in [ReplicaId(0), ReplicaId(1), ReplicaId(CONTRIBUTION_SLOTS as u32)] {
+                for recs in &recs {
+                    // A miss fills the slot, the repeat hits it: both hash's answer.
+                    for _ in 0..2 {
+                        assert_eq!(
+                            RecsContribution::signing_digest(round, from, recs),
+                            RecsContribution::hash(round, from, recs)
+                        );
+                    }
+                }
+            }
+        }
+        let digests: std::collections::BTreeSet<Digest> = recs
+            .iter()
+            .map(|recs| RecsContribution::signing_digest(Round(1), ReplicaId(0), recs))
+            .collect();
+        assert_eq!(digests.len(), recs.len(), "different requests, different digests");
     }
 
     #[test]
@@ -1038,27 +1208,32 @@ mod tests {
         let sig = kp1.sign(&echo_digest(Round(1), &honest));
         let mut forged = honest.clone();
         forged.push(join(8));
-        let actions = brd.on_message(
+        let handle = |brd: &mut Brd, from, msg| {
+            let mut actions = Vec::new();
+            brd.handle(from, msg, Time::ZERO, &mut actions);
+            actions
+        };
+        let actions = handle(
+            &mut brd,
             ReplicaId(1),
             BrdMsg::Echo { round: Round(1), recs: forged.clone(), sig, ts: 0 },
-            Time::ZERO,
         );
         assert!(actions.iter().any(|a| matches!(a, BrdAction::Reject { .. })));
         // A well-signed vote from a non-member (honest around reconfiguration
         // boundaries) is dropped without evidence.
         let sig = outsider.sign(&echo_digest(Round(1), &honest));
-        let actions = brd.on_message(
+        let actions = handle(
+            &mut brd,
             ReplicaId(9),
             BrdMsg::Echo { round: Round(1), recs: honest.clone(), sig, ts: 0 },
-            Time::ZERO,
         );
         assert!(!actions.iter().any(|a| matches!(a, BrdAction::Reject { .. })));
         // Forged Ready votes produce the same evidence.
         let sig = kp1.sign(&ready_digest(Round(1), &honest));
-        let actions = brd.on_message(
+        let actions = handle(
+            &mut brd,
             ReplicaId(1),
             BrdMsg::Ready { round: Round(1), recs: forged, sig, ts: 0 },
-            Time::ZERO,
         );
         assert!(actions.iter().any(|a| matches!(a, BrdAction::Reject { .. })));
     }

@@ -6,6 +6,7 @@
 //! monotonically increasing timestamp. A `next-leader` request (issued by the remote
 //! leader change protocol, Alg. 2 line 26) advances the leader directly.
 
+use ava_consensus::{send_pairs, SendAction};
 use ava_types::{ReplicaId, Timestamp};
 use std::collections::BTreeSet;
 
@@ -29,11 +30,12 @@ impl ElectionMsg {
 /// Side effects requested by the leader election module.
 #[derive(Clone, Debug)]
 pub enum ElectionAction {
-    /// Broadcast a message to every member of the cluster.
-    Send {
-        /// Destination replica.
-        to: ReplicaId,
-        /// The message.
+    /// Send one message to every replica in `to` (the members, in membership
+    /// order): one fan-out of a shared payload.
+    SendAll {
+        /// The recipients.
+        to: Vec<ReplicaId>,
+        /// The message each recipient gets a clone of.
         msg: ElectionMsg,
     },
     /// A new leader was elected (Alg. 9 line 27).
@@ -43,6 +45,17 @@ pub enum ElectionAction {
         /// Its timestamp.
         ts: Timestamp,
     },
+}
+
+impl SendAction for ElectionAction {
+    type Msg = ElectionMsg;
+
+    fn sends(&self) -> impl Iterator<Item = (ReplicaId, &ElectionMsg)> {
+        match self {
+            ElectionAction::SendAll { to, msg } => send_pairs(to, Some(msg)),
+            ElectionAction::NewLeader { .. } => send_pairs(&[], None),
+        }
+    }
 }
 
 /// Leader election state machine for one replica.
@@ -125,7 +138,7 @@ impl LeaderElection {
         self.complained = true;
         self.complainers.insert(self.me);
         let msg = ElectionMsg::Complaint { ts: self.ts };
-        self.members.iter().map(|&to| ElectionAction::Send { to, msg: msg.clone() }).collect()
+        vec![ElectionAction::SendAll { to: self.members.clone(), msg }]
     }
 
     fn change(&mut self) -> Vec<ElectionAction> {
@@ -139,6 +152,7 @@ impl LeaderElection {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ava_consensus::sends;
 
     fn members(n: u32) -> Vec<ReplicaId> {
         (0..n).map(ReplicaId).collect()
@@ -172,12 +186,25 @@ mod tests {
     #[test]
     fn amplification_complains_after_f_plus_one() {
         let mut le = LeaderElection::new(ReplicaId(3), members(7));
-        // f = 2: three remote complaints trigger amplification (a Send burst).
+        // f = 2: three remote complaints trigger amplification (a complaint
+        // to every member).
         let a1 = le.on_message(ReplicaId(0), ElectionMsg::Complaint { ts: 0 });
         let a2 = le.on_message(ReplicaId(1), ElectionMsg::Complaint { ts: 0 });
         assert!(a1.is_empty() && a2.is_empty());
         let a3 = le.on_message(ReplicaId(2), ElectionMsg::Complaint { ts: 0 });
-        assert!(a3.iter().any(|a| matches!(a, ElectionAction::Send { .. })));
+        let to: Vec<ReplicaId> = sends(&a3).iter().map(|(to, _)| *to).collect();
+        assert_eq!(to, members(7));
+    }
+
+    #[test]
+    fn a_complaint_is_one_fan_out_to_every_member_in_membership_order() {
+        let ms: Vec<ReplicaId> = [5, 2, 9, 0].map(ReplicaId).to_vec();
+        let mut le = LeaderElection::new(ReplicaId(2), ms.clone());
+        let actions = le.complain();
+        assert_eq!(actions.len(), 1, "{actions:?}");
+        assert!(
+            matches!(&actions[0], ElectionAction::SendAll { to, msg: ElectionMsg::Complaint { ts: 0 } } if *to == ms)
+        );
     }
 
     #[test]

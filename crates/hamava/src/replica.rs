@@ -211,6 +211,10 @@ pub struct Replica<T: TotalOrderBroadcast> {
     /// only disseminate for their current round, so a non-empty stash is also the
     /// straggler-escape evidence that this replica fell behind its own cluster.
     future_brd: BTreeMap<Round, Vec<(ReplicaId, crate::brd::BrdMsg)>>,
+    /// The action buffers the local TOB and BRD append to, kept across
+    /// messages so that no vote allocates an action list (see `tob_step`).
+    tob_out: Vec<TobAction<T::Msg>>,
+    brd_out: Vec<BrdAction>,
 }
 
 impl<T: TotalOrderBroadcast> Replica<T> {
@@ -279,6 +283,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             leave_requested: false,
             store: None,
             future_brd: BTreeMap::new(),
+            tob_out: Vec::new(),
+            brd_out: Vec::new(),
         };
         replica.store = replica.cfg.store.map(ReplicaStore::new);
         replica
@@ -294,14 +300,31 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
     // ---- action plumbing -------------------------------------------------------
 
+    /// Run one entry point of the local TOB on the kept action buffer and
+    /// carry out what it appended, in order; a fan-out goes to the simulator
+    /// as one. An action can re-enter the TOB (a delivered block can order a
+    /// round-cut marker): the inner call finds the buffer taken and fills one
+    /// of its own.
+    fn tob_step(
+        &mut self,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+        call: impl FnOnce(&mut T, &mut Vec<TobAction<T::Msg>>),
+    ) {
+        let mut out = std::mem::take(&mut self.tob_out);
+        call(&mut self.tob, &mut out);
+        self.apply_tob_actions(&mut out, ctx);
+        self.tob_out = out;
+    }
+
     fn apply_tob_actions(
         &mut self,
-        actions: Vec<TobAction<T::Msg>>,
+        out: &mut Vec<TobAction<T::Msg>>,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        for action in actions {
+        for action in out.drain(..) {
             match action {
                 TobAction::Send { to, msg } => ctx.send(to, AvaMsg::Tob(msg)),
+                TobAction::SendAll { to, msg } => ctx.broadcast(to, AvaMsg::Tob(msg)),
                 TobAction::Consume(d) => ctx.consume(d),
                 TobAction::Complain { silent_for, .. } => {
                     // How long the local watchdog waited, for timelines and
@@ -332,8 +355,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             }
             return;
         }
-        let actions = self.brd.on_message(from, msg, ctx.now());
-        self.apply_brd_actions(actions, ctx);
+        let now = ctx.now();
+        self.brd_step(ctx, |brd, out| brd.handle(from, msg, now, out));
     }
 
     /// Straggler evidence: `f + 1` distinct members disseminating for the same
@@ -350,14 +373,27 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         })
     }
 
+    /// [`Replica::tob_step`] for the round's BRD instance.
+    fn brd_step(
+        &mut self,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+        call: impl FnOnce(&mut Brd, &mut Vec<BrdAction>),
+    ) {
+        let mut out = std::mem::take(&mut self.brd_out);
+        call(&mut self.brd, &mut out);
+        self.apply_brd_actions(&mut out, ctx);
+        self.brd_out = out;
+    }
+
     fn apply_brd_actions(
         &mut self,
-        actions: Vec<BrdAction>,
+        out: &mut Vec<BrdAction>,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        for action in actions {
+        for action in out.drain(..) {
             match action {
                 BrdAction::Send { to, msg } => ctx.send(to, AvaMsg::Brd(msg)),
+                BrdAction::SendAll { to, msg } => ctx.broadcast(to, AvaMsg::Brd(msg)),
                 BrdAction::Consume(d) => ctx.consume(d),
                 BrdAction::Complain { .. } => {
                     let actions = self.election.complain();
@@ -383,7 +419,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     ) {
         for action in actions {
             match action {
-                ElectionAction::Send { to, msg } => ctx.send(to, AvaMsg::Election(msg)),
+                ElectionAction::SendAll { to, msg } => ctx.broadcast(to, AvaMsg::Election(msg)),
                 ElectionAction::NewLeader { leader, ts } => self.install_leader(leader, ts, ctx),
             }
         }
@@ -417,10 +453,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.leader = leader;
         self.leader_ts = ts;
         let now = ctx.now();
-        let tob_actions = self.tob.new_leader(leader, ts, now);
-        self.apply_tob_actions(tob_actions, ctx);
-        let brd_actions = self.brd.new_leader(leader, ts, now);
-        self.apply_brd_actions(brd_actions, ctx);
+        self.tob_step(ctx, |tob, out| tob.new_leader(leader, ts, now, out));
+        self.brd_step(ctx, |brd, out| brd.new_leader(leader, ts, now, out));
         self.rlc.note_local_leader_change(now);
         ctx.emit(Output::LeaderChanged {
             cluster: self.cfg.cluster,
@@ -555,16 +589,15 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
         self.round_state.sent_recs = true;
         let recs: Vec<Reconfig> = self.collected_recs.iter().copied().collect();
+        let now = ctx.now();
         if self.cfg.params.parallel_reconfig_workflow {
-            let actions = self.brd.broadcast(recs, ctx.now());
-            self.apply_brd_actions(actions, ctx);
+            self.brd_step(ctx, |brd, out| out.extend(brd.broadcast(recs, now)));
         } else {
             // Single-workflow ablation (E5.2): the reconfiguration set competes with
             // transactions for slots in the total order. The round tag keeps each
             // round's set distinct in the TOB's dedup pool (see `Operation`).
-            let actions =
-                self.tob.broadcast(Operation::ReconfigSet { round: self.round, recs }, ctx.now());
-            self.apply_tob_actions(actions, ctx);
+            let op = Operation::ReconfigSet { round: self.round, recs };
+            self.tob_step(ctx, |tob, out| tob.broadcast(op, now, out));
         }
     }
 
@@ -1078,9 +1111,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
         self.future_brd = self.future_brd.split_off(&round);
         if let Some(msgs) = self.future_brd.remove(&round) {
+            let now = ctx.now();
             for (from, msg) in msgs {
-                let actions = self.brd.on_message(from, msg, ctx.now());
-                self.apply_brd_actions(actions, ctx);
+                self.brd_step(ctx, |brd, out| brd.handle(from, msg, now, out));
             }
         }
         // Blocks delivered after the previous round's cut carried over in
@@ -1184,8 +1217,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.leader = LeaderElection::leader_for(&members, self.leader_ts.0);
         self.election = LeaderElection::new(self.cfg.me, members.clone());
         self.tob.set_membership(members);
-        let actions = self.tob.new_leader(self.leader, self.leader_ts, ctx.now());
-        self.apply_tob_actions(actions, ctx);
+        let (leader, ts, now) = (self.leader, self.leader_ts, ctx.now());
+        self.tob_step(ctx, |tob, out| tob.new_leader(leader, ts, now, out));
         self.status = ReplicaStatus::Active;
         self.start_round(round, ctx);
     }
@@ -1208,8 +1241,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         for (from, msg) in buffered {
             match msg {
                 AvaMsg::Tob(m) => {
-                    let actions = self.tob.on_message(from, m, ctx.now());
-                    self.apply_tob_actions(actions, ctx);
+                    let now = ctx.now();
+                    self.tob_step(ctx, |tob, out| tob.on_message(from, m, now, out));
                 }
                 AvaMsg::Brd(m) => self.on_brd_msg(from, m, ctx),
                 AvaMsg::Inter(package) => self.on_inter(from, package, ctx),
@@ -1397,8 +1430,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             }
             TxKind::Write { .. } | TxKind::MultiWrite { .. } => {
                 self.pending_clients.insert(tx.id, (from, client));
-                let actions = self.tob.broadcast(Operation::Trans(tx), ctx.now());
-                self.apply_tob_actions(actions, ctx);
+                let now = ctx.now();
+                self.tob_step(ctx, |tob, out| tob.broadcast(Operation::Trans(tx), now, out));
             }
         }
     }
@@ -1441,8 +1474,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 TxKind::Write { .. } | TxKind::MultiWrite { .. } => {
                     self.pending_clients.insert(tx.id, (from, tx.id.client));
                     self.pending_batch.insert(tx.id, (batch.broker, batch.id));
-                    let actions = self.tob.broadcast(Operation::Trans(tx.clone()), ctx.now());
-                    self.apply_tob_actions(actions, ctx);
+                    let (op, now) = (Operation::Trans(tx.clone()), ctx.now());
+                    self.tob_step(ctx, |tob, out| tob.broadcast(op, now, out));
                 }
             }
         }
@@ -1539,8 +1572,8 @@ where
         }
         match msg {
             AvaMsg::Tob(m) => {
-                let actions = self.tob.on_message(from, m, ctx.now());
-                self.apply_tob_actions(actions, ctx);
+                let now = ctx.now();
+                self.tob_step(ctx, |tob, out| tob.on_message(from, m, now, out));
             }
             AvaMsg::Brd(m) => self.on_brd_msg(from, m, ctx),
             AvaMsg::Election(m) => {
@@ -1615,10 +1648,8 @@ where
             return;
         }
         let now = ctx.now();
-        let tob_actions = self.tob.on_tick(now);
-        self.apply_tob_actions(tob_actions, ctx);
-        let brd_actions = self.brd.on_tick(now);
-        self.apply_brd_actions(brd_actions, ctx);
+        self.tob_step(ctx, |tob, out| tob.on_tick(now, out));
+        self.brd_step(ctx, |brd, out| brd.on_tick(now, out));
         let rlc_actions = self.rlc.on_tick(now);
         self.apply_rlc_actions(rlc_actions, ctx);
         // Drive Stage 1 completion under light load (partial batches): after the
@@ -1635,8 +1666,8 @@ where
             && now.since(self.round_state.started_at) >= self.cfg.stage1_max_wait
         {
             self.round_state.sent_cut_marker = true;
-            let actions = self.tob.broadcast(Operation::RoundCut { round: self.round }, now);
-            self.apply_tob_actions(actions, ctx);
+            let op = Operation::RoundCut { round: self.round };
+            self.tob_step(ctx, |tob, out| tob.broadcast(op, now, out));
         }
         self.check_stage1(ctx);
         // Straggler escape: f+1 cluster members disseminating for a later round

@@ -41,7 +41,7 @@ use ava_consensus::{
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
 use ava_types::{Operation, ReplicaId, Time};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// The HotStuff phases.
@@ -183,8 +183,9 @@ pub struct HotStuff {
     /// Next height to propose / accept; every height below it is delivered.
     next_height: u64,
     /// Replica-side: the `(height, phase, timestamp)`s this replica voted in
-    /// (no double voting within a timestamp), from the next height on.
-    voted: HashSet<(u64, Phase, u64)>,
+    /// (no double voting within a timestamp), from the next height on — ordered,
+    /// so delivery cuts the delivered heights off in one split.
+    voted: BTreeSet<(u64, Phase, u64)>,
     /// Locks: undelivered blocks a quorum is known to have pre-committed, with
     /// that quorum's votes as proof; kept across timestamps until delivered.
     locked: BTreeMap<u64, Prepared>,
@@ -198,7 +199,7 @@ impl HotStuff {
             in_flight: None,
             known_blocks: HashMap::new(),
             next_height: 0,
-            voted: HashSet::new(),
+            voted: BTreeSet::new(),
             locked: BTreeMap::new(),
         }
     }
@@ -224,7 +225,7 @@ impl HotStuff {
         }
         self.next_height = height + 1;
         self.known_blocks.retain(|_, block| block.height > height);
-        self.voted.retain(|&(voted_at, ..)| voted_at > height);
+        self.voted = self.voted.split_off(&(self.next_height, Phase::Prepare, 0));
         self.locked = self.locked.split_off(&self.next_height);
         self.regency.deliver(decided, false, now, out);
     }

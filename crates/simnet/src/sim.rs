@@ -436,11 +436,14 @@ impl<M: SimMessage> Simulation<M> {
         effects.consumed = Duration::ZERO;
         self.effects = effects;
         if W::ON {
+            // Read the clock before the row lookup: a row's post time is the
+            // event's, not the profile's own bookkeeping.
+            let post_ns = watch.lap_ns();
             let profile = self.profile.as_mut().expect("timed only while profiling");
             let row = profile.row(ActorKind::of(origin.id), label);
             row.events += 1;
             row.handler_ns += handler_ns;
-            row.post_ns += watch.lap_ns();
+            row.post_ns += post_ns;
             row.sends += sends;
         }
         true
