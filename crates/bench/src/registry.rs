@@ -320,6 +320,7 @@ mod tests {
             "prev_membership",
             "verify_either",
             "CurrStateViews",
+            "LastBuilt",
         ];
         for (file, text) in DOCS {
             for name in retired {

@@ -30,9 +30,8 @@ use crate::messages::{AvaMsg, RoundPackage};
 use crate::replica::Replica;
 use ava_consensus::{TotalOrderBroadcast, WireSize};
 use ava_simnet::{Actor, CapturedSend, Context, SimMessage};
-use ava_state::{KvEntry, StateSnapshot};
 use ava_store::Checkpoint;
-use ava_types::{Reconfig, ReplicaId};
+use ava_types::{ClientId, Reconfig, ReplicaId, Transaction};
 use std::sync::Arc;
 
 /// A Byzantine behavior a corrupted replica exhibits from its corruption time
@@ -206,30 +205,16 @@ fn tamper(package: &RoundPackage) -> RoundPackage {
     )
 }
 
-/// A self-consistent checkpoint lie: tampered state, digest recomputed over the
-/// tampered content. Passes `Checkpoint::verify()`; only `f + 1` digest
+/// A self-consistent checkpoint lie: a fork of the genuine state with one
+/// more write to key `u64::MAX` (8 value bytes under KV), digest computed over
+/// the forked content. Passes `Checkpoint::verify()`; only `f + 1` digest
 /// agreement across distinct senders exposes it.
 fn lying_checkpoint(genuine: &Checkpoint) -> Checkpoint {
-    let state = match &genuine.state {
-        StateSnapshot::Counter(map) => {
-            let mut map = map.clone();
-            let poisoned = map.get(&u64::MAX).copied().unwrap_or(0) + 1;
-            map.insert(u64::MAX, poisoned);
-            StateSnapshot::Counter(map)
-        }
-        StateSnapshot::Kv(map) => {
-            let mut map = map.clone();
-            let version = map.get(&u64::MAX).map(|e| e.version).unwrap_or(0) + 1;
-            map.insert(
-                u64::MAX,
-                KvEntry::new(u64::MAX, version, genuine.round.0, [0xab; 8].into()),
-            );
-            StateSnapshot::Kv(map)
-        }
-    };
+    let mut forked = genuine.state.machine().fork();
+    forked.apply(genuine.round, &Transaction::write(ClientId(u32::MAX), 0, u64::MAX, 8));
     Checkpoint::new(
         genuine.round,
-        state,
+        forked.snapshot(),
         genuine.membership.clone(),
         genuine.leader_ts,
         genuine.next_height,
@@ -412,7 +397,7 @@ mod tests {
     fn lying_checkpoints_are_self_consistent_but_digest_distinct() {
         let genuine = Checkpoint::new(
             ava_types::Round(6),
-            StateSnapshot::Counter(std::collections::BTreeMap::from([(1, 2), (3, 4)])),
+            ava_state::StateSnapshot::counters([(1, 2), (3, 4)]),
             ava_types::Membership::new(),
             9,
             18,

@@ -439,7 +439,7 @@ mod tests {
     /// A checkpoint of `round`; `salt` varies the state, so two salts are two
     /// digests for one round.
     fn checkpoint(round: u64, salt: u64) -> Arc<Checkpoint> {
-        let state = StateSnapshot::Counter([(salt, salt)].into_iter().collect());
+        let state = StateSnapshot::counters([(salt, salt)]);
         Arc::new(Checkpoint::new(Round(round), state, membership(), 0, round * 10))
     }
 
@@ -627,7 +627,7 @@ mod tests {
         let (cp, suffix) = reply(Some(&store), &m, executed());
         assert_eq!(
             (cp.round, cp.state.clone()),
-            (Round(0), StateSnapshot::Counter(Default::default()))
+            (Round(0), StateSnapshot::empty(StateMachineKind::Counter))
         );
         assert_eq!(suffix.len(), 3);
         // With one: it and the log after it.

@@ -325,7 +325,8 @@ pub enum AvaMsg<TM> {
     /// State transfer to a joining replica (Alg. 10 line 33).
     CurrState {
         /// The sender's full state-machine snapshot (counter or keyed KV,
-        /// matching the deployment's configured machine).
+        /// matching the deployment's configured machine): its own state
+        /// version, shared with its live state rather than copied.
         state: StateSnapshot,
         /// The sender's membership views, boxed so this (largest) variant does
         /// not inflate every `AvaMsg` moved through the event queue. The joiner

@@ -27,15 +27,16 @@
 //! deployment that apply the same rounds share one executed result.
 //!
 //! [`StateSnapshot`] is the point-in-time image both machines produce and
-//! restore from — KV values are `Arc`-shared with the live pages, not copied;
-//! `ava-store` folds it into digest-certified checkpoints (over the cached
-//! leaves, which a receiver recomputes before trusting).
+//! restore from: the machine's own version, taken in O(1) and sharing every
+//! page with the live state until a write copies one; `ava-store` folds it
+//! into digest-certified checkpoints (over the cached leaves, which a
+//! receiver recomputes before trusting).
 
 pub mod machine;
 pub mod snapshot;
 
 pub use machine::{
     machine_for, ApplyOutcome, CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind,
-    StateVersion,
+    StateVersion, WeakStateVersion,
 };
 pub use snapshot::{machine_from_snapshot, StateSnapshot};

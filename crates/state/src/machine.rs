@@ -7,7 +7,7 @@ use ava_types::{Round, Transaction, TxKind};
 use std::any::Any;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Which replicated state machine a deployment executes against.
 ///
@@ -88,7 +88,9 @@ pub trait StateMachine: Send {
     /// per-entry SHA-256 hashes).
     fn digest(&self) -> [u8; 32];
 
-    /// A serialisable point-in-time image of the state.
+    /// A point-in-time image of the state, in O(1): the image holds this
+    /// very version (see [`StateSnapshot`]), so later writes to the machine
+    /// copy what they touch and leave the image as it was.
     fn snapshot(&self) -> StateSnapshot;
 
     /// An independent working copy of this machine, in O(1): it shares the
@@ -120,6 +122,29 @@ impl StateVersion {
     /// Whether both handles name the very same root.
     pub fn same(&self, other: &StateVersion) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// A handle on this version that does not keep its state alive.
+    pub fn downgrade(&self) -> WeakStateVersion {
+        WeakStateVersion(Arc::downgrade(&self.0))
+    }
+}
+
+/// A [`StateVersion`] that pins nothing: once the last owner of the root
+/// drops, the root's pages and values are freed, and only the root's
+/// allocation (a few words) stays reserved while this handle lives.
+/// [`WeakStateVersion::names`] is as exact as [`StateVersion::same`]: no
+/// other root can be allocated at the reserved address, and a root observed by
+/// a weak handle is never written in place — `Arc::make_mut` moves a sole
+/// owner's root to a new allocation when weak handles exist, so the write
+/// lands at another address and this handle names a dead version.
+#[derive(Clone, Debug)]
+pub struct WeakStateVersion(Weak<dyn Any + Send + Sync>);
+
+impl WeakStateVersion {
+    /// Whether `version` is the very root this handle was taken from.
+    pub fn names(&self, version: &StateVersion) -> bool {
+        std::ptr::addr_eq(self.0.as_ptr(), Arc::as_ptr(&version.0))
     }
 }
 
@@ -162,7 +187,7 @@ thread_local! {
 }
 
 /// The legacy placeholder machine: `key → write counter`. Kept bit-compatible
-/// with the pre-`ava-state` execution layer — same snapshot map, same
+/// with the pre-`ava-state` execution layer — same snapshot entries, same
 /// snapshot byte stream, zero value bytes. Its digest is computed on demand,
 /// not incrementally: counter deployments never emit `StateDigest` outputs, so
 /// a per-write hash would tax the hot execute loop for a value nobody reads
@@ -178,9 +203,9 @@ thread_local! {
 /// per-key `BTreeMap<u64, u64>` walked a cold 100 000-entry tree once per
 /// write. A count of zero means "absent" (`apply` only ever increments, so a
 /// present key is never zero), and [`StateMachine::entries`] is a running
-/// count. Everything observable — `entries()`, `digest()`, the
-/// `StateSnapshot::Counter` map — is produced by in-order iteration over the
-/// non-zero slots, so it is what the per-key map produced, byte for byte.
+/// count. Everything observable — `entries()`, `digest()`, the snapshot's
+/// byte stream — is produced by in-order iteration over the non-zero slots,
+/// so it is what the per-key map produced, byte for byte.
 /// The page map and the pages are `Arc`-shared copy-on-write (see
 /// [`StateMachine`]).
 ///
@@ -207,15 +232,15 @@ impl Default for CounterMachine {
 }
 
 impl CounterMachine {
-    /// Restore from a counter snapshot map, as a version of its own. A zero
+    /// Build from `(key, counter)` pairs, as a version of its own. A zero
     /// counter is unrepresentable (no apply history produces one) and is
     /// dropped.
-    pub fn from_state(state: BTreeMap<u64, u64>) -> Self {
+    pub fn from_state(state: impl IntoIterator<Item = (u64, u64)>) -> Self {
         let mut restored = CounterState::default();
         for (key, count) in state {
             if count > 0 {
-                *restored.slot(key) = count;
-                restored.entries += 1;
+                let first = std::mem::replace(restored.slot(key), count) == 0;
+                restored.entries += first as u64;
             }
         }
         CounterMachine { state: Arc::new(restored) }
@@ -230,7 +255,7 @@ impl CounterMachine {
     }
 
     /// The present `(key, count)` pairs in ascending key order.
-    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.state.pages.iter().flat_map(|(page, slots)| {
             let base = page << PAGE_BITS;
             slots
@@ -303,7 +328,7 @@ impl StateMachine for CounterMachine {
     }
 
     fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot::Counter(self.iter().collect())
+        StateSnapshot::Counter(self.clone())
     }
 
     fn fork(&self) -> Box<dyn StateMachine> {
@@ -392,19 +417,31 @@ impl Default for KvMachine {
 }
 
 impl KvMachine {
-    /// Restore from a KV snapshot map that came from elsewhere (a peer, the
-    /// store), as a version of its own, recomputing every leaf, the set-hash
+    /// Restore from entries that came from elsewhere (a peer, the store), as
+    /// a version of its own, recomputing every leaf, the set-hash
     /// accumulator and the byte total from the bytes (O(state), paid once at
     /// adoption time). The value bytes themselves stay shared with the
-    /// snapshot.
-    pub fn from_state(entries: BTreeMap<u64, KvEntry>) -> Self {
-        let mut state = KvState { entries: entries.len() as u64, ..KvState::default() };
-        let mut pages: BTreeMap<u64, KvPage> = BTreeMap::new();
-        for (k, mut e) in entries {
+    /// entries given. A key given twice keeps its last entry.
+    pub fn from_state(entries: impl IntoIterator<Item = (u64, KvEntry)>) -> Self {
+        Self::build(entries.into_iter().map(|(k, mut e)| {
             e.leaf = e.leaf_for(k);
+            (k, e)
+        }))
+    }
+
+    /// Entries exactly as given, cached leaves included and untrusted, as a
+    /// version of its own: the accumulator folds the given leaves. For
+    /// images of state from elsewhere (see [`StateSnapshot::kv_entries`]).
+    pub(crate) fn build(entries: impl IntoIterator<Item = (u64, KvEntry)>) -> Self {
+        let mut pages: BTreeMap<u64, KvPage> = BTreeMap::new();
+        for (k, e) in entries {
+            pages.entry(k >> PAGE_BITS).or_default().insert(k, e);
+        }
+        let mut state = KvState::default();
+        for e in pages.values().flat_map(BTreeMap::values) {
+            state.entries += 1;
             xor_acc(&mut state.acc, &e.leaf);
             state.value_bytes += e.value.len() as u64;
-            pages.entry(k >> PAGE_BITS).or_default().insert(k, e);
         }
         state.pages = pages.into_iter().map(|(page, entries)| (page, Arc::new(entries))).collect();
         KvMachine { state: Arc::new(state) }
@@ -508,7 +545,7 @@ impl StateMachine for KvMachine {
     }
 
     fn snapshot(&self) -> StateSnapshot {
-        StateSnapshot::Kv(self.iter().map(|(k, e)| (k, e.clone())).collect())
+        StateSnapshot::Kv(self.clone())
     }
 
     fn fork(&self) -> Box<dyn StateMachine> {
@@ -564,7 +601,7 @@ mod tests {
             }
             // `from_state` must not lean on what the entries cached.
             let foreign = live.iter().map(|(k, e)| (k, KvEntry { leaf: [0; 32], ..e.clone() }));
-            assert_eq!(KvMachine::from_state(foreign.collect()), live);
+            assert_eq!(KvMachine::from_state(foreign), live);
         }
     }
 
@@ -573,10 +610,11 @@ mod tests {
         let mut m = KvMachine::default();
         m.apply(Round(1), &write(0, 7, 256));
         let StateSnapshot::Kv(snap) = m.snapshot() else { panic!("kv snapshot") };
-        let restored = KvMachine::from_state(snap.clone());
+        let restored = KvMachine::from_state(snap.iter().map(|(k, e)| (k, e.clone())));
         let mut fork = m.fork();
         let live = &m.get(7).expect("written").value;
-        assert!(Arc::ptr_eq(live, &snap[&7].value), "a snapshot must not copy value bytes");
+        let snapped = || snap.get(7).expect("in the snapshot");
+        assert!(Arc::ptr_eq(live, &snapped().value), "a snapshot must not copy value bytes");
         assert!(Arc::ptr_eq(live, &restored.get(7).expect("restored").value));
         assert_eq!(restored, m);
 
@@ -587,7 +625,7 @@ mod tests {
         assert_eq!(m.digest(), before);
         assert_ne!(fork.digest(), before);
         m.apply(Round(3), &write(2, 7, 32));
-        assert_eq!((snap[&7].version, snap[&7].value.len()), (1, 256));
+        assert_eq!((snapped().version, snapped().value.len()), (1, 256));
         assert_eq!((fork.read_len(7), fork.value_bytes()), (64, 64));
         let mut replayed = KvMachine::default();
         replayed.apply(Round(1), &write(0, 7, 256));
@@ -624,6 +662,22 @@ mod tests {
         }
         check::<CounterMachine>();
         check::<KvMachine>();
+    }
+
+    #[test]
+    fn a_weak_version_pins_nothing_and_sees_no_write_in_place() {
+        let mut m: KvMachine = populated(2);
+        let weak = m.version().downgrade();
+        assert!(weak.names(&m.version()));
+        let old_value = Arc::downgrade(&m.get(6).expect("populated").value);
+        // `m` is the root's sole owner, so without the weak handle this write
+        // would land in place; with it, the root moves and the version dies.
+        m.apply(Round(2), &write(1, 6, 32));
+        assert!(!weak.names(&m.version()), "a write moved the root");
+        assert!(old_value.upgrade().is_none(), "the old version and its value are freed");
+        // A version allocated afterwards is another one.
+        let fresh: KvMachine = populated(2);
+        assert!(!weak.names(&fresh.version()));
     }
 
     #[test]
@@ -737,7 +791,7 @@ mod tests {
         m.apply(Round(1), &write(0, 7, 1024));
         m.apply(Round(2), &write(1, 7, 1024));
         m.apply(Round(2), &write(2, 9, 1024));
-        assert_eq!(m.snapshot(), StateSnapshot::Counter(BTreeMap::from([(7, 2), (9, 1)])));
+        assert_eq!(m.snapshot(), StateSnapshot::counters([(7, 2), (9, 1)]));
         assert_eq!(m.value_bytes(), 0, "counter writes carry no value bytes");
         assert_eq!(m.read_len(7), 0, "counter reads return no value bytes");
         // Reads are defensive no-ops.
@@ -799,7 +853,7 @@ mod tests {
             assert_eq!(live.digest(), model_digest);
             let snapshot = live.snapshot();
             assert_eq!(snapshot.wire_bytes(), model.len() * 16);
-            assert_eq!(snapshot, StateSnapshot::Counter(model.clone()));
+            assert_eq!(snapshot, StateSnapshot::counters(model.clone()));
 
             let restored = CounterMachine::from_state(model.clone());
             assert_eq!(restored, live, "from_state(snapshot) must rebuild the same table");
@@ -811,7 +865,7 @@ mod tests {
             assert_eq!(live.snapshot(), snapshot, "a write to the fork reached the original");
             live.apply(Round(99), &write(n as u64 + 1, live_key, 64));
             *model.entry(fork_key).or_insert(0) += 1;
-            assert_eq!(fork.snapshot(), StateSnapshot::Counter(model));
+            assert_eq!(fork.snapshot(), StateSnapshot::counters(model));
         }
     }
 
@@ -915,7 +969,9 @@ mod tests {
 
         // Restoring from the snapshot recomputes the identical digest.
         let restored = match a.snapshot() {
-            StateSnapshot::Kv(entries) => KvMachine::from_state(entries),
+            StateSnapshot::Kv(image) => {
+                KvMachine::from_state(image.iter().map(|(k, e)| (k, e.clone())))
+            }
             s => panic!("kv machine must produce a kv snapshot, got {s:?}"),
         };
         assert_eq!(restored.digest(), a.digest());

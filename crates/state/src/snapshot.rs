@@ -1,91 +1,118 @@
 //! Point-in-time state images.
 //!
 //! A [`StateSnapshot`] is what a checkpoint folds (see `ava-store`) and what a
-//! recovering replica restores a machine from. The **counter** variant's hash
-//! and wire-size contributions are bit-identical to the pre-`ava-state`
-//! checkpoint format, which is what keeps the historical determinism goldens
-//! byte-stable. The **kv** variant carries real value bytes, so checkpoint
-//! sizes, catch-up transfer accounting and digests are all meaningful; those
-//! bytes are `Arc`-shared with the machine the snapshot was taken from, so a
-//! snapshot costs one pass over the entries, not a copy of the values. A
-//! snapshot travels as that in-memory object (a catch-up reply carries the
-//! checkpoint behind one `Arc`, charged by its wire size at the receiver);
-//! there is no byte
-//! serialisation.
+//! recovering replica restores a machine from. It *is* the machine's version:
+//! each variant holds a [`CounterMachine`] or [`KvMachine`] value, one `Arc`
+//! root, so [`StateMachine::snapshot`] clones a pointer, and every checkpoint,
+//! catch-up reply and `CurrState` taken from one version shares one set of
+//! pages. A retained image pins the pages of its version — the ones later
+//! writes to the live machine copied instead of writing in place. The
+//! **counter** variant's hash and wire-size contributions are bit-identical
+//! to the pre-`ava-state` checkpoint format, which is what keeps the
+//! historical determinism goldens byte-stable. The **kv** variant carries real
+//! value bytes, so checkpoint sizes, catch-up transfer accounting and digests
+//! are all meaningful. A snapshot travels as that in-memory object (a catch-up
+//! reply carries the checkpoint behind one `Arc`, charged by its wire size at
+//! the receiver); there is no byte serialisation.
 
-use crate::machine::{CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind};
+use crate::machine::{
+    CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind, StateVersion,
+};
 use ava_types::EncodeSink;
-use std::collections::BTreeMap;
 
-/// A point-in-time image of a state machine's replicated state.
+/// A point-in-time image of a state machine's replicated state: the machine's
+/// own copy-on-write version (see the module docs). An image of state from
+/// elsewhere is built with [`StateSnapshot::counters`] or
+/// [`StateSnapshot::kv_entries`], which take what they are given on trust —
+/// check [`StateSnapshot::leaves_valid`] before relying on its cached leaves.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StateSnapshot {
     /// Legacy counter state: key → write counter.
-    Counter(BTreeMap<u64, u64>),
+    Counter(CounterMachine),
     /// Keyed KV state: key → versioned value entry.
-    Kv(BTreeMap<u64, KvEntry>),
+    Kv(KvMachine),
 }
 
 impl StateSnapshot {
-    /// An empty snapshot of `kind` (the round-0 catch-up anchor).
+    /// An empty snapshot of `kind` (the round-0 catch-up anchor): the
+    /// thread's shared empty version.
     pub fn empty(kind: StateMachineKind) -> Self {
         match kind {
-            StateMachineKind::Counter => StateSnapshot::Counter(BTreeMap::new()),
-            StateMachineKind::Kv => StateSnapshot::Kv(BTreeMap::new()),
+            StateMachineKind::Counter => StateSnapshot::Counter(CounterMachine::default()),
+            StateMachineKind::Kv => StateSnapshot::Kv(KvMachine::default()),
         }
+    }
+
+    /// A counter image of `pairs` (key → write counter), as a version of its
+    /// own. A zero counter is unrepresentable and is dropped.
+    pub fn counters(pairs: impl IntoIterator<Item = (u64, u64)>) -> Self {
+        StateSnapshot::Counter(CounterMachine::from_state(pairs))
+    }
+
+    /// A KV image of `entries` exactly as given — cached leaves included, and
+    /// untrusted — as a version of its own. A key given twice keeps its last
+    /// entry.
+    pub fn kv_entries(entries: impl IntoIterator<Item = (u64, KvEntry)>) -> Self {
+        StateSnapshot::Kv(KvMachine::build(entries))
+    }
+
+    /// The machine value the image holds.
+    pub fn machine(&self) -> &dyn StateMachine {
+        match self {
+            StateSnapshot::Counter(m) => m,
+            StateSnapshot::Kv(m) => m,
+        }
+    }
+
+    /// The version the image holds (see [`StateVersion`]).
+    pub fn version(&self) -> StateVersion {
+        self.machine().version()
     }
 
     /// Which machine kind produced (and can restore from) this snapshot.
     pub fn kind(&self) -> StateMachineKind {
-        match self {
-            StateSnapshot::Counter(_) => StateMachineKind::Counter,
-            StateSnapshot::Kv(_) => StateMachineKind::Kv,
-        }
+        self.machine().kind()
     }
 
-    /// Number of keys in the snapshot.
+    /// Number of keys in the snapshot: the machine's running count, O(1).
     pub fn entries(&self) -> usize {
-        match self {
-            StateSnapshot::Counter(state) => state.len(),
-            StateSnapshot::Kv(state) => state.len(),
-        }
+        self.machine().entries() as usize
     }
 
-    /// Approximate wire size of the snapshot body in bytes. The counter
-    /// variant is exactly the legacy `state.len() * 16` so historical transfer
-    /// accounting (and the goldens that pin it) is unchanged.
+    /// Approximate wire size of the snapshot body in bytes, O(1) from the
+    /// running totals: [`KvEntry::wire_bytes`] per KV entry (28 bytes plus
+    /// the value), and exactly the legacy 16 bytes per counter entry, so
+    /// historical transfer accounting (and the goldens that pin it) is
+    /// unchanged.
     pub fn wire_bytes(&self) -> usize {
         match self {
-            StateSnapshot::Counter(state) => state.len() * 16,
-            StateSnapshot::Kv(state) => state.values().map(KvEntry::wire_bytes).sum(),
+            StateSnapshot::Counter(m) => m.entries() as usize * 16,
+            StateSnapshot::Kv(m) => m.entries() as usize * 28 + m.value_bytes() as usize,
         }
     }
 
     /// Feed the snapshot's canonical byte stream into `out` — a running hash,
-    /// or a buffer when the stream itself is wanted (`ava-store` compares the
-    /// stream of a checkpoint it is about to build with the last one it
-    /// hashed; both get their bytes here, so "same stream" and "same bytes
-    /// fed to the hasher" cannot come apart). The counter stream (length +
-    /// key/counter pairs, all LE) is byte-identical to the legacy checkpoint
-    /// digest input. The kv stream is two-level: domain tag, length, then
-    /// `(key, leaf)` per entry, where the leaf is the entry's cached SHA-256
-    /// — 40 bytes per entry instead of the value bytes, and as
-    /// collision-resistant as hashing them inline. It trusts the cached
-    /// leaves: check [`StateSnapshot::leaves_valid`] first on a snapshot this
-    /// process did not take itself.
+    /// or a buffer when the stream itself is wanted — walking the pages in key
+    /// order. The counter stream (length + key/counter pairs, all LE) is
+    /// byte-identical to the legacy checkpoint digest input. The kv stream is
+    /// two-level: domain tag, length, then `(key, leaf)` per entry, where the
+    /// leaf is the entry's cached SHA-256 — 40 bytes per entry instead of the
+    /// value bytes, and as collision-resistant as hashing them inline. It
+    /// trusts the cached leaves: check [`StateSnapshot::leaves_valid`] first
+    /// on a snapshot this process did not take itself.
     pub fn hash_into(&self, out: &mut impl EncodeSink) {
         match self {
-            StateSnapshot::Counter(state) => {
-                out.write(&(state.len() as u64).to_le_bytes());
-                for (k, v) in state {
+            StateSnapshot::Counter(m) => {
+                out.write(&m.entries().to_le_bytes());
+                for (k, v) in m.iter() {
                     out.write(&k.to_le_bytes());
                     out.write(&v.to_le_bytes());
                 }
             }
-            StateSnapshot::Kv(state) => {
+            StateSnapshot::Kv(m) => {
                 out.write(b"kv-state-v2");
-                out.write(&(state.len() as u64).to_le_bytes());
-                for (k, e) in state {
+                out.write(&m.entries().to_le_bytes());
+                for (k, e) in m.iter() {
                     out.write(&k.to_le_bytes());
                     out.write(&e.leaf);
                 }
@@ -101,19 +128,21 @@ impl StateSnapshot {
     pub fn leaves_valid(&self) -> bool {
         match self {
             StateSnapshot::Counter(_) => true,
-            StateSnapshot::Kv(state) => state.iter().all(|(k, e)| e.leaf == e.leaf_for(*k)),
+            StateSnapshot::Kv(m) => m.iter().all(|(k, e)| e.leaf == e.leaf_for(k)),
         }
     }
 }
 
-/// Build a machine pre-loaded with `snapshot`'s state (leaves, digest and
-/// byte totals recomputed from the bytes, so it agrees with peers that
-/// executed the full history whatever the snapshot's sender cached). For a
-/// copy of a machine's own state use [`StateMachine::fork`].
+/// Build a machine pre-loaded with `snapshot`'s state, as a version of its
+/// own (leaves, digest and byte totals recomputed from the bytes, so it agrees
+/// with peers that executed the full history whatever the snapshot's sender
+/// cached). For a copy of a machine's own state use [`StateMachine::fork`].
 pub fn machine_from_snapshot(snapshot: &StateSnapshot) -> Box<dyn StateMachine> {
     match snapshot {
-        StateSnapshot::Counter(state) => Box::new(CounterMachine::from_state(state.clone())),
-        StateSnapshot::Kv(state) => Box::new(KvMachine::from_state(state.clone())),
+        StateSnapshot::Counter(m) => Box::new(CounterMachine::from_state(m.iter())),
+        StateSnapshot::Kv(m) => {
+            Box::new(KvMachine::from_state(m.iter().map(|(k, e)| (k, e.clone()))))
+        }
     }
 }
 
@@ -126,6 +155,7 @@ mod tests {
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     /// A deterministic random op sequence: the "log" the property tests replay.
     fn random_ops(seed: u64, n: usize) -> Vec<(Round, Transaction)> {
@@ -184,10 +214,10 @@ mod tests {
     /// `(key, counter | leaf)` pairs.
     fn committed_pairs(snapshot: &StateSnapshot) -> (StateMachineKind, Vec<(u64, Vec<u8>)>) {
         let pairs = match snapshot {
-            StateSnapshot::Counter(state) => {
-                state.iter().map(|(k, v)| (*k, v.to_le_bytes().to_vec())).collect()
+            StateSnapshot::Counter(m) => {
+                m.iter().map(|(k, v)| (k, v.to_le_bytes().to_vec())).collect()
             }
-            StateSnapshot::Kv(state) => state.iter().map(|(k, e)| (*k, e.leaf.to_vec())).collect(),
+            StateSnapshot::Kv(m) => m.iter().map(|(k, e)| (k, e.leaf.to_vec())).collect(),
         };
         (snapshot.kind(), pairs)
     }
@@ -206,10 +236,9 @@ mod tests {
             n in 1usize..60,
             change in 0u32..7,
         ) {
-            // `ava-store` reuses a checkpoint digest when the stream written
-            // into a buffer equals the last one hashed. That is sound only if
-            // the buffer holds exactly what the hasher is fed, and useful only
-            // if snapshots that commit to the same pairs write the same bytes.
+            // A checkpoint digest is the SHA-256 of this stream: a buffer must
+            // hold exactly what the hasher is fed, and two snapshots must write
+            // the same bytes exactly when they commit to the same pairs.
             let kind = if seed % 2 == 0 { StateMachineKind::Kv } else { StateMachineKind::Counter };
             // Key 7 is always present, so no state is empty.
             let mut ops = random_ops(seed, n);
@@ -217,7 +246,7 @@ mod tests {
             let a = replay(kind, &ops).snapshot();
             let mut later = replay(kind, &ops);
             let b = match change {
-                // The same state, built again (KV: other `Arc`s, equal leaves).
+                // The same state, built again (another version, equal leaves).
                 0 => later.snapshot(),
                 // One pair rewritten, one pair added.
                 1 | 2 => {
@@ -228,19 +257,16 @@ mod tests {
                 }
                 // One pair gone; one pair under another key.
                 3 | 4 => match later.snapshot() {
-                    StateSnapshot::Counter(mut state) => {
-                        let (_, v) = state.pop_first().expect("key 7");
-                        if change == 4 {
-                            state.insert(2_000, v);
-                        }
-                        StateSnapshot::Counter(state)
+                    StateSnapshot::Counter(m) => {
+                        let (_, v) = m.iter().next().expect("key 7");
+                        let moved = (change == 4).then_some((2_000, v));
+                        StateSnapshot::counters(m.iter().skip(1).chain(moved))
                     }
-                    StateSnapshot::Kv(mut state) => {
-                        let (_, e) = state.pop_first().expect("key 7");
-                        if change == 4 {
-                            state.insert(2_000, e);
-                        }
-                        StateSnapshot::Kv(state)
+                    StateSnapshot::Kv(m) => {
+                        let (_, e) = m.iter().next().expect("key 7");
+                        let moved = (change == 4).then(|| (2_000, e.clone()));
+                        let kept = m.iter().skip(1).map(|(k, e)| (k, e.clone()));
+                        StateSnapshot::kv_entries(kept.chain(moved))
                     }
                 },
                 // The other machine's image of the same log; an empty one.
@@ -264,6 +290,97 @@ mod tests {
                 "change {change}: equal streams must mean equal committed pairs, and back"
             );
             assert_eq!(stream(&a) == stream(&b), change == 0, "change {change}");
+        }
+    }
+
+    /// What a per-entry model of `ops` holds: key → write counter, and key →
+    /// (version, last-writer round, value size).
+    #[allow(clippy::type_complexity)]
+    fn model(ops: &[(Round, Transaction)]) -> (BTreeMap<u64, u64>, BTreeMap<u64, (u64, u64, u32)>) {
+        let (mut counters, mut kv) = (BTreeMap::new(), BTreeMap::new());
+        for (round, tx) in ops {
+            let (keys, size) = match &tx.kind {
+                TxKind::Write { key, value_size } => (vec![*key], *value_size),
+                TxKind::MultiWrite { keys, value_size } => (keys.clone(), *value_size),
+                TxKind::Read { .. } | TxKind::Scan { .. } => continue,
+            };
+            for key in keys {
+                *counters.entry(key).or_insert(0) += 1;
+                let entry = kv.entry(key).or_insert((0, 0, 0));
+                *entry = (entry.0 + 1, round.0, size);
+            }
+        }
+        (counters, kv)
+    }
+
+    /// `entries()`, `wire_bytes()` and the `hash_into` stream of a model,
+    /// recomputed entry by entry from the bytes.
+    fn model_accounting(
+        kind: StateMachineKind,
+        ops: &[(Round, Transaction)],
+    ) -> (usize, usize, Vec<u8>) {
+        let (counters, kv) = model(ops);
+        let mut stream = Vec::new();
+        match kind {
+            StateMachineKind::Counter => {
+                stream.extend((counters.len() as u64).to_le_bytes());
+                for (k, v) in &counters {
+                    stream.extend(k.to_le_bytes());
+                    stream.extend(v.to_le_bytes());
+                }
+                (counters.len(), counters.len() * 16, stream)
+            }
+            StateMachineKind::Kv => {
+                stream.extend(b"kv-state-v2");
+                stream.extend((kv.len() as u64).to_le_bytes());
+                let mut wire = 0;
+                for (&k, &(version, round, size)) in &kv {
+                    let value = KvMachine::fill_value(k, version, size);
+                    let mut leaf = Sha256::new();
+                    leaf.update(b"ava-kv-entry");
+                    leaf.update(&k.to_le_bytes());
+                    leaf.update(&version.to_le_bytes());
+                    leaf.update(&round.to_le_bytes());
+                    leaf.update(&size.to_le_bytes());
+                    leaf.update(&value);
+                    stream.extend(k.to_le_bytes());
+                    stream.extend(leaf.finalize());
+                    wire += 8 + 8 + 8 + 4 + value.len();
+                }
+                (kv.len(), wire, stream)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn image_accounting_equals_a_per_entry_recompute(
+            seed in 0u64..1_000_000,
+            n in 0usize..120,
+            later in 1usize..40,
+        ) {
+            // The totals an image reports in O(1) and the stream it hashes,
+            // against a model rebuilt entry by entry; and an image taken
+            // before later writes keeps reporting the state it was taken of.
+            let ops = random_ops(seed, n + later);
+            for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
+                let mut live = replay(kind, &ops[..n]);
+                let image = live.snapshot();
+                let check = |image: &StateSnapshot, ops: &[(Round, Transaction)]| {
+                    let (entries, wire, model_stream) = model_accounting(kind, ops);
+                    assert_eq!(image.entries(), entries, "{kind:?}: entries");
+                    assert_eq!(image.wire_bytes(), wire, "{kind:?}: wire bytes");
+                    assert_eq!(stream(image), model_stream, "{kind:?}: stream");
+                    assert!(image.leaves_valid());
+                };
+                check(&image, &ops[..n]);
+                for (round, tx) in &ops[n..] {
+                    live.apply(*round, tx);
+                }
+                check(&live.snapshot(), &ops);
+                check(&image, &ops[..n]);
+            }
         }
     }
 

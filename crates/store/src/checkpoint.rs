@@ -9,10 +9,10 @@
 //! correct (BFT-SMaRt's collaborative state transfer uses the same argument).
 
 use ava_crypto::{Digest, Sha256};
-use ava_state::StateSnapshot;
+use ava_state::{StateSnapshot, WeakStateVersion};
 use ava_types::{EncodeSink, Membership, ReplicaId, Round};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 /// A snapshot of the replicated state after executing round [`Checkpoint::round`].
@@ -46,61 +46,55 @@ pub struct Checkpoint {
     pub digest: Digest,
 }
 
-/// The canonical byte stream a checkpoint digest is the SHA-256 of: round,
-/// `next_height`, the snapshot's stream, the membership. `BTreeMap` iteration
-/// (inside the snapshot's stream) and the membership map's sorted per-cluster
-/// member lists make it deterministic across replicas.
-fn digest_stream(
-    out: &mut impl EncodeSink,
-    round: Round,
-    state: &StateSnapshot,
-    membership: &Membership,
-    next_height: u64,
-) {
-    out.write(&round.0.to_le_bytes());
-    out.write(&next_height.to_le_bytes());
-    state.hash_into(out);
-    for (cluster, info) in membership.iter() {
-        out.write(&cluster.0.to_le_bytes());
-        out.write(&info.id.0.to_le_bytes());
-        out.write(&[info.region.index() as u8]);
-    }
-}
-
-/// The digest stream of the last checkpoint this thread *built*, with its
-/// digest. Every replica of a deployment checkpoints the same state at the
-/// same rounds, and they all live on one thread: [`Checkpoint::new`] writes
-/// out the stream it is about to hash and, when it equals this one byte for
-/// byte, takes the digest instead of hashing the same 40 bytes per entry
-/// again. A comparison of the hasher's whole input, not of a hash of it, so
-/// no collision assumption enters; the value is a pure function of the
-/// compared bytes. Consulted only when a replica builds a checkpoint of its
-/// own state: [`Checkpoint::verify`] and [`CheckpointCollector::offer`] judge
-/// checkpoints that came from elsewhere and always hash
-/// ([`Checkpoint::digest_of`]). It outlives a deployment (a thread runs them
-/// back to back) and holds one stream, so it is bounded by the largest
-/// checkpoint built.
+/// The digests of the last [`MEMO_CAPACITY`] checkpoints this thread *built*,
+/// with what each committed to. Every replica of a deployment checkpoints the
+/// same state at the same rounds, they all live on one thread, and they share
+/// one executed state version (`ava_hamava::round_memo`): [`Checkpoint::new`]
+/// takes the digest from here when the snapshot holds the very version an
+/// entry names and round, `next_height` and membership are equal by value.
+/// A round's clusters may differ in `next_height` (each packs its own block
+/// stream) and their replicas checkpoint interleaved, hence more than one
+/// entry; the capacity is a constant, never a round window, because the memo
+/// outlives a deployment (see DESIGN.md §4). The version is an identity,
+/// never a content comparison, and exact (see [`WeakStateVersion`]): a version
+/// built apart with equal content misses and is hashed, and so does every
+/// tampered image — a fork with one write, or entries given as-is, is a
+/// version of its own. The version is held weakly, so the memo pins no state:
+/// once the last checkpoint holding it drops, its pages are freed and only the
+/// root's few words stay reserved. Consulted only when a replica builds a
+/// checkpoint of its own state: [`Checkpoint::verify`] and
+/// [`CheckpointCollector::offer`] judge checkpoints that came from elsewhere
+/// and always hash ([`Checkpoint::digest_of`]). Its value is a pure function
+/// of what the key names.
 #[derive(Default)]
-struct LastBuilt {
-    /// Empty until the first build; a real stream never is (round and
-    /// `next_height` lead it), so the initial state matches nothing.
-    stream: Vec<u8>,
-    digest: Digest,
-    /// The stream under comparison, kept for its allocation.
-    scratch: Vec<u8>,
+struct DigestMemo {
+    /// Oldest first.
+    entries: VecDeque<Built>,
     reused: u64,
     built: u64,
 }
 
+/// How many built checkpoints [`DigestMemo`] remembers.
+const MEMO_CAPACITY: usize = 4;
+
+/// One built checkpoint's key and digest.
+struct Built {
+    version: WeakStateVersion,
+    round: Round,
+    next_height: u64,
+    membership: Membership,
+    digest: Digest,
+}
+
 thread_local! {
-    static LAST_BUILT: RefCell<LastBuilt> = RefCell::default();
+    static DIGEST_MEMO: RefCell<DigestMemo> = RefCell::default();
 }
 
 /// What [`Checkpoint::new`] has done on the calling thread since the thread
 /// started (see [`checkpoint_digest_stats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CheckpointDigestStats {
-    /// Digests taken from the thread's last build.
+    /// Digests taken from the thread's memo.
     pub reused: u64,
     /// Digests hashed.
     pub built: u64,
@@ -109,16 +103,18 @@ pub struct CheckpointDigestStats {
 /// The calling thread's [`CheckpointDigestStats`]. For profiles and tests:
 /// nothing in a run depends on it.
 pub fn checkpoint_digest_stats() -> CheckpointDigestStats {
-    LAST_BUILT.with_borrow(|last| CheckpointDigestStats { reused: last.reused, built: last.built })
+    DIGEST_MEMO.with_borrow(|memo| CheckpointDigestStats { reused: memo.reused, built: memo.built })
 }
 
 impl Checkpoint {
     /// Build a checkpoint of the caller's own state, with its canonical
-    /// digest: [`Checkpoint::digest_of`] the content, hashed unless the
-    /// thread's last build fed the hasher exactly the same bytes (see
-    /// `LastBuilt`). `leader_ts` is not part of the stream, so two
-    /// replicas that differ only there share a digest and each keeps its own
-    /// timestamp.
+    /// digest: [`Checkpoint::digest_of`] the content, hashed unless one of
+    /// the thread's last builds covered the same state version at the same
+    /// round, `next_height` and membership (see `DigestMemo`). `leader_ts` is
+    /// not committed, so two replicas that differ only there share a digest
+    /// and each keeps its own timestamp. The snapshot is the machine's own
+    /// version, so a checkpoint costs O(1) on a hit and pins the pages of
+    /// that version while it is retained.
     pub fn new(
         round: Round,
         state: StateSnapshot,
@@ -126,26 +122,38 @@ impl Checkpoint {
         leader_ts: u64,
         next_height: u64,
     ) -> Self {
-        let digest = LAST_BUILT.with_borrow_mut(|last| {
-            last.scratch.clear();
-            digest_stream(&mut last.scratch, round, &state, &membership, next_height);
-            if last.scratch == last.stream {
-                last.reused += 1;
-            } else {
-                last.built += 1;
-                last.digest = Digest::of_bytes(&last.scratch);
-                std::mem::swap(&mut last.stream, &mut last.scratch);
+        let version = state.version();
+        let digest = DIGEST_MEMO.with_borrow_mut(|memo| {
+            let hit = memo.entries.iter().find(|built| {
+                built.version.names(&version)
+                    && built.round == round
+                    && built.next_height == next_height
+                    && built.membership == membership
+            });
+            if let Some(built) = hit {
+                let digest = built.digest;
+                memo.reused += 1;
+                return digest;
             }
-            last.digest
+            memo.built += 1;
+            let digest = Self::digest_of(round, &state, &membership, next_height);
+            if memo.entries.len() == MEMO_CAPACITY {
+                memo.entries.pop_front();
+            }
+            let version = version.downgrade();
+            let membership = membership.clone();
+            memo.entries.push_back(Built { version, round, next_height, membership, digest });
+            digest
         });
         Checkpoint { round, state, membership, leader_ts, next_height, digest }
     }
 
     /// The canonical digest of a checkpoint's round-deterministic content,
-    /// hashed from scratch (SHA-256 of the digest stream: round, next_height,
-    /// state, membership). KV state enters as `(key, leaf)` pairs
-    /// (`StateSnapshot::hash_into`), so building a checkpoint re-reads no
-    /// value bytes. The machine's XOR set-hash is deliberately *not* the
+    /// hashed from scratch: SHA-256 over round, `next_height`, the snapshot's
+    /// stream (`StateSnapshot::hash_into`) and the membership, whose sorted
+    /// per-cluster member lists make it deterministic across replicas. KV
+    /// state enters as `(key, leaf)` pairs, so building a checkpoint re-reads
+    /// no value bytes. The machine's XOR set-hash is deliberately *not* the
     /// commitment: it is an agreement checksum among honest replicas, and a
     /// lying catch-up peer could forge a colliding state by generalised
     /// birthday search over entry hashes; a SHA-256 over the ordered leaves
@@ -157,7 +165,14 @@ impl Checkpoint {
         next_height: u64,
     ) -> Digest {
         let mut h = Sha256::new();
-        digest_stream(&mut h, round, state, membership, next_height);
+        h.write(&round.0.to_le_bytes());
+        h.write(&next_height.to_le_bytes());
+        state.hash_into(&mut h);
+        for (cluster, info) in membership.iter() {
+            h.write(&cluster.0.to_le_bytes());
+            h.write(&info.id.0.to_le_bytes());
+            h.write(&[info.region.index() as u8]);
+        }
         Digest(h.finalize())
     }
 
@@ -248,7 +263,13 @@ impl CheckpointCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_types::{ClusterId, Region, ReplicaInfo};
+    use ava_state::{
+        machine_for, machine_from_snapshot, KvEntry, KvMachine, StateMachine, StateMachineKind,
+    };
+    use ava_types::{ClientId, ClusterId, Region, ReplicaInfo, Transaction, TxKind};
+    use proptest::{proptest, ProptestConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn membership(n: u32) -> Membership {
         let mut m = Membership::new();
@@ -259,7 +280,7 @@ mod tests {
     }
 
     fn counter_state(writes: u64) -> StateSnapshot {
-        StateSnapshot::Counter((0..writes).map(|k| (k, k + 1)).collect())
+        StateSnapshot::counters((0..writes).map(|k| (k, k + 1)))
     }
 
     fn checkpoint(round: u64, writes: u64) -> Checkpoint {
@@ -267,10 +288,21 @@ mod tests {
     }
 
     fn corrupt(cp: &mut Checkpoint) {
-        let StateSnapshot::Counter(state) = &mut cp.state else {
+        let StateSnapshot::Counter(state) = &cp.state else {
             panic!("test checkpoints carry counter state");
         };
-        state.insert(99, 7); // mutate the snapshot after digest computation
+        // mutate the snapshot after digest computation
+        cp.state = StateSnapshot::counters(state.iter().chain([(99, 7)]));
+    }
+
+    /// `state`, a KV image, rebuilt from its entries as given (cached leaves
+    /// kept) after `edit`: what a peer that tampers with an image can send.
+    fn edit_kv(state: &mut StateSnapshot, edit: impl FnOnce(&mut BTreeMap<u64, KvEntry>)) {
+        let StateSnapshot::Kv(image) = &*state else { panic!("a kv snapshot") };
+        let mut entries: BTreeMap<u64, KvEntry> =
+            image.iter().map(|(k, e)| (k, e.clone())).collect();
+        edit(&mut entries);
+        *state = StateSnapshot::kv_entries(entries);
     }
 
     #[test]
@@ -296,12 +328,12 @@ mod tests {
         // snapshot must reproduce that stream exactly, or every historical
         // checkpoint digest (and the determinism goldens built on them) moves.
         let cp = checkpoint(8, 3);
+        let state: BTreeMap<u64, u64> = (0..3).map(|k| (k, k + 1)).collect();
         let mut h = Sha256::new();
         h.update(&8u64.to_le_bytes());
         h.update(&24u64.to_le_bytes());
-        let StateSnapshot::Counter(state) = &cp.state else { unreachable!() };
         h.update(&(state.len() as u64).to_le_bytes());
-        for (k, v) in state {
+        for (k, v) in &state {
             h.update(&k.to_le_bytes());
             h.update(&v.to_le_bytes());
         }
@@ -316,8 +348,6 @@ mod tests {
 
     #[test]
     fn kv_checkpoints_carry_value_bytes_and_chunk_cleanly() {
-        use ava_state::{machine_for, StateMachineKind};
-        use ava_types::{ClientId, Transaction};
         let mut m = machine_for(StateMachineKind::Kv);
         for seq in 0..40u64 {
             m.apply(Round(2), &Transaction::write(ClientId(1), seq, seq % 16, 128));
@@ -334,9 +364,8 @@ mod tests {
         assert_ne!(cp.digest, counter.digest);
     }
 
-    fn kv_checkpoint() -> (Box<dyn ava_state::StateMachine>, Checkpoint) {
-        use ava_types::{ClientId, Transaction};
-        let mut m = ava_state::machine_for(ava_state::StateMachineKind::Kv);
+    fn kv_checkpoint() -> (Box<dyn StateMachine>, Checkpoint) {
+        let mut m = machine_for(StateMachineKind::Kv);
         for key in 0..6u64 {
             m.apply(Round(2 + key % 3), &Transaction::write(ClientId(1), key, key, 100));
         }
@@ -357,8 +386,8 @@ mod tests {
         h.update(&24u64.to_le_bytes());
         let StateSnapshot::Kv(state) = &cp.state else { unreachable!() };
         h.update(b"kv-state-v2");
-        h.update(&(state.len() as u64).to_le_bytes());
-        for (k, e) in state {
+        h.update(&(state.iter().count() as u64).to_le_bytes());
+        for (k, e) in state.iter() {
             let mut leaf = Sha256::new();
             leaf.update(b"ava-kv-entry");
             leaf.update(&k.to_le_bytes());
@@ -380,23 +409,23 @@ mod tests {
 
     #[test]
     fn kv_checkpoint_is_unchanged_by_later_overwrites() {
-        use ava_types::{ClientId, Transaction};
         let (mut m, cp) = kv_checkpoint();
         // A deep copy: the value bytes themselves, not the `Arc`s that share them.
         let values = |cp: &Checkpoint| -> Vec<(u64, u64, u64, Vec<u8>)> {
             let StateSnapshot::Kv(state) = &cp.state else { unreachable!() };
             state
                 .iter()
-                .map(|(k, e)| (*k, e.version, e.last_writer_round, e.value.to_vec()))
+                .map(|(k, e)| (k, e.version, e.last_writer_round, e.value.to_vec()))
                 .collect()
         };
         let before = values(&cp);
-        // The checkpoint shares its value bytes with the live map; overwriting
-        // every key (other sizes too) must replace them there, not in place.
+        // The checkpoint holds the live machine's version; overwriting every
+        // key (other sizes too) must copy the pages, not write them in place.
         for key in 0..6u64 {
             m.apply(Round(9), &Transaction::write(ClientId(1), 10 + key, key, 40 + key as u32));
         }
         assert_eq!(values(&cp), before, "checkpoint content moved under later writes");
+        assert_eq!(cp.state.wire_bytes(), 6 * (28 + 100), "and so did its totals");
         assert!(cp.verify());
         let later = Checkpoint::new(Round(16), m.snapshot(), membership(4), 2, 48);
         assert!(later.verify());
@@ -407,7 +436,7 @@ mod tests {
     fn tampered_kv_content_fails_verification_and_the_collector() {
         // A peer pairs changed content with the honest digest and the honest
         // cached leaves; every field the leaf covers must be caught.
-        type Tamper = fn(&mut ava_state::KvEntry);
+        type Tamper = fn(&mut KvEntry);
         let tampers: [(&str, Tamper); 3] = [
             ("value byte", |e| {
                 let mut bytes = e.value.to_vec();
@@ -419,8 +448,7 @@ mod tests {
         ];
         for (what, tamper) in tampers {
             let (_, mut cp) = kv_checkpoint();
-            let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
-            tamper(state.get_mut(&3).expect("key 3 was written"));
+            edit_kv(&mut cp.state, |state| tamper(state.get_mut(&3).expect("key 3 was written")));
             assert!(!cp.verify(), "a changed {what} must fail verification");
             let mut c = CheckpointCollector::new(1);
             assert!(!c.offer(ReplicaId(1), Arc::new(cp)), "a changed {what} must not vote");
@@ -429,15 +457,17 @@ mod tests {
         // An entry moved under another key keeps a leaf that is honest for the
         // old key only.
         let (_, mut cp) = kv_checkpoint();
-        let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
-        let moved = state.remove(&3).expect("key 3 was written");
-        state.insert(33, moved);
+        edit_kv(&mut cp.state, |state| {
+            let moved = state.remove(&3).expect("key 3 was written");
+            state.insert(33, moved);
+        });
         assert!(!cp.verify());
         // And a replaced entry whose leaf is honest for its new content no
         // longer matches the digest.
         let (_, mut cp) = kv_checkpoint();
-        let StateSnapshot::Kv(state) = &mut cp.state else { unreachable!() };
-        state.insert(3, ava_state::KvEntry::new(3, 1, 2, [7u8; 100].into()));
+        edit_kv(&mut cp.state, |state| {
+            state.insert(3, KvEntry::new(3, 1, 2, [7u8; 100].into()));
+        });
         assert!(cp.state.leaves_valid() && !cp.verify());
     }
 
@@ -446,7 +476,7 @@ mod tests {
     type Committed = (Round, StateSnapshot, Membership, u64);
 
     /// `Checkpoint::new` on `args`, checked against the from-scratch digest;
-    /// also whether the digest was taken from the thread's last build.
+    /// also whether the digest was taken from the thread's memo.
     fn build(args: &Committed) -> (Checkpoint, bool) {
         let (round, state, members, next_height) = args;
         let before = checkpoint_digest_stats();
@@ -457,14 +487,8 @@ mod tests {
         (cp, after.reused == before.reused + 1)
     }
 
-    fn kv_entries(args: &mut Committed) -> &mut BTreeMap<u64, ava_state::KvEntry> {
-        let StateSnapshot::Kv(entries) = &mut args.1 else { panic!("a kv snapshot") };
-        entries
-    }
-
     #[test]
-    fn new_reuses_the_last_digest_for_the_same_stream_and_no_other() {
-        use ava_state::KvEntry;
+    fn new_reuses_the_memoised_digest_for_the_same_version_and_no_other() {
         let (_, cp) = kv_checkpoint();
         let base: Committed = (cp.round, cp.state, cp.membership, cp.next_height);
         let vary = |change: &dyn Fn(&mut Committed)| {
@@ -481,22 +505,30 @@ mod tests {
             vary(&|v| v.0 = Round(9)),
             vary(&|v| v.3 += 1),
             vary(&|v| v.2 = membership(5)),
-            vary(&|v| drop(kv_entries(v).insert(3, KvEntry::new(3, 2, 9, [7; 100].into())))),
             vary(&|v| {
-                let e = kv_entries(v).remove(&3).expect("key 3 was written");
-                let moved = KvEntry::new(33, e.version, e.last_writer_round, e.value);
-                kv_entries(v).insert(33, moved);
+                edit_kv(&mut v.1, |s| drop(s.insert(3, KvEntry::new(3, 2, 9, [7; 100].into()))))
             }),
-            vary(&|v| drop(kv_entries(v).remove(&5))),
-            vary(&|v| drop(kv_entries(v).insert(100, KvEntry::new(100, 1, 2, [1; 8].into())))),
             vary(&|v| {
-                v.1 = StateSnapshot::Counter(kv_entries(v).keys().map(|k| (*k, 1)).collect())
+                edit_kv(&mut v.1, |s| {
+                    let e = s.remove(&3).expect("key 3 was written");
+                    s.insert(33, KvEntry::new(33, e.version, e.last_writer_round, e.value));
+                })
+            }),
+            vary(&|v| edit_kv(&mut v.1, |s| drop(s.remove(&5)))),
+            vary(&|v| {
+                edit_kv(&mut v.1, |s| drop(s.insert(100, KvEntry::new(100, 1, 2, [1; 8].into()))))
+            }),
+            vary(&|v| {
+                let StateSnapshot::Kv(image) = &v.1 else { unreachable!() };
+                v.1 = StateSnapshot::counters(image.iter().map(|(k, _)| (k, 1)));
             }),
         ];
-        // Every ordered pair: the second build reuses the first's digest
-        // exactly when it repeats its arguments, and is right either way.
+        // Every ordered pair, on an empty memo: the second build reuses the
+        // first's digest exactly when it repeats its arguments, and is right
+        // either way.
         for (i, first) in variants.iter().enumerate() {
             for (j, second) in variants.iter().enumerate() {
+                DIGEST_MEMO.with_borrow_mut(|memo| memo.entries.clear());
                 let (built, _) = build(first);
                 let (again, reused) = build(second);
                 assert_eq!(reused, i == j, "variant {j} right after variant {i}");
@@ -514,29 +546,123 @@ mod tests {
         assert_eq!(other_ts.digest, first.digest);
     }
 
+    /// A deterministic random log of writes, multi-key writes and reads.
+    fn random_log(seed: u64, n: usize) -> Vec<(Round, Transaction)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n as u64)
+            .map(|seq| {
+                let (key, value_size) = (rng.gen_range(0..1_500u64), rng.gen_range(0..200u32));
+                let kind = match rng.gen_range(0..4u32) {
+                    0 => TxKind::Read { key },
+                    1 => TxKind::MultiWrite { keys: vec![key, key / 3, key * 7], value_size },
+                    _ => TxKind::Write { key, value_size },
+                };
+                let tx = Transaction {
+                    id: ava_types::TxId { client: ClientId(1), seq },
+                    kind,
+                    payload_size: 64,
+                };
+                (Round(1 + seq / 5), tx)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn a_version_built_apart_with_equal_content_is_hashed_to_the_same_digest(
+            seed in 0u64..1_000_000,
+            n in 0usize..80,
+        ) {
+            // The memo names a version, not a content: the same log replayed
+            // on another lineage misses, and hashing gives it the digest the
+            // memoised one carries.
+            let log = random_log(seed, n);
+            for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
+                let mut own = machine_for(kind);
+                let mut apart = machine_from_snapshot(&StateSnapshot::empty(kind));
+                for (round, tx) in &log {
+                    own.apply(*round, tx);
+                    apart.apply(*round, tx);
+                }
+                assert!(!apart.version().same(&own.version()));
+                let args = |m: &dyn StateMachine| (Round(8), m.snapshot(), membership(4), 24);
+                let (first, _) = build(&args(own.as_ref()));
+                let (again, reused) = build(&args(own.as_ref()));
+                assert!(reused, "{kind:?}: the same version again is a hit");
+                assert_eq!(again.digest, first.digest);
+                let (other, reused) = build(&args(apart.as_ref()));
+                assert!(!reused, "{kind:?}: a version built apart is hashed");
+                assert_eq!(other.digest, first.digest, "{kind:?}: equal content, equal digest");
+            }
+        }
+    }
+
     #[test]
     fn a_tampered_twin_of_the_checkpoint_just_built_is_still_rejected() {
         // The honest checkpoint is the thread's last build when its tampered
-        // copies are judged: `verify` and `offer` must hash what they were
-        // given, whatever this thread remembers.
-        let (_, honest) = kv_checkpoint();
+        // copies are built and judged: `new` must hash them, and `verify` and
+        // `offer` must hash what they were given, whatever this thread
+        // remembers.
+        let (machine, honest) = kv_checkpoint();
+        let honest_args: Committed =
+            (honest.round, honest.state.clone(), honest.membership.clone(), honest.next_height);
+        let mut stale_leaf = honest.state.clone();
+        edit_kv(&mut stale_leaf, |s| s.get_mut(&3).expect("key 3 was written").version += 1);
+        assert!(!stale_leaf.leaves_valid(), "entries given as-is keep a leaf their bytes lost");
+        let mut swapped = honest.state.clone();
+        edit_kv(&mut swapped, |s| drop(s.insert(3, KvEntry::new(3, 1, 2, [7u8; 100].into()))));
+        assert!(swapped.leaves_valid(), "the swapped entry's leaf is honest for its bytes");
+        let mut forked = machine.fork();
+        forked.apply(Round(8), &Transaction::write(ClientId(2), 0, 3, 100));
+        let forked = forked.snapshot();
         let mut c = CheckpointCollector::new(1);
-        let mut stale_leaf = honest.clone();
-        let StateSnapshot::Kv(state) = &mut stale_leaf.state else { unreachable!() };
-        state.get_mut(&3).expect("key 3 was written").version += 1;
-        let mut swapped = honest.clone();
-        let StateSnapshot::Kv(state) = &mut swapped.state else { unreachable!() };
-        state.insert(3, ava_state::KvEntry::new(3, 1, 2, [7u8; 100].into()));
-        assert!(swapped.state.leaves_valid(), "the swapped entry's leaf is honest for its bytes");
-        let mut moved_round = honest.clone();
-        moved_round.round = Round(16);
-        for (what, twin) in [("leaf", stale_leaf), ("entry", swapped), ("round", moved_round)] {
-            assert_eq!(twin.digest, honest.digest);
+        for (what, image) in [("leaf", stale_leaf), ("entry", swapped), ("write", forked)] {
+            // Built right after its honest twin: hashed, never the memo's.
+            build(&honest_args);
+            assert!(build(&honest_args).1, "the honest build is memoised");
+            let args = (honest.round, image.clone(), honest.membership.clone(), honest.next_height);
+            let (rebuilt, reused) = build(&args);
+            assert!(!reused, "a changed {what} took the memoised digest");
+            assert_eq!(rebuilt.digest == honest.digest, what == "leaf", "{what}");
+            // Carrying the honest digest: rejected.
+            let twin = Checkpoint { state: image, ..honest.clone() };
             assert!(!twin.verify(), "a changed {what} under the honest digest verified");
             assert!(!c.offer(ReplicaId(1), Arc::new(twin)), "a changed {what} voted");
         }
+        let mut moved_round = honest.clone();
+        moved_round.round = Round(16);
+        assert_eq!(moved_round.digest, honest.digest);
+        assert!(!moved_round.verify(), "a changed round under the honest digest verified");
+        assert!(!c.offer(ReplicaId(1), Arc::new(moved_round)), "a changed round voted");
         assert!(c.offer(ReplicaId(2), Arc::new(honest)));
-        assert_eq!((c.rejected(), c.candidates()), (3, 1));
+        assert_eq!((c.rejected(), c.candidates()), (4, 1));
+    }
+
+    #[test]
+    fn the_digest_memo_pins_no_state() {
+        let writes = |m: &mut KvMachine| {
+            for key in 0..6u64 {
+                m.apply(Round(2), &Transaction::write(ClientId(1), key, key, 100));
+            }
+        };
+        let mut m = KvMachine::default();
+        writes(&mut m);
+        let values: Vec<_> = m.iter().map(|(_, e)| Arc::downgrade(&e.value)).collect();
+        let cp = Checkpoint::new(Round(8), m.snapshot(), membership(4), 2, 24);
+        drop(m);
+        assert!(values.iter().all(|v| v.upgrade().is_some()), "the checkpoint holds its version");
+        drop(cp);
+        assert!(values.iter().all(|v| v.upgrade().is_none()), "the version's values are freed");
+        DIGEST_MEMO.with_borrow(|memo| {
+            assert!(!memo.entries.is_empty(), "while the memo keeps its entry")
+        });
+        // A version allocated afterwards, equal content and all, misses.
+        let mut again = KvMachine::default();
+        writes(&mut again);
+        let (cp, reused) = build(&(Round(8), again.snapshot(), membership(4), 24));
+        assert!(!reused);
+        assert!(cp.verify());
     }
 
     #[test]

@@ -157,7 +157,6 @@ impl<P: StoredEntry> ReplicaStore<P> {
 mod tests {
     use super::*;
     use ava_types::Membership;
-    use std::collections::BTreeMap;
 
     #[derive(Clone, Debug, PartialEq)]
     struct Entry(u64);
@@ -174,7 +173,7 @@ mod tests {
     fn checkpoint(round: u64) -> Arc<Checkpoint> {
         Arc::new(Checkpoint::new(
             Round(round),
-            ava_state::StateSnapshot::Counter(BTreeMap::new()),
+            ava_state::StateSnapshot::empty(ava_state::StateMachineKind::Counter),
             Membership::new(),
             0,
             0,

@@ -291,7 +291,7 @@ fn catch_up_replies_from_other_clusters_do_not_vote() {
     let (mut sim, _) = one_replica_among_recorders(&config, UNDER_TEST);
     sim.crash_at(UNDER_TEST, at(10));
     sim.restart_at(UNDER_TEST, at(20));
-    let forged = StateSnapshot::Counter([(7, 7)].into_iter().collect());
+    let forged = StateSnapshot::counters([(7, 7)]);
     let forged = Arc::new(Checkpoint::new(Round(50), forged, config.membership(), 0, 0));
     assert!(forged.verify(), "the forgery is self-consistent");
     let reply = || AvaMsg::CatchUpReply {

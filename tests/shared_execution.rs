@@ -10,8 +10,9 @@
 
 use hamava_repro::hamava::{executed_round_stats, StateMachineKind};
 use hamava_repro::scenario::{Protocol, Scenario};
+use hamava_repro::store::{checkpoint_digest_stats, StoreConfig};
 use hamava_repro::types::{Duration, Output, Region, SystemConfig};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs `config` fault-free and checks the memo's counters against the
 /// `RoundExecuted` outputs; returns the rounds every replica executed.
@@ -57,4 +58,44 @@ fn a_kv_deployment_executes_each_round_once() {
     let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
     let complete = rounds_shared(config, StateMachineKind::Kv, Duration::from_secs(2));
     assert!(complete >= 20, "only {complete} rounds ran");
+}
+
+/// A snapshot is the machine's own version, so the replicas that execute
+/// each round once also checkpoint one shared image, not a copy each.
+/// `Checkpoint::new` takes a digest from its memo only for the very
+/// `StateVersion` it was built from, so in a fault-free run one hash per
+/// distinct checkpoint digest, and a memo hit for every other replica, means
+/// all replicas that checkpoint a round hold the same version. A `snapshot()`
+/// that copied the state again, or a store that kept a private copy, hashes
+/// every checkpoint and fails here.
+#[test]
+fn every_replica_checkpoints_the_same_state_version() {
+    let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
+    let before = checkpoint_digest_stats();
+    let run = Scenario::builder(Protocol::AvaHotStuff, config)
+        .seed(7)
+        .state_machine(StateMachineKind::Kv)
+        .store(StoreConfig::every(8))
+        .run_for(Duration::from_secs(2))
+        .build()
+        .run();
+    let after = checkpoint_digest_stats();
+
+    // Per round: the checkpoints taken, and their digests. A round's two
+    // clusters may differ in `next_height`, which the digest commits to.
+    let mut rounds: BTreeMap<u64, (u64, BTreeSet<[u8; 32]>)> = BTreeMap::new();
+    for output in &run.outputs {
+        if let Output::CheckpointInstalled { round, digest, adopted: false, .. } = output {
+            let (taken, digests) = rounds.entry(round.0).or_default();
+            *taken += 1;
+            digests.insert(**digest);
+        }
+    }
+    let complete = rounds.values().filter(|(taken, _)| *taken == 8).count() as u64;
+    assert!(complete >= 5, "only {complete} checkpoint rounds at all 8 replicas");
+    let taken: u64 = rounds.values().map(|(taken, _)| taken).sum();
+    let digests: u64 = rounds.values().map(|(_, digests)| digests.len() as u64).sum();
+    let (reused, built) = (after.reused - before.reused, after.built - before.built);
+    assert_eq!(reused + built, taken, "one digest per checkpoint taken");
+    assert_eq!(built, digests, "one state version hashed per distinct checkpoint");
 }
