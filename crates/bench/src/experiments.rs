@@ -450,7 +450,7 @@ pub fn e4_failures(scenario_kind: FailureScenario, scale: &ExperimentScale) -> V
                     // inter-cluster broadcasts; the remote cluster must trigger the
                     // remote leader change.
                     let leader = config.initial_leader(ClusterId(0));
-                    builder.mute_inter_cluster_at(fail_at, leader)
+                    builder.corrupt_at(fail_at, leader, ByzantineBehavior::MuteInter)
                 }
             };
             let mut throughput = ThroughputObserver::new(Duration::from_secs(2));

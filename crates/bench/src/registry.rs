@@ -321,6 +321,11 @@ mod tests {
             "verify_either",
             "CurrStateViews",
             "LastBuilt",
+            "MuteInterCluster",
+            "SilenceLocalLeader",
+            "SilentLocalLeader",
+            "mute_inter_cluster_at",
+            "op_size",
         ];
         for (file, text) in DOCS {
             for name in retired {

@@ -518,14 +518,16 @@ impl InvariantChecker for BrokerConservationChecker {
 
 /// Certificate-validity soundness: honest runs never produce
 /// [`Output::ByzantineRejected`] — every emission site sits on a path only
-/// forged, tampered or lying artifacts can reach. Rejection evidence on a run
-/// whose schedule holds no `Corrupt` event, or emitted *before* the first
-/// corruption was applied, means an honest artifact failed verification: a
-/// false positive that would poison every adversary experiment built on the
-/// evidence stream.
+/// forged, tampered or lying artifacts can reach. Rejection evidence emitted
+/// before a *forging* corruption
+/// ([`ava_scenario::ByzantineBehavior::forges`]) was applied — or on a run
+/// whose schedule holds none — means an honest artifact failed verification:
+/// a false positive that would poison every adversary experiment built on the
+/// evidence stream. A replica that only withholds, replays or stays silent
+/// forges nothing, so its corruption justifies no rejection.
 #[derive(Default)]
 pub struct CertificateValidityChecker {
-    first_corrupt: Option<Time>,
+    first_forging_corrupt: Option<Time>,
     violations: Vec<Violation>,
 }
 
@@ -545,7 +547,7 @@ impl InvariantChecker for CertificateValidityChecker {
         let Output::ByzantineRejected { replica, round, kind, at, .. } = output else {
             return;
         };
-        let justified = self.first_corrupt.is_some_and(|first| *at >= first);
+        let justified = self.first_forging_corrupt.is_some_and(|first| *at >= first);
         if !justified {
             self.violations.push(Violation {
                 checker: self.name(),
@@ -554,10 +556,12 @@ impl InvariantChecker for CertificateValidityChecker {
                      material must never fail verification",
                     kind.label(),
                     at.as_secs_f64(),
-                    match self.first_corrupt {
-                        None => "no replica was ever corrupted".to_string(),
-                        Some(first) =>
-                            format!("the first corruption applies at {:.1}s", first.as_secs_f64()),
+                    match self.first_forging_corrupt {
+                        None => "no forging corruption was ever scheduled".to_string(),
+                        Some(first) => format!(
+                            "the first forging corruption applies at {:.1}s",
+                            first.as_secs_f64()
+                        ),
                     }
                 ),
             });
@@ -565,8 +569,11 @@ impl InvariantChecker for CertificateValidityChecker {
     }
 
     fn scheduled(&mut self, at: Time, event: &ScenarioEvent) {
-        if matches!(event, ScenarioEvent::Corrupt { .. }) {
-            self.first_corrupt = Some(self.first_corrupt.map_or(at, |f| f.min(at)));
+        if let ScenarioEvent::Corrupt { behavior, .. } = event {
+            if behavior.forges() {
+                self.first_forging_corrupt =
+                    Some(self.first_forging_corrupt.map_or(at, |f| f.min(at)));
+            }
         }
     }
 
@@ -990,20 +997,34 @@ mod tests {
         let mut c = CertificateValidityChecker::new();
         feed(&mut c, &[rejected(5)]);
         assert_eq!(c.violations().len(), 1);
-        assert!(c.violations()[0].details.contains("no replica was ever corrupted"));
+        assert!(c.violations()[0].details.contains("no forging corruption was ever scheduled"));
 
         // Rejection before the first corruption applies: violation.
         let mut c = CertificateValidityChecker::new();
         c.scheduled(Time::from_secs(8), &corrupt_event(ByzantineBehavior::InvalidCert));
         feed(&mut c, &[rejected(5)]);
         assert_eq!(c.violations().len(), 1);
-        assert!(c.violations()[0].details.contains("first corruption applies at 8.0s"));
+        assert!(c.violations()[0].details.contains("first forging corruption applies at 8.0s"));
 
         // Rejection after the corruption: justified.
         let mut c = CertificateValidityChecker::new();
         c.scheduled(Time::from_secs(2), &corrupt_event(ByzantineBehavior::InvalidCert));
         feed(&mut c, &[rejected(5)]);
         assert!(c.violations().is_empty());
+    }
+
+    #[test]
+    fn certificate_validity_needs_a_forging_corruption() {
+        use ava_scenario::ByzantineBehavior;
+        // A replica that withholds, replays or stays silent (`SuppressShares`,
+        // `StaleCert`, `MuteInter`, `SilentLeader`) sends nothing an honest
+        // receiver could reject, so its corruption justifies nothing.
+        for behavior in ByzantineBehavior::ALL {
+            let mut c = CertificateValidityChecker::new();
+            c.scheduled(Time::from_secs(2), &corrupt_event(behavior));
+            feed(&mut c, &[rejected(5)]);
+            assert_eq!(c.violations().is_empty(), behavior.forges(), "{behavior:?}");
+        }
     }
 
     #[test]

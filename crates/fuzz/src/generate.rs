@@ -166,7 +166,6 @@ impl FuzzCase {
         for d in [p.remote_leader_timeout, p.brd_timeout, p.local_timeout, p.leader_change_grace] {
             out.extend_from_slice(&d.as_micros().to_le_bytes());
         }
-        out.extend_from_slice(&p.op_size.to_le_bytes());
         out.push(p.parallel_reconfig_workflow as u8);
         out.extend_from_slice(&self.opts.seed.to_le_bytes());
         out.extend_from_slice(&(self.opts.clients_per_cluster as u64).to_le_bytes());
@@ -238,7 +237,6 @@ impl FuzzCase {
                 value.as_micros()
             ));
         }
-        s.push_str(&format!("config.params.op_size = {};\n", p.op_size));
         s.push_str(&format!(
             "config.params.parallel_reconfig_workflow = {};\n",
             p.parallel_reconfig_workflow
@@ -297,8 +295,6 @@ fn encode_event(out: &mut Vec<u8>, event: &ScenarioEvent) {
     match event {
         ScenarioEvent::Crash { replica }
         | ScenarioEvent::Restart { replica }
-        | ScenarioEvent::MuteInterCluster { replica }
-        | ScenarioEvent::SilenceLocalLeader { replica }
         | ScenarioEvent::Leave { replica } => out.extend_from_slice(&replica.0.to_le_bytes()),
         ScenarioEvent::Join { cluster, region } => {
             out.extend_from_slice(&cluster.0.to_le_bytes());
@@ -342,13 +338,6 @@ fn event_call(at: Time, event: &ScenarioEvent) -> String {
         ScenarioEvent::Restart { replica } => {
             format!(".restart_at({t}, ReplicaId({}))", replica.0)
         }
-        ScenarioEvent::MuteInterCluster { replica } => {
-            format!(".mute_inter_cluster_at({t}, ReplicaId({}))", replica.0)
-        }
-        ScenarioEvent::SilenceLocalLeader { replica } => format!(
-            ".at({t}, ScenarioEvent::SilenceLocalLeader {{ replica: ReplicaId({}) }})",
-            replica.0
-        ),
         ScenarioEvent::Join { cluster, region } => {
             format!(".join_at({t}, ClusterId({}), Region::{region:?})", cluster.0)
         }
@@ -558,7 +547,8 @@ impl ScheduleGenerator {
                 continue;
             };
             let at = Time::from_millis(at_ms);
-            match rng.gen_range(0u32..100) {
+            let roll = rng.gen_range(0u32..100);
+            match roll {
                 // Crash (optionally followed by a restart when the store is on —
                 // a storeless restart would re-execute from round 0).
                 0..=21 => {
@@ -580,27 +570,22 @@ impl ScheduleGenerator {
                         }
                     }
                 }
-                // Mute inter-cluster traffic (E4.3-style Byzantine).
-                22..=33 => {
+                // Withhold inter-cluster traffic (the E4.3 Byzantine leader), or
+                // silence the local ordering role.
+                22..=41 => {
                     let Some((ci, replica)) =
-                        pick_harmable(rng, config, &membership, &harmed, &harmed_replicas)
+                        pick_harmable(rng, config, &membership, harmed, harmed_replicas)
                     else {
                         continue;
                     };
                     harmed[ci] += 1;
                     harmed_replicas.insert(replica);
-                    schedule.add(at, ScenarioEvent::MuteInterCluster { replica });
-                }
-                // Silence the local ordering role.
-                34..=41 => {
-                    let Some((ci, replica)) =
-                        pick_harmable(rng, config, &membership, &harmed, &harmed_replicas)
-                    else {
-                        continue;
+                    let behavior = if roll <= 33 {
+                        ByzantineBehavior::MuteInter
+                    } else {
+                        ByzantineBehavior::SilentLeader
                     };
-                    harmed[ci] += 1;
-                    harmed_replicas.insert(replica);
-                    schedule.add(at, ScenarioEvent::SilenceLocalLeader { replica });
+                    schedule.add(at, ScenarioEvent::Corrupt { replica, behavior });
                 }
                 // Join a fresh replica.
                 42..=53 => {
@@ -783,8 +768,7 @@ mod tests {
                     .iter()
                     .filter(|(_, ev)| match ev {
                         ScenarioEvent::Crash { replica }
-                        | ScenarioEvent::MuteInterCluster { replica }
-                        | ScenarioEvent::SilenceLocalLeader { replica }
+                        | ScenarioEvent::Corrupt { replica, .. }
                         | ScenarioEvent::Leave { replica } => {
                             spec.replicas.iter().any(|(id, _)| id == replica)
                         }
@@ -857,33 +841,38 @@ mod tests {
     #[test]
     fn byzantine_draws_share_the_fault_budget_and_never_shift_the_stream() {
         // Turning the byzantine knob on must reproduce the exact same topology,
-        // options and non-corrupt schedule per seed, reproduce byte-for-byte
-        // from the seed, and keep total faulty replicas (crash/mute/silence/
-        // leave/corrupt targets combined) within f per cluster.
+        // options and plain schedule per seed (the knob only adds `Corrupt`
+        // events), reproduce byte-for-byte from the seed, and keep total faulty
+        // replicas (crash/leave/corrupt targets combined) within f per cluster.
         let plain = ScheduleGenerator::new(FuzzConfig::quick());
         let byz = ScheduleGenerator::new(FuzzConfig {
             byzantine_probability: 1.0,
             ..FuzzConfig::quick()
         });
-        let non_corrupt = |s: &Schedule| -> String {
-            let kept: Vec<_> = s
-                .sorted()
-                .into_iter()
-                .filter(|(_, ev)| !matches!(ev, ScenarioEvent::Corrupt { .. }))
-                .collect();
-            format!("{kept:?}")
-        };
         let mut corrupts_drawn = 0usize;
         for seed in 0..60 {
             let a = plain.case(seed);
             let b = byz.case(seed);
             assert_eq!(a.clusters, b.clusters, "seed {seed}: topology shifted");
             assert_eq!(a.opts.seed, b.opts.seed, "seed {seed}: sim seed shifted");
+            let plain_events: Vec<String> =
+                a.schedule.sorted().iter().map(|e| format!("{e:?}")).collect();
+            let drawn: Vec<_> = b
+                .schedule
+                .sorted()
+                .into_iter()
+                .filter(|e| !plain_events.contains(&format!("{e:?}")))
+                .collect();
             assert_eq!(
-                non_corrupt(&a.schedule),
-                non_corrupt(&b.schedule),
-                "seed {seed}: non-corrupt schedule shifted"
+                b.schedule.len(),
+                a.schedule.len() + drawn.len(),
+                "seed {seed}: the plain schedule shifted"
             );
+            assert!(
+                drawn.iter().all(|(_, ev)| matches!(ev, ScenarioEvent::Corrupt { .. })),
+                "seed {seed}: the knob drew a non-corrupt event"
+            );
+            corrupts_drawn += drawn.len();
             assert_eq!(b.encode(), byz.case(seed).encode(), "seed {seed}: not reproducible");
             b.try_scenario().unwrap_or_else(|e| panic!("seed {seed}: invalid scenario: {e}"));
             let membership = b.config.membership();
@@ -893,8 +882,6 @@ mod tests {
                     .iter()
                     .filter_map(|(_, ev)| match ev {
                         ScenarioEvent::Crash { replica }
-                        | ScenarioEvent::MuteInterCluster { replica }
-                        | ScenarioEvent::SilenceLocalLeader { replica }
                         | ScenarioEvent::Leave { replica }
                         | ScenarioEvent::Corrupt { replica, .. }
                             if spec.replicas.iter().any(|(id, _)| id == replica) =>
@@ -912,11 +899,6 @@ mod tests {
                     membership.f(spec.id)
                 );
             }
-            corrupts_drawn += b
-                .schedule
-                .iter()
-                .filter(|(_, ev)| matches!(ev, ScenarioEvent::Corrupt { .. }))
-                .count();
         }
         assert!(corrupts_drawn > 0, "probability 1.0 must actually draw corrupt events");
     }
@@ -956,8 +938,6 @@ mod tests {
             let needle = match event {
                 ScenarioEvent::Crash { .. } => ".crash_at(",
                 ScenarioEvent::Restart { .. } => ".restart_at(",
-                ScenarioEvent::MuteInterCluster { .. } => ".mute_inter_cluster_at(",
-                ScenarioEvent::SilenceLocalLeader { .. } => "SilenceLocalLeader",
                 ScenarioEvent::Join { .. } => ".join_at(",
                 ScenarioEvent::Leave { .. } => ".leave_at(",
                 ScenarioEvent::ClientJoin { .. } => "ClientJoin",
@@ -984,7 +964,6 @@ mod tests {
             brd_timeout: Duration(1_000_002),
             local_timeout: Duration(1_000_003),
             leader_change_grace: Duration(1_000_004),
-            op_size: 77,
             parallel_reconfig_workflow: false,
         };
         let p = &case.config.params;
@@ -994,7 +973,6 @@ mod tests {
         assert_ne!(p.brd_timeout, defaults.brd_timeout);
         assert_ne!(p.local_timeout, defaults.local_timeout);
         assert_ne!(p.leader_change_grace, defaults.leader_change_grace);
-        assert_ne!(p.op_size, defaults.op_size);
         assert_ne!(p.parallel_reconfig_workflow, defaults.parallel_reconfig_workflow);
         let snippet = case.builder_snippet();
         for line in [
@@ -1004,7 +982,6 @@ mod tests {
             "config.params.brd_timeout = Duration::from_micros(1000002);",
             "config.params.local_timeout = Duration::from_micros(1000003);",
             "config.params.leader_change_grace = Duration::from_micros(1000004);",
-            "config.params.op_size = 77;",
             "config.params.parallel_reconfig_workflow = false;",
         ] {
             assert!(snippet.contains(line), "snippet misses `{line}`:\n{snippet}");

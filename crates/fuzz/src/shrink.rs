@@ -109,7 +109,7 @@ fn without(entries: &[(Time, ScenarioEvent)], i: usize) -> Schedule {
 mod tests {
     use super::*;
     use crate::generate::{FuzzConfig, ScheduleGenerator};
-    use ava_scenario::Protocol;
+    use ava_scenario::{ByzantineBehavior, Protocol};
     use ava_types::{ClusterId, Duration, Region, ReplicaId, SystemConfig};
 
     /// A hand-built case: crash+restart, a partition+heal, a mute and a latency
@@ -124,7 +124,9 @@ mod tests {
         schedule
             .add(Time::from_secs(3), ScenarioEvent::Partition { a: ClusterId(0), b: ClusterId(1) });
         schedule.add(Time::from_secs(5), ScenarioEvent::Heal { a: ClusterId(0), b: ClusterId(1) });
-        schedule.add(Time::from_secs(6), ScenarioEvent::MuteInterCluster { replica: ReplicaId(5) });
+        let behavior = ByzantineBehavior::MuteInter;
+        schedule
+            .add(Time::from_secs(6), ScenarioEvent::Corrupt { replica: ReplicaId(5), behavior });
         let generator = ScheduleGenerator::new(FuzzConfig::quick());
         let mut case = generator.case(0);
         case.protocol = Protocol::AvaHotStuff;
@@ -170,7 +172,7 @@ mod tests {
         assert!(outcome.violation.is_some());
         assert!(has_kind(&shrunk, "crash"), "the crash is load-bearing");
         assert!(has_kind(&shrunk, "partition"), "the partition is load-bearing");
-        assert!(!has_kind(&shrunk, "mute"), "noise must be stripped");
+        assert!(!has_kind(&shrunk, "corrupt"), "noise must be stripped");
         // The restart depends on the kept crash and is individually removable.
         assert!(!has_kind(&shrunk, "restart"), "removable dependents are stripped");
         // 1-minimal: removing any single remaining event (with dependents) kills
@@ -229,7 +231,7 @@ mod tests {
         let mut judge = |c: &FuzzCase| {
             if has_kind(c, "crash") && has_kind(c, "partition") {
                 Some(Violation { checker: "prefix", details: "b".into() })
-            } else if has_kind(c, "mute") {
+            } else if has_kind(c, "corrupt") {
                 Some(Violation { checker: "catch-up-liveness", details: "a".into() })
             } else {
                 None

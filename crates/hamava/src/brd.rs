@@ -544,11 +544,6 @@ impl Brd {
         }
     }
 
-    /// Update the member list (after a reconfiguration took effect).
-    pub fn set_members(&mut self, members: Vec<ReplicaId>) {
-        self.members = members;
-    }
-
     fn handle_recs(&mut self, from: ReplicaId, c: RecsContribution, out: &mut Vec<BrdAction>) {
         if self.me != self.leader || c.round != self.round || c.from != from {
             return;

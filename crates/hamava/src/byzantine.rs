@@ -16,9 +16,10 @@
 //!
 //! * **Safety must stay green.** Every mutation is either detectable by the
 //!   receiving replica's existing verification (tampered certificates, forged
-//!   votes, inconsistent checkpoints) or purely suppressive (withheld shares,
-//!   stale replays). None may cause honest replicas to execute divergent state —
-//!   the fuzzer's always-on checkers and the `e12_byzantine` sweep assert this.
+//!   votes, inconsistent checkpoints) or purely suppressive (withheld shares or
+//!   inter-cluster messages, stale replays, a leader that never proposes).
+//!   None may cause honest replicas to execute divergent state — the fuzzer's
+//!   always-on checkers and the E12 sweep (`ava-exp e12`) assert this.
 //! * **No schedule perturbation while dormant.** A wrapped replica with no
 //!   behavior (or `Honest`) never touches the context: no sends are drained, no
 //!   randomness is drawn, no costs are charged.
@@ -28,7 +29,7 @@
 
 use crate::messages::{AvaMsg, RoundPackage};
 use crate::replica::Replica;
-use ava_consensus::{TotalOrderBroadcast, WireSize};
+use ava_consensus::{FaultMode, TotalOrderBroadcast, WireSize};
 use ava_simnet::{Actor, CapturedSend, Context, SimMessage};
 use ava_store::Checkpoint;
 use ava_types::{ClientId, Reconfig, ReplicaId, Transaction};
@@ -80,11 +81,19 @@ pub enum ByzantineBehavior {
     /// the reconfiguration set it supposedly signs. Receivers' signature
     /// verification fails and emits rejection evidence.
     BrdForgery,
+    /// The paper's E4.3 Byzantine leader: correct inside its cluster, but it
+    /// withholds every inter-cluster message — the leader's fan-out, the
+    /// Alg. 8 re-send and packages served to a relay pull. Remote clusters
+    /// see a silent leader and replace it by remote leader change.
+    MuteInter,
+    /// Never propose in the local total-order broadcast while leader (the
+    /// TOB's `FaultMode::SilentLeader`); the cluster's watchdog replaces it.
+    SilentLeader,
 }
 
 impl ByzantineBehavior {
     /// Every behavior, `Honest` first (index 0 ⇒ tag 0).
-    pub const ALL: [ByzantineBehavior; 8] = [
+    pub const ALL: [ByzantineBehavior; 10] = [
         ByzantineBehavior::Honest,
         ByzantineBehavior::EquivocateLocal,
         ByzantineBehavior::EquivocateRemote,
@@ -93,6 +102,8 @@ impl ByzantineBehavior {
         ByzantineBehavior::SuppressShares { permille: 500 },
         ByzantineBehavior::LyingCatchUp,
         ByzantineBehavior::BrdForgery,
+        ByzantineBehavior::MuteInter,
+        ByzantineBehavior::SilentLeader,
     ];
 
     /// Human-readable label used in schedules, reports and the e12 JSON.
@@ -106,6 +117,8 @@ impl ByzantineBehavior {
             ByzantineBehavior::SuppressShares { .. } => "suppress-shares",
             ByzantineBehavior::LyingCatchUp => "lying-catch-up",
             ByzantineBehavior::BrdForgery => "brd-forgery",
+            ByzantineBehavior::MuteInter => "mute-inter",
+            ByzantineBehavior::SilentLeader => "silent-leader",
         }
     }
 
@@ -118,6 +131,22 @@ impl ByzantineBehavior {
             ByzantineBehavior::EquivocateLocal
                 | ByzantineBehavior::EquivocateRemote
                 | ByzantineBehavior::InvalidCert
+        )
+    }
+
+    /// Whether the behavior sends forged or tampered artifacts an honest
+    /// receiver must reject — the only behaviors that can justify
+    /// `ByzantineRejected` evidence (the fuzzer's certificate-validity checker
+    /// keys on this). Withholding, replaying genuine material and staying
+    /// silent forge nothing.
+    pub fn forges(self) -> bool {
+        matches!(
+            self,
+            ByzantineBehavior::EquivocateLocal
+                | ByzantineBehavior::EquivocateRemote
+                | ByzantineBehavior::InvalidCert
+                | ByzantineBehavior::LyingCatchUp
+                | ByzantineBehavior::BrdForgery
         )
     }
 
@@ -134,6 +163,8 @@ impl ByzantineBehavior {
             ByzantineBehavior::SuppressShares { permille } => 5 | ((permille as u64) << 8),
             ByzantineBehavior::LyingCatchUp => 6,
             ByzantineBehavior::BrdForgery => 7,
+            ByzantineBehavior::MuteInter => 8,
+            ByzantineBehavior::SilentLeader => 9,
         }
     }
 
@@ -149,6 +180,8 @@ impl ByzantineBehavior {
             5 => ByzantineBehavior::SuppressShares { permille: ((tag >> 8) & 0xffff) as u16 },
             6 => ByzantineBehavior::LyingCatchUp,
             7 => ByzantineBehavior::BrdForgery,
+            8 => ByzantineBehavior::MuteInter,
+            9 => ByzantineBehavior::SilentLeader,
             _ => ByzantineBehavior::Honest,
         }
     }
@@ -180,6 +213,15 @@ impl<T: TotalOrderBroadcast> CorruptReplica<T> {
             lcg: 0x5eed_cafe_f00d_d00d,
             flip: false,
         }
+    }
+
+    /// Put the wrapped TOB in the fault mode the behavior asks for: only
+    /// [`ByzantineBehavior::SilentLeader`] asks for one, and a later behavior
+    /// replaces it.
+    fn arm_tob(&mut self) {
+        let silent = self.behavior == Some(ByzantineBehavior::SilentLeader);
+        let mode = if silent { FaultMode::SilentLeader } else { FaultMode::Correct };
+        self.inner.set_tob_fault_mode(mode);
     }
 
     /// One step of a 64-bit LCG (Knuth's MMIX constants); returns a value in
@@ -233,28 +275,42 @@ where
         let Some(behavior) = self.behavior else {
             return;
         };
-        if behavior == ByzantineBehavior::Honest {
+        if matches!(behavior, ByzantineBehavior::Honest | ByzantineBehavior::SilentLeader) {
             return;
         }
         let sends = ctx.take_sends();
+        for CapturedSend { to, msg } in self.rewrite(behavior, sends) {
+            ctx.broadcast(to, msg);
+        }
+    }
+
+    /// The sends `behavior` turns the captured `sends` into, in order: mutated,
+    /// split, withheld or passed through unchanged.
+    fn rewrite(
+        &mut self,
+        behavior: ByzantineBehavior,
+        sends: Vec<CapturedSend<AvaMsg<T::Msg>>>,
+    ) -> Vec<CapturedSend<AvaMsg<T::Msg>>> {
+        let mut out = Vec::with_capacity(sends.len());
+        let mut send = |to: Vec<ReplicaId>, msg| out.push(CapturedSend { to, msg });
         for CapturedSend { to, msg } in sends {
             match (&behavior, msg) {
                 (ByzantineBehavior::EquivocateLocal, AvaMsg::LocalShare(package)) => {
                     let half = to.len().div_ceil(2);
                     let (genuine, lied_to) = to.split_at(half);
-                    ctx.broadcast(genuine.to_vec(), AvaMsg::LocalShare(Arc::clone(&package)));
-                    ctx.broadcast(lied_to.to_vec(), AvaMsg::LocalShare(Arc::new(tamper(&package))));
+                    send(genuine.to_vec(), AvaMsg::LocalShare(Arc::clone(&package)));
+                    send(lied_to.to_vec(), AvaMsg::LocalShare(Arc::new(tamper(&package))));
                 }
                 (ByzantineBehavior::EquivocateRemote, AvaMsg::Inter(package)) => {
                     self.flip = !self.flip;
                     let shipped = if self.flip { package } else { Arc::new(tamper(&package)) };
-                    ctx.broadcast(to, AvaMsg::Inter(shipped));
+                    send(to, AvaMsg::Inter(shipped));
                 }
                 (ByzantineBehavior::InvalidCert, AvaMsg::Inter(package)) => {
-                    ctx.broadcast(to, AvaMsg::Inter(Arc::new(tamper(&package))));
+                    send(to, AvaMsg::Inter(Arc::new(tamper(&package))));
                 }
                 (ByzantineBehavior::InvalidCert, AvaMsg::LocalShare(package)) => {
-                    ctx.broadcast(to, AvaMsg::LocalShare(Arc::new(tamper(&package))));
+                    send(to, AvaMsg::LocalShare(Arc::new(tamper(&package))));
                 }
                 (ByzantineBehavior::StaleCert, AvaMsg::Inter(package)) => {
                     let shipped = match &self.stale {
@@ -264,19 +320,19 @@ where
                     if self.stale.as_ref().is_none_or(|old| old.round < package.round) {
                         self.stale = Some(Arc::clone(&package));
                     }
-                    ctx.broadcast(to, AvaMsg::Inter(shipped));
+                    send(to, AvaMsg::Inter(shipped));
                 }
                 (ByzantineBehavior::SuppressShares { permille }, AvaMsg::LocalShare(package)) => {
                     let permille = *permille;
                     let kept: Vec<ReplicaId> =
                         to.into_iter().filter(|_| self.draw_permille() >= permille).collect();
-                    ctx.broadcast(kept, AvaMsg::LocalShare(package));
+                    send(kept, AvaMsg::LocalShare(package));
                 }
                 (
                     ByzantineBehavior::LyingCatchUp,
                     AvaMsg::CatchUpReply { checkpoint, suffix, round, leader_ts },
                 ) => {
-                    ctx.broadcast(
+                    send(
                         to,
                         AvaMsg::CatchUpReply {
                             checkpoint: Arc::new(lying_checkpoint(&checkpoint)),
@@ -298,11 +354,13 @@ where
                         }
                         other => other,
                     };
-                    ctx.broadcast(to, AvaMsg::Brd(forged));
+                    send(to, AvaMsg::Brd(forged));
                 }
-                (_, msg) => ctx.broadcast(to, msg),
+                (ByzantineBehavior::MuteInter, AvaMsg::Inter(_)) => {}
+                (_, msg) => send(to, msg),
             }
         }
+        out
     }
 }
 
@@ -331,8 +389,11 @@ where
         self.corrupt_sends(ctx);
     }
 
+    /// The restart rebuilds the wrapped TOB, so a silent leader is silenced
+    /// again: the fault belongs to the process, not to one uptime interval.
     fn on_restart(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
         self.inner.on_restart(ctx);
+        self.arm_tob();
         self.corrupt_sends(ctx);
     }
 
@@ -340,12 +401,120 @@ where
     /// assigned to the process: it persists across crash/restart.
     fn on_corrupt(&mut self, tag: u64) {
         self.behavior = Some(ByzantineBehavior::from_tag(tag));
+        self.arm_tob();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{hotstuff_factory, Deployment, DeploymentOptions};
+    use crate::messages::ControlCmd;
+    use crate::replica::ReplicaConfig;
+    use ava_consensus::TobConfig;
+    use ava_types::{ClusterId, Duration, Output, Region, Round, SystemConfig, Time};
+    use std::collections::BTreeSet;
+
+    type Msg = AvaMsg<ava_hotstuff::HotStuffMsg>;
+
+    /// `p0` of a 2 × 4 deployment, wrapped and dormant.
+    fn wrapped_replica() -> CorruptReplica<ava_hotstuff::HotStuff> {
+        let config = SystemConfig::homogeneous_regions(&[(4, Region::UsWest), (4, Region::Europe)]);
+        let (me, cluster) = (ReplicaId(0), ClusterId(0));
+        let registry = ava_crypto::KeyRegistry::new();
+        let keypair = registry.register(me);
+        let members = config.membership().member_ids(cluster);
+        let tob_cfg = TobConfig::new(cluster, me, members.clone());
+        let tob = hotstuff_factory()(tob_cfg, keypair.clone(), registry.clone(), members[0]);
+        let membership = config.membership();
+        let cfg = ReplicaConfig::new(me, Region::UsWest, cluster, config.params, membership);
+        CorruptReplica::new(Replica::new(cfg, keypair, registry, tob))
+    }
+
+    #[test]
+    fn a_muted_replica_withholds_exactly_the_inter_cluster_sends() {
+        let package = Arc::new(RoundPackage::new(ClusterId(0), Round(3), vec![], vec![], None));
+        let captured = || -> Vec<CapturedSend<Msg>> {
+            let send = |to: &[u32], msg| CapturedSend {
+                to: to.iter().map(|&id| ReplicaId(id)).collect(),
+                msg,
+            };
+            vec![
+                // The leader's fan-out to f + 1 members of the other cluster.
+                send(&[4, 5], AvaMsg::Inter(Arc::clone(&package))),
+                send(&[1, 2, 3], AvaMsg::LocalShare(Arc::clone(&package))),
+                // A package served to a relay pull.
+                send(&[6], AvaMsg::Inter(Arc::clone(&package))),
+                send(&[7], AvaMsg::InterPull { round: Round(3), cluster: ClusterId(1) }),
+                send(&[1, 2, 3], AvaMsg::Control(ControlCmd::RequestLeave)),
+            ]
+        };
+        let render = |sends: &[CapturedSend<Msg>]| -> Vec<String> {
+            sends.iter().map(|s| format!("{:?} {:?}", s.to, s.msg)).collect()
+        };
+        let kept = wrapped_replica().rewrite(ByzantineBehavior::MuteInter, captured());
+        let others: Vec<CapturedSend<Msg>> =
+            captured().into_iter().filter(|s| !matches!(s.msg, AvaMsg::Inter(_))).collect();
+        assert_eq!(others.len(), 3);
+        assert_eq!(render(&kept), render(&others), "only the two `Inter` sends may go");
+    }
+
+    /// Cluster 0's `p1` is corrupted with `behavior` at 1 s, crashes at 2 s
+    /// and restarts from its store at 3 s; the leader `p0` crashes at 6 s, which
+    /// makes `p1` the next leader in the rotation. Returns the leaders cluster
+    /// 0 installs after 6 s, and whether `p1` completed its recovery first.
+    fn leaders_after_the_leader_crash(behavior: ByzantineBehavior) -> (BTreeSet<ReplicaId>, bool) {
+        let mut config =
+            SystemConfig::homogeneous_regions(&[(4, Region::UsWest), (4, Region::UsWest)]);
+        config.params.batch_size = 20;
+        config.params.remote_leader_timeout = Duration::from_secs(4);
+        config.params.brd_timeout = Duration::from_secs(4);
+        config.params.local_timeout = Duration::from_secs(4);
+        let opts = DeploymentOptions {
+            seed: 3,
+            workload: ava_workload::WorkloadSpec { key_space: 500, ..Default::default() },
+            client_concurrency: 32,
+            store: Some(ava_store::StoreConfig::every(4)),
+            ..DeploymentOptions::default()
+        };
+        let mut dep = Deployment::build(config, opts, hotstuff_factory());
+        let (leader, next) = (ReplicaId(0), ReplicaId(1));
+        dep.sim.corrupt_at(next, Time::from_secs(1), behavior.to_tag());
+        dep.sim.crash_at(next, Time::from_secs(2));
+        dep.sim.restart_at(next, Time::from_secs(3));
+        dep.sim.crash_at(leader, Time::from_secs(6));
+        dep.sim.run_until(Time::from_secs(14));
+        let outputs = dep.sim.outputs();
+        let leaders = outputs
+            .iter()
+            .filter_map(|o| match o {
+                Output::LeaderChanged { cluster: ClusterId(0), new_leader, at, .. }
+                    if *at > Time::from_secs(6) =>
+                {
+                    Some(*new_leader)
+                }
+                _ => None,
+            })
+            .collect();
+        let recovered = outputs.iter().any(|o| {
+            matches!(o, Output::RecoveryCompleted { replica, at, .. }
+                if *replica == next && *at < Time::from_secs(6))
+        });
+        (leaders, recovered)
+    }
+
+    #[test]
+    fn a_silent_leader_stays_silent_across_a_restart() {
+        let (honest, recovered) = leaders_after_the_leader_crash(ByzantineBehavior::Honest);
+        assert!(recovered, "p1 must be back before the leader crash");
+        assert_eq!(honest, BTreeSet::from([ReplicaId(1)]), "an honest p1 takes over and keeps it");
+        let (silent, recovered) = leaders_after_the_leader_crash(ByzantineBehavior::SilentLeader);
+        assert!(recovered, "p1 must be back before the leader crash");
+        assert!(
+            silent.contains(&ReplicaId(2)),
+            "the restarted silent p1 must be passed over, got {silent:?}"
+        );
+    }
 
     #[test]
     fn behavior_tags_round_trip() {
@@ -370,6 +539,22 @@ mod tests {
                 ByzantineBehavior::EquivocateLocal,
                 ByzantineBehavior::EquivocateRemote,
                 ByzantineBehavior::InvalidCert,
+            ]
+        );
+    }
+
+    #[test]
+    fn only_forging_behaviors_report_as_such() {
+        let forging: Vec<ByzantineBehavior> =
+            ByzantineBehavior::ALL.into_iter().filter(|b| b.forges()).collect();
+        assert_eq!(
+            forging,
+            vec![
+                ByzantineBehavior::EquivocateLocal,
+                ByzantineBehavior::EquivocateRemote,
+                ByzantineBehavior::InvalidCert,
+                ByzantineBehavior::LyingCatchUp,
+                ByzantineBehavior::BrdForgery,
             ]
         );
     }

@@ -17,6 +17,11 @@ use std::marker::PhantomData;
 
 const TICK: u64 = 1;
 
+/// Re-issue a fresh request if an outstanding one has not completed within this
+/// time (keeps the closed loop alive across leader changes and crashes: requests
+/// stuck at a crashed replica are abandoned and replayed against another one).
+const RETRY_TIMEOUT: Duration = Duration::from_secs(3);
+
 /// Configuration of a closed-loop client.
 #[derive(Clone, Debug)]
 pub struct ClientConfig {
@@ -28,22 +33,12 @@ pub struct ClientConfig {
     pub targets: Vec<ReplicaId>,
     /// Number of outstanding requests ("client threads" in the paper).
     pub concurrency: usize,
-    /// Re-issue a fresh request if an outstanding one has not completed within this
-    /// time (keeps the closed loop alive across leader changes and crashes: requests
-    /// stuck at a crashed replica are abandoned and replayed against another one).
-    pub retry_timeout: Duration,
 }
 
 impl ClientConfig {
-    /// Defaults: enough concurrency to keep one batch in flight, 3 s request retry.
+    /// Defaults: enough concurrency to keep one batch in flight.
     pub fn new(id: ClientId, cluster: ClusterId, targets: Vec<ReplicaId>) -> Self {
-        ClientConfig {
-            id,
-            cluster,
-            targets,
-            concurrency: 128,
-            retry_timeout: Duration::from_secs(3),
-        }
+        ClientConfig { id, cluster, targets, concurrency: 128 }
     }
 }
 
@@ -132,7 +127,7 @@ where
         let stale: Vec<TxId> = self
             .outstanding
             .iter()
-            .filter(|(_, (issued, _))| now.since(*issued) >= self.cfg.retry_timeout)
+            .filter(|(_, (issued, _))| now.since(*issued) >= RETRY_TIMEOUT)
             .map(|(id, _)| *id)
             .collect();
         for id in stale {

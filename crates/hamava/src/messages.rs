@@ -251,17 +251,12 @@ impl Clone for TxBatch {
 }
 
 /// Commands injected by experiments and examples (not part of the protocol: they model
-/// an operator or adversary acting on a specific replica).
+/// an operator acting on a specific replica). Adversaries are not commands: a
+/// Byzantine replica is a [`CorruptReplica`](crate::CorruptReplica) behavior.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ControlCmd {
     /// Ask the replica to request leaving its cluster.
     RequestLeave,
-    /// Turn the replica Byzantine in the E4.3 sense: it keeps behaving correctly in
-    /// its local cluster but withholds all inter-cluster `Inter` messages.
-    MuteInterCluster,
-    /// Make the replica silent in its local ordering role when it is the leader
-    /// (crash-like leader failure confined to the protocol level).
-    SilentLocalLeader,
 }
 
 /// Commands injected by experiments targeting a *client* actor (the scenario API's

@@ -26,14 +26,19 @@ use std::sync::Arc;
 /// Timer kind used for the replica's periodic tick.
 const TICK: u64 = 1;
 
+/// Interval of the periodic tick driving timeouts and batching.
+const TICK_INTERVAL: Duration = Duration::from_millis(10);
+
+/// Maximum time Stage 1 waits for a full batch before closing the round with a
+/// partial batch (keeps rounds progressing under light load).
+const STAGE1_MAX_WAIT: Duration = Duration::from_millis(1500);
+
 /// Lifecycle status of a replica; `M` is its message type.
 enum ReplicaStatus<M> {
     /// Participating in replication.
     Active,
     /// Trying to join a cluster (Alg. 3 requester side).
     Joining {
-        /// The cluster being joined.
-        target: ClusterId,
         /// Acks received so far.
         acks: BTreeSet<ReplicaId>,
         /// CurrState senders seen, by round.
@@ -88,11 +93,6 @@ pub struct ReplicaConfig {
     pub params: ProtocolParams,
     /// Initial membership map of the whole system.
     pub membership: Membership,
-    /// Interval of the periodic tick driving timeouts and batching.
-    pub tick_interval: Duration,
-    /// Maximum time Stage 1 waits for a full batch before closing the round with a
-    /// partial batch (keeps rounds progressing under light load).
-    pub stage1_max_wait: Duration,
     /// If true, start in joining mode (the replica is not yet a member).
     pub joining: bool,
     /// Which deterministic state machine executes committed transactions. The
@@ -121,8 +121,6 @@ impl ReplicaConfig {
             cluster,
             params,
             membership,
-            tick_interval: Duration::from_millis(10),
-            stage1_max_wait: Duration::from_millis(1500),
             joining: false,
             machine: StateMachineKind::default(),
             store: None,
@@ -198,8 +196,6 @@ pub struct Replica<T: TotalOrderBroadcast> {
     /// is still finishing the previous round; stashing it here instead of dropping
     /// it keeps Stage 1 of the tagged round live.
     ordered_reconfig_sets: BTreeMap<Round, Vec<Reconfig>>,
-    /// E4.3-style Byzantine behaviour: withhold inter-cluster messages.
-    mute_inter: bool,
     /// Whether this replica asked to leave.
     leave_requested: bool,
     /// The durable store (round log + checkpoints). This is the one field a
@@ -243,11 +239,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             cfg.params.leader_change_grace,
         );
         let status = if cfg.joining {
-            ReplicaStatus::Joining {
-                target: cfg.cluster,
-                acks: BTreeSet::new(),
-                state_senders: BTreeMap::new(),
-            }
+            ReplicaStatus::Joining { acks: BTreeSet::new(), state_senders: BTreeMap::new() }
         } else {
             ReplicaStatus::Active
         };
@@ -279,7 +271,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             prev_package: None,
             relay,
             ordered_reconfig_sets: BTreeMap::new(),
-            mute_inter: false,
             leave_requested: false,
             store: None,
             future_brd: BTreeMap::new(),
@@ -288,6 +279,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         };
         replica.store = replica.cfg.store.map(ReplicaStore::new);
         replica
+    }
+
+    /// Inject a fault into the local TOB (the `CorruptReplica` decorator's
+    /// silent leader).
+    pub(crate) fn set_tob_fault_mode(&mut self, mode: FaultMode) {
+        self.tob.set_fault_mode(mode);
     }
 
     fn my_members(&self) -> Vec<ReplicaId> {
@@ -692,10 +689,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         package: &Arc<RoundPackage>,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        if self.mute_inter {
-            // E4.3 Byzantine leader: behaves correctly locally but never sends Inter.
-            return;
-        }
         let membership = self.views.current();
         for cluster in membership.cluster_ids() {
             if cluster == self.cfg.cluster {
@@ -1142,15 +1135,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     // ---- joining-replica side ----------------------------------------------------
 
     fn send_join_request(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let ReplicaStatus::Joining { target, .. } = &self.status else {
-            return;
-        };
         let msg = AvaMsg::RequestJoin {
             replica: self.cfg.me,
             region: self.cfg.region,
             round: self.round,
         };
-        let members = self.views.current().member_ids(*target);
+        let members = self.views.current().member_ids(self.cfg.cluster);
         ctx.broadcast(members, msg);
     }
 
@@ -1165,14 +1155,14 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         next_height: u64,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        let ReplicaStatus::Joining { target, state_senders, .. } = &mut self.status else {
+        let ReplicaStatus::Joining { state_senders, .. } = &mut self.status else {
             return;
         };
         let senders = state_senders.entry(round).or_default();
         senders.insert(from);
         // A quorum of the cluster we are joining must report the same round
         // (Alg. 10 line 39).
-        if senders.len() < 2 * self.cfg.membership.f(*target) + 1 {
+        if senders.len() < 2 * self.cfg.membership.f(self.cfg.cluster) + 1 {
             return;
         }
         // Adopt the state and become an active member starting at `round`. The
@@ -1279,7 +1269,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.prev_package = None;
         self.relay = Relay::new(self.cfg.cluster);
         self.ordered_reconfig_sets.clear();
-        self.mute_inter = false;
         self.leave_requested = false;
         self.future_brd.clear();
         self.pending_blocks.clear();
@@ -1294,7 +1283,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         self.round_base_height = anchor;
         self.round = recovered_round;
 
-        ctx.set_timer(self.cfg.tick_interval, TICK);
+        ctx.set_timer(TICK_INTERVAL, TICK);
         ctx.emit(Output::ReplicaRestarted {
             replica: self.cfg.me,
             cluster: self.cfg.cluster,
@@ -1498,12 +1487,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                     ctx.broadcast(members, msg);
                 }
             }
-            ControlCmd::MuteInterCluster => {
-                self.mute_inter = true;
-            }
-            ControlCmd::SilentLocalLeader => {
-                self.tob.set_fault_mode(FaultMode::SilentLeader);
-            }
         }
     }
 }
@@ -1513,7 +1496,7 @@ where
     AvaMsg<T::Msg>: SimMessage,
 {
     fn on_start(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        ctx.set_timer(self.cfg.tick_interval, TICK);
+        ctx.set_timer(TICK_INTERVAL, TICK);
         match self.status {
             ReplicaStatus::Active => {
                 self.round_state.started_at = ctx.now();
@@ -1618,7 +1601,7 @@ where
         if kind != TICK || matches!(self.status, ReplicaStatus::Left) {
             return;
         }
-        ctx.set_timer(self.cfg.tick_interval, TICK);
+        ctx.set_timer(TICK_INTERVAL, TICK);
         if let ReplicaStatus::Recovering(catch_up) = &mut self.status {
             match catch_up.on_tick(ctx.now(), self.cfg.params.local_timeout) {
                 Tick::Wait => {}
@@ -1663,7 +1646,7 @@ where
             && !self.round_state.stage1_done
             && !self.round_state.sent_cut_marker
             && self.round_state.tx_count > 0
-            && now.since(self.round_state.started_at) >= self.cfg.stage1_max_wait
+            && now.since(self.round_state.started_at) >= STAGE1_MAX_WAIT
         {
             self.round_state.sent_cut_marker = true;
             let op = Operation::RoundCut { round: self.round };
@@ -1677,7 +1660,7 @@ where
         // Catch the missed rounds up from a peer's store instead. (A whole cluster
         // stuck in one round — e.g. under a partition — shows no future BRD and
         // correctly keeps waiting: peers have nothing newer to transfer.)
-        if now.since(self.round_state.started_at) >= self.cfg.stage1_max_wait
+        if now.since(self.round_state.started_at) >= STAGE1_MAX_WAIT
             && self.cluster_moved_past_this_round()
         {
             let value = self.round.0 as f64;

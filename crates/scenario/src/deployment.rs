@@ -183,22 +183,16 @@ where
 
     fn apply(&mut self, event: &ScenarioEvent) -> Option<Joined> {
         let now = self.sim.now();
-        let mut control = |replica: ReplicaId, cmd| {
-            self.sim.external_send(replica, replica, AvaMsg::Control(cmd), now)
-        };
         match event {
             ScenarioEvent::Crash { replica } => self.sim.crash_at(*replica, now),
             ScenarioEvent::Restart { replica } => self.sim.restart_at(*replica, now),
             ScenarioEvent::Corrupt { replica, behavior } => {
                 self.sim.corrupt_at(*replica, now, behavior.to_tag());
             }
-            ScenarioEvent::MuteInterCluster { replica } => {
-                control(*replica, ControlCmd::MuteInterCluster);
+            ScenarioEvent::Leave { replica } => {
+                let leave = AvaMsg::Control(ControlCmd::RequestLeave);
+                self.sim.external_send(*replica, *replica, leave, now);
             }
-            ScenarioEvent::SilenceLocalLeader { replica } => {
-                control(*replica, ControlCmd::SilentLocalLeader);
-            }
-            ScenarioEvent::Leave { replica } => control(*replica, ControlCmd::RequestLeave),
             ScenarioEvent::Join { cluster, region } => {
                 return Some(Joined::Replica(self.add_joining_replica(*cluster, *region)));
             }

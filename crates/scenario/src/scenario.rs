@@ -25,17 +25,6 @@ pub enum ScenarioEvent {
         /// The replica to restart.
         replica: ReplicaId,
     },
-    /// Turn a replica Byzantine in the E4.3 sense: correct locally, but it
-    /// withholds all inter-cluster messages.
-    MuteInterCluster {
-        /// The replica to mute.
-        replica: ReplicaId,
-    },
-    /// Make a replica silent in its local ordering role when it is the leader.
-    SilenceLocalLeader {
-        /// The replica to silence.
-        replica: ReplicaId,
-    },
     /// A new replica joins a cluster (E5-style churn).
     Join {
         /// The cluster joined.
@@ -84,8 +73,10 @@ pub enum ScenarioEvent {
     /// Turn a replica Byzantine with a concrete adversarial behavior: from this
     /// point on it runs the honest protocol internally but mutates its outbound
     /// traffic (equivocation, certificate forgery, share suppression, lying
-    /// catch-up — see [`ByzantineBehavior`]). The builder rejects schedules that
-    /// corrupt more than `f` distinct replicas in any one cluster.
+    /// catch-up, withheld inter-cluster messages — see [`ByzantineBehavior`]) or
+    /// never proposes as local leader. The fault persists across a restart. The
+    /// builder rejects schedules that corrupt more than `f` distinct replicas in
+    /// any one cluster, whatever their behaviors.
     Corrupt {
         /// The replica to corrupt.
         replica: ReplicaId,
@@ -106,8 +97,6 @@ impl ScenarioEvent {
         match self {
             ScenarioEvent::Crash { .. } => "crash",
             ScenarioEvent::Restart { .. } => "restart",
-            ScenarioEvent::MuteInterCluster { .. } => "mute",
-            ScenarioEvent::SilenceLocalLeader { .. } => "silence",
             ScenarioEvent::Join { .. } => "join",
             ScenarioEvent::Leave { .. } => "leave",
             ScenarioEvent::ClientJoin { .. } => "client-join",
@@ -127,8 +116,6 @@ impl ScenarioEvent {
     fn sort_key(&self) -> (u8, u64, u64) {
         match self {
             ScenarioEvent::Crash { replica } => (0, replica.0 as u64, 0),
-            ScenarioEvent::MuteInterCluster { replica } => (1, replica.0 as u64, 0),
-            ScenarioEvent::SilenceLocalLeader { replica } => (2, replica.0 as u64, 0),
             ScenarioEvent::Join { cluster, region } => (3, cluster.0 as u64, region.index() as u64),
             ScenarioEvent::Leave { replica } => (4, replica.0 as u64, 0),
             ScenarioEvent::ClientJoin { cluster, .. } => (5, cluster.0 as u64, 0),
@@ -308,11 +295,6 @@ impl ScenarioBuilder {
     pub fn state_machine(mut self, kind: ava_hamava::StateMachineKind) -> Self {
         self.opts.state_machine = kind;
         self
-    }
-
-    /// Schedule `replica` to start withholding inter-cluster messages at `at`.
-    pub fn mute_inter_cluster_at(self, at: Time, replica: ReplicaId) -> Self {
-        self.at(at, ScenarioEvent::MuteInterCluster { replica })
     }
 
     /// Schedule a new replica to join `cluster` (placed in `region`) at `at`.
@@ -829,6 +811,27 @@ mod tests {
                 ByzantineBehavior::SuppressShares { permille: 500 },
             )
             .build();
+    }
+
+    #[test]
+    fn mutes_and_silent_leaders_count_against_f() {
+        // The E4.3 mute and the silent local leader are Byzantine replicas like
+        // any other: one of each in a 4-replica cluster (f = 1) is one too many,
+        // alone or beside a forging behavior.
+        for second in [ByzantineBehavior::SilentLeader, ByzantineBehavior::InvalidCert] {
+            let err = quick(Protocol::AvaHotStuff)
+                .corrupt_at(Time::from_secs(2), ReplicaId(0), ByzantineBehavior::MuteInter)
+                .corrupt_at(Time::from_secs(3), ReplicaId(1), second)
+                .try_build()
+                .err()
+                .expect("f + 1 Byzantine replicas in one cluster must not build");
+            assert!(err.contains("above its failure threshold"), "{err}");
+        }
+        let one_per_cluster = quick(Protocol::AvaHotStuff)
+            .corrupt_at(Time::from_secs(2), ReplicaId(0), ByzantineBehavior::MuteInter)
+            .corrupt_at(Time::from_secs(2), ReplicaId(4), ByzantineBehavior::SilentLeader)
+            .try_build();
+        assert!(one_per_cluster.is_ok());
     }
 
     #[test]

@@ -38,8 +38,6 @@ pub struct ProtocolParams {
     /// local leader watchdog: however fast the cluster has been, a replica waits
     /// at least ε before suspecting its leader. ε = 0 removes the floor.
     pub leader_change_grace: Duration,
-    /// Operation payload size in bytes (the paper uses 1 KB operations).
-    pub op_size: u32,
     /// If false, reconfigurations are ordered through the transaction total-order
     /// broadcast instead of the parallel collection/BRD workflow. This is the
     /// "single workflow" ablation of experiment E5.2.
@@ -55,7 +53,6 @@ impl Default for ProtocolParams {
             brd_timeout: Duration::from_secs(5),
             local_timeout: Duration::from_secs(20),
             leader_change_grace: Duration::from_millis(500),
-            op_size: 1024,
             parallel_reconfig_workflow: true,
         }
     }
@@ -202,7 +199,6 @@ mod tests {
     fn default_params_match_paper() {
         let p = ProtocolParams::default();
         assert_eq!(p.batch_size, 100);
-        assert_eq!(p.op_size, 1024);
         assert_eq!(p.remote_leader_timeout, Duration::from_secs(20));
         assert!(p.parallel_reconfig_workflow);
         assert_eq!(p.alpha_threshold(), 75);

@@ -60,12 +60,12 @@ impl Duration {
     }
 
     /// Construct from whole milliseconds.
-    pub fn from_millis(ms: u64) -> Duration {
+    pub const fn from_millis(ms: u64) -> Duration {
         Duration(ms * 1_000)
     }
 
     /// Construct from whole seconds.
-    pub fn from_secs(s: u64) -> Duration {
+    pub const fn from_secs(s: u64) -> Duration {
         Duration(s * 1_000_000)
     }
 

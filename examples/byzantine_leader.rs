@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example byzantine_leader`
 
-use hamava_repro::scenario::{Protocol, Scenario, ThroughputObserver};
+use hamava_repro::scenario::{ByzantineBehavior, Protocol, Scenario, ThroughputObserver};
 use hamava_repro::types::{ClusterId, Duration, Output, Region, SystemConfig, Time};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     let mut throughput = ThroughputObserver::new(Duration::from_secs(2));
     let run = Scenario::builder(Protocol::AvaBftSmart, config)
         .run_for(Duration::from_secs(38))
-        .mute_inter_cluster_at(fault_at, byzantine_leader)
+        .corrupt_at(fault_at, byzantine_leader, ByzantineBehavior::MuteInter)
         .build()
         .run_observed(&mut [&mut throughput]);
 

@@ -7,7 +7,9 @@ use hamava_repro::broker::AggregateLoad;
 use hamava_repro::fuzz::CheckerSet;
 use hamava_repro::hamava::harness::DeploymentOptions;
 use hamava_repro::hamava::StateMachineKind;
-use hamava_repro::scenario::{BrokerTier, Protocol, Scenario, ScenarioBuilder, ScenarioEvent};
+use hamava_repro::scenario::{
+    BrokerTier, ByzantineBehavior, Protocol, Scenario, ScenarioBuilder, ScenarioEvent,
+};
 use hamava_repro::simnet::{CostModel, LatencyModel};
 use hamava_repro::store::StoreConfig;
 use hamava_repro::types::{ClusterId, Duration, Output, Region, ReplicaId, SystemConfig, Time};
@@ -80,26 +82,25 @@ fn a_replica_can_leave_a_running_cluster() {
     assert!(late_commits > 0, "transaction processing stalled after the leave");
 }
 
-#[test]
-fn byzantine_leader_withholding_inter_messages_is_replaced() {
+/// Cluster 0's initial leader turns Byzantine with `behavior` at 5 s of a
+/// 35 s HotStuff run on 2 × 4 replicas: cluster 0 must move to another leader
+/// and writes must commit after 20 s.
+fn byzantine_leader_is_replaced(behavior: ByzantineBehavior) {
     let mut config = SystemConfig::homogeneous_regions(&[(4, Region::UsWest), (4, Region::Europe)]);
     config.params.batch_size = 20;
-    // Short timeouts keep the test fast (the paper uses 20 s in E4.3).
     config.params.remote_leader_timeout = Duration::from_secs(4);
     config.params.brd_timeout = Duration::from_secs(4);
     config.params.local_timeout = Duration::from_secs(4);
     let byzantine = config.initial_leader(ClusterId(0));
     let run = scenario(Protocol::AvaHotStuff, config, 13, 35)
-        .mute_inter_cluster_at(Time::from_secs(5), byzantine)
+        .corrupt_at(Time::from_secs(5), byzantine, behavior)
         .build()
         .run();
-    // Cluster 0 must have moved to a different leader.
     let changed = run.outputs.iter().any(|o| {
         matches!(o, Output::LeaderChanged { cluster, new_leader, .. }
             if *cluster == ClusterId(0) && *new_leader != byzantine)
     });
-    assert!(changed, "remote leader change never replaced the Byzantine leader");
-    // And throughput recovers afterwards.
+    assert!(changed, "{behavior:?}: the Byzantine leader was never replaced");
     let recovery_commits = run
         .outputs
         .iter()
@@ -108,7 +109,17 @@ fn byzantine_leader_withholding_inter_messages_is_replaced() {
             if *completed_at > Time::from_secs(20))
         })
         .count();
-    assert!(recovery_commits > 0, "no transactions committed after the leader change");
+    assert!(recovery_commits > 0, "{behavior:?}: no write committed after the leader change");
+}
+
+#[test]
+fn silent_local_leader_is_replaced() {
+    byzantine_leader_is_replaced(ByzantineBehavior::SilentLeader);
+}
+
+#[test]
+fn byzantine_leader_withholding_inter_messages_is_replaced() {
+    byzantine_leader_is_replaced(ByzantineBehavior::MuteInter);
 }
 
 #[test]
@@ -217,4 +228,88 @@ fn views_keep_every_cluster_live_when_all_leave_at_once_bftsmart_seed_15() {
 #[test]
 fn views_keep_every_cluster_live_when_leaves_are_40ms_apart_hotstuff_seed_5() {
     views_every_cluster_churns(Protocol::AvaHotStuff, 5, Duration::from_millis(40));
+}
+
+/// Finding 16 (ROADMAP findings ledger): a quick fuzz case, shrunk, in which
+/// nothing is corrupted, yet the replica that joined cluster 1 rejects an
+/// honest package, so `certificate-validity` fires. It is finding 1's symptom,
+/// and its cause is not established. The cases are known-failing fixtures:
+/// they assert that the checker still fires, so a fix turns them red and they
+/// move to the regression set. Options are the quick fuzz profile's: a 12 s
+/// run, one client per cluster with 32 outstanding requests.
+fn finding_16_violations(
+    protocol: Protocol,
+    clusters: &[(usize, Region)],
+    seed: u64,
+    checkpoint_interval: u64,
+    events: &[(Time, ScenarioEvent)],
+) -> Vec<String> {
+    let mut config = SystemConfig::homogeneous_regions(clusters);
+    config.params.batch_size = 20;
+    config.params.remote_leader_timeout = Duration::from_secs(4);
+    config.params.brd_timeout = Duration::from_secs(4);
+    config.params.local_timeout = Duration::from_secs(4);
+    let opts = DeploymentOptions {
+        seed,
+        workload: WorkloadSpec { read_ratio: 0.9, key_space: 500, ..WorkloadSpec::default() },
+        client_concurrency: 32,
+        store: Some(StoreConfig::every(checkpoint_interval)),
+        ..DeploymentOptions::default()
+    };
+    let mut builder =
+        Scenario::builder(protocol, config).options(opts).run_for(Duration::from_secs(12));
+    for (at, event) in events {
+        builder = builder.at(*at, event.clone());
+    }
+    let mut checkers = CheckerSet::standard();
+    builder.build().run_observed(&mut [&mut checkers]);
+    checkers.violations().iter().map(|v| v.to_string()).collect()
+}
+
+/// The joined replica's rejection, asserted as still firing.
+fn assert_finding_16(violations: &[String], joined: ReplicaId) {
+    assert!(
+        violations.iter().any(
+            |v| v.contains("certificate-validity") && v.contains(&format!("{joined} rejected"))
+        ),
+        "finding 16 no longer reproduces (fixed? move the fixture to the regression set): \
+         {violations:?}"
+    );
+}
+
+#[test]
+fn known_failing_finding_16_fuzz_seed_174_hotstuff() {
+    let violations = finding_16_violations(
+        Protocol::AvaHotStuff,
+        &[(5, Region::UsEast), (5, Region::Europe)],
+        992_839_049,
+        4,
+        &[
+            (
+                Time::from_millis(4_110),
+                ScenarioEvent::Join { cluster: ClusterId(1), region: Region::AsiaNortheast },
+            ),
+            (Time::from_millis(5_849), ScenarioEvent::Crash { replica: ReplicaId(8) }),
+            (Time::from_millis(6_798), ScenarioEvent::Leave { replica: ReplicaId(4) }),
+        ],
+    );
+    assert_finding_16(&violations, ReplicaId(10));
+}
+
+#[test]
+fn known_failing_finding_16_fuzz_seed_260_bftsmart() {
+    let violations = finding_16_violations(
+        Protocol::AvaBftSmart,
+        &[(5, Region::Europe), (4, Region::Europe)],
+        768_381_261,
+        3,
+        &[
+            (
+                Time::from_millis(1_981),
+                ScenarioEvent::Join { cluster: ClusterId(1), region: Region::UsWest },
+            ),
+            (Time::from_millis(6_241), ScenarioEvent::Leave { replica: ReplicaId(4) }),
+        ],
+    );
+    assert_finding_16(&violations, ReplicaId(9));
 }
