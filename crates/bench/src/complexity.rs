@@ -26,7 +26,7 @@ pub struct ComplexityRow {
 
 /// Build Table I for a system of `z` clusters of `n` replicas each (`f = ⌊(n−1)/3⌋`).
 pub fn complexity_table(z: u64, n: u64) -> Vec<ComplexityRow> {
-    let f = (n.saturating_sub(1)) / 3;
+    let f = ava_types::fault_threshold(n as usize) as u64;
     vec![
         ComplexityRow {
             protocol: "Ava-HotStuff",

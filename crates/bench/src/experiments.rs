@@ -25,7 +25,7 @@ use ava_scenario::{
 };
 use ava_simnet::{CostModel, LatencyModel};
 use ava_store::StoreConfig;
-use ava_types::{ClusterId, Duration, Output, Region, SystemConfig, Time};
+use ava_types::{fault_threshold, ClusterId, Duration, Output, Region, SystemConfig, Time};
 use ava_workload::{AggregateLoad, WorkloadSpec};
 
 pub use ava_scenario::Protocol;
@@ -437,7 +437,7 @@ pub fn e4_failures(scenario_kind: FailureScenario, scale: &ExperimentScale) -> V
                 FailureScenario::NonLeader => {
                     // Crash f non-leader replicas in each cluster.
                     for cluster in &config.clusters {
-                        let f = (cluster.replicas.len() - 1) / 3;
+                        let f = fault_threshold(cluster.replicas.len());
                         for (id, _) in cluster.replicas.iter().skip(1).take(f) {
                             builder = builder.crash_at(fail_at, *id);
                         }
@@ -842,7 +842,7 @@ pub fn e10_recovery(scale: &ExperimentScale) -> Vec<Vec<String>> {
         let mut builder = scenario(protocol, config.clone(), default_opts(13, scale), scale)
             .store(StoreConfig::every(interval));
         for cluster in &config.clusters {
-            let f = (cluster.replicas.len() - 1) / 3;
+            let f = fault_threshold(cluster.replicas.len());
             for (id, _) in cluster.replicas.iter().skip(1).take(f) {
                 builder = builder.crash_at(crash_at, *id).restart_at(restart_at, *id);
             }
@@ -1133,7 +1133,7 @@ pub struct ByzantineCell {
 /// Per-cluster corruption counts the sweep covers: `1..=f` for the scale's
 /// cluster size (quick: f = 1; full: f = 2).
 pub fn e12_corrupt_counts(scale: &ExperimentScale) -> Vec<usize> {
-    let f = (e12_nodes_per_cluster(scale) - 1) / 3;
+    let f = fault_threshold(e12_nodes_per_cluster(scale));
     (1..=f).collect()
 }
 

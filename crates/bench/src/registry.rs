@@ -326,6 +326,8 @@ mod tests {
             "SilentLocalLeader",
             "mute_inter_cluster_at",
             "op_size",
+            "prev_package",
+            "join_regions",
         ];
         for (file, text) in DOCS {
             for name in retired {

@@ -15,7 +15,8 @@ use crate::block::CommittedBlock;
 use crate::tob::{FaultMode, SendAction, TobAction, TobConfig, TotalOrderBroadcast, WireSize};
 use ava_crypto::{Digest, KeyRegistry, Keypair, Sha256};
 use ava_types::{
-    ClientId, ClusterId, Duration, Operation, ReplicaId, Time, Timestamp, Transaction,
+    fault_threshold, ClientId, ClusterId, Duration, Operation, ReplicaId, Time, Timestamp,
+    Transaction,
 };
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -359,7 +360,7 @@ pub fn cluster<T: TotalOrderBroadcast>(new: New<T>, n: u32) -> (LocalNet<T>, Key
 }
 
 fn quorum(n: u32) -> usize {
-    2 * ((n as usize - 1) / 3) + 1
+    2 * fault_threshold(n as usize) + 1
 }
 
 /// Uniform agreement: `ops` operations submitted round-robin from replica
@@ -466,7 +467,7 @@ pub fn check_silent_leader_recovery<T: TotalOrderBroadcast>(new: New<T>) {
 /// everything the others submit.
 pub fn check_f_crashed_followers<T: TotalOrderBroadcast>(new: New<T>, n: u32) {
     let (mut net, _) = cluster(new, n);
-    let live = n - (n - 1) / 3;
+    let live = n - fault_threshold(n as usize) as u32;
     net.down.extend((live..n).map(ReplicaId));
     for i in 0..6 {
         net.broadcast(ReplicaId(i as u32 % live), op(i));

@@ -145,11 +145,7 @@ impl TobConfig {
 
     /// Failure threshold `f = ⌊(n−1)/3⌋` for the current membership.
     pub fn f(&self) -> usize {
-        if self.members.is_empty() {
-            0
-        } else {
-            (self.members.len() - 1) / 3
-        }
+        ava_types::fault_threshold(self.members.len())
     }
 
     /// Quorum size `2f + 1` for the current membership.

@@ -241,14 +241,25 @@ impl FuzzCase {
             "config.params.parallel_reconfig_workflow = {};\n",
             p.parallel_reconfig_workflow
         ));
+        // Likewise every deployment option `encode` covers.
+        let o = &self.opts;
+        let store = match o.store {
+            Some(store) => format!("Some(StoreConfig::every({}))", store.checkpoint_interval),
+            None => "None".to_string(),
+        };
+        let latency =
+            latency_expr(&o.latency).map(|l| format!("latency: {l}, ")).unwrap_or_default();
         s.push_str(&format!(
-            "let scenario = Scenario::builder(Protocol::{:?}, config)\n    .seed({})\n",
-            self.protocol, self.opts.seed
+            "let scenario = Scenario::builder(Protocol::{:?}, config)\n    \
+             .options(DeploymentOptions {{ seed: {}, clients_per_cluster: {}, \
+             client_concurrency: {}, store: {store}, workload: {}, {latency}\
+             ..DeploymentOptions::default() }})\n",
+            self.protocol,
+            o.seed,
+            o.clients_per_cluster,
+            o.client_concurrency,
+            workload_expr(&o.workload),
         ));
-        s.push_str(&format!("    .workload({})\n", workload_expr(&self.opts.workload)));
-        if let Some(store) = self.opts.store {
-            s.push_str(&format!("    .store(StoreConfig::every({}))\n", store.checkpoint_interval));
-        }
         if let Some(tier) = &self.brokers {
             s.push_str(&format!(
                 "    .brokers(BrokerTier {{ brokers_per_cluster: {}, max_batch_ops: {}, \
@@ -319,9 +330,28 @@ fn encode_event(out: &mut Vec<u8>, event: &ScenarioEvent) {
 
 fn workload_expr(w: &WorkloadSpec) -> String {
     format!(
-        "WorkloadSpec {{ read_ratio: {:?}, key_space: {}, zipf_theta: {:?}, payload_size: {} }}",
+        "WorkloadSpec {{ read_ratio: {:?}, key_space: {}, zipf_theta: {:?}, payload_size: {}, \
+         ..WorkloadSpec::default() }}",
         w.read_ratio, w.key_space, w.zipf_theta, w.payload_size
     )
+}
+
+/// The latency model as an expression, or `None` for the default (the
+/// paper's Table II): a block that overrides each region pair `encode` sees
+/// differ from the table.
+fn latency_expr(latency: &LatencyModel) -> Option<String> {
+    let table = LatencyModel::paper_table2();
+    let mut overrides = String::new();
+    for (i, a) in Region::ALL.into_iter().enumerate() {
+        for b in Region::ALL.into_iter().skip(i + 1) {
+            let rtt = latency.rtt_ms(a, b);
+            if rtt.to_bits() != table.rtt_ms(a, b).to_bits() {
+                overrides.push_str(&format!("l.set_rtt(Region::{a:?}, Region::{b:?}, {rtt:?}); "));
+            }
+        }
+    }
+    (!overrides.is_empty())
+        .then(|| format!("{{ let mut l = LatencyModel::paper_table2(); {overrides}l }}"))
 }
 
 fn event_call(at: Time, event: &ScenarioEvent) -> String {
@@ -931,7 +961,7 @@ mod tests {
             .expect("some seed draws events");
         let snippet = case.builder_snippet();
         assert!(snippet.contains("SystemConfig::homogeneous_regions"));
-        assert!(snippet.contains(&format!(".seed({})", case.opts.seed)));
+        assert!(snippet.contains(&format!("seed: {},", case.opts.seed)));
         assert!(snippet.contains(".build();"));
         for (_, event) in case.schedule.iter() {
             // Every scheduled event appears in the snippet in some form.
@@ -986,5 +1016,54 @@ mod tests {
         ] {
             assert!(snippet.contains(line), "snippet misses `{line}`:\n{snippet}");
         }
+    }
+
+    /// The same for every deployment option `encode` covers: the shrunk
+    /// reproducers of quick seeds 174 and 260 once replayed with the default
+    /// 128 outstanding requests per client instead of the case's 32, and passed.
+    #[test]
+    fn snippet_restates_every_encoded_deployment_option() {
+        let mut case = ScheduleGenerator::new(FuzzConfig::quick()).case(0);
+        let defaults = ava_hamava::harness::DeploymentOptions::default();
+        let mut latency = LatencyModel::paper_table2();
+        latency.set_rtt(Region::Europe, Region::AsiaNortheast, 77.5);
+        case.opts = ava_hamava::harness::DeploymentOptions {
+            seed: 9_001,
+            clients_per_cluster: 3,
+            client_concurrency: 17,
+            store: Some(StoreConfig::every(6)),
+            workload: WorkloadSpec {
+                read_ratio: 0.25,
+                key_space: 321,
+                zipf_theta: 0.5,
+                payload_size: 64,
+                ..WorkloadSpec::default()
+            },
+            latency,
+            ..defaults.clone()
+        };
+        let o = &case.opts;
+        assert_ne!(o.seed, defaults.seed);
+        assert_ne!(o.clients_per_cluster, defaults.clients_per_cluster);
+        assert_ne!(o.client_concurrency, defaults.client_concurrency);
+        assert_ne!(o.store, defaults.store);
+        assert_ne!(workload_expr(&o.workload), workload_expr(&defaults.workload));
+        let rtt = |l: &LatencyModel| l.rtt_ms(Region::Europe, Region::AsiaNortheast);
+        assert_ne!(rtt(&o.latency), rtt(&defaults.latency));
+        let snippet = case.builder_snippet();
+        for field in [
+            "seed: 9001,".to_string(),
+            "clients_per_cluster: 3,".to_string(),
+            "client_concurrency: 17,".to_string(),
+            "store: Some(StoreConfig::every(6)),".to_string(),
+            format!("workload: {},", workload_expr(&o.workload)),
+            "l.set_rtt(Region::Europe, Region::AsiaNortheast, 77.5);".to_string(),
+            "..DeploymentOptions::default() })".to_string(),
+        ] {
+            assert!(snippet.contains(&field), "snippet misses `{field}`:\n{snippet}");
+        }
+        // The default latency model is left to the default.
+        let plain = ScheduleGenerator::new(FuzzConfig::quick()).case(0).builder_snippet();
+        assert!(!plain.contains("latency: "), "{plain}");
     }
 }

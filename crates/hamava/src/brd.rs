@@ -14,7 +14,9 @@
 use ava_consensus::{send_pairs, SendAction, SIGN_COST, VERIFY_COST};
 use ava_crypto::sha256::Sha256;
 use ava_crypto::{Digest, KeyRegistry, Keypair, SigSet, Signature};
-use ava_types::{Duration, Encode, EncodeSink, Reconfig, ReplicaId, Round, Time, Timestamp};
+use ava_types::{
+    fault_threshold, Duration, Encode, EncodeSink, Reconfig, ReplicaId, Round, Time, Timestamp,
+};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -332,6 +334,8 @@ struct ValidRecord {
 pub struct Brd {
     me: ReplicaId,
     members: Vec<ReplicaId>,
+    /// The fault threshold of `members`, fixed for the instance's round.
+    f: usize,
     keypair: Keypair,
     registry: KeyRegistry,
     leader: ReplicaId,
@@ -380,6 +384,7 @@ impl Brd {
     ) -> Self {
         Brd {
             me,
+            f: fault_threshold(members.len()),
             members,
             keypair,
             registry,
@@ -402,18 +407,6 @@ impl Brd {
             ready_votes: BTreeMap::new(),
             digests: None,
         }
-    }
-
-    fn f(&self) -> usize {
-        if self.members.is_empty() {
-            0
-        } else {
-            (self.members.len() - 1) / 3
-        }
-    }
-
-    fn quorum(&self) -> usize {
-        2 * self.f() + 1
     }
 
     /// The Echo and Ready digests of `recs` in this instance's round.
@@ -614,7 +607,7 @@ impl Brd {
             return;
         }
         let responders = self.contributions.len().max(self.collected_from.len());
-        if responders < self.quorum() {
+        if responders < 2 * self.f + 1 {
             return;
         }
         self.aggregated = true;
@@ -648,7 +641,7 @@ impl Brd {
                         distinct.push(c.from);
                     }
                 }
-                if distinct.len() < self.quorum() {
+                if distinct.len() < 2 * self.f + 1 {
                     return false;
                 }
                 let mut union: Vec<Reconfig> =
@@ -659,7 +652,7 @@ impl Brd {
             }
             AggJustify::Echoes(sigs) => {
                 sigs.count_valid(&self.registry, &echo_digest(self.round, recs), &self.members)
-                    >= self.quorum()
+                    > 2 * self.f
             }
             AggJustify::Readies(sigs) => {
                 allow_ready
@@ -667,7 +660,7 @@ impl Brd {
                         &self.registry,
                         &ready_digest(self.round, recs),
                         &self.members,
-                    ) >= self.f() + 1
+                    ) > self.f
             }
         }
     }
@@ -723,7 +716,7 @@ impl Brd {
             out.push(BrdAction::Reject { round: self.round });
             return;
         }
-        let quorum = self.quorum();
+        let quorum = 2 * self.f + 1;
         let entry = self.echo_votes.entry(digest).or_insert_with(|| (recs.clone(), SigSet::new()));
         entry.1.insert(sig);
         let echo_count = entry.1.len();
@@ -760,8 +753,8 @@ impl Brd {
             out.push(BrdAction::Reject { round: self.round });
             return;
         }
-        let f_plus_one = self.f() + 1;
-        let quorum = self.quorum();
+        let f_plus_one = self.f + 1;
+        let quorum = 2 * self.f + 1;
         let entry = self.ready_votes.entry(digest).or_insert_with(|| (recs.clone(), SigSet::new()));
         entry.1.insert(sig);
         let count = entry.1.len();

@@ -22,7 +22,11 @@
 //!   gives up and resumes alone from what it has: the solo fallback.
 //!
 //! Protocol traffic that arrives meanwhile is buffered ([`CatchUp::buffer`]) and
-//! replayed once the replica is back in a round. Every replay applies its
+//! replayed once the replica is back in a round. The replica enters that round
+//! through its one `enter`, with the adopted [`View`] (or none, on the solo
+//! fallback): the view's state, views and leader timestamp are installed
+//! together, so a replica back after a leader change complains at the
+//! timestamp its peers count. Every replay applies its
 //! records' reconfigurations through [`Views::apply_round`], the rule live
 //! execution follows, so each path keeps the same per-cluster trailing view.
 

@@ -7,7 +7,7 @@
 //! leader change protocol, Alg. 2 line 26) advances the leader directly.
 
 use ava_consensus::{send_pairs, SendAction};
-use ava_types::{ReplicaId, Timestamp};
+use ava_types::{fault_threshold, ReplicaId, Timestamp};
 use std::collections::BTreeSet;
 
 /// Wire message of the leader election module.
@@ -58,20 +58,34 @@ impl SendAction for ElectionAction {
     }
 }
 
-/// Leader election state machine for one replica.
+/// Leader election state machine for one replica: the replica's one record
+/// of its cluster's leader and leader timestamp.
 #[derive(Debug)]
 pub struct LeaderElection {
     me: ReplicaId,
     members: Vec<ReplicaId>,
+    /// The leader fixed at the last change (or at construction). A later
+    /// membership change does not move it; the next change does.
+    leader: ReplicaId,
     ts: u64,
     complainers: BTreeSet<ReplicaId>,
     complained: bool,
 }
 
 impl LeaderElection {
-    /// Create an instance. The initial leader has timestamp 0 and is `members[0]`.
-    pub fn new(me: ReplicaId, members: Vec<ReplicaId>) -> Self {
-        LeaderElection { me, members, ts: 0, complainers: BTreeSet::new(), complained: false }
+    /// Create an instance at leader timestamp `ts`, led by
+    /// [`LeaderElection::leader_for`] `(members, ts)` (by `me` while the
+    /// member list is empty, as for a replica still joining).
+    pub fn new(me: ReplicaId, members: Vec<ReplicaId>, ts: Timestamp) -> Self {
+        let leader = if members.is_empty() { me } else { Self::leader_for(&members, ts.0) };
+        LeaderElection {
+            me,
+            members,
+            leader,
+            ts: ts.0,
+            complainers: BTreeSet::new(),
+            complained: false,
+        }
     }
 
     /// The current leader timestamp.
@@ -79,26 +93,20 @@ impl LeaderElection {
         Timestamp(self.ts)
     }
 
-    /// The leader for the current timestamp (round-robin over the member order).
-    pub fn current_leader(&self) -> ReplicaId {
-        Self::leader_for(&self.members, self.ts)
+    /// The current leader.
+    pub fn leader(&self) -> ReplicaId {
+        self.leader
     }
 
-    /// The leader a given member list and timestamp map to.
+    /// The leader a given member list and timestamp map to (round-robin over
+    /// the member order, Alg. 9 line 27).
     pub fn leader_for(members: &[ReplicaId], ts: u64) -> ReplicaId {
         assert!(!members.is_empty(), "cluster has no members");
         members[(ts as usize) % members.len()]
     }
 
-    fn f(&self) -> usize {
-        if self.members.is_empty() {
-            0
-        } else {
-            (self.members.len() - 1) / 3
-        }
-    }
-
-    /// Update the member list after a reconfiguration.
+    /// Update the member list after a reconfiguration. The leader stays the
+    /// one fixed at the last change until the next.
     pub fn set_members(&mut self, members: Vec<ReplicaId>) {
         self.members = members;
     }
@@ -124,11 +132,13 @@ impl LeaderElection {
             return Vec::new();
         }
         self.complainers.insert(from);
+        let f = fault_threshold(self.members.len());
         let mut out = Vec::new();
-        if self.complainers.len() >= self.f() + 1 && !self.complained {
+        // f + 1 complaints amplify, 2f + 1 change the leader.
+        if self.complainers.len() > f && !self.complained {
             out.extend(self.send_complain());
         }
-        if self.complainers.len() >= 2 * self.f() + 1 {
+        if self.complainers.len() > 2 * f {
             out.extend(self.change());
         }
         out
@@ -143,9 +153,10 @@ impl LeaderElection {
 
     fn change(&mut self) -> Vec<ElectionAction> {
         self.ts += 1;
+        self.leader = Self::leader_for(&self.members, self.ts);
         self.complainers.clear();
         self.complained = false;
-        vec![ElectionAction::NewLeader { leader: self.current_leader(), ts: Timestamp(self.ts) }]
+        vec![ElectionAction::NewLeader { leader: self.leader, ts: Timestamp(self.ts) }]
     }
 }
 
@@ -171,8 +182,8 @@ mod tests {
     #[test]
     fn quorum_of_complaints_elects_next_leader() {
         let ms = members(4);
-        let mut le = LeaderElection::new(ReplicaId(3), ms.clone());
-        assert_eq!(le.current_leader(), ReplicaId(0));
+        let mut le = LeaderElection::new(ReplicaId(3), ms.clone(), Timestamp(0));
+        assert_eq!(le.leader(), ReplicaId(0));
         let mut all = Vec::new();
         all.extend(le.complain());
         all.extend(le.on_message(ReplicaId(1), ElectionMsg::Complaint { ts: 0 }));
@@ -180,12 +191,12 @@ mod tests {
         assert!(new_leaders(&all).is_empty());
         all.extend(le.on_message(ReplicaId(2), ElectionMsg::Complaint { ts: 0 }));
         assert_eq!(new_leaders(&all), vec![(ReplicaId(1), 1)]);
-        assert_eq!(le.current_leader(), ReplicaId(1));
+        assert_eq!(le.leader(), ReplicaId(1));
     }
 
     #[test]
     fn amplification_complains_after_f_plus_one() {
-        let mut le = LeaderElection::new(ReplicaId(3), members(7));
+        let mut le = LeaderElection::new(ReplicaId(3), members(7), Timestamp(0));
         // f = 2: three remote complaints trigger amplification (a complaint
         // to every member).
         let a1 = le.on_message(ReplicaId(0), ElectionMsg::Complaint { ts: 0 });
@@ -199,7 +210,7 @@ mod tests {
     #[test]
     fn a_complaint_is_one_fan_out_to_every_member_in_membership_order() {
         let ms: Vec<ReplicaId> = [5, 2, 9, 0].map(ReplicaId).to_vec();
-        let mut le = LeaderElection::new(ReplicaId(2), ms.clone());
+        let mut le = LeaderElection::new(ReplicaId(2), ms.clone(), Timestamp(0));
         let actions = le.complain();
         assert_eq!(actions.len(), 1, "{actions:?}");
         assert!(
@@ -209,14 +220,14 @@ mod tests {
 
     #[test]
     fn stale_and_foreign_complaints_are_ignored() {
-        let mut le = LeaderElection::new(ReplicaId(0), members(4));
+        let mut le = LeaderElection::new(ReplicaId(0), members(4), Timestamp(0));
         assert!(le.on_message(ReplicaId(1), ElectionMsg::Complaint { ts: 5 }).is_empty());
         assert!(le.on_message(ReplicaId(99), ElectionMsg::Complaint { ts: 0 }).is_empty());
     }
 
     #[test]
     fn next_leader_request_advances_round_robin() {
-        let mut le = LeaderElection::new(ReplicaId(0), members(4));
+        let mut le = LeaderElection::new(ReplicaId(0), members(4), Timestamp(0));
         assert_eq!(new_leaders(&le.next_leader()), vec![(ReplicaId(1), 1)]);
         assert_eq!(new_leaders(&le.next_leader()), vec![(ReplicaId(2), 2)]);
         assert_eq!(new_leaders(&le.next_leader()), vec![(ReplicaId(3), 3)]);
@@ -224,8 +235,46 @@ mod tests {
     }
 
     #[test]
+    fn an_election_built_at_ts_k_counts_ts_k_complaints_and_moves_to_k_plus_one() {
+        let ms = members(7);
+        let k = 5;
+        let mut le = LeaderElection::new(ReplicaId(6), ms.clone(), Timestamp(k));
+        assert_eq!(
+            (le.leader(), le.timestamp()),
+            (LeaderElection::leader_for(&ms, k), Timestamp(k))
+        );
+        // Complaints about any other timestamp do not count.
+        for from in 0..5 {
+            assert!(le.on_message(ReplicaId(from), ElectionMsg::Complaint { ts: 0 }).is_empty());
+        }
+        // An own complaint carries ts k, and 2f + 1 = 5 of them change the leader.
+        let own = le.complain();
+        assert!(
+            matches!(&own[..], [ElectionAction::SendAll { msg: ElectionMsg::Complaint { ts }, .. }] if *ts == k)
+        );
+        let mut all = Vec::new();
+        for from in 0..4 {
+            all.extend(le.on_message(ReplicaId(from), ElectionMsg::Complaint { ts: k }));
+        }
+        let next = LeaderElection::leader_for(&ms, k + 1);
+        assert_eq!(new_leaders(&all), vec![(next, k + 1)]);
+        assert_eq!((le.leader(), le.timestamp()), (next, Timestamp(k + 1)));
+    }
+
+    #[test]
+    fn the_stored_leader_survives_a_membership_change() {
+        let mut le = LeaderElection::new(ReplicaId(2), members(4), Timestamp(1));
+        assert_eq!(le.leader(), ReplicaId(1));
+        // The leader leaves: it stays the record until the next change.
+        le.set_members(vec![ReplicaId(0), ReplicaId(2), ReplicaId(3)]);
+        assert_eq!((le.leader(), le.timestamp()), (ReplicaId(1), Timestamp(1)));
+        assert_eq!(new_leaders(&le.next_leader()), vec![(ReplicaId(3), 2)]);
+        assert_eq!(le.leader(), ReplicaId(3));
+    }
+
+    #[test]
     fn membership_change_affects_future_leaders() {
-        let mut le = LeaderElection::new(ReplicaId(0), members(4));
+        let mut le = LeaderElection::new(ReplicaId(0), members(4), Timestamp(0));
         le.set_members(vec![ReplicaId(0), ReplicaId(5), ReplicaId(6)]);
         assert_eq!(new_leaders(&le.next_leader()), vec![(ReplicaId(5), 1)]);
     }

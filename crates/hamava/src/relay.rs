@@ -166,6 +166,12 @@ impl Relay {
         self.shared = self.shared.split_off(&(round.next(), ClusterId(0)));
     }
 
+    /// This cluster's own package of the round last executed here: what a new
+    /// leader re-sends for the previous round (Alg. 8 line 17).
+    pub fn executed_own(&self) -> Option<&Arc<RoundPackage>> {
+        self.executed.as_ref().and_then(|(_, packages)| packages.get(&self.own))
+    }
+
     /// The package already verified and shared for this slot, if any.
     pub fn shared(&self, round: Round, cluster: ClusterId) -> Option<&Arc<RoundPackage>> {
         self.shared.get(&(round, cluster))

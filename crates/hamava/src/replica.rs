@@ -1,5 +1,11 @@
 //! The Hamava replica: composition of all sub-protocols into the three-stage round
 //! structure of the paper (Alg. 7–10), generic over the local total-order broadcast.
+//!
+//! The cluster's leader and leader timestamp live in one place, the replica's
+//! [`LeaderElection`]. Every way into a round after start-up — the join, a
+//! catch-up's adoption, the solo fallback — goes through one `enter(round,
+//! view)`, and a view is installed (machine, views, an election at the view's
+//! timestamp) only by `install`, which store replay on restart shares.
 
 use crate::brd::{Brd, BrdAction, BrdCert};
 use crate::catchup::{self, walk_round, CatchUp, CatchUpOffer, Executed, Offered, Tick, View};
@@ -140,15 +146,12 @@ pub struct Replica<T: TotalOrderBroadcast> {
     round: Round,
     round_state: RoundState,
     tob: T,
+    /// The replica's one record of its cluster's leader and leader timestamp.
     election: LeaderElection,
     brd: Brd,
     rlc: RemoteLeaderChange,
-    leader: ReplicaId,
-    leader_ts: Timestamp,
     /// Reconfiguration requests collected this round (Alg. 3 member side).
     collected_recs: BTreeSet<Reconfig>,
-    /// Regions of replicas that requested to join (needed to build `Reconfig::Join`).
-    join_regions: HashMap<ReplicaId, Region>,
     /// Client write requests waiting for execution, keyed by transaction id.
     pending_clients: HashMap<TxId, (ReplicaId, ClientId)>,
     /// For writes admitted via a broker batch: which `(broker, batch id)` the
@@ -185,8 +188,6 @@ pub struct Replica<T: TotalOrderBroadcast> {
     /// anchor, which may already include blocks packed into the in-flight
     /// round), or same-round senders' synthesized digests would split.
     round_base_height: u64,
-    /// Package of the previous round (re-sent by a new leader, Alg. 8 line 17).
-    prev_package: Option<Arc<RoundPackage>>,
     /// Stage-2 package bookkeeping beyond the current round: the stash of
     /// packages that arrived early, and the evidence-driven pull of a package
     /// this replica misses from a cluster that is provably a round ahead.
@@ -217,15 +218,14 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     /// Create a replica around an already-constructed TOB instance.
     pub fn new(cfg: ReplicaConfig, keypair: Keypair, registry: KeyRegistry, tob: T) -> Self {
         let members = cfg.membership.member_ids(cfg.cluster);
-        let leader = members.first().copied().unwrap_or(cfg.me);
-        let election = LeaderElection::new(cfg.me, members.clone());
+        let election = LeaderElection::new(cfg.me, members.clone(), Timestamp(0));
         let brd = Brd::new(
             cfg.me,
             members,
             keypair.clone(),
             registry.clone(),
-            leader,
-            Timestamp(0),
+            election.leader(),
+            election.timestamp(),
             Round(1),
             cfg.params.brd_timeout,
         );
@@ -257,10 +257,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             election,
             brd,
             rlc,
-            leader,
-            leader_ts: Timestamp(0),
             collected_recs: BTreeSet::new(),
-            join_regions: HashMap::new(),
             pending_clients: HashMap::new(),
             pending_batch: HashMap::new(),
             seen_batches: BTreeSet::new(),
@@ -268,7 +265,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             pending_blocks: BTreeMap::new(),
             next_local_height: 0,
             round_base_height: 0,
-            prev_package: None,
             relay,
             ordered_reconfig_sets: BTreeMap::new(),
             leave_requested: false,
@@ -292,7 +288,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     }
 
     fn is_leader(&self) -> bool {
-        self.leader == self.cfg.me
+        self.election.leader() == self.cfg.me
     }
 
     // ---- action plumbing -------------------------------------------------------
@@ -447,8 +443,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         ts: Timestamp,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        self.leader = leader;
-        self.leader_ts = ts;
         let now = ctx.now();
         self.tob_step(ctx, |tob, out| tob.new_leader(leader, ts, now, out));
         self.brd_step(ctx, |brd, out| brd.new_leader(leader, ts, now, out));
@@ -462,18 +456,18 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         });
         // Alg. 8 lines 14–18: a new leader re-runs the inter-cluster broadcast for
         // the current round (if Stage 1 is already complete) and for the previous
-        // round, in case the failed leader never communicated them.
+        // round, in case the failed leader never communicated them. A replica
+        // that already broadcast the current round as leader has nothing older
+        // to re-send.
         if self.is_leader() {
-            // Capture the previous round's package first: inter_broadcast below
-            // updates `prev_package` to the current round's package.
-            let previous = self.prev_package.clone();
+            let broadcast_this_round = self.round_state.inter_broadcast_done;
             if self.round_state.stage1_done {
                 self.round_state.inter_broadcast_done = false;
                 self.inter_broadcast(ctx);
             }
-            if let Some(prev) = previous {
-                if prev.round != self.round {
-                    self.send_package_to_remotes(&prev, ctx);
+            if !broadcast_this_round {
+                if let Some(previous) = self.relay.executed_own().cloned() {
+                    self.send_package_to_remotes(&previous, ctx);
                 }
             }
         }
@@ -680,7 +674,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         let Some(own) = self.round_state.packages.get(&self.cfg.cluster).cloned() else {
             return;
         };
-        self.prev_package = Some(Arc::clone(&own));
         self.send_package_to_remotes(&own, ctx);
     }
 
@@ -941,7 +934,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                             state: self.machine.snapshot(),
                             views: Box::new(self.views.clone()),
                             round: next_round,
-                            leader_ts: self.leader_ts.0,
+                            leader_ts: self.election.timestamp().0,
                             next_height: self.next_local_height,
                         },
                     );
@@ -985,11 +978,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             });
         }
 
-        // Remember own package for Alg. 8's previous-round re-broadcast, and all
-        // of them for replicas that prove they miss one.
-        if let Some(own) = packages.get(&self.cfg.cluster) {
-            self.prev_package = Some(Arc::clone(own));
-        }
+        // Remember the packages for replicas that prove they miss one, and the
+        // own one for Alg. 8's previous-round re-send.
         self.relay.on_round_executed(self.round, packages);
 
         // Clear per-round reconfiguration collection state (Alg. 10 line 36).
@@ -1026,7 +1016,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             self.round,
             self.machine.snapshot(),
             self.views.current().clone(),
-            self.leader_ts.0,
+            self.election.timestamp().0,
             self.next_local_height,
         ));
         let store = self.store.as_mut().expect("checked above");
@@ -1093,8 +1083,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             members,
             self.keypair.clone(),
             self.registry.clone(),
-            self.leader,
-            self.leader_ts,
+            self.election.leader(),
+            self.election.timestamp(),
             round,
             self.cfg.params.brd_timeout,
         );
@@ -1122,7 +1112,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         region: Region,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        self.join_regions.insert(replica, region);
         self.collected_recs.insert(Reconfig::Join { replica, region });
         ctx.send(replica, AvaMsg::Ack { members: self.my_members(), round: self.round });
     }
@@ -1172,11 +1161,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         // views: packages certified by outgoing members are still in flight,
         // and the joiner must verify them exactly like its peers do.
         let view = View { machine: machine_from_snapshot(&state), views, leader_ts, next_height };
-        let anchor = self.install(view);
-        self.round = round;
-        self.next_local_height = anchor;
-        self.pending_blocks = self.pending_blocks.split_off(&anchor);
-        self.enter(round, ctx);
+        self.enter(round, Some(view), ctx);
         ctx.emit(Output::ReconfigApplied {
             replica: self.cfg.me,
             cluster: self.cfg.cluster,
@@ -1189,35 +1174,31 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
     // ---- entering a round ----------------------------------------------------------
 
-    /// Install an entry path's state. Returns its packing anchor, which each
-    /// path applies in its own way.
+    /// Install an entry path's state: the machine, the views and an election
+    /// at the view's leader timestamp. The only code that writes them from a
+    /// view. Returns the view's packing anchor.
     fn install(&mut self, view: View) -> u64 {
         self.machine = view.machine;
         self.views = view.views;
-        self.leader_ts = Timestamp(view.leader_ts);
+        let ts = Timestamp(view.leader_ts);
+        self.election = LeaderElection::new(self.cfg.me, self.my_members(), ts);
         view.next_height
     }
 
-    /// Enter `round` as an active member of the installed view: its leader, a
-    /// fresh election, the TOB on the view's members and leader, then the
-    /// round. The one way into a round after start-up, shared by the join, a
-    /// catch-up's adoption and the solo fallback.
-    fn enter(&mut self, round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        let members = self.my_members();
-        self.leader = LeaderElection::leader_for(&members, self.leader_ts.0);
-        self.election = LeaderElection::new(self.cfg.me, members.clone());
-        self.tob.set_membership(members);
-        let (leader, ts, now) = (self.leader, self.leader_ts, ctx.now());
-        self.tob_step(ctx, |tob, out| tob.new_leader(leader, ts, now, out));
-        self.status = ReplicaStatus::Active;
-        self.start_round(round, ctx);
-    }
-
-    /// The end of a catch-up, adopted or not: the blocks the abandoned
-    /// in-flight round consumed go back to the queue, packing re-anchors at
-    /// `anchor` (covered heights are pruned, the rest re-pack in height order),
-    /// the replica enters `round`, and the traffic buffered meanwhile replays.
-    fn resume(&mut self, round: Round, anchor: u64, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
+    /// Enter `round` as an active member: the one way into a round after
+    /// start-up, shared by the join, a catch-up's adoption (both with the
+    /// `view` they adopt) and the solo fallback (`None`: the replica goes on
+    /// from what it has). The view is installed; packing re-anchors at the
+    /// later of the executed boundary and the view's (a joiner's boundary is
+    /// 0), the blocks the abandoned round consumed go back to the queue and
+    /// covered heights are pruned; the TOB is re-pointed at the members and
+    /// the election's leader; the round starts, and the traffic buffered while
+    /// catching up replays.
+    fn enter(&mut self, round: Round, view: Option<View>, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
+        let mut anchor = self.round_base_height;
+        if let Some(view) = view {
+            anchor = anchor.max(self.install(view));
+        }
         let buffered = match std::mem::replace(&mut self.status, ReplicaStatus::Active) {
             ReplicaStatus::Recovering(catch_up) => catch_up.into_buffered(),
             _ => Vec::new(),
@@ -1227,7 +1208,10 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
         self.next_local_height = anchor;
         self.pending_blocks = self.pending_blocks.split_off(&anchor);
-        self.enter(round, ctx);
+        self.tob.set_membership(self.my_members());
+        let (leader, ts, now) = (self.election.leader(), self.election.timestamp(), ctx.now());
+        self.tob_step(ctx, |tob, out| tob.new_leader(leader, ts, now, out));
+        self.start_round(round, ctx);
         for (from, msg) in buffered {
             match msg {
                 AvaMsg::Tob(m) => {
@@ -1246,9 +1230,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
     /// Rebuild the replica after a simulated process restart: volatile state is
     /// discarded, the durable store (the one surviving field) seeds local
-    /// recovery, and the catch-up protocol fills the gap from peers. The leader,
-    /// election and BRD instance are left for `enter` to rebuild: nothing reads
-    /// them while catching up.
+    /// recovery, and the catch-up protocol fills the gap from peers. The BRD
+    /// instance and the TOB's leader are left for `enter` to rebuild: nothing
+    /// reads them while catching up.
     fn restart(&mut self, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
         self.round_state = RoundState { started_at: ctx.now(), ..Default::default() };
         self.tob.reset();
@@ -1262,11 +1246,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             self.cfg.params.leader_change_grace,
         );
         self.collected_recs.clear();
-        self.join_regions.clear();
         self.pending_clients.clear();
         self.pending_batch.clear();
         self.seen_batches.clear();
-        self.prev_package = None;
         self.relay = Relay::new(self.cfg.cluster);
         self.ordered_reconfig_sets.clear();
         self.leave_requested = false;
@@ -1308,7 +1290,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             machine: self.machine.as_ref(),
             views: &self.views,
             round: self.round,
-            leader_ts: self.leader_ts.0,
+            leader_ts: self.election.timestamp().0,
             next_height: self.round_base_height,
         }
     }
@@ -1342,7 +1324,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         let Some(adoption) = adoption else {
             return;
         };
-        let anchor = self.round_base_height.max(self.install(adoption.view));
         // Make the transferred state durable in one batch.
         let mut persist_bytes = 0usize;
         if let Some(store) = &mut self.store {
@@ -1383,7 +1364,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             bytes_transferred: adoption.bytes_transferred,
             at: ctx.now(),
         });
-        self.resume(adoption.round, anchor, ctx);
+        self.enter(adoption.round, Some(adoption.view), ctx);
     }
 
     // ---- client requests ---------------------------------------------------------
@@ -1580,7 +1561,7 @@ where
                 let executed = self.executed();
                 let (checkpoint, suffix) =
                     catchup::reply(self.store.as_ref(), &self.cfg.membership, executed);
-                let (round, leader_ts) = (self.round, self.leader_ts.0);
+                let (round, leader_ts) = (self.round, self.election.timestamp().0);
                 ctx.send(from, AvaMsg::CatchUpReply { checkpoint, suffix, round, leader_ts });
             }
             AvaMsg::CatchUpReply { .. } => {}
@@ -1616,7 +1597,7 @@ where
                 Tick::GiveUp(round) => {
                     let (value, at) = (round.0 as f64, ctx.now());
                     ctx.emit(Output::Custom { name: "recovery_solo_fallback", value, at });
-                    self.resume(round, self.round_base_height, ctx);
+                    self.enter(round, None, ctx);
                 }
             }
             return;

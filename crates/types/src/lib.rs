@@ -22,7 +22,7 @@ pub use config::{ClusterSpec, ProtocolParams, SystemConfig};
 pub use encode::{Encode, EncodeSink};
 pub use error::AvaError;
 pub use ids::{ClientId, ClusterId, Region, ReplicaId, Round, Timestamp, TxId};
-pub use membership::{Membership, ReplicaInfo};
+pub use membership::{fault_threshold, Membership, ReplicaInfo};
 pub use metrics::{Output, RejectKind, StageKind};
 pub use operation::{Operation, OperationBatch, Reconfig, Transaction, TxKind};
 pub use time::{Duration, Time};

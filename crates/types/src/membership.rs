@@ -9,6 +9,12 @@ use crate::ids::{ClusterId, Region, ReplicaId};
 use crate::operation::Reconfig;
 use std::collections::BTreeMap;
 
+/// The failure threshold of a cluster of `n` replicas: `f = ⌊(n−1)/3⌋`, and 0
+/// for an empty cluster. Every quorum in the workspace derives from it.
+pub fn fault_threshold(n: usize) -> usize {
+    n.saturating_sub(1) / 3
+}
+
 /// Static information about a replica.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReplicaInfo {
@@ -92,12 +98,7 @@ impl Membership {
 
     /// Failure threshold of `cluster`: `f_j = ⌊(|C_j|−1)/3⌋` (Alg. 10, line 28).
     pub fn f(&self, cluster: ClusterId) -> usize {
-        let n = self.size(cluster);
-        if n == 0 {
-            0
-        } else {
-            (n - 1) / 3
-        }
+        fault_threshold(self.size(cluster))
     }
 
     /// Quorum size of `cluster`: `2·f_j + 1`.
@@ -191,6 +192,13 @@ mod tests {
         assert_eq!(m7.quorum(ClusterId(0)), 5);
         assert_eq!(m4.one_correct(ClusterId(0)), 2);
         assert_eq!(m7.one_correct(ClusterId(0)), 3);
+    }
+
+    #[test]
+    fn fault_threshold_is_zero_for_an_empty_cluster() {
+        let f: Vec<usize> = (0..=8).map(fault_threshold).collect();
+        assert_eq!(f, [0, 0, 0, 0, 1, 1, 1, 2, 2]);
+        assert_eq!(Membership::new().f(ClusterId(3)), 0);
     }
 
     #[test]

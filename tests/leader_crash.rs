@@ -11,6 +11,10 @@
 //! The other side of the bound: the slowest fault-free layout in the repo —
 //! `ava-exp e3`'s cluster spanning two regions, whose replicas wait up to
 //! 412 ms for a delivery — must never see a complaint.
+//!
+//! And a replica that crashes, restarts and catches up after a leader change
+//! resumes at its cluster's leader timestamp, so its complaints count in the
+//! next change.
 
 mod common;
 
@@ -45,23 +49,29 @@ fn config() -> SystemConfig {
 }
 
 fn crashed(protocol: Protocol, crashes: &[(Time, ReplicaId)]) -> ScenarioBuilder {
+    let mut builder = loaded(protocol, LOAD_FOR, RUN);
+    for &(at, replica) in crashes {
+        builder = builder.crash_at(at, replica);
+    }
+    builder
+}
+
+/// The three clusters under open-loop load through brokers until `load_for`,
+/// run for `run`.
+fn loaded(protocol: Protocol, load_for: Duration, run: Duration) -> ScenarioBuilder {
     let opts =
         DeploymentOptions { seed: 11, clients_per_cluster: 0, ..DeploymentOptions::default() };
     let load = AggregateLoad {
         virtual_clients: 20_000,
         offered_tps: 750,
-        issue_for: LOAD_FOR,
+        issue_for: load_for,
         workload: WorkloadSpec { read_ratio: 0.5, ..WorkloadSpec::default() },
         ..AggregateLoad::default()
     };
-    let mut builder = Scenario::builder(protocol, config())
+    Scenario::builder(protocol, config())
         .options(opts)
         .brokers(BrokerTier { load, ..BrokerTier::default() })
-        .run_for(RUN);
-    for &(at, replica) in crashes {
-        builder = builder.crash_at(at, replica);
-    }
-    builder
+        .run_for(run)
 }
 
 fn run_checked(builder: ScenarioBuilder) -> ScenarioRun {
@@ -149,6 +159,38 @@ fn a_second_crash_right_after_the_takeover_costs_epsilon_again() {
             assert!(took <= EPSILON + HANDOVER, "{label}: {member:?} took {took} to change");
             let took = at_third.since(second_crash);
             assert!(took <= EPSILON + HANDOVER, "{label}: {member:?} took {took} to change again");
+        }
+    }
+}
+
+/// A replica that catches up after a leader change resumes at its cluster's
+/// leader timestamp, so its complaints count in the next change. Leader p0
+/// crashes at 2 s and the cluster moves to p1 (timestamp 1); p2 crashes at
+/// 3 s, restarts at 5 s and catches up; p1 crashes at 8 s. With p0 and p1
+/// down, cluster 0's five live members are exactly its 2f + 1: the change to
+/// p2 needs p2's own complaint. A p2 that re-entered at timestamp 0 complained
+/// about a stale leader, its peers dropped the complaints, and cluster 0 ran
+/// no round from 8.2 s to the end of the run.
+#[test]
+fn a_replica_back_from_a_catch_up_votes_in_the_next_leader_change() {
+    let (load_for, run) = (Duration::from_secs(15), Duration::from_secs(16));
+    let [p0, p1, p2] = [0, 1, 2].map(ReplicaId);
+    assert_eq!(config().initial_leader(ClusterId(0)), p0);
+    for protocol in Protocol::AVA {
+        let label = protocol.label();
+        let builder = loaded(protocol, load_for, run)
+            .crash_at(Time::from_millis(2_000), p0)
+            .crash_at(Time::from_millis(3_000), p2)
+            .restart_at(Time::from_millis(5_000), p2)
+            .crash_at(Time::from_millis(8_000), p1);
+        let run = run_checked(builder);
+        let gap = longest_execution_gap(&run, ClusterId(0), Time::ZERO + load_for);
+        assert!(gap <= Duration::from_millis(1_500), "{label}: cluster 0 idle for {gap}");
+        let changes = changes_in_cluster_0(&run);
+        let last_leader = |member| changes.get(&member).and_then(|c| c.last()).map(|c| c.0);
+        let mine = last_leader(p2);
+        for peer in live_members(&[p0, p1, p2]) {
+            assert_eq!(mine, last_leader(peer), "{label}: p2 and {peer:?} disagree on the leader");
         }
     }
 }

@@ -12,7 +12,9 @@ use hamava_repro::scenario::{
 use hamava_repro::simnet::SimMessage;
 use hamava_repro::state::StateSnapshot;
 use hamava_repro::store::{Checkpoint, StoreConfig};
-use hamava_repro::types::{Duration, Output, Region, ReplicaId, Round, SystemConfig, Time};
+use hamava_repro::types::{
+    fault_threshold, Duration, Output, Region, ReplicaId, Round, SystemConfig, Time,
+};
 use hamava_repro::workload::WorkloadSpec;
 use recorders::{one_replica_among_recorders, received};
 use std::sync::Arc;
@@ -38,7 +40,7 @@ fn crash_restart_scenario(restart_secs: u64, run_secs: u64) -> ScenarioBuilder {
         .store(StoreConfig::every(4))
         .run_for(Duration::from_secs(run_secs));
     for cluster in &config.clusters {
-        let f = (cluster.replicas.len() - 1) / 3;
+        let f = fault_threshold(cluster.replicas.len());
         for (id, _) in cluster.replicas.iter().skip(1).take(f) {
             builder = builder.crash_at(crash_at, *id).restart_at(restart_at, *id);
         }
