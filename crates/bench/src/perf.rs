@@ -51,7 +51,8 @@ fn opts(seed: u64) -> DeploymentOptions {
 /// executed-round memo's hit share (ideal (n − 1)/n: 41/42, 7/8, 20/21) and
 /// the rounds it retains, then by the expected-tag memo's verifications
 /// answered and HMACs computed; the KV table also by the checkpoint digests
-/// reused.
+/// reused and the KV leaves hashed (one per committed write, since the
+/// replicas share each executed round).
 pub fn profile_deployments() {
     let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
@@ -81,10 +82,11 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, tags, digests) = (
+    let (memo, tags, digests, leaves) = (
         ava_hamava::executed_round_stats(),
         ava_crypto::tag_memo_stats(),
         ava_store::checkpoint_digest_stats(),
+        ava_state::leaf_hash_stats(),
     );
     let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
     let replicas = config.total_replicas();
@@ -97,6 +99,13 @@ pub fn profile_deployments() {
         "checkpoint digests: {} reused / {} built",
         digests_after.reused - digests.reused,
         digests_after.built - digests.built
+    );
+    let leaves_after = ava_state::leaf_hash_stats();
+    let (hashed, bytes) = (leaves_after.leaves - leaves.leaves, leaves_after.bytes - leaves.bytes);
+    println!(
+        "KV leaves hashed: {hashed} / {:.1} MB / {} B per leaf",
+        bytes as f64 / 1e6,
+        bytes / hashed.max(1)
     );
 
     let churn = DeploymentOptions {

@@ -122,7 +122,9 @@ impl FromIterator<Signature> for SigSet {
 /// Verification carries a single-entry memo: when the same certificate value is
 /// shared by reference across many verifiers (the `Arc`-shared round packages of the
 /// Stage 2 fan-out), only the first verifier pays the per-signature HMAC cost for a
-/// given `(registry, digest, members, threshold)` context; the rest hit the memo.
+/// given `(registry, members, threshold)` context; the rest hit the memo. The memo
+/// holds that context exactly (a copy of the member list, not a hash of it), so a
+/// hit can only replay a verdict computed for the identical question.
 /// The memo is interior state only — it does not participate in equality, hashing or
 /// encoding; the `Mutex` keeps the certificate `Sync` (it is uncontended in the
 /// single-threaded simulator).
@@ -133,8 +135,19 @@ pub struct QuorumCert {
     pub digest: Digest,
     /// The signatures.
     pub sigs: SigSet,
-    /// `(context key, verdict)` of the most recent `is_valid` evaluation.
-    valid_memo: Mutex<Option<(u64, bool)>>,
+    /// The context and verdict of the most recent `is_valid` evaluation.
+    valid_memo: Mutex<Option<Verdict>>,
+}
+
+/// One `is_valid` answer and the exact context it was computed for. The
+/// expected digest needs no place here: `is_valid` only gets this far when it
+/// equals the certificate's own.
+#[derive(Clone)]
+struct Verdict {
+    registry: u64,
+    threshold: usize,
+    members: Vec<ReplicaId>,
+    valid: bool,
 }
 
 impl Clone for QuorumCert {
@@ -143,29 +156,9 @@ impl Clone for QuorumCert {
             cluster: self.cluster,
             digest: self.digest,
             sigs: self.sigs.clone(),
-            valid_memo: Mutex::new(*self.valid_memo.lock().expect("memo lock poisoned")),
+            valid_memo: Mutex::new(self.valid_memo.lock().expect("memo lock poisoned").clone()),
         }
     }
-}
-
-/// FNV-1a over the full verification context, so a memo hit can only replay a
-/// verdict computed for the identical question.
-fn memo_key(registry: &KeyRegistry, expected: &Digest, members: &[ReplicaId], t: usize) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(&registry.instance_id().to_le_bytes());
-    mix(&expected.0);
-    mix(&(t as u64).to_le_bytes());
-    mix(&(members.len() as u64).to_le_bytes());
-    for m in members {
-        mix(&m.0.to_le_bytes());
-    }
-    h
 }
 
 impl QuorumCert {
@@ -190,15 +183,17 @@ impl QuorumCert {
         if self.digest != *expected {
             return false;
         }
-        let key = memo_key(registry, expected, members, threshold);
-        if let Some((cached_key, verdict)) = *self.valid_memo.lock().expect("memo lock poisoned") {
-            if cached_key == key {
-                return verdict;
+        let registry_id = registry.instance_id();
+        let mut memo = self.valid_memo.lock().expect("memo lock poisoned");
+        if let Some(v) = memo.as_ref() {
+            if v.registry == registry_id && v.threshold == threshold && v.members == members {
+                return v.valid;
             }
         }
-        let verdict = self.sigs.count_valid(registry, expected, members) >= threshold;
-        *self.valid_memo.lock().expect("memo lock poisoned") = Some((key, verdict));
-        verdict
+        let valid = self.sigs.count_valid(registry, expected, members) >= threshold;
+        *memo =
+            Some(Verdict { registry: registry_id, threshold, members: members.to_vec(), valid });
+        valid
     }
 
     /// Number of signatures carried (valid or not).
@@ -301,6 +296,25 @@ mod tests {
         let new_quorum = 5;
         assert!(cert.is_valid(&reg, &digest, &new_members, old_quorum));
         assert!(!cert.is_valid(&reg, &digest, &new_members, new_quorum));
+    }
+
+    #[test]
+    fn the_verdict_memo_misses_on_another_member_list_of_the_same_size() {
+        let (reg, kps, ids) = setup(4);
+        let digest = Digest::of(&"package".to_string());
+        let sigs: SigSet = kps[..3].iter().map(|kp| kp.sign(&digest)).collect();
+        let cert = QuorumCert::new(ClusterId(0), digest, sigs);
+        let signers = &ids[..3];
+        let other = [ids[0], ids[1], ids[3]];
+        let memo =
+            || cert.valid_memo.lock().unwrap().as_ref().map(|v| (v.members.clone(), v.valid));
+        assert!(cert.is_valid(&reg, &digest, signers, 3));
+        assert_eq!(memo(), Some((signers.to_vec(), true)));
+        // Same length and threshold, one member swapped: recomputed, not replayed.
+        assert!(!cert.is_valid(&reg, &digest, &other, 3));
+        assert_eq!(memo(), Some((other.to_vec(), false)));
+        assert!(cert.is_valid(&reg, &digest, signers, 3));
+        assert_eq!(memo(), Some((signers.to_vec(), true)));
     }
 
     #[test]

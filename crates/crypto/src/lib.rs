@@ -1,9 +1,9 @@
 //! # ava-crypto
 //!
-//! Cryptographic substrate for the Hamava reproduction: SHA-256 and HMAC-SHA-256
-//! implemented from scratch, a simulation-grade signature scheme, and the signature
-//! sets / quorum certificates that Hamava's certificates (`Σ`, `Σ'`, commit
-//! certificates) are built from.
+//! Cryptographic substrate for the Hamava reproduction: SHA-256, HMAC-SHA-256 and
+//! BLAKE2s-256 implemented from scratch, a simulation-grade signature scheme, and
+//! the signature sets / quorum certificates that Hamava's certificates (`Σ`, `Σ'`,
+//! commit certificates) are built from.
 //!
 //! ## Simulation signatures
 //!
@@ -15,12 +15,21 @@
 //! verifying is modelled separately by the simulator's cost model so that certificate
 //! verification still shows up in latency breakdowns. This substitution is documented
 //! in `DESIGN.md` §1.
+//!
+//! ## Two hash functions
+//!
+//! SHA-256 is the tree's hash: block and message digests, HMAC tags, the
+//! checkpoint fold. [`Blake2s`] hashes exactly one thing, the leaf of every
+//! committed KV value (`ava-state`), the one place where hashing long inputs
+//! is a large share of a run's host time.
 
+pub mod blake2s;
 pub mod cert;
 pub mod hmac;
 pub mod keys;
 pub mod sha256;
 
+pub use blake2s::{blake2s, Blake2s};
 pub use cert::{QuorumCert, SigSet};
 pub use hmac::{hmac_sha256, HmacKey};
 pub use keys::{tag_memo_stats, KeyRegistry, Keypair, Signature, TagMemoStats};

@@ -13,9 +13,11 @@
 //!   (`TxKind::MultiWrite`) and range reads (`TxKind::Scan`) are supported.
 //!
 //! Both machines expose a **history-independent digest**: an XOR set-hash over
-//! per-entry SHA-256 hashes, updated incrementally on every write (a
-//! [`KvEntry`] caches its hash as a *leaf*, so every committed value is hashed
-//! once and an overwrite re-reads no old bytes). Because the digest is a
+//! per-entry hashes. The KV machine updates it incrementally on every write: a
+//! [`KvEntry`] caches its BLAKE2s-256 hash as a *leaf*, so every committed
+//! value is hashed once and an overwrite re-reads no old bytes
+//! ([`leaf_hash_stats`] counts the leaves hashed). The counter machine hashes
+//! its entries with SHA-256, on demand. Because the digest is a
 //! function of the *state* (not of the apply history), a replica that adopts a
 //! peer snapshot during catch-up recomputes the same digest its peers carry —
 //! which is what lets the fuzzer's execution-agreement checker compare full
@@ -36,7 +38,7 @@ pub mod machine;
 pub mod snapshot;
 
 pub use machine::{
-    machine_for, ApplyOutcome, CounterMachine, KvEntry, KvMachine, StateMachine, StateMachineKind,
-    StateVersion, WeakStateVersion,
+    leaf_hash_stats, machine_for, ApplyOutcome, CounterMachine, KvEntry, KvMachine, LeafHashStats,
+    StateMachine, StateMachineKind, StateVersion, WeakStateVersion,
 };
 pub use snapshot::{machine_from_snapshot, StateSnapshot};

@@ -2,9 +2,10 @@
 //! [`CounterMachine`] and the real keyed [`KvMachine`].
 
 use crate::snapshot::StateSnapshot;
-use ava_crypto::Sha256;
+use ava_crypto::{Blake2s, Sha256};
 use ava_types::{Round, Transaction, TxKind};
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
@@ -84,8 +85,9 @@ pub trait StateMachine: Send {
     /// Total committed value bytes across all keys (0 for the counter machine).
     fn value_bytes(&self) -> u64;
 
-    /// History-independent digest of the current state (XOR set-hash of
-    /// per-entry SHA-256 hashes).
+    /// History-independent digest of the current state: the XOR set-hash of
+    /// one hash per entry (the counter machine's SHA-256 of key and count, the
+    /// KV machine's BLAKE2s leaf — see [`KvEntry::new`]).
     fn digest(&self) -> [u8; 32];
 
     /// A point-in-time image of the state, in O(1): the image holds this
@@ -184,6 +186,26 @@ thread_local! {
     static EMPTY_COUNTER: Arc<CounterState> = Arc::default();
     /// The same for `KvMachine::default()`.
     static EMPTY_KV: Arc<KvState> = Arc::default();
+    /// The leaves hashed on this thread (see [`leaf_hash_stats`]).
+    static LEAF_HASHES: Cell<LeafHashStats> = Cell::default();
+}
+
+/// What [`KvEntry`] leaf hashing has done on the calling thread since the
+/// thread started (see [`leaf_hash_stats`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct LeafHashStats {
+    /// Leaves hashed: committed writes, entries restored from elsewhere and
+    /// leaves re-checked.
+    pub leaves: u64,
+    /// Bytes hashed into them, each leaf's 40 bytes before the value
+    /// (domain tag, key, version, round, value length) included.
+    pub bytes: u64,
+}
+
+/// The calling thread's [`LeafHashStats`]. For profiles and tests: nothing in
+/// a run depends on it.
+pub fn leaf_hash_stats() -> LeafHashStats {
+    LEAF_HASHES.get()
 }
 
 /// The legacy placeholder machine: `key → write counter`. Kept bit-compatible
@@ -351,7 +373,7 @@ pub struct KvEntry {
     /// [`KvMachine::fill_value`]), shared between the live pages and every
     /// snapshot, checkpoint and restored machine that holds this entry.
     pub value: Arc<[u8]>,
-    /// SHA-256 over `(key, version, last_writer_round, value)`, computed once
+    /// BLAKE2s over `(key, version, last_writer_round, value)`, computed once
     /// by [`KvEntry::new`]: what the machine XORs in and out of its set-hash
     /// and what a checkpoint digest commits to. Derived state — never
     /// serialised, and never trusted on entries that arrive from elsewhere
@@ -363,7 +385,9 @@ pub struct KvEntry {
 
 impl KvEntry {
     /// The entry stored under `key`, with its leaf hash computed from the
-    /// bytes: one SHA-256 pass over the value.
+    /// bytes: one BLAKE2s-256 pass over
+    /// `"ava-kv-entry" ‖ key ‖ version ‖ last_writer_round ‖ len ‖ value`,
+    /// the integers little-endian, `len` the value's length as a `u32`.
     pub fn new(key: u64, version: u64, last_writer_round: u64, value: Arc<[u8]>) -> Self {
         let mut entry = KvEntry { version, last_writer_round, value, leaf: [0; 32] };
         entry.leaf = entry.leaf_for(key);
@@ -372,13 +396,18 @@ impl KvEntry {
 
     /// The leaf hash this entry's content has under `key`, from scratch.
     pub(crate) fn leaf_for(&self, key: u64) -> [u8; 32] {
-        let mut h = Sha256::new();
+        let mut h = Blake2s::new();
         h.update(b"ava-kv-entry");
         h.update(&key.to_le_bytes());
         h.update(&self.version.to_le_bytes());
         h.update(&self.last_writer_round.to_le_bytes());
         h.update(&(self.value.len() as u32).to_le_bytes());
         h.update(&self.value);
+        let stats = LEAF_HASHES.get();
+        LEAF_HASHES.set(LeafHashStats {
+            leaves: stats.leaves + 1,
+            bytes: stats.bytes + 40 + self.value.len() as u64,
+        });
         h.finalize()
     }
 
@@ -983,6 +1012,19 @@ mod tests {
         c.apply(Round(2), &write(1, 2, 101));
         c.apply(Round(3), &write(2, 1, 100));
         assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn a_leaf_is_the_blake2s_of_its_documented_layout() {
+        // `"ava-kv-entry" ‖ key ‖ version ‖ round ‖ len ‖ value`, hashed by
+        // Python's `hashlib.blake2s` over the 1 064 bytes built with
+        // `struct.pack("<QQQI", 7, 3, 42, 1024)` and value byte i = (220 + i) % 256.
+        let before = leaf_hash_stats();
+        let entry = KvEntry::new(7, 3, 42, KvMachine::fill_value(7, 3, 1024));
+        let hex: String = entry.leaf.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "57237ba20d3d6e9cc0a97345af538b32dec0a671654e9a0dea801a2956079bf7");
+        let after = leaf_hash_stats();
+        assert_eq!((after.leaves - before.leaves, after.bytes - before.bytes), (1, 1_064));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl StateSnapshot {
     /// order. The counter stream (length + key/counter pairs, all LE) is
     /// byte-identical to the legacy checkpoint digest input. The kv stream is
     /// two-level: domain tag, length, then `(key, leaf)` per entry, where the
-    /// leaf is the entry's cached SHA-256 — 40 bytes per entry instead of the
+    /// leaf is the entry's cached BLAKE2s — 40 bytes per entry instead of the
     /// value bytes, and as collision-resistant as hashing them inline. It
     /// trusts the cached leaves: check [`StateSnapshot::leaves_valid`] first
     /// on a snapshot this process did not take itself.
@@ -150,7 +150,7 @@ pub fn machine_from_snapshot(snapshot: &StateSnapshot) -> Box<dyn StateMachine> 
 mod tests {
     use super::*;
     use crate::machine::{machine_for, StateMachine};
-    use ava_crypto::{sha256, Sha256};
+    use ava_crypto::{blake2s, sha256, Sha256};
     use ava_types::{ClientId, Round, Transaction, TxId, TxKind};
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
@@ -336,15 +336,14 @@ mod tests {
                 let mut wire = 0;
                 for (&k, &(version, round, size)) in &kv {
                     let value = KvMachine::fill_value(k, version, size);
-                    let mut leaf = Sha256::new();
-                    leaf.update(b"ava-kv-entry");
-                    leaf.update(&k.to_le_bytes());
-                    leaf.update(&version.to_le_bytes());
-                    leaf.update(&round.to_le_bytes());
-                    leaf.update(&size.to_le_bytes());
-                    leaf.update(&value);
+                    let mut leaf = b"ava-kv-entry".to_vec();
+                    leaf.extend(k.to_le_bytes());
+                    leaf.extend(version.to_le_bytes());
+                    leaf.extend(round.to_le_bytes());
+                    leaf.extend(size.to_le_bytes());
+                    leaf.extend(value.iter());
                     stream.extend(k.to_le_bytes());
-                    stream.extend(leaf.finalize());
+                    stream.extend(blake2s(&leaf));
                     wire += 8 + 8 + 8 + 4 + value.len();
                 }
                 (kv.len(), wire, stream)

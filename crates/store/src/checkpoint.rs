@@ -156,8 +156,9 @@ impl Checkpoint {
     /// no value bytes. The machine's XOR set-hash is deliberately *not* the
     /// commitment: it is an agreement checksum among honest replicas, and a
     /// lying catch-up peer could forge a colliding state by generalised
-    /// birthday search over entry hashes; a SHA-256 over the ordered leaves
-    /// is as collision-resistant as hashing the values inline.
+    /// birthday search over entry hashes; a SHA-256 over the ordered BLAKE2s
+    /// leaves is as collision-resistant as hashing the values inline (a forged
+    /// state needs a collision in SHA-256 or in BLAKE2s).
     pub fn digest_of(
         round: Round,
         state: &StateSnapshot,
@@ -376,7 +377,7 @@ mod tests {
     #[test]
     fn kv_digest_matches_the_two_level_byte_stream() {
         // Pins the `kv-state-v2` stream: round, next_height, tag, entry count,
-        // then per entry the key and the SHA-256 of (entry tag, key, version,
+        // then per entry the key and the BLAKE2s of (entry tag, key, version,
         // last-writer round, value length, value) — all LE — then the
         // membership. Checkpoint digests are compared across replicas, so any
         // change here is a protocol change.
@@ -388,15 +389,14 @@ mod tests {
         h.update(b"kv-state-v2");
         h.update(&(state.iter().count() as u64).to_le_bytes());
         for (k, e) in state.iter() {
-            let mut leaf = Sha256::new();
-            leaf.update(b"ava-kv-entry");
-            leaf.update(&k.to_le_bytes());
-            leaf.update(&e.version.to_le_bytes());
-            leaf.update(&e.last_writer_round.to_le_bytes());
-            leaf.update(&(e.value.len() as u32).to_le_bytes());
-            leaf.update(&e.value);
+            let mut leaf = b"ava-kv-entry".to_vec();
+            leaf.extend(k.to_le_bytes());
+            leaf.extend(e.version.to_le_bytes());
+            leaf.extend(e.last_writer_round.to_le_bytes());
+            leaf.extend((e.value.len() as u32).to_le_bytes());
+            leaf.extend(e.value.iter());
             h.update(&k.to_le_bytes());
-            h.update(&leaf.finalize());
+            h.update(&ava_crypto::blake2s(&leaf));
         }
         for (cluster, info) in cp.membership.iter() {
             h.update(&cluster.0.to_le_bytes());

@@ -196,13 +196,15 @@ fn fuzz_case_golden_fingerprints_are_stable() {
 /// and value-byte execution costs all join the fingerprint, so any drift in
 /// the KV machine's apply order, set-hash digest or snapshot-backed costs
 /// shows up here even though the counter goldens above cannot see it.
-const KV_GOLDEN: &str = "dd389de83775f0de3e95bb3f798af335ed4f89b7f8c7139c9c5a036a7199a3ec";
+/// Re-captured when the KV leaf hash moved from SHA-256 to BLAKE2s: only the
+/// `StateDigest` digests changed ([`KV_DIGEST_BLIND_GOLDENS`] held).
+const KV_GOLDEN: &str = "542188a97c621a9196f503a03424ebf4fac0c716cf93cd59584c491e6505f85b";
 
 fn kv_golden_opts() -> DeploymentOptions {
     DeploymentOptions { state_machine: hamava_repro::hamava::StateMachineKind::Kv, ..golden_opts() }
 }
 
-fn run_kv_golden() -> String {
+fn run_kv_golden() -> ScenarioRun {
     let run = Scenario::builder(Protocol::AvaHotStuff, golden_config())
         .options(kv_golden_opts())
         .run_for(Duration::from_secs(8))
@@ -212,14 +214,62 @@ fn run_kv_golden() -> String {
         run.outputs.iter().any(|o| matches!(o, Output::StateDigest { .. })),
         "the KV golden run must emit per-round state digests"
     );
-    fingerprint(&run.outputs, &run.stats)
+    run
 }
 
 #[test]
 fn kv_state_machine_golden_fingerprint_is_stable() {
-    let fp = run_kv_golden();
+    let run = run_kv_golden();
+    let fp = fingerprint(&run.outputs, &run.stats);
     println!("kv fingerprint: {fp}");
-    assert_eq!(fp, KV_GOLDEN, "keyed-KV golden run diverged from the PR 10 capture");
+    assert_eq!(fp, KV_GOLDEN, "keyed-KV golden run diverged from its capture");
+}
+
+/// Digest-blind fingerprints of the keyed-KV golden run, of the same
+/// deployment through a checkpointing crash → restart → catch-up, and of the
+/// `kv-join` entry golden: every `StateDigest` and `CheckpointInstalled`
+/// digest is zeroed before fingerprinting. A change to how state is hashed moves [`KV_GOLDEN`] and
+/// nothing else; these hold across it, which is the proof that such a change
+/// touched only the digests — not scheduling, sizes, costs or outcomes.
+/// Captured before the KV leaf hash moved from SHA-256 to BLAKE2s.
+const KV_DIGEST_BLIND_GOLDENS: [&str; 3] = [
+    "8d5e218ab2c4db3ee0fffa982daa4b2556615b6c651f62d38a6352affd5023c2",
+    "819522b3c4e00944afe0f870282c7c679dbf96133c946127467b4935e48a6042",
+    "22d938df69bcfdd55f0456dd74329a93dadf427ed09d6a7e3323b06151ea68f0",
+];
+
+/// `outputs` with the state and checkpoint digests zeroed.
+fn digest_blind(outputs: &[Output]) -> Vec<Output> {
+    let mut blind = outputs.to_vec();
+    for o in &mut blind {
+        if let Output::StateDigest { digest, .. } | Output::CheckpointInstalled { digest, .. } = o {
+            **digest = [0; 32];
+        }
+    }
+    blind
+}
+
+#[test]
+fn kv_golden_runs_are_stable_apart_from_their_digests() {
+    use hamava_repro::store::StoreConfig;
+    use hamava_repro::types::{ReplicaId, Time};
+    let checkpointed = Scenario::builder(Protocol::AvaHotStuff, golden_config())
+        .options(kv_golden_opts())
+        .store(StoreConfig::every(8))
+        .run_for(Duration::from_secs(8))
+        .crash_at(Time::from_secs(2), ReplicaId(1))
+        .restart_at(Time::from_secs(4), ReplicaId(1))
+        .build()
+        .run();
+    assert!(
+        checkpointed.outputs.iter().any(|o| matches!(o, Output::CheckpointInstalled { .. })),
+        "the crash → restart run must install checkpoints"
+    );
+    let runs = [run_kv_golden(), checkpointed, run_entry_golden("kv-join")];
+    let fps: Vec<String> =
+        runs.iter().map(|run| fingerprint(&digest_blind(&run.outputs), &run.stats)).collect();
+    println!("kv digest-blind fingerprints: {fps:#?}");
+    assert_eq!(fps, KV_DIGEST_BLIND_GOLDENS, "a keyed-KV run moved beyond its digests");
 }
 
 #[test]
@@ -412,7 +462,9 @@ fn every_event_kind_bftsmart_golden_fingerprint_is_stable() {
 
 /// Fingerprints of the four ways a replica enters a round after start-up,
 /// captured before join, catch-up adoption and the solo fallback shared one
-/// `Replica::enter`. Each run asserts that its path fired.
+/// `Replica::enter`. Each run asserts that its path fired. `kv-join` was
+/// re-captured when the KV leaf hash moved from SHA-256 to BLAKE2s: only its
+/// `StateDigest` digests changed ([`KV_DIGEST_BLIND_GOLDENS`] held).
 const ENTRY_GOLDENS: [(&str, &str); 7] = [
     ("storeless-catch-up", "768e3440a39ac934c7e60ebde6f31599eeb2c569b96d096552031559d45331a2"),
     ("straggler-escape", "2793511770ccd7fe526710af13d1ffa75c3b7fc41e73a6ca05739a3f635f74d8"),
@@ -420,7 +472,7 @@ const ENTRY_GOLDENS: [(&str, &str); 7] = [
     ("solo-fallback/A.H/store", "a37fa2793dc906ed383fe122a8d4d3672fb94cc346eb98242397182a1f76cc41"),
     ("solo-fallback/A.B", "429be8bc516ce151b4a9c51e2644d026f12a360ca017f40dba5d229dab9c57b9"),
     ("solo-fallback/A.B/store", "fc85e2c9c0a184f7bc14257b297f05283656484f64c968360d27039cd03ac4df"),
-    ("kv-join", "0064f589cbb2781016e0e10efaa7773e5608d177716c03bbcdf2348c1c942897"),
+    ("kv-join", "0a8306b6fb4cb3a24e6676c8d03ca00a4581f1c8de756af5cd1a35366aac9e01"),
 ];
 
 fn custom_outputs<'a>(run: &'a ScenarioRun, name: &'a str) -> impl Iterator<Item = Time> + 'a {
@@ -431,7 +483,7 @@ fn custom_outputs<'a>(run: &'a ScenarioRun, name: &'a str) -> impl Iterator<Item
 }
 
 /// Runs the entry path `name` of [`ENTRY_GOLDENS`] and checks that it fired.
-fn run_entry_golden(name: &str) -> String {
+fn run_entry_golden(name: &str) -> ScenarioRun {
     use hamava_repro::store::StoreConfig;
     use hamava_repro::types::{ClusterId, ReplicaId};
     let s = Time::from_secs;
@@ -511,13 +563,14 @@ fn run_entry_golden(name: &str) -> String {
         }
         other => panic!("no entry golden named {other}"),
     };
-    fingerprint(&run.outputs, &run.stats)
+    run
 }
 
 #[test]
 fn entry_path_golden_fingerprints_are_stable() {
     for (name, golden) in ENTRY_GOLDENS {
-        let fp = run_entry_golden(name);
+        let run = run_entry_golden(name);
+        let fp = fingerprint(&run.outputs, &run.stats);
         println!("entry fingerprint {name}: {fp}");
         assert_eq!(fp, golden, "entry path {name} diverged from its capture");
     }

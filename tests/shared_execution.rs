@@ -6,33 +6,43 @@
 //! (`ava_hamava::round_memo`). Every golden would still pass if that sharing
 //! silently stopped — a machine whose `Default` allocated an empty state of
 //! its own would do it — so this pins it: in a fault-free run each executed
-//! round misses once and hits once for every other replica that executed it.
+//! round misses once and hits once for every other replica that executed it,
+//! and the KV machine hashes one leaf per write the process executes.
 
 use hamava_repro::hamava::{executed_round_stats, StateMachineKind};
 use hamava_repro::scenario::{Protocol, Scenario};
+use hamava_repro::state::leaf_hash_stats;
 use hamava_repro::store::{checkpoint_digest_stats, StoreConfig};
 use hamava_repro::types::{Duration, Output, Region, SystemConfig};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs `config` fault-free and checks the memo's counters against the
 /// `RoundExecuted` outputs; returns the rounds every replica executed.
+/// Checks too that the run hashes one KV leaf per write it executes, counting
+/// each round's writes once however many replicas executed it.
 fn rounds_shared(config: SystemConfig, machine: StateMachineKind, run: Duration) -> u64 {
     let n = config.clusters.iter().map(|c| c.replicas.len() as u64).sum::<u64>();
-    let before = executed_round_stats();
+    let (before, leaves_before) = (executed_round_stats(), leaf_hash_stats());
     let run = Scenario::builder(Protocol::AvaHotStuff, config)
         .seed(7)
         .state_machine(machine)
         .run_for(run)
         .build()
         .run();
-    let after = executed_round_stats();
+    let (after, leaves) = (executed_round_stats(), leaf_hash_stats().leaves - leaves_before.leaves);
 
     let mut executions: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut writes: BTreeMap<u64, usize> = BTreeMap::new();
     for output in &run.outputs {
-        if let Output::RoundExecuted { round, .. } = output {
+        if let Output::RoundExecuted { round, txns, .. } = output {
             *executions.entry(round.0).or_default() += 1;
+            assert_eq!(*writes.entry(round.0).or_insert(*txns), *txns, "round {round:?}");
         }
     }
+    let writes = writes.values().sum::<usize>() as u64;
+    let leaves_per_write = if machine == StateMachineKind::Kv { 1 } else { 0 };
+    assert!(writes > 0, "{machine:?}: the run executed no write");
+    assert_eq!(leaves, leaves_per_write * writes, "{machine:?}: leaves hashed for {writes} writes");
     let rounds = executions.len() as u64;
     let complete = executions.values().filter(|&&c| c == n).count() as u64;
     // Only the last round or two may still be in flight at the end.
