@@ -50,9 +50,9 @@ fn opts(seed: u64) -> DeploymentOptions {
 /// Every replica executes every round, so each table is followed by the
 /// executed-round memo's hit share (ideal (n − 1)/n: 41/42, 7/8, 20/21) and
 /// the rounds it retains, then by the expected-tag memo's verifications
-/// answered and HMACs computed; the KV table also by the checkpoint digests
-/// reused and the KV leaves hashed (one per committed write, since the
-/// replicas share each executed round).
+/// answered, MACs computed on verify, and tags signed; the KV table also by
+/// the checkpoint digests reused and the KV leaves hashed (one per committed
+/// write, since the replicas share each executed round).
 pub fn profile_deployments() {
     let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
@@ -64,9 +64,9 @@ pub fn profile_deployments() {
         (ava_hamava::executed_round_stats(), ava_crypto::tag_memo_stats(), e3_setup(3, 3));
     let replicas = config.total_replicas();
     let dep = Protocol::AvaHotStuff.deploy(config, paper);
-    print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
+    let events = print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
     print_round_memo(memo, replicas);
-    print_tag_memo(tags);
+    print_tag_memo(tags, events);
 
     let kv = DeploymentOptions {
         workload: WorkloadSpec {
@@ -91,9 +91,9 @@ pub fn profile_deployments() {
     let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
     let replicas = config.total_replicas();
     let dep = Protocol::AvaHotStuff.deploy(config, kv);
-    print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
+    let events = print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
     print_round_memo(memo, replicas);
-    print_tag_memo(tags);
+    print_tag_memo(tags, events);
     let digests_after = ava_store::checkpoint_digest_stats();
     println!(
         "checkpoint digests: {} reused / {} built",
@@ -129,9 +129,10 @@ pub fn profile_deployments() {
     config.params.brd_timeout = Duration::from_secs(4);
     let replicas = config.total_replicas();
     let dep = Protocol::AvaBftSmart.deploy(config, churn);
-    print_profile("Ava-BFT-SMaRt, 3 x 7 replicas, KV machine", dep, Duration::from_secs(10));
+    let events =
+        print_profile("Ava-BFT-SMaRt, 3 x 7 replicas, KV machine", dep, Duration::from_secs(10));
     print_round_memo(memo, replicas);
-    print_tag_memo(tags);
+    print_tag_memo(tags, events);
 }
 
 /// What the executed-round memo did since `before`, on a deployment of
@@ -149,20 +150,24 @@ fn print_round_memo(before: ava_hamava::ExecutedRoundStats, replicas: usize) {
 }
 
 /// What the expected-tag memo did since `before`: verifications it
-/// answered, HMACs verification computed instead and their share, and its
-/// generation rolls.
-fn print_tag_memo(before: ava_crypto::TagMemoStats) {
+/// answered, MACs verification computed instead and their share, and its
+/// generation rolls; then the tags signing computed over the run's `events`.
+fn print_tag_memo(before: ava_crypto::TagMemoStats, events: u64) {
     let now = ava_crypto::tag_memo_stats();
     let (hits, misses) = (now.hits - before.hits, now.misses - before.misses);
+    let signed = now.signed - before.signed;
     println!(
-        "tag memo: {hits} hits / {misses} misses (HMACs on verify) / miss share {:.6} \
-         / {} generations retired",
+        "tag memo: {hits} hits / {misses} misses (MACs on verify) / miss share {:.6} \
+         / {} generations retired / {signed} tags signed ({:.3} per event)",
         misses as f64 / (hits + misses).max(1) as f64,
-        now.generations_retired - before.generations_retired
+        now.generations_retired - before.generations_retired,
+        signed as f64 / events.max(1) as f64
     );
 }
 
-fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration) {
+/// Run `dep` for `run_for` with the handler profile on and print its table;
+/// returns the events the run processed.
+fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration) -> u64 {
     dep.enable_profile();
     dep.run_for(run_for);
     let profile = dep.handler_profile().expect("switched on above");
@@ -198,6 +203,7 @@ fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration)
         ],
         &rows,
     );
+    events
 }
 
 /// The rows of a handler-profile table: one per (actor kind × event kind)

@@ -328,6 +328,8 @@ mod tests {
             "op_size",
             "prev_package",
             "join_regions",
+            "HmacKey",
+            "hmac_sha256",
         ];
         for (file, text) in DOCS {
             for name in retired {

@@ -1,9 +1,19 @@
-//! BLAKE2s-256, implemented from scratch (RFC 7693): unkeyed, 32-byte output.
+//! BLAKE2s-256, implemented from scratch (RFC 7693), 32-byte output, in two
+//! modes.
 //!
-//! BLAKE2s has SHA-256's 128-bit collision resistance and hashes long inputs
-//! in about half its time in portable code (ten rounds of add-rotate-xor on
-//! sixteen words, no message schedule). The replicated KV state hashes every
-//! committed value with it; everything else in the tree stays on SHA-256.
+//! - Unkeyed ([`Blake2s`], [`blake2s`]): the replicated KV state hashes every
+//!   committed value with it. BLAKE2s has SHA-256's 128-bit collision
+//!   resistance and hashes long inputs in about half its time in portable
+//!   code (ten rounds of add-rotate-xor on sixteen words, no message
+//!   schedule).
+//! - Keyed with a 32-byte key ([`Blake2sKey`]): the tag of every simulated
+//!   signature. BLAKE2's keyed mode is a MAC on its own (RFC 7693 §2.5), with
+//!   no HMAC nesting, so once the key block is compressed a tag over a
+//!   32-byte digest is one compression.
+//!
+//! The key length is part of the parameter block, so a keyed tag never
+//! equals the unkeyed hash of the same bytes. Every other digest in the tree
+//! stays on SHA-256.
 
 /// The initial chaining value: SHA-256's.
 const IV: [u32; 8] = [
@@ -85,11 +95,7 @@ impl Blake2s {
         self.compressed += self.buffer_len as u64;
         self.buffer[self.buffer_len..].fill(0);
         compress(&mut self.h, &self.buffer, self.compressed, true);
-        let mut out = [0u8; 32];
-        for (i, word) in self.h.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        out
+        words_to_bytes(&self.h)
     }
 }
 
@@ -138,6 +144,47 @@ fn compress(h: &mut [u32; 8], block: &[u8; 64], t: u64, last: bool) {
     for (i, word) in h.iter_mut().enumerate() {
         *word ^= v[i] ^ v[i + 8];
     }
+}
+
+/// A BLAKE2s-256 MAC key: the chaining value after the parameter block of a
+/// 32-byte key and a 32-byte tag is folded into the IV and the key block is
+/// compressed. 32 bytes, cheap to copy.
+#[derive(Clone, Copy)]
+pub struct Blake2sKey {
+    h: [u32; 8],
+}
+
+impl Blake2sKey {
+    /// Key the MAC with `key`: the key block (the key, zero-padded to 64
+    /// bytes) is the first, non-final block of every keyed message.
+    pub fn new(key: &[u8; 32]) -> Self {
+        let mut h = IV;
+        // Depth 1, fanout 1, key length 32, digest length 32.
+        h[0] ^= 0x0101_2020;
+        let mut block = [0u8; 64];
+        block[..32].copy_from_slice(key);
+        compress(&mut h, &block, 64, false);
+        Blake2sKey { h }
+    }
+
+    /// The tag of a 32-byte `msg` under this key: one final compression, at
+    /// 96 bytes hashed (the key block and the message).
+    pub fn mac(&self, msg: &[u8; 32]) -> [u8; 32] {
+        let mut h = self.h;
+        let mut block = [0u8; 64];
+        block[..32].copy_from_slice(msg);
+        compress(&mut h, &block, 96, true);
+        words_to_bytes(&h)
+    }
+}
+
+/// The little-endian bytes of a chaining value.
+fn words_to_bytes(h: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (i, word) in h.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
+    }
+    out
 }
 
 /// One-shot BLAKE2s-256 of `data`.
@@ -208,6 +255,115 @@ mod tests {
                 h.update(&data[split..]);
                 assert_eq!(hex(&h.finalize()), expect, "{len} bytes split at {split}");
             }
+        }
+    }
+
+    // Known answers from Python's `hashlib.blake2s(digest, key=key).hexdigest()`.
+    #[test]
+    fn keyed_mac_known_answers() {
+        let unhex = |s: &str| -> [u8; 32] {
+            let bytes: Vec<u8> =
+                (0..64).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect();
+            bytes.try_into().unwrap()
+        };
+        let zero = [0u8; 32];
+        let ones = [0xffu8; 32];
+        let counting: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let counting_on: [u8; 32] = std::array::from_fn(|i| 32 + i as u8);
+        // The derived secret of `ReplicaId(0)`: SHA-256 of "ava-secret-" and
+        // the id's four little-endian bytes.
+        let replica_0 = unhex("5e838ffc91e3fdc30256921a238d0ff615097dfd2c2206bf1eacfeb779558b2a");
+        // SHA-256("abc").
+        let abc = unhex("ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+        let cases = [
+            (zero, zero, "738eb88bdf0bb62c484149e2b3d37a4c896bef4e844df235335ccbf9bcfb6795"),
+            (ones, ones, "12a327efce77fd37f3e3b8fc8895620e977588fd5f0c8c1efa533f6ed3aabda4"),
+            (zero, ones, "7903e26a861395ddcc34cba014726eea4beee46288135a5caa741bf064cfaed9"),
+            (ones, zero, "823c3df4dc7aebecb710b46c4df08a69c363bffec564fb648c7d05d11cb0aaf1"),
+            (replica_0, abc, "f56e1e1cb11dbbbc3830c7c7e71382665c96d28bb0487cd96d62295f16fa9353"),
+            (replica_0, zero, "709db9ef43d4280d6f6b65d184f577afaecfcef4aa5e32cf5e0bec3af70f23ea"),
+            (
+                counting,
+                counting_on,
+                "c9b45aa049026da2142b324b85a4cbb1e796413c7ab08a6a90a39fcfb8da5558",
+            ),
+        ];
+        for (key, digest, expect) in cases {
+            let tag = Blake2sKey::new(&key).mac(&digest);
+            assert_eq!(hex(&tag), expect, "key {}, digest {}", hex(&key), hex(&digest));
+        }
+    }
+
+    #[test]
+    fn a_keyed_tag_is_not_the_unkeyed_hash() {
+        // The key length in the parameter block separates the signature tags
+        // from the KV leaf hash, the zero key included.
+        let zero = [0u8; 32];
+        assert_eq!(
+            hex(&blake2s(&zero)),
+            "320b5ea99e653bc2b593db4130d10a4efd3a0b4cc2e1a6672b678d71dfbd33ad"
+        );
+        assert_ne!(Blake2sKey::new(&zero).mac(&zero), blake2s(&zero));
+        // Nor the unkeyed hash of the very blocks it compresses, the zero key
+        // block and the message: only the parameter block tells them apart.
+        let mut both = [0u8; 96];
+        both[64..].fill(0xab);
+        assert_ne!(Blake2sKey::new(&zero).mac(&[0xab; 32]), blake2s(&both));
+        let key = [7u8; 32];
+        for digest in [[0u8; 32], [0xffu8; 32], key] {
+            assert_ne!(Blake2sKey::new(&key).mac(&digest), blake2s(&digest));
+        }
+    }
+
+    /// Keyed BLAKE2s-256 of any `msg` as RFC 7693 writes it: the key length in
+    /// the parameter block, the zero-padded key block first, then the message
+    /// blocks, the last one zero-padded and final.
+    fn textbook_keyed(key: &[u8], msg: &[u8]) -> [u8; 32] {
+        let mut h = IV;
+        h[0] ^= 0x0101_0020 ^ ((key.len() as u32) << 8);
+        let mut padded = [0u8; 64].to_vec();
+        padded[..key.len()].copy_from_slice(key);
+        padded.extend_from_slice(msg);
+        let total = padded.len() as u64;
+        padded.resize(padded.len().div_ceil(64) * 64, 0);
+        let blocks = padded.len() / 64;
+        for (i, block) in padded.chunks_exact(64).enumerate() {
+            let last = i + 1 == blocks;
+            let t = if last { total } else { 64 * (i as u64 + 1) };
+            compress(&mut h, block.try_into().unwrap(), t, last);
+        }
+        words_to_bytes(&h)
+    }
+
+    #[test]
+    fn keyed_mac_matches_the_textbook_construction() {
+        // The textbook form agrees with Python's answer for (zero key, zero digest).
+        assert_eq!(
+            hex(&textbook_keyed(&[0; 32], &[0; 32])),
+            "738eb88bdf0bb62c484149e2b3d37a4c896bef4e844df235335ccbf9bcfb6795"
+        );
+        for k in 0..16u8 {
+            let key: [u8; 32] = std::array::from_fn(|i| (i as u8).wrapping_mul(31) ^ k);
+            let key_state = Blake2sKey::new(&key);
+            for m in 0..16u8 {
+                let msg: [u8; 32] = std::array::from_fn(|i| (i as u8).wrapping_mul(97) ^ m);
+                assert_eq!(key_state.mac(&msg), textbook_keyed(&key, &msg), "key {k}, digest {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_of_key_and_digest_moves_the_tag() {
+        let key = [0x5au8; 32];
+        let digest = [0xa5u8; 32];
+        let tag = Blake2sKey::new(&key).mac(&digest);
+        for bit in 0..256 {
+            let mut flipped = key;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(Blake2sKey::new(&flipped).mac(&digest), tag, "key bit {bit}");
+            let mut flipped = digest;
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(Blake2sKey::new(&key).mac(&flipped), tag, "digest bit {bit}");
         }
     }
 

@@ -121,7 +121,7 @@ impl FromIterator<Signature> for SigSet {
 ///
 /// Verification carries a single-entry memo: when the same certificate value is
 /// shared by reference across many verifiers (the `Arc`-shared round packages of the
-/// Stage 2 fan-out), only the first verifier pays the per-signature HMAC cost for a
+/// Stage 2 fan-out), only the first verifier pays the per-signature MAC cost for a
 /// given `(registry, members, threshold)` context; the rest hit the memo. The memo
 /// holds that context exactly (a copy of the member list, not a hash of it), so a
 /// hit can only replay a verdict computed for the identical question.

@@ -1,12 +1,12 @@
 //! Keypairs, signatures and the shared key registry.
 //!
 //! See the crate-level documentation for why this is a *simulation-grade* scheme:
-//! signatures are HMAC-SHA-256 tags over message digests under per-replica secrets,
+//! signatures are keyed BLAKE2s-256 tags over message digests under per-replica secrets,
 //! and verification looks the secret up in a registry shared by the whole simulated
 //! deployment. Replicas can only sign through their own [`Keypair`] handle, which is
 //! what enforces unforgeability inside the simulation.
 
-use crate::hmac::HmacKey;
+use crate::blake2s::Blake2sKey;
 use crate::sha256::Digest;
 use ava_types::{Encode, EncodeSink, ReplicaId};
 use std::cell::Cell;
@@ -19,7 +19,7 @@ use std::sync::{Arc, RwLock};
 pub struct Signature {
     /// The signing replica.
     pub signer: ReplicaId,
-    /// HMAC tag over the signed digest.
+    /// Keyed BLAKE2s-256 tag over the signed digest.
     pub tag: [u8; 32],
 }
 
@@ -68,7 +68,7 @@ impl Hasher for TagKeyHasher {
 
 type TagMap = HashMap<TagKey, [u8; 32], BuildHasherDefault<TagKeyHasher>>;
 
-/// Memo of *expected* HMAC tags by `(signer, digest)`, in two generations of
+/// Memo of *expected* tags by `(signer, digest)`, in two generations of
 /// at most [`TAG_GENERATION`] entries each.
 ///
 /// A lookup tries the current generation, then the previous one. When the
@@ -77,7 +77,7 @@ type TagMap = HashMap<TagKey, [u8; 32], BuildHasherDefault<TagKeyHasher>>;
 /// buckets), so the memo holds at most `2 · TAG_GENERATION` tags, and a tag
 /// stays findable for at least `TAG_GENERATION` later writes. Most tags are
 /// looked up within a round of being signed; one older than both
-/// generations costs its verifier one HMAC, which puts it back.
+/// generations costs its verifier one MAC, which puts it back.
 #[derive(Default)]
 struct TagMemo {
     current: TagMap,
@@ -117,8 +117,10 @@ const TAG_GENERATION: usize = 8;
 pub struct TagMemoStats {
     /// Verifications answered from the memo.
     pub hits: u64,
-    /// Verifications that computed the expected tag (one HMAC each).
+    /// Verifications that computed the expected tag (one MAC each).
     pub misses: u64,
+    /// Tags [`Keypair::sign`] computed (one MAC each).
+    pub signed: u64,
     /// Generation rolls: a full current generation became the previous one,
     /// and the tags of the previous one were dropped.
     pub generations_retired: u64,
@@ -126,7 +128,7 @@ pub struct TagMemoStats {
 
 thread_local! {
     static STATS: Cell<TagMemoStats> = const {
-        Cell::new(TagMemoStats { hits: 0, misses: 0, generations_retired: 0 })
+        Cell::new(TagMemoStats { hits: 0, misses: 0, signed: 0, generations_retired: 0 })
     };
 }
 
@@ -139,9 +141,9 @@ fn count(bump: impl FnOnce(&mut TagMemoStats)) {
 }
 
 /// What every [`KeyRegistry`]'s expected-tag memo has done on the calling
-/// thread since the thread started: verifications it answered, HMACs
-/// verification computed instead, and generations it retired. For profiles
-/// and tests: nothing in a run depends on it.
+/// thread since the thread started: verifications it answered, MACs
+/// verification computed instead, tags signing computed, and generations it
+/// retired. For profiles and tests: nothing in a run depends on it.
 pub fn tag_memo_stats() -> TagMemoStats {
     STATS.get()
 }
@@ -150,8 +152,8 @@ struct RegistryInner {
     /// Identifier unique to this registry instance for the whole process lifetime
     /// (monotonic counter, never reused — unlike a heap address).
     id: u64,
-    secrets: HashMap<ReplicaId, HmacKey>,
-    /// Memo of *expected* HMAC tags by `(signer, digest)`.
+    secrets: HashMap<ReplicaId, Blake2sKey>,
+    /// Memo of *expected* tags by `(signer, digest)`.
     ///
     /// In a simulated deployment the same signature is verified by every receiver
     /// of a broadcast, and the expected tag depends only on the signer's secret and
@@ -162,7 +164,7 @@ struct RegistryInner {
     /// writes only to that registry), and [`KeyRegistry::verify`] computes it on a
     /// miss. A tag that arrives in a message is only ever *compared* against the
     /// memo, never written to it, so every entry, in either generation, is
-    /// `HMAC(secret[signer], digest)` and a forged signature cannot poison it.
+    /// `MAC(secret[signer], digest)` and a forged signature cannot poison it.
     /// A generation roll only forgets tags, and a forgotten tag is recomputed.
     tags: TagMemo,
 }
@@ -177,6 +179,16 @@ impl Default for RegistryInner {
             tags: TagMemo::default(),
         }
     }
+}
+
+/// The 32-byte secret of `replica`: SHA-256 of `"ava-secret-"` and its id.
+/// Deterministic secrets keep simulation runs reproducible; unforgeability is
+/// structural (only the owning replica holds the [`Keypair`]), not
+/// cryptographic.
+fn secret_of(replica: ReplicaId) -> [u8; 32] {
+    let mut bytes = b"ava-secret-".to_vec();
+    replica.encode(&mut bytes);
+    crate::sha256::sha256(&bytes)
 }
 
 /// Registry mapping replica ids to their secrets.
@@ -197,15 +209,8 @@ impl KeyRegistry {
     /// Generate (deterministically from the replica id) and register a keypair for
     /// `replica`. Returns the keypair handle the replica signs with.
     pub fn register(&self, replica: ReplicaId) -> Keypair {
-        // Deterministic secrets keep simulation runs reproducible; unforgeability is
-        // structural (only the owning replica holds the Keypair), not cryptographic.
-        let secret = crate::sha256::sha256(&{
-            let mut bytes = b"ava-secret-".to_vec();
-            replica.encode(&mut bytes);
-            bytes
-        });
-        let key = HmacKey::new(&secret);
-        self.inner.write().expect("registry lock poisoned").secrets.insert(replica, key.clone());
+        let key = Blake2sKey::new(&secret_of(replica));
+        self.inner.write().expect("registry lock poisoned").secrets.insert(replica, key);
         Keypair { id: replica, key, registry: Arc::clone(&self.inner) }
     }
 
@@ -224,13 +229,13 @@ impl KeyRegistry {
     }
 
     /// Verify `sig` over `digest`: its tag must equal the expected tag,
-    /// `HMAC(secret[signer], digest)`.
+    /// `MAC(secret[signer], digest)`, the keyed BLAKE2s-256 of the digest.
     ///
     /// The expected tag is memoised per `(signer, digest)`, and the signer's own
     /// [`Keypair::sign`] call has normally put it there already, so verification is
     /// a lookup and a comparison under the read lock; only a signature this
     /// registry never produced (a forgery, a foreign keypair) or one older than
-    /// the memo's two generations pays the HMAC and the write lock. The memo never takes a tag
+    /// the memo's two generations pays the MAC and the write lock. The memo never takes a tag
     /// from `sig` — see `RegistryInner::tags` for why it cannot be poisoned.
     /// (Replicas still *charge themselves* the modelled `per_sig_verify` CPU time —
     /// the memo changes wall-clock, not virtual time.)
@@ -265,22 +270,23 @@ impl KeyRegistry {
 
 /// A replica's signing handle: the replica's id, its keyed secret, and a handle
 /// on the registry that issued it (so signing can leave the tag where that
-/// registry's verifiers will look for it). Cloning copies 64 bytes of key state
+/// registry's verifiers will look for it). Cloning copies 32 bytes of key state
 /// and bumps one reference count.
 #[derive(Clone)]
 pub struct Keypair {
     /// The replica this keypair belongs to.
     pub id: ReplicaId,
-    key: HmacKey,
+    key: Blake2sKey,
     registry: Arc<RwLock<RegistryInner>>,
 }
 
 impl Keypair {
     /// Sign a digest, and record the tag in the issuing registry's expected-tag
     /// memo: every verifier would otherwise recompute the identical
-    /// `HMAC(secret, digest)` from the same secret.
+    /// `MAC(secret, digest)` from the same secret.
     pub fn sign(&self, digest: &Digest) -> Signature {
         let tag = self.key.mac(&digest.0);
+        count(|stats| stats.signed += 1);
         let key = TagKey { signer: self.id, digest: digest.0 };
         self.registry.write().expect("registry lock poisoned").tags.remember(key, tag);
         Signature { signer: self.id, tag }
@@ -445,7 +451,7 @@ mod tests {
         let before = tag_memo_stats();
         assert!(reg.verify(&old, &sig));
         let after = tag_memo_stats();
-        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses), "no HMAC");
+        assert_eq!((after.hits, after.misses), (before.hits + 1, before.misses), "no MAC");
         // One generation further on it is gone: the verifier recomputes it.
         for d in &later[TAG_GENERATION..] {
             kp.sign(d);
@@ -513,6 +519,50 @@ mod tests {
                 assert!(bounded(generations(&reg)));
             }
         }
+    }
+
+    #[test]
+    fn a_signature_tag_is_the_keyed_blake2s_of_the_digest() {
+        let reg = KeyRegistry::new();
+        for id in [0, 1, 41] {
+            let kp = reg.register(ReplicaId(id));
+            let key = Blake2sKey::new(&secret_of(ReplicaId(id)));
+            for digest in [Digest::of(&0u64), Digest::of(&"round".to_string())] {
+                assert_eq!(kp.sign(&digest).tag, key.mac(&digest.0), "replica {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn replica_0_signs_the_known_answer_tag() {
+        // The key of `blake2s.rs`'s known answers is this derived secret, and
+        // the tag is Python's `hashlib.blake2s(bytes(32), key=secret)`.
+        let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(&secret_of(ReplicaId(0))),
+            "5e838ffc91e3fdc30256921a238d0ff615097dfd2c2206bf1eacfeb779558b2a"
+        );
+        let sig = KeyRegistry::new().register(ReplicaId(0)).sign(&Digest([0; 32]));
+        assert_eq!(
+            hex(&sig.tag),
+            "709db9ef43d4280d6f6b65d184f577afaecfcef4aa5e32cf5e0bec3af70f23ea"
+        );
+    }
+
+    #[test]
+    fn one_sign_computes_one_tag_and_no_verification() {
+        let reg = KeyRegistry::new();
+        let kp = reg.register(ReplicaId(5));
+        let before = tag_memo_stats();
+        let sig = kp.sign(&Digest::of(&13u64));
+        let after = tag_memo_stats();
+        assert_eq!(after.signed, before.signed + 1);
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses));
+        // Verifying it is a memo hit: no tag is computed on either count.
+        assert!(reg.verify(&Digest::of(&13u64), &sig));
+        let verified = tag_memo_stats();
+        assert_eq!((verified.signed, verified.misses), (after.signed, after.misses));
+        assert_eq!(verified.hits, after.hits + 1);
     }
 
     #[test]

@@ -102,21 +102,6 @@ impl Sha256 {
         Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
     }
 
-    /// A hasher that carries on from `state`, the chaining value reached after
-    /// `bytes` bytes of input (a whole number of blocks). With
-    /// [`Sha256::chaining_value`] this lets a fixed prefix — an HMAC pad block
-    /// — be compressed once and reused.
-    pub(crate) fn resume(state: [u32; 8], bytes: u64) -> Self {
-        debug_assert_eq!(bytes % 64, 0, "a chaining value exists only at block boundaries");
-        Sha256 { state, buffer: [0u8; 64], buffer_len: 0, total_len: bytes }
-    }
-
-    /// The chaining value after the whole blocks fed so far.
-    pub(crate) fn chaining_value(&self) -> [u32; 8] {
-        debug_assert_eq!(self.buffer_len, 0, "a chaining value exists only at block boundaries");
-        self.state
-    }
-
     /// Feed bytes into the hasher.
     pub fn update(&mut self, mut data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
