@@ -330,6 +330,23 @@ mod tests {
             "join_regions",
             "HmacKey",
             "hmac_sha256",
+            "pending_clients",
+            "pending_batch",
+            "seen_batches",
+            "ack_committed",
+            "ordered_reconfig_sets",
+            "adopt_ordered_reconfig_set",
+            // The named release test steps one `cargo test --release` replaced.
+            "Cross-thread determinism",
+            "Partition relay (release)",
+            "Leader crash (release)",
+            "Entry and recovery paths",
+            "Reconfiguration across clusters",
+            "Local TOB layer",
+            "Byzantine adversaries (release)",
+            "Output record size",
+            "Signature memory",
+            "Shared execution (release)",
         ];
         for (file, text) in DOCS {
             for name in retired {

@@ -137,8 +137,7 @@ where
                 for tx in ops {
                     let target = replicas[self.rr % replicas.len()];
                     self.rr += 1;
-                    let client = tx.id.client;
-                    ctx.send(target, AvaMsg::ClientRequest { tx, client });
+                    ctx.send(target, AvaMsg::ClientRequest { tx });
                 }
             }
         }

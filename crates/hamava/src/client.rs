@@ -72,7 +72,7 @@ impl<TM: Clone + WireSize> Client<TM> {
         let tx = self.workload.next_tx(ctx.rng());
         let target = *self.cfg.targets.choose(ctx.rng()).expect("targets not empty");
         self.outstanding.insert(tx.id, (ctx.now(), tx.kind.is_write()));
-        ctx.send(target, AvaMsg::ClientRequest { tx, client: self.cfg.id });
+        ctx.send(target, AvaMsg::ClientRequest { tx });
     }
 
     fn fill_pipeline(&mut self, ctx: &mut Context<'_, AvaMsg<TM>>) {

@@ -11,7 +11,7 @@
 //! | Alg. 2 — heterogeneous remote leader change | [`remote_leader`] |
 //! | Alg. 3 — reconfiguration collection | [`replica`] (requester + member sides) |
 //! | Alg. 4–6 — Byzantine Reliable Dissemination | [`brd`] |
-//! | Alg. 7 — local ordering | [`replica`] + any [`ava_consensus::TotalOrderBroadcast`] |
+//! | Alg. 7 — local ordering | [`replica`] + any [`ava_consensus::TotalOrderBroadcast`]; the crate-private `admission` module keeps who waits on a write (answered from the own cluster's package alone) and the bytes a read serves |
 //! | Alg. 8 — leader change | [`replica`] (`install_leader` wiring) |
 //! | Alg. 9 — leader election | [`leader_election`] |
 //! | Alg. 10 — execution & reconfiguration application | [`replica`] (`execute`, once per process through [`round_memo`]; a joiner's state transfer, lines 33–39, enters its round through `Replica::enter`, as a catch-up does); [`catchup`] decides restart and straggler catch-up; [`views`] keeps the per-cluster trailing view every path verifies against |
@@ -41,6 +41,7 @@
 //! its object-safe `DynDeployment` trait directly on [`harness::Deployment`] and
 //! adds event schedules and run observers.
 
+mod admission;
 pub mod brd;
 pub mod byzantine;
 pub mod catchup;

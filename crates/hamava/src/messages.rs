@@ -16,7 +16,7 @@ use ava_simnet::SimMessage;
 use ava_state::StateSnapshot;
 use ava_store::{Checkpoint, StoredEntry};
 use ava_types::{
-    ClientId, ClusterId, Encode, EncodeSink, Reconfig, Region, ReplicaId, Round, Transaction, TxId,
+    ClusterId, Encode, EncodeSink, Reconfig, Region, ReplicaId, Round, Transaction, TxId,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -359,10 +359,8 @@ pub enum AvaMsg<TM> {
     },
     /// A client transaction request.
     ClientRequest {
-        /// The transaction.
+        /// The transaction; its id names the issuing client.
         tx: Transaction,
-        /// The issuing client.
-        client: ClientId,
     },
     /// The reply to a client transaction.
     ClientResponse {
@@ -475,7 +473,7 @@ mod tests {
     use super::*;
     use ava_consensus::Block;
     use ava_crypto::{QuorumCert, SigSet};
-    use ava_types::Operation;
+    use ava_types::{ClientId, Operation};
 
     #[test]
     fn round_package_counts_and_sizes() {
@@ -584,10 +582,8 @@ mod tests {
 
     #[test]
     fn message_sizes_are_plausible() {
-        let m: AvaMsg<ava_hotstuff::HotStuffMsg> = AvaMsg::ClientRequest {
-            tx: Transaction::write(ClientId(0), 0, 9, 1024),
-            client: ClientId(0),
-        };
+        let m: AvaMsg<ava_hotstuff::HotStuffMsg> =
+            AvaMsg::ClientRequest { tx: Transaction::write(ClientId(0), 0, 9, 1024) };
         assert!(m.size_bytes() >= 1024);
         let m: AvaMsg<ava_hotstuff::HotStuffMsg> = AvaMsg::Control(ControlCmd::RequestLeave);
         assert!(m.size_bytes() < 100);

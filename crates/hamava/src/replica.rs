@@ -7,6 +7,7 @@
 //! view)`, and a view is installed (machine, views, an election at the view's
 //! timestamp) only by `install`, which store replay on restart shares.
 
+use crate::admission::{self, Admission};
 use crate::brd::{Brd, BrdAction, BrdCert};
 use crate::catchup::{self, walk_round, CatchUp, CatchUpOffer, Executed, Offered, Tick, View};
 use crate::leader_election::{ElectionAction, LeaderElection};
@@ -23,10 +24,10 @@ use ava_state::{
 };
 use ava_store::{Checkpoint, ReplicaStore, StoreConfig};
 use ava_types::{
-    ClientId, ClusterId, Duration, Membership, Operation, Output, ProtocolParams, Reconfig, Region,
-    RejectKind, ReplicaId, Round, StageKind, Time, Timestamp, Transaction, TxId, TxKind,
+    ClusterId, Duration, Membership, Operation, Output, ProtocolParams, Reconfig, Region,
+    RejectKind, ReplicaId, Round, StageKind, Time, Timestamp, Transaction,
 };
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Timer kind used for the replica's periodic tick.
@@ -65,7 +66,7 @@ struct RoundState {
     /// Transactions delivered this round (across blocks).
     tx_count: usize,
     /// The reconfiguration set delivered by BRD for this round.
-    recs: Option<(Vec<Reconfig>, Option<BrdCert>)>,
+    recs: Option<(Vec<Reconfig>, BrdCert)>,
     /// Whether `send-recs` was called already (Alg. 7 line 20).
     sent_recs: bool,
     /// Whether Stage 1 is complete at this replica.
@@ -152,16 +153,9 @@ pub struct Replica<T: TotalOrderBroadcast> {
     rlc: RemoteLeaderChange,
     /// Reconfiguration requests collected this round (Alg. 3 member side).
     collected_recs: BTreeSet<Reconfig>,
-    /// Client write requests waiting for execution, keyed by transaction id.
-    pending_clients: HashMap<TxId, (ReplicaId, ClientId)>,
-    /// For writes admitted via a broker batch: which `(broker, batch id)` the
-    /// operation arrived in, so execution can emit the batch-commit trace the
-    /// broker-conservation checker audits.
-    pending_batch: HashMap<TxId, (ReplicaId, u64)>,
-    /// Broker batches already admitted, keyed by `(broker, batch id)`. A broker
-    /// that re-submits after a reply was lost (or slow) gets an idempotent ack
-    /// instead of a double admission.
-    seen_batches: BTreeSet<(ReplicaId, u64)>,
+    /// Who waits on the writes this replica admitted, and the broker batches
+    /// it admitted.
+    admission: Admission,
     /// The replicated deterministic state machine (counter or keyed KV,
     /// per `ReplicaConfig::machine`). Execution, log replay and snapshot
     /// adoption all mutate state exclusively through `StateMachine::apply`,
@@ -192,11 +186,11 @@ pub struct Replica<T: TotalOrderBroadcast> {
     /// packages that arrived early, and the evidence-driven pull of a package
     /// this replica misses from a cluster that is provably a round ahead.
     relay: Relay,
-    /// Reconfiguration sets ordered through the TOB (single-workflow mode only),
-    /// keyed by the round they were agreed for. A set can commit while this replica
-    /// is still finishing the previous round; stashing it here instead of dropping
-    /// it keeps Stage 1 of the tagged round live.
-    ordered_reconfig_sets: BTreeMap<Round, Vec<Reconfig>>,
+    /// The rounds a reconfiguration set was ordered for through the TOB
+    /// (single-workflow mode only). A set can commit while this replica is
+    /// still finishing the previous round; remembering its round keeps Stage 1
+    /// of the tagged round live.
+    ordered_reconfig_rounds: BTreeSet<Round>,
     /// Whether this replica asked to leave.
     leave_requested: bool,
     /// The durable store (round log + checkpoints). This is the one field a
@@ -258,15 +252,13 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             brd,
             rlc,
             collected_recs: BTreeSet::new(),
-            pending_clients: HashMap::new(),
-            pending_batch: HashMap::new(),
-            seen_batches: BTreeSet::new(),
+            admission: Admission::default(),
             machine,
             pending_blocks: BTreeMap::new(),
             next_local_height: 0,
             round_base_height: 0,
             relay,
-            ordered_reconfig_sets: BTreeMap::new(),
+            ordered_reconfig_rounds: BTreeSet::new(),
             leave_requested: false,
             store: None,
             future_brd: BTreeMap::new(),
@@ -394,7 +386,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                 }
                 BrdAction::Deliver { recs, cert } => {
                     if self.round_state.recs.is_none() {
-                        self.round_state.recs = Some((recs, Some(cert)));
+                        self.round_state.recs = Some((recs, cert));
                         self.check_stage1(ctx);
                     }
                 }
@@ -483,27 +475,22 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     /// when (or in what burst, e.g. a post-recovery replay) deliveries land.
     fn on_local_block(&mut self, block: CommittedBlock, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
         // Single-workflow mode: a committed reconfiguration set is final the
-        // moment the TOB orders it, independent of which round its carrying
-        // block packs into. The set is broadcast near the batch tail, so its
-        // block routinely commits *after* the cut — with the batch closed it
-        // can no longer pack, and stage 1 would deadlock waiting on a set it
-        // will never see. Harvest at delivery; the block itself still packs
-        // normally (into the next round if it landed past the cut).
+        // moment the TOB orders it. It is broadcast near the batch tail, so its
+        // block routinely commits after the cut and packs into the next round:
+        // note its round at delivery, or stage 1 waits on it for good.
         if !self.cfg.params.parallel_reconfig_workflow {
-            for op in &block.block.ops {
-                if let Operation::ReconfigSet { round, recs } = op {
-                    if *round >= self.round {
-                        self.ordered_reconfig_sets.entry(*round).or_insert_with(|| recs.clone());
-                    }
-                }
-            }
+            let current = self.round;
+            let ordered = block.block.ops.iter().filter_map(|op| match op {
+                Operation::ReconfigSet { round, .. } if *round >= current => Some(*round),
+                _ => None,
+            });
+            self.ordered_reconfig_rounds.extend(ordered);
         }
         self.pending_blocks.entry(block.block.height).or_insert(block);
         self.consume_ready_blocks(ctx);
         if !self.cfg.params.parallel_reconfig_workflow
             && matches!(self.status, ReplicaStatus::Active)
         {
-            self.adopt_ordered_reconfig_set();
             self.check_stage1(ctx);
         }
     }
@@ -535,35 +522,15 @@ impl<T: TotalOrderBroadcast> Replica<T> {
     }
 
     fn pack_block(&mut self, block: CommittedBlock, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        // Reconfiguration sets ordered through the TOB (single-workflow mode;
-        // normally already harvested at delivery in `on_local_block`, but
-        // recycled blocks re-enter through the pending queue alone, so this is
-        // the safety net — `or_insert` makes the double harvest idempotent),
-        // and round-cut markers closing the current round's batch. A marker for
+        // A round-cut marker closes the current round's batch. A marker for
         // any other round raced a batch-full (or earlier-marker) cut and is
         // stale — the block carrying it still packs into the round normally.
-        let mut reconfig_sets = Vec::new();
-        for op in &block.block.ops {
-            match op {
-                Operation::ReconfigSet { round, recs } => {
-                    reconfig_sets.push((*round, recs.clone()));
-                }
-                Operation::RoundCut { round } if *round == self.round => {
-                    self.round_state.cut_requested = true;
-                }
-                _ => {}
-            }
+        // (A reconfiguration set it carries was noted at its delivery.)
+        if block.block.ops.contains(&Operation::RoundCut { round: self.round }) {
+            self.round_state.cut_requested = true;
         }
         self.round_state.tx_count += block.block.tx_count();
         self.round_state.blocks.push(block);
-        if !self.cfg.params.parallel_reconfig_workflow {
-            for (round, recs) in reconfig_sets {
-                if round >= self.round {
-                    self.ordered_reconfig_sets.entry(round).or_insert(recs);
-                }
-            }
-            self.adopt_ordered_reconfig_set();
-        }
         // Alg. 7 line 20: once a large fraction of the batch is ordered, start the
         // reconfiguration dissemination so it overlaps the tail of local ordering.
         if self.round_state.tx_count >= self.cfg.params.alpha_threshold()
@@ -592,16 +559,6 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
     }
 
-    /// Single-workflow mode: adopt the ordered reconfiguration set for the current
-    /// round, if one has committed.
-    fn adopt_ordered_reconfig_set(&mut self) {
-        if self.round_state.recs.is_none() {
-            if let Some(recs) = self.ordered_reconfig_sets.remove(&self.round) {
-                self.round_state.recs = Some((recs, None));
-            }
-        }
-    }
-
     /// Whether the current round's batch is closed: no more blocks may pack
     /// into it. True once the batch filled or a committed `RoundCut` marker cut
     /// it (see `Operation::RoundCut` — the cut is a point of the block stream,
@@ -626,17 +583,14 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         if !self.round_state.sent_recs {
             self.send_recs(ctx);
         }
-        let Some((recs, cert)) = self.round_state.recs.clone() else {
-            return;
-        };
-        // Single-workflow mode: the set already travels inside the TOB-certified
-        // blocks, so the package-level copy stays empty — it has no BRD delivery
-        // certificate (remote verifiers would reject the package) and would be
-        // applied a second time at execution.
-        let (recs, cert) = if self.cfg.params.parallel_reconfig_workflow {
-            (recs, cert)
-        } else {
-            (Vec::new(), None)
+        // Single-workflow mode: once a set for this round has committed, the
+        // package carries none. The set travels inside the TOB-certified
+        // blocks and is applied from them at execution, and it has no BRD
+        // delivery certificate (remote verifiers would reject the package).
+        let (recs, cert) = match self.round_state.recs.clone() {
+            Some((recs, cert)) => (recs, Some(cert)),
+            None if self.ordered_reconfig_rounds.contains(&self.round) => (Vec::new(), None),
+            None => return,
         };
         self.round_state.stage1_done = true;
         self.round_state.stage1_end = Some(now);
@@ -891,11 +845,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         // replica here applies, the others adopt its result); then this
         // replica's own acks, in execution order.
         let value_bytes = round_memo::execute_round(&mut self.machine, self.round, &packages);
+        self.answer_waiters(packages.values(), ctx);
         let mut executed_txns = 0usize;
-        let all_recs = walk_round(packages.values(), |tx| {
-            self.ack_committed(tx, ctx);
-            executed_txns += 1;
-        });
+        let all_recs = walk_round(packages.values(), |_| executed_txns += 1);
         ctx.consume(ctx.costs().per_tx_execute.saturating_mul(executed_txns as u64));
         // Value movement is charged separately so counter deployments (zero
         // value bytes) never reach this consume and stay golden-stable.
@@ -1036,42 +988,32 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         }
     }
 
-    /// Answer whoever is waiting on a transaction that has just committed here
-    /// (writes complete at execution): its pending client and, for an operation
-    /// admitted from a broker batch, the per-op commit output. An empty map
-    /// is not probed: without brokers, every executed id would be hashed
-    /// into an empty `pending_batch` otherwise.
-    fn ack_committed(&mut self, tx: &Transaction, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
-        if !self.pending_clients.is_empty() {
-            if let Some((client_node, _client)) = self.pending_clients.remove(&tx.id) {
-                let is_write = tx.kind.is_write();
-                ctx.send(client_node, AvaMsg::ClientResponse { tx: tx.id, is_write, value_len: 0 });
+    /// Answer whoever waits on a write of a round just executed or adopted
+    /// ([`Admission::on_executed`]): the node, then, for an operation admitted
+    /// from a broker batch, the per-operation commit output.
+    fn answer_waiters<'a>(
+        &mut self,
+        packages: impl IntoIterator<Item = &'a Arc<RoundPackage>>,
+        ctx: &mut Context<'_, AvaMsg<T::Msg>>,
+    ) {
+        let (replica, cluster) = (self.cfg.me, self.cfg.cluster);
+        self.admission.on_executed(cluster, packages, |tx, waiter| {
+            let is_write = tx.kind.is_write();
+            ctx.send(waiter.node, AvaMsg::ClientResponse { tx: tx.id, is_write, value_len: 0 });
+            if let Some((broker, batch)) = waiter.batch {
+                let (tx, at) = (tx.id, ctx.now());
+                ctx.emit(Output::BatchOpCommitted { replica, cluster, broker, batch, tx, at });
             }
-        }
-        if !self.pending_batch.is_empty() {
-            if let Some((broker, batch)) = self.pending_batch.remove(&tx.id) {
-                ctx.emit(Output::BatchOpCommitted {
-                    replica: self.cfg.me,
-                    cluster: self.cfg.cluster,
-                    broker,
-                    batch,
-                    tx: tx.id,
-                    at: ctx.now(),
-                });
-            }
-        }
+        });
     }
 
     fn start_round(&mut self, round: Round, ctx: &mut Context<'_, AvaMsg<T::Msg>>) {
         self.round = round;
         self.round_base_height = self.next_local_height;
         self.round_state = RoundState { started_at: ctx.now(), ..Default::default() };
-        if !self.cfg.params.parallel_reconfig_workflow {
-            // Drop stale sets and adopt one that committed while the previous round
-            // was finishing.
-            self.ordered_reconfig_sets.retain(|r, _| *r >= round);
-            self.adopt_ordered_reconfig_set();
-        }
+        // Single-workflow mode: forget the rounds now behind; a set that
+        // committed while the previous round was finishing stays.
+        self.ordered_reconfig_rounds.retain(|r| *r >= round);
         // Membership may have changed: propagate to every sub-protocol.
         let members = self.my_members();
         self.tob.set_membership(members.clone());
@@ -1246,11 +1188,9 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             self.cfg.params.leader_change_grace,
         );
         self.collected_recs.clear();
-        self.pending_clients.clear();
-        self.pending_batch.clear();
-        self.seen_batches.clear();
+        self.admission = Admission::default();
         self.relay = Relay::new(self.cfg.cluster);
-        self.ordered_reconfig_sets.clear();
+        self.ordered_reconfig_rounds.clear();
         self.leave_requested = false;
         self.future_brd.clear();
         self.pending_blocks.clear();
@@ -1348,10 +1288,10 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         if persist_bytes > 0 {
             ctx.consume(ctx.costs().persist_cost(persist_bytes));
         }
-        // Transactions pending at this replica that executed inside transferred
-        // rounds get their responses now (a straggler kept its client bookkeeping).
+        // Writes waiting at this replica that executed inside transferred
+        // rounds get their answers now (a straggler kept its admission table).
         for record in &adoption.records {
-            walk_round(&record.packages, |tx| self.ack_committed(tx, ctx));
+            self.answer_waiters(&record.packages, ctx);
         }
         if adoption.outvoted {
             self.reject(self.cfg.cluster, adoption.round, RejectKind::CatchUpCheckpoint, ctx);
@@ -1373,45 +1313,27 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         &mut self,
         from: ReplicaId,
         tx: Transaction,
-        client: ClientId,
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) {
-        match tx.kind {
-            TxKind::Read { key } => {
-                // Reads are served locally without going through the three stages
-                // (the paper's E2 latency breakdown relies on this).
-                let value_len = self.machine.read_len(key);
-                ctx.consume(ctx.costs().per_tx_execute);
-                if value_len > 0 {
-                    ctx.consume(ctx.costs().value_cost(value_len as u64));
-                }
-                ctx.send(from, AvaMsg::ClientResponse { tx: tx.id, is_write: false, value_len });
-            }
-            TxKind::Scan { start_key, count } => {
-                // Range reads are served cluster-locally from committed state,
-                // exactly like point reads.
-                let bytes = self.machine.scan_bytes(start_key, count);
-                ctx.consume(ctx.costs().per_tx_execute);
-                if bytes > 0 {
-                    ctx.consume(ctx.costs().value_cost(bytes));
-                }
-                let value_len = bytes.min(u32::MAX as u64) as u32;
-                ctx.send(from, AvaMsg::ClientResponse { tx: tx.id, is_write: false, value_len });
-            }
-            TxKind::Write { .. } | TxKind::MultiWrite { .. } => {
-                self.pending_clients.insert(tx.id, (from, client));
-                let now = ctx.now();
-                self.tob_step(ctx, |tob, out| tob.broadcast(Operation::Trans(tx), now, out));
-            }
+        // Reads (point and range) are served locally from committed state,
+        // without going through the three stages (the paper's E2 latency
+        // breakdown relies on this).
+        if let Some(bytes) = admission::served_bytes(self.machine.as_ref(), &tx.kind) {
+            ctx.consume(ctx.costs().per_tx_execute + ctx.costs().value_cost(bytes));
+            let value_len = bytes.min(u32::MAX as u64) as u32;
+            ctx.send(from, AvaMsg::ClientResponse { tx: tx.id, is_write: false, value_len });
+            return;
         }
+        self.admission.admit_write(from, tx.id);
+        let now = ctx.now();
+        self.tob_step(ctx, |tob, out| tob.broadcast(Operation::Trans(tx), now, out));
     }
 
     /// Admit one broker-certified batch (broker tier fast path): verify the
     /// batch signature once, serve reads immediately, and feed writes into the
     /// local TOB. The reply releases the broker's in-flight slot and carries the
-    /// read acks; write acks ride the ordinary per-operation execution path
-    /// (`apply_transaction`), addressed to the broker node recorded in
-    /// `pending_clients`.
+    /// read acks; a write is answered to the broker node when this replica
+    /// executes it (`answer_waiters`).
     fn on_batch_submit(
         &mut self,
         from: ReplicaId,
@@ -1422,37 +1344,26 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         if !batch.verify(&self.registry) {
             return;
         }
-        if !self.seen_batches.insert((batch.broker, batch.id)) {
+        if !self.admission.admit_batch(from, &batch) {
             // Duplicate submission (retry after a lost or slow reply): ack
             // idempotently, never re-admit. Writes of the original admission are
-            // either still pending or already acked per-operation.
+            // either still waiting or already answered per operation.
             ctx.send(from, AvaMsg::BatchReply { batch: batch.id, reads: Vec::new() });
             return;
         }
         let mut reads = Vec::new();
         let mut read_bytes = 0u64;
         for tx in &batch.ops {
-            match tx.kind {
-                TxKind::Read { key } => {
-                    read_bytes += self.machine.read_len(key) as u64;
-                    reads.push(tx.id);
-                }
-                TxKind::Scan { start_key, count } => {
-                    read_bytes += self.machine.scan_bytes(start_key, count);
-                    reads.push(tx.id);
-                }
-                TxKind::Write { .. } | TxKind::MultiWrite { .. } => {
-                    self.pending_clients.insert(tx.id, (from, tx.id.client));
-                    self.pending_batch.insert(tx.id, (batch.broker, batch.id));
-                    let (op, now) = (Operation::Trans(tx.clone()), ctx.now());
-                    self.tob_step(ctx, |tob, out| tob.broadcast(op, now, out));
-                }
+            if let Some(bytes) = admission::served_bytes(self.machine.as_ref(), &tx.kind) {
+                read_bytes += bytes;
+                reads.push(tx.id);
+            } else {
+                let (op, now) = (Operation::Trans(tx.clone()), ctx.now());
+                self.tob_step(ctx, |tob, out| tob.broadcast(op, now, out));
             }
         }
-        ctx.consume(ctx.costs().per_tx_execute.saturating_mul(reads.len() as u64));
-        if read_bytes > 0 {
-            ctx.consume(ctx.costs().value_cost(read_bytes));
-        }
+        let execute = ctx.costs().per_tx_execute.saturating_mul(reads.len() as u64);
+        ctx.consume(execute + ctx.costs().value_cost(read_bytes));
         ctx.send(from, AvaMsg::BatchReply { batch: batch.id, reads });
     }
 
@@ -1565,7 +1476,7 @@ where
                 ctx.send(from, AvaMsg::CatchUpReply { checkpoint, suffix, round, leader_ts });
             }
             AvaMsg::CatchUpReply { .. } => {}
-            AvaMsg::ClientRequest { tx, client } => self.on_client_request(from, tx, client, ctx),
+            AvaMsg::ClientRequest { tx } => self.on_client_request(from, tx, ctx),
             AvaMsg::ClientResponse { .. } => {}
             AvaMsg::BatchSubmit(batch) => self.on_batch_submit(from, batch, ctx),
             // Broker-tier traffic addressed to brokers or aggregate generators.

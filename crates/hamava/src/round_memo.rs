@@ -31,8 +31,8 @@
 //! 4. **Immutable shared state.** A shared root or page is copied before its
 //!    first write (`Arc::make_mut`); nothing writes a shared version in place.
 //!
-//! Nothing virtual moves: the replica still walks the round's transactions
-//! for its own acks, and charges `per_tx_execute` and `value_cost` from the
+//! Nothing virtual moves: the replica still answers its own waiters from its
+//! cluster's package, and charges `per_tx_execute` and `value_cost` from the
 //! same counts.
 
 use crate::catchup::walk_round;

@@ -230,6 +230,68 @@ fn views_keep_every_cluster_live_when_leaves_are_40ms_apart_hotstuff_seed_5() {
     views_every_cluster_churns(Protocol::AvaHotStuff, 5, Duration::from_millis(40));
 }
 
+/// The single-workflow ablation (E5.2: each round's reconfiguration set is
+/// ordered through the local TOB instead of BRD) under joins and leaves in both
+/// clusters of a 5 + 4 deployment. Every request must be applied and writes
+/// must still commit after the last one; returns what the standard checkers
+/// found. The fuzzer never draws this mode, so these runs are where its
+/// checkers see it.
+fn single_workflow_violations(protocol: Protocol, seed: u64) -> Vec<String> {
+    let mut config = SystemConfig::homogeneous_regions(&[(5, Region::UsWest), (4, Region::Europe)]);
+    config.params.batch_size = 20;
+    config.params.parallel_reconfig_workflow = false;
+    let leavers = [config.clusters[0].replicas[4].0, config.clusters[1].replicas[3].0];
+    let mut checkers = CheckerSet::standard();
+    let run = scenario(protocol, config, seed, 24)
+        .join_at(Time::from_secs(3), ClusterId(0), Region::UsWest)
+        .join_at(Time::from_secs(5), ClusterId(1), Region::Europe)
+        .leave_at(Time::from_secs(9), leavers[0])
+        .leave_at(Time::from_secs(11), leavers[1])
+        .build()
+        .run_observed(&mut [&mut checkers]);
+    let applied = |who: ReplicaId, join: bool| {
+        run.outputs.iter().any(|o| {
+            matches!(o, Output::ReconfigApplied { replica, joined, .. }
+                if *replica == who && *joined == join)
+        })
+    };
+    assert_eq!(run.joined.len(), 2);
+    for &joiner in &run.joined {
+        assert!(applied(joiner, true), "{protocol:?} seed {seed}: {joiner} never joined");
+    }
+    for leaver in leavers {
+        assert!(applied(leaver, false), "{protocol:?} seed {seed}: {leaver} never left");
+    }
+    let late_writes = run.outputs.iter().any(|o| {
+        matches!(o, Output::TxCompleted { completed_at, is_write: true, .. }
+            if *completed_at > Time::from_secs(18))
+    });
+    assert!(late_writes, "{protocol:?} seed {seed}: no write committed after the reconfigurations");
+    checkers.violations().iter().map(|v| v.to_string()).collect()
+}
+
+#[test]
+fn single_workflow_applies_joins_and_leaves_hotstuff() {
+    let violations = single_workflow_violations(Protocol::AvaHotStuff, 21);
+    assert!(violations.is_empty(), "{violations:?}");
+}
+
+/// Finding 19 (ROADMAP findings ledger): in the single workflow a request's
+/// set commits past its round's cut, applies in the next round, and is ordered
+/// again in that round's own set, so every reconfiguration applies twice, in
+/// consecutive rounds. The second, empty application replaces the cluster's
+/// trailing view, and a block its departed member certified is then rejected
+/// (`certificate-validity`, cluster 0 rejecting cluster 1's round 125). A
+/// known-failing fixture: a fix turns it red.
+#[test]
+fn known_failing_finding_19_single_workflow_bftsmart() {
+    let violations = single_workflow_violations(Protocol::AvaBftSmart, 22);
+    assert!(
+        violations.iter().any(|v| v.contains("certificate-validity")),
+        "finding 19 no longer reproduces (fixed? assert a clean run instead): {violations:?}"
+    );
+}
+
 /// Finding 16 (ROADMAP findings ledger): a quick fuzz case, shrunk, in which
 /// nothing is corrupted, yet the replica that joined cluster 1 rejects an
 /// honest package, so `certificate-validity` fires. It is finding 1's symptom,
