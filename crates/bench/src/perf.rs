@@ -52,7 +52,8 @@ fn opts(seed: u64) -> DeploymentOptions {
 /// the rounds it retains, then by the expected-tag memo's verifications
 /// answered, MACs computed on verify, and tags signed; the KV table also by
 /// the checkpoint digests reused and the KV leaves hashed (one per committed
-/// write, since the replicas share each executed round).
+/// write, since the replicas share each executed round), with how full the
+/// lane groups they were hashed in ran.
 pub fn profile_deployments() {
     let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
@@ -102,10 +103,13 @@ pub fn profile_deployments() {
     );
     let leaves_after = ava_state::leaf_hash_stats();
     let (hashed, bytes) = (leaves_after.leaves - leaves.leaves, leaves_after.bytes - leaves.bytes);
+    let groups = leaves_after.groups - leaves.groups;
     println!(
-        "KV leaves hashed: {hashed} / {:.1} MB / {} B per leaf",
+        "KV leaves hashed: {hashed} / {:.1} MB / {} B per leaf / {:.2} leaves per lane group (of {})",
         bytes as f64 / 1e6,
-        bytes / hashed.max(1)
+        bytes / hashed.max(1),
+        hashed as f64 / groups.max(1) as f64,
+        ava_crypto::blake2s::LANES
     );
 
     let churn = DeploymentOptions {

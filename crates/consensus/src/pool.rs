@@ -15,7 +15,7 @@
 //! delivering while its members hold work is exactly what a leader change fixes.
 
 use ava_crypto::Digest;
-use ava_types::{Duration, Operation, Time};
+use ava_types::{Duration, Operation, Time, TxId};
 use std::collections::{HashSet, VecDeque};
 
 /// How many times its worst delivery gap so far a replica waits before it
@@ -121,13 +121,49 @@ impl PendingPool {
         if let Some(since) = self.waiting_since {
             self.worst_gap = self.worst_gap.max(now.since(since));
         }
-        self.my_undelivered.retain(|mine| !ops.contains(mine));
+        self.forget_delivered(ops);
         if self.my_undelivered.is_empty() {
             self.waiting_since = None;
             self.complained = false;
         } else {
             self.waiting_since = Some(now);
         }
+    }
+
+    /// Drop from `my_undelivered`, in order, every operation equal to one of
+    /// `ops` — what a `retain` that scans `ops` does, without its |mine| ×
+    /// |block| compares. My transactions are indexed by id once (sorted), and
+    /// each transaction of the block is compared only with those of mine
+    /// that carry its id; an operation of the block that is not a
+    /// transaction is compared with each of mine.
+    fn forget_delivered(&mut self, ops: &[Operation]) {
+        let mine = &self.my_undelivered;
+        if mine.is_empty() {
+            return;
+        }
+        let mut by_id: Vec<(TxId, usize)> = mine
+            .iter()
+            .enumerate()
+            .filter_map(|(i, op)| match op {
+                Operation::Trans(tx) => Some((tx.id, i)),
+                _ => None,
+            })
+            .collect();
+        by_id.sort_unstable();
+        let mut delivered = vec![false; mine.len()];
+        for op in ops {
+            match op {
+                Operation::Trans(tx) => {
+                    let from = by_id.partition_point(|(id, _)| *id < tx.id);
+                    for &(_, i) in by_id[from..].iter().take_while(|(id, _)| *id == tx.id) {
+                        delivered[i] |= mine[i] == *op;
+                    }
+                }
+                _ => mine.iter().zip(&mut delivered).for_each(|(m, d)| *d |= m == op),
+            }
+        }
+        let mut delivered = delivered.into_iter();
+        self.my_undelivered.retain(|_| !delivered.next().expect("one flag per operation"));
     }
 
     /// How long this replica waits for a delivery before it suspects the
@@ -168,7 +204,7 @@ impl PendingPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_types::{ClientId, Transaction};
+    use ava_types::{ClientId, Round, Transaction};
 
     fn op(seq: u64) -> Operation {
         Operation::Trans(Transaction::write(ClientId(0), seq, seq, 128))
@@ -298,5 +334,41 @@ mod tests {
         pool.mark_delivered(&[op(2)], ms(2));
         assert!(pool.my_undelivered().is_empty());
         assert_eq!(pool.should_complain(ms(100_000), EPSILON, TIMEOUT), None);
+    }
+
+    #[test]
+    fn delivery_drops_exactly_the_equal_operations_and_keeps_the_order() {
+        // A vocabulary where ids collide: `op(s)` and `other(s)` share an id
+        // and differ in content, and a block may carry both.
+        let other = |seq| Operation::Trans(Transaction::write(ClientId(0), seq, seq + 1, 128));
+        let vocabulary: Vec<Operation> = (0..4)
+            .flat_map(|s| [op(s), other(s)])
+            .chain([
+                Operation::RoundCut { round: Round(1) },
+                Operation::RoundCut { round: Round(2) },
+            ])
+            .chain([Operation::ReconfigSet { round: Round(1), recs: Vec::new() }])
+            .collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for case in 0..500 {
+            let mut ops = |len| -> Vec<Operation> {
+                (0..len).map(|_| vocabulary[draw(vocabulary.len())].clone()).collect()
+            };
+            let mine = ops(case % 35);
+            let block = ops(case % 7 * 3);
+            let mut pool = PendingPool::new();
+            for op in &mine {
+                pool.record_my_broadcast(op.clone(), ms(0));
+            }
+            pool.mark_delivered(&block, ms(1));
+            let left: Vec<Operation> = mine.into_iter().filter(|m| !block.contains(m)).collect();
+            assert_eq!(pool.my_undelivered(), left, "case {case}, block {block:?}");
+        }
     }
 }

@@ -1,24 +1,36 @@
-//! BLAKE2s-256, implemented from scratch (RFC 7693), 32-byte output, in two
-//! modes.
+//! BLAKE2s-256, implemented from scratch (RFC 7693), 32-byte output, in three
+//! forms over one compression function.
 //!
-//! - Unkeyed ([`Blake2s`], [`blake2s`]): the replicated KV state hashes every
+//! - Unkeyed ([`blake2s`]): the replicated KV state hashes every
 //!   committed value with it. BLAKE2s has SHA-256's 128-bit collision
 //!   resistance and hashes long inputs in about half its time in portable
 //!   code (ten rounds of add-rotate-xor on sixteen words, no message
 //!   schedule).
+//! - Many messages side by side ([`blake2s_many`], [`blake2s_lanes`]): the
+//!   leaves of a round's writes are independent, so [`LANES`] messages of one
+//!   length are hashed together, word `w` of lane `l` belonging to message
+//!   `l` (the multi-message layout of BLAKE2sp and of BLAKE3's `hash_many`).
+//!   The compression is a loop over the lanes, which LLVM's loop vectoriser
+//!   turns into packed SSE2 on the baseline x86-64 target — no `unsafe`, no
+//!   target feature. Every digest is plain BLAKE2s-256.
 //! - Keyed with a 32-byte key ([`Blake2sKey`]): the tag of every simulated
 //!   signature. BLAKE2's keyed mode is a MAC on its own (RFC 7693 §2.5), with
 //!   no HMAC nesting, so once the key block is compressed a tag over a
 //!   32-byte digest is one compression.
 //!
-//! The key length is part of the parameter block, so a keyed tag never
-//! equals the unkeyed hash of the same bytes. Every other digest in the tree
-//! stays on SHA-256.
+//! The one-message forms are the compression's one-lane instance. The key
+//! length is part of the parameter block, so a keyed tag never equals the
+//! unkeyed hash of the same bytes. Every other digest in the tree stays on
+//! SHA-256.
 
 /// The initial chaining value: SHA-256's.
 const IV: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// The parameter block of an unkeyed 32-byte digest (depth 1, fanout 1, key
+/// length 0, digest length 32), XORed into the first IV word.
+const UNKEYED: u32 = 0x0101_0020;
 
 /// The message word permutation of each of the ten rounds.
 const SIGMA: [[usize; 16]; 10] = [
@@ -34,70 +46,9 @@ const SIGMA: [[usize; 16]; 10] = [
     [10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0],
 ];
 
-/// Incremental BLAKE2s-256 hasher.
-///
-/// Unlike SHA-256, the last block is compressed with a final flag set, so a
-/// full buffered block is only compressed once more input is known to follow:
-/// a message of exactly `64·k` bytes keeps its last block for
-/// [`Blake2s::finalize`].
-pub struct Blake2s {
-    h: [u32; 8],
-    buffer: [u8; 64],
-    buffer_len: usize,
-    /// Bytes compressed so far (the RFC's counter `t`).
-    compressed: u64,
-}
-
-impl Default for Blake2s {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Blake2s {
-    /// New hasher: the IV with the parameter block of an unkeyed 32-byte
-    /// digest (depth 1, fanout 1, key length 0, digest length 32) folded in.
-    pub fn new() -> Self {
-        let mut h = IV;
-        h[0] ^= 0x0101_0020;
-        Blake2s { h, buffer: [0u8; 64], buffer_len: 0, compressed: 0 }
-    }
-
-    /// Feed bytes into the hasher.
-    pub fn update(&mut self, mut data: &[u8]) {
-        if self.buffer_len > 0 {
-            let take = (64 - self.buffer_len).min(data.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&data[..take]);
-            self.buffer_len += take;
-            data = &data[take..];
-            if data.is_empty() {
-                return;
-            }
-            // The buffer is full and more input follows: it is not the last block.
-            self.compressed += 64;
-            compress(&mut self.h, &self.buffer, self.compressed, false);
-            self.buffer_len = 0;
-        }
-        // Whole blocks are compressed where they lie, except the last one,
-        // which might be the message's final block.
-        while data.len() > 64 {
-            let (block, rest) = data.split_at(64);
-            self.compressed += 64;
-            compress(&mut self.h, block.try_into().expect("split at 64"), self.compressed, false);
-            data = rest;
-        }
-        self.buffer[..data.len()].copy_from_slice(data);
-        self.buffer_len = data.len();
-    }
-
-    /// Finish the hash and return the digest bytes.
-    pub fn finalize(mut self) -> [u8; 32] {
-        self.compressed += self.buffer_len as u64;
-        self.buffer[self.buffer_len..].fill(0);
-        compress(&mut self.h, &self.buffer, self.compressed, true);
-        words_to_bytes(&self.h)
-    }
-}
+/// Messages [`blake2s_many`] hashes side by side: eight 32-bit lanes fill two
+/// 128-bit SSE2 registers per state word.
+pub const LANES: usize = 8;
 
 /// The mixing function `G` on words `a, b, c, d` of `v` with message words `x, y`.
 #[inline(always)]
@@ -112,38 +63,64 @@ fn g(v: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize, x: u32, y: u32) 
     v[b] = (v[b] ^ v[c]).rotate_right(7);
 }
 
-/// Compress one block into `h`; `t` counts the bytes hashed through this block.
-fn compress(h: &mut [u32; 8], block: &[u8; 64], t: u64, last: bool) {
-    let mut m = [0u32; 16];
-    for (word, chunk) in m.iter_mut().zip(block.chunks_exact(4)) {
-        *word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+/// The compression function, once for `N` messages: compress block `m` into
+/// chaining value `h`, where `h[w][l]` and `m[w][l]` are word `w` of lane `l`.
+/// The lanes share `t`, the bytes hashed through this block, and `last`, so
+/// they hold messages of one length.
+///
+/// The loop is over the lanes, each pass one message's scalar compression.
+/// Word `w` of consecutive lanes is adjacent in memory, so LLVM's loop
+/// vectoriser runs four passes at once in SSE2 registers (`paddd`, `pxor`,
+/// and `psrld`/`pslld`/`por` for the rotations): for `N = 8`, two vector
+/// passes. The body is too large to be unrolled first, which is what keeps it
+/// a loop the vectoriser sees. `N = 1` is the plain scalar compression.
+#[inline(always)]
+fn compress<const N: usize>(h: &mut [[u32; N]; 8], m: &[[u32; N]; 16], t: u64, last: bool) {
+    for l in 0..N {
+        let mut v = [0u32; 16];
+        for w in 0..8 {
+            v[w] = h[w][l];
+            v[w + 8] = IV[w];
+        }
+        v[12] ^= t as u32;
+        v[13] ^= (t >> 32) as u32;
+        if last {
+            v[14] = !v[14];
+        }
+        // Each round's permutation is a constant index once the rounds are
+        // unrolled.
+        macro_rules! round {
+            ($($r:literal)*) => {$({
+                let s = &SIGMA[$r];
+                g(&mut v, 0, 4, 8, 12, m[s[0]][l], m[s[1]][l]);
+                g(&mut v, 1, 5, 9, 13, m[s[2]][l], m[s[3]][l]);
+                g(&mut v, 2, 6, 10, 14, m[s[4]][l], m[s[5]][l]);
+                g(&mut v, 3, 7, 11, 15, m[s[6]][l], m[s[7]][l]);
+                g(&mut v, 0, 5, 10, 15, m[s[8]][l], m[s[9]][l]);
+                g(&mut v, 1, 6, 11, 12, m[s[10]][l], m[s[11]][l]);
+                g(&mut v, 2, 7, 8, 13, m[s[12]][l], m[s[13]][l]);
+                g(&mut v, 3, 4, 9, 14, m[s[14]][l], m[s[15]][l]);
+            })*};
+        }
+        round!(0 1 2 3 4 5 6 7 8 9);
+        for w in 0..8 {
+            h[w][l] ^= v[w] ^ v[w + 8];
+        }
     }
-    let mut v = [0u32; 16];
-    v[..8].copy_from_slice(h);
-    v[8..].copy_from_slice(&IV);
-    v[12] ^= t as u32;
-    v[13] ^= (t >> 32) as u32;
-    if last {
-        v[14] = !v[14];
-    }
-    // Each round's permutation is a constant index once the loop is unrolled.
-    macro_rules! round {
-        ($($r:literal)*) => {$({
-            let s = &SIGMA[$r];
-            g(&mut v, 0, 4, 8, 12, m[s[0]], m[s[1]]);
-            g(&mut v, 1, 5, 9, 13, m[s[2]], m[s[3]]);
-            g(&mut v, 2, 6, 10, 14, m[s[4]], m[s[5]]);
-            g(&mut v, 3, 7, 11, 15, m[s[6]], m[s[7]]);
-            g(&mut v, 0, 5, 10, 15, m[s[8]], m[s[9]]);
-            g(&mut v, 1, 6, 11, 12, m[s[10]], m[s[11]]);
-            g(&mut v, 2, 7, 8, 13, m[s[12]], m[s[13]]);
-            g(&mut v, 3, 4, 9, 14, m[s[14]], m[s[15]]);
-        })*};
-    }
-    round!(0 1 2 3 4 5 6 7 8 9);
-    for (i, word) in h.iter_mut().enumerate() {
-        *word ^= v[i] ^ v[i + 8];
-    }
+}
+
+/// The one-lane instance on one block's bytes: compress `block` into `h`.
+fn compress_one(h: &mut [u32; 8], block: &[u8; 64], t: u64, last: bool) {
+    let mut lane = h.map(|w| [w]);
+    compress(&mut lane, &block_words(block).map(|w| [w]), t, last);
+    *h = lane.map(|[w]| w);
+}
+
+/// The sixteen little-endian words of a block.
+fn block_words(block: &[u8; 64]) -> [u32; 16] {
+    std::array::from_fn(|w| {
+        u32::from_le_bytes(block[4 * w..4 * w + 4].try_into().expect("4 bytes"))
+    })
 }
 
 /// A BLAKE2s-256 MAC key: the chaining value after the parameter block of a
@@ -163,7 +140,7 @@ impl Blake2sKey {
         h[0] ^= 0x0101_2020;
         let mut block = [0u8; 64];
         block[..32].copy_from_slice(key);
-        compress(&mut h, &block, 64, false);
+        compress_one(&mut h, &block, 64, false);
         Blake2sKey { h }
     }
 
@@ -173,7 +150,7 @@ impl Blake2sKey {
         let mut h = self.h;
         let mut block = [0u8; 64];
         block[..32].copy_from_slice(msg);
-        compress(&mut h, &block, 96, true);
+        compress_one(&mut h, &block, 96, true);
         words_to_bytes(&h)
     }
 }
@@ -187,11 +164,97 @@ fn words_to_bytes(h: &[u32; 8]) -> [u8; 32] {
     out
 }
 
-/// One-shot BLAKE2s-256 of `data`.
+/// BLAKE2s-256 of `data`: the one-lane instance with no head.
 pub fn blake2s(data: &[u8]) -> [u8; 32] {
-    let mut h = Blake2s::new();
-    h.update(data);
-    h.finalize()
+    blake2s_lanes([(&[], data)])[0]
+}
+
+/// Block `b` of the message `head ‖ body`, zero past its end: a block that
+/// lies wholly in the body is its 64 bytes as they are.
+#[inline(always)]
+fn message_block<const H: usize>(head: &[u8; H], body: &[u8], b: usize) -> [u8; 64] {
+    let start = 64 * b;
+    if let Some(whole) = start.checked_sub(H).and_then(|at| body.get(at..at + 64)) {
+        return whole.try_into().expect("64 bytes");
+    }
+    let mut block = [0u8; 64];
+    let from_head = head.get(start..).unwrap_or_default();
+    let n = from_head.len().min(64);
+    block[..n].copy_from_slice(&from_head[..n]);
+    let from_body = body.get((start + n).saturating_sub(H)..).unwrap_or_default();
+    let m = from_body.len().min(64 - n);
+    block[n..n + m].copy_from_slice(&from_body[..m]);
+    block
+}
+
+/// Unkeyed BLAKE2s-256 of `N` messages `head ‖ body` at once, each block
+/// read from the head and body where they lie: lane `l` hashes
+/// `messages[l]`. Every body has one length (the lanes share the byte
+/// counter and the final flag). `N = 1` hashes one message.
+///
+/// # Panics
+///
+/// If the bodies' lengths differ.
+pub fn blake2s_lanes<const N: usize, const H: usize>(
+    messages: [(&[u8; H], &[u8]); N],
+) -> [[u8; 32]; N] {
+    let body_len = messages.first().map_or(0, |(_, body)| body.len());
+    assert!(messages.iter().all(|(_, body)| body.len() == body_len), "lanes of one length");
+    let len = H + body_len;
+    let blocks = len.div_ceil(64).max(1);
+    let mut h = IV.map(|iv| [iv; N]);
+    h[0] = [IV[0] ^ UNKEYED; N];
+    let mut m = [[0u32; N]; 16];
+    for b in 0..blocks {
+        for (l, (head, body)) in messages.iter().enumerate() {
+            let words = block_words(&message_block(head, body, b));
+            (0..16).for_each(|w| m[w][l] = words[w]);
+        }
+        let last = b + 1 == blocks;
+        let t = if last { len as u64 } else { 64 * (b as u64 + 1) };
+        compress(&mut h, &m, t, last);
+    }
+    std::array::from_fn(|l| words_to_bytes(&h.map(|row| row[l])))
+}
+
+/// Unkeyed BLAKE2s-256 of each message `head ‖ body`, handed to `digest` in
+/// the order given; returns the lane groups hashed. Each run of consecutive
+/// messages of one length is hashed [`LANES`] at a time
+/// ([`blake2s_lanes`]), and the fewer than `LANES` left at its end one at a
+/// time, each a group of its own. A group is held in a fixed array; the
+/// bodies are read where they lie.
+pub fn blake2s_many<'a, const H: usize>(
+    messages: impl IntoIterator<Item = ([u8; H], &'a [u8])>,
+    mut digest: impl FnMut([u8; 32]),
+) -> u64 {
+    let mut group: [([u8; H], &[u8]); LANES] = [([0; H], &[]); LANES];
+    let mut held = 0;
+    let mut groups = 0;
+    fn one_at_a_time<const H: usize>(
+        held: &[([u8; H], &[u8])],
+        digest: &mut impl FnMut([u8; 32]),
+    ) -> u64 {
+        for (head, body) in held {
+            digest(blake2s_lanes([(head, *body)])[0]);
+        }
+        held.len() as u64
+    }
+    for message in messages {
+        if held > 0 && message.1.len() != group[0].1.len() {
+            groups += one_at_a_time(&group[..held], &mut digest);
+            held = 0;
+        }
+        group[held] = message;
+        held += 1;
+        if held == LANES {
+            let lanes: [_; LANES] =
+                blake2s_lanes(std::array::from_fn(|l| (&group[l].0, group[l].1)));
+            lanes.into_iter().for_each(&mut digest);
+            groups += 1;
+            held = 0;
+        }
+    }
+    groups + one_at_a_time(&group[..held], &mut digest)
 }
 
 #[cfg(test)]
@@ -243,18 +306,7 @@ mod tests {
             (10_000, "ccc0841dd7c39f8fe87956a69f975c51c7fc2e021e0efc9f566e83060c4df5ce"),
         ];
         for (len, expect) in cases {
-            let data = message(len);
-            assert_eq!(hex(&blake2s(&data)), expect, "one-shot, {len} bytes");
-            if len > 129 {
-                continue;
-            }
-            // The same message through the buffered path, split at every offset.
-            for split in 0..=len {
-                let mut h = Blake2s::new();
-                h.update(&data[..split]);
-                h.update(&data[split..]);
-                assert_eq!(hex(&h.finalize()), expect, "{len} bytes split at {split}");
-            }
+            assert_eq!(hex(&blake2s(&message(len))), expect, "{len} bytes");
         }
     }
 
@@ -330,7 +382,7 @@ mod tests {
         for (i, block) in padded.chunks_exact(64).enumerate() {
             let last = i + 1 == blocks;
             let t = if last { total } else { 64 * (i as u64 + 1) };
-            compress(&mut h, block.try_into().unwrap(), t, last);
+            compress_one(&mut h, block.try_into().unwrap(), t, last);
         }
         words_to_bytes(&h)
     }
@@ -368,14 +420,82 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_one_shot() {
-        let data = message(10_000);
-        for chunk_len in [1, 37, 64, 100] {
-            let mut h = Blake2s::new();
-            for chunk in data.chunks(chunk_len) {
-                h.update(chunk);
+    fn every_lane_gives_the_rfc_answer_for_abc() {
+        // RFC 7693 Appendix B: BLAKE2s-256("abc").
+        let abc = "508c5e8c327c14e2e1a72ba34eeb452f37458b209ed63a294d999b4c86675982";
+        let others: [[u8; 3]; LANES] = std::array::from_fn(|l| [b'x', b'y', b'0' + l as u8]);
+        for lane in 0..LANES {
+            let body = |l: usize| if l == lane { &b"abc"[..] } else { &others[l][..] };
+            let digests = blake2s_lanes::<LANES, 0>(std::array::from_fn(|l| (&[], body(l))));
+            for (l, digest) in digests.iter().enumerate() {
+                assert_eq!(*digest, blake2s(body(l)), "lane {l} of {lane}");
             }
-            assert_eq!(h.finalize(), blake2s(&data), "chunks of {chunk_len}");
+            assert_eq!(hex(&digests[lane]), abc, "lane {lane}");
+            // The same through a head: one whole word of it, then the rest.
+            let digests = blake2s_lanes::<LANES, 4>(std::array::from_fn(|l| {
+                (if l == lane { b"abc\0" } else { b"xyz\0" }, &b""[..])
+            }));
+            assert_eq!(digests[lane], blake2s(b"abc\0"));
         }
+    }
+
+    /// `count` messages of the lengths `len(i)`, each its own content, as
+    /// `head ‖ body` with an `H`-byte head where the message is that long
+    /// (the head is then its first `H` bytes).
+    fn batch<const H: usize>(count: usize, len: impl Fn(usize) -> usize) -> Vec<Vec<u8>> {
+        (0..count).map(|i| (0..len(i)).map(|j| (j * 7 + i * 13 + H) as u8).collect()).collect()
+    }
+
+    /// What [`blake2s_many`] gives for `messages`, with an `H`-byte head
+    /// where a message is that long and through a zero-byte head otherwise.
+    fn many<const H: usize>(messages: &[Vec<u8>]) -> (Vec<[u8; 32]>, u64) {
+        let mut digests = Vec::new();
+        let groups = if messages.iter().all(|m| m.len() >= H) {
+            let split = messages.iter().map(|m| (m[..H].try_into().unwrap(), &m[H..]));
+            blake2s_many::<H>(split, |d| digests.push(d))
+        } else {
+            blake2s_many::<0>(messages.iter().map(|m| ([], &m[..])), |d| digests.push(d))
+        };
+        (digests, groups)
+    }
+
+    #[test]
+    fn many_messages_hash_as_one_each() {
+        for count in 1..=2 * LANES + 1 {
+            let expect_groups = (count / LANES + count % LANES) as u64;
+            for len in 0..=300 {
+                let messages = batch::<40>(count, |_| len);
+                let expect: Vec<[u8; 32]> = messages.iter().map(|m| blake2s(m)).collect();
+                assert_eq!(
+                    many::<40>(&messages),
+                    (expect.clone(), expect_groups),
+                    "{count} x {len}"
+                );
+                if len % 16 == 0 {
+                    assert_eq!(many::<0>(&messages).0, expect, "{count} x {len}, no head");
+                    assert_eq!(many::<4>(&messages).0, expect, "{count} x {len}, 4-byte head");
+                }
+            }
+            // Mixed lengths: runs of one length interleaved with others,
+            // which must come back in the order given.
+            for shape in 0..8 {
+                let messages = batch::<40>(count, |i| 40 + (i * shape + i % 3) % 70 * 3);
+                let expect: Vec<[u8; 32]> = messages.iter().map(|m| blake2s(m)).collect();
+                assert_eq!(many::<40>(&messages).0, expect, "{count} mixed, shape {shape}");
+            }
+        }
+        // Runs of one length, each hashed in full groups and then one at a
+        // time: 19 (two groups and three), 1, 8 (one group) and 5.
+        let runs = [(19, 100), (1, 64), (8, 1_024), (5, 100)];
+        let mut messages: Vec<Vec<u8>> = Vec::new();
+        for (count, len) in runs {
+            for mut m in batch::<40>(count, |_| len) {
+                m[0] = messages.len() as u8;
+                messages.push(m);
+            }
+        }
+        let expect: Vec<[u8; 32]> = messages.iter().map(|m| blake2s(m)).collect();
+        assert_eq!(many::<40>(&messages), (expect, 2 + 3 + 1 + 1 + 5));
+        assert_eq!(many::<40>(&[]), (Vec::new(), 0));
     }
 }

@@ -20,9 +20,10 @@
 //!
 //! SHA-256 is the tree's digest: block and message digests, the derivation of
 //! the replicas' secrets, the checkpoint fold and the counter entries.
-//! BLAKE2s-256 does two jobs. Unkeyed ([`Blake2s`]) it hashes the leaf of every
-//! committed KV value (`ava-state`), the one place where hashing long inputs
-//! is a large share of a run's host time. Keyed ([`Blake2sKey`]) it is the
+//! BLAKE2s-256 does two jobs. Unkeyed it hashes the leaf of every committed
+//! KV value (`ava-state`), the one place where hashing long inputs is a large
+//! share of a run's host time: a round's leaves go [`blake2s::LANES`] at a
+//! time through [`blake2s::blake2s_many`]. Keyed ([`Blake2sKey`]) it is the
 //! tag of every signature: one compression per tag, where HMAC-SHA-256 took
 //! two. The key length in BLAKE2's parameter block keeps the two uses apart.
 
@@ -31,7 +32,7 @@ pub mod cert;
 pub mod keys;
 pub mod sha256;
 
-pub use blake2s::{blake2s, Blake2s, Blake2sKey};
+pub use blake2s::{blake2s, Blake2sKey};
 pub use cert::{QuorumCert, SigSet};
 pub use keys::{tag_memo_stats, KeyRegistry, Keypair, Signature, TagMemoStats};
 pub use sha256::{sha256, Digest, Sha256};

@@ -66,7 +66,7 @@ pub type Store = ReplicaStore<Arc<RoundRecord>>;
 /// the state and checkpoint digests live ones do, or f + 1 agreement breaks.
 pub(crate) fn walk_round<'a>(
     packages: impl IntoIterator<Item = &'a Arc<RoundPackage>>,
-    mut on_tx: impl FnMut(&Transaction),
+    mut on_tx: impl FnMut(&'a Transaction),
 ) -> Vec<(ClusterId, Vec<Reconfig>)> {
     let mut all_recs = Vec::new();
     for package in packages {
@@ -89,11 +89,12 @@ pub(crate) fn walk_round<'a>(
 }
 
 /// Apply one round record to a machine and views exactly as live execution
-/// applies the round (both go through [`walk_round`] and [`Views::apply_round`]).
+/// applies the round (both go through [`walk_round`],
+/// [`StateMachine::apply_round`] and [`Views::apply_round`]).
 fn apply_record(record: &RoundRecord, machine: &mut dyn StateMachine, views: &mut Views) {
-    let all_recs = walk_round(&record.packages, |tx| {
-        machine.apply(record.round, tx);
-    });
+    let mut txs = Vec::new();
+    let all_recs = walk_round(&record.packages, |tx| txs.push(tx));
+    machine.apply_round(record.round, &txs);
     views.apply_round(&all_recs);
 }
 

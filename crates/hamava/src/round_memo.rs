@@ -15,15 +15,16 @@
 //!
 //! 1. **Exact key, by identity.** A lookup matches the state version before
 //!    the round, the round number and the ordered `Arc<Block>`s whose
-//!    operations `walk_round` feeds to `apply`, all compared with
+//!    operations `walk_round` feeds to `apply_round`, all compared with
 //!    `Arc::ptr_eq`. The entry holds a clone of every one of those `Arc`s, so
 //!    no address in it can be reused while it lives, and a version it holds is
 //!    never written in place (`ava_state::StateVersion`). No digest is trusted
 //!    and no collision assumed: a block with equal content under another
 //!    `Arc` — a replay, a tampered copy — misses.
-//! 2. **Pure value.** `apply` is a function of (state, round, transactions);
-//!    the entry stores its result, the state after and the value bytes the
-//!    writes moved, so a hit is exactly what applying would give.
+//! 2. **Pure value.** `apply_round` is a function of (state, round,
+//!    transactions); the entry stores its result, the state after and the
+//!    value bytes the writes moved, so a hit is exactly what applying would
+//!    give.
 //! 3. **Only what the replica executes itself.** `execute_round` is called
 //!    by live execution alone. Store and catch-up replays apply records to a
 //!    version of their own and neither read nor fill the memo; a replica on
@@ -108,7 +109,8 @@ thread_local! {
 
 /// Bring `machine` to its state after `round`: adopt the result another
 /// replica on this thread computed from the same version and blocks, or apply
-/// the round's transactions in [`walk_round`] order and record the result.
+/// the round's transactions, in [`walk_round`] order, through one
+/// [`StateMachine::apply_round`] and record the result.
 /// Returns the value bytes the round's writes moved.
 pub(crate) fn execute_round(
     machine: &mut Box<dyn StateMachine>,
@@ -125,8 +127,9 @@ pub(crate) fn execute_round(
             return value_bytes;
         }
         memo.misses += 1;
-        let mut value_bytes = 0;
-        walk_round(packages.values(), |tx| value_bytes += machine.apply(round, tx).value_bytes);
+        let mut txs = Vec::new();
+        walk_round(packages.values(), |tx| txs.push(tx));
+        let value_bytes = machine.apply_round(round, &txs).value_bytes;
         let blocks = blocks().cloned().collect();
         memo.insert(ExecutedRound { before, round, blocks, after: machine.fork(), value_bytes });
         value_bytes

@@ -16,7 +16,9 @@
 //! per-entry hashes. The KV machine updates it incrementally on every write: a
 //! [`KvEntry`] caches its BLAKE2s-256 hash as a *leaf*, so every committed
 //! value is hashed once and an overwrite re-reads no old bytes
-//! ([`leaf_hash_stats`] counts the leaves hashed). The counter machine hashes
+//! ([`leaf_hash_stats`] counts the leaves hashed). A round is applied at once
+//! ([`StateMachine::apply_round`]), so its leaves are hashed eight at a time
+//! (`ava_crypto::blake2s::blake2s_many`). The counter machine hashes
 //! its entries with SHA-256, on demand. Because the digest is a
 //! function of the *state* (not of the apply history), a replica that adopts a
 //! peer snapshot during catch-up recomputes the same digest its peers carry —

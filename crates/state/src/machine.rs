@@ -2,12 +2,12 @@
 //! [`CounterMachine`] and the real keyed [`KvMachine`].
 
 use crate::snapshot::StateSnapshot;
-use ava_crypto::{Blake2s, Sha256};
+use ava_crypto::blake2s::{blake2s_lanes, blake2s_many};
+use ava_crypto::Sha256;
 use ava_types::{Round, Transaction, TxKind};
 use std::any::Any;
 use std::cell::Cell;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Weak};
 
 /// Which replicated state machine a deployment executes against.
@@ -33,7 +33,7 @@ impl StateMachineKind {
     }
 }
 
-/// What applying one transaction did to the state, for cost accounting.
+/// What applying transactions did to the state, for cost accounting.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ApplyOutcome {
     /// Value bytes materialised by the write (0 for reads and for the counter
@@ -66,10 +66,19 @@ pub trait StateMachine: Send {
     /// Which machine this is.
     fn kind(&self) -> StateMachineKind;
 
-    /// Apply one committed transaction for `round`. Read-only kinds
+    /// Apply one committed round's transactions, `txs` in execution order:
+    /// the state and the summed outcome are what applying them one by one
+    /// would give, but the machine may do the round's work together (the KV
+    /// machine hashes the round's leaves side by side). Read-only kinds
     /// (`Read`/`Scan`) are no-ops — they never enter the ordered stream, but a
-    /// machine must tolerate them defensively.
-    fn apply(&mut self, round: Round, tx: &Transaction) -> ApplyOutcome;
+    /// machine must tolerate them defensively. A round that writes nothing
+    /// leaves the version as it was.
+    fn apply_round(&mut self, round: Round, txs: &[&Transaction]) -> ApplyOutcome;
+
+    /// Apply one committed transaction for `round`: the one-transaction round.
+    fn apply(&mut self, round: Round, tx: &Transaction) -> ApplyOutcome {
+        self.apply_round(round, &[tx])
+    }
 
     /// Length in bytes of the committed value under `key` (0 if absent, and
     /// always 0 for the counter machine — read replies carry no value bytes).
@@ -200,6 +209,10 @@ pub struct LeafHashStats {
     /// Bytes hashed into them, each leaf's 40 bytes before the value
     /// (domain tag, key, version, round, value length) included.
     pub bytes: u64,
+    /// Lane groups they were hashed in: [`ava_crypto::blake2s::LANES`]
+    /// leaves of one length side by side, or one leaf alone. `leaves /
+    /// groups` is `LANES` when every group is full.
+    pub groups: u64,
 }
 
 /// The calling thread's [`LeafHashStats`]. For profiles and tests: nothing in
@@ -308,21 +321,17 @@ impl StateMachine for CounterMachine {
         StateMachineKind::Counter
     }
 
-    fn apply(&mut self, _round: Round, tx: &Transaction) -> ApplyOutcome {
-        match &tx.kind {
-            TxKind::Write { key, .. } => {
-                Arc::make_mut(&mut self.state).bump(*key);
-                ApplyOutcome { value_bytes: 0, keys_written: 1 }
-            }
-            TxKind::MultiWrite { keys, .. } => {
+    fn apply_round(&mut self, _round: Round, txs: &[&Transaction]) -> ApplyOutcome {
+        let mut keys_written = 0;
+        for tx in txs {
+            let (keys, _) = writes(tx);
+            if !keys.is_empty() {
                 let state = Arc::make_mut(&mut self.state);
-                for key in keys {
-                    state.bump(*key);
-                }
-                ApplyOutcome { value_bytes: 0, keys_written: keys.len() as u32 }
+                keys.iter().for_each(|key| state.bump(*key));
+                keys_written += keys.len() as u32;
             }
-            TxKind::Read { .. } | TxKind::Scan { .. } => ApplyOutcome::default(),
         }
+        ApplyOutcome { value_bytes: 0, keys_written }
     }
 
     fn read_len(&self, _key: u64) -> u32 {
@@ -374,7 +383,9 @@ pub struct KvEntry {
     /// snapshot, checkpoint and restored machine that holds this entry.
     pub value: Arc<[u8]>,
     /// BLAKE2s over `(key, version, last_writer_round, value)`, computed once
-    /// by [`KvEntry::new`]: what the machine XORs in and out of its set-hash
+    /// when the entry is made — by [`KvEntry::new`], or with the rest of its
+    /// round's leaves by [`StateMachine::apply_round`]: what the machine XORs
+    /// in and out of its set-hash
     /// and what a checkpoint digest commits to. Derived state — never
     /// serialised, and never trusted on entries that arrive from elsewhere
     /// (the content fields are public, so a stale leaf is constructible:
@@ -396,25 +407,73 @@ impl KvEntry {
 
     /// The leaf hash this entry's content has under `key`, from scratch.
     pub(crate) fn leaf_for(&self, key: u64) -> [u8; 32] {
-        let mut h = Blake2s::new();
-        h.update(b"ava-kv-entry");
-        h.update(&key.to_le_bytes());
-        h.update(&self.version.to_le_bytes());
-        h.update(&self.last_writer_round.to_le_bytes());
-        h.update(&(self.value.len() as u32).to_le_bytes());
-        h.update(&self.value);
-        let stats = LEAF_HASHES.get();
-        LEAF_HASHES.set(LeafHashStats {
-            leaves: stats.leaves + 1,
-            bytes: stats.bytes + 40 + self.value.len() as u64,
-        });
-        h.finalize()
+        count_leaves(1, 40 + self.value.len() as u64, 1);
+        blake2s_lanes([(&self.leaf_head(key), &self.value[..])])[0]
+    }
+
+    /// The 40 bytes a leaf hashes before the value:
+    /// `"ava-kv-entry" ‖ key ‖ version ‖ last_writer_round ‖ len`.
+    fn leaf_head(&self, key: u64) -> [u8; 40] {
+        let mut head = [0u8; 40];
+        head[..12].copy_from_slice(b"ava-kv-entry");
+        head[12..20].copy_from_slice(&key.to_le_bytes());
+        head[20..28].copy_from_slice(&self.version.to_le_bytes());
+        head[28..36].copy_from_slice(&self.last_writer_round.to_le_bytes());
+        head[36..].copy_from_slice(&(self.value.len() as u32).to_le_bytes());
+        head
     }
 
     /// Wire size of the entry: key (8) + version (8) + round (8) + length
     /// prefix (4) + value bytes.
     pub fn wire_bytes(&self) -> usize {
         28 + self.value.len()
+    }
+}
+
+/// Hash the leaves of `entries`, each under its key, and hand them to `leaf`
+/// in order: consecutive leaves of one length side by side in lane groups
+/// ([`blake2s_many`]), the value bytes read where they lie. Counted in the
+/// thread's [`LeafHashStats`].
+fn hash_leaves<'e>(
+    entries: impl IntoIterator<Item = (u64, &'e KvEntry)>,
+    leaf: impl FnMut([u8; 32]),
+) {
+    let (mut leaves, mut bytes) = (0, 0);
+    let messages = entries.into_iter().map(|(key, e)| {
+        leaves += 1;
+        bytes += 40 + e.value.len() as u64;
+        (e.leaf_head(key), &e.value[..])
+    });
+    let groups = blake2s_many(messages, leaf);
+    count_leaves(leaves, bytes, groups);
+}
+
+/// Add leaves hashed to the thread's [`LeafHashStats`].
+fn count_leaves(leaves: u64, bytes: u64, groups: u64) {
+    let stats = LEAF_HASHES.get();
+    LEAF_HASHES.set(LeafHashStats {
+        leaves: stats.leaves + leaves,
+        bytes: stats.bytes + bytes,
+        groups: stats.groups + groups,
+    });
+}
+
+/// Hash the leaf of every entry under its key and cache it in the entry.
+fn cache_leaves(entries: &mut [(u64, KvEntry)]) {
+    let mut leaves = Vec::with_capacity(entries.len());
+    hash_leaves(entries.iter().map(|(k, e)| (*k, e)), |leaf| leaves.push(leaf));
+    for ((_, e), leaf) in entries.iter_mut().zip(leaves) {
+        e.leaf = leaf;
+    }
+}
+
+/// The keys `tx` writes, in order, and the size of each value: no keys for
+/// a read or a scan.
+fn writes(tx: &Transaction) -> (&[u64], u32) {
+    match &tx.kind {
+        TxKind::Write { key, value_size } => (std::slice::from_ref(key), *value_size),
+        TxKind::MultiWrite { keys, value_size } => (keys, *value_size),
+        TxKind::Read { .. } | TxKind::Scan { .. } => (&[], 0),
     }
 }
 
@@ -452,10 +511,18 @@ impl KvMachine {
     /// adoption time). The value bytes themselves stay shared with the
     /// entries given. A key given twice keeps its last entry.
     pub fn from_state(entries: impl IntoIterator<Item = (u64, KvEntry)>) -> Self {
-        Self::build(entries.into_iter().map(|(k, mut e)| {
-            e.leaf = e.leaf_for(k);
-            (k, e)
-        }))
+        let mut entries: Vec<(u64, KvEntry)> = entries.into_iter().collect();
+        cache_leaves(&mut entries);
+        Self::build(entries)
+    }
+
+    /// Whether every entry's cached leaf is the hash of its bytes under its
+    /// key, recomputed from scratch.
+    pub(crate) fn leaves_valid(&self) -> bool {
+        let mut cached = self.iter().map(|(_, e)| e.leaf);
+        let mut valid = true;
+        hash_leaves(self.iter(), |leaf| valid &= cached.next() == Some(leaf));
+        valid
     }
 
     /// Entries exactly as given, cached leaves included and untrusted, as a
@@ -497,29 +564,20 @@ impl KvMachine {
 }
 
 impl KvState {
-    /// Commit one write: a single walk of the key's page finds its slot, reads
-    /// the version it holds and replaces the entry in place.
-    fn write_one(&mut self, round: Round, key: u64, value_size: u32) -> u64 {
-        let commit = |version| {
-            KvEntry::new(key, version, round.0, KvMachine::fill_value(key, version, value_size))
-        };
+    /// Commit one write, its leaf hashed: a single walk of the key's page
+    /// replaces the entry in place, and the old leaf leaves the accumulator
+    /// as the new one enters it.
+    fn commit(&mut self, key: u64, entry: KvEntry) {
+        xor_acc(&mut self.acc, &entry.leaf);
+        self.value_bytes += entry.value.len() as u64;
         let page = Arc::make_mut(self.pages.entry(key >> PAGE_BITS).or_default());
-        let committed = match page.entry(key) {
-            Entry::Occupied(mut slot) => {
-                let old = slot.insert(commit(slot.get().version + 1));
+        match page.insert(key, entry) {
+            Some(old) => {
                 self.value_bytes -= old.value.len() as u64;
                 xor_acc(&mut self.acc, &old.leaf);
-                slot.into_mut()
             }
-            Entry::Vacant(slot) => {
-                self.entries += 1;
-                slot.insert(commit(1))
-            }
-        };
-        let written = committed.value.len() as u64;
-        xor_acc(&mut self.acc, &committed.leaf);
-        self.value_bytes += written;
-        written
+            None => self.entries += 1,
+        }
     }
 }
 
@@ -528,23 +586,38 @@ impl StateMachine for KvMachine {
         StateMachineKind::Kv
     }
 
-    fn apply(&mut self, round: Round, tx: &Transaction) -> ApplyOutcome {
-        match &tx.kind {
-            TxKind::Write { key, value_size } => {
-                let value_bytes =
-                    Arc::make_mut(&mut self.state).write_one(round, *key, *value_size);
-                ApplyOutcome { value_bytes, keys_written: 1 }
+    /// Three passes: every write's entry with its version resolved (one past
+    /// the key's last write, in this round or before it), every leaf hashed
+    /// in lane groups, then every entry committed in order — so a key written
+    /// twice in the round hashes and XORs both versions, as writing them one
+    /// by one does.
+    fn apply_round(&mut self, round: Round, txs: &[&Transaction]) -> ApplyOutcome {
+        let mut outcome = ApplyOutcome::default();
+        let mut written: Vec<(u64, KvEntry)> = Vec::with_capacity(txs.len());
+        let mut versions: HashMap<u64, u64> = HashMap::new();
+        for tx in txs {
+            let (keys, value_size) = writes(tx);
+            outcome.keys_written += keys.len() as u32;
+            for &key in keys {
+                let version = *versions
+                    .entry(key)
+                    .and_modify(|last| *last += 1)
+                    .or_insert_with(|| self.get(key).map_or(1, |e| e.version + 1));
+                let value = Self::fill_value(key, version, value_size);
+                outcome.value_bytes += value.len() as u64;
+                let entry = KvEntry { version, last_writer_round: round.0, value, leaf: [0; 32] };
+                written.push((key, entry));
             }
-            TxKind::MultiWrite { keys, value_size } => {
-                let state = Arc::make_mut(&mut self.state);
-                let mut value_bytes = 0;
-                for key in keys {
-                    value_bytes += state.write_one(round, *key, *value_size);
-                }
-                ApplyOutcome { value_bytes, keys_written: keys.len() as u32 }
-            }
-            TxKind::Read { .. } | TxKind::Scan { .. } => ApplyOutcome::default(),
         }
+        if written.is_empty() {
+            return outcome;
+        }
+        cache_leaves(&mut written);
+        let state = Arc::make_mut(&mut self.state);
+        for (key, entry) in written {
+            state.commit(key, entry);
+        }
+        outcome
     }
 
     fn read_len(&self, key: u64) -> u32 {
@@ -590,6 +663,7 @@ impl StateMachine for KvMachine {
 mod tests {
     use super::*;
     use crate::machine_from_snapshot;
+    use ava_crypto::blake2s::LANES;
     use ava_types::{ClientId, TxId};
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
@@ -631,6 +705,94 @@ mod tests {
             // `from_state` must not lean on what the entries cached.
             let foreign = live.iter().map(|(k, e)| (k, KvEntry { leaf: [0; 32], ..e.clone() }));
             assert_eq!(KvMachine::from_state(foreign), live);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        #[test]
+        fn a_round_applied_at_once_equals_its_transactions_one_by_one(
+            seed in 0u64..1_000_000,
+            rounds in 1u64..6,
+        ) {
+            // Rounds of fewer, as many and more writes than there are lanes,
+            // over few keys (so keys repeat within a round, and a MultiWrite
+            // may name one twice), values 0–300 bytes across 64-byte edges.
+            let mut rng = StdRng::seed_from_u64(seed);
+            for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
+                let (mut at_once, mut one_by_one) = (machine_for(kind), machine_for(kind));
+                let mut seq = 0;
+                for round in (1..=rounds).map(Round) {
+                    let len = rng.gen_range(0..3 * LANES as u32 + 2);
+                    let txs: Vec<Transaction> = (0..len)
+                        .map(|_| {
+                            seq += 1;
+                            let value_size = rng.gen_range(0..301u32);
+                            let kind = match rng.gen_range(0..5u32) {
+                                0 => TxKind::Read { key: rng.gen_range(0..20u64) },
+                                1 => {
+                                    let keys = (0..rng.gen_range(1..5u32))
+                                        .map(|_| rng.gen_range(0..20u64));
+                                    TxKind::MultiWrite { keys: keys.collect(), value_size }
+                                }
+                                _ => TxKind::Write { key: rng.gen_range(0..20u64), value_size },
+                            };
+                            Transaction { id: TxId { client: ClientId(1), seq }, kind, payload_size: 64 }
+                        })
+                        .collect();
+                    let writes: u64 = txs.iter().map(|tx| writes(tx).0.len() as u64).sum();
+                    let before = leaf_hash_stats().leaves;
+                    let round_outcome = at_once.apply_round(round, &txs.iter().collect::<Vec<_>>());
+                    let hashed = leaf_hash_stats().leaves - before;
+                    let leaves_per_write = u64::from(kind == StateMachineKind::Kv);
+                    assert_eq!(hashed, leaves_per_write * writes, "{kind:?}: one leaf per write");
+                    let mut summed = ApplyOutcome::default();
+                    for tx in &txs {
+                        let outcome = one_by_one.apply(round, tx);
+                        summed.value_bytes += outcome.value_bytes;
+                        summed.keys_written += outcome.keys_written;
+                    }
+                    assert_eq!(round_outcome, summed, "{kind:?} {round:?}");
+                    assert_eq!(at_once.digest(), one_by_one.digest(), "{kind:?} {round:?}");
+                    assert_eq!(at_once.entries(), one_by_one.entries());
+                    assert_eq!(at_once.value_bytes(), one_by_one.value_bytes());
+                    assert_eq!(at_once.snapshot(), one_by_one.snapshot(), "{kind:?} {round:?}");
+                }
+                if let StateSnapshot::Kv(m) = at_once.snapshot() {
+                    for (k, e) in m.iter() {
+                        assert_eq!(e.leaf, e.leaf_for(k), "cached leaf of key {k}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_hashes_its_leaves_in_lane_groups() {
+        // Two full groups of 1 KiB leaves and three left over, each alone;
+        // the 64-byte leaves of the round go in a group of their own.
+        let mut txs: Vec<Transaction> =
+            (0..2 * LANES as u64 + 3).map(|key| write(key, key, 1024)).collect();
+        txs.extend((0..LANES as u64).map(|key| write(100 + key, 100 + key, 64)));
+        let before = leaf_hash_stats();
+        KvMachine::default().apply_round(Round(1), &txs.iter().collect::<Vec<_>>());
+        let after = leaf_hash_stats();
+        let leaves = 3 * LANES as u64 + 3;
+        assert_eq!(
+            (after.leaves - before.leaves, after.groups - before.groups),
+            (leaves, 2 + 3 + 1)
+        );
+    }
+
+    #[test]
+    fn a_round_that_writes_nothing_keeps_the_version() {
+        for kind in [StateMachineKind::Counter, StateMachineKind::Kv] {
+            let mut m = machine_for(kind);
+            let version = m.version();
+            let read = Transaction::read(ClientId(1), 0, 7);
+            m.apply_round(Round(1), &[]);
+            m.apply_round(Round(1), &[&read]);
+            assert!(m.version().same(&version), "{kind:?}");
         }
     }
 
@@ -1024,7 +1186,8 @@ mod tests {
         let hex: String = entry.leaf.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, "57237ba20d3d6e9cc0a97345af538b32dec0a671654e9a0dea801a2956079bf7");
         let after = leaf_hash_stats();
-        assert_eq!((after.leaves - before.leaves, after.bytes - before.bytes), (1, 1_064));
+        let hashed = (after.leaves - before.leaves, after.bytes - before.bytes);
+        assert_eq!((hashed, after.groups - before.groups), ((1, 1_064), 1), "one leaf alone");
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl StateSnapshot {
     pub fn leaves_valid(&self) -> bool {
         match self {
             StateSnapshot::Counter(_) => true,
-            StateSnapshot::Kv(m) => m.iter().all(|(k, e)| e.leaf == e.leaf_for(k)),
+            StateSnapshot::Kv(m) => m.leaves_valid(),
         }
     }
 }

@@ -15,6 +15,8 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `0.5^theta`: the width of key 1's slice of the CDF, past key 0's.
+    half_pow_theta: f64,
 }
 
 impl Zipfian {
@@ -27,7 +29,7 @@ impl Zipfian {
         let zeta2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
-        Zipfian { n, theta, alpha, zetan, eta, zeta2 }
+        Zipfian { n, theta, alpha, zetan, eta, zeta2, half_pow_theta: 0.5f64.powf(theta) }
     }
 
     fn zeta(n: u64, theta: f64) -> f64 {
@@ -52,7 +54,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let spread = (self.eta * u - self.eta + 1.0).powf(self.alpha);
