@@ -50,10 +50,12 @@ fn opts(seed: u64) -> DeploymentOptions {
 /// Every replica executes every round, so each table is followed by the
 /// executed-round memo's hit share (ideal (n − 1)/n: 41/42, 7/8, 20/21) and
 /// the rounds it retains, then by the expected-tag memo's verifications
-/// answered, MACs computed on verify, and tags signed; the KV table also by
-/// the checkpoint digests reused and the KV leaves hashed (one per committed
-/// write, since the replicas share each executed round), with how full the
-/// lane groups they were hashed in ran.
+/// answered, MACs computed on verify, and tags signed, then by the footprint
+/// of the pools' seen indexes (transactions indexed, words, bytes); the KV
+/// table also by the checkpoint digests reused and the KV leaves hashed (one
+/// per key a round writes, since the replicas share each executed round) and
+/// the writes a later one in their round superseded, with how full the lane
+/// groups the leaves were hashed in ran.
 pub fn profile_deployments() {
     let paper = DeploymentOptions {
         workload: WorkloadSpec::default().with_payload(1024),
@@ -61,13 +63,18 @@ pub fn profile_deployments() {
         client_concurrency: 128,
         ..opts(7)
     };
-    let (memo, tags, config) =
-        (ava_hamava::executed_round_stats(), ava_crypto::tag_memo_stats(), e3_setup(3, 3));
+    let (memo, tags, seen, config) = (
+        ava_hamava::executed_round_stats(),
+        ava_crypto::tag_memo_stats(),
+        ava_consensus::seen_index_stats(),
+        e3_setup(3, 3),
+    );
     let replicas = config.total_replicas();
     let dep = Protocol::AvaHotStuff.deploy(config, paper);
     let events = print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
     print_round_memo(memo, replicas);
     print_tag_memo(tags, events);
+    print_seen_index(seen);
 
     let kv = DeploymentOptions {
         workload: WorkloadSpec {
@@ -83,9 +90,10 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, tags, digests, leaves) = (
+    let (memo, tags, seen, digests, leaves) = (
         ava_hamava::executed_round_stats(),
         ava_crypto::tag_memo_stats(),
+        ava_consensus::seen_index_stats(),
         ava_store::checkpoint_digest_stats(),
         ava_state::leaf_hash_stats(),
     );
@@ -95,6 +103,7 @@ pub fn profile_deployments() {
     let events = print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
     print_round_memo(memo, replicas);
     print_tag_memo(tags, events);
+    print_seen_index(seen);
     let digests_after = ava_store::checkpoint_digest_stats();
     println!(
         "checkpoint digests: {} reused / {} built",
@@ -104,8 +113,10 @@ pub fn profile_deployments() {
     let leaves_after = ava_state::leaf_hash_stats();
     let (hashed, bytes) = (leaves_after.leaves - leaves.leaves, leaves_after.bytes - leaves.bytes);
     let groups = leaves_after.groups - leaves.groups;
+    let superseded = leaves_after.superseded - leaves.superseded;
     println!(
-        "KV leaves hashed: {hashed} / {:.1} MB / {} B per leaf / {:.2} leaves per lane group (of {})",
+        "KV leaves hashed: {hashed} ({superseded} writes superseded in their round) / {:.1} MB \
+         / {} B per leaf / {:.2} leaves per lane group (of {})",
         bytes as f64 / 1e6,
         bytes / hashed.max(1),
         hashed as f64 / groups.max(1) as f64,
@@ -125,7 +136,11 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, tags) = (ava_hamava::executed_round_stats(), ava_crypto::tag_memo_stats());
+    let (memo, tags, seen) = (
+        ava_hamava::executed_round_stats(),
+        ava_crypto::tag_memo_stats(),
+        ava_consensus::seen_index_stats(),
+    );
     let regions = [Region::UsWest, Region::Europe, Region::AsiaSouth];
     let mut config = SystemConfig::even_split_multi_region(21, 3, &regions);
     config.params.remote_leader_timeout = Duration::from_secs(4);
@@ -137,6 +152,7 @@ pub fn profile_deployments() {
         print_profile("Ava-BFT-SMaRt, 3 x 7 replicas, KV machine", dep, Duration::from_secs(10));
     print_round_memo(memo, replicas);
     print_tag_memo(tags, events);
+    print_seen_index(seen);
 }
 
 /// What the executed-round memo did since `before`, on a deployment of
@@ -166,6 +182,20 @@ fn print_tag_memo(before: ava_crypto::TagMemoStats, events: u64) {
         misses as f64 / (hits + misses).max(1) as f64,
         now.generations_retired - before.generations_retired,
         signed as f64 / events.max(1) as f64
+    );
+}
+
+/// What the pools' seen indexes recorded since `before`: transaction ids
+/// indexed over every replica's pool, the words they took (one per client
+/// and 64 consecutive sequence numbers) and the bytes those hold.
+fn print_seen_index(before: ava_consensus::SeenIndexStats) {
+    let now = ava_consensus::seen_index_stats();
+    let (transactions, words) = (now.transactions - before.transactions, now.words - before.words);
+    println!(
+        "seen index: {transactions} transactions / {words} words / {:.2} MB ({:.1} transactions \
+         per word)",
+        (now.bytes() - before.bytes()) as f64 / 1e6,
+        transactions as f64 / words.max(1) as f64
     );
 }
 

@@ -26,7 +26,7 @@ pub mod testkit;
 pub mod tob;
 
 pub use block::{Block, CommittedBlock};
-pub use pool::PendingPool;
+pub use pool::{seen_index_stats, PendingPool, SeenIndexStats};
 pub use regency::{Phases, Regency, RegencyMsg};
 pub use tob::{
     send_pairs, sends, FaultMode, SendAction, TobAction, TobConfig, TotalOrderBroadcast, WireSize,

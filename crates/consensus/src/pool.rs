@@ -14,9 +14,10 @@
 //! one relies on those timers not firing early. A *local* leader that stops
 //! delivering while its members hold work is exactly what a leader change fixes.
 
-use ava_crypto::Digest;
-use ava_types::{Duration, Operation, Time, TxId};
-use std::collections::{HashSet, VecDeque};
+use ava_types::{Duration, Operation, Reconfig, Round, Time, TxId};
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// How many times its worst delivery gap so far a replica waits before it
 /// suspects the leader. A live leader's next delivery can come later than any
@@ -29,8 +30,9 @@ pub const WATCHDOG_GAP_MULTIPLIER: u64 = 4;
 pub struct PendingPool {
     /// Operations waiting to be proposed (leader role).
     pending: VecDeque<Operation>,
-    /// Digests of operations ever enqueued, to deduplicate re-forwarded values.
-    seen: HashSet<Digest>,
+    /// Operations ever enqueued or noted as ordered, to deduplicate
+    /// re-forwarded values.
+    seen: Seen,
     /// Operations this replica broadcast that have not been delivered yet.
     my_undelivered: Vec<Operation>,
     /// When this replica started waiting: the first of `my_undelivered` was
@@ -66,11 +68,11 @@ impl PendingPool {
         &self.my_undelivered
     }
 
-    /// Add an operation to the leader-side pending pool, deduplicating by digest.
-    /// Returns true if the operation was new.
+    /// Add an operation to the leader-side pending pool, deduplicating by
+    /// identity: a transaction by its [`TxId`], a control operation by its
+    /// content. Returns true if the operation was new.
     pub fn enqueue(&mut self, op: Operation) -> bool {
-        let digest = Digest::of(&op);
-        if self.seen.insert(digest) {
+        if self.seen.insert(&op) {
             self.pending.push_back(op);
             true
         } else {
@@ -101,7 +103,9 @@ impl PendingPool {
     /// from, an earlier regency: never propose them from this pool again, even if
     /// their originators re-forward them.
     pub fn note_ordered(&mut self, ops: &[Operation]) {
-        self.seen.extend(ops.iter().map(Digest::of));
+        for op in ops {
+            self.seen.insert(op);
+        }
         self.drop_pending(ops);
     }
 
@@ -201,10 +205,140 @@ impl PendingPool {
     }
 }
 
+/// What a pool has seen, by identity. A transaction is its [`TxId`]: one
+/// `u64` word per `(client, seq >> 6)` holds bit `seq & 63` of each of its 64
+/// sequence numbers, so a client's run of transactions costs a bit each and
+/// the table stays small enough to live in cache. A control operation (a
+/// [`RoundCut`](Operation::RoundCut) or a
+/// [`ReconfigSet`](Operation::ReconfigSet), one or two a round) is kept by its
+/// exact content.
+///
+/// Identifying a transaction by id alone is sound because nothing hands a
+/// pool two contents under one id: a client numbers its transactions itself
+/// and re-sends only the one it built, and a re-forward or an adopted block
+/// carries an operation some member was given (DESIGN.md §4, "The pool's
+/// seen index").
+#[derive(Debug, Default)]
+struct Seen {
+    words: HashMap<WordKey, u64, BuildHasherDefault<PassThrough>>,
+    controls: HashSet<Control>,
+}
+
+/// A control operation, by content.
+#[derive(Debug, PartialEq, Eq, Hash)]
+enum Control {
+    Cut(Round),
+    Set(Round, Vec<Reconfig>),
+}
+
+/// The word of 64 consecutive sequence numbers of one client.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct WordKey {
+    client: u32,
+    block: u64,
+}
+
+impl Hash for WordKey {
+    /// One folded 64 × 64 → 128-bit multiply of the two halves: a client's
+    /// consecutive blocks and different clients' equal blocks both spread
+    /// over the low bits the table indexes by, with no SipHash rounds.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let product = u128::from(self.block ^ 0x243f_6a88_85a3_08d3)
+            * u128::from(u64::from(self.client) ^ 0x1319_8a2e_0370_7345);
+        state.write_u64(product as u64 ^ (product >> 64) as u64);
+    }
+}
+
+/// The hasher of [`WordKey`]: the key hashes itself into one `u64`.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a WordKey hashes as one u64");
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Bytes one word of the index holds: its key and its 64 bits (the table's
+/// empty slots and control bytes not counted).
+const WORD_BYTES: u64 = std::mem::size_of::<(WordKey, u64)>() as u64;
+
+impl Seen {
+    /// Record `op`; true if it was not seen before.
+    fn insert(&mut self, op: &Operation) -> bool {
+        match op {
+            Operation::Trans(tx) => self.insert_tx(tx.id),
+            Operation::RoundCut { round } => self.controls.insert(Control::Cut(*round)),
+            Operation::ReconfigSet { round, recs } => {
+                self.controls.insert(Control::Set(*round, recs.clone()))
+            }
+        }
+    }
+
+    fn insert_tx(&mut self, id: TxId) -> bool {
+        let key = WordKey { client: id.client.0, block: id.seq >> 6 };
+        let bit = 1u64 << (id.seq & 63);
+        let mut new_word = false;
+        let word = self.words.entry(key).or_insert_with(|| {
+            new_word = true;
+            0
+        });
+        if *word & bit != 0 {
+            return false;
+        }
+        *word |= bit;
+        let stats = SEEN_INDEX.get();
+        SEEN_INDEX.set(SeenIndexStats {
+            transactions: stats.transactions + 1,
+            words: stats.words + u64::from(new_word),
+        });
+        true
+    }
+}
+
+thread_local! {
+    /// What the pools on this thread indexed (see [`seen_index_stats`]).
+    static SEEN_INDEX: Cell<SeenIndexStats> = const {
+        Cell::new(SeenIndexStats { transactions: 0, words: 0 })
+    };
+}
+
+/// What the seen indexes of every [`PendingPool`] on the calling thread have
+/// recorded since the thread started. A restart's fresh pool starts a new
+/// index; what the old one held still counts here.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct SeenIndexStats {
+    /// Transaction ids indexed.
+    pub transactions: u64,
+    /// Words they took: one per client and 64 consecutive sequence numbers.
+    pub words: u64,
+}
+
+impl SeenIndexStats {
+    /// Bytes the words hold, key and bits (the tables' slack not counted).
+    pub fn bytes(&self) -> u64 {
+        self.words * WORD_BYTES
+    }
+}
+
+/// The calling thread's [`SeenIndexStats`]. For profiles and tests: nothing
+/// in a run depends on it.
+pub fn seen_index_stats() -> SeenIndexStats {
+    SEEN_INDEX.get()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ava_types::{ClientId, Round, Transaction};
+    use ava_types::{ClientId, ReplicaId, Transaction};
 
     fn op(seq: u64) -> Operation {
         Operation::Trans(Transaction::write(ClientId(0), seq, seq, 128))
@@ -241,6 +375,139 @@ mod tests {
         pool.note_ordered(&[op(2), op(3)]);
         assert!(!pool.enqueue(op(3)), "a late re-forward is a duplicate");
         assert_eq!(pool.take_batch(10), vec![op(1)]);
+    }
+
+    /// A xorshift draw below `n` (any `u64` for `n == 0`), from `state`.
+    fn draw(state: &mut u64, n: u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        if n == 0 {
+            *state
+        } else {
+            *state % n
+        }
+    }
+
+    #[test]
+    fn the_seen_index_agrees_with_a_set_of_ids_and_an_exact_set_of_controls() {
+        // Real clients, the first virtual one (`ava_workload::virtual_client_base(0)`)
+        // and the last id; sequence numbers at word edges and at the top.
+        const CLIENTS: [u32; 4] = [0, 1, 10_000_000, u32::MAX];
+        const SEQS: [u64; 6] = [0, 63, 64, 65, u64::MAX - 1, u64::MAX];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let random_op = |state: &mut u64| match draw(state, 10) {
+            0 => Operation::RoundCut { round: Round(draw(state, 4)) },
+            1 => Operation::ReconfigSet {
+                round: Round(draw(state, 3)),
+                recs: (0..draw(state, 3))
+                    .map(|r| Reconfig::Leave { replica: ReplicaId(r as u32) })
+                    .collect(),
+            },
+            _ => {
+                let client = ClientId(CLIENTS[draw(state, 4) as usize]);
+                let seq = match draw(state, 3) {
+                    0 => SEQS[draw(state, 6) as usize],
+                    1 => draw(state, 0),
+                    _ => draw(state, 200),
+                };
+                // Contents vary under one id: the index must not care.
+                Operation::Trans(Transaction::write(client, seq, draw(state, 3), 64))
+            }
+        };
+        for case in 0..300 {
+            let mut pool = PendingPool::new();
+            let (mut ids, mut controls) = (HashSet::<TxId>::new(), Vec::<Operation>::new());
+            let mut pending = VecDeque::<Operation>::new();
+            let mut seen = |op: &Operation| match op {
+                Operation::Trans(tx) => ids.insert(tx.id),
+                _ if controls.contains(op) => false,
+                _ => {
+                    controls.push(op.clone());
+                    true
+                }
+            };
+            let mut taken = Vec::new();
+            for step in 0..200 {
+                match draw(&mut state, 6) {
+                    0..=2 => {
+                        let op = random_op(&mut state);
+                        let new = seen(&op);
+                        if new {
+                            pending.push_back(op.clone());
+                        }
+                        assert_eq!(
+                            pool.enqueue(op.clone()),
+                            new,
+                            "case {case} step {step}: {op:?}"
+                        );
+                    }
+                    3 => {
+                        let ops: Vec<Operation> =
+                            (0..draw(&mut state, 4)).map(|_| random_op(&mut state)).collect();
+                        ops.iter().for_each(|op| _ = seen(op));
+                        pending.retain(|p| !ops.contains(p));
+                        pool.note_ordered(&ops);
+                    }
+                    4 => {
+                        let max = draw(&mut state, 5) as usize;
+                        taken = pool.take_batch(max);
+                        let expected: Vec<_> = pending.drain(..max.min(pending.len())).collect();
+                        assert_eq!(taken, expected, "case {case} step {step}");
+                    }
+                    _ => {
+                        for op in taken.iter().rev() {
+                            pending.push_front(op.clone());
+                        }
+                        pool.requeue_front(std::mem::take(&mut taken));
+                    }
+                }
+                assert_eq!(pool.pending, pending, "case {case} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_transaction_is_identified_by_its_id_not_by_its_content() {
+        let mut pool = PendingPool::new();
+        let first = Operation::Trans(Transaction::write(ClientId(0), 7, 1, 128));
+        assert!(pool.enqueue(first.clone()));
+        let same_id = Operation::Trans(Transaction::write(ClientId(0), 7, 2, 1024));
+        assert!(!pool.enqueue(same_id), "a second content under a seen id");
+        pool.note_ordered(&[Operation::Trans(Transaction::read(ClientId(1), 3, 9))]);
+        assert!(!pool.enqueue(Operation::Trans(Transaction::write(ClientId(1), 3, 9, 64))));
+        assert_eq!(pool.take_batch(10), vec![first]);
+    }
+
+    #[test]
+    fn control_operations_are_enqueued_once_each_by_content() {
+        let cut = |r| Operation::RoundCut { round: Round(r) };
+        let set = |r, recs| Operation::ReconfigSet { round: Round(r), recs };
+        let leave = vec![Reconfig::Leave { replica: ReplicaId(3) }];
+        let controls = [cut(1), cut(2), set(1, Vec::new()), set(2, Vec::new()), set(1, leave)];
+        let mut pool = PendingPool::new();
+        for op in &controls {
+            assert!(pool.enqueue(op.clone()), "{op:?} is new");
+        }
+        for op in &controls {
+            assert!(!pool.enqueue(op.clone()), "{op:?} again");
+        }
+        assert_eq!(pool.take_batch(10), controls);
+    }
+
+    #[test]
+    fn a_clients_consecutive_transactions_take_a_word_per_64() {
+        let before = seen_index_stats();
+        let mut pool = PendingPool::new();
+        for seq in 0..100_000 {
+            assert!(pool.enqueue(op(seq)));
+        }
+        let after = seen_index_stats();
+        let words = after.words - before.words;
+        assert_eq!(after.transactions - before.transactions, 100_000);
+        assert!(words <= 1_563, "{words} words");
+        assert_eq!(pool.seen.words.len() as u64, words);
+        assert_eq!(after.bytes() - before.bytes(), words * 24);
     }
 
     const EPSILON: Duration = Duration(500_000);
@@ -350,15 +617,10 @@ mod tests {
             .chain([Operation::ReconfigSet { round: Round(1), recs: Vec::new() }])
             .collect();
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut draw = |n: usize| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % n as u64) as usize
-        };
+        let n = vocabulary.len() as u64;
         for case in 0..500 {
             let mut ops = |len| -> Vec<Operation> {
-                (0..len).map(|_| vocabulary[draw(vocabulary.len())].clone()).collect()
+                (0..len).map(|_| vocabulary[draw(&mut state, n) as usize].clone()).collect()
             };
             let mine = ops(case % 35);
             let block = ops(case % 7 * 3);

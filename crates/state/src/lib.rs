@@ -18,7 +18,9 @@
 //! value is hashed once and an overwrite re-reads no old bytes
 //! ([`leaf_hash_stats`] counts the leaves hashed). A round is applied at once
 //! ([`StateMachine::apply_round`]), so its leaves are hashed eight at a time
-//! (`ava_crypto::blake2s::blake2s_many`). The counter machine hashes
+//! (`ava_crypto::blake2s::blake2s_many`), and only the round's last write of
+//! each key is built and hashed: an earlier one would leave the set-hash as
+//! soon as it entered. The counter machine hashes
 //! its entries with SHA-256, on demand. Because the digest is a
 //! function of the *state* (not of the apply history), a replica that adopts a
 //! peer snapshot during catch-up recomputes the same digest its peers carry —

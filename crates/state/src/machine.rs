@@ -203,8 +203,8 @@ thread_local! {
 /// thread started (see [`leaf_hash_stats`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct LeafHashStats {
-    /// Leaves hashed: committed writes, entries restored from elsewhere and
-    /// leaves re-checked.
+    /// Leaves hashed: one per key an applied round writes, entries restored
+    /// from elsewhere and leaves re-checked.
     pub leaves: u64,
     /// Bytes hashed into them, each leaf's 40 bytes before the value
     /// (domain tag, key, version, round, value length) included.
@@ -213,6 +213,10 @@ pub struct LeafHashStats {
     /// leaves of one length side by side, or one leaf alone. `leaves /
     /// groups` is `LANES` when every group is full.
     pub groups: u64,
+    /// Writes an applied round never built or hashed, because a later
+    /// write of the same round overwrote them: a round's writes are its
+    /// leaves plus these.
+    pub superseded: u64,
 }
 
 /// The calling thread's [`LeafHashStats`]. For profiles and tests: nothing in
@@ -455,6 +459,7 @@ fn count_leaves(leaves: u64, bytes: u64, groups: u64) {
         leaves: stats.leaves + leaves,
         bytes: stats.bytes + bytes,
         groups: stats.groups + groups,
+        ..stats
     });
 }
 
@@ -586,32 +591,44 @@ impl StateMachine for KvMachine {
         StateMachineKind::Kv
     }
 
-    /// Three passes: every write's entry with its version resolved (one past
-    /// the key's last write, in this round or before it), every leaf hashed
-    /// in lane groups, then every entry committed in order — so a key written
-    /// twice in the round hashes and XORs both versions, as writing them one
-    /// by one does.
+    /// Three passes: every write's version resolved (one past the key's last
+    /// write, in this round or before it), the leaves of the round's last
+    /// write of each key hashed in lane groups, then those entries committed.
+    /// A version a later write of the round overwrites is never built: one by
+    /// one, its leaf would enter the set-hash and leave it again, so only the
+    /// last write of each key changes the state. The outcome still counts
+    /// every write's value bytes.
     fn apply_round(&mut self, round: Round, txs: &[&Transaction]) -> ApplyOutcome {
         let mut outcome = ApplyOutcome::default();
-        let mut written: Vec<(u64, KvEntry)> = Vec::with_capacity(txs.len());
+        let mut planned: Vec<(u64, u64, u32)> = Vec::with_capacity(txs.len());
         let mut versions: HashMap<u64, u64> = HashMap::new();
         for tx in txs {
             let (keys, value_size) = writes(tx);
             outcome.keys_written += keys.len() as u32;
+            outcome.value_bytes += u64::from(value_size) * keys.len() as u64;
             for &key in keys {
                 let version = *versions
                     .entry(key)
                     .and_modify(|last| *last += 1)
                     .or_insert_with(|| self.get(key).map_or(1, |e| e.version + 1));
-                let value = Self::fill_value(key, version, value_size);
-                outcome.value_bytes += value.len() as u64;
-                let entry = KvEntry { version, last_writer_round: round.0, value, leaf: [0; 32] };
-                written.push((key, entry));
+                planned.push((key, version, value_size));
             }
         }
-        if written.is_empty() {
+        if planned.is_empty() {
             return outcome;
         }
+        let applied = planned.len();
+        let mut written: Vec<(u64, KvEntry)> = planned
+            .into_iter()
+            .filter(|(key, version, _)| versions[key] == *version)
+            .map(|(key, version, value_size)| {
+                let value = Self::fill_value(key, version, value_size);
+                (key, KvEntry { version, last_writer_round: round.0, value, leaf: [0; 32] })
+            })
+            .collect();
+        let stats = LEAF_HASHES.get();
+        let superseded = stats.superseded + (applied - written.len()) as u64;
+        LEAF_HASHES.set(LeafHashStats { superseded, ..stats });
         cache_leaves(&mut written);
         let state = Arc::make_mut(&mut self.state);
         for (key, entry) in written {
@@ -668,6 +685,7 @@ mod tests {
     use proptest::{proptest, ProptestConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn write(seq: u64, key: u64, size: u32) -> Transaction {
         Transaction::write(ClientId(1), seq, key, size)
@@ -740,12 +758,17 @@ mod tests {
                             Transaction { id: TxId { client: ClientId(1), seq }, kind, payload_size: 64 }
                         })
                         .collect();
-                    let writes: u64 = txs.iter().map(|tx| writes(tx).0.len() as u64).sum();
-                    let before = leaf_hash_stats().leaves;
+                    let written: Vec<u64> =
+                        txs.iter().flat_map(|tx| writes(tx).0.iter().copied()).collect();
+                    let keys = written.iter().collect::<HashSet<_>>().len() as u64;
+                    let before = leaf_hash_stats();
                     let round_outcome = at_once.apply_round(round, &txs.iter().collect::<Vec<_>>());
-                    let hashed = leaf_hash_stats().leaves - before;
-                    let leaves_per_write = u64::from(kind == StateMachineKind::Kv);
-                    assert_eq!(hashed, leaves_per_write * writes, "{kind:?}: one leaf per write");
+                    let after = leaf_hash_stats();
+                    let hashed = after.leaves - before.leaves;
+                    let superseded = after.superseded - before.superseded;
+                    let kv = u64::from(kind == StateMachineKind::Kv);
+                    assert_eq!(hashed, kv * keys, "{kind:?}: one leaf per key the round writes");
+                    assert_eq!(superseded, kv * (written.len() as u64 - keys), "{kind:?}");
                     let mut summed = ApplyOutcome::default();
                     for tx in &txs {
                         let outcome = one_by_one.apply(round, tx);

@@ -132,9 +132,10 @@ pub enum Operation {
     ///
     /// The round is part of the operation's identity: in the single-workflow
     /// ablation (E5.2) every round orders its set through the transaction
-    /// total-order broadcast, whose pool deduplicates operations by digest — two
-    /// different rounds' (often empty) sets must not collide, or every round after
-    /// the first wedges in Stage 1 waiting for a set the pool swallowed.
+    /// total-order broadcast, whose pool deduplicates control operations by
+    /// content — two different rounds' (often empty) sets must not collide, or
+    /// every round after the first wedges in Stage 1 waiting for a set the pool
+    /// swallowed.
     ReconfigSet {
         /// The round the set is agreed for.
         round: Round,

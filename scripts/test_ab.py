@@ -77,6 +77,36 @@ class GateRule(unittest.TestCase):
         self.assertEqual(ab.exit_code(["regression"], []), 1)
         self.assertEqual(ab.exit_code(["regression"], [("a", "b")]), 1)
         self.assertEqual(ab.exit_code([], [("a", "b")]), 3)
+        self.assertEqual(ab.exit_code([], [], ["unstable"]), 2)
+        self.assertEqual(ab.exit_code(["regression"], [("a", "b")], ["unstable"]), 2)
+
+
+class Fingerprints(unittest.TestCase):
+    def test_identical_fingerprints_report_nothing(self):
+        prints = {("kv", 7): {"parent": ["a"] * 10, "change": ["a"] * 10}}
+        self.assertEqual(ab.fingerprints(prints), ([], []))
+
+    def test_a_moved_fingerprint_is_reported_once_per_workload_and_seed(self):
+        prints = {
+            ("kv", 7): {"parent": ["a"] * 10, "change": ["b"] * 10},
+            ("kv", 8): {"parent": ["c"] * 10, "change": ["c"] * 10},
+            ("geo", 7): {"parent": ["d"] * 10, "change": ["e"] * 10},
+        }
+        moved, unstable = ab.fingerprints(prints)
+        self.assertEqual(moved, [ab.Moved("kv", 7, "a", "b", 10, 10), ab.Moved("geo", 7, "d", "e", 10, 10)])
+        self.assertEqual(unstable, [])
+        self.assertEqual(ab.exit_code([], moved, unstable), 3)
+
+    def test_a_side_whose_fingerprint_differs_between_its_pairs_is_not_deterministic(self):
+        prints = {("kv", 7): {"parent": ["a"] * 9 + ["x"], "change": ["a"] * 10}}
+        moved, unstable = ab.fingerprints(prints)
+        self.assertEqual(unstable, [ab.Unstable("kv", 7, "parent", 2)])
+        self.assertEqual(moved, [ab.Moved("kv", 7, "x", "a", 1, 10)])
+        self.assertEqual(ab.exit_code([], moved, unstable), 2)
+        both = {("kv", 7): {"parent": ["a", "b"] * 5, "change": ["c", "d"] * 5}}
+        moved, unstable = ab.fingerprints(both)
+        self.assertEqual([u.side for u in unstable], ["parent", "change"])
+        self.assertEqual(sorted((m.parent, m.change, m.pairs) for m in moved), [("a", "c", 5), ("b", "d", 5)])
 
 
 if __name__ == "__main__":

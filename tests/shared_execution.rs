@@ -7,7 +7,8 @@
 //! silently stopped — a machine whose `Default` allocated an empty state of
 //! its own would do it — so this pins it: in a fault-free run each executed
 //! round misses once and hits once for every other replica that executed it,
-//! and the KV machine hashes one leaf per write the process executes.
+//! and the KV machine hashes one leaf per write the process executes, or
+//! skips it as superseded by a later write of its round to the same key.
 
 use hamava_repro::hamava::{executed_round_stats, StateMachineKind};
 use hamava_repro::scenario::{Protocol, Scenario};
@@ -18,8 +19,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs `config` fault-free and checks the memo's counters against the
 /// `RoundExecuted` outputs; returns the rounds every replica executed.
-/// Checks too that the run hashes one KV leaf per write it executes, counting
-/// each round's writes once however many replicas executed it.
+/// Checks too that the run hashes one KV leaf per write it executes, or skips
+/// it as superseded, counting each round's writes once however many replicas
+/// executed it.
 fn rounds_shared(config: SystemConfig, machine: StateMachineKind, run: Duration) -> u64 {
     let n = config.clusters.iter().map(|c| c.replicas.len() as u64).sum::<u64>();
     let (before, leaves_before) = (executed_round_stats(), leaf_hash_stats());
@@ -29,7 +31,9 @@ fn rounds_shared(config: SystemConfig, machine: StateMachineKind, run: Duration)
         .run_for(run)
         .build()
         .run();
-    let (after, leaves) = (executed_round_stats(), leaf_hash_stats().leaves - leaves_before.leaves);
+    let (after, leaves_after) = (executed_round_stats(), leaf_hash_stats());
+    let leaves = leaves_after.leaves - leaves_before.leaves
+        + (leaves_after.superseded - leaves_before.superseded);
 
     let mut executions: BTreeMap<u64, u64> = BTreeMap::new();
     let mut writes: BTreeMap<u64, usize> = BTreeMap::new();
@@ -42,7 +46,11 @@ fn rounds_shared(config: SystemConfig, machine: StateMachineKind, run: Duration)
     let writes = writes.values().sum::<usize>() as u64;
     let leaves_per_write = if machine == StateMachineKind::Kv { 1 } else { 0 };
     assert!(writes > 0, "{machine:?}: the run executed no write");
-    assert_eq!(leaves, leaves_per_write * writes, "{machine:?}: leaves hashed for {writes} writes");
+    assert_eq!(
+        leaves,
+        leaves_per_write * writes,
+        "{machine:?}: leaves hashed or superseded for {writes} writes"
+    );
     let rounds = executions.len() as u64;
     let complete = executions.values().filter(|&&c| c == n).count() as u64;
     // Only the last round or two may still be in flight at the end.
