@@ -336,6 +336,11 @@ mod tests {
             "ack_committed",
             "ordered_reconfig_sets",
             "adopt_ordered_reconfig_set",
+            "SIGN_COST",
+            "VERIFY_COST",
+            "per_batch_verify",
+            "geobft_config",
+            "ava_geobft",
             // The named release test steps one `cargo test --release` replaced.
             "Cross-thread determinism",
             "Partition relay (release)",

@@ -33,8 +33,7 @@
 use ava_consensus::handover::{prepared_digest, Prepared, Report};
 use ava_consensus::regency::forward_wire_size;
 use ava_consensus::{
-    Block, CommittedBlock, Phases, Regency, RegencyMsg, TobAction, TobConfig, WireSize, SIGN_COST,
-    VERIFY_COST,
+    Block, CommittedBlock, Phases, Regency, RegencyMsg, TobAction, TobConfig, WireSize,
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
 use ava_types::{Operation, ReplicaId, Time};
@@ -195,7 +194,7 @@ impl BftSmart {
         {
             return;
         }
-        out.push(TobAction::Consume(VERIFY_COST));
+        out.push(TobAction::Verify(1));
         let (quorum, members) = (cfg.quorum(), cfg.members.len());
         let instance = self.instances.entry(height).or_insert_with(|| Instance::new(members));
         let signed = if is_commit { digest } else { prepared_digest(&digest, regency) };
@@ -218,7 +217,7 @@ impl BftSmart {
             && instance.digest == Some(digest)
         {
             instance.sent_commit = true;
-            out.push(TobAction::Consume(SIGN_COST));
+            out.push(TobAction::Sign);
             let sig = self.regency.keypair.sign(&digest);
             self.regency.to_members(BftSmartMsg::Commit { height, digest, sig, regency }, out);
         }
@@ -284,7 +283,7 @@ impl Phases for BftSmart {
                 if block.height < self.next_deliver_height {
                     return;
                 }
-                out.push(TobAction::Consume(VERIFY_COST));
+                out.push(TobAction::Verify(1));
                 let (digest, height) = (block.digest(), block.height);
                 let members = self.regency.cfg.members.len();
                 let instance =
@@ -294,7 +293,7 @@ impl Phases for BftSmart {
                 }
                 instance.block = Some(block);
                 instance.digest = Some(digest);
-                out.push(TobAction::Consume(SIGN_COST));
+                out.push(TobAction::Sign);
                 let sig = self.regency.keypair.sign(&prepared_digest(&digest, regency));
                 self.regency.to_members(BftSmartMsg::Prepare { height, digest, sig, regency }, out);
             }

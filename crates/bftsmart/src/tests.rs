@@ -6,7 +6,7 @@ use ava_types::{ClientId, Transaction};
 
 ava_consensus::tob_conformance_suite!(
     BftSmart::new,
-    trace = "61a7e5fef2991f5d881d84010571bda3dc6fb365870676f9e049d2ea32b163c5"
+    trace = "921670da2fab320ca214f9618724f0ce9c3dc9b06f6bc7c2417c3027683ebf19"
 );
 
 #[test]

@@ -115,7 +115,7 @@ where
             self.next_batch_id += 1;
             // One signature covers the whole batch — the amortization the tier
             // exists for.
-            ctx.consume(ctx.costs().per_sign);
+            ctx.consume(ctx.costs().sig_cost(1, 0));
             let batch = Arc::new(TxBatch::new(self.cfg.node, id, ops, &self.keypair));
             let target = self.targets.pick(ctx.now());
             ctx.send(target, AvaMsg::BatchSubmit(Arc::clone(&batch)));

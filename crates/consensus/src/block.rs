@@ -18,8 +18,10 @@ use std::sync::{Arc, OnceLock};
 ///
 /// The payload fields are public for reading; treat a constructed block as
 /// immutable — `digest()` and `wire_size()` memoise their first result, so mutating
-/// `ops` after construction would make the caches stale.
-#[derive(Clone)]
+/// `ops` after construction would make the caches stale. A block has no
+/// by-value `Clone`, since a copy would carry the memo past an edit; it is
+/// shared behind an `Arc` and a changed block is built anew with
+/// [`Block::new`].
 pub struct Block {
     /// The cluster in which the block was proposed.
     pub cluster: ClusterId,
@@ -29,7 +31,7 @@ pub struct Block {
     pub proposer: ReplicaId,
     /// The operations, in the proposed order.
     pub ops: Vec<Operation>,
-    /// Memoised canonical digest (shared by all clones made after first use).
+    /// Memoised canonical digest.
     digest_cache: OnceLock<Digest>,
     /// Memoised approximate wire size.
     wire_size_cache: OnceLock<usize>,
@@ -189,14 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_the_memoised_digest() {
-        let b = block(4);
-        let d = b.digest();
-        let c = b.clone();
-        assert_eq!(c.digest(), d);
-    }
-
-    #[test]
     fn wire_size_tracks_payloads() {
         assert!(block(10).wire_size() > 10 * 1024);
         assert!(block(1).wire_size() < block(10).wire_size());
@@ -218,6 +212,22 @@ mod tests {
         // With a grown cluster (quorum 5) the same certificate no longer validates.
         let grown: Vec<ReplicaId> = (0..7).map(ReplicaId).collect();
         assert!(!cb.verify(&reg, &grown, 5));
+    }
+
+    #[test]
+    fn a_block_rebuilt_with_one_operation_fewer_fails_the_original_certificate() {
+        let reg = KeyRegistry::new();
+        let kps: Vec<_> = (0..4).map(|i| reg.register(ReplicaId(i))).collect();
+        let members: Vec<ReplicaId> = (0..4).map(ReplicaId).collect();
+        let b = block(4);
+        let digest = b.digest();
+        let cert =
+            QuorumCert::new(ClusterId(0), digest, kps.iter().map(|kp| kp.sign(&digest)).collect());
+        let fewer = Block::new(b.cluster, b.height, b.proposer, b.ops[..3].to_vec());
+        let original = CommittedBlock { block: Arc::new(b), cert: cert.clone() };
+        assert!(original.verify(&reg, &members, 3));
+        let altered = CommittedBlock { block: Arc::new(fewer), cert };
+        assert!(!altered.verify(&reg, &members, 3));
     }
 
     #[test]

@@ -30,5 +30,4 @@ pub use pool::{seen_index_stats, PendingPool, SeenIndexStats};
 pub use regency::{Phases, Regency, RegencyMsg};
 pub use tob::{
     send_pairs, sends, FaultMode, SendAction, TobAction, TobConfig, TotalOrderBroadcast, WireSize,
-    SIGN_COST, VERIFY_COST,
 };

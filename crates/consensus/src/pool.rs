@@ -14,10 +14,10 @@
 //! one relies on those timers not firing early. A *local* leader that stops
 //! delivering while its members hold work is exactly what a leader change fixes.
 
-use ava_types::{Duration, Operation, Reconfig, Round, Time, TxId};
+use ava_types::{BuildIdHasher, Duration, Operation, Reconfig, Round, Time, TxId};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// How many times its worst delivery gap so far a replica waits before it
 /// suspects the leader. A live leader's next delivery can come later than any
@@ -220,7 +220,7 @@ impl PendingPool {
 /// seen index").
 #[derive(Debug, Default)]
 struct Seen {
-    words: HashMap<WordKey, u64, BuildHasherDefault<PassThrough>>,
+    words: HashMap<WordKey, u64, BuildIdHasher>,
     controls: HashSet<Control>,
 }
 
@@ -246,24 +246,6 @@ impl Hash for WordKey {
         let product = u128::from(self.block ^ 0x243f_6a88_85a3_08d3)
             * u128::from(u64::from(self.client) ^ 0x1319_8a2e_0370_7345);
         state.write_u64(product as u64 ^ (product >> 64) as u64);
-    }
-}
-
-/// The hasher of [`WordKey`]: the key hashes itself into one `u64`.
-#[derive(Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("a WordKey hashes as one u64");
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 

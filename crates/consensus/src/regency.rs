@@ -12,9 +12,7 @@
 use crate::block::{Block, CommittedBlock};
 use crate::handover::{Prepared, Report, Reports};
 use crate::pool::PendingPool;
-use crate::tob::{
-    FaultMode, TobAction, TobConfig, TotalOrderBroadcast, WireSize, SIGN_COST, VERIFY_COST,
-};
+use crate::tob::{FaultMode, TobAction, TobConfig, TotalOrderBroadcast, WireSize};
 use ava_crypto::{KeyRegistry, Keypair};
 use ava_types::{Operation, ReplicaId, Time, Timestamp};
 use std::collections::BTreeMap;
@@ -119,7 +117,7 @@ impl Regency {
                 Arc::new(Block::new(self.cfg.cluster, height, self.cfg.me, ops))
             }
         };
-        out.push(TobAction::Consume(SIGN_COST));
+        out.push(TobAction::Sign);
         Some(block)
     }
 
@@ -208,7 +206,7 @@ pub trait Phases: Send {
         if report.regency < regency.ts || !regency.cfg.members.contains(&from) {
             return;
         }
-        out.push(TobAction::Consume(VERIFY_COST.saturating_mul(report.signature_count() as u64)));
+        out.push(TobAction::Verify(report.signature_count()));
         if regency.reports.accept(from, report, &regency.cfg, &regency.registry) {
             hand_over(self, now, out);
         }
@@ -222,9 +220,7 @@ pub trait Phases: Send {
         {
             return;
         }
-        out.push(TobAction::Consume(
-            VERIFY_COST.saturating_mul(decided.cert.signature_count() as u64),
-        ));
+        out.push(TobAction::Verify(decided.cert.signature_count()));
         if decided.verify(&regency.registry, &regency.cfg.members, regency.cfg.quorum()) {
             self.adopt(decided, now, out);
         }

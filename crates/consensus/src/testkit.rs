@@ -174,7 +174,7 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
                 TobAction::Complain { leader, .. } => {
                     self.complaints.get_mut(&at).expect("node").push(leader)
                 }
-                TobAction::Consume(_) => {}
+                TobAction::Sign | TobAction::Verify(_) => {}
             }
         }
         self.out = out;
@@ -184,8 +184,8 @@ impl<T: TotalOrderBroadcast> LocalNet<T> {
 /// An opt-in fingerprint of the TOB layer: every action an instance returns,
 /// in order, folded into one SHA-256 — the acting replica, then for a send its
 /// recipient, message kind and wire size; for a delivery the height and block
-/// digest; for a complaint the leader and how long it waited; for a CPU charge
-/// its duration. A [`TobAction::SendAll`] folds byte for byte as the one
+/// digest; for a complaint the leader and how long it waited; for a signature
+/// made a tag, for signatures checked a tag and their count. A [`TobAction::SendAll`] folds byte for byte as the one
 /// [`TobAction::Send`] per recipient it stands for. Handles share one hasher,
 /// so a trace can span every network a sweep builds. Off unless a network is
 /// [`LocalNet::traced`].
@@ -218,10 +218,14 @@ impl ActionTrace {
                 h.update(&leader.0.to_le_bytes());
                 h.update(&silent_for.0.to_le_bytes());
             }
-            TobAction::Consume(cost) => {
+            TobAction::Sign => {
                 h.update(&at);
-                h.update(b"consume");
-                h.update(&cost.0.to_le_bytes());
+                h.update(b"sign");
+            }
+            TobAction::Verify(n) => {
+                h.update(&at);
+                h.update(b"verify");
+                h.update(&(*n as u64).to_le_bytes());
             }
         }
     }
@@ -596,12 +600,12 @@ mod tests {
             spelled.fold(at, &TobAction::Send { to, msg: Msg(120) });
         }
         for trace in [&fanned, &spelled] {
-            trace.fold(at, &TobAction::<Msg>::Consume(Duration::from_micros(40)));
+            trace.fold(at, &TobAction::<Msg>::Verify(1));
         }
         assert_eq!(fanned.hex(), spelled.hex());
         let other = ActionTrace::default();
         other.fold(at, &TobAction::SendAll { to: to[..2].to_vec(), msg: Msg(120) });
-        other.fold(at, &TobAction::<Msg>::Consume(Duration::from_micros(40)));
+        other.fold(at, &TobAction::<Msg>::Verify(1));
         assert_ne!(other.hex(), spelled.hex(), "a recipient fewer folds differently");
     }
 }

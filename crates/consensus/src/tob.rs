@@ -47,8 +47,12 @@ pub enum TobAction<M> {
         /// fired (at least the bound it fired at).
         silent_for: Duration,
     },
-    /// Charge the hosting replica CPU time (signature checks, hashing).
-    Consume(Duration),
+    /// The instance produced one signature; the host charges its cost model's
+    /// price for it.
+    Sign,
+    /// The instance checked this many signatures; the host charges its cost
+    /// model's price for each.
+    Verify(usize),
 }
 
 /// An action type of a sans-I/O layer that sends messages point to point and
@@ -122,13 +126,6 @@ pub struct TobConfig {
     /// has been, the instance waits at least this long before complaining.
     pub timeout_floor: Duration,
 }
-
-/// Modelled CPU cost of verifying one signature, charged alike by the local
-/// TOBs, BRD (`ava_hamava::brd`) and the remote-leader module.
-pub const VERIFY_COST: Duration = Duration::from_micros(40);
-
-/// Modelled CPU cost of producing one signature.
-pub const SIGN_COST: Duration = Duration::from_micros(20);
 
 impl TobConfig {
     /// A config with paper-like defaults for the given cluster membership.

@@ -8,10 +8,10 @@
 
 use crate::blake2s::Blake2sKey;
 use crate::sha256::Digest;
-use ava_types::{Encode, EncodeSink, ReplicaId};
+use ava_types::{BuildIdHasher, Encode, EncodeSink, ReplicaId};
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 /// A signature produced by a replica over a digest.
@@ -48,25 +48,8 @@ impl Hash for TagKey {
     }
 }
 
-/// Hands [`TagKey`]'s one `write_u64` through as the hash.
-#[derive(Default)]
-struct TagKeyHasher(u64);
-
-impl Hasher for TagKeyHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("TagKey hashes through write_u64 only");
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type TagMap = HashMap<TagKey, [u8; 32], BuildHasherDefault<TagKeyHasher>>;
+/// Keyed through [`BuildIdHasher`]: [`TagKey`]'s one `write_u64` is the hash.
+type TagMap = HashMap<TagKey, [u8; 32], BuildIdHasher>;
 
 /// Memo of *expected* tags by `(signer, digest)`, in two generations of
 /// at most [`TAG_GENERATION`] entries each.

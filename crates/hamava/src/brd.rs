@@ -11,7 +11,7 @@
 //! Hamava replica, exactly as the paper presents it ("a general reusable module, that
 //! is of independent interest").
 
-use ava_consensus::{send_pairs, SendAction, SIGN_COST, VERIFY_COST};
+use ava_consensus::{send_pairs, SendAction};
 use ava_crypto::sha256::Sha256;
 use ava_crypto::{Digest, KeyRegistry, Keypair, SigSet, Signature};
 use ava_types::{
@@ -289,8 +289,10 @@ pub enum BrdAction {
         /// The leader complained about.
         leader: ReplicaId,
     },
-    /// Charge CPU time for signature work.
-    Consume(Duration),
+    /// This replica produced one signature; the host charges its price.
+    Sign,
+    /// This replica checked this many signatures; the host charges each.
+    Verify(usize),
     /// An `Echo`/`Ready` vote from a known member failed signature
     /// verification — Byzantine evidence. Honest members sign exactly what
     /// they send, so a cryptographically invalid vote can only be a forgery
@@ -435,7 +437,7 @@ impl Brd {
         recs.dedup();
         self.my_recs = Some(recs.clone());
         self.started_at = Some(now);
-        out.push(BrdAction::Consume(SIGN_COST));
+        out.push(BrdAction::Sign);
         let sig = self.keypair.sign(&RecsContribution::signing_digest(self.round, self.me, &recs));
         let contribution = RecsContribution { from: self.me, round: self.round, recs, sig };
         out.push(BrdAction::Send { to: self.leader, msg: BrdMsg::Recs(contribution) });
@@ -528,7 +530,7 @@ impl Brd {
                 },
             });
         } else if let Some(my_recs) = self.my_recs.clone() {
-            out.push(BrdAction::Consume(SIGN_COST));
+            out.push(BrdAction::Sign);
             let sig =
                 self.keypair.sign(&RecsContribution::signing_digest(self.round, self.me, &my_recs));
             let contribution =
@@ -541,7 +543,7 @@ impl Brd {
         if self.me != self.leader || c.round != self.round || c.from != from {
             return;
         }
-        out.push(BrdAction::Consume(VERIFY_COST));
+        out.push(BrdAction::Verify(1));
         if !self.members.contains(&from) || !c.verify(&self.registry) {
             return;
         }
@@ -563,7 +565,7 @@ impl Brd {
         if self.me != self.leader || round != self.round {
             return;
         }
-        out.push(BrdAction::Consume(VERIFY_COST.saturating_mul(self.proof_len(&proof) as u64)));
+        out.push(BrdAction::Verify(self.proof_len(&proof)));
         if !self.verify_justify(&recs, &proof, true) {
             return;
         }
@@ -677,7 +679,7 @@ impl Brd {
         if from != self.leader || ts != self.ts || round != self.round || self.echoed {
             return;
         }
-        out.push(BrdAction::Consume(VERIFY_COST.saturating_mul(self.proof_len(&justify) as u64)));
+        out.push(BrdAction::Verify(self.proof_len(&justify)));
         if !self.verify_justify(&recs, &justify, true) {
             return;
         }
@@ -689,7 +691,7 @@ impl Brd {
                 self.contributions.insert(c.from, c.clone());
             }
         }
-        out.push(BrdAction::Consume(SIGN_COST));
+        out.push(BrdAction::Sign);
         let digest = self.digests_of(&recs).echo;
         let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Echo { round: self.round, recs, sig, ts: self.ts };
@@ -707,7 +709,7 @@ impl Brd {
         if ts != self.ts || round != self.round {
             return;
         }
-        out.push(BrdAction::Consume(VERIFY_COST));
+        out.push(BrdAction::Verify(1));
         let digest = self.digests_of(&recs).echo;
         if !self.members.contains(&sig.signer) {
             return;
@@ -744,7 +746,7 @@ impl Brd {
         if round != self.round {
             return;
         }
-        out.push(BrdAction::Consume(VERIFY_COST));
+        out.push(BrdAction::Verify(1));
         let digest = self.digests_of(&recs).ready;
         if !self.members.contains(&sig.signer) {
             return;
@@ -787,7 +789,7 @@ impl Brd {
         // Note: `ts` is not part of the ready digest so that Ready votes recorded
         // under an earlier leader still count toward delivery under a later one —
         // uniformity across leader changes (Alg. 6's `valid` mechanism).
-        out.push(BrdAction::Consume(SIGN_COST));
+        out.push(BrdAction::Sign);
         let digest = self.digests_of(&recs).ready;
         let sig = self.keypair.sign(&digest);
         let msg = BrdMsg::Ready { round: self.round, recs, sig, ts: self.ts };
@@ -876,8 +878,7 @@ mod tests {
                         self.delivered.get_mut(&at).unwrap().push((recs, cert))
                     }
                     BrdAction::Complain { .. } => *self.complaints.get_mut(&at).unwrap() += 1,
-                    BrdAction::Consume(_) => {}
-                    BrdAction::Reject { .. } => {}
+                    BrdAction::Sign | BrdAction::Verify(_) | BrdAction::Reject { .. } => {}
                 }
             }
         }

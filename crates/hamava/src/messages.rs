@@ -237,19 +237,6 @@ impl TxBatch {
     }
 }
 
-impl Clone for TxBatch {
-    fn clone(&self) -> Self {
-        TxBatch {
-            broker: self.broker,
-            id: self.id,
-            ops: self.ops.clone(),
-            sig: self.sig,
-            digest_cache: self.digest_cache.clone(),
-            wire_size_cache: self.wire_size_cache.clone(),
-        }
-    }
-}
-
 /// Commands injected by experiments and examples (not part of the protocol: they model
 /// an operator acting on a specific replica). Adversaries are not commands: a
 /// Byzantine replica is a [`CorruptReplica`](crate::CorruptReplica) behavior.
@@ -543,24 +530,14 @@ mod tests {
             (0..10).map(|i| Transaction::write(ClientId(10_000_000), i, i, 128)).collect();
         let batch = TxBatch::new(broker, 7, ops, &kp);
         assert!(batch.verify(&registry));
-        // Digest and size are stable across clones (memo survives).
-        assert_eq!(batch.digest(), batch.clone().digest());
         assert!(batch.wire_size() > 10 * 128);
         // A batch signed by an unregistered broker is rejected.
         let rogue = KeyRegistry::new().register(ReplicaId(2_000_001));
         let forged = TxBatch::new(ReplicaId(2_000_001), 7, Vec::new(), &rogue);
         assert!(!forged.verify(&registry));
         // Tampering with the contents breaks the signature.
-        let mut tampered = batch.clone();
-        tampered.ops.pop();
-        tampered = TxBatch {
-            broker: tampered.broker,
-            id: tampered.id,
-            ops: tampered.ops,
-            sig: batch.sig,
-            digest_cache: OnceLock::new(),
-            wire_size_cache: OnceLock::new(),
-        };
+        let mut tampered = TxBatch::new(broker, 7, batch.ops[..9].to_vec(), &kp);
+        tampered.sig = batch.sig;
         assert!(!tampered.verify(&registry));
     }
 

@@ -8,7 +8,6 @@
 //! `rcn_j`) stop replay attacks, and all quorum sizes are taken from the *current*
 //! per-cluster membership — this is where heterogeneity matters for liveness.
 
-use ava_consensus::VERIFY_COST;
 use ava_crypto::{Digest, KeyRegistry, Keypair, SigSet, Signature};
 use ava_types::{ClusterId, Duration, Encode, Membership, ReplicaId, Round, Time};
 use std::collections::BTreeMap;
@@ -88,8 +87,8 @@ pub enum RemoteLeaderAction {
     /// Ask the local leader election module to move to the next leader (Alg. 2
     /// line 26).
     RequestNextLeader,
-    /// Charge CPU time for signature work.
-    Consume(Duration),
+    /// This replica checked this many signatures; the host charges each.
+    Verify(usize),
 }
 
 /// Per-remote-cluster complaint state.
@@ -242,7 +241,7 @@ impl RemoteLeaderChange {
         if round != self.round || !self.membership.contains(self.my_cluster, from) {
             return;
         }
-        out.push(RemoteLeaderAction::Consume(VERIFY_COST));
+        out.push(RemoteLeaderAction::Verify(1));
         if sig.signer != from || !self.registry.verify(&lcomplaint_digest(about, cn, round), &sig) {
             return;
         }
@@ -326,7 +325,7 @@ impl RemoteLeaderChange {
         if !(round == self.round || round.next() == self.round) || from_cluster == self.my_cluster {
             return;
         }
-        out.push(RemoteLeaderAction::Consume(VERIFY_COST.saturating_mul(sigs.len() as u64)));
+        out.push(RemoteLeaderAction::Verify(sigs.len()));
         if !self.verify_remote_complaint(from_cluster, cn, round, &sigs) {
             return;
         }
@@ -357,7 +356,7 @@ impl RemoteLeaderChange {
         if !(round == self.round || round.next() == self.round) || from_cluster == self.my_cluster {
             return;
         }
-        out.push(RemoteLeaderAction::Consume(VERIFY_COST.saturating_mul(sigs.len() as u64)));
+        out.push(RemoteLeaderAction::Verify(sigs.len()));
         if !self.verify_remote_complaint(from_cluster, cn, round, &sigs) {
             return;
         }
@@ -451,7 +450,7 @@ mod tests {
                     RemoteLeaderAction::RequestNextLeader => {
                         *self.next_leader_requests.get_mut(&at).unwrap() += 1
                     }
-                    RemoteLeaderAction::Consume(_) => {}
+                    RemoteLeaderAction::Verify(_) => {}
                 }
             }
         }

@@ -310,7 +310,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             match action {
                 TobAction::Send { to, msg } => ctx.send(to, AvaMsg::Tob(msg)),
                 TobAction::SendAll { to, msg } => ctx.broadcast(to, AvaMsg::Tob(msg)),
-                TobAction::Consume(d) => ctx.consume(d),
+                TobAction::Sign => ctx.consume(ctx.costs().sig_cost(1, 0)),
+                TobAction::Verify(n) => ctx.consume(ctx.costs().sig_cost(0, n as u64)),
                 TobAction::Complain { silent_for, .. } => {
                     // How long the local watchdog waited, for timelines and
                     // fuzz dumps: shows which bound fired.
@@ -379,7 +380,8 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             match action {
                 BrdAction::Send { to, msg } => ctx.send(to, AvaMsg::Brd(msg)),
                 BrdAction::SendAll { to, msg } => ctx.broadcast(to, AvaMsg::Brd(msg)),
-                BrdAction::Consume(d) => ctx.consume(d),
+                BrdAction::Sign => ctx.consume(ctx.costs().sig_cost(1, 0)),
+                BrdAction::Verify(n) => ctx.consume(ctx.costs().sig_cost(0, n as u64)),
                 BrdAction::Complain { .. } => {
                     let actions = self.election.complain();
                     self.apply_election_actions(actions, ctx);
@@ -418,7 +420,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         for action in actions {
             match action {
                 RemoteLeaderAction::Send { to, msg } => ctx.send(to, AvaMsg::RemoteLeader(msg)),
-                RemoteLeaderAction::Consume(d) => ctx.consume(d),
+                RemoteLeaderAction::Verify(n) => ctx.consume(ctx.costs().sig_cost(0, n as u64)),
                 RemoteLeaderAction::RequestNextLeader => {
                     let actions = self.election.next_leader();
                     self.apply_election_actions(actions, ctx);
@@ -657,7 +659,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         ctx: &mut Context<'_, AvaMsg<T::Msg>>,
     ) -> bool {
         let sigs = package.blocks.iter().map(|b| b.cert.signature_count() as u64).sum();
-        ctx.consume(ctx.costs().per_sig_verify.saturating_mul(sigs));
+        ctx.consume(ctx.costs().sig_cost(0, sigs));
         self.views.verify(&self.registry, package)
     }
 
@@ -857,31 +859,25 @@ impl<T: TotalOrderBroadcast> Replica<T> {
 
         // Then reconfigurations, uniformly, updating membership and thresholds
         // (and each reconfigured cluster's outgoing members, see `Views`).
-        self.views.apply_round(&all_recs);
-        let mut local_recs: Vec<Reconfig> = Vec::new();
-        for (cluster, recs) in &all_recs {
-            if *cluster == self.cfg.cluster {
-                local_recs.extend(recs.iter().copied());
-            }
-            for rc in recs {
-                ctx.emit(Output::ReconfigApplied {
-                    replica: rc.replica(),
-                    cluster: *cluster,
-                    joined: rc.is_join(),
-                    round: self.round,
-                    at: now,
-                    reporter: self.cfg.me,
-                });
-            }
+        let applied = self.views.apply_round(&all_recs);
+        for &(cluster, rc) in &applied {
+            ctx.emit(Output::ReconfigApplied {
+                replica: rc.replica(),
+                cluster,
+                joined: rc.is_join(),
+                round: self.round,
+                at: now,
+                reporter: self.cfg.me,
+            });
         }
 
         // Kick-start joining replicas of the local cluster and handle own leave.
         let next_round = self.round.next();
-        for rc in &local_recs {
-            match rc {
+        for (_, rc) in applied.iter().filter(|(cluster, _)| *cluster == self.cfg.cluster) {
+            match *rc {
                 Reconfig::Join { replica, .. } => {
                     ctx.send(
-                        *replica,
+                        replica,
                         AvaMsg::CurrState {
                             state: self.machine.snapshot(),
                             views: Box::new(self.views.clone()),
@@ -892,7 +888,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
                     );
                 }
                 Reconfig::Leave { replica } => {
-                    if *replica == self.cfg.me {
+                    if replica == self.cfg.me {
                         self.status = ReplicaStatus::Left;
                     }
                 }
@@ -934,9 +930,12 @@ impl<T: TotalOrderBroadcast> Replica<T> {
         // own one for Alg. 8's previous-round re-send.
         self.relay.on_round_executed(self.round, packages);
 
-        // Clear per-round reconfiguration collection state (Alg. 10 line 36).
-        for rc in &local_recs {
-            self.collected_recs.remove(rc);
+        // Clear per-round reconfiguration collection state (Alg. 10 line 36):
+        // every request the round carried, applied or not.
+        for (_, recs) in all_recs.iter().filter(|(cluster, _)| *cluster == self.cfg.cluster) {
+            for rc in recs {
+                self.collected_recs.remove(rc);
+            }
         }
 
         // Checkpoint cadence: snapshot executed state at interval boundaries so the
@@ -1258,9 +1257,7 @@ impl<T: TotalOrderBroadcast> Replica<T> {
             return;
         };
         let (adoption, sigs) = catch_up.adoption(&self.registry, self.cfg.cluster, self.executed());
-        if sigs > 0 {
-            ctx.consume(ctx.costs().per_sig_verify.saturating_mul(sigs));
-        }
+        ctx.consume(ctx.costs().sig_cost(0, sigs));
         let Some(adoption) = adoption else {
             return;
         };

@@ -40,23 +40,36 @@ impl Views {
     }
 
     /// Apply one executed round's reconfiguration sets, in the order
-    /// `catchup::walk_round` returns them. Each cluster with a non-empty set
-    /// first keeps the members it had as the round began as its outgoing slot;
-    /// a cluster applying two sets in one round (the single workflow carries
-    /// its set in a block and in the package) keeps one slot.
-    pub fn apply_round(&mut self, sets: &[(ClusterId, Vec<Reconfig>)]) {
-        // Every copy is taken before any set applies, so a repeat is harmless.
-        for (cluster, _) in sets.iter().filter(|(_, recs)| !recs.is_empty()) {
-            for id in self.outgoing.member_ids(*cluster) {
-                self.outgoing.remove(*cluster, id);
-            }
-            for &member in self.current.members(*cluster) {
-                self.outgoing.add(*cluster, member);
-            }
-        }
+    /// `catchup::walk_round` returns them, and return the requests that took
+    /// effect. A request applies only if it changes the membership — a join of
+    /// a non-member, a leave of a member — checked in order against the
+    /// membership the requests before it left, so a set applied a second time
+    /// is a no-op (the single workflow orders a request in two rounds, ROADMAP
+    /// finding 19). A cluster's first effective request of the round first
+    /// keeps the members it had as the round began as its outgoing slot.
+    pub fn apply_round(
+        &mut self,
+        sets: &[(ClusterId, Vec<Reconfig>)],
+    ) -> Vec<(ClusterId, Reconfig)> {
+        let mut applied: Vec<(ClusterId, Reconfig)> = Vec::new();
         for (cluster, recs) in sets {
-            self.current.apply_set(*cluster, recs);
+            for rc in recs {
+                if self.current.contains(*cluster, rc.replica()) == rc.is_join() {
+                    continue;
+                }
+                if !applied.iter().any(|(c, _)| c == cluster) {
+                    for id in self.outgoing.member_ids(*cluster) {
+                        self.outgoing.remove(*cluster, id);
+                    }
+                    for &member in self.current.members(*cluster) {
+                        self.outgoing.add(*cluster, member);
+                    }
+                }
+                self.current.apply(*cluster, rc);
+                applied.push((*cluster, *rc));
+            }
         }
+        applied
     }
 
     /// Whether every certificate of `package` verifies: each block, and the BRD
@@ -190,6 +203,25 @@ mod tests {
         let join = Reconfig::Join { replica: ReplicaId(10), region: Region::UsWest };
         views.apply_round(&[(A, vec![join, Reconfig::Leave { replica: ReplicaId(1) }])]);
         assert!(!views.verify(&registry, &package(A, 4, vec![stranded()])));
+    }
+
+    #[test]
+    fn views_apply_a_set_a_second_time_as_a_no_op() {
+        let registry = KeyRegistry::new();
+        let stranded = || package(A, 2, vec![block(&registry, A, vec![], &[0, 1, 2])]);
+        let mut views = Views::new(membership());
+        let first = views.apply_round(&[(A, swap(A))]);
+        assert_eq!(first, swap(A).into_iter().map(|rc| (A, rc)).collect::<Vec<_>>());
+        let once = views.clone();
+        // The single workflow orders the set again in the next round (and a
+        // round may carry it twice): nothing applies, the outgoing slot stays.
+        assert!(views.apply_round(&[(A, swap(A)), (A, swap(A))]).is_empty());
+        assert_eq!(views, once);
+        assert!(views.verify(&registry, &stranded()));
+        // Within one set, a request the ones before it made moot is skipped.
+        let join = Reconfig::Join { replica: ReplicaId(10), region: Region::UsWest };
+        let applied = views.apply_round(&[(B, vec![join, join])]);
+        assert_eq!(applied, vec![(B, join)]);
     }
 
     #[test]

@@ -36,8 +36,7 @@
 use ava_consensus::handover::{prepared_digest, Prepared, Report};
 use ava_consensus::regency::forward_wire_size;
 use ava_consensus::{
-    Block, CommittedBlock, Phases, Regency, RegencyMsg, TobAction, TobConfig, WireSize, SIGN_COST,
-    VERIFY_COST,
+    Block, CommittedBlock, Phases, Regency, RegencyMsg, TobAction, TobConfig, WireSize,
 };
 use ava_crypto::{Digest, KeyRegistry, Keypair, QuorumCert, SigSet, Signature};
 use ava_types::{Operation, ReplicaId, Time};
@@ -210,7 +209,7 @@ impl HotStuff {
         if !self.voted.insert((height, phase, ts)) {
             return;
         }
-        out.push(TobAction::Consume(SIGN_COST));
+        out.push(TobAction::Sign);
         let sig = self.regency.keypair.sign(&phase.signed(digest, ts));
         let msg = HotStuffMsg::Vote { phase, height, digest, sig, ts };
         out.push(TobAction::Send { to: self.regency.leader(), msg });
@@ -246,7 +245,7 @@ impl HotStuff {
         {
             return;
         }
-        out.push(TobAction::Consume(VERIFY_COST));
+        out.push(TobAction::Verify(1));
         if !registry.verify(&phase.signed(digest, ts), &sig) || !cfg.members.contains(&from) {
             return;
         }
@@ -297,8 +296,8 @@ impl Phases for HotStuff {
                 if from != leader || ts != current || block.height < self.next_height {
                     return;
                 }
-                // Charge hashing/validation of the proposal.
-                out.push(TobAction::Consume(VERIFY_COST));
+                // Charge checking the proposal as one signature check.
+                out.push(TobAction::Verify(1));
                 let digest = block.digest();
                 let height = block.height;
                 self.known_blocks.insert(digest, block);
@@ -310,7 +309,7 @@ impl Phases for HotStuff {
                 }
                 // Verify the quorum certificate of the previous phase: the
                 // votes of the phase before.
-                out.push(TobAction::Consume(VERIFY_COST.saturating_mul(justify.len() as u64)));
+                out.push(TobAction::Verify(justify.len()));
                 let voted_in = match phase {
                     Phase::Prepare | Phase::PreCommit => Phase::Prepare,
                     Phase::Commit => Phase::PreCommit,

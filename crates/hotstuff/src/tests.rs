@@ -5,7 +5,7 @@ use super::*;
 
 ava_consensus::tob_conformance_suite!(
     HotStuff::new,
-    trace = "cfcb84c8af3875243d7ccd4ea97dd229df3506faf9d7f45561e5cd776ae91f89"
+    trace = "bd43a019a59e91340b47a45c29c4f714d8034490eb60a1e2f387d46f653f1fc2"
 );
 
 /// Both memos forget what lies below the delivered height: they used to grow

@@ -22,7 +22,11 @@ pub enum Protocol {
     AvaHotStuff,
     /// Hamava instantiated with BFT-SMaRt (A.B).
     AvaBftSmart,
-    /// The GeoBFT-style baseline (fixed membership).
+    /// The GeoBFT-style baseline of E6. GeoBFT (ResilientDB) runs PBFT per
+    /// cluster and ships each certified batch to `f + 1` replicas of every
+    /// other cluster — the structure Hamava generalises — over a fixed
+    /// membership. It is therefore the same clustered pipeline on the
+    /// BFT-SMaRt local order with reconfiguration refused.
     GeoBft,
 }
 
@@ -58,11 +62,15 @@ impl Protocol {
         match self {
             Protocol::AvaHotStuff => Box::new(Deployment::build(config, opts, hotstuff_factory())),
             Protocol::AvaBftSmart => Box::new(Deployment::build(config, opts, bftsmart_factory())),
-            Protocol::GeoBft => Box::new(Deployment::build(
-                ava_geobft::geobft_config(config),
-                opts,
-                bftsmart_factory(),
-            )),
+            // GeoBFT is AVA-BFTSMART never driven with join/leave requests
+            // (see `reconfigurable`). Pinning the parallel workflow, its
+            // default, keeps a caller's single-workflow ablation (E5.2) off
+            // the baseline.
+            Protocol::GeoBft => {
+                let mut config = config;
+                config.params.parallel_reconfig_workflow = true;
+                Box::new(Deployment::build(config, opts, bftsmart_factory()))
+            }
         }
     }
 }

@@ -16,10 +16,9 @@ pub struct CostModel {
     pub per_event: Duration,
     /// Cost per payload byte (deserialization, hashing, copying), in nanoseconds.
     pub per_byte_ns: u64,
-    /// Cost of verifying one signature. Protocol actors call
-    /// [`crate::Context::consume`] with multiples of this when checking certificates.
+    /// Cost of verifying one signature (see [`CostModel::sig_cost`]).
     pub per_sig_verify: Duration,
-    /// Cost of producing one signature.
+    /// Cost of producing one signature (see [`CostModel::sig_cost`]).
     pub per_sign: Duration,
     /// Cost of executing one transaction against the state machine in Stage 3.
     pub per_tx_execute: Duration,
@@ -30,11 +29,6 @@ pub struct CostModel {
     /// Cost per byte persisted to the store, in nanoseconds (serialization + page
     /// writes), charged on top of `per_fsync`.
     pub persist_byte_ns: u64,
-    /// Fixed cost of admitting one broker-certified batch: a single signature
-    /// check over the batch digest plus header bookkeeping, charged once per
-    /// batch regardless of occupancy. This is the amortization the broker tier
-    /// buys — per-batch where the per-client path pays per request.
-    pub per_batch_verify: Duration,
     /// Amortized per-operation cost of unpacking a batch, in nanoseconds
     /// (deserializing and routing one operation out of an already-verified
     /// batch; far cheaper than `per_event` dispatch of a standalone request).
@@ -61,7 +55,6 @@ impl CostModel {
             per_tx_execute: Duration::from_micros(5),
             per_fsync: Duration::from_micros(100),
             persist_byte_ns: 1,
-            per_batch_verify: Duration::from_micros(40),
             per_batch_op_ns: 500,
             per_value_byte_ns: 1,
         }
@@ -78,7 +71,6 @@ impl CostModel {
             per_tx_execute: Duration::ZERO,
             per_fsync: Duration::ZERO,
             persist_byte_ns: 0,
-            per_batch_verify: Duration::ZERO,
             per_batch_op_ns: 0,
             per_value_byte_ns: 0,
         }
@@ -96,10 +88,19 @@ impl CostModel {
         self.per_fsync + Duration::from_micros((bytes as u64 * self.persist_byte_ns) / 1_000)
     }
 
-    /// Service time of admitting one broker batch of `ops` operations: one batch
-    /// signature verification plus the amortized per-operation unpacking cost.
+    /// Service time of producing `signed` signatures and checking `checked`:
+    /// the one price of a signature. The sans-I/O layers count the signatures
+    /// they make and check, and their host charges the counts through this.
+    pub fn sig_cost(&self, signed: u64, checked: u64) -> Duration {
+        self.per_sign.saturating_mul(signed) + self.per_sig_verify.saturating_mul(checked)
+    }
+
+    /// Service time of admitting one broker batch of `ops` operations: one
+    /// signature check over the batch digest, charged once per batch whatever
+    /// its occupancy (the amortization the broker tier buys), plus the
+    /// amortized per-operation unpacking cost.
     pub fn batch_cost(&self, ops: usize) -> Duration {
-        self.per_batch_verify + Duration::from_micros((ops as u64 * self.per_batch_op_ns) / 1_000)
+        self.sig_cost(0, 1) + Duration::from_micros((ops as u64 * self.per_batch_op_ns) / 1_000)
     }
 
     /// Service time of moving `bytes` committed value bytes through the state
@@ -157,7 +158,7 @@ mod tests {
     #[test]
     fn batch_cost_amortizes_over_operations() {
         let c = CostModel::cloud_vm();
-        assert_eq!(c.batch_cost(0), c.per_batch_verify);
+        assert_eq!(c.batch_cost(0), c.per_sig_verify);
         assert!(c.batch_cost(200) > c.batch_cost(1));
         // The whole point of the broker tier: admitting a 100-op batch is far
         // cheaper than dispatching 100 standalone client requests.

@@ -6,11 +6,10 @@ use crate::event::{Event, EventKind, NO_NODE};
 use crate::latency::LatencyModel;
 use crate::profile::{ActorKind, HandlerProfile, Stopwatch};
 use crate::stats::NetStats;
-use ava_types::{ClientId, Duration, Output, Region, ReplicaId, Time};
+use ava_types::{BuildIdHasher, ClientId, Duration, Output, Region, ReplicaId, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 /// Node id assigned to a client process. Clients live in a reserved id range so that
@@ -64,30 +63,6 @@ struct Origin {
     group_index: usize,
 }
 
-/// Hasher of the id → slot index. Node ids are small integers this program
-/// hands out itself (replicas count up from 0; clients, brokers and load
-/// generators from fixed bases), so one multiplication spreads them over the
-/// table; SipHash's resistance to chosen keys buys nothing here and was paid on
-/// every routed message.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u32(b.into());
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = (self.0.rotate_left(32) ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// The deterministic discrete-event simulator.
 ///
 /// `M` is the single message type exchanged by all actors of the simulation (protocol
@@ -98,8 +73,8 @@ pub struct Simulation<M: SimMessage> {
     /// they are addressed to.
     nodes: Vec<NodeSlot<M>>,
     /// Slot by node id, consulted once per routed message and per call that
-    /// names a node from outside.
-    slot_of: HashMap<ReplicaId, u32, BuildHasherDefault<IdHasher>>,
+    /// names a node from outside (SipHash there was paid on every message).
+    slot_of: HashMap<ReplicaId, u32, BuildIdHasher>,
     queue: BinaryHeap<Event<M>>,
     seq: u64,
     now: Time,

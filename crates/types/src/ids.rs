@@ -226,3 +226,38 @@ mod tests {
         assert_eq!(a.len(), 12);
     }
 }
+
+/// The hasher of the program's own keys in hot `HashMap`s, where SipHash's
+/// resistance to chosen keys buys nothing: node ids this program hands out
+/// (replicas count up from 0; clients, brokers and load generators from fixed
+/// bases), and keys that already mix their bits.
+///
+/// A key that hashes itself into one `write_u64` (the signature memo's
+/// `(signer, digest)`, the pool's sequence words) passes through as the hash;
+/// a node id's `write_u32` is spread over the table with one multiply.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+/// Builds [`IdHasher`]s: the `S` of a `HashMap<K, V, S>` keyed as above.
+pub type BuildIdHasher = std::hash::BuildHasherDefault<IdHasher>;
+
+impl std::hash::Hasher for IdHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("IdHasher keys hash through write_u32 or write_u64 only");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0.rotate_left(32) ^ u64::from(id)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, value: u64) {
+        self.0 = value;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}

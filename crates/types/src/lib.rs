@@ -6,7 +6,7 @@
 //! The types in this crate are deliberately free of protocol logic: they describe
 //! *what* flows through the system (replica/cluster identifiers, transactions,
 //! reconfiguration requests, cluster membership, virtual time) so that the protocol
-//! crates (`ava-hamava`, `ava-hotstuff`, `ava-bftsmart`, `ava-geobft`) and the
+//! crates (`ava-hamava`, `ava-hotstuff`, `ava-bftsmart`) and the
 //! simulation/benchmark crates can agree on a common vocabulary.
 
 pub mod config;
@@ -21,7 +21,9 @@ pub mod time;
 pub use config::{ClusterSpec, ProtocolParams, SystemConfig};
 pub use encode::{Encode, EncodeSink};
 pub use error::AvaError;
-pub use ids::{ClientId, ClusterId, Region, ReplicaId, Round, Timestamp, TxId};
+pub use ids::{
+    BuildIdHasher, ClientId, ClusterId, IdHasher, Region, ReplicaId, Round, Timestamp, TxId,
+};
 pub use membership::{fault_threshold, Membership, ReplicaInfo};
 pub use metrics::{Output, RejectKind, StageKind};
 pub use operation::{Operation, OperationBatch, Reconfig, Transaction, TxKind};

@@ -143,17 +143,6 @@ impl Membership {
         }
     }
 
-    /// Apply a whole reconfiguration set, joins before leaves (Alg. 10 `kickstart`
-    /// processes joins first so that leaving replicas can still help new ones).
-    pub fn apply_set(&mut self, cluster: ClusterId, set: &[Reconfig]) {
-        for rc in set.iter().filter(|rc| rc.is_join()) {
-            self.apply(cluster, rc);
-        }
-        for rc in set.iter().filter(|rc| !rc.is_join()) {
-            self.apply(cluster, rc);
-        }
-    }
-
     /// Total number of replicas across all clusters.
     pub fn total_replicas(&self) -> usize {
         self.clusters.values().map(|v| v.len()).sum()
@@ -237,24 +226,12 @@ mod tests {
         let joins: Vec<Reconfig> = (10..13)
             .map(|i| Reconfig::Join { replica: ReplicaId(i), region: Region::AsiaSouth })
             .collect();
-        m.apply_set(ClusterId(0), &joins);
+        for rc in &joins {
+            m.apply(ClusterId(0), rc);
+        }
         assert_eq!(m.size(ClusterId(0)), 7);
         assert_eq!(m.f(ClusterId(0)), 2);
         assert_eq!(m.quorum(ClusterId(0)), 5);
-    }
-
-    #[test]
-    fn apply_set_processes_joins_before_leaves() {
-        let mut m = cluster_of_size(4);
-        // A set in which the same round adds p10 and removes p0.
-        let set = vec![
-            Reconfig::Leave { replica: ReplicaId(0) },
-            Reconfig::Join { replica: ReplicaId(10), region: Region::Europe },
-        ];
-        m.apply_set(ClusterId(0), &set);
-        assert!(m.contains(ClusterId(0), ReplicaId(10)));
-        assert!(!m.contains(ClusterId(0), ReplicaId(0)));
-        assert_eq!(m.size(ClusterId(0)), 4);
     }
 
     #[test]

@@ -14,7 +14,6 @@ pub use ava_broker as broker;
 pub use ava_consensus as consensus;
 pub use ava_crypto as crypto;
 pub use ava_fuzz as fuzz;
-pub use ava_geobft as geobft;
 pub use ava_hamava as hamava;
 pub use ava_hotstuff as hotstuff;
 pub use ava_scenario as scenario;

@@ -158,6 +158,51 @@ fn geobft_baseline_and_hotstuff_both_commit_under_identical_workload() {
     assert!(completed_writes(&ava.outputs) > 0);
 }
 
+/// Mean write latency, in ms, of one 7-replica cluster priced by `costs`.
+fn one_cluster_write_latency_ms(protocol: Protocol, costs: CostModel) -> f64 {
+    let mut config = SystemConfig::homogeneous_regions(&[(7, Region::UsWest)]);
+    config.params.batch_size = 20;
+    let opts = DeploymentOptions { costs, ..quick_opts(5) };
+    let run = Scenario::builder(protocol, config)
+        .options(opts)
+        .run_for(Duration::from_secs(4))
+        .build()
+        .run();
+    let writes: Vec<f64> = run
+        .outputs
+        .iter()
+        .filter_map(|o| match o {
+            Output::TxCompleted { issued_at, completed_at, is_write: true, .. } => {
+                Some(completed_at.since(*issued_at).as_millis_f64())
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(!writes.is_empty(), "{protocol}: no write completed");
+    writes.iter().sum::<f64>() / writes.len() as f64
+}
+
+/// A signature has one price, the cost model's, and it reaches the local
+/// order: with one cluster there is no Stage 2, so the TOB's votes and
+/// certificate checks and BRD's signatures are where a pricier signature shows.
+#[test]
+fn the_cost_model_prices_every_signature_of_the_local_order() {
+    for protocol in Protocol::AVA {
+        let base = one_cluster_write_latency_ms(protocol, CostModel::cloud_vm());
+        let mut verify = CostModel::cloud_vm();
+        verify.per_sig_verify = verify.per_sig_verify.saturating_mul(4);
+        let mut sign = CostModel::cloud_vm();
+        sign.per_sign = sign.per_sign.saturating_mul(4);
+        for (knob, costs) in [("per_sig_verify", verify), ("per_sign", sign)] {
+            let priced = one_cluster_write_latency_ms(protocol, costs);
+            assert!(
+                priced > base,
+                "{protocol}: {knob} x4 gave {priced:.3} ms against {base:.3} ms"
+            );
+        }
+    }
+}
+
 #[test]
 fn a_partition_blocks_inter_cluster_progress_until_healed() {
     // New scenario shape: an inter-region partition in the middle third of the run.

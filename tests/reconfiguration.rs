@@ -276,29 +276,26 @@ fn single_workflow_applies_joins_and_leaves_hotstuff() {
     assert!(violations.is_empty(), "{violations:?}");
 }
 
-/// Finding 19 (ROADMAP findings ledger): in the single workflow a request's
-/// set commits past its round's cut, applies in the next round, and is ordered
-/// again in that round's own set, so every reconfiguration applies twice, in
-/// consecutive rounds. The second, empty application replaces the cluster's
-/// trailing view, and a block its departed member certified is then rejected
-/// (`certificate-validity`, cluster 0 rejecting cluster 1's round 125). A
-/// known-failing fixture: a fix turns it red.
+/// Finding 19 (ROADMAP findings ledger), fixed: in the single workflow a
+/// request's set commits past its round's cut, applies in the next round, and
+/// is ordered again in that round's own set. Applied twice, it replaced the
+/// cluster's trailing view, and a block its departed member certified was
+/// rejected (`certificate-validity`). `Views::apply_round` now skips a request
+/// that changes nothing, so the run is clean.
 #[test]
-fn known_failing_finding_19_single_workflow_bftsmart() {
+fn single_workflow_applies_joins_and_leaves_bftsmart() {
     let violations = single_workflow_violations(Protocol::AvaBftSmart, 22);
-    assert!(
-        violations.iter().any(|v| v.contains("certificate-validity")),
-        "finding 19 no longer reproduces (fixed? assert a clean run instead): {violations:?}"
-    );
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 /// Finding 16 (ROADMAP findings ledger): a quick fuzz case, shrunk, in which
 /// nothing is corrupted, yet the replica that joined cluster 1 rejects an
-/// honest package, so `certificate-validity` fires. It is finding 1's symptom,
-/// and its cause is not established. The cases are known-failing fixtures:
-/// they assert that the checker still fires, so a fix turns them red and they
-/// move to the regression set. Options are the quick fuzz profile's: a 12 s
-/// run, one client per cluster with 32 outstanding requests.
+/// honest package, so `certificate-validity` fires. It is finding 1's symptom.
+/// A known-failing case asserts that the checker still fires, so a fix turns
+/// it red and it moves to the regression set, as seed 260's did once a
+/// request that changes no membership stopped moving the trailing view.
+/// Options are the quick fuzz profile's: a 12 s run, one client per cluster
+/// with 32 outstanding requests.
 fn finding_16_violations(
     protocol: Protocol,
     clusters: &[(usize, Region)],
@@ -359,7 +356,7 @@ fn known_failing_finding_16_fuzz_seed_174_hotstuff() {
 }
 
 #[test]
-fn known_failing_finding_16_fuzz_seed_260_bftsmart() {
+fn finding_16_fuzz_seed_260_bftsmart_runs_clean() {
     let violations = finding_16_violations(
         Protocol::AvaBftSmart,
         &[(5, Region::Europe), (4, Region::Europe)],
@@ -373,5 +370,5 @@ fn known_failing_finding_16_fuzz_seed_260_bftsmart() {
             (Time::from_millis(6_241), ScenarioEvent::Leave { replica: ReplicaId(4) }),
         ],
     );
-    assert_finding_16(&violations, ReplicaId(9));
+    assert!(violations.is_empty(), "{violations:?}");
 }
