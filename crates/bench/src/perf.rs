@@ -206,8 +206,9 @@ fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration)
     dep.run_for(run_for);
     let profile = dep.handler_profile().expect("switched on above");
     let events = dep.net_stats().events_processed;
-    let total = profile.total_ns().max(1) as f64;
-    let rows: Vec<Vec<String>> = profile_buckets(profile, events)
+    let buckets = profile_buckets(profile, events);
+    let total = buckets.iter().map(|(_, r)| r.handler_ns + r.post_ns).sum::<u64>().max(1) as f64;
+    let rows: Vec<Vec<String>> = buckets
         .into_iter()
         .map(|(name, r)| {
             let per_event = |ns: u64| fmt(ns as f64 / r.events.max(1) as f64, 0);
@@ -224,7 +225,13 @@ fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration)
         })
         .collect();
     print_table(
-        &format!("handler profile ({what}): {events} events, {:.0} ms of host time", total / 1e6),
+        &format!(
+            "handler profile ({what}): {events} events, {:.0} ms of host time net of the \
+             profile's clock ({} ns a lap, {:.0} ms netted out)",
+            total / 1e6,
+            profile.lap_ns,
+            (profile.total_ns() as f64 - total) / 1e6
+        ),
         &[
             "actor · kind",
             "events",
@@ -242,12 +249,19 @@ fn print_profile(what: &str, mut dep: Box<dyn DynDeployment>, run_for: Duration)
 
 /// The rows of a handler-profile table: one per (actor kind × event kind)
 /// bucket of `profile`, named "<actor> <kind>", plus one for the queue pops
-/// over all `events`; largest host time (handler + post) first.
+/// over all `events`; largest host time (handler + post) first. Every pop,
+/// handler and post time is net of the profile's own clock: one calibrated
+/// lap per event each.
 fn profile_buckets(profile: &HandlerProfile, events: u64) -> Vec<(String, ProfileRow)> {
-    let pops = ProfileRow { events, post_ns: profile.pop_ns, ..ProfileRow::default() };
+    let net = |ns: u64, events: u64| ns.saturating_sub(profile.lap_ns * events);
+    let pops = ProfileRow { events, post_ns: net(profile.pop_ns, events), ..ProfileRow::default() };
     let mut rows: Vec<(String, ProfileRow)> = profile
         .rows()
-        .map(|(actor, kind, row)| (format!("{} {kind}", actor.label()), row))
+        .map(|(actor, kind, row)| {
+            let handler_ns = net(row.handler_ns, row.events);
+            let row = ProfileRow { handler_ns, post_ns: net(row.post_ns, row.events), ..row };
+            (format!("{} {kind}", actor.label()), row)
+        })
         .chain([("(queue pop)".to_string(), pops)])
         .collect();
     rows.sort_by_key(|(_, r)| std::cmp::Reverse(r.handler_ns + r.post_ns));
@@ -260,22 +274,26 @@ mod tests {
 
     /// The buckets of a short profiled run of the KV shape's deployment
     /// (2 × 4 replicas, one region), with the run's total profiled host time.
-    fn small_profile() -> (Vec<(String, ProfileRow)>, u64, u64) {
+    fn small_profile() -> (Vec<(String, ProfileRow)>, u64, u64, u64) {
         let config = SystemConfig::even_split_single_region(8, 2, Region::UsWest);
         let mut dep = Protocol::AvaHotStuff.deploy(config, opts(7));
         dep.enable_profile();
         dep.run_for(Duration::from_millis(300));
         let profile = dep.handler_profile().expect("switched on above");
         let events = dep.net_stats().events_processed;
-        (profile_buckets(profile, events), profile.total_ns(), events)
+        (profile_buckets(profile, events), profile.total_ns(), events, profile.lap_ns)
     }
 
     #[test]
     fn profile_buckets_account_for_all_host_time_largest_first() {
-        let (buckets, total_ns, events) = small_profile();
+        let (buckets, total_ns, events, lap_ns) = small_profile();
         assert!(events > 0, "the run processed no events");
         let cost = |r: &ProfileRow| r.handler_ns + r.post_ns;
-        assert_eq!(buckets.iter().map(|(_, r)| cost(r)).sum::<u64>(), total_ns);
+        // Net of one clock lap per interval: a pop per event, a handler and
+        // a post per handled one (a bucket that reads less is clamped at 0).
+        let handled: u64 = buckets.iter().map(|(_, r)| r.events).sum::<u64>() - events;
+        let netted = buckets.iter().map(|(_, r)| cost(r)).sum::<u64>();
+        assert!(netted <= total_ns && netted + lap_ns * (events + 2 * handled) >= total_ns);
         assert!(buckets.windows(2).all(|w| cost(&w[0].1) >= cost(&w[1].1)));
         let pops: Vec<_> = buckets.iter().filter(|(name, _)| name == "(queue pop)").collect();
         assert_eq!(pops.len(), 1);
@@ -285,7 +303,7 @@ mod tests {
 
     #[test]
     fn profile_buckets_name_the_actor_tier_of_every_handler_row() {
-        let (buckets, _, events) = small_profile();
+        let (buckets, _, events, _) = small_profile();
         let handled: Vec<_> = buckets.iter().filter(|(name, _)| name != "(queue pop)").collect();
         for tier in ["replica ", "client "] {
             assert!(

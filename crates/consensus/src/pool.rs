@@ -34,7 +34,7 @@ pub struct PendingPool {
     /// re-forwarded values.
     seen: Seen,
     /// Operations this replica broadcast that have not been delivered yet.
-    my_undelivered: Vec<Operation>,
+    my_undelivered: Undelivered,
     /// When this replica started waiting: the first of `my_undelivered` was
     /// broadcast, or the last delivery while some were left (watchdog reference
     /// point).
@@ -62,10 +62,11 @@ impl PendingPool {
         self.my_undelivered.push(op);
     }
 
-    /// Operations this replica broadcast that are still undelivered (re-sent to a new
-    /// leader after a leader change).
-    pub fn my_undelivered(&self) -> &[Operation] {
-        &self.my_undelivered
+    /// Operations this replica broadcast that are still undelivered, in the
+    /// order it broadcast them (re-sent to a new leader after a leader
+    /// change).
+    pub fn my_undelivered(&self) -> impl Iterator<Item = &Operation> + '_ {
+        self.my_undelivered.iter()
     }
 
     /// Add an operation to the leader-side pending pool, deduplicating by
@@ -109,13 +110,18 @@ impl PendingPool {
         self.drop_pending(ops);
     }
 
-    /// Drop `ops` from the pending queue: a former leader's queue may still hold
-    /// what a later leader has since ordered (an abandoned proposal it took
-    /// back), and must not propose it again if the lead returns.
+    /// Drop every pending operation equal to one of `ops`, keeping the order
+    /// of the rest: a former leader's queue may still hold what a later
+    /// leader has since ordered (an abandoned proposal it took back), and must
+    /// not propose it again if the lead returns. The block is indexed by id
+    /// once, so each pending transaction is compared only with the block's
+    /// operations of its id.
     pub fn drop_pending(&mut self, ops: &[Operation]) {
-        if !self.pending.is_empty() {
-            self.pending.retain(|p| !ops.contains(p));
+        if self.pending.is_empty() || ops.is_empty() {
+            return;
         }
+        let block = BlockIndex::new(ops);
+        self.pending.retain(|p| !block.contains(p));
     }
 
     /// Record that a block's operations were delivered: clears them from this
@@ -125,49 +131,13 @@ impl PendingPool {
         if let Some(since) = self.waiting_since {
             self.worst_gap = self.worst_gap.max(now.since(since));
         }
-        self.forget_delivered(ops);
+        self.my_undelivered.forget(ops);
         if self.my_undelivered.is_empty() {
             self.waiting_since = None;
             self.complained = false;
         } else {
             self.waiting_since = Some(now);
         }
-    }
-
-    /// Drop from `my_undelivered`, in order, every operation equal to one of
-    /// `ops` — what a `retain` that scans `ops` does, without its |mine| ×
-    /// |block| compares. My transactions are indexed by id once (sorted), and
-    /// each transaction of the block is compared only with those of mine
-    /// that carry its id; an operation of the block that is not a
-    /// transaction is compared with each of mine.
-    fn forget_delivered(&mut self, ops: &[Operation]) {
-        let mine = &self.my_undelivered;
-        if mine.is_empty() {
-            return;
-        }
-        let mut by_id: Vec<(TxId, usize)> = mine
-            .iter()
-            .enumerate()
-            .filter_map(|(i, op)| match op {
-                Operation::Trans(tx) => Some((tx.id, i)),
-                _ => None,
-            })
-            .collect();
-        by_id.sort_unstable();
-        let mut delivered = vec![false; mine.len()];
-        for op in ops {
-            match op {
-                Operation::Trans(tx) => {
-                    let from = by_id.partition_point(|(id, _)| *id < tx.id);
-                    for &(_, i) in by_id[from..].iter().take_while(|(id, _)| *id == tx.id) {
-                        delivered[i] |= mine[i] == *op;
-                    }
-                }
-                _ => mine.iter().zip(&mut delivered).for_each(|(m, d)| *d |= m == op),
-            }
-        }
-        let mut delivered = delivered.into_iter();
-        self.my_undelivered.retain(|_| !delivered.next().expect("one flag per operation"));
     }
 
     /// How long this replica waits for a delivery before it suspects the
@@ -205,6 +175,167 @@ impl PendingPool {
     }
 }
 
+/// A transaction id as a hash-table key: it hashes itself with
+/// [`fold_mul`], so a client's consecutive sequence numbers spread over the
+/// table with no SipHash rounds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct TxKey(TxId);
+
+impl Hash for TxKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(fold_mul(self.0.seq, self.0.client.0));
+    }
+}
+
+/// One folded 64 × 64 → 128-bit multiply of `wide` and `client`, each offset
+/// by a constant: consecutive values of `wide` and different clients' equal
+/// values both spread over the low bits a table indexes by.
+fn fold_mul(wide: u64, client: u32) -> u64 {
+    let product = u128::from(wide ^ 0x243f_6a88_85a3_08d3)
+        * u128::from(u64::from(client) ^ 0x1319_8a2e_0370_7345);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// The index entry that ends a chain.
+const NO_SLOT: u64 = u64::MAX;
+
+/// This replica's own broadcasts that are not delivered yet, in the order it
+/// broadcast them, its transactions indexed by id across deliveries: a
+/// delivered block costs one lookup per operation, not an index rebuilt over
+/// everything still waiting.
+///
+/// Broadcast number `first + i` sits in `slots[i]`. A delivered one leaves a
+/// hole, popped once every broadcast before it is gone too, and the slots
+/// are compacted when holes outnumber the live ones. `by_id` names the
+/// latest broadcast under each transaction id, and each slot the one before
+/// it under the same id, so the broadcasts that share an id form a chain —
+/// through holes, which keep their link — ending at [`NO_SLOT`] or at a
+/// popped number. A control operation (one or two a round) is compared with
+/// each slot instead.
+#[derive(Debug, Default)]
+struct Undelivered {
+    slots: VecDeque<MineSlot>,
+    first: u64,
+    live: usize,
+    controls: usize,
+    by_id: HashMap<TxKey, u64, BuildIdHasher>,
+}
+
+#[derive(Debug)]
+struct MineSlot {
+    /// The broadcast; `None` once delivered.
+    op: Option<Operation>,
+    /// The previous broadcast under the same transaction id, or [`NO_SLOT`].
+    earlier: u64,
+}
+
+impl Undelivered {
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Operation> + '_ {
+        self.slots.iter().filter_map(|slot| slot.op.as_ref())
+    }
+
+    fn push(&mut self, op: Operation) {
+        let at = self.first + self.slots.len() as u64;
+        let earlier = match &op {
+            Operation::Trans(tx) => self.by_id.insert(TxKey(tx.id), at).unwrap_or(NO_SLOT),
+            _ => {
+                self.controls += 1;
+                NO_SLOT
+            }
+        };
+        self.slots.push_back(MineSlot { op: Some(op), earlier });
+        self.live += 1;
+    }
+
+    /// Drop every broadcast equal to one of `ops`, keeping the order of the
+    /// rest — what a `retain` that scans `ops` does.
+    fn forget(&mut self, ops: &[Operation]) {
+        for op in ops {
+            match op {
+                Operation::Trans(tx) => self.forget_tx(op, TxKey(tx.id)),
+                _ if self.controls > 0 => {
+                    for slot in self.slots.iter_mut().filter(|slot| slot.op.as_ref() == Some(op)) {
+                        slot.op = None;
+                        self.live -= 1;
+                        self.controls -= 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        while self.slots.front().is_some_and(|slot| slot.op.is_none()) {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+        if self.slots.len() > 2 * self.live + 64 {
+            let live: Vec<Operation> = self.slots.drain(..).filter_map(|slot| slot.op).collect();
+            *self = Undelivered::default();
+            live.into_iter().for_each(|op| self.push(op));
+        }
+    }
+
+    /// Walk the chain of `key`, dropping the broadcasts equal to `op`; the
+    /// id leaves the index once nothing under it is left.
+    fn forget_tx(&mut self, op: &Operation, key: TxKey) {
+        let Some(&latest) = self.by_id.get(&key) else { return };
+        let mut left = false;
+        let mut at = latest;
+        while at != NO_SLOT && at >= self.first {
+            let slot = &mut self.slots[(at - self.first) as usize];
+            match &slot.op {
+                Some(mine) if mine == op => {
+                    slot.op = None;
+                    self.live -= 1;
+                }
+                Some(_) => left = true,
+                None => {}
+            }
+            at = slot.earlier;
+        }
+        if !left {
+            self.by_id.remove(&key);
+        }
+    }
+}
+
+/// A block's operations by transaction id, for exact membership tests: the
+/// first position of each id, and from each position the next one of its id.
+struct BlockIndex<'a> {
+    ops: &'a [Operation],
+    first: HashMap<TxKey, usize, BuildIdHasher>,
+    next: Vec<usize>,
+}
+
+impl<'a> BlockIndex<'a> {
+    fn new(ops: &'a [Operation]) -> Self {
+        let mut first = HashMap::with_capacity_and_hasher(ops.len(), BuildIdHasher::default());
+        let mut next = vec![usize::MAX; ops.len()];
+        for (i, op) in ops.iter().enumerate().rev() {
+            if let Operation::Trans(tx) = op {
+                next[i] = first.insert(TxKey(tx.id), i).unwrap_or(usize::MAX);
+            }
+        }
+        BlockIndex { ops, first, next }
+    }
+
+    /// Whether the block holds an operation equal to `op`.
+    fn contains(&self, op: &Operation) -> bool {
+        let Operation::Trans(tx) = op else { return self.ops.contains(op) };
+        let mut at = self.first.get(&TxKey(tx.id)).copied().unwrap_or(usize::MAX);
+        while at != usize::MAX {
+            if self.ops[at] == *op {
+                return true;
+            }
+            at = self.next[at];
+        }
+        false
+    }
+}
+
 /// What a pool has seen, by identity. A transaction is its [`TxId`]: one
 /// `u64` word per `(client, seq >> 6)` holds bit `seq & 63` of each of its 64
 /// sequence numbers, so a client's run of transactions costs a bit each and
@@ -239,13 +370,9 @@ struct WordKey {
 }
 
 impl Hash for WordKey {
-    /// One folded 64 × 64 → 128-bit multiply of the two halves: a client's
-    /// consecutive blocks and different clients' equal blocks both spread
-    /// over the low bits the table indexes by, with no SipHash rounds.
+    /// [`fold_mul`] of the two halves, with no SipHash rounds.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        let product = u128::from(self.block ^ 0x243f_6a88_85a3_08d3)
-            * u128::from(u64::from(self.client) ^ 0x1319_8a2e_0370_7345);
-        state.write_u64(product as u64 ^ (product >> 64) as u64);
+        state.write_u64(fold_mul(self.block, self.client));
     }
 }
 
@@ -579,9 +706,9 @@ mod tests {
         pool.record_my_broadcast(op(1), ms(0));
         pool.record_my_broadcast(op(2), ms(0));
         pool.mark_delivered(&[op(1)], ms(1));
-        assert_eq!(pool.my_undelivered(), &[op(2)]);
+        assert!(pool.my_undelivered().eq(&[op(2)]));
         pool.mark_delivered(&[op(2)], ms(2));
-        assert!(pool.my_undelivered().is_empty());
+        assert_eq!(pool.my_undelivered().next(), None);
         assert_eq!(pool.should_complain(ms(100_000), EPSILON, TIMEOUT), None);
     }
 
@@ -601,18 +728,70 @@ mod tests {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let n = vocabulary.len() as u64;
         for case in 0..500 {
-            let mut ops = |len| -> Vec<Operation> {
-                (0..len).map(|_| vocabulary[draw(&mut state, n) as usize].clone()).collect()
-            };
-            let mine = ops(case % 35);
-            let block = ops(case % 7 * 3);
+            // Broadcasts and deliveries interleaved: the index lives across
+            // deliveries.
             let mut pool = PendingPool::new();
-            for op in &mine {
-                pool.record_my_broadcast(op.clone(), ms(0));
+            let mut left: Vec<Operation> = Vec::new();
+            for step in 0..4 {
+                let mut ops = |len| -> Vec<Operation> {
+                    (0..len).map(|_| vocabulary[draw(&mut state, n) as usize].clone()).collect()
+                };
+                let mine = ops(case % 35);
+                let block = ops(case % 7 * 3);
+                for op in mine {
+                    pool.record_my_broadcast(op.clone(), ms(step));
+                    left.push(op);
+                }
+                pool.mark_delivered(&block, ms(step + 1));
+                left.retain(|m| !block.contains(m));
+                assert!(pool.my_undelivered().eq(&left), "case {case} step {step}, {block:?}");
             }
-            pool.mark_delivered(&block, ms(1));
-            let left: Vec<Operation> = mine.into_iter().filter(|m| !block.contains(m)).collect();
-            assert_eq!(pool.my_undelivered(), left, "case {case}, block {block:?}");
         }
+
+        // One id, two contents: delivering one keeps the other in its place,
+        // across deliveries that pile holes up behind an operation never
+        // delivered until the slots are compacted.
+        let mut pool = PendingPool::new();
+        let stuck = Operation::RoundCut { round: Round(9) };
+        for op in [stuck.clone(), op(1), other(1)] {
+            pool.record_my_broadcast(op, ms(0));
+        }
+        for seq in 10..300 {
+            pool.record_my_broadcast(op(seq), ms(seq));
+            pool.mark_delivered(&[op(seq)], ms(seq));
+            assert!(pool.my_undelivered.slots.len() <= 2 * 3 + 64, "holes are compacted");
+        }
+        pool.mark_delivered(&[other(1)], ms(300));
+        assert!(pool.my_undelivered().eq(&[stuck.clone(), op(1)]));
+        pool.mark_delivered(&[op(1), other(1)], ms(301));
+        assert!(pool.my_undelivered().eq(std::slice::from_ref(&stuck)));
+        assert!(pool.my_undelivered.by_id.is_empty(), "no id is left indexed");
+        pool.mark_delivered(&[stuck], ms(302));
+        assert_eq!(pool.my_undelivered().next(), None);
+    }
+
+    #[test]
+    fn dropping_a_block_from_a_large_queue_keeps_the_rest_in_order() {
+        // 5 000 pending, a 500-operation block: every third pending
+        // transaction, as many of their ids under other contents (which stay),
+        // transactions the queue never held and two controls.
+        let other = |seq| Operation::Trans(Transaction::write(ClientId(0), seq, seq + 1, 128));
+        let mut pool = PendingPool::new();
+        let cuts =
+            [Operation::RoundCut { round: Round(1) }, Operation::RoundCut { round: Round(2) }];
+        for seq in 0..4_998 {
+            pool.enqueue(op(seq));
+        }
+        cuts.iter().for_each(|cut| _ = pool.enqueue(cut.clone()));
+        let mut block: Vec<Operation> = (0..166).map(|i| op(3 * i)).collect();
+        block.extend((0..166).map(|i| other(3 * i + 1)));
+        block.extend((0..166).map(|i| op(10_000 + i)));
+        block.extend([cuts[1].clone(), Operation::RoundCut { round: Round(5) }]);
+        assert_eq!((pool.pending_len(), block.len()), (5_000, 500));
+        let mut expected = pool.pending.clone();
+        expected.retain(|p| !block.contains(p));
+        pool.drop_pending(&block);
+        assert_eq!(pool.pending, expected);
+        assert_eq!(pool.pending_len(), 5_000 - 166 - 1);
     }
 }

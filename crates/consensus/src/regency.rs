@@ -315,7 +315,7 @@ impl<P: Phases> TotalOrderBroadcast for P {
         // Every replica re-forwards its own undelivered operations to the new
         // leader (the leader re-queues its own), so nothing is lost.
         if regency.is_leader() {
-            for op in regency.pool.my_undelivered().to_vec() {
+            for op in regency.pool.my_undelivered().cloned().collect::<Vec<_>>() {
                 regency.pool.enqueue(op);
             }
             regency.reports.insert(regency.cfg.me, report);

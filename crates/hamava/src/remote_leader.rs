@@ -197,12 +197,20 @@ impl RemoteLeaderChange {
         out
     }
 
-    fn broadcast_lcomplaint(&self, about: ClusterId, cn: u64, out: &mut Vec<RemoteLeaderAction>) {
+    /// Sign a local complaint about `about` and send it to every member;
+    /// returns the signature.
+    fn broadcast_lcomplaint(
+        &self,
+        about: ClusterId,
+        cn: u64,
+        out: &mut Vec<RemoteLeaderAction>,
+    ) -> Signature {
         let sig = self.keypair.sign(&lcomplaint_digest(about, cn, self.round));
         let msg = RemoteLeaderMsg::LComplaint { about, cn, round: self.round, sig };
         for member in self.membership.member_ids(self.my_cluster) {
             out.push(RemoteLeaderAction::Send { to: member, msg: msg.clone() });
         }
+        sig
     }
 
     /// Handle a protocol message.
@@ -263,11 +271,9 @@ impl RemoteLeaderChange {
         if count >= fi + 1 && !watch.complained {
             watch.complained = true;
             let my_cn = watch.cn;
-            let _ = watch;
-            // Re-borrow after the broadcast (broadcast_lcomplaint needs &self only).
-            self.broadcast_lcomplaint(about, my_cn, out);
+            // Count the complaint this replica signs for its own broadcast.
+            let my_sig = self.broadcast_lcomplaint(about, my_cn, out);
             let watch = self.watches.get_mut(&about).expect("watch exists");
-            let my_sig = self.keypair.sign(&lcomplaint_digest(about, my_cn, self.round));
             watch.complaint_sigs.insert(my_sig);
             self.accept_if_quorum(about, fi, &my_members, &remote_targets, now, out);
             return;

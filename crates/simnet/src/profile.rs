@@ -5,6 +5,9 @@
 //! the host clock around every queue pop, every [`crate::Actor`] call and the
 //! work that follows it (collecting outputs, arming timers, routing sends), and
 //! accumulates the readings per (actor kind × [`crate::SimMessage::kind_label`]).
+//! Each of those three intervals holds one clock read of its own;
+//! [`HandlerProfile::lap_ns`], calibrated when the profile is switched on, is
+//! what a reader nets out per interval.
 //! Switched off — the default — the loop runs a copy of itself compiled without
 //! the clock reads, chosen by one branch per event, so a run's outputs,
 //! [`crate::NetStats`] and cost are what they were without this module.
@@ -62,6 +65,11 @@ pub struct HandlerProfile {
     /// Host nanoseconds popping events off the queue, all events together
     /// (events dropped before reaching a handler included).
     pub pop_ns: u64,
+    /// What one lap of the clock costs on this host, calibrated when the
+    /// profile was switched on: each pop, handler and post interval of an
+    /// event holds one, so `pop_ns`, `handler_ns` and `post_ns` each read
+    /// `lap_ns` per event above the work they time.
+    pub lap_ns: u64,
 }
 
 impl HandlerProfile {
@@ -78,6 +86,20 @@ impl HandlerProfile {
     /// post-handler work.
     pub fn total_ns(&self) -> u64 {
         self.pop_ns + self.rows.values().map(|r| r.handler_ns + r.post_ns).sum::<u64>()
+    }
+
+    /// An empty profile, its clock lap calibrated on this host: the mean of
+    /// 2 000 back-to-back laps, the lowest of five such batches (a batch the
+    /// host preempted reads high).
+    pub(crate) fn calibrated() -> Self {
+        let lap_ns = (0..5)
+            .map(|_| {
+                let mut watch = Instant::start();
+                (0..2_000).map(|_| watch.lap_ns()).sum::<u64>() / 2_000
+            })
+            .min()
+            .unwrap_or(0);
+        HandlerProfile { lap_ns, ..HandlerProfile::default() }
     }
 }
 
@@ -125,6 +147,16 @@ mod tests {
         assert_eq!(ActorKind::of(ReplicaId(first_client.0 - 1)), ActorKind::Replica);
         assert_eq!(ActorKind::of(first_client), ActorKind::Client);
         assert_eq!(ActorKind::of(crate::client_node_id(ClientId(41))), ActorKind::Client);
+    }
+
+    #[test]
+    fn the_calibrated_lap_is_a_clock_read() {
+        // A lap is one clock read: far less than a microsecond on any host
+        // the profile is meant for. A profile not built calibrated nets
+        // nothing out.
+        let lap = HandlerProfile::calibrated().lap_ns;
+        assert!(lap < 1_000, "{lap} ns per lap");
+        assert_eq!(HandlerProfile::default().lap_ns, 0);
     }
 
     #[test]

@@ -269,7 +269,7 @@ impl<M: SimMessage> Simulation<M> {
     /// nothing else: outputs, [`NetStats`] and every virtual time are those of
     /// the unprofiled run.
     pub fn enable_profile(&mut self) {
-        self.profile.get_or_insert_with(Box::default);
+        self.profile.get_or_insert_with(|| Box::new(HandlerProfile::calibrated()));
     }
 
     /// The handler profile accumulated so far, if switched on.

@@ -17,7 +17,7 @@
 //! [`KvEntry`] caches its BLAKE2s-256 hash as a *leaf*, so every committed
 //! value is hashed once and an overwrite re-reads no old bytes
 //! ([`leaf_hash_stats`] counts the leaves hashed). A round is applied at once
-//! ([`StateMachine::apply_round`]), so its leaves are hashed eight at a time
+//! ([`StateMachine::apply_round`]), so its leaves are hashed four at a time
 //! (`ava_crypto::blake2s::blake2s_many`), and only the round's last write of
 //! each key is built and hashed: an earlier one would leave the set-hash as
 //! soon as it entered. The counter machine hashes
@@ -27,8 +27,10 @@
 //! which is what lets the fuzzer's execution-agreement checker compare full
 //! state digests across replicas after recovery.
 //!
-//! Both machines are copy-on-write values: [`StateMachine::fork`] copies a
-//! pointer, a write copies only the page it touches, and a [`StateVersion`]
+//! Both machines are copy-on-write values over one page map — dense pages of
+//! 512 consecutive keys' slots, a read or a commit a page lookup and an index:
+//! [`StateMachine::fork`] copies a pointer, a write copies only the page it
+//! touches (one array clone), and a [`StateVersion`]
 //! names one state by identity — which is what lets the replicas of a
 //! deployment that apply the same rounds share one executed result.
 //!

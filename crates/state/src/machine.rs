@@ -174,20 +174,108 @@ fn xor_acc(acc: &mut [u8; 32], h: &[u8; 32]) {
     }
 }
 
-/// Keys per page, in both machines: `key >> PAGE_BITS` names the page, the low
-/// bits the slot. Settled for the counter machine by interleaved A/B on the
-/// paper's deployment (`geo_hetero_counter`, 100 000 Zipf keys × 42 replicas,
-/// six pairs each, `host_cpu_us_per_op` against 512 slots): 64 slots +7.2 %
-/// (0 of 6 pairs — a 1 563-entry page map to walk per write); 4 096 slots
-/// −1.5 % (6 of 6, but inside the runs' own quartile distance) for eight times
-/// the sparse worst case below. 512 it is. A page is also the copy-on-write
-/// unit: the first write to a shared page copies that page (4 KiB of
-/// counters, or up to 512 `KvEntry`s) and no other.
-const PAGE_BITS: u32 = 9;
-const PAGE_SLOTS: usize = 1 << PAGE_BITS;
+/// Keys per page, in both machines: `key / PAGE_SLOTS` names the page, the
+/// low bits the slot. Settled by interleaved A/B, `host_cpu_us_per_op`
+/// against 512 slots:
+/// - counters, on the paper's deployment (`geo_hetero_counter`, 100 000 Zipf
+///   keys × 42 replicas, six pairs each): 64 slots +7.2 % (0 of 6 pairs — a
+///   1 563-entry page map to walk per write); 4 096 slots −1.5 % (6 of 6, but
+///   inside the runs' own quartile distance) for eight times the sparse worst
+///   case below;
+/// - KV entries (six pairs each, seed 7): 64 slots +2.9 % on `kv_write_1kib`
+///   (0 of 6 — its rounds of ≈ 99 writes over 2 000 uniform keys touch
+///   nearly every page of any size down to 64, so a smaller page copies as
+///   much and walks a longer page map) and +2.0 % on `kv_read_scan` (2 of 6).
+///
+/// 512 it is. A page is also the copy-on-write unit: the first write to a
+/// shared page copies that page (4 KiB of counters, or 32 KiB of
+/// `Option<KvEntry>` slots) and no other.
+const PAGE_SLOTS: usize = 512;
 
-/// One dense run of `PAGE_SLOTS` consecutive keys' counters; `0` = absent.
-type CounterPage = Arc<[u64; PAGE_SLOTS]>;
+/// What a page holds per key: a present value, or the absent slot.
+trait Slot: Clone {
+    /// What a present key holds.
+    type Value;
+    /// The slot of an absent key.
+    const ABSENT: Self;
+    /// The value, if the key is present.
+    fn value(&self) -> Option<&Self::Value>;
+}
+
+/// A counter slot: `0` is absent (no apply history makes a zero counter).
+impl Slot for u64 {
+    type Value = u64;
+    const ABSENT: u64 = 0;
+    fn value(&self) -> Option<&u64> {
+        (*self != 0).then_some(self)
+    }
+}
+
+/// A KV slot: the committed entry, if any.
+impl Slot for Option<KvEntry> {
+    type Value = KvEntry;
+    const ABSENT: Self = None;
+    fn value(&self) -> Option<&KvEntry> {
+        self.as_ref()
+    }
+}
+
+/// The copy-on-write key → slot map both machines keep their state in: dense
+/// `Arc`-shared pages of [`PAGE_SLOTS`] consecutive keys, found through an
+/// ordered page map. A read is a page lookup and an index; a write copies
+/// the page first only while another holder shares it, as one array clone.
+/// A page exists only once a key in it was written, and no write empties a
+/// slot, so equal states have equal page maps.
+#[derive(Clone, PartialEq, Eq, Debug)]
+struct Pages<T> {
+    pages: BTreeMap<u64, Arc<[T; PAGE_SLOTS]>>,
+}
+
+impl<T> Default for Pages<T> {
+    fn default() -> Self {
+        Pages { pages: BTreeMap::new() }
+    }
+}
+
+/// The page of `key` and its slot there.
+fn page_of(key: u64) -> (u64, usize) {
+    (key / PAGE_SLOTS as u64, (key % PAGE_SLOTS as u64) as usize)
+}
+
+impl<T: Slot> Pages<T> {
+    /// The value under `key`, if present.
+    fn get(&self, key: u64) -> Option<&T::Value> {
+        let (page, slot) = page_of(key);
+        self.pages.get(&page)?[slot].value()
+    }
+
+    /// The slot of `key`, to write: its page is made on first use, and
+    /// copied first while another holder shares it.
+    fn slot_mut(&mut self, key: u64) -> &mut T {
+        let (page, slot) = page_of(key);
+        let page =
+            self.pages.entry(page).or_insert_with(|| Arc::new([const { T::ABSENT }; PAGE_SLOTS]));
+        &mut Arc::make_mut(page)[slot]
+    }
+
+    /// The present keys at or after `start` and their values, in key order.
+    fn iter_from(&self, start: u64) -> impl Iterator<Item = (u64, &T::Value)> + '_ {
+        let (first, skip) = page_of(start);
+        self.pages.range(first..).flat_map(move |(&page, slots)| {
+            let from = if page == first { skip } else { 0 };
+            let base = page * PAGE_SLOTS as u64;
+            slots[from..]
+                .iter()
+                .zip(from as u64..)
+                .filter_map(move |(slot, i)| slot.value().map(|value| (base + i, value)))
+        })
+    }
+
+    /// The present keys and their values, in key order.
+    fn iter(&self) -> impl Iterator<Item = (u64, &T::Value)> + '_ {
+        self.iter_from(0)
+    }
+}
 
 thread_local! {
     /// The empty state every `CounterMachine::default()` on this thread holds,
@@ -234,7 +322,8 @@ pub fn leaf_hash_stats() -> LeafHashStats {
 /// set-hash instead).
 ///
 /// **Layout.** Counters live in dense 4 KiB pages of 512 consecutive keys,
-/// found through a small ordered page map. Every generator in the tree draws
+/// found through a small ordered page map (the `Pages` map the KV machine
+/// also uses). Every generator in the tree draws
 /// keys from a dense `0..key_space` through `Zipfian::sample` (key = rank, so
 /// the hot keys are the low ones): the page map of a 100 000-key space has 196
 /// entries, the Zipf head sits in a handful of pages that stay cache-resident,
@@ -260,7 +349,7 @@ pub struct CounterMachine {
 
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 struct CounterState {
-    pages: BTreeMap<u64, CounterPage>,
+    pages: Pages<u64>,
     entries: u64,
 }
 
@@ -278,7 +367,7 @@ impl CounterMachine {
         let mut restored = CounterState::default();
         for (key, count) in state {
             if count > 0 {
-                let first = std::mem::replace(restored.slot(key), count) == 0;
+                let first = std::mem::replace(restored.pages.slot_mut(key), count) == 0;
                 restored.entries += first as u64;
             }
         }
@@ -295,25 +384,13 @@ impl CounterMachine {
 
     /// The present `(key, count)` pairs in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.state.pages.iter().flat_map(|(page, slots)| {
-            let base = page << PAGE_BITS;
-            slots
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| **c > 0)
-                .map(move |(i, c)| (base | i as u64, *c))
-        })
+        self.state.pages.iter().map(|(key, count)| (key, *count))
     }
 }
 
 impl CounterState {
-    fn slot(&mut self, key: u64) -> &mut u64 {
-        let page = self.pages.entry(key >> PAGE_BITS).or_insert_with(|| Arc::new([0; PAGE_SLOTS]));
-        &mut Arc::make_mut(page)[(key & (PAGE_SLOTS as u64 - 1)) as usize]
-    }
-
     fn bump(&mut self, key: u64) {
-        let slot = self.slot(key);
+        let slot = self.pages.slot_mut(key);
         let first_write = *slot == 0;
         *slot += 1;
         self.entries += first_write as u64;
@@ -482,14 +559,23 @@ fn writes(tx: &Transaction) -> (&[u64], u32) {
     }
 }
 
-/// The entries of `PAGE_SLOTS` consecutive keys, by full key.
-type KvPage = BTreeMap<u64, KvEntry>;
-
 /// The real keyed KV machine: `key → {version, value bytes, last-writer
-/// round}`, with multi-key writes and range reads. Entries live in pages of
-/// 512 consecutive keys (the counter machine's `key >> 9` layout), `Arc`-shared
-/// copy-on-write (see [`StateMachine`]): a write after a fork copies the page
-/// map once and the one page it lands in, never the whole state.
+/// round}`, with multi-key writes and range reads.
+///
+/// **Layout.** Entries live in the counter machine's dense pages: 512 slots
+/// of `Option<KvEntry>` (64 bytes each, the value bytes behind their own
+/// `Arc`) per page, the page named by `key >> 9` and the slot by the low
+/// bits, `Arc`-shared copy-on-write (see [`StateMachine`]). A write after a
+/// fork copies the page map once and the page it lands in — one 32 KiB array
+/// clone, which bumps the count of each present value and copies no value
+/// bytes — never the whole state; a read, a commit and the start of a scan
+/// are a page lookup and an index.
+///
+/// **Sparse worst case.** A key with no neighbour within its page holds a
+/// whole page: 32 KiB of slots for one entry, so *n* isolated keys cost *n* ×
+/// 32 KiB beside their values (a test pins it). The workloads in the tree
+/// draw keys from a dense `0..key_space`, where a page of 512 written keys
+/// costs 64 bytes per key.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct KvMachine {
     state: Arc<KvState>,
@@ -497,7 +583,7 @@ pub struct KvMachine {
 
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 struct KvState {
-    pages: BTreeMap<u64, Arc<KvPage>>,
+    pages: Pages<Option<KvEntry>>,
     entries: u64,
     acc: [u8; 32],
     value_bytes: u64,
@@ -534,28 +620,26 @@ impl KvMachine {
     /// version of its own: the accumulator folds the given leaves. For
     /// images of state from elsewhere (see [`StateSnapshot::kv_entries`]).
     pub(crate) fn build(entries: impl IntoIterator<Item = (u64, KvEntry)>) -> Self {
-        let mut pages: BTreeMap<u64, KvPage> = BTreeMap::new();
-        for (k, e) in entries {
-            pages.entry(k >> PAGE_BITS).or_default().insert(k, e);
-        }
         let mut state = KvState::default();
-        for e in pages.values().flat_map(BTreeMap::values) {
+        for (k, e) in entries {
+            *state.pages.slot_mut(k) = Some(e);
+        }
+        for (_, e) in state.pages.iter() {
             state.entries += 1;
             xor_acc(&mut state.acc, &e.leaf);
             state.value_bytes += e.value.len() as u64;
         }
-        state.pages = pages.into_iter().map(|(page, entries)| (page, Arc::new(entries))).collect();
         KvMachine { state: Arc::new(state) }
     }
 
     /// The committed entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &KvEntry)> + '_ {
-        self.state.pages.values().flat_map(|page| page.iter().map(|(k, e)| (*k, e)))
+        self.state.pages.iter()
     }
 
     /// The committed entry under `key`, if any.
     pub fn get(&self, key: u64) -> Option<&KvEntry> {
-        self.state.pages.get(&(key >> PAGE_BITS)).and_then(|page| page.get(&key))
+        self.state.pages.get(key)
     }
 
     /// Deterministic value content for `(key, version)`: the simulator carries
@@ -569,14 +653,13 @@ impl KvMachine {
 }
 
 impl KvState {
-    /// Commit one write, its leaf hashed: a single walk of the key's page
-    /// replaces the entry in place, and the old leaf leaves the accumulator
-    /// as the new one enters it.
+    /// Commit one write, its leaf hashed: the entry replaces the key's slot
+    /// in place, and the old leaf leaves the accumulator as the new one
+    /// enters it.
     fn commit(&mut self, key: u64, entry: KvEntry) {
         xor_acc(&mut self.acc, &entry.leaf);
         self.value_bytes += entry.value.len() as u64;
-        let page = Arc::make_mut(self.pages.entry(key >> PAGE_BITS).or_default());
-        match page.insert(key, entry) {
+        match self.pages.slot_mut(key).replace(entry) {
             Some(old) => {
                 self.value_bytes -= old.value.len() as u64;
                 xor_acc(&mut self.acc, &old.leaf);
@@ -644,8 +727,7 @@ impl StateMachine for KvMachine {
     fn scan_bytes(&self, start_key: u64, count: u32) -> u64 {
         self.state
             .pages
-            .range(start_key >> PAGE_BITS..)
-            .flat_map(|(_, page)| page.range(start_key..))
+            .iter_from(start_key)
             .take(count as usize)
             .map(|(_, e)| e.value.len() as u64)
             .sum()
@@ -897,26 +979,26 @@ mod tests {
     #[test]
     fn a_write_after_a_fork_copies_exactly_the_touched_page() {
         let touched = 1u64;
-        let key = (touched << PAGE_BITS) + 7;
+        let key = touched * PAGE_SLOTS as u64 + 7;
 
         let base: CounterMachine = populated(4);
         let mut fork = base.clone();
         fork.apply(Round(2), &write(1, key, 16));
         assert!(!Arc::ptr_eq(&fork.state, &base.state), "the root is copied once");
-        for (page, slots) in &base.state.pages {
-            let forked = &fork.state.pages[page];
+        for (page, slots) in &base.state.pages.pages {
+            let forked = &fork.state.pages.pages[page];
             assert_eq!(Arc::ptr_eq(slots, forked), *page != touched, "counter page {page}");
         }
         // The copy is now the fork's own: a second write there copies nothing.
-        let own = Arc::as_ptr(&fork.state.pages[&touched]);
+        let own = Arc::as_ptr(&fork.state.pages.pages[&touched]);
         fork.apply(Round(2), &write(2, key + 1, 16));
-        assert_eq!(Arc::as_ptr(&fork.state.pages[&touched]), own);
+        assert_eq!(Arc::as_ptr(&fork.state.pages.pages[&touched]), own);
 
         let base: KvMachine = populated(4);
         let mut fork = base.clone();
         fork.apply(Round(2), &write(1, key, 16));
-        for (page, entries) in &base.state.pages {
-            let forked = &fork.state.pages[page];
+        for (page, entries) in &base.state.pages.pages {
+            let forked = &fork.state.pages.pages[page];
             assert_eq!(Arc::ptr_eq(entries, forked), *page != touched, "kv page {page}");
         }
         // A value is never copied: the copied page points at the same bytes.
@@ -1094,16 +1176,158 @@ mod tests {
             sparse.apply(Round(1), &write(i, i * 1_000_003, 64));
         }
         assert_eq!(sparse.entries(), 100);
-        assert_eq!(sparse.state.pages.len() * page_bytes, 100 * 4096);
+        assert_eq!(sparse.state.pages.pages.len() * page_bytes, 100 * 4096);
         let mut dense = CounterMachine::default();
         for key in 0..100_000u64 {
             dense.apply(Round(1), &write(key, key, 64));
         }
         assert_eq!(dense.entries(), 100_000);
-        assert_eq!(dense.state.pages.len() * page_bytes, 196 * 4096, "8.03 bytes per dense key");
+        assert_eq!(
+            dense.state.pages.pages.len() * page_bytes,
+            196 * 4096,
+            "8.03 bytes per dense key"
+        );
         // A zero counter cannot be represented and is not restored.
         let with_zero = CounterMachine::from_state(BTreeMap::from([(5, 0), (6, 2)]));
-        assert_eq!((with_zero.entries(), with_zero.state.pages.len()), (1, 1));
+        assert_eq!((with_zero.entries(), with_zero.state.pages.pages.len()), (1, 1));
+    }
+
+    #[test]
+    fn isolated_kv_keys_hold_one_page_each() {
+        // The KV twin of the counter's sparse worst case: a key with no
+        // neighbour within its 512-key page holds 32 KiB of slots beside its
+        // value; a page of 512 written keys costs 64 bytes a key.
+        let page_bytes = std::mem::size_of::<[Option<KvEntry>; PAGE_SLOTS]>();
+        assert_eq!((std::mem::size_of::<Option<KvEntry>>(), page_bytes), (64, 32 * 1024));
+        let mut sparse = KvMachine::default();
+        for i in 0..100u64 {
+            sparse.apply(Round(1), &write(i, i * 1_000_003, 16));
+        }
+        assert_eq!(sparse.entries(), 100);
+        let per_key = sparse.state.pages.pages.len() * page_bytes / 100;
+        assert_eq!(per_key, 32 * 1024, "bytes of slots per isolated key");
+        let mut dense = KvMachine::default();
+        let txs: Vec<Transaction> = (0..2_048u64).map(|key| write(key, key, 16)).collect();
+        dense.apply_round(Round(1), &txs.iter().collect::<Vec<_>>());
+        assert_eq!(dense.entries(), 2_048);
+        assert_eq!(dense.state.pages.pages.len() * page_bytes / 2_048, 64, "bytes per dense key");
+    }
+
+    /// A key in one of pages 0, 1, 3 and 7 (2, 4, 5 and 6 stay absent), at
+    /// or next to a page edge or anywhere in the page.
+    fn paged_key(rng: &mut StdRng) -> u64 {
+        let page = [0u64, 1, 3, 7][rng.gen_range(0..4usize)];
+        let slot = match rng.gen_range(0..4u32) {
+            0 => 0,
+            1 => PAGE_SLOTS as u64 - 1,
+            2 => rng.gen_range(0..3u64),
+            _ => rng.gen_range(0..PAGE_SLOTS as u64),
+        };
+        page * PAGE_SLOTS as u64 + slot
+    }
+
+    /// The per-key reference: key → (version, last-writer round, value size).
+    type KvModel = BTreeMap<u64, (u64, u64, u32)>;
+
+    /// The snapshot stream of a model, each leaf hashed from its documented
+    /// layout by the plain one-message BLAKE2s.
+    fn model_stream(model: &KvModel) -> Vec<u8> {
+        let mut stream = b"kv-state-v2".to_vec();
+        stream.extend((model.len() as u64).to_le_bytes());
+        for (&key, &(version, round, size)) in model {
+            let mut leaf = b"ava-kv-entry".to_vec();
+            for word in [key, version, round] {
+                leaf.extend(word.to_le_bytes());
+            }
+            leaf.extend(size.to_le_bytes());
+            leaf.extend(KvMachine::fill_value(key, version, size).iter());
+            stream.extend(key.to_le_bytes());
+            stream.extend(ava_crypto::blake2s(&leaf));
+        }
+        stream
+    }
+
+    /// Every read of `m` against `model`: the totals, the digest, the
+    /// snapshot stream, point reads and scans from mid-page, page edges and
+    /// absent pages.
+    fn check_against_model(m: &KvMachine, model: &KvModel, rng: &mut StdRng, what: &str) {
+        let stream = model_stream(model);
+        let mut bytes = Vec::new();
+        m.snapshot().hash_into(&mut bytes);
+        assert_eq!(bytes, stream, "{what}: snapshot stream");
+        let mut digest = [0u8; 32];
+        for leaf in stream[19..].chunks_exact(40).map(|pair| pair[8..].try_into().unwrap()) {
+            xor_acc(&mut digest, &leaf);
+        }
+        assert_eq!(m.digest(), digest, "{what}: digest");
+        assert_eq!(m.entries(), model.len() as u64, "{what}: entries");
+        let total: u64 = model.values().map(|(_, _, size)| u64::from(*size)).sum();
+        assert_eq!(m.value_bytes(), total, "{what}: value bytes");
+        let edges = [0u64, 1, 2, 3, 4, 7, 8].map(|page| page * PAGE_SLOTS as u64);
+        let starts = edges
+            .iter()
+            .flat_map(|&edge| [edge, edge.saturating_sub(1), edge + 1, edge + 255])
+            .chain((0..8).map(|_| paged_key(rng)))
+            .collect::<Vec<_>>();
+        for start in starts {
+            let count = [0u32, 1, 7, 600, 2_000][rng.gen_range(0..5usize)];
+            let expected: u64 =
+                model.range(start..).take(count as usize).map(|(_, e)| u64::from(e.2)).sum();
+            assert_eq!(m.scan_bytes(start, count), expected, "{what}: scan {start} +{count}");
+            let len = model.get(&start).map_or(0, |e| e.2);
+            assert_eq!(m.read_len(start), len, "{what}: read {start}");
+            let entry = m.get(start).map(|e| (e.version, e.last_writer_round, e.value.len()));
+            assert_eq!(entry, model.get(&start).map(|e| (e.0, e.1, e.2 as usize)), "{what}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn random_rounds_across_forks_equal_a_per_key_map(seed in 0u64..1_000_000, steps in 1usize..24) {
+            // Forks of forks, each applying rounds of its own: every one must
+            // read as its own per-key map, whatever the others wrote to the
+            // pages they shared.
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut forks = vec![(KvMachine::default(), KvModel::new())];
+            let mut seq = 0;
+            for step in 0..steps as u64 {
+                let at = rng.gen_range(0..forks.len());
+                if rng.gen_range(0..4u32) == 0 {
+                    let fork = forks[at].clone();
+                    forks.push(fork);
+                    continue;
+                }
+                let round = Round(step + 1);
+                let txs: Vec<Transaction> = (0..rng.gen_range(0..3 * LANES))
+                    .map(|_| {
+                        seq += 1;
+                        let value_size = rng.gen_range(0..200u32);
+                        let kind = match rng.gen_range(0..4u32) {
+                            0 => TxKind::Scan { start_key: paged_key(&mut rng), count: 9 },
+                            1 => {
+                                let keys = (0..rng.gen_range(1..5u32)).map(|_| paged_key(&mut rng));
+                                TxKind::MultiWrite { keys: keys.collect(), value_size }
+                            }
+                            _ => TxKind::Write { key: paged_key(&mut rng), value_size },
+                        };
+                        Transaction { id: TxId { client: ClientId(1), seq }, kind, payload_size: 64 }
+                    })
+                    .collect();
+                let (machine, model) = &mut forks[at];
+                machine.apply_round(round, &txs.iter().collect::<Vec<_>>());
+                for tx in &txs {
+                    let (keys, size) = writes(tx);
+                    for &key in keys {
+                        let version = model.get(&key).map_or(0, |e| e.0) + 1;
+                        model.insert(key, (version, round.0, size));
+                    }
+                }
+                for (i, (machine, model)) in forks.iter().enumerate() {
+                    check_against_model(machine, model, &mut rng, &format!("step {step}, fork {i}"));
+                }
+            }
+        }
     }
 
     #[test]
