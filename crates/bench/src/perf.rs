@@ -50,7 +50,8 @@ fn opts(seed: u64) -> DeploymentOptions {
 /// Every replica executes every round, so each table is followed by the
 /// executed-round memo's hit share (ideal (n − 1)/n: 41/42, 7/8, 20/21) and
 /// the rounds it retains, then by the expected-tag memo's verifications
-/// answered, MACs computed on verify, and tags signed, then by the footprint
+/// answered, MACs computed on verify, and tags signed, then by the
+/// certificate verdicts replayed and computed, then by the footprint
 /// of the pools' seen indexes (transactions indexed, words, bytes); the KV
 /// table also by the checkpoint digests reused and the KV leaves hashed (one
 /// per key a round writes, since the replicas share each executed round) and
@@ -63,9 +64,10 @@ pub fn profile_deployments() {
         client_concurrency: 128,
         ..opts(7)
     };
-    let (memo, tags, seen, config) = (
+    let (memo, tags, verdicts, seen, config) = (
         ava_hamava::executed_round_stats(),
         ava_crypto::tag_memo_stats(),
+        ava_crypto::verdict_stats(),
         ava_consensus::seen_index_stats(),
         e3_setup(3, 3),
     );
@@ -74,6 +76,7 @@ pub fn profile_deployments() {
     let events = print_profile("paper deployment, counter machine", dep, Duration::from_secs(35));
     print_round_memo(memo, replicas);
     print_tag_memo(tags, events);
+    print_verdicts(verdicts);
     print_seen_index(seen);
 
     let kv = DeploymentOptions {
@@ -90,9 +93,10 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, tags, seen, digests, leaves) = (
+    let (memo, tags, verdicts, seen, digests, leaves) = (
         ava_hamava::executed_round_stats(),
         ava_crypto::tag_memo_stats(),
+        ava_crypto::verdict_stats(),
         ava_consensus::seen_index_stats(),
         ava_store::checkpoint_digest_stats(),
         ava_state::leaf_hash_stats(),
@@ -103,6 +107,7 @@ pub fn profile_deployments() {
     let events = print_profile("KV write shape, 2 x 4 replicas", dep, Duration::from_millis(1_240));
     print_round_memo(memo, replicas);
     print_tag_memo(tags, events);
+    print_verdicts(verdicts);
     print_seen_index(seen);
     let digests_after = ava_store::checkpoint_digest_stats();
     println!(
@@ -136,9 +141,10 @@ pub fn profile_deployments() {
         state_machine: ava_hamava::StateMachineKind::Kv,
         ..opts(7)
     };
-    let (memo, tags, seen) = (
+    let (memo, tags, verdicts, seen) = (
         ava_hamava::executed_round_stats(),
         ava_crypto::tag_memo_stats(),
+        ava_crypto::verdict_stats(),
         ava_consensus::seen_index_stats(),
     );
     let regions = [Region::UsWest, Region::Europe, Region::AsiaSouth];
@@ -152,6 +158,7 @@ pub fn profile_deployments() {
         print_profile("Ava-BFT-SMaRt, 3 x 7 replicas, KV machine", dep, Duration::from_secs(10));
     print_round_memo(memo, replicas);
     print_tag_memo(tags, events);
+    print_verdicts(verdicts);
     print_seen_index(seen);
 }
 
@@ -182,6 +189,18 @@ fn print_tag_memo(before: ava_crypto::TagMemoStats, events: u64) {
         misses as f64 / (hits + misses).max(1) as f64,
         now.generations_retired - before.generations_retired,
         signed as f64 / events.max(1) as f64
+    );
+}
+
+/// What the certificates' verdict memos did since `before`: answers replayed
+/// and answers computed from the signatures, and the replayed share (ideal
+/// (n − 1)/n of a cluster of n for a HotStuff phase certificate: 14/15, 11/12).
+fn print_verdicts(before: ava_crypto::VerdictStats) {
+    let now = ava_crypto::verdict_stats();
+    let (hits, misses) = (now.hits - before.hits, now.misses - before.misses);
+    println!(
+        "certificate verdicts: {hits} hits / {misses} misses (computed) / hit share {:.4}",
+        hits as f64 / (hits + misses).max(1) as f64
     );
 }
 

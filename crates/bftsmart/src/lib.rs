@@ -238,7 +238,8 @@ impl BftSmart {
             let instance = self.instances.remove(&height).expect("checked above");
             let block = instance.block.expect("checked above");
             let digest = instance.digest.expect("digest set with block");
-            let cert = QuorumCert::new(self.regency.cfg.cluster, digest, instance.commits);
+            let cert =
+                Arc::new(QuorumCert::new(self.regency.cfg.cluster, digest, instance.commits));
             self.next_deliver_height = height + 1;
             if self.regency.is_leader() {
                 self.outstanding = None;

@@ -111,15 +111,17 @@ impl Encode for Block {
 
 /// A block together with the quorum certificate that committed it.
 ///
-/// The block is `Arc`-shared: a committed block flows from the local TOB into the
-/// round package and from there to every remote replica, and none of those hops
-/// needs its own copy of the operation batch.
+/// Block and certificate are `Arc`-shared: a committed block flows from the
+/// local TOB into the round package and from there to every remote replica, and
+/// none of those hops needs its own copy of the operation batch or the
+/// signatures. A certificate shared this way also shares its verdict memo
+/// ([`QuorumCert::is_valid`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CommittedBlock {
     /// The committed block.
     pub block: Arc<Block>,
     /// Quorum certificate over the block digest, signed by the block's cluster.
-    pub cert: QuorumCert,
+    pub cert: Arc<QuorumCert>,
 }
 
 impl CommittedBlock {
@@ -134,7 +136,7 @@ impl CommittedBlock {
         members: &[ReplicaId],
         quorum: usize,
     ) -> bool {
-        self.cert.cluster == self.block.cluster
+        self.cert.cluster() == self.block.cluster
             && self.cert.is_valid(registry, &self.block.digest(), members, quorum)
     }
 
@@ -206,7 +208,7 @@ mod tests {
         let sigs: SigSet = kps[..3].iter().map(|kp| kp.sign(&digest)).collect();
         let cb = CommittedBlock {
             block: Arc::new(b),
-            cert: QuorumCert::new(ClusterId(0), digest, sigs),
+            cert: Arc::new(QuorumCert::new(ClusterId(0), digest, sigs)),
         };
         assert!(cb.verify(&reg, &members, 3));
         // With a grown cluster (quorum 5) the same certificate no longer validates.
@@ -221,8 +223,8 @@ mod tests {
         let members: Vec<ReplicaId> = (0..4).map(ReplicaId).collect();
         let b = block(4);
         let digest = b.digest();
-        let cert =
-            QuorumCert::new(ClusterId(0), digest, kps.iter().map(|kp| kp.sign(&digest)).collect());
+        let sigs = kps.iter().map(|kp| kp.sign(&digest)).collect();
+        let cert = Arc::new(QuorumCert::new(ClusterId(0), digest, sigs));
         let fewer = Block::new(b.cluster, b.height, b.proposer, b.ops[..3].to_vec());
         let original = CommittedBlock { block: Arc::new(b), cert: cert.clone() };
         assert!(original.verify(&reg, &members, 3));
@@ -239,7 +241,7 @@ mod tests {
         let sigs: SigSet = [kp.sign(&digest)].into_iter().collect();
         let cb = CommittedBlock {
             block: Arc::new(b),
-            cert: QuorumCert::new(ClusterId(9), digest, sigs),
+            cert: Arc::new(QuorumCert::new(ClusterId(9), digest, sigs)),
         };
         assert!(!cb.verify(&reg, &[ReplicaId(0)], 1));
     }

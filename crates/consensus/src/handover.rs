@@ -220,7 +220,8 @@ mod tests {
         fn decided(&self, b: &Arc<Block>) -> CommittedBlock {
             let d = b.digest();
             let sigs = self.keys[..3].iter().map(|k| k.sign(&d)).collect();
-            CommittedBlock { block: Arc::clone(b), cert: QuorumCert::new(CLUSTER, d, sigs) }
+            let cert = Arc::new(QuorumCert::new(CLUSTER, d, sigs));
+            CommittedBlock { block: Arc::clone(b), cert }
         }
 
         fn prepared(&self, b: &Arc<Block>, regency: u64, signers: usize) -> Prepared {

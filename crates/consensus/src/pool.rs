@@ -14,7 +14,7 @@
 //! one relies on those timers not firing early. A *local* leader that stops
 //! delivering while its members hold work is exactly what a leader change fixes.
 
-use ava_types::{BuildIdHasher, Duration, Operation, Reconfig, Round, Time, TxId};
+use ava_types::{fold_mul, BuildIdHasher, Duration, Operation, Reconfig, Round, Time, TxId, TxKey};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
@@ -173,27 +173,6 @@ impl PendingPool {
         }
         self.complained = false;
     }
-}
-
-/// A transaction id as a hash-table key: it hashes itself with
-/// [`fold_mul`], so a client's consecutive sequence numbers spread over the
-/// table with no SipHash rounds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct TxKey(TxId);
-
-impl Hash for TxKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(fold_mul(self.0.seq, self.0.client.0));
-    }
-}
-
-/// One folded 64 × 64 → 128-bit multiply of `wide` and `client`, each offset
-/// by a constant: consecutive values of `wide` and different clients' equal
-/// values both spread over the low bits a table indexes by.
-fn fold_mul(wide: u64, client: u32) -> u64 {
-    let product = u128::from(wide ^ 0x243f_6a88_85a3_08d3)
-        * u128::from(u64::from(client) ^ 0x1319_8a2e_0370_7345);
-    product as u64 ^ (product >> 64) as u64
 }
 
 /// The index entry that ends a chain.

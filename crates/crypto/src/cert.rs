@@ -10,8 +10,9 @@
 use crate::keys::{KeyRegistry, Signature};
 use crate::sha256::Digest;
 use ava_types::{ClusterId, Encode, EncodeSink, ReplicaId};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// A set of signatures over a single digest, at most one per signer.
 ///
@@ -119,46 +120,70 @@ impl FromIterator<Signature> for SigSet {
 /// This is the unit attached to operations in inter-cluster messages (Alg. 1: "a
 /// certificate for an operation contains at least `2·f_i + 1` signatures").
 ///
-/// Verification carries a single-entry memo: when the same certificate value is
-/// shared by reference across many verifiers (the `Arc`-shared round packages of the
-/// Stage 2 fan-out), only the first verifier pays the per-signature MAC cost for a
-/// given `(registry, members, threshold)` context; the rest hit the memo. The memo
-/// holds that context exactly (a copy of the member list, not a hash of it), so a
-/// hit can only replay a verdict computed for the identical question.
-/// The memo is interior state only — it does not participate in equality, hashing or
-/// encoding; the `Mutex` keeps the certificate `Sync` (it is uncontended in the
-/// single-threaded simulator).
+/// Verification carries a verdict memo: when the same certificate value is
+/// shared by reference across many verifiers (the `Arc`-shared round packages of
+/// the Stage 2 fan-out, a HotStuff phase certificate sent to every member), only
+/// the first verifier pays the per-signature lookups for a given `(registry,
+/// members, threshold)` context; the rest hit the memo. The memo keeps the
+/// *first* verdict and that context exactly (a copy of the member list, not a
+/// hash of it), so a hit can only replay a verdict computed for the identical
+/// question; a verification in another context recomputes and stores nothing.
+/// The memo is a `OnceLock`, so a hit takes no lock and the certificate stays
+/// `Sync`. It does not participate in equality, hashing or encoding.
+///
+/// The fields are private and immutable after [`QuorumCert::new`]: the memo
+/// key leaves the digest and the signatures out, so a certificate whose content
+/// could be rewritten after a verdict (a clone carries the verdict) would replay
+/// it for content nobody checked.
+#[derive(Clone)]
 pub struct QuorumCert {
-    /// The cluster whose quorum signed.
-    pub cluster: ClusterId,
-    /// The signed digest.
-    pub digest: Digest,
-    /// The signatures.
-    pub sigs: SigSet,
-    /// The context and verdict of the most recent `is_valid` evaluation.
-    valid_memo: Mutex<Option<Verdict>>,
+    cluster: ClusterId,
+    digest: Digest,
+    sigs: SigSet,
+    /// The context and verdict of the first `is_valid` evaluation.
+    verdict: OnceLock<Verdict>,
 }
 
 /// One `is_valid` answer and the exact context it was computed for. The
 /// expected digest needs no place here: `is_valid` only gets this far when it
-/// equals the certificate's own.
+/// equals the certificate's own. 32 bytes: every certificate a replica
+/// keeps carries one.
 #[derive(Clone)]
 struct Verdict {
-    registry: u64,
+    members: Box<[ReplicaId]>,
     threshold: usize,
-    members: Vec<ReplicaId>,
+    registry: u32,
     valid: bool,
 }
 
-impl Clone for QuorumCert {
-    fn clone(&self) -> Self {
-        QuorumCert {
-            cluster: self.cluster,
-            digest: self.digest,
-            sigs: self.sigs.clone(),
-            valid_memo: Mutex::new(self.valid_memo.lock().expect("memo lock poisoned").clone()),
-        }
-    }
+/// What the certificate verdict memos did on the calling thread since it
+/// started: `is_valid` answers replayed from a memo, and answers computed
+/// (one signature check per signature each). Answers refused before the memo
+/// (a digest other than the certificate's own) count as neither.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct VerdictStats {
+    /// Answers replayed from a certificate's memo.
+    pub hits: u64,
+    /// Answers computed from the signatures.
+    pub misses: u64,
+}
+
+thread_local! {
+    static VERDICTS: Cell<VerdictStats> = const { Cell::new(VerdictStats { hits: 0, misses: 0 }) };
+}
+
+/// What every certificate's verdict memo did on the calling thread since the
+/// thread started. For profiles and tests: nothing in a run depends on it.
+pub fn verdict_stats() -> VerdictStats {
+    VERDICTS.get()
+}
+
+fn count(bump: impl FnOnce(&mut VerdictStats)) {
+    VERDICTS.with(|cell| {
+        let mut stats = cell.get();
+        bump(&mut stats);
+        cell.set(stats);
+    });
 }
 
 impl QuorumCert {
@@ -167,7 +192,22 @@ impl QuorumCert {
     /// certifies, while the set was grown vote by vote.
     pub fn new(cluster: ClusterId, digest: Digest, mut sigs: SigSet) -> Self {
         sigs.sigs.shrink_to_fit();
-        QuorumCert { cluster, digest, sigs, valid_memo: Mutex::new(None) }
+        QuorumCert { cluster, digest, sigs, verdict: OnceLock::new() }
+    }
+
+    /// The cluster whose quorum signed.
+    pub fn cluster(&self) -> ClusterId {
+        self.cluster
+    }
+
+    /// The signed digest.
+    pub fn digest(&self) -> &Digest {
+        &self.digest
+    }
+
+    /// The signatures.
+    pub fn sigs(&self) -> &SigSet {
+        &self.sigs
     }
 
     /// Verify that the certificate carries at least `threshold` valid signatures from
@@ -184,15 +224,19 @@ impl QuorumCert {
             return false;
         }
         let registry_id = registry.instance_id();
-        let mut memo = self.valid_memo.lock().expect("memo lock poisoned");
-        if let Some(v) = memo.as_ref() {
-            if v.registry == registry_id && v.threshold == threshold && v.members == members {
+        if let Some(v) = self.verdict.get() {
+            if v.registry == registry_id && v.threshold == threshold && *v.members == *members {
+                count(|stats| stats.hits += 1);
                 return v.valid;
             }
         }
+        count(|stats| stats.misses += 1);
         let valid = self.sigs.count_valid(registry, expected, members) >= threshold;
-        *memo =
-            Some(Verdict { registry: registry_id, threshold, members: members.to_vec(), valid });
+        // The first verdict stays; checking first only saves copying the members.
+        if self.verdict.get().is_none() {
+            let members = members.into();
+            let _ = self.verdict.set(Verdict { members, threshold, registry: registry_id, valid });
+        }
         valid
     }
 
@@ -306,15 +350,43 @@ mod tests {
         let cert = QuorumCert::new(ClusterId(0), digest, sigs);
         let signers = &ids[..3];
         let other = [ids[0], ids[1], ids[3]];
-        let memo =
-            || cert.valid_memo.lock().unwrap().as_ref().map(|v| (v.members.clone(), v.valid));
+        let memo = || cert.verdict.get().map(|v| (v.members.to_vec(), v.valid));
+        let before = verdict_stats();
         assert!(cert.is_valid(&reg, &digest, signers, 3));
         assert_eq!(memo(), Some((signers.to_vec(), true)));
-        // Same length and threshold, one member swapped: recomputed, not replayed.
+        // Same length and threshold, one member swapped: recomputed, not
+        // replayed, and the first verdict stays.
         assert!(!cert.is_valid(&reg, &digest, &other, 3));
-        assert_eq!(memo(), Some((other.to_vec(), false)));
-        assert!(cert.is_valid(&reg, &digest, signers, 3));
         assert_eq!(memo(), Some((signers.to_vec(), true)));
+        assert!(!cert.is_valid(&reg, &digest, &other, 3));
+        assert!(cert.is_valid(&reg, &digest, signers, 3));
+        let after = verdict_stats();
+        assert_eq!((after.hits - before.hits, after.misses - before.misses), (1, 3));
+    }
+
+    #[test]
+    fn a_clone_keeps_its_verdict_and_a_rebuilt_forgery_fails() {
+        let (reg, kps, ids) = setup(4);
+        let digest = Digest::of(&"block".to_string());
+        let sigs: SigSet = kps[..3].iter().map(|kp| kp.sign(&digest)).collect();
+        let cert = QuorumCert::new(ClusterId(2), digest, sigs);
+        assert!(cert.is_valid(&reg, &digest, &ids, 3));
+        let before = verdict_stats();
+        let clone = cert.clone();
+        assert!(clone.is_valid(&reg, &digest, &ids, 3));
+        assert_eq!(verdict_stats().hits, before.hits + 1, "the clone replayed the verdict");
+        // The same certificate with one signature's tag forged can only be
+        // built anew, with no verdict: it is checked, and fails.
+        let mut sigs = clone.sigs().clone();
+        let mut forged = *sigs.iter().next().expect("three signatures");
+        forged.tag[0] ^= 1;
+        sigs.insert(forged);
+        let rebuilt = QuorumCert::new(clone.cluster(), *clone.digest(), sigs);
+        assert_eq!(rebuilt, QuorumCert::new(ClusterId(2), digest, rebuilt.sigs().clone()));
+        assert_ne!(rebuilt, cert);
+        assert!(!rebuilt.is_valid(&reg, &digest, &ids, 3));
+        assert!(rebuilt.is_valid(&reg, &digest, &ids, 2), "two genuine signatures remain");
+        assert_eq!(verdict_stats().misses, before.misses + 2);
     }
 
     #[test]
@@ -329,8 +401,8 @@ mod tests {
                     votes.insert(kp.sign(&digest));
                 }
                 let cert = QuorumCert::new(ClusterId(0), digest, votes);
-                assert_eq!((cert.sigs.sigs.len(), cert.sigs.sigs.capacity()), (q, q));
-                assert_eq!(cert.clone().sigs.sigs.capacity(), q, "a clone is exact too");
+                assert_eq!((cert.sigs().sigs.len(), cert.sigs().sigs.capacity()), (q, q));
+                assert_eq!(cert.clone().sigs().sigs.capacity(), q, "a clone is exact too");
             }
         }
     }
@@ -391,7 +463,7 @@ mod tests {
             let collected_model: BTreeMap<_, _> = drawn.iter().map(|sig| (sig.signer, *sig)).collect();
             assert_same(&collected, &collected_model, SIGNERS);
             let cert = QuorumCert::new(ClusterId(1), Digest::of(&seed), collected.clone());
-            prop_assert_eq!(&cert.sigs, &collected);
+            prop_assert_eq!(cert.sigs(), &collected);
         }
     }
 

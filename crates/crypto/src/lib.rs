@@ -33,6 +33,6 @@ pub mod keys;
 pub mod sha256;
 
 pub use blake2s::{blake2s, Blake2sKey};
-pub use cert::{QuorumCert, SigSet};
+pub use cert::{verdict_stats, QuorumCert, SigSet, VerdictStats};
 pub use keys::{tag_memo_stats, KeyRegistry, Keypair, Signature, TagMemoStats};
 pub use sha256::{sha256, Digest, Sha256};

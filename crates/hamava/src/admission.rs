@@ -111,7 +111,7 @@ mod tests {
             .map(|(height, txs)| {
                 let ops = txs.iter().cloned().map(Operation::Trans).collect();
                 let block = Arc::new(Block::new(cluster, height as u64, ReplicaId(0), ops));
-                let cert = QuorumCert::new(cluster, block.digest(), SigSet::default());
+                let cert = Arc::new(QuorumCert::new(cluster, block.digest(), SigSet::default()));
                 CommittedBlock { block, cert }
             })
             .collect();

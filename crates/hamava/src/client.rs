@@ -9,7 +9,7 @@
 use crate::messages::{AvaMsg, ClientCtl};
 use ava_consensus::WireSize;
 use ava_simnet::{Actor, Context, SimMessage};
-use ava_types::{ClientId, ClusterId, Duration, Output, ReplicaId, Time, TxId};
+use ava_types::{BuildIdHasher, ClientId, ClusterId, Duration, Output, ReplicaId, Time, TxKey};
 use ava_workload::ClientWorkload;
 use rand::seq::SliceRandom;
 use std::collections::HashMap;
@@ -47,7 +47,8 @@ impl ClientConfig {
 pub struct Client<TM> {
     cfg: ClientConfig,
     workload: ClientWorkload,
-    outstanding: HashMap<TxId, (Time, bool)>,
+    /// Issue time and kind of each request not yet answered, by id.
+    outstanding: HashMap<TxKey, (Time, bool), BuildIdHasher>,
     completed: u64,
     _marker: PhantomData<TM>,
 }
@@ -55,7 +56,8 @@ pub struct Client<TM> {
 impl<TM> Client<TM> {
     /// Create a client with the given workload generator.
     pub fn new(cfg: ClientConfig, workload: ClientWorkload) -> Self {
-        Client { cfg, workload, outstanding: HashMap::new(), completed: 0, _marker: PhantomData }
+        let outstanding = HashMap::default();
+        Client { cfg, workload, outstanding, completed: 0, _marker: PhantomData }
     }
 
     /// Number of completed transactions (for tests).
@@ -71,7 +73,7 @@ impl<TM: Clone + WireSize> Client<TM> {
         }
         let tx = self.workload.next_tx(ctx.rng());
         let target = *self.cfg.targets.choose(ctx.rng()).expect("targets not empty");
-        self.outstanding.insert(tx.id, (ctx.now(), tx.kind.is_write()));
+        self.outstanding.insert(TxKey(tx.id), (ctx.now(), tx.kind.is_write()));
         ctx.send(target, AvaMsg::ClientRequest { tx });
     }
 
@@ -94,7 +96,7 @@ where
     fn on_message(&mut self, _from: ReplicaId, msg: AvaMsg<TM>, ctx: &mut Context<'_, AvaMsg<TM>>) {
         match msg {
             AvaMsg::ClientResponse { tx, is_write, .. } => {
-                if let Some((issued_at, _)) = self.outstanding.remove(&tx) {
+                if let Some((issued_at, _)) = self.outstanding.remove(&TxKey(tx)) {
                     self.completed += 1;
                     ctx.emit(Output::TxCompleted {
                         tx,
@@ -124,7 +126,7 @@ where
         // Drop requests that have been outstanding for too long (lost to a crashed
         // replica or a leader change) and replace them to keep the load constant.
         let now = ctx.now();
-        let stale: Vec<TxId> = self
+        let stale: Vec<TxKey> = self
             .outstanding
             .iter()
             .filter(|(_, (issued, _))| now.since(*issued) >= RETRY_TIMEOUT)

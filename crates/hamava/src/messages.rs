@@ -479,7 +479,7 @@ mod tests {
             Round(1),
             vec![CommittedBlock {
                 block: std::sync::Arc::new(block),
-                cert: QuorumCert::new(ClusterId(0), digest, sigs),
+                cert: std::sync::Arc::new(QuorumCert::new(ClusterId(0), digest, sigs)),
             }],
             vec![Reconfig::Leave { replica: ReplicaId(3) }],
             None,
@@ -504,7 +504,7 @@ mod tests {
         let sigs: SigSet = [kp.sign(&digest)].into_iter().collect();
         let committed = CommittedBlock {
             block: std::sync::Arc::new(block),
-            cert: QuorumCert::new(ClusterId(0), digest, sigs),
+            cert: std::sync::Arc::new(QuorumCert::new(ClusterId(0), digest, sigs)),
         };
         let base = RoundPackage::new(ClusterId(0), Round(1), vec![committed.clone()], vec![], None);
         let same = RoundPackage::new(ClusterId(0), Round(1), vec![committed.clone()], vec![], None);

@@ -232,7 +232,7 @@ mod tests {
             .map(|h| {
                 let block = block(h);
                 let cert = QuorumCert::new(ClusterId(cluster), block.digest(), SigSet::default());
-                CommittedBlock { block, cert }
+                CommittedBlock { block, cert: Arc::new(cert) }
             })
             .collect();
         Arc::new(RoundPackage::new(ClusterId(cluster), Round(1), committed, vec![], None))

@@ -169,7 +169,8 @@ mod tests {
         let digest = block.digest();
         let sigs: SigSet =
             signers.iter().map(|&id| registry.register(ReplicaId(id)).sign(&digest)).collect();
-        CommittedBlock { block: Arc::new(block), cert: QuorumCert::new(cluster, digest, sigs) }
+        let cert = Arc::new(QuorumCert::new(cluster, digest, sigs));
+        CommittedBlock { block: Arc::new(block), cert }
     }
 
     /// A package of `cluster` without a reconfiguration set.

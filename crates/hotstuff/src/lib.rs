@@ -98,8 +98,11 @@ pub enum HotStuffMsg {
         height: u64,
         /// Digest of the block.
         digest: Digest,
-        /// Signatures collected in the previous phase.
-        justify: SigSet,
+        /// The votes of the previous phase, over what it signs
+        /// (`Phase::signed`). `Arc`-shared: the leader builds it once and
+        /// every member checks the one certificate, so the first check
+        /// computes its verdict and the others replay it.
+        justify: Arc<QuorumCert>,
         /// Leader timestamp.
         ts: u64,
     },
@@ -129,7 +132,7 @@ impl WireSize for HotStuffMsg {
         match self {
             HotStuffMsg::Forward(op) => forward_wire_size(op),
             HotStuffMsg::Proposal { block, .. } => block.wire_size(),
-            HotStuffMsg::PhaseCert { justify, .. } => 96 + justify.len() * 48,
+            HotStuffMsg::PhaseCert { justify, .. } => 96 + justify.signature_count() * 48,
             HotStuffMsg::Vote { .. } => 120,
             HotStuffMsg::Report(report) => report.wire_size(),
             HotStuffMsg::Decided(decided) => decided.wire_size(),
@@ -256,14 +259,14 @@ impl HotStuff {
         let next = inflight.phase.next().expect("Decide collects no votes");
         inflight.phase = next;
         let (votes, block) = (std::mem::take(&mut inflight.votes), inflight.block.clone());
-        let msg =
-            HotStuffMsg::PhaseCert { phase: next, height, digest, justify: votes.clone(), ts };
-        self.regency.to_members(msg, out);
-        if next == Phase::Decide {
+        let justify = Arc::new(QuorumCert::new(cfg.cluster, phase.signed(digest, ts), votes));
+        let cert = (next == Phase::Decide).then(|| Arc::clone(&justify));
+        self.regency
+            .to_members(HotStuffMsg::PhaseCert { phase: next, height, digest, justify, ts }, out);
+        if let Some(cert) = cert {
             // The leader's own Decide handling happens via its loopback message,
             // but clear the in-flight slot now so the next block can be proposed
             // as soon as the decide is delivered locally.
-            let cert = QuorumCert::new(cfg.cluster, digest, votes);
             self.in_flight = None;
             self.deliver(CommittedBlock { block, cert }, now, out);
             self.propose(out);
@@ -309,14 +312,20 @@ impl Phases for HotStuff {
                 }
                 // Verify the quorum certificate of the previous phase: the
                 // votes of the phase before.
-                out.push(TobAction::Verify(justify.len()));
+                out.push(TobAction::Verify(justify.signature_count()));
                 let voted_in = match phase {
                     Phase::Prepare | Phase::PreCommit => Phase::Prepare,
                     Phase::Commit => Phase::PreCommit,
                     Phase::Decide => Phase::Commit,
                 };
                 let (cfg, signed) = (&self.regency.cfg, voted_in.signed(digest, ts));
-                if justify.count_valid(&self.regency.registry, &signed, &cfg.members) < cfg.quorum()
+                if justify.cluster() != cfg.cluster
+                    || !justify.is_valid(
+                        &self.regency.registry,
+                        &signed,
+                        &cfg.members,
+                        cfg.quorum(),
+                    )
                 {
                     return;
                 }
@@ -326,15 +335,15 @@ impl Phases for HotStuff {
                         // A quorum pre-committed this block: a `Commit` vote may
                         // decide it, so hold the proof until the height is delivered.
                         if let Some(block) = self.known_blocks.get(&digest).cloned() {
-                            let proof = Prepared { block, regency: ts, proof: justify };
+                            let proof =
+                                Prepared { block, regency: ts, proof: justify.sigs().clone() };
                             self.locked.insert(height, proof);
                         }
                         self.vote(phase, height, digest, out);
                     }
                     Phase::Decide => {
                         if let Some(block) = self.known_blocks.get(&digest).cloned() {
-                            let cert = QuorumCert::new(cfg.cluster, digest, justify);
-                            self.deliver(CommittedBlock { block, cert }, now, out);
+                            self.deliver(CommittedBlock { block, cert: justify }, now, out);
                         }
                     }
                     Phase::Prepare => {}

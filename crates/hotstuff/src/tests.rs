@@ -32,3 +32,20 @@ fn vote_and_block_memos_stay_bounded() {
         assert!(voted <= 3 && known <= 1, "{id} holds {voted} votes and {known} blocks");
     }
 }
+
+/// The leader sends each phase's certificate to every member as one shared
+/// `QuorumCert`: of the 15 members that check it, the first computes the
+/// verdict and the other 14 replay it.
+#[test]
+fn fifteen_members_compute_one_verdict_per_phase_certificate() {
+    use ava_crypto::verdict_stats;
+    use ava_types::{ClientId, Transaction};
+    let (mut net, _) = ava_consensus::testkit::cluster(HotStuff::new, 15);
+    net.broadcast(ReplicaId(0), Operation::Trans(Transaction::write(ClientId(1), 0, 0, 64)));
+    let before = verdict_stats();
+    net.run_to_quiescence(100_000);
+    let after = verdict_stats();
+    assert_eq!(net.delivered_ops(ReplicaId(14)).len(), 1);
+    // PreCommit, Commit and Decide each carry one certificate.
+    assert_eq!((after.misses - before.misses, after.hits - before.hits), (3, 3 * 14));
+}

@@ -233,7 +233,8 @@ mod tests {
 /// bases), and keys that already mix their bits.
 ///
 /// A key that hashes itself into one `write_u64` (the signature memo's
-/// `(signer, digest)`, the pool's sequence words) passes through as the hash;
+/// `(registry, signer, digest)`, a [`TxKey`], the pool's sequence words)
+/// passes through as the hash;
 /// a node id's `write_u32` is spread over the table with one multiply.
 #[derive(Default)]
 pub struct IdHasher(u64);
@@ -260,4 +261,27 @@ impl std::hash::Hasher for IdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
+}
+
+/// A transaction id as a hash-table key through [`BuildIdHasher`]: it hashes
+/// itself with [`fold_mul`], so a client's consecutive sequence numbers spread
+/// over the table with no SipHash rounds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TxKey(pub TxId);
+
+impl std::hash::Hash for TxKey {
+    #[inline]
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(fold_mul(self.0.seq, self.0.client.0));
+    }
+}
+
+/// One folded 64 × 64 → 128-bit multiply of `wide` and `client`, each offset
+/// by a constant: consecutive values of `wide` and different clients' equal
+/// values both spread over the low bits a table indexes by.
+#[inline]
+pub fn fold_mul(wide: u64, client: u32) -> u64 {
+    let product = u128::from(wide ^ 0x243f_6a88_85a3_08d3)
+        * u128::from(u64::from(client) ^ 0x1319_8a2e_0370_7345);
+    product as u64 ^ (product >> 64) as u64
 }

@@ -22,7 +22,8 @@ pub use config::{ClusterSpec, ProtocolParams, SystemConfig};
 pub use encode::{Encode, EncodeSink};
 pub use error::AvaError;
 pub use ids::{
-    BuildIdHasher, ClientId, ClusterId, IdHasher, Region, ReplicaId, Round, Timestamp, TxId,
+    fold_mul, BuildIdHasher, ClientId, ClusterId, IdHasher, Region, ReplicaId, Round, Timestamp,
+    TxId, TxKey,
 };
 pub use membership::{fault_threshold, Membership, ReplicaInfo};
 pub use metrics::{Output, RejectKind, StageKind};
